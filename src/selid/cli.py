@@ -168,7 +168,6 @@ def cmd_verify(args) -> int:
     datasets = _datasets(args)
     algorithm = _pick_algorithm(args, g)
     result = _run_algorithm(algorithm, g, query, datasets)
-    dag = g if not any(e.kind == "bidirected" for e in g.edges) else None
     report = oracle.verify(
         g,
         query,
@@ -176,7 +175,6 @@ def cmd_verify(args) -> int:
         result,
         trials=args.trials,
         seed=args.seed,
-        dag=dag,
         datasets=[(d.name, d.intervened) for d in datasets] or None,
     )
     payload = report.to_jsonable()

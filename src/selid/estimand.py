@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph, GraphError, NotFixableError, NotReachableError, SelectorValue
+from .graph import Graph, GraphError, NotFixableError, NotReachableError
 
 
 class EstimandError(ValueError):
@@ -433,56 +433,35 @@ class ChainKernel:
         g2 = g.fix(v)
         if self.factors is None:
             return ChainKernel(g2, None, fix_kernel(self._expr, g, v))
-
-        de = g.descendants(v) & self.randoms
-        factors = dict(self.factors)
-        if de == {v}:
-            if v == g.selector:
-                # the selector stays a conditioning variable: marginalizing
-                # it would silently assume positivity, which its support
-                # structurally violates; the calling algorithm restricts the
-                # remaining factors to one of its values
-                factors.pop(v)
-                return ChainKernel(g2, factors, None)
-            # childless: fixing is marginalization
-            others_mention_v = [
-                f for w, f in factors.items() if w != v and v in f.conditioning()
-            ]
-            if not others_mention_v:
-                factors.pop(v)
-                return ChainKernel(g2, factors, None)
-            expr = SumOver(self.expr(), frozenset([v]))
-            return ChainKernel(g2, None, expr)
-
-        # drop rule: legal when no factor outside de(v) touches de(v)
-        legal = all(
-            not (f.conditioning() & de)
-            for w, f in factors.items()
-            if w not in de
-        ) and not (factors[v].conditioning() & (de - {v}))
-        if legal:
+        if self._fix_is_clean(v):
+            factors = dict(self.factors)
             factors.pop(v)
             return ChainKernel(g2, factors, None)
+        if g.descendants(v) & self.randoms == {v}:
+            # childless but conditioned on elsewhere: fixing is marginalization
+            return ChainKernel(g2, None, SumOver(self.expr(), frozenset([v])))
         return ChainKernel(g2, None, fix_kernel(self.expr(), g, v))
 
-    def fix_along(self, seq: Iterable[str]) -> "ChainKernel":
-        k = self
-        for v in seq:
-            k = k.fix(v)
-        return k
-
     def _fix_is_clean(self, v: str) -> bool:
-        """Whether fixing ``v`` keeps the kernel in chain form."""
+        """Whether fixing ``v`` keeps the kernel in chain form: its factor is
+        then simply dropped."""
         if self.factors is None:
             return True
         g = self.graph
         de = g.descendants(v) & self.randoms
         if de == {v}:
             if v == g.selector:
+                # the selector stays a conditioning variable: marginalizing
+                # it would silently assume positivity, which its support
+                # structurally violates; the calling algorithm restricts the
+                # remaining factors to one of its values
                 return True
+            # childless: marginalization, clean unless another factor
+            # conditions on v
             return not any(
                 v in f.conditioning() for w, f in self.factors.items() if w != v
             )
+        # drop rule: legal when no factor outside de(v) touches de(v)
         return all(
             not (f.conditioning() & de)
             for w, f in self.factors.items()
@@ -958,6 +937,3 @@ def parse(text: str) -> Estimand:
     """Parse the JSON rendering back into an expression tree."""
     return from_jsonable(json.loads(text))
 
-
-def selector_assignment_from_value(s: SelectorValue) -> SelectorAssign:
-    return SelectorAssign(s.pattern, tuple((c, v) for c, v in s.values))

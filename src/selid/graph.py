@@ -153,10 +153,6 @@ class SelectorSupport:
         return [p for p in self if not (p & dset)]
 
 
-def trivial_support() -> SelectorSupport:
-    return SelectorSupport(frozenset([frozenset()]))
-
-
 @dataclass(frozen=True)
 class Graph:
     """A mixed multigraph with random, fixed and latent vertices.
@@ -164,8 +160,7 @@ class Graph:
     ``fixed`` vertices receive no arrowheads; ``latent`` is a subset of
     ``random`` and only meaningful before latent projection.  ``selector``
     names the selection vertex when present, and ``support`` its allowed
-    patterns.  ``swig_splits`` records intervened originals after SWIG
-    construction (display metadata; vertex identity is preserved).
+    patterns.
     """
 
     random: frozenset
@@ -174,7 +169,6 @@ class Graph:
     latent: frozenset = frozenset()
     selector: Optional[str] = None
     support: Optional[SelectorSupport] = None
-    swig_splits: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "random", frozenset(self.random))

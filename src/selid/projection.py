@@ -163,8 +163,7 @@ def swig(
     its incoming edges) and a fixed half (named via ``fixed_name``, taking
     the outgoing edges).  When the selector is intervened at ``s``, every
     random child the value is serious for is deleted with its edges and the
-    remaining labels are resolved; otherwise labels are kept.  Counterfactual
-    relabelling is metadata only (``swig_splits``).
+    remaining labels are resolved; otherwise labels are kept.
     """
     targets = dict(a)
     if s is not None:
@@ -207,7 +206,6 @@ def swig(
         fixed=g.fixed | frozenset(fixed_name(t) for t in targets),
         latent=g.latent - serious,
         edges=frozenset(edges),
-        swig_splits=tuple(sorted((t, fixed_name(t)) for t in targets)),
     )
 
 

@@ -256,6 +256,33 @@ class TestVerify:
         d = rep.to_jsonable()
         assert d["status"] == "verified" and d["trials"] == 2
 
+    @pytest.mark.parametrize(
+        "name, query, kind, detail",
+        [
+            ("bow", q("Y", A="a"), "hedge", "witness total variation 1/2"),
+            ("forced_outcome", q("Y"), "positivity", "witness total variation 1"),
+            (
+                "confounded_selector_hedge",
+                q("Y", A="a"),
+                "hedge",
+                "witness total variation 1/2",
+            ),
+        ],
+        ids=["bow", "forced_outcome", "confounded_selector_hedge"],
+    )
+    def test_witness_report(self, name, query, kind, detail):
+        g = FX[name].graph
+        r = identify_selected(g, query)
+        assert r.kind == kind
+        rep = verify(g, query, g.support, r, trials=100, seed=1)
+        assert (rep.status, rep.kind, rep.trials, rep.failures, rep.detail) == (
+            "verified",
+            kind,
+            1,
+            (),
+            detail,
+        )
+
     def test_trials_floor(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
         with pytest.raises(OracleError):

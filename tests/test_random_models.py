@@ -33,8 +33,11 @@ def random_selection_model(seed: int):
         prob = 0.5 if a in lat else 0.4
         if rng.random() < prob:
             edges.add(directed(a, b))
+    # draw in a fixed edge order: set order would tie the model to the hash seed
     edges = {
-        e for e in edges if e.head != sel or e.tail not in lat or rng.random() < 0.5
+        e
+        for e in sorted(edges, key=lambda e: e.sort_key())
+        if e.head != sel or e.tail not in lat or rng.random() < 0.5
     }
     children = sorted({e.head for e in edges if e.tail == sel})
     if not children:
