@@ -380,7 +380,9 @@ class ChainKernel:
     that it remains a conditioning variable — marginalizing it would assume
     positivity its support structurally violates.  Once a step forces a
     non-chain expression the object degrades to a plain estimand and further
-    fixing uses the generic operator.
+    fixing uses the generic operator.  ``fix_to`` fixes toward a target set
+    and stops at its reachable closure, so one kernel built by ``from_joint``
+    serves every district of a query.
     """
 
     def __init__(self, graph: Graph, factors: Optional[dict], expr: Optional[Estimand]):
@@ -428,8 +430,6 @@ class ChainKernel:
 
     def fix(self, v: str) -> "ChainKernel":
         g = self.graph
-        if not g.is_fixable(v):
-            raise NotFixableError(v, g.district_of(v) & g.descendants(v))
         g2 = g.fix(v)
         if self.factors is None:
             return ChainKernel(g2, None, fix_kernel(self._expr, g, v))
@@ -468,22 +468,26 @@ class ChainKernel:
             if w not in de
         ) and not (self.factors[v].conditioning() & (de - {v}))
 
-    def fix_to(self, target: Iterable[str]) -> "ChainKernel":
-        """Fix everything outside ``target``, preferring steps that keep the
-        chain form; all valid orders yield the same kernel."""
+    def fix_to(self, target: Iterable[str], fixable=Graph.is_fixable) -> "ChainKernel":
+        """Fix every vertex outside ``target`` that ``fixable(graph, v)``
+        admits, steps that keep the chain form first, until none is left.
+
+        The rule must keep a fixable vertex fixable after other fixes, as
+        the ordinary criterion does; then every order ends at the same
+        kernel.  Its ``randoms`` are the reachable closure of ``target``
+        under the rule, equal to ``target`` exactly when the target is
+        reachable; an unreachable target is not an error.
+        """
         target = frozenset(target)
-        if self.graph.reachable(target) is None:
-            raise NotReachableError(
-                target, self.graph.reachable_closure(target)
-            )
+        unknown = target - self.randoms
+        if unknown:
+            raise GraphError(f"not random vertices: {sorted(unknown)}")
         k = self
-        todo = set(k.randoms) - target
-        while todo:
-            fixable = [v for v in sorted(todo) if k.graph.is_fixable(v)]
-            pick = next((v for v in fixable if k._fix_is_clean(v)), fixable[0])
-            k = k.fix(pick)
-            todo.discard(pick)
-        return k
+        while True:
+            cands = [v for v in sorted(k.randoms - target) if fixable(k.graph, v)]
+            if not cands:
+                return k
+            k = k.fix(next((v for v in cands if k._fix_is_clean(v)), cands[0]))
 
     def restrict_factor(self, v: str, asg: Mapping[str, Value]) -> "ChainKernel":
         if self.factors is None or v not in self.factors:

@@ -388,17 +388,12 @@ class Graph:
         stack = list(start)
         while stack:
             v, came_by_head = stack.pop()
-            for e in self.edges:
-                if v not in e.endpoints():
-                    continue
-                if e.kind == DIRECTED:
-                    if e.tail == v:
-                        mark_here, w, mark_there = False, e.head, True
-                    else:
-                        mark_here, w, mark_there = True, e.tail, False
-                else:
-                    mark_here, mark_there = True, True
-                    w = e.head if e.tail == v else e.tail
+            # (neighbours, arrowhead at v?, arrowhead at the neighbour?)
+            for nbrs, mark_here, mark_there in (
+                (self._children[v], False, True),
+                (self._parents[v], True, False),
+                (self._siblings[v], True, True),
+            ):
                 collider = came_by_head and mark_here
                 if collider:
                     if v not in anc_z:
@@ -406,12 +401,13 @@ class Graph:
                 else:
                     if v in z_eff:
                         continue
-                if w in y:
-                    return False
-                state = (w, mark_there)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
+                for w in nbrs:
+                    if w in y:
+                        return False
+                    state = (w, mark_there)
+                    if state not in seen:
+                        seen.add(state)
+                        stack.append(state)
         return True
 
     # -- fixing -------------------------------------------------------------
@@ -457,36 +453,32 @@ class Graph:
         fixed first, so the sequence is deterministic.
         """
         r = frozenset(r)
-        unknown = r - self.random
-        if unknown:
-            raise GraphError(f"not random vertices: {sorted(unknown)}")
-        g = self
-        seq = []
-        todo = set(self.random - r)
-        while todo:
-            v = next((v for v in sorted(todo) if g.is_fixable(v)), None)
-            if v is None:
-                return None
-            g = g.fix(v)
-            seq.append(v)
-            todo.remove(v)
-        return tuple(seq)
+        seq, closure = self._fix_greedily(r)
+        return seq if closure == r else None
 
     def reachable_closure(self, r: Iterable[str]) -> frozenset:
         """The unique smallest reachable superset of ``r``."""
+        return self._fix_greedily(r)[1]
+
+    def _fix_greedily(self, r: Iterable[str]) -> tuple:
+        """Fix the smallest fixable vertex outside ``r`` until none is left.
+
+        A fixable vertex stays fixable after other fixes, so every maximal
+        sequence ends at the same random set, the reachable closure of ``r``.
+        Returns the sequence and that closure.
+        """
         r = frozenset(r)
         unknown = r - self.random
         if unknown:
             raise GraphError(f"not random vertices: {sorted(unknown)}")
         g = self
+        seq = []
         while True:
-            v = next(
-                (v for v in sorted(g.random - r) if g.is_fixable(v)),
-                None,
-            )
+            v = next((v for v in sorted(g.random - r) if g.is_fixable(v)), None)
             if v is None:
-                return g.random
+                return tuple(seq), g.random
             g = g.fix(v)
+            seq.append(v)
 
 
 def genealogy(g: Graph, kind: str, x, strict: bool = False) -> frozenset:

@@ -164,11 +164,12 @@ def identify(g: Graph, query: Query, base: str = "p"):
     must be reachable in the full graph, else the hedge is returned."""
     _validate_query(g, query)
     ystar = _ancestral_set(g, query)
+    joint = ChainKernel.from_joint(g, base)
     kernels = []
     for dstar in _outcome_districts(g, ystar):
-        if g.reachable(dstar) is None:
-            return FailHedge(dstar, g.reachable_closure(dstar))
-        kernel = ChainKernel.from_joint(g, base).fix_to(dstar)
+        kernel = joint.fix_to(dstar)
+        if kernel.randoms != dstar:
+            return FailHedge(dstar, kernel.randoms)
         e = kernel.expr()
         e = _restrict_treatments(e, query, g.parents(dstar) - dstar)
         kernels.append(e)
@@ -185,18 +186,21 @@ def identify_fused(g: Graph, datasets: Iterable[DatasetSpec], query: Query):
     _validate_query(g, query)
     datasets = list(datasets)
     ystar = _ancestral_set(g, query)
+    joints = {}  # dataset index -> its chain kernel, built on first use
     kernels = []
     for dstar in _outcome_districts(g, ystar):
         tried = []
         chosen = None
-        for ds in datasets:
+        for i, ds in enumerate(datasets):
             tried.append(ds.name)
             if not dstar <= ds.graph.random:
                 continue
-            if ds.graph.reachable(dstar) is None:
-                continue
-            chosen = ChainKernel.from_joint(ds.graph, ds.name).fix_to(dstar)
-            break
+            if i not in joints:
+                joints[i] = ChainKernel.from_joint(ds.graph, ds.name)
+            kernel = joints[i].fix_to(dstar)
+            if kernel.randoms == dstar:
+                chosen = kernel
+                break
         if chosen is None:
             return FailThicket(dstar, tuple(tried))
         e = chosen.expr()
@@ -272,31 +276,6 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     if v == g.selector:
         return g.district_of(v) == {v}
     return True
-
-
-def _selection_closure(g: Graph, target: frozenset) -> frozenset:
-    while True:
-        v = next(
-            (v for v in sorted(g.random - target) if _selection_fixable(g, v)),
-            None,
-        )
-        if v is None:
-            return g.random
-        g = g.fix(v)
-
-
-def _selection_fix_to(kernel: ChainKernel, target: frozenset) -> ChainKernel:
-    """Chain fixing under the selection fixability rule, preferring clean steps."""
-    k = kernel
-    todo = set(k.randoms) - target
-    while todo:
-        fixable = [v for v in sorted(todo) if _selection_fixable(k.graph, v)]
-        if not fixable:
-            raise QueryError(f"{sorted(target)} not reachable under selection")
-        pick = next((v for v in fixable if k._fix_is_clean(v)), fixable[0])
-        k = k.fix(pick)
-        todo.discard(pick)
-    return k
 
 
 def _polish_kernel(
@@ -392,41 +371,36 @@ def identify_selected(
     sel = g.selector
     children = _selector_children(g)
     ystar = _ancestral_set(g, query)
+    joint = ChainKernel.from_joint(g, base)
     kernels = []
     for dstar in _outcome_districts(g, ystar):
         patterns = support.laidback_patterns(dstar)
         if not patterns:
             return FailPositivity(dstar)
         required = children & query.treated & g.ancestors(dstar)
-        closure = _selection_closure(g, dstar)
+        qtil = joint.fix_to(dstar, _selection_fixable)
+        closure = qtil.randoms
 
         if closure == dstar:
-            kernel = _selection_fix_to(ChainKernel.from_joint(g, base), dstar)
             pattern = _candidate_patterns(support, dstar, required)[0]
-            sval = _selector_assign(pattern, query, _kernel_scope(kernel))
-            e = _polish_kernel(kernel, g, sval, query)
+            sval = _selector_assign(pattern, query, _kernel_scope(qtil))
+            e = _polish_kernel(qtil, g, sval, query)
         elif sel not in closure:
-            qtil = _selection_fix_to(ChainKernel.from_joint(g, base), closure)
-            gtil = qtil.graph
             e = None
             tried = []
             for pattern in _candidate_patterns(support, dstar, required):
                 tried.append(tuple(sorted(pattern)))
-                ctx = context_graph(gtil, _pattern_value(pattern))
-                if ctx.reachable(dstar) is None:
-                    continue
+                ctx = context_graph(qtil.graph, _pattern_value(pattern))
                 kernel = qtil.with_graph(ctx).fix_to(dstar)
+                if kernel.randoms != dstar:
+                    continue
                 sval = _selector_assign(pattern, query, _kernel_scope(kernel))
                 e = _polish_kernel(kernel, g, sval, query)
                 break
             if e is None:
                 return FailThicket(dstar, tuple(tried))
         else:
-            qtil = _selection_fix_to(ChainKernel.from_joint(g, base), closure)
-            gtil = qtil.graph
-            sub = _confounded_selector(
-                g, gtil, query, qtil, dstar, closure, support, required
-            )
+            sub = _confounded_selector(g, query, qtil, dstar, support, required)
             if not isinstance(sub, Identified):
                 return sub
             e = sub.estimand
@@ -449,25 +423,22 @@ def confounded_selector(
     CADMG the routine works in)."""
     if closure != qtil.graph.random:
         raise QueryError("kernel graph must match the closure")
-    if closure != _selection_closure(g, frozenset(dstar)):
+    if closure != ChainKernel.from_joint(g).fix_to(dstar, _selection_fixable).randoms:
         raise QueryError("the given set is not the district's reachable closure")
     children = _selector_children(g)
     required = children & query.treated & g.ancestors(dstar)
-    return _confounded_selector(
-        g, qtil.graph, query, qtil, dstar, closure, support, required
-    )
+    return _confounded_selector(g, query, qtil, dstar, support, required)
 
 
 def _confounded_selector(
     g_full: Graph,
-    gtil: Graph,
     query: Query,
     qtil: ChainKernel,
     dstar: frozenset,
-    closure: frozenset,
     support: SelectorSupport,
     required: frozenset,
 ):
+    gtil, closure = qtil.graph, qtil.randoms
     sel = gtil.selector
     ch_star = gtil.children(sel) & (closure - dstar)
     if not ch_star:
@@ -476,6 +447,8 @@ def _confounded_selector(
     tried = []
     for pattern in _candidate_patterns(support, dstar, required):
         tried.append(tuple(sorted(pattern)))
+        if qtil.factors is None:
+            continue  # the chain degraded; no structured factors to order
         pv = _pattern_value(pattern)
         sw = swig(gtil, {sel: pv}, pv)
         anchor = min(dstar)
@@ -489,38 +462,29 @@ def _confounded_selector(
         cond = (cond & sw.vertices) - {sel}
         if left and not sw.m_separated(left, {sel}, cond):
             continue
-        sub = sw.induced_subgraph(dprime | sw.fixed)
-        if sub.reachable(dstar) is None:
-            continue
 
-        if qtil.factors is not None:
-            scope = frozenset(dprime)
-            for v in dprime:
-                scope |= qtil.factors[v].cond
-        else:
-            scope = _kernel_scope(qtil)
+        scope = frozenset(dprime)
+        for v in dprime:
+            scope |= qtil.factors[v].cond
         sval = _selector_assign(pattern, query, scope)
         factors = {}
-        ok = True
-        if qtil.factors is None:
-            ok = False  # the chain degraded; no structured factors to order
-        else:
-            ctx = context_graph(g_full, pv)
-            for v in sorted(dprime):
-                f = qtil.factors[v]
-                restr = dict(f.restr)
-                if v in de_s and sel in f.cond:
-                    cond_v = trim_conditioning(ctx, v, f.cond, keep={sel})
-                    restr[sel] = sval
-                else:
-                    cond_v = f.cond
-                for w, tok in query.treatments:
-                    if w in pattern and w in cond_v:
-                        restr[w] = tok
-                factors[v] = ChainFactor(v, f.base, cond_v, tuple(sorted(restr.items())))
-        if not ok:
-            continue
+        ctx = context_graph(g_full, pv)
+        for v in sorted(dprime):
+            f = qtil.factors[v]
+            restr = dict(f.restr)
+            if v in de_s and sel in f.cond:
+                cond_v = trim_conditioning(ctx, v, f.cond, keep={sel})
+                restr[sel] = sval
+            else:
+                cond_v = f.cond
+            for w, tok in query.treatments:
+                if w in pattern and w in cond_v:
+                    restr[w] = tok
+            factors[v] = ChainFactor(v, f.base, cond_v, tuple(sorted(restr.items())))
+        sub = sw.induced_subgraph(dprime | sw.fixed)
         kernel = ChainKernel(sub, factors, None).fix_to(dstar)
+        if kernel.randoms != dstar:
+            continue
         return Identified(kernel.expr())
     return FailUnknown(dstar, tuple(tried))
 
@@ -551,12 +515,12 @@ def sequential_baseline(
 
     # stage 1: the observational-context law of everything but the selector
     rest = g.random - {sel}
+    joint = ChainKernel.from_joint(g, base)
     stage1 = []
     for dstar in g.induced_subgraph(rest).districts():
-        closure = _selection_closure(g, dstar)
-        if closure != dstar:
-            return FailHedge(dstar, closure)
-        kernel = _selection_fix_to(ChainKernel.from_joint(g, base), dstar)
+        kernel = joint.fix_to(dstar, _selection_fixable)
+        if kernel.randoms != dstar:
+            return FailHedge(dstar, kernel.randoms)
         e = _polish_kernel(kernel, g, obs_assign, query)
         stage1.append(e)
     law = normal_form(

@@ -99,6 +99,13 @@ class TestFixKernel:
             fix_sequence(k("AY"), g, {"Y"})
         assert exc.value.closure == {"A", "Y"}
 
+    def test_chain_fix_to_unreachable_stops_at_closure(self):
+        # nothing outside {Y} is fixable in the bow: the kernel stays unfixed
+        g = FX["bow"].graph
+        kernel = ChainKernel.from_joint(g).fix_to({"Y"})
+        assert kernel.randoms == {"A", "Y"} and kernel.graph == g
+        assert normal_form(kernel.expr()) == k("AY")
+
     def test_chain_kernel_matches_generic_fixing(self):
         # structured and generic fixing agree numerically on every fixture
         g = FX["frontdoor"].graph

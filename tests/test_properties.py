@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selid.estimand import base_joint, fix_kernel, normal_form
+from selid.estimand import ChainKernel, base_joint, fix_kernel, normal_form
 from selid.fixtures import all_fixtures
 from selid.graph import Graph, SelectorValue, bidirected, directed
+from selid.identify import _selection_fixable
 from selid.oracle import (
     eval_estimand,
     exact_ci,
@@ -62,6 +64,29 @@ class TestRandomizedGraphInvariants:
                 assert g.nondescendants(v) == g.vertices - g.descendants(v)
                 for w in sorted(g.random):
                     assert (v in g.ancestors(w)) == (w in g.descendants(v))
+
+
+class TestChainKernelClosure:
+    def test_fix_to_stops_at_reachable_closure(self):
+        for seed in range(300):
+            g = random_admg(seed)
+            rng = random.Random(seed * 31 + 1)
+            members = sorted(g.random)
+            r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            kernel = ChainKernel.from_joint(g).fix_to(r)
+            assert kernel.randoms == g.reachable_closure(r), seed
+
+    def test_selection_closure_contains_ordinary_closure(self):
+        # the selection rule only withholds fixes of the selector
+        for seed in range(300):
+            rng = random.Random(seed * 17 + 5)
+            g = random_admg(seed)
+            members = sorted(g.random)
+            g = replace(g, selector=rng.choice(members))
+            r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            joint = ChainKernel.from_joint(g)
+            ordinary = joint.fix_to(r).randoms
+            assert ordinary <= joint.fix_to(r, _selection_fixable).randoms, seed
 
 
 def _valid_sequences(g: Graph, target: frozenset, cap: int = 24):
