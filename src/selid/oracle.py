@@ -1,11 +1,23 @@
 """Exact ground-truth engine: discrete selector SCMs with rational tables.
 
-Everything here is exact: probabilities are ``fractions.Fraction`` values,
-joints are enumerated (with variable elimination over latents), and every
-comparison is equality of rationals, never a tolerance.  The module supplies
-random model generation, observational/interventional laws, estimand
-evaluation, agreement witnesses for non-identification verdicts, and the
-top-level ``verify`` entry point.
+Everything here is exact: probabilities are ``fractions.Fraction`` values or
+integers over a common denominator, laws are enumerated (with variable
+elimination over latents), and every comparison is equality of rationals,
+never a tolerance.  The module supplies random model generation,
+observational/interventional laws, estimand evaluation, agreement witnesses
+for non-identification verdicts, and the top-level ``verify`` entry point.
+
+Two representations, one per side:
+
+* **Law plans** (``_compile_law``) compute the laws of a model.  A plan is
+  variable elimination worked out once per law shape: which factors to
+  multiply, in which order, and which axes to sum.  It is recorded as
+  gather indices and group widths, and replayed on the flat integer
+  CPT vectors of each model of that shape (``_Laws``), so the models of one
+  ``verify`` call or one witness pair share their plans.
+* **Eval tables** (``Table``) hold the laws once computed, keyed by value
+  tuples, and carry estimand evaluation: margins, conditionals, products,
+  ratios and restrictions.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import itertools
 import math
 import operator
 import random as _random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
@@ -117,20 +130,33 @@ def _product_cells(tables) -> int:
     return math.prod(map(len, domains.values()))
 
 
-def _product(tables: list) -> "Table":
-    prod = tables[0]
-    for t in tables[1:]:
-        prod = prod.multiply(t)
-    return prod
+def _joined(factors) -> tuple:
+    """Axes and domains of the product of ``factors`` (anything with ``axes``
+    and ``domains``) taken in order.  An axis whose domains differ keeps the
+    common values: a join of supported selector values against the full
+    response domain of a child row."""
+    axes = list(factors[0].axes)
+    domains = {a: factors[0].domains[a] for a in axes}
+    for f in factors[1:]:
+        for a in f.axes:
+            if a not in domains:
+                axes.append(a)
+                domains[a] = f.domains[a]
+            elif set(domains[a]) != set(f.domains[a]):
+                common = set(f.domains[a])
+                domains[a] = tuple(x for x in domains[a] if x in common)
+    return axes, domains
 
 
 # --------------------------------------------------------------------------
-# tables
+# eval tables
 
 
 class Table:
-    """Dense exact-rational factor over named axes.
+    """Exact-rational factor over named axes, the eval-side representation.
 
+    Laws arrive here from law plans; estimand evaluation (margins,
+    conditionals, products, ratios, restrictions) works on these tables.
     ``given`` marks context axes: the table is normalized per assignment of
     those axes (a conditional), or overall when ``given`` is empty.
 
@@ -139,8 +165,10 @@ class Table:
     arithmetic is needed.  ``numerators`` is the integer form of ``data``,
     ``(integers keyed like data, common denominator)`` as ``_scaled`` gives
     it.  A table built from numerators alone makes ``data`` on first use;
-    ``sum_out`` keeps the integer form, and ``conditional`` computes it
-    once per table when it is missing.
+    ``sum_out`` keeps the integer form, and ``conditional`` computes it once
+    per table when it is missing.  While ``eval_estimand`` runs, a table
+    keeps the margins its kernels take, and sums each new one from the
+    smallest one already taken.
     """
 
     def __init__(self, axes, domains, data=None, given=frozenset(), numerators=None):
@@ -149,6 +177,7 @@ class Table:
         self.given = frozenset(given)
         self.numerators = numerators
         self._data = data
+        self._margins = None  # axis set -> margin, while eval_estimand runs
 
     def __repr__(self):
         return f"Table(axes={self.axes!r}, given={sorted(self.given)!r}, data={self.data!r})"
@@ -168,16 +197,9 @@ class Table:
         return _picker([self.axes.index(a) for a in axes])
 
     def multiply(self, other: "Table") -> "Table":
+        axes, domains = _joined([self, other])
         shared = [a for a in self.axes if a in other.axes]
-        extra = [a for a in other.axes if a not in self.axes]
-        domains = dict(self.domains)
-        domains.update(other.domains)
-        for a in shared:
-            if set(self.domains[a]) != set(other.domains[a]):
-                # a join over the common values (e.g. supported selector
-                # values against the full response domain of a child row)
-                common = [v for v in self.domains[a] if v in set(other.domains[a])]
-                domains[a] = tuple(common)
+        extra = axes[len(self.axes):]
         other_key, other_extra = other._key(shared), other._key(extra)
         index: dict = {}
         for vals, q in other.data.items():
@@ -193,7 +215,7 @@ class Table:
             for vals, p in self.data.items()
             for ext, q in index.get(key(vals), ())
         }
-        return Table(self.axes + tuple(extra), domains, data, self.given | other.given)
+        return Table(axes, domains, data, self.given | other.given)
 
     def sum_out(self, axes: Iterable[str]) -> "Table":
         drop = frozenset(axes) & frozenset(self.axes)
@@ -209,6 +231,28 @@ class Table:
         total = _undef_sum if _has_undef(self.data.values()) else sum
         return Table(axes_out, domains, _sum_rows(self.data, key, total), self.given - drop)
 
+    def _size(self) -> int:
+        return len(self._data if self._data is not None else self.numerators[0])
+
+    def _margin(self, axes: frozenset) -> "Table":
+        """The margin of this table over ``axes``, on the integer numerators
+        when the table has them.  With margins kept, it is summed from the
+        smallest kept margin that has all of ``axes`` and kept in turn."""
+        if self.numerators is None:
+            self.numerators = _scaled(self.data)
+        if self._margins is None:
+            return self.sum_out(frozenset(self.axes) - axes)
+        t = self._margins.get(axes)
+        if t is None:
+            src = min((m for k, m in self._margins.items() if axes <= k), key=Table._size)
+            t = self._margins[axes] = src.sum_out(frozenset(src.axes) - axes)
+        return t
+
+    def _kernel_margins(self, outcome: frozenset, context: frozenset) -> tuple:
+        """The axis sets of the two margins ``conditional`` divides."""
+        keep = (outcome | context | self.given) & frozenset(self.axes)
+        return keep, keep - outcome
+
     def conditional(self, outcome: Iterable[str], context: Iterable[str]) -> "Table":
         """p(outcome | context) derived from this (conditional) table.
 
@@ -217,20 +261,24 @@ class Table:
         across them and then read at an arbitrary slice.  Margins are taken
         on the integer numerators, whose common denominator cancels.
         """
-        outcome = frozenset(outcome)
-        context = frozenset(context)
+        return self._conditional(frozenset(outcome), frozenset(context))
+
+    def _conditional(self, outcome: frozenset, context: frozenset, only=None) -> "Table":
+        """``conditional``; ``only = (axis, pattern)`` keeps just the rows
+        whose selector value on that context axis has ``pattern``."""
         missing = self.given - context
-        keep = outcome | context
-        if self.numerators is None:
-            self.numerators = _scaled(self.data)
-        base = self.sum_out(frozenset(self.axes) - keep - self.given)
-        den = base.sum_out(outcome)
+        keep, rest = self._kernel_margins(outcome, context)
+        base, den = self._margin(keep), self._margin(rest)
         if base.numerators is None:
             num_data, den_data = base.data, den.data
         else:
             num_data, den_data = base.numerators[0], den.numerators[0]
         den_key = base._key(den.axes)
-        data = {vals: _div(p, den_data[den_key(vals)]) for vals, p in num_data.items()}
+        rows = num_data.items()
+        if only is not None:
+            i, pattern = base.axes.index(only[0]), only[1]
+            rows = [(vals, p) for vals, p in rows if vals[i][0] == pattern]
+        data = {vals: _div(p, den_data[den_key(vals)]) for vals, p in rows}
         out = Table(base.axes, dict(base.domains), data, context | missing)
         if missing:
             out = out.project_constant(missing)
@@ -407,95 +455,237 @@ class DiscreteCsScm(_SelectorDomains):
 
     # -- laws -----------------------------------------------------------------
 
-    def _factor(self, v) -> Table:
-        parents, rows = self.cpts[v]
-        axes = parents + (v,)
-        domains = {a: self.row_domain(a) for a in axes}
-        domains[v] = self.domain(v)
-        data = {}
-        for pa_vals, dist in rows.items():
-            for val, p in dist.items():
-                data[pa_vals + (val,)] = p
-        return Table(axes, domains, data)
-
-    @staticmethod
-    def _eliminate(factors: list, latent: Iterable[str]) -> list:
-        """Sum ``latent`` out of the product of ``factors`` one vertex at a
-        time, each time the vertex whose product table is smallest; ties go
-        to the first name, so the order never depends on set iteration."""
-        left = sorted(latent)
-        while left:
-            h = min(left, key=lambda v: _product_cells(f for f in factors if v in f.axes))
-            left.remove(h)
-            # smallest first: the large factor is then walked only once
-            touching = sorted((f for f in factors if h in f.axes), key=lambda f: len(f.data))
-            factors = [f for f in factors if h not in f.axes]
-            if touching:
-                factors.append(_product(touching).sum_out({h}))
-        return factors
-
     def _cells(self, axes) -> int:
-        n = 1
-        for a in axes:
-            n *= len(self.domain(a))
-        return n
+        return math.prod(len(self.domain(a)) for a in axes)
 
-    def _law(self, factors: list, latent: Iterable[str], out_axes: frozenset) -> Table:
-        """Product of ``factors`` with ``latent`` eliminated and the rest
-        summed down to ``out_axes``.  Each factor is scaled to integers
-        first, so elimination is plain integer arithmetic, and the result
-        keeps those numerators over the product of the factor denominators."""
-        if not factors:
-            return Table((), {}, {(): Fraction(1)})
-        denom = 1
-        work = []
-        for f in factors:
-            nums, d = _scaled(f.data)
-            work.append(Table(f.axes, f.domains, nums, f.given))
-            denom *= d
-        work = self._eliminate(work, latent)
-        prod = _product(sorted(work, key=lambda f: len(f.data)))
-        prod = prod.sum_out(frozenset(prod.axes) - out_axes)
-        return Table(prod.axes, prod.domains, None, prod.given, (prod.data, denom))
-
-    def joint(self) -> Table:
-        """Exact observational joint over the observed vertices (selector
-        included), latents summed out by variable elimination."""
-        obs = self.observed()
-        if self._cells(obs) > MAX_CELLS:
-            raise OracleError("observed state space exceeds the enumeration cap")
-        factors = [self._factor(v) for v in self.graph.topological_order()]
-        return self._law(factors, self.graph.latent, obs)
-
-    def interventional(self, a: Mapping, s: Optional[SelectorValue] = None) -> Table:
-        """Truncated factorization: intervened factors (and the selector's)
-        are dropped and their values substituted; latents summed out."""
-        a = dict(a)
+    def _fixed_values(self, a: Mapping, s: Optional[SelectorValue]) -> dict:
+        """The values an intervention fixes: ``a`` plus, in a model with a
+        selector, the selector's (sorted pattern, value tuple) for ``s``."""
         sel = self.selector
         if sel is not None and s is None:
             raise OracleError("models with a selector need a selector value")
         if sel is not None and s.pattern and s.pattern not in self.response_support():
             raise OracleError("selector pattern outside the response domain")
-        if self._cells(self.observed()) > MAX_CELLS:
-            raise OracleError("observed state space exceeds the enumeration cap")
-        fixed_vals = dict(a)
-        if sel is not None:
-            svals = dict(s.values)
-            fixed_vals[sel] = (tuple(sorted(s.pattern)), tuple(
-                svals[c] for c in sorted(s.pattern)
-            ))
         for v, val in a.items():
             if v == sel:
                 raise OracleError("intervene on the selector via its own slot")
             if val not in self.domain(v):
                 raise OracleError(f"value {val!r} outside the domain of {v}")
-        factors = [
-            _slice(self._factor(v), fixed_vals)
-            for v in self.graph.topological_order()
-            if v not in fixed_vals
-        ]
-        fixed = frozenset(fixed_vals)
-        return self._law(factors, self.graph.latent - fixed, self.observed() - fixed)
+        fixed = dict(a)
+        if sel is not None:
+            svals = dict(s.values)
+            pattern = tuple(sorted(s.pattern))
+            fixed[sel] = (pattern, tuple(svals[c] for c in pattern))
+        return fixed
+
+    def joint(self) -> Table:
+        """Exact observational joint over the observed vertices (selector
+        included), latents summed out by variable elimination."""
+        return _Laws().joint(self)
+
+    def interventional(self, a: Mapping, s: Optional[SelectorValue] = None) -> Table:
+        """Truncated factorization: intervened factors (and the selector's)
+        are dropped and their values substituted; latents summed out."""
+        fixed = self._fixed_values(a, s)
+        return _Laws().law(self, fixed, frozenset(), self.observed() - frozenset(fixed))
+
+
+# --------------------------------------------------------------------------
+# law plans
+
+
+class _Operand:
+    """A factor of a law plan: its ``axes`` and ``domains``, and where its
+    rows sit in run vector ``slot``.  ``place`` maps each axis to its
+    row-major stride and the positions of its values; ``offset`` is the
+    constant part that axes fixed to one value contribute."""
+
+    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells")
+
+    def __init__(self, slot: int, layout, domains: Mapping, fixed: Mapping):
+        self.slot = slot
+        self.place = {}
+        self.offset = 0
+        stride = 1
+        for a in reversed(layout):
+            pos = {x: i for i, x in enumerate(domains[a])}
+            if a in fixed:
+                if fixed[a] not in pos:
+                    raise OracleError(f"value {fixed[a]!r} outside the domain of {a}")
+                self.offset += stride * pos[fixed[a]]
+            else:
+                self.place[a] = (stride, pos)
+            stride *= len(pos)
+        self.axes = tuple(a for a in layout if a not in fixed)
+        self.domains = {a: domains[a] for a in self.axes}
+        self.cells = math.prod(len(self.domains[a]) for a in self.axes)
+
+    def gather(self, axes, domains: Mapping) -> list:
+        """Positions of this factor's rows for every row of the row-major
+        table over ``axes``; axes the factor lacks are broadcast."""
+        idx = [self.offset]
+        for a in axes:
+            if a in self.place:
+                stride, pos = self.place[a]
+                steps = [stride * pos[x] for x in domains[a]]
+            else:
+                steps = [0] * len(domains[a])
+            idx = [i + d for i in idx for d in steps]
+        return idx
+
+
+class _LawPlan:
+    """Variable elimination for one law shape, recorded to be replayed.
+
+    ``vertices`` name the CPT vectors a run starts from (slots 0, 1, ...).
+    Each step multiplies its inputs, ``(slot, gather indices)`` pairs, cell
+    by cell, sums consecutive groups of ``width`` cells, and appends the
+    result as the next slot; a step without inputs is all ones.  Every
+    factor enters exactly one product, so a step releases its inputs.  The
+    last slot holds the law over ``axes`` in row-major order (rows ``keys``).
+    """
+
+    def __init__(self, vertices, steps, axes, domains, given):
+        self.vertices = vertices
+        self.steps = steps
+        self.axes = tuple(axes)
+        self.domains = domains
+        self.given = frozenset(given)
+        self.keys = list(itertools.product(*(domains[a] for a in self.axes)))
+
+    def run(self, vectors: Mapping) -> Table:
+        """The law of the model whose CPT vectors (``_cpt_vectors``) these
+        are, as integer numerators over the product of CPT denominators."""
+        slots = [vectors[v][0] for v in self.vertices]
+        for inputs, width, cells in self.steps:
+            if inputs:
+                (s, idx), *rest = inputs
+                acc = map(slots[s].__getitem__, idx)
+                for s, idx in rest:
+                    acc = map(operator.mul, acc, map(slots[s].__getitem__, idx))
+            else:
+                acc = itertools.repeat(1, cells)
+            slots.append(list(acc) if width == 1 else list(map(sum, zip(*[acc] * width))))
+            for s, _ in inputs:
+                slots[s] = None
+        denom = math.prod(vectors[v][1] for v in self.vertices)
+        nums = dict(zip(self.keys, slots[-1]))
+        return Table(self.axes, dict(self.domains), None, self.given, (nums, denom))
+
+
+def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> _LawPlan:
+    """The plan of the law of ``m`` over ``out_axes`` with the factors of
+    ``fixed`` and ``free`` vertices dropped: ``fixed`` axes are held at their
+    values, ``free`` axes stay as context (``given``) axes of the result.
+
+    Latents are eliminated smallest product first, ties to the first name,
+    so the order never depends on set iteration; what is left is multiplied
+    and summed down to ``out_axes``.  The output lists the kept axes in
+    product order, then the free axes sorted, broadcast where no factor has
+    them.  Every product is sized before anything runs, and one over
+    ``MAX_CELLS`` raises ``OracleError``.
+    """
+    if m.selector in free:
+        raise OracleError("intervene on the selector via its own slot")
+    if m._cells(m.observed()) > MAX_CELLS:
+        raise OracleError("observed state space exceeds the enumeration cap")
+    vertices = [v for v in m.graph.topological_order() if v not in fixed and v not in free]
+    ops = []
+    for slot, v in enumerate(vertices):
+        parents = m.cpts[v][0]
+        domains = {p: m.row_domain(p) for p in parents}
+        domains[v] = m.domain(v)
+        ops.append(_Operand(slot, parents + (v,), domains, fixed))
+    steps = []
+
+    def product(factors: list, keep: list, summed: list, domains: Mapping) -> _Operand:
+        layout = keep + summed
+        cells = math.prod(len(domains[a]) for a in layout)
+        if cells > MAX_CELLS:
+            raise OracleError(
+                f"an intermediate factor of {cells} cells exceeds the enumeration cap"
+            )
+        width = math.prod(len(domains[a]) for a in summed)
+        gathers = [(f.slot, array("l", f.gather(layout, domains))) for f in factors]
+        steps.append((gathers, width, cells))
+        return _Operand(len(vertices) + len(steps) - 1, keep, domains, {})
+
+    left = sorted(m.graph.latent - frozenset(fixed) - free)
+    while left:
+        h = min(left, key=lambda v: _product_cells(op for op in ops if v in op.axes))
+        left.remove(h)
+        # smallest first: this order fixes the axis order of the product
+        touching = sorted((op for op in ops if h in op.axes), key=lambda op: op.cells)
+        ops = [op for op in ops if h not in op.axes]
+        if touching:
+            axes, domains = _joined(touching)
+            ops.append(product(touching, [a for a in axes if a != h], [h], domains))
+    ops.sort(key=lambda op: op.cells)
+    axes, domains = _joined(ops) if ops else ([], {})
+    keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
+    for v in free:
+        domains.setdefault(v, m.domain(v))
+    out = product(ops, keep, [a for a in axes if a not in keep], domains)
+    return _LawPlan(vertices, steps, keep, out.domains, free)
+
+
+def _cpt_vectors(m: DiscreteCsScm) -> dict:
+    """vertex -> (integers, denominator): each CPT of ``m`` as one vector over
+    its least common denominator, in the row-major layout of its law-plan
+    factor (parent row domains in order, then the vertex's own domain).
+    A missing row or value counts as zero."""
+    out = {}
+    for v, (parents, rows) in m.cpts.items():
+        dom = m.domain(v)
+        probs = []
+        for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):
+            dist = rows.get(pa_vals, {})
+            probs.extend(dist.get(x, 0) for x in dom)
+        denom = math.lcm(*(p.denominator for p in probs))
+        out[v] = ([p.numerator * (denom // p.denominator) for p in probs], denom)
+    return out
+
+
+class _Laws:
+    """Laws of the models of one shape (DAG, domain sizes, support).
+
+    Each law plan is compiled on first use, keyed by its fixed values, free
+    vertices and output axes, and replayed for every model; the CPT vectors
+    of the model last asked about are kept, so a model's CPTs are scaled to
+    integers once however many of its laws are taken in a row.
+    """
+
+    def __init__(self):
+        self._plans: dict = {}
+        self._model = None
+        self._vectors = None
+
+    def law(self, m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> Table:
+        key = (tuple(sorted(fixed.items())), free, out_axes)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _compile_law(m, fixed, free, out_axes)
+        if m is not self._model:
+            self._model, self._vectors = m, _cpt_vectors(m)
+        return plan.run(self._vectors)
+
+    def joint(self, m: DiscreteCsScm) -> Table:
+        return self.law(m, {}, frozenset(), m.observed())
+
+    def dataset(self, m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> Table:
+        """p(V - Z | do(Z)) for every value of Z at once: the factors of Z
+        are dropped and its axes kept, last, as context axes."""
+        if not z:
+            return self.joint(m)
+        fixed = m._fixed_values({}, s)
+        return self.law(m, fixed, frozenset(z), m.observed() - frozenset(fixed))
+
+    def query(self, m: DiscreteCsScm, query) -> Table:
+        """p(query outcomes | do(treatments)) for every treatment value at
+        once, at the observational selector value when there is one; the
+        treatment axes are context axes."""
+        fixed = m._fixed_values({}, SelectorValue() if m.selector is not None else None)
+        return self.law(m, fixed, query.treated, query.outcomes | query.treated)
 
 
 # --------------------------------------------------------------------------
@@ -592,24 +782,80 @@ def interventional(m: DiscreteCsScm, a: Mapping, s: Optional[SelectorValue] = No
 # estimand evaluation
 
 
+def _base_kernels(e: Estimand) -> set:
+    """The ``BaseKernel`` nodes of ``e``, shared subtrees walked once."""
+    seen, kernels, stack = set(), set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            if isinstance(x, BaseKernel):
+                kernels.add(x)
+            stack.extend(getattr(x, "children", ()))
+            stack.extend(getattr(x, a) for a in ("child", "num", "den") if hasattr(x, a))
+    return kernels
+
+
 def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
     """Bottom-up exact evaluation; symbolic tokens become table axes and
-    zero-mass contexts evaluate to an undefined marker that propagates."""
+    zero-mass contexts evaluate to an undefined marker that propagates.
+
+    The margins every ``BaseKernel`` divides are taken first, largest axis
+    set first, and kept for this evaluation, so each is summed from the
+    smallest margin of the same table already taken rather than from the
+    whole table."""
+    wanted = {
+        (k.name, axes)
+        for k in _base_kernels(e)
+        if k.name in tables
+        for axes in tables[k.name]._kernel_margins(k.outcome, k.context)
+    }
+    kept = {name: tables[name] for name, _ in wanted}
+    for t in kept.values():
+        t._margins = {frozenset(t.axes): t}
+    try:
+        for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
+            kept[name]._margin(axes)
+        return _evaluate(e, tables)
+    finally:
+        for t in kept.values():
+            t._margins = None
+
+
+def _kernel_slice(e: Restrict, tables: Mapping[str, Table]):
+    """``(axis, pattern)`` when ``e`` restricts a ``BaseKernel`` to a
+    selector pattern on one of its context axes, so the kernel need only be
+    divided on rows of that pattern; None otherwise.  Only kernels whose
+    context covers the table's context axes qualify: for the others the
+    constancy check of ``project_constant`` must see every row."""
+    k = e.child
+    if not isinstance(k, BaseKernel) or k.name not in tables:
+        return None
+    t = tables[k.name]
+    if not t.given <= k.context:
+        return None
+    for var, val in e.assignment:
+        if isinstance(val, SelectorAssign) and var in k.context and var in t.axes:
+            return var, tuple(sorted(val.pattern))
+    return None
+
+
+def _evaluate(e: Estimand, tables: Mapping[str, Table]) -> Table:
     if isinstance(e, BaseKernel):
         if e.name not in tables:
             raise OracleError(f"no table for kernel {e.name!r}")
         return tables[e.name].conditional(e.outcome, e.context)
     if isinstance(e, (Marginal, SumOver)):
-        t = eval_estimand(e.child, tables)
+        t = _evaluate(e.child, tables)
         return t.sum_out(e.over)
     if isinstance(e, Product):
-        t = eval_estimand(e.children[0], tables)
+        t = _evaluate(e.children[0], tables)
         for c in e.children[1:]:
-            t = t.multiply(eval_estimand(c, tables))
+            t = t.multiply(_evaluate(c, tables))
         return t
     if isinstance(e, Ratio):
-        num = eval_estimand(e.num, tables)
-        den = eval_estimand(e.den, tables)
+        num = _evaluate(e.num, tables)
+        den = _evaluate(e.den, tables)
         if not set(den.axes) <= set(num.axes):
             raise OracleError("ratio denominator misses axes of the numerator")
         den_key, dd = num._key(den.axes), den.data
@@ -619,7 +865,11 @@ def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
             raise OracleError("ratio denominator misses rows of the numerator")
         return Table(num.axes, dict(num.domains), data, num.given | den.given)
     if isinstance(e, Restrict):
-        t = eval_estimand(e.child, tables)
+        only = _kernel_slice(e, tables)
+        if only is None:
+            t = _evaluate(e.child, tables)
+        else:
+            t = tables[e.child.name]._conditional(e.child.outcome, e.child.context, only)
         for var, val in e.assignment:
             t = _apply_restriction(t, var, val)
         return t
@@ -660,34 +910,36 @@ def _apply_restriction(t: Table, var: str, val) -> Table:
                 child_domain.setdefault(c, set()).add(cv)
         new_axes = list(base_axes)
         extend = []  # component positions that become new axes
+        bound = {}  # token -> the component position whose axis it became
         match = []  # (component position, row position) that must agree
+        same = []  # (component position, earlier component position)
         literal = []  # (component position, value)
         for ci, c in enumerate(pattern):
             tok = comp_tokens[c]
             name = None
             if isinstance(tok, (Sym, Var)):
                 name = tok.name if isinstance(tok, Sym) else tok.vertex
-            if name is not None and name not in new_axes:
+            if name is None:
+                literal.append((ci, min(child_domain[c]) if isinstance(tok, Lo) else tok))
+            elif name in bound:
+                same.append((ci, bound[name]))
+            elif name in base_axes:
+                match.append((ci, t.axes.index(name)))
+            else:
+                bound[name] = ci
                 new_axes.append(name)
                 extend.append(ci)
                 domains[name] = tuple(sorted(child_domain[c]))
-            elif name is not None:
-                # a token already bound by an earlier component is not an
-                # axis of ``t`` and goes unchecked here
-                if name in t.axes:
-                    match.append((ci, t.axes.index(name)))
-            elif isinstance(tok, Lo):
-                literal.append((ci, min(child_domain[c])))
-            else:
-                literal.append((ci, tok))
         key, extra = t._key(base_axes), _picker(extend)
         out = {}
         for vals, p in t.data.items():
             kids, cvals = vals[idx]
             if kids != pattern:
                 continue
-            if any(cvals[ci] != vals[i] for ci, i in match) or any(
-                cvals[ci] != lit for ci, lit in literal
+            if (
+                any(cvals[ci] != vals[i] for ci, i in match)
+                or any(cvals[ci] != cvals[cj] for ci, cj in same)
+                or any(cvals[ci] != lit for ci, lit in literal)
             ):
                 continue
             k = key(vals) + extra(cvals)
@@ -917,21 +1169,17 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
     return m1, m2
 
 
-def _query_law(m: DiscreteCsScm, query, vert_vals: Mapping) -> Table:
-    """p(query outcomes | do(vert_vals)) in ``m``, at the observational
-    selector value when the model has a selector."""
-    t = m.interventional(vert_vals, SelectorValue() if m.selector is not None else None)
-    return t.sum_out(frozenset(t.axes) - frozenset(query.outcomes))
-
-
 def _witness_separation(query, m1, m2) -> Fraction:
     """The largest total variation between the two models' query laws over
     all treatment values; 0 when their observed laws differ.  A pair is a
-    valid witness exactly when this is positive."""
-    if not m1.joint().equals(m2.joint()):
+    valid witness exactly when this is positive.  The pair shares its law
+    plans."""
+    laws = _Laws()
+    if not laws.joint(m1).equals(laws.joint(m2)):
         return Fraction(0)
+    q1, q2 = laws.query(m1, query), laws.query(m2, query)
     return max(
-        _query_law(m1, query, vert_vals).total_variation(_query_law(m2, query, vert_vals))
+        _slice(q1, vert_vals).total_variation(_slice(q2, vert_vals))
         for vert_vals, _ in _token_bindings(query, m1.sizes)
     )
 
@@ -1068,24 +1316,9 @@ def parity_witness(g: Graph, query, failure) -> tuple:
 
 
 def dataset_table(m: DiscreteCsScm, z: Iterable[str], s: Optional[SelectorValue] = None) -> Table:
-    """The conditional table p(V - Z | do(Z)) stacked over all values of Z."""
-    z = tuple(sorted(z))
-    if not z:
-        return m.joint()
-    doms = {v: m.domain(v) for v in z}
-    data = {}
-    axes = None
-    domains = None
-    for zvals in itertools.product(*(doms[v] for v in z)):
-        t = m.interventional(dict(zip(z, zvals)), s)
-        if axes is None:
-            axes = t.axes + z
-            domains = dict(t.domains)
-            for v in z:
-                domains[v] = doms[v]
-        for vals, p in t.data.items():
-            data[vals + zvals] = p
-    return Table(axes, domains, data, frozenset(z))
+    """The conditional table p(V - Z | do(Z)) stacked over all values of Z,
+    with the Z axes last in sorted order."""
+    return _Laws().dataset(m, z, s)
 
 
 @dataclass
@@ -1115,10 +1348,15 @@ class VerifyReport:
 
 
 def _token_bindings(query, sizes: Mapping[str, int]):
-    names = [tok.name for _, tok in query.treatments]
-    verts = [v for v, _ in query.treatments]
-    for combo in itertools.product(*(range(sizes[v]) for v in verts)):
-        yield dict(zip(verts, combo)), dict(zip(names, combo))
+    """(treatment values, token values) for every binding of the query's
+    distinct tokens; treatments that share a token share its value."""
+    verts_of: dict = {}
+    for v, tok in query.treatments:
+        verts_of.setdefault(tok.name, []).append(v)
+    ranges = [range(min(sizes[v] for v in vs)) for vs in verts_of.values()]
+    for combo in itertools.product(*ranges):
+        toks = dict(zip(verts_of, combo))
+        yield {v: toks[tok.name] for v, tok in query.treatments}, toks
 
 
 def verify(
@@ -1144,13 +1382,15 @@ def verify(
     dag = dag or (g if not any(e.kind == "bidirected" for e in g.edges) else canonical_hidden_dag(g))
 
     if kind == "identified":
+        laws = _Laws()  # every trial's model has the same shape
         failures = []
         for t in range(trials):
             m = random_cs_scm(dag, support, seed=seed + t, domain_size=domain_size)
-            tables = {"p": m.joint()}
+            tables = {"p": laws.joint(m)}
             for name, z in datasets or ():
-                tables[name] = dataset_table(m, z)
+                tables[name] = laws.dataset(m, z, None)
             est = eval_estimand(result.estimand, tables)
+            truth = laws.query(m, query)
             for vert_vals, tok_vals in _token_bindings(query, m.sizes):
                 sliced = _slice(est, tok_vals)
                 # leftover context axes must be provably irrelevant
@@ -1161,8 +1401,7 @@ def verify(
                 except OracleError:
                     failures.append(t)
                     break
-                truth = _query_law(m, query, vert_vals)
-                if not sliced.defined_everywhere() or not truth.equals(sliced):
+                if not sliced.defined_everywhere() or not _slice(truth, vert_vals).equals(sliced):
                     failures.append(t)
                     break
         status = "verified" if not failures else "refuted"

@@ -274,3 +274,18 @@ class TestCliMoreSurfaces:
         assert code == 0
         payload = json.loads(out)
         assert payload["failure"] == "thicket" and payload["models"] is None
+
+    def test_verify_treatments_sharing_a_token(self):
+        # both treatments take the one value of token a; the estimand binds
+        # it in two selector components, which must agree
+        code, out, err = run_cli(
+            "verify",
+            "--graph", str(FIXDIR / "selection_web.lsg"),
+            "--query", "P(Y | do(A1=a, A2=a), S=empty)",
+            "--trials", "20",
+            "--seed", "1",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["status"] == "verified"
+        assert payload["per_trial"] == ["match"] * 20

@@ -1,10 +1,14 @@
+import collections
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from selid import oracle
 from selid.estimand import BaseKernel, Sym
 from selid.fixtures import all_fixtures
-from selid.graph import SelectorValue
+from selid.graph import Graph, SelectorValue, directed
 from selid.identify import Query, identify, identify_selected
 from selid.oracle import (
     OracleError,
@@ -314,3 +318,164 @@ class TestConsistencyLaw:
         t = joint(m)
         assert t.value({"A": 0, "M": 0, "Y": 0}) == Fraction(143, 280)
         assert t.value({"A": 1, "M": 1, "Y": 1}) == Fraction(5, 126)
+
+
+def brute_law(m, fixed, free, out):
+    """The law over ``out`` by a plain product over every vertex: factors of
+    ``fixed`` and ``free`` vertices dropped, fixed vertices held at their
+    values, free ones ranging over their domains."""
+    verts = sorted(m.graph.vertices)
+    ranged = [v for v in verts if v not in fixed]
+    law = collections.defaultdict(Fraction)
+    for vals in itertools.product(*(m.domain(v) for v in ranged)):
+        asg = dict(fixed)
+        asg.update(zip(ranged, vals))
+        p = Fraction(1)
+        for v in verts:
+            if v not in fixed and v not in free:
+                parents, rows = m.cpts[v]
+                p *= rows[tuple(asg[x] for x in parents)][asg[v]]
+        law[tuple(asg[a] for a in out)] += p
+    return law
+
+
+def assert_law(t, law):
+    assert t.data == dict(law), t.axes
+
+
+def small_models(domain_size, seeds, max_states):
+    """Models on the random selection DAGs of test_random_models, with their
+    queries, where a brute-force product has at most ``max_states`` terms."""
+    from test_random_models import random_selection_model
+
+    for seed in seeds:
+        case = random_selection_model(seed)
+        if case is None:
+            continue
+        dag, _, query = case
+        m = random_cs_scm(dag, dag.support, seed=seed, domain_size=domain_size)
+        if math.prod(len(m.domain(v)) for v in m.graph.vertices) <= max_states:
+            yield m, query
+
+
+class TestLawPlans:
+    @pytest.mark.parametrize("domain_size, seeds", [(2, range(40)), (3, range(12))])
+    def test_laws_equal_brute_force_product(self, domain_size, seeds):
+        checked = 0
+        for m, query in small_models(domain_size, seeds, 6000):
+            sel, obs = m.selector, sorted(m.observed())
+            t = joint(m)
+            assert_law(t, brute_law(m, {}, (), t.axes))
+            # the observational selector value, treatments fixed
+            fixed = {v: 1 for v in query.treated}
+            t = interventional(m, fixed, SelectorValue())
+            assert set(t.axes) == set(obs) - {sel} - set(fixed)
+            assert_law(t, brute_law(m, {**fixed, sel: ((), ())}, (), t.axes))
+            # stacked over the treatment values, then sliced per binding
+            stacked = oracle._Laws().query(m, query)
+            assert stacked.given == query.treated
+            law = brute_law(m, {sel: ((), ())}, query.treated, stacked.axes)
+            assert_law(stacked, law)
+            for vert_vals, _ in oracle._token_bindings(query, m.sizes):
+                want = interventional(m, vert_vals, SelectorValue())
+                want = want.sum_out(frozenset(want.axes) - query.outcomes)
+                assert oracle._slice(stacked, vert_vals).equals(want)
+            checked += 1
+        assert checked >= 8
+
+    def test_fully_intervened_law_is_one(self):
+        fx = FX["frontdoor"]
+        m = random_cs_scm(fx.dag or canonical_hidden_dag(fx.graph), seed=3, domain_size=3)
+        t = interventional(m, {v: 2 for v in m.observed()})
+        # only the latent's factor is left, and it sums to one
+        assert t.axes == () and t.data == {(): 1}
+
+    def test_dataset_table_broadcasts_an_axis_no_factor_has(self):
+        # Y has no children: once its factor is dropped no factor has its axis
+        m = random_cs_scm(FX["chain"].graph, seed=9, domain_size=3)
+        t = dataset_table(m, {"Y"})
+        assert t.axes[-1] == "Y" and t.given == {"Y"} and len(t.data) == 27
+        for y in range(3):
+            want = interventional(m, {"Y": y})
+            for (a, mv), p in want.data.items():
+                assert t.value({"A": a, "M": mv, "Y": y}) == p
+
+    def test_stacked_dataset_equals_one_law_per_value(self):
+        fx = FX["double_bow"]
+        m = random_cs_scm(fx.dag, fx.dag.support, seed=5, domain_size=3)
+        t = dataset_table(m, {"A"}, SelectorValue())
+        assert t.axes[-1] == "A" and t.given == {"A"}
+        for a in range(3):
+            assert oracle._slice(t, {"A": a}).equals(interventional(m, {"A": a}, SelectorValue()))
+
+    def test_intermediate_cells_are_capped(self, monkeypatch):
+        # the product over U and its four children has 32 cells, the observed
+        # space only 16
+        kids = ("A", "B", "C", "D")
+        g = Graph(
+            random=frozenset(("U",) + kids),
+            latent=frozenset({"U"}),
+            edges=frozenset(directed("U", k) for k in kids),
+        )
+        m = random_cs_scm(g, seed=0)
+        monkeypatch.setattr(oracle, "MAX_CELLS", 20)
+        with pytest.raises(OracleError, match="intermediate factor of 32 cells"):
+            joint(m)
+        monkeypatch.setattr(oracle, "MAX_CELLS", 32)
+        assert sum(joint(m).data.values()) == 1
+
+    def test_verify_compiles_each_plan_once(self, monkeypatch):
+        compiled = []
+        real = oracle._compile_law
+
+        def counting(*args):
+            compiled.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_compile_law", counting)
+        fx = FX["selection_web"]
+        query = q("Y", A1="a1", A2="a2")
+        r = identify_selected(fx.graph, query)
+        counts = []
+        for trials in (1, 5):
+            compiled.clear()
+            rep = verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag)
+            assert rep.passed and rep.trials == trials
+            counts.append(len(compiled))
+        assert counts == [2, 2]  # the joint and the stacked ground truth
+
+    def test_memoized_kernels_equal_direct_conditionals(self, monkeypatch):
+        fx = FX["selection_web"]
+        r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
+        t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=3))
+        # every kernel eval_estimand divides, with the margins it kept then
+        seen = []
+        real = Table._conditional
+
+        def record(self, outcome, context, only=None):
+            out = real(self, outcome, context, only)
+            seen.append((outcome, context, only, len(self._margins or ())))
+            seen[-1] += (out,)
+            return out
+
+        monkeypatch.setattr(Table, "_conditional", record)
+        eval_estimand(r.estimand, {"p": t})
+        monkeypatch.undo()
+        assert t._margins is None  # kept for one evaluation only
+        assert len(seen) == 5 and all(n > 1 for *_, n, _ in seen)
+        assert any(only is not None for _, _, only, _, _ in seen)
+        for outcome, context, only, _, got in seen:
+            want = Table(t.axes, t.domains, dict(t.data)).conditional(outcome, context)
+            if only is None:
+                assert got.equals(want)
+            else:
+                # the rows of the selector pattern, and only those
+                var, pattern = only
+                i = want.axes.index(var)
+                rows = {k: p for k, p in want.data.items() if k[i][0] == pattern}
+                assert got.data == rows and 0 < len(rows) < len(want.data)
+
+    def test_shared_token_binds_one_value(self):
+        query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))
+        bindings = list(oracle._token_bindings(query, {"A1": 2, "A2": 2}))
+        assert bindings == [({"A1": 0, "A2": 0}, {"a": 0}), ({"A1": 1, "A2": 1}, {"a": 1})]
