@@ -7,30 +7,30 @@ never a tolerance.  The module supplies random model generation,
 observational/interventional laws, estimand evaluation, agreement witnesses
 for non-identification verdicts, and the top-level ``verify`` entry point.
 
-Two representations, one per side:
+One table layout, one step runner:
 
-* **Law plans** (``_compile_law``) compute the laws of a model.  A plan is
-  variable elimination worked out once per law shape: which factors to
-  multiply, in which order, and which axes to sum.  It is recorded as
-  gather indices and group widths, and replayed on the flat integer
-  CPT vectors of each model of that shape (``_Laws``), so the models of one
-  ``verify`` call or one witness pair share their plans.
-* **Eval tables** (``Table``) hold the laws once computed, keyed by value
-  tuples, and carry estimand evaluation: margins, conditionals, products,
-  ratios and restrictions.
+* **Tables** (``Table``) hold values row-major over their axes, as one flat
+  list over one integer denominator: a law's integer numerators, or exact
+  rationals over 1 once a table has been divided.
+* **Plans** (``_Plan``) are steps worked out once per shape and replayed:
+  each gathers its inputs by index arrays, multiplies or divides them cell
+  by cell, and reduces groups of ``width`` cells.  A law plan
+  (``_compile_law``) is variable elimination over a model's CPT vectors;
+  an estimand plan (``_compile_estimand``) runs on the laws it makes.
+  ``verify`` compiles each once per call and replays them on every trial;
+  each ``Table`` operation is a plan run once.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
 import random as _random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .estimand import (
     BaseKernel,
@@ -91,36 +91,8 @@ def _has_undef(values) -> bool:
     return any(map(operator.is_, values, itertools.repeat(UNDEF)))
 
 
-def _picker(idx):
-    """Key function taking the row positions ``idx``, always as a tuple."""
-    if not idx:
-        return lambda vals: ()
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda vals: (vals[i],)
-    return operator.itemgetter(*idx)
-
-
-def _scaled(data: dict) -> Optional[tuple]:
-    """``(numerators, denominator)``: the rational entries of ``data`` as
-    integers over their least common denominator; None if any is UNDEF."""
-    if _has_undef(data.values()):
-        return None
-    denom = math.lcm(*(p.denominator for p in data.values()))
-    return {k: p.numerator * (denom // p.denominator) for k, p in data.items()}, denom
-
-
-def _undef_sum(values):
-    return UNDEF if _has_undef(values) else sum(values)
-
-
-def _sum_rows(data: dict, key: Callable, total: Callable) -> dict:
-    """Entries of ``data`` grouped by ``key`` of their rows, each group
-    reduced by ``total``."""
-    groups = collections.defaultdict(list)
-    for k, p in zip(map(key, data), data.values()):
-        groups[k].append(p)
-    return {k: total(ps) for k, ps in groups.items()}
+def _exact(value, denom: int):
+    return value if value is UNDEF or denom == 1 else Fraction(value, denom)
 
 
 def _product_cells(tables) -> int:
@@ -149,109 +121,49 @@ def _joined(factors) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# eval tables
+# tables
 
 
 class Table:
-    """Exact-rational factor over named axes, the eval-side representation.
+    """Exact-rational factor over named axes.
 
-    Laws arrive here from law plans; estimand evaluation (margins,
-    conditionals, products, ratios, restrictions) works on these tables.
-    ``given`` marks context axes: the table is normalized per assignment of
-    those axes (a conditional), or overall when ``given`` is empty.
+    ``values`` lists one entry per row, row-major over ``axes`` (the last
+    axis varies fastest, each over its tuple in ``domains``), and the table's
+    value at a row is that entry over ``denom``: an integer, an exact
+    rational, or ``UNDEF``.  ``given`` marks context axes: the table is
+    normalized per assignment of those axes (a conditional), or overall when
+    ``given`` is empty.  ``values`` may also be given as a mapping from value
+    tuples to entries, covering every row.
 
-    Rows are value tuples in ``axes`` order.  Operations map axes to row
-    positions once per call, and decide once per table whether UNDEF
-    arithmetic is needed.  ``numerators`` is the integer form of ``data``,
-    ``(integers keyed like data, common denominator)`` as ``_scaled`` gives
-    it.  A table built from numerators alone makes ``data`` on first use;
-    ``sum_out`` keeps the integer form, and ``conditional`` computes it once
-    per table when it is missing.  While ``eval_estimand`` runs, a table
-    keeps the margins its kernels take, and sums each new one from the
-    smallest one already taken.
+    Every operation is a ``_Plan`` run once; ``data`` is a view of the
+    values keyed by value tuples.
     """
 
-    def __init__(self, axes, domains, data=None, given=frozenset(), numerators=None):
+    def __init__(self, axes, domains, values, given=frozenset(), denom: int = 1):
         self.axes = tuple(axes)
         self.domains = domains
+        if isinstance(values, Mapping):
+            values = [values[k] for k in itertools.product(*(domains[a] for a in self.axes))]
+        self.values = values
         self.given = frozenset(given)
-        self.numerators = numerators
-        self._data = data
-        self._margins = None  # axis set -> margin, while eval_estimand runs
+        self.denom = denom
 
     def __repr__(self):
         return f"Table(axes={self.axes!r}, given={sorted(self.given)!r}, data={self.data!r})"
 
     @property
     def data(self) -> dict:
-        if self._data is None:
-            nums, denom = self.numerators
-            self._data = {k: Fraction(n, denom) for k, n in nums.items()}
-        return self._data
+        rows = itertools.product(*(self.domains[a] for a in self.axes))
+        return {k: _exact(v, self.denom) for k, v in zip(rows, self.values)}
 
     def value(self, assignment: Mapping):
-        key = tuple(assignment[a] for a in self.axes)
-        return self.data[key]
-
-    def _key(self, axes) -> Callable:
-        return _picker([self.axes.index(a) for a in axes])
+        return self.data[tuple(assignment[a] for a in self.axes)]
 
     def multiply(self, other: "Table") -> "Table":
-        axes, domains = _joined([self, other])
-        shared = [a for a in self.axes if a in other.axes]
-        extra = axes[len(self.axes):]
-        other_key, other_extra = other._key(shared), other._key(extra)
-        index: dict = {}
-        for vals, q in other.data.items():
-            index.setdefault(other_key(vals), []).append((other_extra(vals), q))
-        mul = (
-            _mul
-            if _has_undef(self.data.values()) or _has_undef(other.data.values())
-            else operator.mul
-        )
-        key = self._key(shared)
-        data = {
-            vals + ext: mul(p, q)
-            for vals, p in self.data.items()
-            for ext, q in index.get(key(vals), ())
-        }
-        return Table(axes, domains, data, self.given | other.given)
+        return _once([self, other], lambda plan, a, b: plan.product([a, b]))
 
     def sum_out(self, axes: Iterable[str]) -> "Table":
-        drop = frozenset(axes) & frozenset(self.axes)
-        if not drop:
-            return self
-        axes_out = tuple(a for a in self.axes if a not in drop)
-        key = self._key(axes_out)
-        domains = {a: self.domains[a] for a in axes_out}
-        if self.numerators is not None:
-            nums, denom = self.numerators
-            nums = _sum_rows(nums, key, sum)
-            return Table(axes_out, domains, None, self.given - drop, (nums, denom))
-        total = _undef_sum if _has_undef(self.data.values()) else sum
-        return Table(axes_out, domains, _sum_rows(self.data, key, total), self.given - drop)
-
-    def _size(self) -> int:
-        return len(self._data if self._data is not None else self.numerators[0])
-
-    def _margin(self, axes: frozenset) -> "Table":
-        """The margin of this table over ``axes``, on the integer numerators
-        when the table has them.  With margins kept, it is summed from the
-        smallest kept margin that has all of ``axes`` and kept in turn."""
-        if self.numerators is None:
-            self.numerators = _scaled(self.data)
-        if self._margins is None:
-            return self.sum_out(frozenset(self.axes) - axes)
-        t = self._margins.get(axes)
-        if t is None:
-            src = min((m for k, m in self._margins.items() if axes <= k), key=Table._size)
-            t = self._margins[axes] = src.sum_out(frozenset(src.axes) - axes)
-        return t
-
-    def _kernel_margins(self, outcome: frozenset, context: frozenset) -> tuple:
-        """The axis sets of the two margins ``conditional`` divides."""
-        keep = (outcome | context | self.given) & frozenset(self.axes)
-        return keep, keep - outcome
+        return _once([self], lambda plan, a: plan.sum_out(a, axes))
 
     def conditional(self, outcome: Iterable[str], context: Iterable[str]) -> "Table":
         """p(outcome | context) derived from this (conditional) table.
@@ -261,104 +173,41 @@ class Table:
         across them and then read at an arbitrary slice.  Margins are taken
         on the integer numerators, whose common denominator cancels.
         """
-        return self._conditional(frozenset(outcome), frozenset(context))
-
-    def _conditional(self, outcome: frozenset, context: frozenset, only=None) -> "Table":
-        """``conditional``; ``only = (axis, pattern)`` keeps just the rows
-        whose selector value on that context axis has ``pattern``."""
-        missing = self.given - context
-        keep, rest = self._kernel_margins(outcome, context)
-        base, den = self._margin(keep), self._margin(rest)
-        if base.numerators is None:
-            num_data, den_data = base.data, den.data
-        else:
-            num_data, den_data = base.numerators[0], den.numerators[0]
-        den_key = base._key(den.axes)
-        rows = num_data.items()
-        if only is not None:
-            i, pattern = base.axes.index(only[0]), only[1]
-            rows = [(vals, p) for vals, p in rows if vals[i][0] == pattern]
-        data = {vals: _div(p, den_data[den_key(vals)]) for vals, p in rows}
-        out = Table(base.axes, dict(base.domains), data, context | missing)
-        if missing:
-            out = out.project_constant(missing)
-        return out
+        outcome, context = frozenset(outcome), frozenset(context)
+        return _once([self], lambda plan, a: plan.conditional(a, outcome, context))
 
     def project_constant(self, axes: Iterable[str]) -> "Table":
         """Drop axes the table provably does not vary over (exact check)."""
-        drop = frozenset(axes) & frozenset(self.axes)
-        if not drop:
-            return self
-        axes_out = tuple(a for a in self.axes if a not in drop)
-        axes_drop = [a for a in self.axes if a in drop]
-        key, drop_key = self._key(axes_out), self._key(axes_drop)
-        ref = tuple(self.domains[a][0] for a in axes_drop)
-        data = {key(vals): p for vals, p in self.data.items() if drop_key(vals) == ref}
-        get = data.get
-        for vals, p in self.data.items():
-            if get(key(vals)) != p:
-                raise OracleError(
-                    f"kernel is not constant over context axes {sorted(drop)}"
-                )
-        return Table(
-            axes_out,
-            {a: self.domains[a] for a in axes_out},
-            data,
-            self.given - drop,
-        )
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        axes = tuple(mapping.get(a, a) for a in self.axes)
-        if len(set(axes)) != len(axes):
-            raise OracleError("axis rename collision")
-        domains = {mapping.get(a, a): d for a, d in self.domains.items()}
-        given = frozenset(mapping.get(a, a) for a in self.given)
-        return Table(axes, domains, dict(self.data), given)
-
-    def select_equal(self, a: str, b: str, drop: str) -> "Table":
-        """Keep entries where axes ``a`` and ``b`` agree, dropping ``drop``."""
-        ia, ib = self.axes.index(a), self.axes.index(b)
-        axes = tuple(x for x in self.axes if x != drop)
-        key = self._key(axes)
-        data = {key(vals): p for vals, p in self.data.items() if vals[ia] == vals[ib]}
-        domains = {x: self.domains[x] for x in axes}
-        return Table(axes, domains, data, self.given - {drop})
+        return _once([self], lambda plan, a: plan.sum_out(a, axes, _SAME))
 
     def defined_everywhere(self) -> bool:
-        return not _has_undef(self.data.values())
-
-    def _aligned(self, other: "Table"):
-        """Pairs (own entry, entry of ``other``) over the rows of ``other``."""
-        key = other._key(self.axes)
-        data = self.data
-        return ((data[key(vals)], q) for vals, q in other.data.items())
+        return not _has_undef(self.values)
 
     def total_variation(self, other: "Table") -> Fraction:
         if set(self.axes) != set(other.axes):
             raise OracleError("total variation over mismatched axes")
+        rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
         tv = Fraction(0)
-        for p, q in self._aligned(other):
+        for p, q in zip(map(self.values.__getitem__, rows), other.values):
             if p is UNDEF or q is UNDEF:
                 raise OracleError("total variation over undefined entries")
-            tv += abs(p - q)
+            tv += abs(Fraction(p, self.denom) - Fraction(q, other.denom))
         return tv / 2
 
     def equals(self, other: "Table") -> bool:
         if set(self.axes) != set(other.axes):
             return False
-        return all(p == q for p, q in self._aligned(other))
+        rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
+        mine, theirs = map(self.values.__getitem__, rows), other.values
+        if self.denom != other.denom:
+            mine = (_exact(p, self.denom) for p in mine)
+            theirs = (_exact(q, other.denom) for q in theirs)
+        return all(map(operator.eq, mine, theirs))
 
 
 def _slice(t: Table, fixed: Mapping) -> Table:
     """The rows of ``t`` at the values ``fixed`` gives, without those axes."""
-    at = [a for a in t.axes if a in fixed]
-    if not at:
-        return t
-    axes = tuple(a for a in t.axes if a not in fixed)
-    key, pick = t._key(axes), t._key(at)
-    want = tuple(fixed[a] for a in at)
-    data = {key(vals): p for vals, p in t.data.items() if pick(vals) == want}
-    return Table(axes, {a: t.domains[a] for a in axes}, data, t.given - frozenset(fixed))
+    return _once([t], lambda plan, a: plan.select(a, fixed))
 
 
 def selector_domain(support: SelectorSupport, child_sizes: Mapping[str, int]) -> tuple:
@@ -491,18 +340,21 @@ class DiscreteCsScm(_SelectorDomains):
 
 
 # --------------------------------------------------------------------------
-# law plans
+# plans
 
 
 class _Operand:
-    """A factor of a law plan: its ``axes`` and ``domains``, and where its
-    rows sit in run vector ``slot``.  ``place`` maps each axis to its
-    row-major stride and the positions of its values; ``offset`` is the
-    constant part that axes fixed to one value contribute."""
+    """A table a plan reads or makes: its ``axes``, ``domains`` and
+    ``given``, and where its rows sit in run vector ``slot``.  ``place`` maps
+    each axis to its row-major stride and the positions of its values;
+    ``offset`` is the constant part that axes fixed to one value contribute.
+    ``step`` is the step that made it while no other step reads it, so that
+    the rows it keeps can be chosen in that step's gathers."""
 
-    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells")
+    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells", "given", "step")
 
-    def __init__(self, slot: int, layout, domains: Mapping, fixed: Mapping):
+    def __init__(self, slot: int, layout, domains: Mapping, fixed=None, given=frozenset(), step=None):
+        fixed = fixed or {}
         self.slot = slot
         self.place = {}
         self.offset = 0
@@ -519,6 +371,8 @@ class _Operand:
         self.axes = tuple(a for a in layout if a not in fixed)
         self.domains = {a: domains[a] for a in self.axes}
         self.cells = math.prod(len(self.domains[a]) for a in self.axes)
+        self.given = frozenset(given)
+        self.step = step
 
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
@@ -534,49 +388,281 @@ class _Operand:
         return idx
 
 
-class _LawPlan:
-    """Variable elimination for one law shape, recorded to be replayed.
+_SUM, _DIV, _SAME = "sum", "divide", "same"
 
-    ``vertices`` name the CPT vectors a run starts from (slots 0, 1, ...).
-    Each step multiplies its inputs, ``(slot, gather indices)`` pairs, cell
-    by cell, sums consecutive groups of ``width`` cells, and appends the
-    result as the next slot; a step without inputs is all ones.  Every
-    factor enters exactly one product, so a step releases its inputs.  The
-    last slot holds the law over ``axes`` in row-major order (rows ``keys``).
+
+@dataclass(eq=False, slots=True)
+class _Step:
+    """Gather each input ``(slot, indices)``, multiply them cell by cell
+    (``_SUM``, ``_SAME``; all ones without inputs) or divide the first by the
+    second (``_DIV``), then reduce consecutive groups of ``width`` cells: by
+    summing, or for ``_SAME`` by checking that they are equal and keeping
+    one.  ``release`` lists the slots no later step reads."""
+
+    op: str
+    inputs: list
+    width: int
+    cells: int
+    drop: list  # the axes a _SAME step drops, for its error
+    release: list = field(default_factory=list)
+
+
+class _Plan:
+    """Steps worked out once for inputs of one shape, to be replayed.
+
+    ``inputs`` name the tables a run starts from (slots 0, 1, ...), and
+    ``operands`` are those shaped like ``tables``; each step appends its
+    result as the next slot, and ``out`` is the result.
+    Operations return ``_Operand``s; margins of an input are planned once
+    per axis set, each summed from the smallest margin already planned.
     """
 
-    def __init__(self, vertices, steps, axes, domains, given):
-        self.vertices = vertices
-        self.steps = steps
-        self.axes = tuple(axes)
-        self.domains = domains
-        self.given = frozenset(given)
-        self.keys = list(itertools.product(*(domains[a] for a in self.axes)))
+    def __init__(self, inputs, tables=()):
+        self.inputs = list(inputs)
+        self.operands = [_Operand(i, t.axes, t.domains, given=t.given) for i, t in enumerate(tables)]
+        self.steps = []
+        self.margins: dict = {}  # input slot -> {axis set: margin}
+        self.out = None
 
-    def run(self, vectors: Mapping) -> Table:
-        """The law of the model whose CPT vectors (``_cpt_vectors``) these
-        are, as integer numerators over the product of CPT denominators."""
-        slots = [vectors[v][0] for v in self.vertices]
-        for inputs, width, cells in self.steps:
-            if inputs:
+    def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()) -> _Operand:
+        cells = width * math.prod(len(domains[a]) for a in axes)
+        step = _Step(op, [(s, array("l", idx)) for s, idx in inputs], width, cells, drop)
+        self.steps.append(step)
+        slot = len(self.inputs) + len(self.steps) - 1
+        return _Operand(slot, axes, domains, given=given, step=None if op is _SAME else step)
+
+    def view(self, t: _Operand, rows, width, axes, domains, given) -> _Operand:
+        """The table over ``axes`` whose row r sums rows
+        ``rows[r * width:(r + 1) * width]`` of ``t``.  When the step that
+        made ``t`` is its alone, the rows are picked in that step's gathers."""
+        step = t.step
+        if step is None:
+            return self.step(_SUM, [(t.slot, rows)], width, axes, domains, given)
+        w = step.width
+        picks = [r * w + j for r in rows for j in range(w)] if w > 1 else rows
+        step.inputs = [(s, array("l", map(idx.__getitem__, picks))) for s, idx in step.inputs]
+        step.width, step.cells = w * width, len(picks)
+        return _Operand(t.slot, axes, domains, given=given, step=step)
+
+    def product(self, factors: list) -> _Operand:
+        axes, domains = _joined(factors)
+        gathers = [(f.slot, f.gather(axes, domains)) for f in factors]
+        return self.step(_SUM, gathers, 1, axes, domains, frozenset().union(*(f.given for f in factors)))
+
+    def sum_out(self, t: _Operand, axes, op=_SUM) -> _Operand:
+        """``t`` without ``axes``: summed out, or with ``op`` ``_SAME``
+        dropped after checking that ``t`` is constant over them."""
+        drop = frozenset(axes) & frozenset(t.axes)
+        if not drop:
+            return t
+        keep = [a for a in t.axes if a not in drop]
+        gone = [a for a in t.axes if a in drop]
+        rows = t.gather(keep + gone, t.domains)
+        width = math.prod(len(t.domains[a]) for a in gone)
+        domains = {a: t.domains[a] for a in keep}
+        if op is _SAME:
+            return self.step(_SAME, [(t.slot, rows)], width, keep, domains, t.given - drop, sorted(drop))
+        return self.view(t, rows, width, keep, domains, t.given - drop)
+
+    def margin(self, t: _Operand, axes: frozenset) -> _Operand:
+        kept = self.margins.setdefault(t.slot, {frozenset(t.axes): t})
+        m = kept.get(axes)
+        if m is None:
+            src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells)
+            m = kept[axes] = self.sum_out(src, frozenset(src.axes) - axes)
+            m.step = None  # read by every kernel that divides it
+        return m
+
+    def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
+        if not set(den.axes) <= set(num.axes):
+            raise OracleError("ratio denominator misses axes of the numerator")
+        try:
+            idx = den.gather(num.axes, num.domains)
+        except KeyError:
+            raise OracleError("ratio denominator misses rows of the numerator")
+        inputs = [(num.slot, range(num.cells)), (den.slot, idx)]
+        return self.step(_DIV, inputs, 1, num.axes, dict(num.domains), given)
+
+    def conditional(self, t: _Operand, outcome: frozenset, context: frozenset) -> _Operand:
+        missing = t.given - context
+        keep, rest = _kernel_axes(t, outcome, context)
+        out = self.divide(self.margin(t, keep), self.margin(t, rest), context | missing)
+        return self.sum_out(out, missing, _SAME)
+
+    def select(self, t: _Operand, fixed: Mapping) -> _Operand:
+        axes = [a for a in t.axes if a not in fixed]
+        domains = {a: t.domains[a] for a in axes}
+        rows = _Operand(t.slot, t.axes, t.domains, fixed).gather(axes, domains)
+        return self.view(t, rows, 1, axes, domains, t.given - frozenset(fixed))
+
+    def restrict(self, t: _Operand, var: str, val) -> _Operand:
+        if var not in t.axes:
+            return t
+        if isinstance(val, SelectorAssign):
+            axes, domains, key = _selector_rows(t, var, val)
+        elif isinstance(val, (Sym, Var)):
+            name = val.name if isinstance(val, Sym) else val.vertex
+            if name == var:
+                return t
+            if name not in t.axes:  # a rename: the rows stay
+                axes = [name if a == var else a for a in t.axes]
+                given = frozenset(name if a == var else a for a in t.given)
+                return _Operand(t.slot, axes, {**t.domains, name: t.domains[var]}, given=given, step=t.step)
+            ia, ib = t.axes.index(name), t.axes.index(var)
+            keep = [i for i, a in enumerate(t.axes) if a != var]
+            axes = [t.axes[i] for i in keep]
+            domains = {a: t.domains[a] for a in axes}
+            key = lambda vals: tuple(vals[i] for i in keep) if vals[ia] == vals[ib] else None
+        else:
+            raise OracleError(f"unknown restriction value {val!r}")
+        return self.view(t, _pick(t, axes, domains, key), 1, axes, domains, t.given - {var})
+
+    def finish(self, out: _Operand) -> "_Plan":
+        """Record ``out`` as the result and release every slot after the
+        last step that reads it."""
+        self.out = out
+        last = {s: step for step in self.steps for s, _ in step.inputs}
+        for s, step in last.items():
+            if s != out.slot:
+                step.release.append(s)
+        return self
+
+    def run(self, tables) -> Table:
+        """The result on ``tables``, one per input, shaped as at compile time."""
+        slots = [t.values for t in tables]
+        denoms = [t.denom for t in tables]
+        undef = [_has_undef(v) for v in slots]
+        for step in self.steps:
+            inputs = step.inputs
+            flagged = any(undef[s] for s, _ in inputs)
+            if step.op is _DIV:
+                # both over one denominator: two margins of one table, or
+                # two values of an estimand, which are over 1
+                (n, ni), (d, di) = inputs
+                num, den = map(slots[n].__getitem__, ni), map(slots[d].__getitem__, di)
+                acc, denom, flagged = map(_div, num, den), 1, True
+            elif inputs:
                 (s, idx), *rest = inputs
                 acc = map(slots[s].__getitem__, idx)
+                mul = _mul if flagged else operator.mul
                 for s, idx in rest:
-                    acc = map(operator.mul, acc, map(slots[s].__getitem__, idx))
+                    acc = map(mul, acc, map(slots[s].__getitem__, idx))
+                denom = math.prod(denoms[s] for s, _ in inputs)
             else:
-                acc = itertools.repeat(1, cells)
-            slots.append(list(acc) if width == 1 else list(map(sum, zip(*[acc] * width))))
-            for s, _ in inputs:
+                acc, denom = itertools.repeat(1, step.cells), 1
+            width = step.width
+            groups = zip(*[acc] * width)
+            if width == 1:
+                vec = list(acc)
+            elif step.op is _SAME:
+                vec = []
+                for group in groups:
+                    if group.count(group[0]) != width:
+                        raise OracleError(f"kernel is not constant over context axes {step.drop}")
+                    vec.append(group[0])
+            elif flagged:
+                vec = [UNDEF if _has_undef(group) else sum(group) for group in groups]
+            else:
+                vec = list(map(sum, groups))
+            slots.append(vec)
+            denoms.append(denom)
+            undef.append(flagged and _has_undef(vec))
+            for s in step.release:
                 slots[s] = None
-        denom = math.prod(vectors[v][1] for v in self.vertices)
-        nums = dict(zip(self.keys, slots[-1]))
-        return Table(self.axes, dict(self.domains), None, self.given, (nums, denom))
+        out = self.out
+        return Table(out.axes, dict(out.domains), slots[out.slot], out.given, denoms[out.slot])
 
 
-def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> _LawPlan:
+def _planned(tables: list, build) -> _Plan:
+    """The plan ``build(plan, *operands)`` makes on tables shaped like
+    ``tables``."""
+    plan = _Plan(range(len(tables)), tables)
+    return plan.finish(build(plan, *plan.operands))
+
+
+def _once(tables: list, build) -> Table:
+    return _planned(tables, build).run(tables)
+
+
+def _kernel_axes(t, outcome: frozenset, context: frozenset) -> tuple:
+    """The axis sets of the two margins of ``t`` a kernel divides."""
+    keep = (outcome | context | t.given) & frozenset(t.axes)
+    return keep, keep - outcome
+
+
+def _pick(t: _Operand, axes, domains: Mapping, key) -> list:
+    """Positions of rows of ``t`` for every row of the row-major table over
+    ``axes``: ``key`` maps a row of ``t`` (its values in axis order) to the
+    row it becomes, or to None when it is dropped."""
+    found = {}
+    for i, vals in enumerate(itertools.product(*(t.domains[a] for a in t.axes))):
+        k = key(vals)
+        if k is not None:
+            if k in found:
+                raise OracleError("selector restriction is not single-valued")
+            found[k] = i
+    try:
+        return [found[k] for k in itertools.product(*(domains[a] for a in axes))]
+    except KeyError:
+        raise OracleError("restriction misses rows of its result")
+
+
+def _selector_rows(t: _Operand, var: str, val: SelectorAssign) -> tuple:
+    """``(axes, domains, key)`` of the restriction of ``t`` to the selector
+    value ``val`` on axis ``var``, ``key`` as ``_pick`` takes it.
+
+    Rows carry the selector value (pattern, component values) with the
+    components in sorted-pattern order; each component moves into a token
+    axis, is matched against an axis, or is matched to a literal."""
+    pattern = tuple(sorted(val.pattern))
+    iv = t.axes.index(var)
+    base = [i for i, a in enumerate(t.axes) if a != var]
+    axes = [t.axes[i] for i in base]
+    domains = {a: t.domains[a] for a in axes}
+    child_domain = {}
+    for kids, cvals in t.domains[var]:
+        for c, cv in zip(kids, cvals):
+            child_domain.setdefault(c, set()).add(cv)
+    extend = []  # component positions that become new axes
+    bound = {}  # token -> the component position whose axis it became
+    match = []  # (component position, position in row + components) that must agree
+    literal = []  # (component position, value)
+    for ci, (c, tok) in enumerate(val.values):  # in sorted-pattern order
+        name = None
+        if isinstance(tok, (Sym, Var)):
+            name = tok.name if isinstance(tok, Sym) else tok.vertex
+        if name is None:
+            literal.append((ci, min(child_domain[c]) if isinstance(tok, Lo) else tok))
+        elif name in bound:
+            match.append((ci, len(t.axes) + bound[name]))
+        elif name in domains:
+            match.append((ci, t.axes.index(name)))
+        else:
+            bound[name] = ci
+            axes.append(name)
+            extend.append(ci)
+            domains[name] = tuple(sorted(child_domain[c]))
+
+    def key(vals):
+        kids, cvals = vals[iv]
+        both = vals + cvals
+        if (
+            kids != pattern
+            or any(cvals[ci] != both[i] for ci, i in match)
+            or any(cvals[ci] != lit for ci, lit in literal)
+        ):
+            return None
+        return tuple(vals[i] for i in base) + tuple(cvals[ci] for ci in extend)
+
+    return axes, domains, key
+
+
+def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> _Plan:
     """The plan of the law of ``m`` over ``out_axes`` with the factors of
     ``fixed`` and ``free`` vertices dropped: ``fixed`` axes are held at their
     values, ``free`` axes stay as context (``given``) axes of the result.
+    Its inputs are the vertices whose CPT vectors (``_cpt_vectors``) it
+    multiplies.
 
     Latents are eliminated smallest product first, ties to the first name,
     so the order never depends on set iteration; what is left is multiplied
@@ -590,15 +676,15 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     if m._cells(m.observed()) > MAX_CELLS:
         raise OracleError("observed state space exceeds the enumeration cap")
     vertices = [v for v in m.graph.topological_order() if v not in fixed and v not in free]
+    plan = _Plan(vertices)
     ops = []
     for slot, v in enumerate(vertices):
         parents = m.cpts[v][0]
         domains = {p: m.row_domain(p) for p in parents}
         domains[v] = m.domain(v)
         ops.append(_Operand(slot, parents + (v,), domains, fixed))
-    steps = []
 
-    def product(factors: list, keep: list, summed: list, domains: Mapping) -> _Operand:
+    def product(factors: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
         layout = keep + summed
         cells = math.prod(len(domains[a]) for a in layout)
         if cells > MAX_CELLS:
@@ -606,9 +692,8 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
                 f"an intermediate factor of {cells} cells exceeds the enumeration cap"
             )
         width = math.prod(len(domains[a]) for a in summed)
-        gathers = [(f.slot, array("l", f.gather(layout, domains))) for f in factors]
-        steps.append((gathers, width, cells))
-        return _Operand(len(vertices) + len(steps) - 1, keep, domains, {})
+        gathers = [(f.slot, f.gather(layout, domains)) for f in factors]
+        return plan.step(_SUM, gathers, width, keep, domains, given)
 
     left = sorted(m.graph.latent - frozenset(fixed) - free)
     while left:
@@ -625,24 +710,24 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
     for v in free:
         domains.setdefault(v, m.domain(v))
-    out = product(ops, keep, [a for a in axes if a not in keep], domains)
-    return _LawPlan(vertices, steps, keep, out.domains, free)
+    return plan.finish(product(ops, keep, [a for a in axes if a not in keep], domains, free))
 
 
 def _cpt_vectors(m: DiscreteCsScm) -> dict:
-    """vertex -> (integers, denominator): each CPT of ``m`` as one vector over
-    its least common denominator, in the row-major layout of its law-plan
-    factor (parent row domains in order, then the vertex's own domain).
-    A missing row or value counts as zero."""
+    """vertex -> the CPT of ``m`` as a table of integers over its least
+    common denominator, in the row-major layout of its law-plan factor
+    (parent row domains in order, then the vertex's own domain).  A missing
+    row or value counts as zero."""
     out = {}
     for v, (parents, rows) in m.cpts.items():
-        dom = m.domain(v)
+        domains = {**{p: m.row_domain(p) for p in parents}, v: m.domain(v)}
         probs = []
-        for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):
+        for pa_vals in itertools.product(*(domains[p] for p in parents)):
             dist = rows.get(pa_vals, {})
-            probs.extend(dist.get(x, 0) for x in dom)
+            probs.extend(dist.get(x, 0) for x in domains[v])
         denom = math.lcm(*(p.denominator for p in probs))
-        out[v] = ([p.numerator * (denom // p.denominator) for p in probs], denom)
+        nums = [p.numerator * (denom // p.denominator) for p in probs]
+        out[v] = Table(parents + (v,), domains, nums, denom=denom)
     return out
 
 
@@ -667,7 +752,7 @@ class _Laws:
             plan = self._plans[key] = _compile_law(m, fixed, free, out_axes)
         if m is not self._model:
             self._model, self._vectors = m, _cpt_vectors(m)
-        return plan.run(self._vectors)
+        return plan.run([self._vectors[v] for v in plan.inputs])
 
     def joint(self, m: DiscreteCsScm) -> Table:
         return self.law(m, {}, frozenset(), m.observed())
@@ -799,155 +884,54 @@ def _base_kernels(e: Estimand) -> set:
 def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
     """Bottom-up exact evaluation; symbolic tokens become table axes and
     zero-mass contexts evaluate to an undefined marker that propagates.
+    The estimand is compiled on the shapes of ``tables`` and run once."""
+    plan = _compile_estimand(e, tables)
+    return plan.run([tables[n] for n in plan.inputs])
 
-    The margins every ``BaseKernel`` divides are taken first, largest axis
-    set first, and kept for this evaluation, so each is summed from the
-    smallest margin of the same table already taken rather than from the
-    whole table."""
+
+def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
+    """The plan of ``e`` on tables shaped like ``tables``, its inputs named
+    by their keys.
+
+    A ``BaseKernel`` divides two margins of its table; the margins every
+    kernel divides are planned first, largest axis set first, so each is
+    summed from the smallest margin of the same table already planned.  A
+    ``Restrict`` picks rows, in the gathers of the step that made its child
+    when that step is the child's alone: a kernel restricted to a selector
+    pattern divides only the rows of that pattern."""
+    plan = _Plan(tables, tables.values())
+    inputs = dict(zip(plan.inputs, plan.operands))
     wanted = {
         (k.name, axes)
         for k in _base_kernels(e)
         if k.name in tables
-        for axes in tables[k.name]._kernel_margins(k.outcome, k.context)
+        for axes in _kernel_axes(tables[k.name], k.outcome, k.context)
     }
-    kept = {name: tables[name] for name, _ in wanted}
-    for t in kept.values():
-        t._margins = {frozenset(t.axes): t}
-    try:
-        for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
-            kept[name]._margin(axes)
-        return _evaluate(e, tables)
-    finally:
-        for t in kept.values():
-            t._margins = None
+    for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
+        plan.margin(inputs[name], axes)
 
-
-def _kernel_slice(e: Restrict, tables: Mapping[str, Table]):
-    """``(axis, pattern)`` when ``e`` restricts a ``BaseKernel`` to a
-    selector pattern on one of its context axes, so the kernel need only be
-    divided on rows of that pattern; None otherwise.  Only kernels whose
-    context covers the table's context axes qualify: for the others the
-    constancy check of ``project_constant`` must see every row."""
-    k = e.child
-    if not isinstance(k, BaseKernel) or k.name not in tables:
-        return None
-    t = tables[k.name]
-    if not t.given <= k.context:
-        return None
-    for var, val in e.assignment:
-        if isinstance(val, SelectorAssign) and var in k.context and var in t.axes:
-            return var, tuple(sorted(val.pattern))
-    return None
-
-
-def _evaluate(e: Estimand, tables: Mapping[str, Table]) -> Table:
-    if isinstance(e, BaseKernel):
-        if e.name not in tables:
-            raise OracleError(f"no table for kernel {e.name!r}")
-        return tables[e.name].conditional(e.outcome, e.context)
-    if isinstance(e, (Marginal, SumOver)):
-        t = _evaluate(e.child, tables)
-        return t.sum_out(e.over)
-    if isinstance(e, Product):
-        t = _evaluate(e.children[0], tables)
-        for c in e.children[1:]:
-            t = t.multiply(_evaluate(c, tables))
-        return t
-    if isinstance(e, Ratio):
-        num = _evaluate(e.num, tables)
-        den = _evaluate(e.den, tables)
-        if not set(den.axes) <= set(num.axes):
-            raise OracleError("ratio denominator misses axes of the numerator")
-        den_key, dd = num._key(den.axes), den.data
-        try:
-            data = {vals: _div(p, dd[den_key(vals)]) for vals, p in num.data.items()}
-        except KeyError:
-            raise OracleError("ratio denominator misses rows of the numerator")
-        return Table(num.axes, dict(num.domains), data, num.given | den.given)
-    if isinstance(e, Restrict):
-        only = _kernel_slice(e, tables)
-        if only is None:
-            t = _evaluate(e.child, tables)
-        else:
-            t = tables[e.child.name]._conditional(e.child.outcome, e.child.context, only)
-        for var, val in e.assignment:
-            t = _apply_restriction(t, var, val)
-        return t
-    if isinstance(e, FailureNode):
-        raise OracleError(f"cannot evaluate a failure node ({e.reason})")
-    raise OracleError(f"unknown estimand node {type(e).__name__}")
-
-
-def _apply_restriction(t: Table, var: str, val) -> Table:
-    if var not in t.axes:
-        return t
-    if isinstance(val, Sym):
-        name = val.name
-        if name == var:
+    def node(x: Estimand) -> _Operand:
+        if isinstance(x, BaseKernel):
+            if x.name not in tables:
+                raise OracleError(f"no table for kernel {x.name!r}")
+            return plan.conditional(inputs[x.name], x.outcome, x.context)
+        if isinstance(x, (Marginal, SumOver)):
+            return plan.sum_out(node(x.child), x.over)
+        if isinstance(x, Product):
+            return plan.product([node(c) for c in x.children])
+        if isinstance(x, Ratio):
+            num, den = node(x.num), node(x.den)
+            return plan.divide(num, den, num.given | den.given)
+        if isinstance(x, Restrict):
+            t = node(x.child)
+            for var, val in x.assignment:
+                t = plan.restrict(t, var, val)
             return t
-        if name in t.axes:
-            return t.select_equal(name, var, drop=var)
-        return t.rename({var: name})
-    if isinstance(val, Var):
-        w = val.vertex
-        if w == var:
-            return t
-        if w in t.axes:
-            return t.select_equal(w, var, drop=var)
-        return t.rename({var: w})
-    if isinstance(val, SelectorAssign):
-        # rows carry the selector value (pattern, component values) with the
-        # components in sorted-pattern order; each component moves into a
-        # token axis, is matched against an axis, or is matched to a literal
-        pattern = tuple(sorted(val.pattern))
-        idx = t.axes.index(var)
-        comp_tokens = dict(val.values)
-        base_axes = tuple(a for a in t.axes if a != var)
-        domains = {a: t.domains[a] for a in base_axes}
-        child_domain = {}
-        for kids, cvals in t.domains[var]:
-            for c, cv in zip(kids, cvals):
-                child_domain.setdefault(c, set()).add(cv)
-        new_axes = list(base_axes)
-        extend = []  # component positions that become new axes
-        bound = {}  # token -> the component position whose axis it became
-        match = []  # (component position, row position) that must agree
-        same = []  # (component position, earlier component position)
-        literal = []  # (component position, value)
-        for ci, c in enumerate(pattern):
-            tok = comp_tokens[c]
-            name = None
-            if isinstance(tok, (Sym, Var)):
-                name = tok.name if isinstance(tok, Sym) else tok.vertex
-            if name is None:
-                literal.append((ci, min(child_domain[c]) if isinstance(tok, Lo) else tok))
-            elif name in bound:
-                same.append((ci, bound[name]))
-            elif name in base_axes:
-                match.append((ci, t.axes.index(name)))
-            else:
-                bound[name] = ci
-                new_axes.append(name)
-                extend.append(ci)
-                domains[name] = tuple(sorted(child_domain[c]))
-        key, extra = t._key(base_axes), _picker(extend)
-        out = {}
-        for vals, p in t.data.items():
-            kids, cvals = vals[idx]
-            if kids != pattern:
-                continue
-            if (
-                any(cvals[ci] != vals[i] for ci, i in match)
-                or any(cvals[ci] != cvals[cj] for ci, cj in same)
-                or any(cvals[ci] != lit for ci, lit in literal)
-            ):
-                continue
-            k = key(vals) + extra(cvals)
-            if k in out:
-                raise OracleError("selector restriction is not single-valued")
-            out[k] = p
-        return Table(tuple(new_axes), domains, out, t.given - {var})
-    raise OracleError(f"unknown restriction value {val!r}")
+        if isinstance(x, FailureNode):
+            raise OracleError(f"cannot evaluate a failure node ({x.reason})")
+        raise OracleError(f"unknown estimand node {type(x).__name__}")
+
+    return plan.finish(node(e))
 
 
 # --------------------------------------------------------------------------
@@ -986,7 +970,7 @@ class FunctionalCsScm(_SelectorDomains):
         parents_of = {v: tuple(sorted(self.graph.parents(v))) for v in order}
         axes = tuple(observed)
         domains = {v: self.domain(v) for v in observed}
-        data: dict = {}
+        values = [Fraction(0)] * math.prod(len(d) for d in domains.values())
         for combo in itertools.product(*(sorted(self.noise[v]) for v in noise_vars)):
             eps = dict(zip(noise_vars, combo))
             w = Fraction(1)
@@ -999,12 +983,8 @@ class FunctionalCsScm(_SelectorDomains):
                 val = self.mech[v][(pa_vals, eps[v])]
                 natural[v] = val
                 downstream[v] = fixed_vals.get(v, val)
-            key = tuple(natural[v] for v in observed)
-            data[key] = data.get(key, Fraction(0)) + w
-        full = {}
-        for vals in itertools.product(*(domains[v] for v in observed)):
-            full[vals] = data.get(vals, Fraction(0))
-        return Table(axes, domains, full)
+            values[_Operand(0, axes, domains, natural).offset] += w
+        return Table(axes, domains, values)
 
 
 def random_functional_cs_scm(
@@ -1359,6 +1339,29 @@ def _token_bindings(query, sizes: Mapping[str, int]):
         yield {v: toks[tok.name] for v, tok in query.treatments}, toks
 
 
+def _comparison(est, truth: Table, query) -> tuple:
+    """Plans that lay an estimand's value and the ground truth of ``query``
+    out alike: the truth with each treatment's axis read at the value of its
+    token, and the estimand without its axes other than the outcomes and
+    tokens, after checking that it is constant over them."""
+
+    def at_tokens(plan, t):
+        for v, tok in query.treatments:
+            t = plan.restrict(t, v, tok)
+        return t
+
+    want = _planned([truth], at_tokens)
+    axes, domains = want.out.axes, want.out.domains
+
+    def constant(plan, t):
+        t = plan.sum_out(t, frozenset(t.axes) - frozenset(axes), _SAME)
+        # broadcast over tokens it does not depend on, never over an outcome
+        keep = [a for a in axes if a in t.axes or a not in query.outcomes]
+        return plan.view(t, t.gather(keep, domains), 1, keep, domains, t.given)
+
+    return want, _planned([est], constant)
+
+
 def verify(
     g: Graph,
     query,
@@ -1389,21 +1392,18 @@ def verify(
             tables = {"p": laws.joint(m)}
             for name, z in datasets or ():
                 tables[name] = laws.dataset(m, z, None)
-            est = eval_estimand(result.estimand, tables)
             truth = laws.query(m, query)
-            for vert_vals, tok_vals in _token_bindings(query, m.sizes):
-                sliced = _slice(est, tok_vals)
-                # leftover context axes must be provably irrelevant
-                try:
-                    sliced = sliced.project_constant(
-                        frozenset(sliced.axes) - frozenset(query.outcomes)
-                    )
-                except OracleError:
-                    failures.append(t)
-                    break
-                if not sliced.defined_everywhere() or not _slice(truth, vert_vals).equals(sliced):
-                    failures.append(t)
-                    break
+            if t == 0:
+                plan = _compile_estimand(result.estimand, tables)
+                want, check = _comparison(plan.out, truth, query)
+            est = plan.run([tables[n] for n in plan.inputs])
+            try:  # leftover context axes must be provably irrelevant
+                got = check.run([est])
+            except OracleError:
+                failures.append(t)
+                continue
+            if not got.defined_everywhere() or not want.run([truth]).equals(got):
+                failures.append(t)
         status = "verified" if not failures else "refuted"
         return VerifyReport(status, kind, trials, tuple(failures))
 
@@ -1422,11 +1422,5 @@ def exact_ci(t: Table, x, y, z) -> bool:
     decided by cross-multiplication (no divisions)."""
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     pxyz = t.sum_out(frozenset(t.axes) - x - y - z)
-    pz = pxyz.sum_out(x | y)
-    pxz = pxyz.sum_out(y)
-    pyz = pxyz.sum_out(x)
-    kz, kxz, kyz = (pxyz._key(t.axes) for t in (pz, pxz, pyz))
-    return all(
-        p * pz.data[kz(vals)] == pxz.data[kxz(vals)] * pyz.data[kyz(vals)]
-        for vals, p in pxyz.data.items()
-    )
+    pz, pxz, pyz = (pxyz.sum_out(w) for w in (x | y, y, x))
+    return pxyz.multiply(pz).equals(pxz.multiply(pyz))

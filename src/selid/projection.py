@@ -66,7 +66,9 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
         raise GraphError("cannot project out fixed vertices")
 
     children = {v: sorted(g.children(v)) for v in g.vertices}
-    labels = {(e.tail, e.head): e.label for e in g.edges}
+    labels: dict = {}  # (tail, head) -> the labels of its parallel edges
+    for e in g.edges:
+        labels.setdefault((e.tail, e.head), []).append(e.label)
 
     # directed: simple hidden-interior paths between kept vertices
     directed_sets: dict = {}
@@ -77,11 +79,12 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
             for w in children[v]:
                 if w in path:
                     continue
-                lab2 = lab | labels[(v, w)]
-                if w in keep:
-                    directed_sets.setdefault((x, w), set()).add(lab2)
-                else:
-                    stack.append((w, lab2, path + (w,)))
+                for edge_lab in labels[(v, w)]:
+                    lab2 = lab | edge_lab
+                    if w in keep:
+                        directed_sets.setdefault((x, w), set()).add(lab2)
+                    else:
+                        stack.append((w, lab2, path + (w,)))
 
     # bidirected: hidden treks x <- ... <- h -> ... -> y
     down: dict = {}
@@ -93,11 +96,12 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
             for w in children[v]:
                 if w in path:
                     continue
-                lab2 = lab | labels[(v, w)]
-                if w in keep:
-                    found.append((w, lab2, frozenset(path)))
-                else:
-                    stack.append((w, lab2, path + (w,)))
+                for edge_lab in labels[(v, w)]:
+                    lab2 = lab | edge_lab
+                    if w in keep:
+                        found.append((w, lab2, frozenset(path)))
+                    else:
+                        stack.append((w, lab2, path + (w,)))
         down[h] = found
     bidirected_sets: dict = {}
     for h in sorted(hidden):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,62 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0 and "p(" in proc.stdout
+
+
+# `project` on every fixture file that projects, and `identify` on the
+# benchmark's fixture queries: (fixture, query, extra arguments).
+DETERMINISM_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+from selid.cli import main
+
+fixdir = Path(sys.argv[1])
+queries = [
+    ("selection_web", "P(Y | do(A1=a1, A2=a2), S=empty)", ()),
+    ("double_bow", "P(Y | do(A=a), S=empty)", ()),
+    ("scar", "P(Y | do(A=a), S=empty)", ()),
+    ("backdoor", "P(Y | do(A=a))", ()),
+    ("frontdoor", "P(Y | do(A=a))", ()),
+    ("chain", "P(Y | do(A=a))", ()),
+    ("bow", "P(Y | do(A=a))", ()),
+    ("forced_outcome", "P(Y | do(), S=empty)", ()),
+    ("split_thicket", "P(Y | do(A1=a1, A2=a2), S=empty)", ()),
+    ("confounded_selector_hedge", "P(Y | do(A=a), S=empty)", ()),
+    ("compliance_pair", "P(Y | do(A=a))", (
+        "--algorithm", "gid",
+        "--dataset", str(fixdir / "compliance_pair.lsg"),
+        "--dataset", str(fixdir / "compliance_experimental.lsg"),
+    )),
+]
+runs = [("project", "--graph", str(f)) for f in sorted(fixdir.glob("*.lsg"))]
+runs += [
+    ("identify", "--graph", str(fixdir / f"{name}.lsg"), "--query", query, *extra)
+    for name, query, extra in queries
+]
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    if code == 0:
+        print(" ".join(argv[:1] + argv[2:3]))
+        print(out.getvalue())
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_SCRIPT, str(FIXDIR)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("identify ") == 11
+    assert outputs[0] == outputs[1]
 
 
 class TestCliMoreSurfaces:

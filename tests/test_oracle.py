@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Sym
+from selid.estimand import BaseKernel, FailureNode, Ratio, SelectorAssign, Sym
 from selid.fixtures import all_fixtures
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import Query, identify, identify_selected
@@ -185,16 +186,43 @@ class TestEvaluation:
     def test_law_numerators_match_data(self):
         m = random_cs_scm(FX["selection_web"].dag, FX["selection_web"].dag.support, seed=4)
         t = joint(m)
-        nums, denom = t.numerators
-        assert all(Fraction(nums[k], denom) == p for k, p in t.data.items())
+        assert all(isinstance(n, int) for n in t.values)
+        assert all(Fraction(n, t.denom) == p for n, p in zip(t.values, t.data.values()))
         margin = t.sum_out({"Y"})
-        assert margin.numerators is not None
+        assert margin.denom == t.denom and all(isinstance(n, int) for n in margin.values)
         rebuilt = Table(t.axes, t.domains, dict(t.data)).sum_out({"Y"})
-        assert rebuilt.numerators is None and rebuilt.equals(margin)
+        assert rebuilt.denom == 1 and rebuilt.equals(margin)
 
     def test_unknown_kernel_name(self):
         with pytest.raises(OracleError):
             eval_estimand(BaseKernel("nope", frozenset("Y")), {})
+
+    def test_failure_node_is_not_evaluated(self):
+        t = joint(random_cs_scm(FX["chain"].graph, seed=8))
+        with pytest.raises(OracleError, match="failure node"):
+            eval_estimand(FailureNode("hedge"), {"p": t})
+
+    def test_ratio_denominator_with_an_axis_the_numerator_lacks(self):
+        t = joint(random_cs_scm(FX["chain"].graph, seed=8))
+        e = Ratio(BaseKernel("p", frozenset("Y")), BaseKernel("p", frozenset("A")))
+        with pytest.raises(OracleError, match="misses axes"):
+            eval_estimand(e, {"p": t})
+
+    def test_kernel_varying_over_a_leftover_context_axis(self):
+        # p(Y | A) read from p(A, Y | do(M)) leaves M, and Y depends on M
+        t = dataset_table(random_cs_scm(FX["chain"].graph, seed=9), {"M"})
+        with pytest.raises(OracleError, match="not constant over context axes"):
+            eval_estimand(BaseKernel("d", frozenset("Y"), frozenset("A")), {"d": t})
+
+    def test_total_variation_needs_equal_defined_tables(self):
+        bit = {"A": (0, 1), "B": (0, 1)}
+        a = Table(("A",), bit, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+        b = Table(("B",), bit, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+        undef = Table(("A",), bit, {(0,): UNDEF, (1,): Fraction(1, 2)})
+        with pytest.raises(OracleError, match="mismatched axes"):
+            a.total_variation(b)
+        with pytest.raises(OracleError, match="undefined entries"):
+            a.total_variation(undef)
 
     def test_dataset_table_is_conditional(self):
         m = random_cs_scm(FX["chain"].graph, seed=9)
@@ -425,55 +453,91 @@ class TestLawPlans:
         assert sum(joint(m).data.values()) == 1
 
     def test_verify_compiles_each_plan_once(self, monkeypatch):
-        compiled = []
-        real = oracle._compile_law
+        compiled, estimands = [], []
+        real_law, real_estimand = oracle._compile_law, oracle._compile_estimand
 
         def counting(*args):
             compiled.append(args[1:])
-            return real(*args)
+            return real_law(*args)
+
+        def counting_estimand(*args):
+            estimands.append(args[0])
+            return real_estimand(*args)
 
         monkeypatch.setattr(oracle, "_compile_law", counting)
+        monkeypatch.setattr(oracle, "_compile_estimand", counting_estimand)
         fx = FX["selection_web"]
         query = q("Y", A1="a1", A2="a2")
         r = identify_selected(fx.graph, query)
         counts = []
         for trials in (1, 5):
             compiled.clear()
+            estimands.clear()
             rep = verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag)
             assert rep.passed and rep.trials == trials
-            counts.append(len(compiled))
-        assert counts == [2, 2]  # the joint and the stacked ground truth
+            counts.append((len(compiled), len(estimands)))
+        # the joint and the stacked ground truth; the estimand once
+        assert counts == [(2, 1), (2, 1)]
 
     def test_memoized_kernels_equal_direct_conditionals(self, monkeypatch):
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=3))
-        # every kernel eval_estimand divides, with the margins it kept then
-        seen = []
-        real = Table._conditional
+        # every kernel the compiled plan divides: its table's final shape and
+        # the restrictions that picked its rows
+        kernels = {}
+        real_conditional, real_restrict = oracle._Plan.conditional, oracle._Plan.restrict
 
-        def record(self, outcome, context, only=None):
-            out = real(self, outcome, context, only)
-            seen.append((outcome, context, only, len(self._margins or ())))
-            seen[-1] += (out,)
+        def conditional(self, table, outcome, context):
+            out = real_conditional(self, table, outcome, context)
+            kernels[out.slot] = [outcome, context, out, []]
             return out
 
-        monkeypatch.setattr(Table, "_conditional", record)
-        eval_estimand(r.estimand, {"p": t})
+        def restrict(self, table, var, val):
+            out = real_restrict(self, table, var, val)
+            if out.slot in kernels:
+                kernels[out.slot][2] = out
+                kernels[out.slot][3].append((var, val))
+            return out
+
+        monkeypatch.setattr(oracle._Plan, "conditional", conditional)
+        monkeypatch.setattr(oracle._Plan, "restrict", restrict)
+        plan = oracle._compile_estimand(r.estimand, {"p": t})
         monkeypatch.undo()
-        assert t._margins is None  # kept for one evaluation only
-        assert len(seen) == 5 and all(n > 1 for *_, n, _ in seen)
-        assert any(only is not None for _, _, only, _, _ in seen)
-        for outcome, context, only, _, got in seen:
+        assert len(kernels) == 5
+
+        # each distinct margin is summed once, some from a smaller margin
+        # than the table, and every kernel divides two of them
+        margins = plan.margins[0]
+        slots = {m.slot for m in margins.values()}
+        sums = [
+            s for s in plan.steps
+            if s.op is oracle._SUM and len(s.inputs) == 1 and s.inputs[0][0] in slots
+        ]
+        assert len(sums) == len(slots - {0}) and any(s.inputs[0][0] != 0 for s in sums)
+        divides = [s for s in plan.steps if s.op is oracle._DIV]
+        assert len(divides) == 5
+        assert all(s.inputs[0][0] in slots and s.inputs[1][0] in slots for s in divides)
+
+        restricted = 0
+        for outcome, context, shape, restrictions in kernels.values():
+            step = shape.step
+            sub = oracle._Plan(plan.inputs)
+            sub.steps = [copy.copy(s) for s in plan.steps[: plan.steps.index(step) + 1]]
+            for s in sub.steps:
+                s.release = []
+            sub.out = shape
+            got = sub.run([t])
             want = Table(t.axes, t.domains, dict(t.data)).conditional(outcome, context)
-            if only is None:
-                assert got.equals(want)
-            else:
-                # the rows of the selector pattern, and only those
-                var, pattern = only
-                i = want.axes.index(var)
-                rows = {k: p for k, p in want.data.items() if k[i][0] == pattern}
-                assert got.data == rows and 0 < len(rows) < len(want.data)
+            cells = len(want.values)
+            for var, val in restrictions:
+                want = oracle._once([want], lambda p, a: p.restrict(a, var, val))
+            assert got.equals(want)
+            if any(isinstance(val, SelectorAssign) for _, val in restrictions):
+                # the divide runs on the rows of the selector pattern only
+                restricted += 1
+                assert step.cells == len(got.values) < cells
+        assert restricted >= 1
 
     def test_shared_token_binds_one_value(self):
         query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))

@@ -70,6 +70,10 @@ class TestLatentProject:
         dag = FX["scar"].graph
         assert latent_project(dag, dag.vertices) == dag
 
+    def test_parallel_labelled_edges_survive(self):
+        g = FX["parallel_paths"].graph
+        assert latent_project(g, g.vertices) == g
+
     def test_selector_cannot_be_hidden(self):
         with pytest.raises(GraphError):
             latent_project(derive_labels(FX["double_bow"].dag), {"A", "Y"})
