@@ -11,6 +11,7 @@ rest.  Evaluation lives in the oracle module.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -71,9 +72,32 @@ Value = object  # Sym | Var | SelectorAssign
 # expression nodes
 
 
-class Estimand:
-    """Base class; all nodes are frozen dataclasses, compared structurally."""
+def _cached(fn):
+    """Keep ``fn(node)`` in the node's own ``__dict__``.
 
+    Nodes are immutable, so the answer never goes stale, and a subtree that
+    several parents share is walked once however often it is reached.
+    """
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(node):
+        try:
+            return node.__dict__[key]
+        except KeyError:
+            value = node.__dict__[key] = fn(node)
+            return value
+
+    return cached
+
+
+class Estimand:
+    """Base class; all nodes are frozen dataclasses, compared structurally.
+
+    Scope sets and sort keys are cached per node (see ``_cached``).
+    """
+
+    @_cached
     def free_vars(self) -> frozenset:
         """All unbound variable names (outcome and context alike)."""
         return self.outcomes() | self.contexts()
@@ -117,12 +141,15 @@ class Marginal(Estimand):
     def __post_init__(self):
         object.__setattr__(self, "over", frozenset(self.over))
 
+    @_cached
     def outcomes(self):
         return self.child.outcomes() - self.over
 
+    @_cached
     def contexts(self):
         return self.child.contexts()
 
+    @_cached
     def symbols(self):
         return self.child.symbols()
 
@@ -135,12 +162,15 @@ class SumOver(Estimand):
     def __post_init__(self):
         object.__setattr__(self, "over", frozenset(self.over))
 
+    @_cached
     def outcomes(self):
         return self.child.outcomes() - self.over
 
+    @_cached
     def contexts(self):
         return self.child.contexts() - self.over
 
+    @_cached
     def symbols(self):
         return self.child.symbols()
 
@@ -150,14 +180,17 @@ class Ratio(Estimand):
     num: Estimand
     den: Estimand
 
+    @_cached
     def outcomes(self):
         return self.num.outcomes() - self.den.outcomes()
 
+    @_cached
     def contexts(self):
         return (
             self.num.contexts() | self.den.contexts() | self.den.outcomes()
         ) - self.outcomes()
 
+    @_cached
     def symbols(self):
         return self.num.symbols() | self.den.symbols()
 
@@ -169,18 +202,21 @@ class Product(Estimand):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
+    @_cached
     def outcomes(self):
         out = frozenset()
         for c in self.children:
             out |= c.outcomes()
         return out
 
+    @_cached
     def contexts(self):
         ctx = frozenset()
         for c in self.children:
             ctx |= c.contexts()
         return ctx - self.outcomes()
 
+    @_cached
     def symbols(self):
         out = frozenset()
         for c in self.children:
@@ -203,12 +239,15 @@ class Restrict(Estimand):
     def asg(self) -> dict:
         return dict(self.assignment)
 
+    @_cached
     def outcomes(self):
         return self.child.outcomes() - frozenset(self.asg)
 
+    @_cached
     def contexts(self):
         return self.child.contexts() - frozenset(self.asg)
 
+    @_cached
     def symbols(self):
         syms = set(self.child.symbols())
         for _, v in self.assignment:
@@ -341,6 +380,7 @@ class ChainFactor:
             e = Restrict(e, self.restr)
         return e
 
+    @_cached
     def conditioning(self) -> frozenset:
         """Context variables still free after restriction."""
         return self.cond - frozenset(dict(self.restr))
@@ -458,36 +498,51 @@ class ChainKernel:
                 return True
             # childless: marginalization, clean unless another factor
             # conditions on v
-            return not any(
-                v in f.conditioning() for w, f in self.factors.items() if w != v
-            )
+            return not (self._readers.get(v, set()) - {v})
         # drop rule: legal when no factor outside de(v) touches de(v)
-        return all(
-            not (f.conditioning() & de)
-            for w, f in self.factors.items()
-            if w not in de
-        ) and not (self.factors[v].conditioning() & (de - {v}))
+        return all(self._readers.get(x, set()) <= de for x in de) and not (
+            self.factors[v].conditioning() & (de - {v})
+        )
+
+    @functools.cached_property
+    def _readers(self) -> dict:
+        """Variable -> the vertices whose chain factor conditions on it."""
+        out = {}
+        for w, f in self.factors.items():
+            for x in f.conditioning():
+                out.setdefault(x, set()).add(w)
+        return out
 
     def fix_to(self, target: Iterable[str], fixable=Graph.is_fixable) -> "ChainKernel":
         """Fix every vertex outside ``target`` that ``fixable(graph, v)``
-        admits, steps that keep the chain form first, until none is left.
+        admits, steps that keep the chain form first, then the smallest
+        name, until none is left.
 
-        The rule must keep a fixable vertex fixable after other fixes, as
-        the ordinary criterion does; then every order ends at the same
-        kernel.  Its ``randoms`` are the reachable closure of ``target``
-        under the rule, equal to ``target`` exactly when the target is
-        reachable; an unreachable target is not an error.
+        The rule's answer for ``w`` must depend only on ``w``'s district and
+        descendants, and a vertex it admits must stay admitted after other
+        fixes, as the ordinary criterion does.  Then every order ends at the
+        same kernel, and after fixing ``v`` only the vertices of ``v``'s old
+        district and ``v``'s ancestors, whose district or descendants that
+        fix changed, are tested again.  The result's ``randoms`` are the
+        reachable closure of ``target`` under the rule, equal to ``target``
+        exactly when the target is reachable; an unreachable target is not
+        an error.
         """
         target = frozenset(target)
         unknown = target - self.randoms
         if unknown:
             raise GraphError(f"not random vertices: {sorted(unknown)}")
         k = self
-        while True:
-            cands = [v for v in sorted(k.randoms - target) if fixable(k.graph, v)]
-            if not cands:
-                return k
-            k = k.fix(next((v for v in cands if k._fix_is_clean(v)), cands[0]))
+        ready = {v for v in k.randoms - target if fixable(k.graph, v)}
+        while ready:
+            cands = sorted(ready)
+            v = next((w for w in cands if k._fix_is_clean(w)), cands[0])
+            g = k.graph
+            touched = (g.district_of(v) | g.ancestors(v)) & g.random
+            k = k.fix(v)
+            ready.discard(v)
+            ready |= {w for w in touched - target - ready - {v} if fixable(k.graph, w)}
+        return k
 
     def restrict_factor(self, v: str, asg: Mapping[str, Value]) -> "ChainKernel":
         if self.factors is None or v not in self.factors:
@@ -508,20 +563,33 @@ def normal_form(e: Estimand) -> Estimand:
     """Canonical form: margins folded into kernels, ratios cancelled, chain
     factors merged, restrictions pushed to the smallest scope, children sorted.
     Two estimands are structurally equal iff their normal forms are identical.
+
+    Each round rewrites every distinct node once, and a node no rule changes
+    comes back as the same object, so the fixpoint is reached when a round
+    returns its input.
     """
     for _ in range(50):
-        e2 = _rewrite(e)
-        if e2 == e:
+        e2 = _rewrite(e, {})
+        if e2 is e:
             return e
         e = e2
     return e
 
 
-def _rewrite(e: Estimand) -> Estimand:
-    if isinstance(e, BaseKernel) or isinstance(e, FailureNode):
+def _rewrite(e: Estimand, memo: dict) -> Estimand:
+    """One rewriting round; ``memo`` maps the id of each node of the round's
+    input, all alive for the round, to its rewrite."""
+    if isinstance(e, (BaseKernel, FailureNode)):
         return e
+    out = memo.get(id(e))
+    if out is None:
+        out = memo[id(e)] = _rewrite_node(e, memo)
+    return out
+
+
+def _rewrite_node(e: Estimand, memo: dict) -> Estimand:
     if isinstance(e, Marginal):
-        child = _rewrite(e.child)
+        child = _rewrite(e.child, memo)
         if not e.over:
             return child
         if isinstance(child, BaseKernel) and e.over < child.outcome:
@@ -529,18 +597,18 @@ def _rewrite(e: Estimand) -> Estimand:
         if isinstance(child, Marginal):
             return Marginal(child.child, child.over | e.over)
         if isinstance(child, BaseKernel):
-            return Marginal(child, e.over)
+            return e if child is e.child else Marginal(child, e.over)
         return SumOver(child, e.over)
     if isinstance(e, SumOver):
-        child = _rewrite(e.child)
-        if not e.over:
+        child = _rewrite(e.child, memo)
+        over = e.over
+        if not over:
             return child
-        if isinstance(child, BaseKernel) and e.over < child.outcome:
-            return BaseKernel(child.name, child.outcome - e.over, child.context)
+        if isinstance(child, BaseKernel) and over < child.outcome:
+            return BaseKernel(child.name, child.outcome - over, child.context)
         if isinstance(child, SumOver):
-            return SumOver(child.child, child.over | e.over)
+            return SumOver(child.child, child.over | over)
         if isinstance(child, Product):
-            over = e.over
             parts = list(child.children)
             # telescope: an unreferenced conditional sums out to one
             changed = True
@@ -561,23 +629,26 @@ def _rewrite(e: Estimand) -> Estimand:
                     changed = True
                     break
             if not parts:
-                return SumOver(child, e.over)  # a bare unit; keep as written
-            inside, outside = [], []
-            for c in parts:
-                if c.free_vars() & over:
-                    inside.append(c)
-                else:
-                    outside.append(c)
-            if not over:
-                return _mk_product(parts)
-            if outside and inside:
-                return _mk_product(outside + [SumOver(_mk_product(inside), over)])
-            if outside and not inside:
-                return _mk_product(outside)
-            return SumOver(_mk_product(parts), over)
-        return SumOver(child, e.over)
+                over = e.over  # a bare unit; keep as written
+            else:
+                inside, outside = [], []
+                for c in parts:
+                    if c.free_vars() & over:
+                        inside.append(c)
+                    else:
+                        outside.append(c)
+                if not over:
+                    return _mk_product(parts)
+                if outside and inside:
+                    return _mk_product(outside + [SumOver(_mk_product(inside), over)])
+                if outside and not inside:
+                    return _mk_product(outside)
+                child = _mk_product(parts, child)
+        if child is e.child and over == e.over:
+            return e
+        return SumOver(child, over)
     if isinstance(e, Ratio):
-        num, den = _rewrite(e.num), _rewrite(e.den)
+        num, den = _rewrite(e.num, memo), _rewrite(e.den, memo)
         if (
             isinstance(num, BaseKernel)
             and isinstance(den, BaseKernel)
@@ -592,20 +663,22 @@ def _rewrite(e: Estimand) -> Estimand:
             return _mk_product(kept)
         if num == den:
             raise EstimandError("degenerate ratio e/e")
+        if num is e.num and den is e.den:
+            return e
         return Ratio(num, den)
     if isinstance(e, Product):
         parts = []
         for c in e.children:
-            c = _rewrite(c)
+            c = _rewrite(c, memo)
             if isinstance(c, Product):
                 parts.extend(c.children)
             else:
                 parts.append(c)
-        parts = _merge_chain_factors(parts)
-        return _mk_product(parts)
+        return _mk_product(_merge_chain_factors(parts), e)
     if isinstance(e, Restrict):
-        child = _rewrite(e.child)
-        asg = {k: v for k, v in e.assignment if k in child.free_vars()}
+        child = _rewrite(e.child, memo)
+        free = child.free_vars()
+        asg = {k: v for k, v in e.assignment if k in free}
         if not asg:
             return child
         if isinstance(child, Restrict):
@@ -619,6 +692,8 @@ def _rewrite(e: Estimand) -> Estimand:
         if isinstance(child, (SumOver, Marginal)):
             if not (frozenset(asg) & child.over):
                 return type(child)(restrict(child.child, asg), child.over)
+        if child is e.child and len(asg) == len(e.assignment):
+            return e
         return Restrict(child, tuple(asg.items()))
     raise EstimandError(f"unknown node {type(e).__name__}")
 
@@ -634,12 +709,21 @@ def _summable_outcomes(e: Estimand):
     return None
 
 
-def _mk_product(parts: list) -> Estimand:
+def _mk_product(parts: list, like: Optional[Product] = None) -> Estimand:
+    """The sorted product of ``parts``; ``like`` itself when it already is
+    that product, child for child."""
     if not parts:
         raise EstimandError("empty product")
     if len(parts) == 1:
         return parts[0]
-    return Product(tuple(sorted(parts, key=sort_key)))
+    parts = sorted(parts, key=sort_key)
+    if (
+        like is not None
+        and len(parts) == len(like.children)
+        and all(a is b for a, b in zip(parts, like.children))
+    ):
+        return like
+    return Product(tuple(parts))
 
 
 def _split_restricted(c: Estimand):
@@ -683,6 +767,7 @@ def _merge_chain_factors(parts: list) -> list:
     return parts
 
 
+@_cached
 def sort_key(e: Estimand):
     if isinstance(e, BaseKernel):
         return ("base", e.name, sorted(e.outcome), sorted(e.context))
@@ -723,32 +808,41 @@ def structurally_equal(a: Estimand, b: Estimand) -> bool:
 
 def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:
     """Replace every kernel of ``name`` by the matching derived form of
-    ``replacement`` (a joint over at least the kernel's variables)."""
-    if isinstance(e, BaseKernel):
-        if e.name != name:
-            return e
-        full = replacement.outcomes()
-        missing = (e.outcome | e.context) - full
-        if missing:
-            raise EstimandError(f"replacement lacks variables {sorted(missing)}")
-        num = marginalize(replacement, full - e.outcome - e.context)
-        if not e.context:
-            return num
-        return Ratio(num, marginalize(replacement, full - e.context))
-    if isinstance(e, Marginal):
-        return Marginal(substitute_base(e.child, name, replacement), e.over)
-    if isinstance(e, SumOver):
-        return SumOver(substitute_base(e.child, name, replacement), e.over)
-    if isinstance(e, Ratio):
-        return Ratio(
-            substitute_base(e.num, name, replacement),
-            substitute_base(e.den, name, replacement),
-        )
-    if isinstance(e, Product):
-        return Product(tuple(substitute_base(c, name, replacement) for c in e.children))
-    if isinstance(e, Restrict):
-        return Restrict(substitute_base(e.child, name, replacement), e.assignment)
-    return e
+    ``replacement`` (a joint over at least the kernel's variables).  Each
+    distinct node is substituted once, so shared subtrees stay shared."""
+    full = replacement.outcomes()
+    memo = {}  # id of a node of e -> its substitute
+
+    def sub(x: Estimand) -> Estimand:
+        out = memo.get(id(x))
+        if out is None:
+            out = memo[id(x)] = node(x)
+        return out
+
+    def node(x: Estimand) -> Estimand:
+        if isinstance(x, BaseKernel):
+            if x.name != name:
+                return x
+            missing = (x.outcome | x.context) - full
+            if missing:
+                raise EstimandError(f"replacement lacks variables {sorted(missing)}")
+            num = marginalize(replacement, full - x.outcome - x.context)
+            if not x.context:
+                return num
+            return Ratio(num, marginalize(replacement, full - x.context))
+        if isinstance(x, Marginal):
+            return Marginal(sub(x.child), x.over)
+        if isinstance(x, SumOver):
+            return SumOver(sub(x.child), x.over)
+        if isinstance(x, Ratio):
+            return Ratio(sub(x.num), sub(x.den))
+        if isinstance(x, Product):
+            return Product(tuple(sub(c) for c in x.children))
+        if isinstance(x, Restrict):
+            return Restrict(sub(x.child), x.assignment)
+        return x
+
+    return sub(e)
 
 
 # --------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class Graph:
 
     # -- basic views -------------------------------------------------------
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
         return self.random | self.fixed
 
@@ -275,27 +275,29 @@ class Graph:
             out |= table[v]
         return frozenset(out)
 
-    def _closure(self, x, step) -> frozenset:
+    def _closure(self, x, table) -> frozenset:
+        """``x`` and everything reachable from it through ``table``."""
         if isinstance(x, str):
             x = (x,)
         seen = set()
         stack = list(x)
+        verts = self.vertices
         for v in stack:
-            if v not in self.vertices:
+            if v not in verts:
                 raise GraphError(f"unknown vertex {v!r}")
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(step(v))
+            stack.extend(table[v])
         return frozenset(seen)
 
     def ancestors(self, x) -> frozenset:
-        return self._closure(x, lambda v: self._parents[v])
+        return self._closure(x, self._parents)
 
     def descendants(self, x) -> frozenset:
-        return self._closure(x, lambda v: self._children[v])
+        return self._closure(x, self._children)
 
     def nondescendants(self, x) -> frozenset:
         return self.vertices - self.descendants(x)
@@ -307,7 +309,8 @@ class Graph:
         for v in x:
             if v not in self.random:
                 raise GraphError(f"district defined for random vertices, got {v!r}")
-        return self._closure(x, lambda v: self._siblings[v] & self.random)
+        # no bidirected edge meets a fixed vertex, so siblings are random
+        return self._closure(x, self._siblings)
 
     def districts(self) -> list:
         """Partition of the random vertices into districts, sorted."""
@@ -424,21 +427,33 @@ class Graph:
         witness = self.district_of(v) & self.descendants(v)
         if witness != {v}:
             raise NotFixableError(v, witness)
-        kept = frozenset(
-            e
-            for e in self.edges
-            if not (
-                (e.kind == DIRECTED and e.head == v)
-                or (e.kind == BIDIRECTED and v in e.endpoints())
-            )
+        kept = self.edges.difference(
+            [
+                e
+                for e in self.edges
+                if e.head == v or (e.kind == BIDIRECTED and e.tail == v)
+            ]
         )
-        return replace(
-            self,
+        # Built without _validate: the vertices, latent marks and selector
+        # stay, v moves from random to fixed, and the edges only lose those
+        # with an arrowhead at v.  So the vertex sets stay disjoint, every
+        # endpoint is a vertex, no edge points into a fixed vertex, none is
+        # duplicated or newly labelled, and no cycle appears.
+        g = object.__new__(Graph)
+        g.__dict__.update(
             random=self.random - {v},
             fixed=self.fixed | {v},
-            latent=self.latent - {v},
             edges=kept,
+            latent=self.latent - {v},
+            selector=self.selector,
+            support=self.support,
+            vertices=self.vertices,
+            # the adjacency tables lose the same edges
+            _parents={**self._parents, v: frozenset()},
+            _children=_without(self._children, self._parents[v], v),
+            _siblings={**_without(self._siblings, self._siblings[v], v), v: frozenset()},
         )
+        return g
 
     def fix_all(self, vs: Iterable[str]) -> "Graph":
         g = self
@@ -479,6 +494,14 @@ class Graph:
                 return tuple(seq), g.random
             g = g.fix(v)
             seq.append(v)
+
+
+def _without(table: dict, keys, v: str) -> dict:
+    """A copy of ``table`` with ``v`` removed from the entries of ``keys``."""
+    out = dict(table)
+    for k in keys:
+        out[k] = out[k] - {v}
+    return out
 
 
 def genealogy(g: Graph, kind: str, x, strict: bool = False) -> frozenset:

@@ -269,7 +269,9 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     The selector's own factor can only be divided out where its law is
     positive; a remaining bidirected neighbour makes the restricted slices
     load-bearing, so the selector stays random until its district is clear.
-    Other vertices use the ordinary criterion.
+    Other vertices use the ordinary criterion.  The answer depends only on
+    the vertex's district and descendants, and a fixable vertex stays
+    fixable, so the rule meets the contract of ``ChainKernel.fix_to``.
     """
     if not g.is_fixable(v):
         return False

@@ -1,17 +1,28 @@
-"""The benchmark tracer (bench/tracer.py) wraps selid functions and methods
-named by string; a refactor that deletes or renames one of them must fail
-here rather than in a traced benchmark run."""
+"""The benchmark (bench/) drives selid from outside: the tracer wraps
+functions and methods named by string and reads two hooks of their results,
+and the sweep builds its graphs with bench/workloads.py.  A refactor that
+breaks one of these must fail here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import sys
+import time
+import types
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from selid.estimand import BaseKernel, ChainKernel, Estimand, Marginal, Product, Restrict
+from selid.fixtures import all_fixtures
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = ("graph", "estimand", "identify", "projection", "lsg", "oracle", "cli")
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("selid_bench_tracer", TRACER_PATH)
+def _load(name: str):
+    """A bench/ module, loaded by path (it is not a package)."""
+    full = f"selid_bench_{name}"
+    spec = importlib.util.spec_from_file_location(full, BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[full] = mod  # dataclasses look their module up here
     spec.loader.exec_module(mod)
     return mod
 
@@ -21,7 +32,7 @@ def _module(short: str):
 
 
 def test_traced_names_exist():
-    tr = _tracer()
+    tr = _load("tracer")
     missing = [
         f"{mod}.{fname}"
         for entries in tr.FUNCTIONS.values()
@@ -39,10 +50,68 @@ def test_traced_names_exist():
 
 
 def test_instrument_binds_every_name():
-    tr = _tracer()
-    modules = {
-        m: _module(m)
-        for m in ("graph", "estimand", "identify", "projection", "lsg", "oracle", "cli")
-    }
+    tr = _load("tracer")
     # prepares the wrappers without putting them in place
-    tr.instrument(tr.Tracer(), modules)
+    tr.instrument(tr.Tracer(), {m: _module(m) for m in MODULES})
+
+
+def _is_chain(e: Estimand) -> bool:
+    """A product of single-vertex conditionals, restricted or not."""
+    parts = e.children if isinstance(e, Product) else (e,)
+    for c in parts:
+        if isinstance(c, Restrict):
+            c = c.child
+        if not (isinstance(c, BaseKernel) and len(c.outcome) == 1):
+            return False
+    return True
+
+
+def test_chain_fix_result_marks_degraded_steps():
+    # the tracer counts estimand.chain_degraded as results with factors None
+    clean = degraded = 0
+    for fx in all_fixtures().values():
+        k = ChainKernel.from_joint(fx.graph)
+        while True:
+            fixable = [v for v in sorted(k.randoms) if k.graph.is_fixable(v)]
+            if not fixable:
+                break
+            k = k.fix(fixable[0])
+            assert (k.factors is None) == (not _is_chain(k.expr())), fx.name
+            clean += k.factors is not None
+            degraded += k.factors is None
+    assert clean and degraded
+
+
+def test_outcomes_counter_sees_every_node_class():
+    # the tracer counts estimand.outcomes by rebinding each class's own
+    # "outcomes" entry, cached or not
+    estimand = _module("estimand")
+    nodes = [
+        c for c in vars(estimand).values()
+        if isinstance(c, type) and issubclass(c, Estimand) and c is not Estimand
+    ]
+    assert nodes and all("outcomes" in vars(c) for c in nodes)
+    tr = _load("tracer")
+    t = tr.Tracer()
+    rebinding = tr.instrument(t, {m: _module(m) for m in MODULES})
+    e = Marginal(BaseKernel("p", frozenset({"X", "Y"})), frozenset({"X"}))
+    rebinding.enable()
+    try:
+        assert e.outcomes() == frozenset({"Y"})
+    finally:
+        rebinding.disable()
+    assert t.counts["estimand.outcomes"] == 2  # the marginal and its child
+    assert "estimand.outcomes" not in t.spans
+
+
+def test_sequential_baseline_returns_on_a_shared_kernel_case():
+    # identify_sweep n=16 seed 4: the baseline substitutes a law whose
+    # kernels share subtrees; walking them as trees took minutes
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    dag, obs, query = _load("workloads").sweep_case(S, 16, 4)
+    proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+    start = time.perf_counter()
+    baseline = S.identify.sequential_baseline(proj, query)
+    assert time.perf_counter() - start < 10
+    if baseline.kind == "identified":
+        assert S.identify.identify_selected(proj, query).kind == "identified"

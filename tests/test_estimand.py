@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from selid.estimand import (
     parse,
     render,
     restrict,
+    sort_key,
     structurally_equal,
+    substitute_base,
     to_jsonable,
 )
 from selid.fixtures import all_fixtures
@@ -233,3 +236,61 @@ class TestNumericAgreement:
                 got.value({"M": mv, "A": a}) for mv in (0, 1)
             )
             assert s == Fraction(1)
+
+
+def conditioning_tower(depth: int):
+    """p(X0..X{depth-1}, Y) conditioned on X0, then X1, ...: each level is
+    ``Ratio(e, Marginal(e, ...))`` over the level below, so the tree has
+    about 2**(depth+1) nodes but only 2*depth + 1 distinct ones."""
+    xs = [f"X{i}" for i in range(depth)]
+    outs = frozenset(xs) | {"Y"}
+    e = BaseKernel("p", outs)
+    for x in xs:
+        e = Ratio(e, Marginal(e, outs - {x}))
+        outs = outs - {x}
+    return e, frozenset(xs)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestSharedSubtrees:
+    # sha256 prefixes of repr(sort_key(e)) and of render(substitute_base(e)),
+    # recorded from the tree-walking implementation
+    SORT_KEYS = {
+        1: "b9b994caf72e469d", 2: "139ae23ee2436779", 3: "ea55f96e7a2e00dc",
+        4: "0b6db27e16b4c920", 5: "b813beb14f5ac324", 6: "e84cea56dadc992a",
+    }
+    SUBSTITUTED = {
+        1: "9c8d4044686f6223", 2: "aac63ffa44edf233", 3: "249d630c194b7f7e",
+        4: "dcc5c9c08599d043", 5: "4ac87c2b09192c5c", 6: "b6d7ce8dc119f9dd",
+    }
+
+    def test_small_towers_match_recorded_values(self):
+        e, _ = conditioning_tower(2)
+        assert render(e) == (
+            "p(X0, X1, Y) / (Σ_{X1, Y} p(X0, X1, Y)) / "
+            "(Σ_{Y} p(X0, X1, Y) / (Σ_{X1, Y} p(X0, X1, Y)))"
+        )
+        for depth in range(1, 7):
+            e, xs = conditioning_tower(depth)
+            q = BaseKernel("q", xs | {"Y", "Z"})
+            sub = substitute_base(e, "p", q)
+            assert e.free_vars() == xs | {"Y"}
+            assert e.outcomes() == frozenset({"Y"})
+            assert _digest(repr(sort_key(e))) == self.SORT_KEYS[depth]
+            assert _digest(render(sub)) == self.SUBSTITUTED[depth]
+            assert normal_form(e) == BaseKernel("p", frozenset({"Y"}), xs)
+            assert normal_form(sub) == BaseKernel("q", frozenset({"Y"}), xs)
+
+    def test_deep_tower_visits_each_node_once(self):
+        # more than 2**30 tree nodes, 61 distinct ones
+        e, xs = conditioning_tower(30)
+        assert e.free_vars() == xs | {"Y"}
+        assert sort_key(e)[0] == "ratio"
+        assert normal_form(e) == BaseKernel("p", frozenset({"Y"}), xs)
+        q = BaseKernel("q", xs | {"Y", "Z"})
+        sub = substitute_base(e, "p", q)
+        assert sub.free_vars() == xs | {"Y"}
+        assert normal_form(sub) == BaseKernel("q", frozenset({"Y"}), xs)

@@ -209,8 +209,9 @@ class TestCli:
         assert proc.returncode == 0 and "p(" in proc.stdout
 
 
-# `project` on every fixture file that projects, and `identify` on the
-# benchmark's fixture queries: (fixture, query, extra arguments).
+# `project` on every fixture file that projects, and `identify` and
+# `verify --trials 5 --seed 1` on the benchmark's fixture queries:
+# (fixture, query, extra arguments).
 DETERMINISM_SCRIPT = """
 import contextlib, io, sys
 from pathlib import Path
@@ -236,7 +237,8 @@ queries = [
 ]
 runs = [("project", "--graph", str(f)) for f in sorted(fixdir.glob("*.lsg"))]
 runs += [
-    ("identify", "--graph", str(fixdir / f"{name}.lsg"), "--query", query, *extra)
+    (cmd, "--graph", str(fixdir / f"{name}.lsg"), "--query", query, *extra, *trials)
+    for cmd, trials in (("identify", ()), ("verify", ("--trials", "5", "--seed", "1")))
     for name, query, extra in queries
 ]
 for argv in runs:
@@ -262,6 +264,7 @@ def test_output_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0].count("identify ") == 11
+    assert outputs[0].count("verify ") == 11
     assert outputs[0] == outputs[1]
 
 

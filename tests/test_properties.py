@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from selid.estimand import ChainKernel, base_joint, fix_kernel, normal_form
 from selid.fixtures import all_fixtures
-from selid.graph import Graph, SelectorValue, bidirected, directed
+from selid.graph import (
+    Graph,
+    GraphError,
+    NotFixableError,
+    SelectorValue,
+    bidirected,
+    directed,
+)
 from selid.identify import _selection_fixable
 from selid.oracle import (
     eval_estimand,
@@ -87,6 +94,76 @@ class TestChainKernelClosure:
             joint = ChainKernel.from_joint(g)
             ordinary = joint.fix_to(r).randoms
             assert ordinary <= joint.fix_to(r, _selection_fixable).randoms, seed
+
+
+def _reference_fix_to(k: ChainKernel, target: frozenset, fixable) -> ChainKernel:
+    """``ChainKernel.fix_to`` without its incremental re-test: every vertex
+    outside ``target`` is tested again at every step."""
+    while True:
+        cands = [v for v in sorted(k.randoms - target) if fixable(k.graph, v)]
+        if not cands:
+            return k
+        k = k.fix(next((v for v in cands if k._fix_is_clean(v)), cands[0]))
+
+
+def _validated(g: Graph) -> Graph:
+    """The same graph built afresh through ``Graph.__post_init__``."""
+    return Graph(
+        random=g.random,
+        fixed=g.fixed,
+        edges=g.edges,
+        latent=g.latent,
+        selector=g.selector,
+        support=g.support,
+    )
+
+
+class TestGraphLayerShortcuts:
+    def test_incremental_fix_to_matches_full_retest(self):
+        for seed in range(300):
+            rng = random.Random(seed * 17 + 5)
+            g = random_admg(seed)
+            members = sorted(g.random)
+            g = replace(g, selector=rng.choice(members))
+            r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            joint = ChainKernel.from_joint(g)
+            for rule in (Graph.is_fixable, _selection_fixable):
+                got = joint.fix_to(r, rule)
+                want = _reference_fix_to(joint, r, rule)
+                assert got.randoms == want.randoms, seed
+                assert got.expr() == want.expr(), seed
+                assert got.graph == want.graph, seed
+
+    def test_fix_equals_validated_construction(self):
+        # two fixes deep, so the adjacency tables a fix hands on are checked
+        for seed in range(300):
+            g = random_admg(seed)
+            for v in sorted(g.random):
+                if not g.is_fixable(v):
+                    continue
+                h = g.fix(v)
+                for fixed in [h] + [h.fix(w) for w in sorted(h.random) if h.is_fixable(w)]:
+                    fresh = _validated(fixed)
+                    assert fixed == fresh, (seed, v)
+                    assert fixed.vertices == fresh.vertices
+                    for w in sorted(fresh.vertices):
+                        assert fixed.parents(w) == fresh.parents(w), (seed, v, w)
+                        assert fixed.children(w) == fresh.children(w), (seed, v, w)
+                        assert fixed.siblings(w) == fresh.siblings(w), (seed, v, w)
+
+    def test_fix_still_checks_its_vertex(self):
+        for seed in range(300):
+            g = random_admg(seed)
+            for v in sorted(g.random):
+                if g.is_fixable(v):
+                    h = g.fix(v)
+                    with pytest.raises(GraphError):
+                        h.fix(v)  # fixed, no longer random
+                else:
+                    with pytest.raises(NotFixableError):
+                        g.fix(v)
+            with pytest.raises(GraphError):
+                g.fix("nowhere")
 
 
 def _valid_sequences(g: Graph, target: frozenset, cap: int = 24):
@@ -346,6 +423,7 @@ class TestNormalFormSemantics:
             rng = _r.Random(seed)
             e = random_expr(rng)
             n = normal_form(e)
+            assert normal_form(n) is n, seed  # a fixpoint comes back as itself
             a = eval_estimand(e, tables)
             b = eval_estimand(n, tables)
             if not a.defined_everywhere() or not b.defined_everywhere():
@@ -364,4 +442,4 @@ class TestNormalFormSemantics:
         fx = all_fixtures()["selection_web"]
         q = Query(frozenset({"Y"}), (("A1", Sym("a1")), ("A2", Sym("a2"))))
         e = identify_selected(fx.graph, q).estimand
-        assert normal_form(e) == e
+        assert normal_form(e) is e
