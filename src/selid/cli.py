@@ -163,6 +163,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     g = _load_graph(args.graph)
     query, _ = parse_query(args.query, g.selector)
     datasets = _datasets(args)
@@ -203,6 +205,13 @@ def cmd_witness(args) -> int:
         payload["reason"] = str(exc)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
+
+
+def _env_seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"SSID_SEED must be an integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,9 +260,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if "SSID_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["SSID_SEED"])
     try:
+        if "SSID_SEED" in os.environ and hasattr(args, "seed"):
+            args.seed = _env_seed(os.environ["SSID_SEED"])
         return args.fn(args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

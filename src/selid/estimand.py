@@ -387,25 +387,30 @@ class ChainFactor:
 
 
 def trim_conditioning(g: Graph, v: str, cond: Iterable[str], keep: Iterable[str] = ()) -> frozenset:
-    """Drop conditioning variables irrelevant to ``v`` by m-separation in ``g``.
+    """The Markov pillow of ``v`` within ``cond``, plus the members of ``keep``
+    in ``cond``.
 
-    Deterministic greedy removal in sorted order, iterated to a fixpoint;
-    ``keep`` members are never dropped.
+    The pillow is D and its parents, less ``v``, where D is the district of
+    ``v`` in ``g`` restricted to ``cond | {v}``.  Precondition: ``cond`` lies
+    inside a topological prefix of ``v`` in ``g`` and contains ``v``'s pillow
+    over that prefix.  Then, by the ordered local Markov property of ADMGs,
+    ``v`` is m-separated from the rest of ``cond`` given the pillow, and no
+    pillow member can be dropped: the result is the set that removing
+    m-separated variables one at a time, to a fixpoint, ends at.
+    ``ChainKernel.from_joint`` passes the prefix itself; re-trimming such a
+    pillow in a graph with only some of ``g``'s edges meets it too.
     """
-    cond = set(cond)
-    keep = frozenset(keep)
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(cond - keep):
-            rest = (cond - {w}) & g.vertices
-            if w not in g.vertices:
-                cond.discard(w)
-                changed = True
-            elif g.m_separated({v}, {w}, rest):
-                cond.discard(w)
-                changed = True
-    return frozenset(cond)
+    cond = frozenset(cond)
+    inside = cond | {v}
+    district = {v}
+    stack = [v]
+    while stack:
+        for w in g.siblings(stack.pop()):
+            if w in inside and w not in district:
+                district.add(w)
+                stack.append(w)
+    pillow = (frozenset(district) | g.parents(district)) & cond
+    return (pillow - {v}) | (frozenset(keep) & cond)
 
 
 class ChainKernel:
@@ -413,7 +418,7 @@ class ChainKernel:
 
     The kernel starts as the full base law of ``graph`` factorized into
     single-vertex conditionals along the deterministic topological order,
-    with conditioning sets trimmed by m-separation (a Markov-equivalent,
+    each conditioned on its Markov pillow (a Markov-equivalent,
     display-friendly form).  ``fix`` applies, in order of preference: the
     factor-drop rule, marginalization of a childless vertex, or the general
     quotient.  The selector is special: its factor is always divided out so
@@ -431,16 +436,12 @@ class ChainKernel:
         self._expr = expr
 
     @classmethod
-    def from_joint(cls, graph: Graph, base: str = "p", trim: bool = True) -> "ChainKernel":
-        order = graph.topological_order()
+    def from_joint(cls, graph: Graph, base: str = "p") -> "ChainKernel":
         factors = {}
         pre: list = []
-        for v in order:
+        for v in graph.topological_order():
             if v in graph.random:
-                cond = frozenset(pre)
-                if trim:
-                    cond = trim_conditioning(graph, v, cond)
-                factors[v] = ChainFactor(v, base, cond)
+                factors[v] = ChainFactor(v, base, trim_conditioning(graph, v, pre))
             pre.append(v)
         return cls(graph, factors, None)
 
@@ -543,16 +544,6 @@ class ChainKernel:
             ready.discard(v)
             ready |= {w for w in touched - target - ready - {v} if fixable(k.graph, w)}
         return k
-
-    def restrict_factor(self, v: str, asg: Mapping[str, Value]) -> "ChainKernel":
-        if self.factors is None or v not in self.factors:
-            raise EstimandError(f"no chain factor for {v!r}")
-        f = self.factors[v]
-        merged = dict(f.restr)
-        merged.update({k: val for k, val in asg.items() if k in f.cond})
-        factors = dict(self.factors)
-        factors[v] = ChainFactor(f.vertex, f.base, f.cond, tuple(sorted(merged.items())))
-        return ChainKernel(self.graph, factors, self._expr)
 
 
 # --------------------------------------------------------------------------

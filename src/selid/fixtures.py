@@ -1,12 +1,45 @@
-"""Shared example graphs used by tests, the CLI fixture files and the docs."""
+"""Shared example graphs used by the tests and the docs, read from the
+``.lsg`` files of the repository's ``fixtures`` directory.
+
+A fixture named ``<name>`` is the graph handed to the identifiers,
+``fixtures/<name>.lsg`` (the projection when there are hidden variables),
+with the hidden-variable DAG generating it in ``fixtures/<name>_dag.lsg``
+when that file exists.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
-from .graph import Graph, SelectorSupport, bidirected, directed
-from .projection import derive_labels, latent_project
+from .graph import Graph
+from .lsg import parse_graph
+
+FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
+
+QUERIES = {
+    "chain": "P(Y | do(A=a))",
+    "bow": "P(Y | do(A=a))",
+    "frontdoor": "P(Y | do(A=a))",
+    "backdoor": "P(Y | do(A=a))",
+    # the selector as a perfect instrument: S -> A -> Y, S and A each confounded
+    "double_bow": "P(Y | do(A=a), S=empty)",
+    # two selector children, one free treatment, confounding webs around Y
+    "selection_web": "P(Y | do(A1=a1, A2=a2), S=empty)",
+    # a projection that needs parallel labelled edges (a true multigraph)
+    "parallel_paths": "P(B | do(A=a), S=empty)",
+    # Y is always selector-forced: its natural law is never observed
+    "forced_outcome": "P(Y | do(), S=empty)",
+    # two confounded treatments, each selector-forceable but never jointly
+    "split_thicket": "P(Y | do(A1=a1, A2=a2), S=empty)",
+    # the selector confounded with Y, no usable child outside Y's district
+    "confounded_selector_hedge": "P(Y | do(A=a), S=empty)",
+    # a fully observed selection-completely-at-random compliance model
+    "scar": "P(Y | do(A=a), S=empty)",
+    # an observational study; compliance_experimental.lsg is its experiment
+    "compliance_pair": "P(Y | do(A=a))",
+}
 
 
 @dataclass(frozen=True)
@@ -17,288 +50,20 @@ class Fixture:
     query: str = ""
 
 
-def _support(*patterns) -> SelectorSupport:
-    return SelectorSupport(frozenset(frozenset(p) for p in patterns))
+def _read(name: str) -> Optional[Graph]:
+    path = FIXTURE_DIR / f"{name}.lsg"
+    return parse_graph(path.read_text()) if path.exists() else None
 
 
-def chain() -> Fixture:
-    g = Graph(
-        random=frozenset("AMY"),
-        edges=frozenset([directed("A", "M"), directed("M", "Y")]),
-    )
-    return Fixture("chain", g, query="P(Y | do(A=a))")
-
-
-def bow() -> Fixture:
-    g = Graph(
-        random=frozenset("AY"),
-        edges=frozenset([directed("A", "Y"), bidirected("A", "Y")]),
-    )
-    return Fixture("bow", g, query="P(Y | do(A=a))")
-
-
-def frontdoor() -> Fixture:
-    g = Graph(
-        random=frozenset("AMY"),
-        edges=frozenset(
-            [directed("A", "M"), directed("M", "Y"), bidirected("A", "Y")]
-        ),
-    )
-    return Fixture("frontdoor", g, query="P(Y | do(A=a))")
-
-
-def backdoor() -> Fixture:
-    g = Graph(
-        random=frozenset("ACY"),
-        edges=frozenset(
-            [directed("C", "A"), directed("C", "Y"), directed("A", "Y")]
-        ),
-    )
-    return Fixture("backdoor", g, query="P(Y | do(A=a))")
-
-
-def double_bow() -> Fixture:
-    """Selector acting as a perfect instrument: S -> A -> Y with S and A each
-    confounded, and A the only selector child."""
-    dag = Graph(
-        random=frozenset(["S", "A", "Y", "U1", "U2"]),
-        latent=frozenset(["U1", "U2"]),
-        selector="S",
-        support=_support((), ("A",)),
-        edges=frozenset(
-            [
-                directed("U1", "S"),
-                directed("U1", "A"),
-                directed("U2", "A"),
-                directed("U2", "Y"),
-                directed("S", "A"),
-                directed("A", "Y"),
-            ]
-        ),
-    )
-    proj = latent_project(derive_labels(dag), {"S", "A", "Y"})
-    return Fixture("double_bow", proj, dag, "P(Y | do(A=a), S=empty)")
-
-
-def selection_web() -> Fixture:
-    """A web of selector-driven treatments: two selector children, one free
-    treatment, and confounding webs around the outcome."""
-    edges = [
-        directed("M", "Y"),
-        directed("W1", "Y"),
-        directed("A1", "M"),
-        directed("A2", "W1"),
-        directed("S", "A1"),
-        directed("S", "A2"),
-        directed("C", "S"),
-        directed("C", "Y"),
-        directed("A3", "S"),
-        directed("W2", "S"),
-        directed("W2", "W1"),
-        bidirected("A2", "Y", {"A2"}),
-        bidirected("A1", "M", {"A1"}),
-        bidirected("W2", "Y"),
-        bidirected("W2", "A3"),
-        bidirected("S", "A2", {"A2"}),
-        bidirected("A2", "W1", {"A2"}),
-    ]
-    g = Graph(
-        random=frozenset(["S", "A1", "A2", "A3", "C", "M", "W1", "W2", "Y"]),
-        selector="S",
-        support=_support((), ("A1",), ("A2",), ("A1", "A2")),
-        edges=frozenset(edges),
-    )
-    dag_edges = [e for e in edges if e.kind == "directed"]
-    latents = []
-    for e in edges:
-        if e.kind == "bidirected":
-            u = f"U{e.tail}{e.head}"
-            latents.append(u)
-            dag_edges.append(directed(u, e.tail))
-            dag_edges.append(directed(u, e.head))
-    dag = Graph(
-        random=g.random | frozenset(latents),
-        latent=frozenset(latents),
-        selector="S",
-        support=g.support,
-        edges=frozenset(dag_edges),
-    )
-    return Fixture("selection_web", g, dag, "P(Y | do(A1=a1, A2=a2), S=empty)")
+def _fixture(name: str) -> Fixture:
+    return Fixture(name, _read(name), _read(f"{name}_dag"), QUERIES[name])
 
 
 def compliance_pair():
     """Observational study plus a compliance-controlled experiment on the same
-    population.  Returns (model fixture, dataset specs)."""
-    model = Graph(
-        random=frozenset(["C", "A", "M", "Y"]),
-        edges=frozenset(
-            [
-                directed("C", "A"),
-                directed("A", "M"),
-                directed("M", "Y"),
-                bidirected("A", "Y"),
-                bidirected("C", "M"),
-                bidirected("C", "Y"),
-            ]
-        ),
-    )
-    dag = Graph(
-        random=frozenset(["C", "A", "M", "Y", "U1", "U2", "U3"]),
-        latent=frozenset(["U1", "U2", "U3"]),
-        edges=frozenset(
-            [
-                directed("C", "A"),
-                directed("A", "M"),
-                directed("M", "Y"),
-                directed("U1", "A"),
-                directed("U1", "Y"),
-                directed("U2", "C"),
-                directed("U2", "M"),
-                directed("U3", "C"),
-                directed("U3", "Y"),
-            ]
-        ),
-    )
-    experimental = Graph(
-        random=frozenset(["C", "A", "Y"]),
-        fixed=frozenset(["M"]),
-        edges=frozenset(
-            [
-                directed("C", "A"),
-                directed("M", "Y"),
-                bidirected("A", "Y"),
-                bidirected("C", "Y"),
-            ]
-        ),
-    )
-    return Fixture("compliance_pair", model, dag, "P(Y | do(A=a))"), experimental
-
-
-def parallel_paths() -> Fixture:
-    """Projection requiring parallel labelled edges (a true multigraph)."""
-    dag = Graph(
-        random=frozenset(["A", "B", "S", "Z1", "Z2", "W1", "W2"]),
-        latent=frozenset(["Z1", "Z2", "W1", "W2"]),
-        selector="S",
-        support=_support((), ("Z1",), ("W2",)),
-        edges=frozenset(
-            [
-                directed("A", "Z1"),
-                directed("A", "Z2"),
-                directed("S", "Z1"),
-                directed("S", "Z2"),
-                directed("S", "W1"),
-                directed("S", "W2"),
-                directed("Z1", "W1"),
-                directed("Z2", "W2"),
-                directed("W1", "B"),
-                directed("W2", "B"),
-            ]
-        ),
-    )
-    proj = latent_project(derive_labels(dag), {"A", "B", "S"})
-    return Fixture("parallel_paths", proj, dag, "P(B | do(A=a), S=empty)")
-
-
-def forced_outcome() -> Fixture:
-    """The outcome is always selector-forced: its natural law is never observed."""
-    g = Graph(
-        random=frozenset(["S", "Y"]),
-        selector="S",
-        support=_support(("Y",)),
-        edges=frozenset([directed("S", "Y")]),
-    )
-    return Fixture("forced_outcome", g, query="P(Y | do(), S=empty)")
-
-
-def split_thicket() -> Fixture:
-    """Two confounded treatments, each selector-forceable but never jointly."""
-    dag = Graph(
-        random=frozenset(["S", "A1", "A2", "Y", "U1", "U2"]),
-        latent=frozenset(["U1", "U2"]),
-        selector="S",
-        support=_support(("A1",), ("A2",)),
-        edges=frozenset(
-            [
-                directed("S", "A1"),
-                directed("S", "A2"),
-                directed("A1", "Y"),
-                directed("A2", "Y"),
-                directed("U1", "A1"),
-                directed("U1", "Y"),
-                directed("U2", "A2"),
-                directed("U2", "Y"),
-            ]
-        ),
-    )
-    proj = latent_project(derive_labels(dag), {"S", "A1", "A2", "Y"})
-    return Fixture("split_thicket", proj, dag, "P(Y | do(A1=a1, A2=a2), S=empty)")
-
-
-def confounded_selector_hedge() -> Fixture:
-    """Selector confounded with the outcome and with no usable child outside
-    the outcome's district: the hedge branch."""
-    dag = Graph(
-        random=frozenset(["S", "A", "Y", "U1", "U2"]),
-        latent=frozenset(["U1", "U2"]),
-        selector="S",
-        support=_support((), ("Y",)),
-        edges=frozenset(
-            [
-                directed("S", "Y"),
-                directed("A", "Y"),
-                directed("U1", "S"),
-                directed("U1", "Y"),
-                directed("U2", "A"),
-                directed("U2", "Y"),
-            ]
-        ),
-    )
-    proj = latent_project(derive_labels(dag), {"S", "A", "Y"})
-    return Fixture("confounded_selector_hedge", proj, dag, "P(Y | do(A=a), S=empty)")
-
-
-def scar() -> Fixture:
-    """Fully observed selection-completely-at-random compliance model."""
-    g = Graph(
-        random=frozenset(["S", "C", "A", "M", "Y", "U1", "U2", "U3"]),
-        selector="S",
-        support=_support((), ("M",)),
-        edges=frozenset(
-            [
-                directed("C", "A"),
-                directed("A", "M"),
-                directed("M", "Y"),
-                directed("U1", "A"),
-                directed("U1", "Y"),
-                directed("U2", "C"),
-                directed("U2", "M"),
-                directed("U3", "C"),
-                directed("U3", "Y"),
-                directed("S", "M"),
-            ]
-        ),
-    )
-    return Fixture("scar", derive_labels(g), query="P(Y | do(A=a), S=empty)")
+    population.  Returns (model fixture, experimental CADMG)."""
+    return _fixture("compliance_pair"), _read("compliance_experimental")
 
 
 def all_fixtures() -> dict:
-    out = {}
-    for fn in (
-        chain,
-        bow,
-        frontdoor,
-        backdoor,
-        double_bow,
-        selection_web,
-        parallel_paths,
-        forced_outcome,
-        split_thicket,
-        confounded_selector_hedge,
-        scar,
-    ):
-        fx = fn()
-        out[fx.name] = fx
-    fx, _ = compliance_pair()
-    out[fx.name] = fx
-    return out
+    return {name: _fixture(name) for name in QUERIES}

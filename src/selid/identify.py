@@ -296,16 +296,21 @@ def _polish_kernel(
             e = restrict(e, {sel: sval})
         return e
     ctx = context_graph(g_labelled, _pattern_value(sval.pattern))
-    out = kernel
-    for v in sorted(kernel.factors):
-        f = kernel.factors[v]
+    factors = dict(kernel.factors)
+    for v, f in kernel.factors.items():
         if sel in f.cond:
-            cond = trim_conditioning(ctx, v, f.cond, keep={sel})
-            factors = dict(out.factors)
-            factors[v] = ChainFactor(v, f.base, cond, f.restr)
-            out = ChainKernel(out.graph, factors, None)
-            out = out.restrict_factor(v, {sel: sval})
-    return out.expr()
+            factors[v] = _pin_selector(ctx, f, sval)
+    return ChainKernel(kernel.graph, factors, None).expr()
+
+
+def _pin_selector(ctx: Graph, f: ChainFactor, sval: SelectorAssign) -> ChainFactor:
+    """``f`` restricted to the selector value ``sval``, its conditioning set
+    re-trimmed in ``ctx``, the context graph of that value, keeping the
+    selector."""
+    sel = ctx.selector
+    cond = trim_conditioning(ctx, f.vertex, f.cond, keep={sel})
+    restr = {**dict(f.restr), sel: sval}
+    return ChainFactor(f.vertex, f.base, cond, tuple(sorted(restr.items())))
 
 
 # --------------------------------------------------------------------------
@@ -473,16 +478,13 @@ def _confounded_selector(
         ctx = context_graph(g_full, pv)
         for v in sorted(dprime):
             f = qtil.factors[v]
-            restr = dict(f.restr)
             if v in de_s and sel in f.cond:
-                cond_v = trim_conditioning(ctx, v, f.cond, keep={sel})
-                restr[sel] = sval
-            else:
-                cond_v = f.cond
+                f = _pin_selector(ctx, f, sval)
+            restr = dict(f.restr)
             for w, tok in query.treatments:
-                if w in pattern and w in cond_v:
+                if w in pattern and w in f.cond:
                     restr[w] = tok
-            factors[v] = ChainFactor(v, f.base, cond_v, tuple(sorted(restr.items())))
+            factors[v] = ChainFactor(v, f.base, f.cond, tuple(sorted(restr.items())))
         sub = sw.induced_subgraph(dprime | sw.fixed)
         kernel = ChainKernel(sub, factors, None).fix_to(dstar)
         if kernel.randoms != dstar:

@@ -73,40 +73,14 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
     # directed: simple hidden-interior paths between kept vertices
     directed_sets: dict = {}
     for x in sorted(keep):
-        stack = [(x, frozenset(), (x,))]
-        while stack:
-            v, lab, path = stack.pop()
-            for w in children[v]:
-                if w in path:
-                    continue
-                for edge_lab in labels[(v, w)]:
-                    lab2 = lab | edge_lab
-                    if w in keep:
-                        directed_sets.setdefault((x, w), set()).add(lab2)
-                    else:
-                        stack.append((w, lab2, path + (w,)))
+        for w, lab, _ in _hidden_paths(x, children, labels, keep):
+            directed_sets.setdefault((x, w), set()).add(lab)
 
     # bidirected: hidden treks x <- ... <- h -> ... -> y
-    down: dict = {}
-    for h in sorted(hidden):
-        found = []
-        stack = [(h, frozenset(), (h,))]
-        while stack:
-            v, lab, path = stack.pop()
-            for w in children[v]:
-                if w in path:
-                    continue
-                for edge_lab in labels[(v, w)]:
-                    lab2 = lab | edge_lab
-                    if w in keep:
-                        found.append((w, lab2, frozenset(path)))
-                    else:
-                        stack.append((w, lab2, path + (w,)))
-        down[h] = found
     bidirected_sets: dict = {}
     for h in sorted(hidden):
-        branches = down[h]
-        for i, (x, lx, px) in enumerate(branches):
+        branches = [(w, lab, frozenset(path)) for w, lab, path in _hidden_paths(h, children, labels, keep)]
+        for x, lx, px in branches:
             for y, ly, py in branches:
                 if y <= x:
                     continue
@@ -129,6 +103,26 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
         latent=g.latent & keep,
         edges=frozenset(edges),
     )
+
+
+def _hidden_paths(start: str, children: dict, labels: dict, keep: frozenset) -> list:
+    """Every simple directed path from ``start`` that ends at its first kept
+    vertex after ``start``, depth first: (end, union of the edge labels, the
+    vertices before the end)."""
+    found = []
+    stack = [(start, frozenset(), (start,))]
+    while stack:
+        v, lab, path = stack.pop()
+        for w in children[v]:
+            if w in path:
+                continue
+            for edge_lab in labels[(v, w)]:
+                lab2 = lab | edge_lab
+                if w in keep:
+                    found.append((w, lab2, path))
+                else:
+                    stack.append((w, lab2, path + (w,)))
+    return found
 
 
 def context_graph(g: Graph, s: SelectorValue) -> Graph:

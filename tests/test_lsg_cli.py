@@ -138,6 +138,27 @@ class TestCli:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_zero_trials_is_usage_error(self):
+        code, out, err = run_cli(
+            "verify",
+            "--graph", str(FIXDIR / "chain.lsg"),
+            "--query", "P(Y | do(A=a))",
+            "--trials", "0",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "--trials must be at least 1, got 0"}
+
+    def test_non_integer_seed_env_is_usage_error(self):
+        code, out, err = run_cli(
+            "verify",
+            "--graph", str(FIXDIR / "chain.lsg"),
+            "--query", "P(Y | do(A=a))",
+            "--trials", "2",
+            env={"SSID_SEED": "x"},
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "SSID_SEED must be an integer, got 'x'"}
+
     def test_byte_identical_output(self):
         args = (
             "verify",
@@ -209,13 +230,18 @@ class TestCli:
         assert proc.returncode == 0 and "p(" in proc.stdout
 
 
-# `project` on every fixture file that projects, and `identify` and
-# `verify --trials 5 --seed 1` on the benchmark's fixture queries:
-# (fixture, query, extra arguments).
+# `project` on every fixture file that projects, `identify` and
+# `verify --trials 5 --seed 1` on the benchmark's fixture queries
+# (fixture, query, extra arguments), and the rendered `identify_selected`
+# estimands of the identify_sweep cases and of the small-model generator
+# of tests/test_random_models.py.
 DETERMINISM_SCRIPT = """
-import contextlib, io, sys
+import contextlib, importlib, importlib.util, io, sys, types
 from pathlib import Path
 from selid.cli import main
+from selid.estimand import render
+from selid.identify import identify_selected
+from selid.projection import derive_labels, latent_project
 
 fixdir = Path(sys.argv[1])
 queries = [
@@ -248,6 +274,33 @@ for argv in runs:
     if code == 0:
         print(" ".join(argv[:1] + argv[2:3]))
         print(out.getvalue())
+
+# identify_selected on the identify_sweep cases and the small-model seeds
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"selid_determinism_{path.stem}", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def show(label, proj, query):
+    r = identify_selected(proj, query)
+    print(label, r.kind, render(r.estimand) if r.kind == "identified" else "")
+
+
+root = fixdir.parent
+workloads = load(root / "bench" / "workloads.py")
+S = types.SimpleNamespace(**{m: importlib.import_module(f"selid.{m}") for m in ("graph", "estimand", "identify")})
+for n in workloads.SWEEP_SIZES:
+    for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+        dag, obs, query = workloads.sweep_case(S, n, seed)
+        show(f"sweep {n}:{seed}", latent_project(derive_labels(dag), obs), query)
+models = load(root / "tests" / "test_random_models.py")
+for seed in range(200):
+    case = models.random_selection_model(seed)
+    if case is not None:
+        show(f"small {seed}", case[1], case[2])
 """
 
 
@@ -265,6 +318,8 @@ def test_output_does_not_depend_on_the_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0].count("identify ") == 11
     assert outputs[0].count("verify ") == 11
+    assert outputs[0].count("\nsweep ") == 32
+    assert outputs[0].count("\nsmall ") == 200
     assert outputs[0] == outputs[1]
 
 

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selid.estimand import ChainKernel, base_joint, fix_kernel, normal_form
+from selid.estimand import ChainKernel, base_joint, fix_kernel, normal_form, trim_conditioning
 from selid.fixtures import all_fixtures
 from selid.graph import (
     Graph,
@@ -17,7 +18,8 @@ from selid.graph import (
     bidirected,
     directed,
 )
-from selid.identify import _selection_fixable
+from selid.identify import _selection_fixable, identify_selected, sequential_baseline
+from selid.lsg import parse_query
 from selid.oracle import (
     eval_estimand,
     exact_ci,
@@ -25,7 +27,9 @@ from selid.oracle import (
     random_cs_scm,
     random_functional_cs_scm,
 )
-from selid.projection import canonical_hidden_dag, swig
+from selid.projection import canonical_hidden_dag, context_graph, swig
+
+from test_random_models import random_selection_model
 
 FX = all_fixtures()
 
@@ -164,6 +168,96 @@ class TestGraphLayerShortcuts:
                         g.fix(v)
             with pytest.raises(GraphError):
                 g.fix("nowhere")
+
+
+def _greedy_trim(g: Graph, v: str, cond, keep=()) -> frozenset:
+    """The reference trim: drop the variables of ``cond`` m-separated from
+    ``v`` given the rest, one at a time in sorted order, to a fixpoint;
+    ``keep`` members are never dropped."""
+    cond = set(cond)
+    keep = frozenset(keep)
+    changed = True
+    while changed:
+        changed = False
+        for w in sorted(cond - keep):
+            if w not in g.vertices or g.m_separated({v}, {w}, (cond - {w}) & g.vertices):
+                cond.discard(w)
+                changed = True
+    return frozenset(cond)
+
+
+def _labelled_admg(seed: int) -> Graph:
+    """``random_admg`` with a selector and some edges labelled by a vertex
+    name, so that context graphs drop edges."""
+    g = random_admg(seed)
+    rng = random.Random(seed * 13 + 7)
+    names = sorted(g.random)
+    edges = [
+        replace(e, label=frozenset({rng.choice(names)})) if rng.random() < 0.4 else e
+        for e in sorted(g.edges, key=lambda e: e.sort_key())
+    ]
+    return replace(g, selector=rng.choice(names), edges=frozenset(edges))
+
+
+class TestMarkovPillowTrim:
+    def test_from_joint_conditions_on_the_greedy_trim(self):
+        # before fixes, after each single fix, and at a fixed reachable closure
+        compared = 0
+        for seed in range(300):
+            g = random_admg(seed)
+            rng = random.Random(seed * 31 + 1)
+            r = frozenset(rng.sample(sorted(g.random), rng.randint(1, len(g.random))))
+            graphs = [g, ChainKernel.from_joint(g).fix_to(r).graph]
+            graphs += [g.fix(v) for v in sorted(g.random) if g.is_fixable(v)]
+            for h in graphs:
+                factors = ChainKernel.from_joint(h).factors
+                pre = []
+                for v in h.topological_order():
+                    if v in h.random:
+                        assert factors[v].cond == _greedy_trim(h, v, pre), (seed, v)
+                        compared += 1
+                    pre.append(v)
+        assert compared > 7000
+
+    def test_context_retrim_keeping_the_selector(self):
+        kept_outside_pillow = 0
+        for seed in range(300):
+            g = _labelled_admg(seed)
+            sel = g.selector
+            factors = ChainKernel.from_joint(g).factors
+            names = sorted({c for e in g.edges for c in e.label})
+            for k in range(len(names) + 1):
+                for pattern in itertools.combinations(names, k):
+                    ctx = context_graph(g, SelectorValue(frozenset(pattern), tuple((c, 1) for c in pattern)))
+                    for v in sorted(factors):
+                        cond = factors[v].cond
+                        if sel not in cond:
+                            continue
+                        got = trim_conditioning(ctx, v, cond, keep={sel})
+                        assert got == _greedy_trim(ctx, v, cond, keep={sel}), (seed, pattern, v)
+                        kept_outside_pillow += sel not in trim_conditioning(ctx, v, cond)
+        assert kept_outside_pillow > 0
+
+    def test_every_call_of_the_selection_procedures(self, monkeypatch):
+        calls = []
+
+        def checked(g, v, cond, keep=()):
+            got = trim_conditioning(g, v, cond, keep)
+            assert got == _greedy_trim(g, v, cond, keep), (v, sorted(cond), sorted(keep))
+            calls.append(bool(keep))
+            return got
+
+        # the package exports a function named identify, so go by sys.modules
+        monkeypatch.setattr(sys.modules["selid.identify"], "trim_conditioning", checked)
+        cases = [random_selection_model(seed) for seed in range(200)]
+        cases = [(proj, query) for _, proj, query in filter(None, cases)]
+        for fx in FX.values():
+            if fx.graph.selector is not None:
+                cases.append((fx.graph, parse_query(fx.query, fx.graph.selector)[0]))
+        for proj, query in cases:
+            identify_selected(proj, query)
+            sequential_baseline(proj, query)
+        assert len(calls) > 200 and all(calls)
 
 
 def _valid_sequences(g: Graph, target: frozenset, cap: int = 24):
