@@ -10,7 +10,6 @@ oracle over discrete rational models.
 from .estimand import (
     BaseKernel,
     Estimand,
-    FailureNode,
     Marginal,
     Product,
     Ratio,
@@ -49,7 +48,6 @@ from .identify import (
     FailUnknown,
     Identified,
     Query,
-    confounded_selector,
     identify,
     identify_fused,
     identify_selected,

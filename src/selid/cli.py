@@ -28,7 +28,7 @@ from .identify import (
     sequential_baseline,
 )
 from .lsg import ParseError, parse_graph, parse_query, render_graph
-from .projection import latent_project
+from .projection import derive_labels, latent_project
 
 
 class UsageError(ValueError):
@@ -121,24 +121,33 @@ def _model_payload(m: oracle.DiscreteCsScm) -> dict:
     }
 
 
-def cmd_project(args) -> int:
-    g = _load_graph(args.graph)
-    keep = (
-        frozenset(args.keep.split(","))
-        if args.keep
-        else g.vertices - g.latent
-    )
-    from .projection import derive_labels
-
+def _projected(g: Graph, keep=None) -> Graph:
+    """``g`` latent-projected onto ``keep`` (by default every vertex that is
+    not latent), with edge labels derived first for a selection graph that
+    carries none."""
+    if keep is None:
+        keep = g.vertices - g.latent
     if not any(e.label for e in g.edges) and g.selector is not None:
         g = derive_labels(g)
-    proj = latent_project(g, keep)
-    sys.stdout.write(render_graph(proj))
+    return latent_project(g, keep)
+
+
+def _query_graph(path: str) -> tuple:
+    """The graph in ``path`` and the graph queries on it are asked of: its
+    latent projection when it has latent vertices, else itself."""
+    g = _load_graph(path)
+    return g, (_projected(g) if g.latent else g)
+
+
+def cmd_project(args) -> int:
+    g = _load_graph(args.graph)
+    keep = frozenset(args.keep.split(",")) if args.keep else None
+    sys.stdout.write(render_graph(_projected(g, keep)))
     return 0
 
 
 def cmd_identify(args) -> int:
-    g = _load_graph(args.graph)
+    _, g = _query_graph(args.graph)
     query, wants_empty = parse_query(args.query, g.selector)
     if g.selector is not None and not wants_empty and args.algorithm in ("auto", "ssid", "csg", "baseline"):
         raise UsageError("selection queries must name the observational context: S=empty")
@@ -165,7 +174,7 @@ def cmd_identify(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    g = _load_graph(args.graph)
+    dag, g = _query_graph(args.graph)
     query, _ = parse_query(args.query, g.selector)
     datasets = _datasets(args)
     algorithm = _pick_algorithm(args, g)
@@ -177,6 +186,7 @@ def cmd_verify(args) -> int:
         result,
         trials=args.trials,
         seed=args.seed,
+        dag=dag if dag.latent else None,
         datasets=[(d.name, d.intervened) for d in datasets] or None,
     )
     payload = report.to_jsonable()
@@ -188,7 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    g = _load_graph(args.graph)
+    _, g = _query_graph(args.graph)
     query, _ = parse_query(args.query, g.selector)
     algorithm = _pick_algorithm(args, g)
     result = _run_algorithm(algorithm, g, query, [])

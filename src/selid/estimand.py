@@ -94,7 +94,8 @@ def _cached(fn):
 class Estimand:
     """Base class; all nodes are frozen dataclasses, compared structurally.
 
-    Scope sets and sort keys are cached per node (see ``_cached``).
+    Scope sets and sort keys are cached per node (see ``_cached``); every
+    other walk is a ``fold``.
     """
 
     @_cached
@@ -108,8 +109,10 @@ class Estimand:
     def contexts(self) -> frozenset:
         raise NotImplementedError
 
-    def symbols(self) -> frozenset:
-        return frozenset()
+    def parts(self) -> tuple:
+        """The nodes this one is built from, in field order: its ``child``
+        unless the class says otherwise."""
+        return (self.child,)
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,9 @@ class BaseKernel(Estimand):
     def contexts(self):
         return self.context
 
+    def parts(self):
+        return ()
+
 
 @dataclass(frozen=True)
 class Marginal(Estimand):
@@ -148,10 +154,6 @@ class Marginal(Estimand):
     @_cached
     def contexts(self):
         return self.child.contexts()
-
-    @_cached
-    def symbols(self):
-        return self.child.symbols()
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,6 @@ class SumOver(Estimand):
     def contexts(self):
         return self.child.contexts() - self.over
 
-    @_cached
-    def symbols(self):
-        return self.child.symbols()
-
 
 @dataclass(frozen=True)
 class Ratio(Estimand):
@@ -190,9 +188,8 @@ class Ratio(Estimand):
             self.num.contexts() | self.den.contexts() | self.den.outcomes()
         ) - self.outcomes()
 
-    @_cached
-    def symbols(self):
-        return self.num.symbols() | self.den.symbols()
+    def parts(self):
+        return (self.num, self.den)
 
 
 @dataclass(frozen=True)
@@ -216,12 +213,8 @@ class Product(Estimand):
             ctx |= c.contexts()
         return ctx - self.outcomes()
 
-    @_cached
-    def symbols(self):
-        out = frozenset()
-        for c in self.children:
-            out |= c.symbols()
-        return out
+    def parts(self):
+        return self.children
 
 
 @dataclass(frozen=True)
@@ -247,35 +240,25 @@ class Restrict(Estimand):
     def contexts(self):
         return self.child.contexts() - frozenset(self.asg)
 
-    @_cached
-    def symbols(self):
-        syms = set(self.child.symbols())
-        for _, v in self.assignment:
-            syms.update(_value_symbols(v))
-        return frozenset(syms)
+
+_UNSEEN = object()
 
 
-@dataclass(frozen=True)
-class FailureNode(Estimand):
-    reason: str
-    witness: tuple = ()
+def fold(e: Estimand, visit):
+    """``visit(node, results)`` once per distinct node of ``e``, parts first,
+    where ``results`` lists what ``visit`` gave for the node's ``parts()``;
+    returns what it gave for ``e``.  Nodes are told apart by ``id`` (all
+    stay alive, as ``e`` holds them), so a subtree that several parents
+    share is visited once however often it is reached."""
+    done = {}
 
-    def outcomes(self):
-        return frozenset()
-
-    def contexts(self):
-        return frozenset()
-
-
-def _value_symbols(v) -> set:
-    if isinstance(v, Sym):
-        return {v.name}
-    if isinstance(v, SelectorAssign):
-        out = set()
-        for _, t in v.values:
-            out |= _value_symbols(t)
+    def go(x):
+        out = done.get(id(x), _UNSEEN)
+        if out is _UNSEEN:
+            out = done[id(x)] = visit(x, [go(p) for p in x.parts()])
         return out
-    return set()
+
+    return go(e)
 
 
 # --------------------------------------------------------------------------
@@ -555,32 +538,25 @@ def normal_form(e: Estimand) -> Estimand:
     factors merged, restrictions pushed to the smallest scope, children sorted.
     Two estimands are structurally equal iff their normal forms are identical.
 
-    Each round rewrites every distinct node once, and a node no rule changes
-    comes back as the same object, so the fixpoint is reached when a round
-    returns its input.
+    Each round rewrites every distinct node once (a ``fold``), and a node no
+    rule changes comes back as the same object, so the fixpoint is reached
+    when a round returns its input.
     """
     for _ in range(50):
-        e2 = _rewrite(e, {})
+        e2 = fold(e, _rewrite_node)
         if e2 is e:
             return e
         e = e2
     return e
 
 
-def _rewrite(e: Estimand, memo: dict) -> Estimand:
-    """One rewriting round; ``memo`` maps the id of each node of the round's
-    input, all alive for the round, to its rewrite."""
-    if isinstance(e, (BaseKernel, FailureNode)):
+def _rewrite_node(e: Estimand, parts: list) -> Estimand:
+    """One rewriting step of ``e`` whose parts have been rewritten to
+    ``parts``; ``e`` itself when no rule fires and no part changed."""
+    if isinstance(e, BaseKernel):
         return e
-    out = memo.get(id(e))
-    if out is None:
-        out = memo[id(e)] = _rewrite_node(e, memo)
-    return out
-
-
-def _rewrite_node(e: Estimand, memo: dict) -> Estimand:
     if isinstance(e, Marginal):
-        child = _rewrite(e.child, memo)
+        (child,) = parts
         if not e.over:
             return child
         if isinstance(child, BaseKernel) and e.over < child.outcome:
@@ -591,7 +567,7 @@ def _rewrite_node(e: Estimand, memo: dict) -> Estimand:
             return e if child is e.child else Marginal(child, e.over)
         return SumOver(child, e.over)
     if isinstance(e, SumOver):
-        child = _rewrite(e.child, memo)
+        (child,) = parts
         over = e.over
         if not over:
             return child
@@ -600,46 +576,46 @@ def _rewrite_node(e: Estimand, memo: dict) -> Estimand:
         if isinstance(child, SumOver):
             return SumOver(child.child, child.over | over)
         if isinstance(child, Product):
-            parts = list(child.children)
+            factors = list(child.children)
             # telescope: an unreferenced conditional sums out to one
             changed = True
             while changed:
                 changed = False
-                for i, c in enumerate(parts):
+                for i, c in enumerate(factors):
                     outs = _summable_outcomes(c)
                     if outs is None or not outs or not outs <= over:
                         continue
                     rest_free = frozenset()
-                    for j, other in enumerate(parts):
+                    for j, other in enumerate(factors):
                         if j != i:
                             rest_free |= other.free_vars()
                     if outs & rest_free:
                         continue
                     over = over - outs
-                    del parts[i]
+                    del factors[i]
                     changed = True
                     break
-            if not parts:
+            if not factors:
                 over = e.over  # a bare unit; keep as written
             else:
                 inside, outside = [], []
-                for c in parts:
+                for c in factors:
                     if c.free_vars() & over:
                         inside.append(c)
                     else:
                         outside.append(c)
                 if not over:
-                    return _mk_product(parts)
+                    return _mk_product(factors)
                 if outside and inside:
                     return _mk_product(outside + [SumOver(_mk_product(inside), over)])
                 if outside and not inside:
                     return _mk_product(outside)
-                child = _mk_product(parts, child)
+                child = _mk_product(factors, child)
         if child is e.child and over == e.over:
             return e
         return SumOver(child, over)
     if isinstance(e, Ratio):
-        num, den = _rewrite(e.num, memo), _rewrite(e.den, memo)
+        num, den = parts
         if (
             isinstance(num, BaseKernel)
             and isinstance(den, BaseKernel)
@@ -658,16 +634,15 @@ def _rewrite_node(e: Estimand, memo: dict) -> Estimand:
             return e
         return Ratio(num, den)
     if isinstance(e, Product):
-        parts = []
-        for c in e.children:
-            c = _rewrite(c, memo)
+        flat = []
+        for c in parts:
             if isinstance(c, Product):
-                parts.extend(c.children)
+                flat.extend(c.children)
             else:
-                parts.append(c)
-        return _mk_product(_merge_chain_factors(parts), e)
+                flat.append(c)
+        return _mk_product(_merge_chain_factors(flat), e)
     if isinstance(e, Restrict):
-        child = _rewrite(e.child, memo)
+        (child,) = parts
         free = child.free_vars()
         asg = {k: v for k, v in e.assignment if k in free}
         if not asg:
@@ -776,8 +751,6 @@ def sort_key(e: Estimand):
             [(k, _value_key(v)) for k, v in e.assignment],
             sort_key(e.child),
         )
-    if isinstance(e, FailureNode):
-        return ("failure", e.reason, list(e.witness))
     raise EstimandError(f"unknown node {type(e).__name__}")
 
 
@@ -802,15 +775,8 @@ def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:
     ``replacement`` (a joint over at least the kernel's variables).  Each
     distinct node is substituted once, so shared subtrees stay shared."""
     full = replacement.outcomes()
-    memo = {}  # id of a node of e -> its substitute
 
-    def sub(x: Estimand) -> Estimand:
-        out = memo.get(id(x))
-        if out is None:
-            out = memo[id(x)] = node(x)
-        return out
-
-    def node(x: Estimand) -> Estimand:
+    def visit(x: Estimand, parts: list) -> Estimand:
         if isinstance(x, BaseKernel):
             if x.name != name:
                 return x
@@ -821,19 +787,15 @@ def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:
             if not x.context:
                 return num
             return Ratio(num, marginalize(replacement, full - x.context))
-        if isinstance(x, Marginal):
-            return Marginal(sub(x.child), x.over)
-        if isinstance(x, SumOver):
-            return SumOver(sub(x.child), x.over)
         if isinstance(x, Ratio):
-            return Ratio(sub(x.num), sub(x.den))
+            return Ratio(*parts)
         if isinstance(x, Product):
-            return Product(tuple(sub(c) for c in x.children))
+            return Product(tuple(parts))
         if isinstance(x, Restrict):
-            return Restrict(sub(x.child), x.assignment)
-        return x
+            return Restrict(parts[0], x.assignment)
+        return type(x)(parts[0], x.over)  # Marginal, SumOver
 
-    return sub(e)
+    return fold(e, visit)
 
 
 # --------------------------------------------------------------------------
@@ -841,10 +803,8 @@ def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:
 
 
 def render(e: Estimand, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(e)
-    if fmt == "latex":
-        return _render_latex(e)
+    if fmt in ("text", "latex"):
+        return _render(e, fmt == "latex")
     if fmt == "json":
         return json.dumps(to_jsonable(e), sort_keys=True, separators=(",", ":"))
     raise EstimandError(f"unknown format {fmt!r}")
@@ -863,7 +823,7 @@ def _render_value(v, latex: bool) -> str:
     if isinstance(v, Var):
         return _vname(v.vertex.lower(), latex)
     if isinstance(v, Lo):
-        return "*" 
+        return "*"
     if isinstance(v, SelectorAssign):
         if not v.pattern:
             return "()"
@@ -893,51 +853,45 @@ def _render_kernel(e: BaseKernel, restr: dict, latex: bool) -> str:
     return f"{name}({outs})"
 
 
-def _render_text(e: Estimand, prec: int = 0) -> str:
-    if isinstance(e, BaseKernel):
-        return _render_kernel(e, {}, False)
-    if isinstance(e, Restrict):
-        if isinstance(e.child, BaseKernel):
-            return _render_kernel(e.child, e.asg, False)
-        inner = _render_text(e.child, 2)
-        asg = ", ".join(f"{k}={_render_value(v, False)}" for k, v in e.assignment)
-        return f"[{inner}]@{{{asg}}}"
-    if isinstance(e, (SumOver, Marginal)):
-        body = _render_text(e.child, 1)
-        s = f"Σ_{{{', '.join(sorted(e.over))}}} {body}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(e, Product):
-        s = " ".join(_render_text(c, 1) for c in e.children)
-        return f"({s})" if prec > 1 else s
-    if isinstance(e, Ratio):
-        return f"{_render_text(e.num, 2)} / {_render_text(e.den, 2)}"
-    if isinstance(e, FailureNode):
-        return f"FAIL({e.reason}; {', '.join(map(str, e.witness))})"
-    raise EstimandError(f"unknown node {type(e).__name__}")
+# A rendered node is (text, level): a parent that places it at precedence
+# ``prec`` wraps it in parentheses when ``prec >= level``.  Sums are wrapped
+# inside products, sums, ratios and restrictions; products inside ratios and
+# restrictions; kernels, restrictions and ratios never.
+_SUM_LEVEL, _PRODUCT_LEVEL, _ATOM = 1, 2, 3
 
 
-def _render_latex(e: Estimand, prec: int = 0) -> str:
-    if isinstance(e, BaseKernel):
-        return _render_kernel(e, {}, True)
-    if isinstance(e, Restrict):
-        if isinstance(e.child, BaseKernel):
-            return _render_kernel(e.child, e.asg, True)
-        inner = _render_latex(e.child, 2)
-        asg = ", ".join(f"{_vname(k, True)}={_render_value(v, True)}" for k, v in e.assignment)
-        return rf"\left[{inner}\right]_{{{asg}}}"
-    if isinstance(e, (SumOver, Marginal)):
-        body = _render_latex(e.child, 1)
-        over = ", ".join(_vname(v, True) for v in sorted(e.over))
-        s = rf"\sum_{{{over}}} {body}"
-        return rf"\left({s}\right)" if prec > 0 else s
-    if isinstance(e, Product):
-        s = " ".join(_render_latex(c, 1) for c in e.children)
-        return rf"\left({s}\right)" if prec > 1 else s
-    if isinstance(e, Ratio):
-        return rf"\frac{{{_render_latex(e.num)}}}{{{_render_latex(e.den)}}}"
-    if isinstance(e, FailureNode):
-        return rf"\text{{FAIL({e.reason})}}"
-    raise EstimandError(f"unknown node {type(e).__name__}")
+def _render(e: Estimand, latex: bool) -> str:
+    def at(part: tuple, prec: int) -> str:
+        text, level = part
+        if prec < level:
+            return text
+        return rf"\left({text}\right)" if latex else f"({text})"
+
+    def visit(x: Estimand, parts: list) -> tuple:
+        if isinstance(x, BaseKernel):
+            return _render_kernel(x, {}, latex), _ATOM
+        if isinstance(x, Restrict):
+            if isinstance(x.child, BaseKernel):
+                return _render_kernel(x.child, x.asg, latex), _ATOM
+            inner = at(parts[0], 2)
+            asg = ", ".join(f"{_vname(k, latex)}={_render_value(v, latex)}" for k, v in x.assignment)
+            if latex:
+                return rf"\left[{inner}\right]_{{{asg}}}", _ATOM
+            return f"[{inner}]@{{{asg}}}", _ATOM
+        if isinstance(x, (SumOver, Marginal)):
+            over = ", ".join(_vname(v, latex) for v in sorted(x.over))
+            sigma = r"\sum" if latex else "Σ"
+            return f"{sigma}_{{{over}}} {at(parts[0], 1)}", _SUM_LEVEL
+        if isinstance(x, Product):
+            return " ".join(at(p, 1) for p in parts), _PRODUCT_LEVEL
+        if isinstance(x, Ratio):
+            num, den = parts
+            if latex:
+                return rf"\frac{{{num[0]}}}{{{den[0]}}}", _ATOM
+            return f"{at(num, 2)} / {at(den, 2)}", _ATOM
+        raise EstimandError(f"unknown node {type(x).__name__}")
+
+    return fold(e, visit)[0]
 
 
 def _value_to_jsonable(v):
@@ -974,30 +928,34 @@ def _value_from_jsonable(d):
 
 
 def to_jsonable(e: Estimand):
-    if isinstance(e, BaseKernel):
-        return {
-            "kind": "base",
-            "name": e.name,
-            "outcome": sorted(e.outcome),
-            "context": sorted(e.context),
-        }
-    if isinstance(e, Marginal):
-        return {"kind": "marginal", "over": sorted(e.over), "child": to_jsonable(e.child)}
-    if isinstance(e, SumOver):
-        return {"kind": "sum", "over": sorted(e.over), "child": to_jsonable(e.child)}
-    if isinstance(e, Ratio):
-        return {"kind": "ratio", "num": to_jsonable(e.num), "den": to_jsonable(e.den)}
-    if isinstance(e, Product):
-        return {"kind": "product", "children": [to_jsonable(c) for c in e.children]}
-    if isinstance(e, Restrict):
-        return {
-            "kind": "restrict",
-            "assignment": {k: _value_to_jsonable(v) for k, v in e.assignment},
-            "child": to_jsonable(e.child),
-        }
-    if isinstance(e, FailureNode):
-        return {"kind": "failure", "reason": e.reason, "witness": list(e.witness)}
-    raise EstimandError(f"unknown node {type(e).__name__}")
+    """The JSON form of ``e``; a subtree that several parents share becomes
+    one object that each of them holds."""
+
+    def visit(x: Estimand, parts: list) -> dict:
+        if isinstance(x, BaseKernel):
+            return {
+                "kind": "base",
+                "name": x.name,
+                "outcome": sorted(x.outcome),
+                "context": sorted(x.context),
+            }
+        if isinstance(x, Marginal):
+            return {"kind": "marginal", "over": sorted(x.over), "child": parts[0]}
+        if isinstance(x, SumOver):
+            return {"kind": "sum", "over": sorted(x.over), "child": parts[0]}
+        if isinstance(x, Ratio):
+            return {"kind": "ratio", "num": parts[0], "den": parts[1]}
+        if isinstance(x, Product):
+            return {"kind": "product", "children": parts}
+        if isinstance(x, Restrict):
+            return {
+                "kind": "restrict",
+                "assignment": {k: _value_to_jsonable(v) for k, v in x.assignment},
+                "child": parts[0],
+            }
+        raise EstimandError(f"unknown node {type(x).__name__}")
+
+    return fold(e, visit)
 
 
 def from_jsonable(d) -> Estimand:
@@ -1017,8 +975,6 @@ def from_jsonable(d) -> Estimand:
             from_jsonable(d["child"]),
             tuple((k, _value_from_jsonable(v)) for k, v in d["assignment"].items()),
         )
-    if kind == "failure":
-        return FailureNode(d["reason"], tuple(d["witness"]))
     raise EstimandError(f"unknown node kind {kind!r}")
 
 

@@ -100,20 +100,8 @@ class SelectorValue:
             raise GraphError("selector value present iff flag is 1")
         object.__setattr__(self, "values", tuple(sorted(vals.items())))
 
-    @property
-    def entries(self) -> dict:
-        """Per-child (flag, value) view over the pattern."""
-        vals = dict(self.values)
-        return {c: (1, vals[c]) for c in self.pattern}
-
     def is_laidback_for(self, vertices: Iterable[str]) -> bool:
         return not (self.pattern & frozenset(vertices))
-
-    def is_serious_for(self, vertices: Iterable[str]) -> bool:
-        return not self.is_laidback_for(vertices)
-
-    def value_of(self, child: str):
-        return dict(self.values)[child]
 
 
 OBSERVATIONAL = SelectorValue()

@@ -118,6 +118,10 @@ class DatasetSpec:
 
 
 def _validate_query(g: Graph, query: Query):
+    if g.latent:
+        raise QueryError(
+            f"the graph has latent vertices {sorted(g.latent)}; latent-project it first"
+        )
     missing = (query.outcomes | query.treated) - g.random
     if missing:
         raise QueryError(f"query references non-random vertices {sorted(missing)}")
@@ -415,26 +419,6 @@ def identify_selected(
         e = _restrict_treatments(e, query, g.parents(dstar) - dstar)
         kernels.append(e)
     return Identified(_assemble(kernels, ystar, query))
-
-
-def confounded_selector(
-    g: Graph,
-    query: Query,
-    qtil: ChainKernel,
-    dstar: frozenset,
-    closure: frozenset,
-    support: SelectorSupport,
-):
-    """Public wrapper for the confounded-selector subroutine; ``qtil`` is the
-    kernel over ``closure`` with everything else fixed (its graph is the
-    CADMG the routine works in)."""
-    if closure != qtil.graph.random:
-        raise QueryError("kernel graph must match the closure")
-    if closure != ChainKernel.from_joint(g).fix_to(dstar, _selection_fixable).randoms:
-        raise QueryError("the given set is not the district's reachable closure")
-    children = _selector_children(g)
-    required = children & query.treated & g.ancestors(dstar)
-    return _confounded_selector(g, query, qtil, dstar, support, required)
 
 
 def _confounded_selector(

@@ -23,6 +23,7 @@ One table layout, one step runner:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -35,7 +36,6 @@ from typing import Iterable, Mapping, Optional
 from .estimand import (
     BaseKernel,
     Estimand,
-    FailureNode,
     Lo,
     Marginal,
     Product,
@@ -45,8 +45,9 @@ from .estimand import (
     SumOver,
     Sym,
     Var,
+    fold,
 )
-from .graph import Graph, SelectorSupport, SelectorValue
+from .graph import Graph, GraphError, SelectorSupport, SelectorValue
 from .projection import bidirected_latents, canonical_hidden_dag
 
 MAX_CELLS = 1 << 20
@@ -586,7 +587,10 @@ def _once(tables: list, build) -> Table:
 
 def _kernel_axes(t, outcome: frozenset, context: frozenset) -> tuple:
     """The axis sets of the two margins of ``t`` a kernel divides."""
-    keep = (outcome | context | t.given) & frozenset(t.axes)
+    missing = (outcome | context) - frozenset(t.axes)
+    if missing:
+        raise OracleError(f"kernel variables {sorted(missing)} are not axes of its table")
+    keep = outcome | context | (t.given & frozenset(t.axes))
     return keep, keep - outcome
 
 
@@ -867,20 +871,6 @@ def interventional(m: DiscreteCsScm, a: Mapping, s: Optional[SelectorValue] = No
 # estimand evaluation
 
 
-def _base_kernels(e: Estimand) -> set:
-    """The ``BaseKernel`` nodes of ``e``, shared subtrees walked once."""
-    seen, kernels, stack = set(), set(), [e]
-    while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            if isinstance(x, BaseKernel):
-                kernels.add(x)
-            stack.extend(getattr(x, "children", ()))
-            stack.extend(getattr(x, a) for a in ("child", "num", "den") if hasattr(x, a))
-    return kernels
-
-
 def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
     """Bottom-up exact evaluation; symbolic tokens become table axes and
     zero-mass contexts evaluate to an undefined marker that propagates.
@@ -891,47 +881,58 @@ def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
 
 def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
     """The plan of ``e`` on tables shaped like ``tables``, its inputs named
-    by their keys.
+    by their keys; each distinct node of ``e`` is planned once.
 
     A ``BaseKernel`` divides two margins of its table; the margins every
     kernel divides are planned first, largest axis set first, so each is
     summed from the smallest margin of the same table already planned.  A
     ``Restrict`` picks rows, in the gathers of the step that made its child
     when that step is the child's alone: a kernel restricted to a selector
-    pattern divides only the rows of that pattern."""
+    pattern divides only the rows of that pattern.  A node that several
+    parents read is shared (``step`` None, as margins are) before any of
+    them picks its rows."""
     plan = _Plan(tables, tables.values())
     inputs = dict(zip(plan.inputs, plan.operands))
+    kernels, reads = set(), collections.Counter()
+
+    def scan(x: Estimand, _parts: list):
+        if isinstance(x, BaseKernel):
+            kernels.add(x)
+        reads.update(map(id, x.parts()))
+
+    fold(e, scan)
     wanted = {
         (k.name, axes)
-        for k in _base_kernels(e)
+        for k in kernels
         if k.name in tables
         for axes in _kernel_axes(tables[k.name], k.outcome, k.context)
     }
     for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
         plan.margin(inputs[name], axes)
 
-    def node(x: Estimand) -> _Operand:
+    def node(x: Estimand, parts: list) -> _Operand:
         if isinstance(x, BaseKernel):
             if x.name not in tables:
                 raise OracleError(f"no table for kernel {x.name!r}")
-            return plan.conditional(inputs[x.name], x.outcome, x.context)
-        if isinstance(x, (Marginal, SumOver)):
-            return plan.sum_out(node(x.child), x.over)
-        if isinstance(x, Product):
-            return plan.product([node(c) for c in x.children])
-        if isinstance(x, Ratio):
-            num, den = node(x.num), node(x.den)
-            return plan.divide(num, den, num.given | den.given)
-        if isinstance(x, Restrict):
-            t = node(x.child)
+            t = plan.conditional(inputs[x.name], x.outcome, x.context)
+        elif isinstance(x, (Marginal, SumOver)):
+            t = plan.sum_out(parts[0], x.over)
+        elif isinstance(x, Product):
+            t = plan.product(parts)
+        elif isinstance(x, Ratio):
+            num, den = parts
+            t = plan.divide(num, den, num.given | den.given)
+        elif isinstance(x, Restrict):
+            t = parts[0]
             for var, val in x.assignment:
                 t = plan.restrict(t, var, val)
-            return t
-        if isinstance(x, FailureNode):
-            raise OracleError(f"cannot evaluate a failure node ({x.reason})")
-        raise OracleError(f"unknown estimand node {type(x).__name__}")
+        else:
+            raise OracleError(f"unknown estimand node {type(x).__name__}")
+        if reads[id(x)] > 1:
+            t.step = None
+        return t
 
-    return plan.finish(node(e))
+    return plan.finish(fold(e, node))
 
 
 # --------------------------------------------------------------------------
@@ -1382,9 +1383,16 @@ def verify(
     if trials < 1:
         raise OracleError("at least one trial is required")
     kind = getattr(result, "kind", None)
-    dag = dag or (g if not any(e.kind == "bidirected" for e in g.edges) else canonical_hidden_dag(g))
 
     if kind == "identified":
+        dag = dag or (g if not any(e.kind == "bidirected" for e in g.edges) else canonical_hidden_dag(g))
+        absent = frozenset().union(*support.patterns) - dag.vertices if support else frozenset()
+        if absent:
+            raise GraphError(
+                f"the selector support names {sorted(absent)}, which are not vertices of the "
+                "model graph; verify the hidden-variable DAG the graph was projected from "
+                "(for a fixture, its *_dag.lsg file)"
+            )
         laws = _Laws()  # every trial's model has the same shape
         failures = []
         for t in range(trials):

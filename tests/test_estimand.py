@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from selid.estimand import (
 from selid.fixtures import all_fixtures
 from selid.graph import NotFixableError, NotReachableError
 from selid.projection import canonical_hidden_dag
-from selid.oracle import eval_estimand, joint, random_cs_scm
+from selid.oracle import Table, _compile_estimand, eval_estimand, joint, random_cs_scm
 
 FX = all_fixtures()
 
@@ -172,6 +173,24 @@ class TestRenderAndJson:
         })
         assert render(e) == "p(Y | A=a, S=(e_A=1, v_A=a))"
 
+    def test_latex_restriction_of_a_sum(self):
+        inner = SumOver(Product((k("M", {"A1"}), k("Y", {"M", "A1"}))), frozenset({"M"}))
+        e = Restrict(inner, (("A1", Sym("a1")),))
+        assert render(e, "latex") == (
+            r"\left[\left(\sum_{M} p(M \mid A_{1}) p(Y \mid A_{1}, M)\right)\right]_{A_{1}=a_{1}}"
+        )
+        assert render(e) == "[(Σ_{M} p(M | A1) p(Y | A1, M))]@{A1=a1}"
+
+    def test_latex_ratio_is_a_fraction(self):
+        e = Ratio(k("AY"), Marginal(k("AY"), frozenset({"Y"})))
+        assert render(e, "latex") == r"\frac{p(A, Y)}{\sum_{Y} p(A, Y)}"
+        assert render(e) == "p(A, Y) / (Σ_{Y} p(A, Y))"
+
+    def test_latex_sum_inside_a_product(self):
+        e = Product((k("C"), SumOver(Product((k("M", "A"), k("Y", "M"))), frozenset({"M"}))))
+        assert render(e, "latex") == r"p(C) \left(\sum_{M} p(M \mid A) p(Y \mid M)\right)"
+        assert render(e) == "p(C) (Σ_{M} p(M | A) p(Y | M))"
+
     def test_json_round_trip(self):
         g = FX["selection_web"].graph
         kernel = ChainKernel.from_joint(g).fix_to({"M", "A1"}).expr()
@@ -294,3 +313,15 @@ class TestSharedSubtrees:
         sub = substitute_base(e, "p", q)
         assert sub.free_vars() == xs | {"Y"}
         assert normal_form(sub) == BaseKernel("q", frozenset({"Y"}), xs)
+
+    def test_tower_plan_is_linear_in_depth(self):
+        # the shared level below each ratio is planned once, not once per
+        # reference (which would take about 2**depth steps)
+        depth = 12
+        e, xs = conditioning_tower(depth)
+        axes = sorted(xs) + ["Y"]
+        rows = itertools.product((0, 1), repeat=len(axes))
+        t = Table(axes, {a: (0, 1) for a in axes}, {r: 1 + sum(r) * (1 + r[0]) for r in rows})
+        plan = _compile_estimand(e, {"p": t})
+        assert len(plan.steps) <= 3 * depth + 3
+        assert plan.run([t]).equals(t.conditional({"Y"}, xs))

@@ -223,10 +223,6 @@ class TestSelectorValues:
         with pytest.raises(GraphError):
             SelectorValue(frozenset({"A"}), ())
 
-    def test_entries_view(self):
-        s = SelectorValue(frozenset({"A"}), (("A", "a"),))
-        assert s.entries == {"A": (1, "a")}
-
 
 class TestInvariants:
     def test_no_directed_cycle(self):

@@ -77,6 +77,14 @@ class TestPlainIdentification:
         with pytest.raises(QueryError):
             identify(FX["chain"].graph, Query(frozenset("A"), (("A", Sym("a")),)))
 
+    def test_hidden_variable_dag_is_rejected(self):
+        # a graph with latent vertices is latent-projected first, never
+        # identified over its latents
+        dag = FX["double_bow"].dag
+        for algorithm in (identify, identify_selected, sequential_baseline):
+            with pytest.raises(QueryError, match="latent-project"):
+                algorithm(dag, q("Y", A="a"))
+
 
 class TestFusedIdentification:
     def test_single_observational_dataset_reduces_to_plain(self):
@@ -284,14 +292,13 @@ class TestSequentialBaseline:
 class TestConfoundedSelectorWrapper:
     def test_wrapper_reproduces_instrument_answer(self):
         from selid.estimand import ChainKernel
-        from selid.identify import confounded_selector
+        from selid.identify import _confounded_selector
 
         fx = FX["double_bow"]
         g = fx.graph
         query = q("Y", A="a")
-        closure = frozenset({"S", "A", "Y"})
         qtil = ChainKernel.from_joint(g)
-        r = confounded_selector(g, query, qtil, frozenset({"Y"}), closure, g.support)
+        r = _confounded_selector(g, query, qtil, frozenset({"Y"}), g.support, frozenset({"A"}))
         assert r.kind == "identified"
         expected = normal_form(
             restrict(
@@ -300,16 +307,3 @@ class TestConfoundedSelectorWrapper:
             )
         )
         assert normal_form(r.estimand) == expected
-
-    def test_wrapper_validates_closure(self):
-        from selid.estimand import ChainKernel
-        from selid.identify import QueryError, confounded_selector
-
-        fx = FX["double_bow"]
-        g = fx.graph
-        qtil = ChainKernel.from_joint(g)
-        with pytest.raises(QueryError):
-            confounded_selector(
-                g, q("Y", A="a"), qtil, frozenset({"A"}),
-                frozenset({"S", "A", "Y"}), g.support,
-            )

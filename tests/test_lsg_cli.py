@@ -232,7 +232,8 @@ class TestCli:
 
 # `project` on every fixture file that projects, `identify` and
 # `verify --trials 5 --seed 1` on the benchmark's fixture queries
-# (fixture, query, extra arguments), and the rendered `identify_selected`
+# (fixture, query, extra arguments) and on the six hidden-variable DAGs
+# (`*_dag.lsg`, the same queries), and the rendered `identify_selected`
 # estimands of the identify_sweep cases and of the small-model generator
 # of tests/test_random_models.py.
 DETERMINISM_SCRIPT = """
@@ -260,6 +261,11 @@ queries = [
         "--dataset", str(fixdir / "compliance_pair.lsg"),
         "--dataset", str(fixdir / "compliance_experimental.lsg"),
     )),
+]
+queries += [
+    (f"{name}_dag", query, ())
+    for name, query, _ in queries + [("parallel_paths", "P(B | do(A=a), S=empty)", ())]
+    if (fixdir / f"{name}_dag.lsg").exists()
 ]
 runs = [("project", "--graph", str(f)) for f in sorted(fixdir.glob("*.lsg"))]
 runs += [
@@ -316,11 +322,52 @@ def test_output_does_not_depend_on_the_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0].count("identify ") == 11
-    assert outputs[0].count("verify ") == 11
+    assert outputs[0].count("identify ") == 17
+    assert outputs[0].count("verify ") == 17
     assert outputs[0].count("\nsweep ") == 32
     assert outputs[0].count("\nsmall ") == 200
     assert outputs[0] == outputs[1]
+
+
+DAG_QUERIES = {
+    "compliance_pair": "P(Y | do(A=a))",
+    "confounded_selector_hedge": "P(Y | do(A=a), S=empty)",
+    "double_bow": "P(Y | do(A=a), S=empty)",
+    "parallel_paths": "P(B | do(A=a), S=empty)",
+    "selection_web": "P(Y | do(A1=a1, A2=a2), S=empty)",
+    "split_thicket": "P(Y | do(A1=a1, A2=a2), S=empty)",
+}
+
+
+class TestHiddenVariableInput:
+    def test_a_dag_is_identified_as_its_projection(self):
+        assert {f.stem[: -len("_dag")] for f in FIXDIR.glob("*_dag.lsg")} == set(DAG_QUERIES)
+        for name, query in sorted(DAG_QUERIES.items()):
+            for fmt in ("text", "json"):
+                args = ("--query", query, "--format", fmt)
+                dag = run_cli("identify", "--graph", str(FIXDIR / f"{name}_dag.lsg"), *args)
+                proj = run_cli("identify", "--graph", str(FIXDIR / f"{name}.lsg"), *args)
+                assert dag == proj and dag[0] == 0, name
+
+    def test_verify_takes_the_dag_as_the_model(self):
+        expected = {"double_bow": "verified", "confounded_selector_hedge": "verified"}
+        for name, status in expected.items():
+            code, out, _ = run_cli(
+                "verify", "--graph", str(FIXDIR / f"{name}_dag.lsg"),
+                "--query", DAG_QUERIES[name], "--trials", "2", "--seed", "1",
+            )
+            assert code == 0 and json.loads(out)["status"] == status, name
+
+    def test_verify_of_a_projection_without_its_selector_children(self):
+        # the support names W2 and Z1, which the projection dropped
+        code, out, err = run_cli(
+            "verify", "--graph", str(FIXDIR / "parallel_paths.lsg"),
+            "--query", DAG_QUERIES["parallel_paths"], "--trials", "1",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "input"
+        assert "['W2', 'Z1']" in payload["message"] and "_dag.lsg" in payload["message"]
 
 
 class TestCliMoreSurfaces:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, FailureNode, Ratio, SelectorAssign, Sym
+from selid.estimand import BaseKernel, Ratio, SelectorAssign, Sym
 from selid.fixtures import all_fixtures
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import Query, identify, identify_selected
@@ -197,10 +197,11 @@ class TestEvaluation:
         with pytest.raises(OracleError):
             eval_estimand(BaseKernel("nope", frozenset("Y")), {})
 
-    def test_failure_node_is_not_evaluated(self):
+    def test_kernel_variable_missing_from_the_table(self):
+        # p(Y | W) on a table without W is an error, not p(Y)
         t = joint(random_cs_scm(FX["chain"].graph, seed=8))
-        with pytest.raises(OracleError, match="failure node"):
-            eval_estimand(FailureNode("hedge"), {"p": t})
+        with pytest.raises(OracleError, match=r"\['W'\] are not axes"):
+            eval_estimand(BaseKernel("p", frozenset("Y"), frozenset("W")), {"p": t})
 
     def test_ratio_denominator_with_an_axis_the_numerator_lacks(self):
         t = joint(random_cs_scm(FX["chain"].graph, seed=8))

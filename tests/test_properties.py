@@ -466,7 +466,8 @@ class TestLargerDomains:
 class TestNormalFormSemantics:
     def test_rewrites_preserve_evaluation(self):
         # random expression trees over the chain/backdoor joints: the normal
-        # form must evaluate to exactly the same table (up to constant axes)
+        # form must evaluate to exactly the same table (up to constant axes),
+        # and both must render and come back from their JSON rendering
         from selid.estimand import (
             BaseKernel,
             Product,
@@ -476,6 +477,8 @@ class TestNormalFormSemantics:
             condition,
             marginalize,
             normal_form,
+            parse,
+            render,
         )
         from selid.fixtures import all_fixtures
         from selid.oracle import eval_estimand, joint, random_cs_scm
@@ -518,6 +521,9 @@ class TestNormalFormSemantics:
             e = random_expr(rng)
             n = normal_form(e)
             assert normal_form(n) is n, seed  # a fixpoint comes back as itself
+            for x in (e, n):
+                assert parse(render(x, "json")) == x, seed
+                assert render(x) and render(x, "latex"), seed
             a = eval_estimand(e, tables)
             b = eval_estimand(n, tables)
             if not a.defined_everywhere() or not b.defined_everywhere():
