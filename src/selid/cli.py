@@ -201,7 +201,7 @@ def cmd_witness(args) -> int:
     _, g = _query_graph(args.graph)
     query, _ = parse_query(args.query, g.selector)
     algorithm = _pick_algorithm(args, g)
-    result = _run_algorithm(algorithm, g, query, [])
+    result = _run_algorithm(algorithm, g, query, _datasets(args))
     if isinstance(result, Identified):
         print(json.dumps({"identified": True, "witness": None}, sort_keys=True, indent=2))
         return 0

@@ -1,17 +1,17 @@
 """Exact ground-truth engine: discrete selector SCMs with rational tables.
 
-Everything here is exact: probabilities are ``fractions.Fraction`` values or
-integers over a common denominator, laws are enumerated (with variable
-elimination over latents), and every comparison is equality of rationals,
-never a tolerance.  The module supplies random model generation,
-observational/interventional laws, estimand evaluation, agreement witnesses
-for non-identification verdicts, and the top-level ``verify`` entry point.
+Everything here is exact: probabilities are integers over denominators,
+laws are enumerated (with variable elimination over latents), and every
+comparison is equality of rationals, never a tolerance.  The module
+supplies random model generation, observational/interventional laws,
+estimand evaluation, agreement witnesses for non-identification verdicts,
+and the top-level ``verify`` entry point.
 
 One table layout, one step runner:
 
 * **Tables** (``Table``) hold values row-major over their axes, as one flat
-  list over one integer denominator: a law's integer numerators, or exact
-  rationals over 1 once a table has been divided.
+  list over one integer denominator: a law's integer numerators, or one
+  ``Fraction`` per row over 1 once a table has been divided.
 * **Plans** (``_Plan``) are steps worked out once per shape and replayed:
   each gathers its inputs by index arrays, multiplies or divides them cell
   by cell, and reduces groups of ``width`` cells.  A law plan
@@ -19,6 +19,10 @@ One table layout, one step runner:
   an estimand plan (``_compile_estimand``) runs on the laws it makes.
   ``verify`` compiles each once per call and replays them on every trial;
   each ``Table`` operation is a plan run once.
+* **Arithmetic** is on integers alone: a run keeps numerators over one
+  common denominator, or from a divide onward over one denominator per
+  row, so a divide of two margins of one law is free; a result over
+  per-row denominators is divided once per row, into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -82,18 +86,8 @@ def _mul(a, b):
     return a * b
 
 
-def _div(a, b):
-    if a is UNDEF or b is UNDEF or b == 0:
-        return UNDEF
-    return Fraction(a, b)
-
-
 def _has_undef(values) -> bool:
     return any(map(operator.is_, values, itertools.repeat(UNDEF)))
-
-
-def _exact(value, denom: int):
-    return value if value is UNDEF or denom == 1 else Fraction(value, denom)
 
 
 def _product_cells(tables) -> int:
@@ -130,8 +124,10 @@ class Table:
 
     ``values`` lists one entry per row, row-major over ``axes`` (the last
     axis varies fastest, each over its tuple in ``domains``), and the table's
-    value at a row is that entry over ``denom``: an integer, an exact
-    rational, or ``UNDEF``.  ``given`` marks context axes: the table is
+    value at a row is that entry over ``denom``: an integer, or ``UNDEF``.
+    A table a plan divided, or one built from rationals, holds ``Fraction``
+    entries over 1, which a plan reads, once on entry, as numerators over
+    per-row denominators.  ``given`` marks context axes: the table is
     normalized per assignment of those axes (a conditional), or overall when
     ``given`` is empty.  ``values`` may also be given as a mapping from value
     tuples to entries, covering every row.
@@ -155,7 +151,10 @@ class Table:
     @property
     def data(self) -> dict:
         rows = itertools.product(*(self.domains[a] for a in self.axes))
-        return {k: _exact(v, self.denom) for k, v in zip(rows, self.values)}
+        values, denom = self.values, self.denom
+        if denom != 1:
+            values = (v if v is UNDEF else Fraction(v, denom) for v in values)
+        return dict(zip(rows, values))
 
     def value(self, assignment: Mapping):
         return self.data[tuple(assignment[a] for a in self.axes)]
@@ -188,22 +187,24 @@ class Table:
         if set(self.axes) != set(other.axes):
             raise OracleError("total variation over mismatched axes")
         rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
-        tv = Fraction(0)
-        for p, q in zip(map(self.values.__getitem__, rows), other.values):
-            if p is UNDEF or q is UNDEF:
-                raise OracleError("total variation over undefined entries")
-            tv += abs(Fraction(p, self.denom) - Fraction(q, other.denom))
-        return tv / 2
+        mine = list(map(self.values.__getitem__, rows))
+        if _has_undef(mine) or _has_undef(other.values):
+            raise OracleError("total variation over undefined entries")
+        dp, dq = self.denom, other.denom
+        return Fraction(sum(abs(p * dq - q * dp) for p, q in zip(mine, other.values)), 2 * dp * dq)
 
     def equals(self, other: "Table") -> bool:
         if set(self.axes) != set(other.axes):
             return False
         rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
         mine, theirs = map(self.values.__getitem__, rows), other.values
-        if self.denom != other.denom:
-            mine = (_exact(p, self.denom) for p in mine)
-            theirs = (_exact(q, other.denom) for q in theirs)
-        return all(map(operator.eq, mine, theirs))
+        dp, dq = self.denom, other.denom
+        if dp == dq:
+            return all(map(operator.eq, mine, theirs))
+        return all(
+            p is q if p is UNDEF or q is UNDEF else p * dq == q * dp
+            for p, q in zip(mine, theirs)
+        )
 
 
 def _slice(t: Table, fixed: Mapping) -> Table:
@@ -398,7 +399,9 @@ class _Step:
     (``_SUM``, ``_SAME``; all ones without inputs) or divide the first by the
     second (``_DIV``), then reduce consecutive groups of ``width`` cells: by
     summing, or for ``_SAME`` by checking that they are equal and keeping
-    one.  ``release`` lists the slots no later step reads."""
+    one.  Numerators and denominators are multiplied apart; a divide gives
+    one denominator per row, and products and sums of such rows keep one
+    (``_Plan.run``).  ``release`` lists the slots no later step reads."""
 
     op: str
     inputs: list
@@ -529,49 +532,172 @@ class _Plan:
         return self
 
     def run(self, tables) -> Table:
-        """The result on ``tables``, one per input, shaped as at compile time."""
-        slots = [t.values for t in tables]
-        denoms = [t.denom for t in tables]
+        """The result on ``tables``, one per input, shaped as at compile time.
+
+        A slot holds integer numerators, or ``UNDEF``, over one common
+        denominator or, from a divide onward, over one denominator per row
+        (a list); a result over per-row denominators becomes one
+        ``Fraction`` per row, over 1."""
+        slots, denoms = [], []
+        for t in tables:
+            vec, den = _rows(t)
+            slots.append(vec)
+            denoms.append(den)
         undef = [_has_undef(v) for v in slots]
         for step in self.steps:
             inputs = step.inputs
             flagged = any(undef[s] for s, _ in inputs)
             if step.op is _DIV:
-                # both over one denominator: two margins of one table, or
-                # two values of an estimand, which are over 1
-                (n, ni), (d, di) = inputs
-                num, den = map(slots[n].__getitem__, ni), map(slots[d].__getitem__, di)
-                acc, denom, flagged = map(_div, num, den), 1, True
+                acc, den = _divide(slots, denoms, inputs, flagged)
+                flagged = True
             elif inputs:
                 (s, idx), *rest = inputs
                 acc = map(slots[s].__getitem__, idx)
                 mul = _mul if flagged else operator.mul
                 for s, idx in rest:
                     acc = map(mul, acc, map(slots[s].__getitem__, idx))
-                denom = math.prod(denoms[s] for s, _ in inputs)
+                den = _product_denoms(denoms, inputs)
             else:
-                acc, denom = itertools.repeat(1, step.cells), 1
-            width = step.width
-            groups = zip(*[acc] * width)
-            if width == 1:
-                vec = list(acc)
-            elif step.op is _SAME:
-                vec = []
-                for group in groups:
-                    if group.count(group[0]) != width:
-                        raise OracleError(f"kernel is not constant over context axes {step.drop}")
-                    vec.append(group[0])
-            elif flagged:
-                vec = [UNDEF if _has_undef(group) else sum(group) for group in groups]
+                acc, den = itertools.repeat(1, step.cells), 1
+            if type(den) is int:
+                vec = _reduce(step, acc, flagged)
             else:
-                vec = list(map(sum, groups))
+                vec, den = _reduce_rows(step, acc, den, flagged)
             slots.append(vec)
-            denoms.append(denom)
+            denoms.append(den)
             undef.append(flagged and _has_undef(vec))
             for s in step.release:
-                slots[s] = None
+                slots[s] = denoms[s] = None
         out = self.out
-        return Table(out.axes, dict(out.domains), slots[out.slot], out.given, denoms[out.slot])
+        vec, den = slots[out.slot], denoms[out.slot]
+        if type(den) is not int:
+            vec, den = [n if n is UNDEF else Fraction(n, d) for n, d in zip(vec, den)], 1
+        return Table(out.axes, dict(out.domains), vec, out.given, den)
+
+
+def _rows(t: Table) -> tuple:
+    """``(values, denominator)`` of ``t`` as a run slot: its own, or for a
+    table of rationals over 1 their numerators over per-row denominators."""
+    values = t.values
+    if t.denom != 1 or all(type(v) is int or v is UNDEF for v in values):
+        return values, t.denom
+    nums = [v if v is UNDEF else v.numerator for v in values]
+    return nums, [1 if v is UNDEF else v.denominator for v in values]
+
+
+def _scaled(vec: list, den, idx, mul) -> list:
+    """``vec`` times ``den``: one integer, or per-row denominators read at
+    ``idx``."""
+    if type(den) is not int:
+        return list(map(mul, vec, map(den.__getitem__, idx)))
+    return vec if den == 1 else list(map(mul, vec, itertools.repeat(den)))
+
+
+def _divide(slots: list, denoms: list, inputs, flagged: bool) -> tuple:
+    """Numerators and per-row denominators of a ``_DIV`` step's cells:
+    (a / da) / (b / db) = (a * db) / (b * da), so the denominator two
+    margins of one table share cancels.  An ``UNDEF`` dividend or divisor,
+    or a zero divisor, gives ``UNDEF``."""
+    (n, ni), (d, di) = inputs
+    num = list(map(slots[n].__getitem__, ni))
+    den = list(map(slots[d].__getitem__, di))
+    mul = operator.mul
+    if flagged or 0 in den:
+        mul = _mul
+        for i, (a, b) in enumerate(zip(num, den)):
+            if a is UNDEF or b is UNDEF or not b:
+                num[i], den[i] = UNDEF, 1
+    da, db = denoms[n], denoms[d]
+    if type(da) is int and da == db:
+        return num, den
+    # any other divide puts each row in lowest terms: nested ratios would
+    # otherwise multiply the size of their integers at every level
+    return _lowest(_scaled(num, db, di, mul), _scaled(den, da, ni, operator.mul))
+
+
+def _lowest(num: list, den: list) -> tuple:
+    """Each row of ``num`` over ``den`` in lowest terms."""
+    if not _has_undef(num):
+        gs = list(map(math.gcd, num, den))
+        return list(map(operator.floordiv, num, gs)), list(map(operator.floordiv, den, gs))
+    for i, (a, b) in enumerate(zip(num, den)):
+        if a is not UNDEF:
+            g = math.gcd(a, b)
+            num[i], den[i] = a // g, b // g
+    return num, den
+
+
+def _product_denoms(denoms: list, inputs):
+    """The denominators of a product of ``inputs``: one integer when every
+    input has a common one, else an iterator of per-row denominators."""
+    common, rows = 1, None
+    for s, idx in inputs:
+        den = denoms[s]
+        if type(den) is int:
+            common *= den
+        else:
+            row = map(den.__getitem__, idx)
+            rows = row if rows is None else map(operator.mul, rows, row)
+    if rows is None:
+        return common
+    return rows if common == 1 else map(operator.mul, rows, itertools.repeat(common))
+
+
+def _not_constant(step: _Step):
+    return OracleError(f"kernel is not constant over context axes {step.drop}")
+
+
+def _reduce(step: _Step, acc, flagged: bool) -> list:
+    """Reduce cells over one common denominator in groups of ``width``."""
+    width = step.width
+    if width == 1:
+        return list(acc)
+    groups = zip(*[iter(acc)] * width)
+    if step.op is _SAME:
+        vec = []
+        for group in groups:
+            if group.count(group[0]) != width:
+                raise _not_constant(step)
+            vec.append(group[0])
+        return vec
+    if flagged:
+        return [UNDEF if _has_undef(group) else sum(group) for group in groups]
+    return list(map(sum, groups))
+
+
+def _reduce_rows(step: _Step, acc, dens, flagged: bool) -> tuple:
+    """Reduce cells over per-row denominators in groups of ``width``: a sum
+    adds numerators over a shared denominator, else over the group's least
+    common multiple; ``_SAME`` compares rows by cross-multiplication."""
+    width = step.width
+    if width == 1:
+        return list(acc), list(dens)
+    vec, out = [], []
+    groups = zip(zip(*[iter(acc)] * width), zip(*[iter(dens)] * width))
+    if step.op is _SAME:
+        for nums, ds in groups:
+            n, d = nums[0], ds[0]
+            if n is UNDEF:
+                same = nums.count(UNDEF) == width
+            else:
+                same = not _has_undef(nums) and all(x * d == n * y for x, y in zip(nums, ds))
+            if not same:
+                raise _not_constant(step)
+            vec.append(n)
+            out.append(d)
+        return vec, out
+    for nums, ds in groups:
+        if flagged and _has_undef(nums):
+            vec.append(UNDEF)
+            out.append(1)
+            continue
+        d = ds[0]
+        if ds.count(d) != width:
+            d = math.lcm(*ds)
+            nums = map(operator.mul, nums, map(d.__floordiv__, ds))
+        vec.append(sum(nums))
+        out.append(d)
+    return vec, out
 
 
 def _planned(tables: list, build) -> _Plan:

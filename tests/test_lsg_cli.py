@@ -220,6 +220,19 @@ class TestCli:
         assert code == 0
         assert "p2(" in out and "p1(" in out
 
+    @pytest.mark.parametrize("algorithm", ["gid", "auto"])
+    def test_witness_reads_datasets(self, algorithm):
+        code, out, err = run_cli(
+            "witness",
+            "--graph", str(FIXDIR / "compliance_pair.lsg"),
+            "--query", "P(Y | do(A=a))",
+            "--algorithm", algorithm,
+            "--dataset", str(FIXDIR / "compliance_pair.lsg"),
+            "--dataset", str(FIXDIR / "compliance_experimental.lsg"),
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"identified": True, "witness": None}
+
     def test_console_script_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "selid.cli", "identify",

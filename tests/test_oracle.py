@@ -2,12 +2,13 @@ import collections
 import copy
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Ratio, SelectorAssign, Sym
+from selid.estimand import BaseKernel, Marginal, Product, Ratio, SelectorAssign, SumOver, Sym
 from selid.fixtures import all_fixtures
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import Query, identify, identify_selected
@@ -544,3 +545,175 @@ class TestLawPlans:
         query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))
         bindings = list(oracle._token_bindings(query, {"A1": 2, "A2": 2}))
         assert bindings == [({"A1": 0, "A2": 0}, {"a": 0}), ({"A1": 1, "A2": 1}, {"a": 1})]
+
+
+# --------------------------------------------------------------------------
+# a reference evaluator over Fraction dicts, for the integer arithmetic of
+# the plans: a value is (axes, {row value tuple: Fraction or UNDEF})
+
+BITS = ("A", "B", "C", "D")
+
+
+def _ref_rows(axes):
+    return itertools.product((0, 1), repeat=len(axes))
+
+
+def _ref_sum(value, over):
+    axes, rows = value
+    keep = tuple(a for a in axes if a not in over)
+    out = {}
+    for row, v in rows.items():
+        key = tuple(x for a, x in zip(axes, row) if a in keep)
+        acc = out.get(key, 0)
+        out[key] = UNDEF if acc is UNDEF or v is UNDEF else acc + v
+    return keep, out
+
+
+def _ref_mul(a, b):
+    if a is UNDEF:
+        return 0 if b == 0 else UNDEF
+    if b is UNDEF:
+        return 0 if a == 0 else UNDEF
+    return a * b
+
+
+def _ref_div(a, b):
+    return UNDEF if a is UNDEF or b is UNDEF or b == 0 else a / b
+
+
+def _ref_pointwise(op, left, right):
+    """``op`` of two values row by row; ``right``'s axes are read from each
+    row of the union."""
+    (la, lrows), (ra, rrows) = left, right
+    axes = la + tuple(a for a in ra if a not in la)
+    out = {}
+    for row in _ref_rows(axes):
+        at = dict(zip(axes, row))
+        out[row] = op(lrows[tuple(at[a] for a in la)], rrows[tuple(at[a] for a in ra)])
+    return axes, out
+
+
+def _ref_eval(e, laws):
+    if isinstance(e, BaseKernel):
+        axes, rows = laws[e.name]
+        joint = _ref_sum((axes, rows), frozenset(axes) - e.outcome - e.context)
+        return _ref_pointwise(_ref_div, joint, _ref_sum(joint, e.outcome))
+    if isinstance(e, (Marginal, SumOver)):
+        return _ref_sum(_ref_eval(e.child, laws), e.over)
+    if isinstance(e, Product):
+        value = _ref_eval(e.children[0], laws)
+        for c in e.children[1:]:
+            value = _ref_pointwise(_ref_mul, value, _ref_eval(c, laws))
+        return value
+    if isinstance(e, Ratio):
+        num, den = _ref_eval(e.num, laws), _ref_eval(e.den, laws)
+        assert set(den[0]) <= set(num[0])
+        return _ref_pointwise(_ref_div, num, den)
+    raise TypeError(e)
+
+
+def _random_law(rng):
+    """A law over ``BITS`` as integers over their sum; about half the
+    rows have zero mass."""
+    weights = [0 if rng.random() < 0.5 else rng.randint(1, 9) for _ in range(16)]
+    weights[rng.randrange(16)] += 1
+    return weights, sum(weights)
+
+
+def _random_expression(rng, depth, laws):
+    """A random estimand over kernels of the laws ``p`` and ``q``."""
+    kind = rng.choice(("kernel", "sum", "marginal", "product", "ratio", "ratio"))
+    if depth:
+        child = _random_expression(rng, depth - 1, laws)
+        axes = list(_ref_eval(child, laws)[0])
+    if not depth or not axes or kind == "kernel":
+        names = rng.sample(BITS, rng.randint(1, 3))
+        cut = rng.randint(1, len(names))
+        return BaseKernel(rng.choice("pq"), frozenset(names[:cut]), frozenset(names[cut:]))
+    if kind in ("sum", "marginal"):
+        over = frozenset(rng.sample(axes, rng.randint(1, len(axes))))
+        return (SumOver if kind == "sum" else Marginal)(child, over)
+    if kind == "product":
+        return Product((child, _random_expression(rng, depth - 1, laws)))
+    # a divisor over some axes of the dividend: one of its margins, a kernel
+    # of either law, or a product of the two
+    some = rng.sample(axes, rng.randint(1, len(axes)))
+    kernel = BaseKernel(rng.choice("pq"), frozenset(some[:1]), frozenset(some[1:]))
+    margin = SumOver(child, frozenset(axes) - frozenset(some))
+    return Ratio(child, rng.choice((margin, kernel, Product((kernel, margin)))))
+
+
+class TestExactArithmetic:
+    def test_equal_rationals_in_different_terms_are_constant(self):
+        # p(Y | Z) reads 1/2 at Z=0 and 2/4 at Z=1, each a divide of two
+        # margins and so not in lowest terms; the context check compares
+        # them by cross-multiplication
+        axes, dom = ("Z", "Y"), {"Z": (0, 1), "Y": (0, 1)}
+        same = Table(axes, dom, [1, 1, 2, 2], given={"Z"}, denom=6)
+        got = same.conditional({"Y"}, set())
+        assert got.axes == ("Y",) and got.data == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+        other = Table(axes, dom, [1, 1, 1, 2], given={"Z"}, denom=5)
+        with pytest.raises(OracleError, match="not constant over context axes"):
+            other.conditional({"Y"}, set())
+
+    def test_equals_compares_across_denominators(self):
+        dom = {"Y": (0, 1)}
+        half = Table(("Y",), dom, [1, 1], denom=2)
+        assert half.equals(Table(("Y",), dom, [2, 2], denom=4))
+        assert half.equals(Table(("Y",), dom, [Fraction(1, 2), Fraction(2, 4)]))
+        assert not half.equals(Table(("Y",), dom, [1, 2], denom=3))
+        assert not half.equals(Table(("Y",), dom, [UNDEF, 2], denom=4))
+        assert Table(("Y",), dom, [UNDEF, 1], denom=2).equals(Table(("Y",), dom, [UNDEF, 2], denom=4))
+
+    def test_divide_cross_multiplies_different_denominators(self):
+        dom = {"Y": (0, 1)}
+        num = Table(("Y",), dom, [1, 2], denom=4)
+        den = Table(("Y",), dom, [1, 0], denom=3)
+        got = oracle._once([num, den], lambda plan, a, b: plan.divide(a, b, frozenset()))
+        assert got.data == {(0,): Fraction(3, 4), (1,): UNDEF}
+
+    def test_total_variation_across_denominators(self):
+        dom = {"Y": (0, 1)}
+        quarter = Table(("Y",), dom, [1, 3], denom=4)
+        half = Table(("Y",), dom, [Fraction(1, 2), Fraction(1, 2)])
+        assert quarter.total_variation(half) == Fraction(1, 4)
+        assert half.total_variation(Table(("Y",), dom, [3, 3], denom=6)) == 0
+
+    def test_plans_agree_with_a_fraction_reference(self):
+        rng = random.Random(2024)
+        undefined = 0
+        for _ in range(250):
+            tables, laws = {}, {}
+            for name in "pq":
+                weights, total = _random_law(rng)
+                tables[name] = Table(BITS, {a: (0, 1) for a in BITS}, weights, denom=total)
+                laws[name] = (BITS, {row: Fraction(w, total) for row, w in zip(_ref_rows(BITS), weights)})
+            e = _random_expression(rng, 3, laws)
+            axes, want = _ref_eval(e, laws)
+            got = eval_estimand(e, tables)
+            assert set(got.axes) == set(axes)
+            for row, v in want.items():
+                value = got.value(dict(zip(axes, row)))
+                assert value is v if v is UNDEF else value == v
+            undefined += not got.defined_everywhere()
+        assert 20 < undefined < 230
+
+    def test_estimand_plan_builds_one_fraction_per_output_row(self, monkeypatch):
+        fx = FX["selection_web"]
+        r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
+        t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=0))
+        plan = oracle._compile_estimand(r.estimand, {"p": t})
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "Fraction", Counted)
+        out = plan.run([t])
+        monkeypatch.undo()
+        assert len(out.values) == 8 and len(built) <= len(out.values), len(built)
+        assert out.equals(eval_estimand(r.estimand, {"p": t}))
+        # a law's integers are read as they are, without a scan or a copy
+        assert oracle._rows(t)[0] is t.values
