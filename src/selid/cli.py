@@ -102,14 +102,16 @@ def _value_key(v) -> str:
 
 def _model_payload(m: oracle.DiscreteCsScm) -> dict:
     cpts = {}
-    for v, (parents, rows) in sorted(m.cpts.items()):
+    for v in sorted(m.cpts):
+        parents, rows = m.rows(v)
+        denom, domain = m.cpts[v].denom, m.domain(v)
         entries = []
-        for pa_vals in sorted(rows, key=repr):
-            dist = rows[pa_vals]
+        for pa_vals, nums in sorted(rows, key=lambda row: repr(row[0])):
+            dist = sorted(zip(domain, nums), key=lambda kv: repr(kv[0]))
             entries.append(
                 {
                     "given": {p: _value_key(x) for p, x in zip(parents, pa_vals)},
-                    "dist": {_value_key(k): _frac(p) for k, p in sorted(dist.items(), key=lambda kv: repr(kv[0]))},
+                    "dist": {_value_key(k): _frac(Fraction(n, denom)) for k, n in dist},
                 }
             )
         cpts[v] = {"parents": list(parents), "rows": entries}

@@ -15,7 +15,8 @@ One table layout, one step runner:
 * **Plans** (``_Plan``) are steps worked out once per shape and replayed:
   each gathers its inputs by index arrays, multiplies or divides them cell
   by cell, and reduces groups of ``width`` cells.  A law plan
-  (``_compile_law``) is variable elimination over a model's CPT vectors;
+  (``_compile_law``) is variable elimination over a model's CPTs, which
+  are ``Table``s in the plan's layout from the moment they are drawn;
   an estimand plan (``_compile_estimand``) runs on the laws it makes.
   ``verify`` compiles each once per call and replays them on every trial;
   each ``Table`` operation is a plan run once.
@@ -256,52 +257,52 @@ class _SelectorDomains:
 class DiscreteCsScm(_SelectorDomains):
     """Exact-rational SCM over a full DAG with optional selector semantics.
 
-    ``cpts`` maps each vertex to ``(parents, rows)`` where rows map a parent
-    assignment (values in ``parents`` order) to a mapping value -> Fraction.
-    Children of the selector obey the intervene/natural case split by
-    construction of their rows.
+    ``cpts`` maps each vertex v to its CPT in the law-plan layout: a
+    ``Table`` over ``parents + (v,)`` (parents sorted, each over its row
+    domain, then v over its own domain) of integer numerators over one
+    denominator.  ``rows`` reads it.  Children of the selector obey the
+    intervene/natural case split by construction of their rows.
     """
 
     graph: Graph  # full DAG: observed + latent (+ selector)
     sizes: dict  # vertex -> domain size (non-selector vertices)
-    cpts: dict  # vertex -> (parents tuple, {pa values: {value: Fraction}})
+    cpts: dict  # vertex -> Table over parents + (vertex,)
     support: Optional[SelectorSupport] = None
 
     def observed(self) -> frozenset:
         return self.graph.random - self.graph.latent
 
+    def rows(self, v) -> tuple:
+        """``(parents, rows)`` of the CPT of ``v``: for each row in order,
+        the parents' values and the numerators of v's values, in domain
+        order, over the table's ``denom``."""
+        t = self.cpts[v]
+        parents, n = t.axes[:-1], len(t.domains[v])
+        keys = itertools.product(*(t.domains[p] for p in parents))
+        return parents, ((pa_vals, t.values[i * n:(i + 1) * n]) for i, pa_vals in enumerate(keys))
+
     def validate(self):
         """Check normalization and the selector case split (mechanism
         invariance across laidback values, forced values when serious)."""
         sel = self.selector
-        for v, (parents, rows) in sorted(self.cpts.items()):
-            dom = self.domain(v)
-            for pa_vals, dist in rows.items():
-                total = sum(dist.values())
-                if total != 1:
+        for v in sorted(self.cpts):
+            denom = self.cpts[v].denom
+            parents, rows = self.rows(v)
+            si = parents.index(sel) if v != sel and sel in parents else None
+            natural: dict = {}
+            for pa_vals, row in rows:
+                if sum(row) != denom:
                     raise OracleError(f"rows of {v} must sum to 1 exactly")
-                if set(dist) != set(dom):
-                    raise OracleError(f"row of {v} misses domain values")
-            if sel is not None and sel in parents and v != sel:
-                si = parents.index(sel)
-                base_by_rest: dict = {}
-                for pa_vals, dist in rows.items():
-                    sval = pa_vals[si]
-                    rest = tuple(x for i, x in enumerate(pa_vals) if i != si)
-                    pattern, values = sval
-                    if v in pattern:
-                        forced = values[pattern.index(v)]
-                        if dist.get(forced) != 1:
-                            raise OracleError(
-                                f"{v} must equal its forced value when intervened"
-                            )
-                    else:
-                        if rest in base_by_rest and base_by_rest[rest] != dist:
-                            raise OracleError(
-                                f"{v} must reuse its natural mechanism across "
-                                "laidback selector values"
-                            )
-                        base_by_rest[rest] = dist
+                if si is None:
+                    continue
+                pattern, values = pa_vals[si]
+                if v in pattern:
+                    if row[values[pattern.index(v)]] != denom:
+                        raise OracleError(f"{v} must equal its forced value when intervened")
+                elif natural.setdefault(pa_vals[:si] + pa_vals[si + 1:], row) != row:
+                    raise OracleError(
+                        f"{v} must reuse its natural mechanism across laidback selector values"
+                    )
         return True
 
     # -- laws -----------------------------------------------------------------
@@ -791,8 +792,7 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     """The plan of the law of ``m`` over ``out_axes`` with the factors of
     ``fixed`` and ``free`` vertices dropped: ``fixed`` axes are held at their
     values, ``free`` axes stay as context (``given``) axes of the result.
-    Its inputs are the vertices whose CPT vectors (``_cpt_vectors``) it
-    multiplies.
+    Its inputs are the vertices whose CPTs it multiplies.
 
     Latents are eliminated smallest product first, ties to the first name,
     so the order never depends on set iteration; what is left is multiplied
@@ -809,10 +809,8 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     plan = _Plan(vertices)
     ops = []
     for slot, v in enumerate(vertices):
-        parents = m.cpts[v][0]
-        domains = {p: m.row_domain(p) for p in parents}
-        domains[v] = m.domain(v)
-        ops.append(_Operand(slot, parents + (v,), domains, fixed))
+        t = m.cpts[v]
+        ops.append(_Operand(slot, t.axes, t.domains, fixed))
 
     def product(factors: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
         layout = keep + summed
@@ -843,46 +841,22 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     return plan.finish(product(ops, keep, [a for a in axes if a not in keep], domains, free))
 
 
-def _cpt_vectors(m: DiscreteCsScm) -> dict:
-    """vertex -> the CPT of ``m`` as a table of integers over its least
-    common denominator, in the row-major layout of its law-plan factor
-    (parent row domains in order, then the vertex's own domain).  A missing
-    row or value counts as zero."""
-    out = {}
-    for v, (parents, rows) in m.cpts.items():
-        domains = {**{p: m.row_domain(p) for p in parents}, v: m.domain(v)}
-        probs = []
-        for pa_vals in itertools.product(*(domains[p] for p in parents)):
-            dist = rows.get(pa_vals, {})
-            probs.extend(dist.get(x, 0) for x in domains[v])
-        denom = math.lcm(*(p.denominator for p in probs))
-        nums = [p.numerator * (denom // p.denominator) for p in probs]
-        out[v] = Table(parents + (v,), domains, nums, denom=denom)
-    return out
-
-
 class _Laws:
     """Laws of the models of one shape (DAG, domain sizes, support).
 
     Each law plan is compiled on first use, keyed by its fixed values, free
-    vertices and output axes, and replayed for every model; the CPT vectors
-    of the model last asked about are kept, so a model's CPTs are scaled to
-    integers once however many of its laws are taken in a row.
+    vertices and output axes, and replayed on the CPTs of every model.
     """
 
     def __init__(self):
         self._plans: dict = {}
-        self._model = None
-        self._vectors = None
 
     def law(self, m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> Table:
         key = (tuple(sorted(fixed.items())), free, out_axes)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _compile_law(m, fixed, free, out_axes)
-        if m is not self._model:
-            self._model, self._vectors = m, _cpt_vectors(m)
-        return plan.run([self._vectors[v] for v in plan.inputs])
+        return plan.run([m.cpts[v] for v in plan.inputs])
 
     def joint(self, m: DiscreteCsScm) -> Table:
         return self.law(m, {}, frozenset(), m.observed())
@@ -907,41 +881,52 @@ class _Laws:
 # random model generation
 
 
-def _rational_dist(rng: _random.Random, n: int) -> dict:
-    weights = [rng.randint(1, 16) for _ in range(n)]
-    total = sum(weights)
-    return {i: Fraction(w, total) for i, w in enumerate(weights)}
+def _weights(rng: _random.Random, n: int) -> list:
+    return [rng.randint(1, 16) for _ in range(n)]
 
 
-def _point(n: int, value) -> dict:
-    return {k: Fraction(1 if k == value else 0) for k in range(n)}
+def _point(n: int, value) -> list:
+    return [int(k == value) for k in range(n)]
 
 
 def _build_model(dag: Graph, support, mechanism, domain_size: int = 2) -> DiscreteCsScm:
     """Assemble a CS-SCM from per-vertex laidback mechanisms.
 
-    ``mechanism(v, parents, pa_vals)`` returns the natural-case distribution
-    of ``v`` (or a selector-domain distribution for the selector itself).
-    The intervene case of selector children is enforced here: a child the
+    ``mechanism(v, parents, pa_vals)`` returns the natural-case weights of
+    ``v``'s values (or of the selector's, for the selector itself): one
+    non-negative integer per value, in domain order, not all zero.  The
+    intervene case of selector children is enforced here: a child the
     selector value intervenes on takes its forced value, and the mechanism
     is not asked for that row.  The other rows are asked for in
-    ``itertools.product`` order.
+    ``itertools.product`` order.  Each row is put in lowest terms, and the
+    CPT's denominator is the least common multiple of the row totals.
     """
     sel = dag.selector
     sizes = {v: domain_size for v in dag.vertices if v != sel}
     m = DiscreteCsScm(dag, sizes, {}, support)
     for v in dag.topological_order():
         parents = tuple(sorted(dag.parents(v)))
+        domains = {p: m.row_domain(p) for p in parents}
+        domains[v] = m.domain(v)
         si = parents.index(sel) if v != sel and sel in parents else None
-        rows = {}
-        for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):
-            if si is not None:
+        rows = []
+        for pa_vals in itertools.product(*(domains[p] for p in parents)):
+            if si is not None and v in pa_vals[si][0]:
                 pattern, values = pa_vals[si]
-                if v in pattern:
-                    rows[pa_vals] = _point(domain_size, values[pattern.index(v)])
-                    continue
-            rows[pa_vals] = mechanism(v, parents, pa_vals)
-        m.cpts[v] = (parents, rows)
+                row = _point(domain_size, values[pattern.index(v)])
+            else:
+                row = mechanism(v, parents, pa_vals)
+            g = math.gcd(*row)
+            if not g:
+                raise OracleError(f"a mechanism row of {v} has no mass")
+            rows.append([w // g for w in row])
+        totals = list(map(sum, rows))
+        denom = math.lcm(*totals)
+        values = []
+        for row, total in zip(rows, totals):
+            scale = denom // total
+            values += [w * scale for w in row]
+        m.cpts[v] = Table(parents + (v,), domains, values, denom=denom)
     return m
 
 
@@ -952,7 +937,8 @@ def random_cs_scm(
     domain_size: int = 2,
 ) -> DiscreteCsScm:
     """Seeded random model on the full DAG ``g`` obeying the selector case
-    split; all rows strictly positive with denominators at most 64."""
+    split.  Every row the selector does not force is strictly positive: its
+    weights are drawn from 1-16, so its denominator divides their sum."""
     if domain_size < 2:
         raise OracleError("domain size must be at least 2")
     if any(e.kind != "directed" for e in g.edges):
@@ -974,13 +960,13 @@ def random_cs_scm(
 
     def mechanism(v, parents, pa_vals):
         if v == sel:
-            return dict(zip(sel_dom, _rational_dist(rng, len(sel_dom)).values()))
+            return _weights(rng, len(sel_dom))
         if sel not in parents:
-            return _rational_dist(rng, domain_size)
+            return _weights(rng, domain_size)
         rest = (v,) + tuple(x for p, x in zip(parents, pa_vals) if p != sel)
         if rest not in natural:
-            natural[rest] = _rational_dist(rng, domain_size)
-        return dict(natural[rest])
+            natural[rest] = _weights(rng, domain_size)
+        return natural[rest]
 
     return _build_model(g, support, mechanism, domain_size)
 
@@ -1075,12 +1061,13 @@ class FunctionalCsScm(_SelectorDomains):
     graph: Graph
     sizes: dict
     support: Optional[SelectorSupport]
-    noise: dict  # vertex -> {value: Fraction}
+    noise: dict  # vertex -> integer weight of each noise value
     mech: dict  # vertex -> {(pa values, noise value): value}
 
     def counterfactual_law(self, a: Mapping, s: Optional[SelectorValue] = None) -> Table:
         """The single-world law p(V(a, s)): counterfactuals of non-intervened
-        vertices jointly with the natural values of intervened ones."""
+        vertices jointly with the natural values of intervened ones, as
+        integers over the product of the noises' weight totals."""
         sel = self.selector
         fixed_vals = dict(a)
         if s is not None:
@@ -1097,12 +1084,10 @@ class FunctionalCsScm(_SelectorDomains):
         parents_of = {v: tuple(sorted(self.graph.parents(v))) for v in order}
         axes = tuple(observed)
         domains = {v: self.domain(v) for v in observed}
-        values = [Fraction(0)] * math.prod(len(d) for d in domains.values())
-        for combo in itertools.product(*(sorted(self.noise[v]) for v in noise_vars)):
+        values = [0] * math.prod(len(d) for d in domains.values())
+        for combo in itertools.product(*(range(len(self.noise[v])) for v in noise_vars)):
             eps = dict(zip(noise_vars, combo))
-            w = Fraction(1)
-            for v, val in eps.items():
-                w *= self.noise[v][val]
+            w = math.prod(self.noise[v][val] for v, val in eps.items())
             natural: dict = {}
             downstream: dict = {}
             for v in order:
@@ -1111,7 +1096,7 @@ class FunctionalCsScm(_SelectorDomains):
                 natural[v] = val
                 downstream[v] = fixed_vals.get(v, val)
             values[_Operand(0, axes, domains, natural).offset] += w
-        return Table(axes, domains, values)
+        return Table(axes, domains, values, denom=math.prod(sum(self.noise[v]) for v in noise_vars))
 
 
 def random_functional_cs_scm(
@@ -1132,7 +1117,7 @@ def random_functional_cs_scm(
     for v in g.topological_order():
         dom = m.domain(v)
         n_noise = len(dom) + 1
-        m.noise[v] = _rational_dist(rng, n_noise)
+        m.noise[v] = _weights(rng, n_noise)
         parents = tuple(sorted(g.parents(v)))
         table = {}
         for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):
@@ -1153,20 +1138,12 @@ def random_functional_cs_scm(
 # agreement witnesses for non-identification verdicts
 
 
-def _uniform(n: int) -> dict:
-    return {k: Fraction(1, n) for k in range(n)}
+def _uniform(n: int) -> list:
+    return [1] * n
 
 
-def _sel_uniform(sel_dom) -> dict:
-    return {sv: Fraction(1, len(sel_dom)) for sv in sel_dom}
-
-
-def _sel_pattern_uniform(sel_dom, pattern: tuple) -> dict:
-    hits = [sv for sv in sel_dom if sv[0] == pattern]
-    out = {sv: Fraction(0) for sv in sel_dom}
-    for sv in hits:
-        out[sv] = Fraction(1, len(hits))
-    return out
+def _sel_pattern_uniform(sel_dom, pattern: tuple) -> list:
+    return [int(sv[0] == pattern) for sv in sel_dom]
 
 
 def _never_laidback_members(support: SelectorSupport, vertices) -> list:
@@ -1197,7 +1174,7 @@ def positivity_witness_pair(g: Graph, query, district) -> tuple:
     def mech(zvalue):
         def mechanism(v, parents, pa_vals):
             if v == g.selector:
-                return _sel_uniform(sel_dom)
+                return _uniform(len(sel_dom))
             if v == z:
                 return _point(2, zvalue)
             if v in path_pred:
@@ -1227,10 +1204,11 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
             us_of[e.head].append(u)
 
     laid_pattern = serious_pattern = None
-    sel_dom = ()
-    if sel is not None and sel in closure:
+    if sel is not None:
         if g.support is None:
             raise OracleError("selector hedges need a support")
+        sel_dom = selector_domain(g.support, {v: 2 for v in dag.vertices if v != sel})
+    if sel is not None and sel in closure:
         laid = [p for p in g.support if not (p & district)]
         if not laid:
             raise OracleError("no laidback pattern; use the positivity witness")
@@ -1239,7 +1217,6 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
         if not others:
             raise OracleError("selector hedge needs at least two support patterns")
         serious_pattern = tuple(sorted(others[0]))
-        sel_dom = selector_domain(g.support, {v: 2 for v in dag.vertices if v != sel})
 
     def parity_inputs(v, blind: bool):
         scope = district if blind else closure
@@ -1254,14 +1231,14 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
     def mech(blind_district: bool):
         def mechanism(v, parents, pa_vals):
             asg = dict(zip(parents, pa_vals))
+            if v not in closure:
+                return _uniform(len(sel_dom) if v == sel else 2)
             if v == sel:
                 bit = 0
                 for u in us_of[v]:
                     bit ^= asg[u]
                 pattern = serious_pattern if bit else laid_pattern
                 return _sel_pattern_uniform(sel_dom, pattern)
-            if v not in closure:
-                return _uniform(2)
             blind = blind_district and v in district
             bit = 0
             for w in parity_inputs(v, blind):
@@ -1296,6 +1273,8 @@ def _carrier_path(g: Graph, query, start: str) -> dict:
     treatments and the selector; empty when start is itself an outcome."""
     treated = frozenset(v for v, _ in query.treatments)
     sub = g.induced_subgraph(g.random - treated - ({g.selector} - {start}))
+    if start not in sub.vertices:
+        raise OracleError("the witness vertex is a treatment; no carrier path starts there")
     target = frozenset(query.outcomes)
     if start in target:
         return {}
@@ -1381,30 +1360,27 @@ def _certified_witness(g: Graph, query, failure) -> tuple:
     verdict, validated exactly, with its ``_witness_separation``."""
     kind = getattr(failure, "kind", None)
     if kind == "positivity":
-        pair = positivity_witness_pair(g, query, failure.district)
-        tv = _witness_separation(query, *pair)
-        if not tv:
-            raise OracleError("positivity witness construction failed validation")
-        return pair, tv
-    if kind == "hedge":
+        builders = [lambda: positivity_witness_pair(g, query, failure.district)]
+        failed = "positivity witness construction failed validation"
+    elif kind == "hedge":
         builders = [
             lambda: hedge_witness_pair(g, failure.district, failure.closure),
-            lambda: adjacent_child_witness_pair(
-                g, query, failure.district, failure.closure
-            ),
+            lambda: adjacent_child_witness_pair(g, query, failure.district, failure.closure),
         ]
-        for builder in builders:
-            try:
-                pair = builder()
-            except OracleError:
-                continue
-            tv = _witness_separation(query, *pair)
-            if tv:
-                return pair, tv
-        raise OracleError(
-            "no known witness construction separates this hedge shape"
-        )
-    raise OracleError(f"no witness construction for failure kind {kind!r}")
+        failed = "no known witness construction separates this hedge shape"
+    else:
+        raise OracleError(f"no witness construction for failure kind {kind!r}")
+    for builder in builders:
+        try:
+            pair = builder()
+        except OracleError:
+            if len(builders) == 1:  # a lone construction's reason is the answer
+                raise
+            continue
+        tv = _witness_separation(query, *pair)
+        if tv:
+            return pair, tv
+    raise OracleError(failed)
 
 
 def parity_witness(g: Graph, query, failure) -> tuple:

@@ -11,6 +11,7 @@ from selid.fixtures import all_fixtures
 from selid.lsg import ParseError, parse_graph, parse_query, render_graph
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 FX = all_fixtures()
 
 
@@ -207,6 +208,17 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["failure"] == "hedge" and len(payload["models"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, query",
+        [("bow", "P(Y | do(A=a))"), ("forced_outcome", "P(Y | do(), S=empty)")],
+    )
+    def test_witness_payload_is_pinned(self, name, query):
+        # the whole payload, both models' CPTs row by row: a change in how
+        # witness CPTs are built or printed fails here
+        code, out, _ = run_cli("witness", "--graph", str(FIXDIR / f"{name}.lsg"), "--query", query)
+        assert code == 0
+        assert out == (GOLDEN / f"witness_{name}.json").read_text()
 
     def test_gid_via_datasets(self):
         code, out, _ = run_cli(

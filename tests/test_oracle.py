@@ -1,9 +1,11 @@
 import collections
 import copy
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +31,24 @@ from selid.oracle import (
 from selid.projection import canonical_hidden_dag
 
 FX = all_fixtures()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def q(outs, **treats):
     return Query(frozenset(outs), tuple((k, Sym(v)) for k, v in treats.items()))
+
+
+def cpt_tables(m) -> dict:
+    """vertex -> the axes, denominator and numerators of its CPT."""
+    return {
+        v: {"axes": list(t.axes), "denom": t.denom, "values": list(t.values)}
+        for v, t in sorted(m.cpts.items())
+    }
+
+
+def cpt_data(m) -> dict:
+    """vertex -> (axes, {parent values + value: probability})."""
+    return {v: (t.axes, t.data) for v, t in m.cpts.items()}
 
 
 class TestModelGeneration:
@@ -40,20 +56,56 @@ class TestModelGeneration:
         fx = FX["double_bow"]
         a = random_cs_scm(fx.dag, fx.dag.support, seed=42)
         b = random_cs_scm(fx.dag, fx.dag.support, seed=42)
-        assert a.cpts == b.cpts
+        assert cpt_tables(a) == cpt_tables(b)
         c = random_cs_scm(fx.dag, fx.dag.support, seed=43)
-        assert a.cpts != c.cpts
+        assert cpt_tables(a) != cpt_tables(c)
+
+    @pytest.mark.parametrize("name, seed", [("double_bow", 42), ("selection_web", 5)])
+    def test_drawn_models_are_pinned(self, name, seed):
+        # recorded numbers, not a rerun of the code: a change of draw order or
+        # of CPT layout fails here, where test_seed_determinism would pass
+        fx = FX[name]
+        m = random_cs_scm(fx.dag, fx.dag.support, seed=seed)
+        pinned = json.loads((GOLDEN / "drawn_models.json").read_text())
+        assert cpt_tables(m) == pinned[f"{name} {seed}"]
 
     def test_selector_case_split_holds(self):
         fx = FX["selection_web"]
         m = random_cs_scm(fx.dag, fx.dag.support, seed=5)
         assert m.validate()
 
+    @pytest.mark.parametrize(
+        "kind, error",
+        [("unnormalized", "sum to 1"), ("forced", "forced value"), ("laidback", "natural mechanism")],
+    )
+    def test_validate_rejects_broken_rows(self, kind, error):
+        fx = FX["selection_web"]
+        m = random_cs_scm(fx.dag, fx.dag.support, seed=5)
+        t = m.cpts["A1"]  # a selector child, two values per row
+        parents, rows = m.rows("A1")
+        si = parents.index("S")
+        # the first row the selector forces A1 in, or the first it leaves natural
+        i = next(i for i, (pa_vals, _) in enumerate(rows) if ("A1" in pa_vals[si][0]) == (kind == "forced"))
+        a, b = t.values[2 * i], t.values[2 * i + 1]
+        if kind == "unnormalized":
+            t.values[2 * i] += 1
+        elif kind == "forced":
+            t.values[2 * i], t.values[2 * i + 1] = b, a
+        else:  # other laidback selector values share this natural row
+            t.values[2 * i], t.values[2 * i + 1] = a - 1, b + 1
+        with pytest.raises(OracleError, match=error):
+            m.validate()
+
+    def test_massless_mechanism_row_is_rejected(self):
+        with pytest.raises(OracleError, match="no mass"):
+            oracle._build_model(FX["chain"].graph, None, lambda v, parents, pa_vals: [0, 0])
+
     def test_rows_sum_to_one(self):
         m = random_cs_scm(FX["chain"].graph, seed=1)
-        for v, (parents, rows) in m.cpts.items():
-            for dist in rows.values():
-                assert sum(dist.values()) == 1
+        for v, t in m.cpts.items():
+            _, rows = m.rows(v)
+            for _, row in rows:
+                assert sum(row) == t.denom
 
     def test_rejects_admg_input(self):
         with pytest.raises(OracleError):
@@ -72,13 +124,9 @@ class TestLaws:
     def test_deterministic_chain_is_point_mass(self):
         g = FX["chain"].graph
         m = random_cs_scm(g, seed=0)
-        for v in "MY":
-            parents, rows = m.cpts[v]
-            for key in rows:
-                rows[key] = {0: Fraction(1), 1: Fraction(0)}
-        (_, rows) = m.cpts["A"]
-        for key in rows:
-            rows[key] = {0: Fraction(1), 1: Fraction(0)}
+        for v in "MYA":
+            t = m.cpts[v]
+            m.cpts[v] = Table(t.axes, t.domains, [1, 0] * (len(t.values) // 2))
         t = joint(m)
         assert t.value({"A": 0, "M": 0, "Y": 0}) == 1
 
@@ -89,14 +137,15 @@ class TestLaws:
         # direct computation of p(A) by brute force over all vertices
         brute = {0: Fraction(0), 1: Fraction(0)}
         full_vars = sorted(m.graph.vertices)
+        cpts = cpt_data(m)
         import itertools
 
         for vals in itertools.product(*(m.domain(v) for v in full_vars)):
             asg = dict(zip(full_vars, vals))
             p = Fraction(1)
             for v in full_vars:
-                parents, rows = m.cpts[v]
-                p *= rows[tuple(asg[x] for x in parents)][asg[v]]
+                axes, data = cpts[v]
+                p *= data[tuple(asg[x] for x in axes)]
             brute[asg["A"]] += p
         for a in (0, 1):
             assert margin.value({"A": a}) == brute[a]
@@ -356,6 +405,7 @@ def brute_law(m, fixed, free, out):
     values, free ones ranging over their domains."""
     verts = sorted(m.graph.vertices)
     ranged = [v for v in verts if v not in fixed]
+    cpts = cpt_data(m)
     law = collections.defaultdict(Fraction)
     for vals in itertools.product(*(m.domain(v) for v in ranged)):
         asg = dict(fixed)
@@ -363,8 +413,8 @@ def brute_law(m, fixed, free, out):
         p = Fraction(1)
         for v in verts:
             if v not in fixed and v not in free:
-                parents, rows = m.cpts[v]
-                p *= rows[tuple(asg[x] for x in parents)][asg[v]]
+                axes, data = cpts[v]
+                p *= data[tuple(asg[x] for x in axes)]
         law[tuple(asg[a] for a in out)] += p
     return law
 

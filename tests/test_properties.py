@@ -376,6 +376,8 @@ class TestContextSwigIndependencies:
             m = random_functional_cs_scm(fx.dag, fx.dag.support, seed=900 + t)
             law = m.counterfactual_law({"A": 1}, SelectorValue()).sum_out({"A", "S"})
             # independent truncated-factorization computation over the same model
+            from fractions import Fraction
+
             cpts = {}
             for v in fx.dag.topological_order():
                 parents = tuple(sorted(fx.dag.parents(v)))
@@ -384,9 +386,9 @@ class TestContextSwigIndependencies:
                     pa_vals, nz = key
                     rows.setdefault(pa_vals, {}).setdefault(val, 0)
                 for (pa_vals, nz), val in m.mech[v].items():
-                    rows[pa_vals][val] = rows[pa_vals].get(val, 0) + m.noise[v][nz]
+                    weight = Fraction(m.noise[v][nz], sum(m.noise[v]))
+                    rows[pa_vals][val] = rows[pa_vals].get(val, 0) + weight
                 cpts[v] = (parents, rows)
-            from fractions import Fraction
 
             total = {0: Fraction(0), 1: Fraction(0)}
             import itertools as it

@@ -8,10 +8,12 @@ baseline never beats the one-shot procedure.
 import itertools
 import random
 
+import pytest
+
 from selid.estimand import Sym, render
 from selid.graph import Graph, SelectorSupport, SelectorValue, bidirected, directed
 from selid.identify import Query, identify_selected, sequential_baseline
-from selid.oracle import verify
+from selid.oracle import OracleError, parity_witness, verify
 from selid.projection import derive_labels, latent_project
 
 
@@ -93,6 +95,40 @@ def test_sweep_soundness_certificates_and_dominance():
     assert counts["positivity"] > 10
     assert counts["hedge"] + counts["thicket"] > 5
     assert checked > 20
+
+
+@pytest.mark.parametrize("seed", [24, 98, 124])
+def test_baseline_hedge_with_treated_carrier_start_gets_a_report(seed):
+    # the adjacent-child construction would start its carrier path at a
+    # treatment, which the path must avoid: the construction does not apply
+    dag, proj, query = random_selection_model(seed)
+    baseline = sequential_baseline(proj, query)
+    assert baseline.kind == "hedge"
+    rep = verify(proj, query, proj.support, baseline, trials=1, seed=seed, dag=dag)
+    assert rep.status == "unverified"
+    assert rep.detail == "no known witness construction separates this hedge shape"
+
+
+def test_witness_models_obey_the_model_rules():
+    # a certificate rests on two models: each row normalized, each forced row
+    # a point mass, each natural row shared across laidback selector values
+    checked = 0
+    for seed in range(200):
+        case = random_selection_model(seed)
+        if case is None:
+            continue
+        _, proj, query = case
+        for procedure in (identify_selected, sequential_baseline):
+            result = procedure(proj, query)
+            if result.kind not in ("hedge", "positivity"):
+                continue
+            try:
+                pair = parity_witness(proj, query, result)
+            except OracleError:
+                continue
+            assert all(m.validate() for m in pair), (seed, procedure.__name__)
+            checked += 1
+    assert checked > 50
 
 
 class TestSelectorPositivityRegressions:
