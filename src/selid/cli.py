@@ -141,6 +141,16 @@ def _query_graph(path: str) -> tuple:
     return g, (_projected(g) if g.latent else g)
 
 
+def _read_query(args, g: Graph):
+    """``--query`` on ``g``.  The selection procedures answer a query in the
+    observational context only, so on a graph with a selector they need it
+    named (``S=empty``)."""
+    query, wants_empty = parse_query(args.query, g.selector)
+    if g.selector is not None and not wants_empty and args.algorithm in ("auto", "ssid", "csg", "baseline"):
+        raise UsageError("selection queries must name the observational context: S=empty")
+    return query
+
+
 def cmd_project(args) -> int:
     g = _load_graph(args.graph)
     keep = frozenset(args.keep.split(",")) if args.keep else None
@@ -150,9 +160,7 @@ def cmd_project(args) -> int:
 
 def cmd_identify(args) -> int:
     _, g = _query_graph(args.graph)
-    query, wants_empty = parse_query(args.query, g.selector)
-    if g.selector is not None and not wants_empty and args.algorithm in ("auto", "ssid", "csg", "baseline"):
-        raise UsageError("selection queries must name the observational context: S=empty")
+    query = _read_query(args, g)
     datasets = _datasets(args)
     algorithm = _pick_algorithm(args, g)
     result = _run_algorithm(algorithm, g, query, datasets)
@@ -177,7 +185,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     dag, g = _query_graph(args.graph)
-    query, _ = parse_query(args.query, g.selector)
+    query = _read_query(args, g)
     datasets = _datasets(args)
     algorithm = _pick_algorithm(args, g)
     result = _run_algorithm(algorithm, g, query, datasets)
@@ -201,7 +209,7 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     _, g = _query_graph(args.graph)
-    query, _ = parse_query(args.query, g.selector)
+    query = _read_query(args, g)
     algorithm = _pick_algorithm(args, g)
     result = _run_algorithm(algorithm, g, query, _datasets(args))
     if isinstance(result, Identified):

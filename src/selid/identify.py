@@ -53,9 +53,12 @@ class Query:
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", frozenset(self.outcomes))
-        object.__setattr__(
-            self, "treatments", tuple(sorted(dict(self.treatments).items()))
-        )
+        treatments = tuple(sorted(self.treatments, key=lambda t: t[0]))
+        treated = [v for v, _ in treatments]
+        twice = sorted({v for v in treated if treated.count(v) > 1})
+        if twice:
+            raise QueryError(f"intervened on more than once: {', '.join(twice)}")
+        object.__setattr__(self, "treatments", treatments)
         if self.outcomes & self.treated:
             raise QueryError("outcomes and treatments overlap")
         if not self.outcomes:
@@ -138,10 +141,6 @@ def _ancestral_set(g: Graph, query: Query) -> frozenset:
     return sw.ancestors(query.outcomes) & sw.random
 
 
-def _outcome_districts(g: Graph, ystar: frozenset) -> list:
-    return g.induced_subgraph(ystar).districts()
-
-
 def _restrict_treatments(e: Estimand, query: Query, allowed: frozenset) -> Estimand:
     asg = {
         v: tok
@@ -159,6 +158,21 @@ def _assemble(kernels: list, ystar: frozenset, query: Query) -> Estimand:
     return normal_form(e)
 
 
+def _factorize(g: Graph, query: Query, solve):
+    """District factorization over the ancestral outcome set: ``solve(d)``
+    gives the kernel of district ``d`` as an estimand, or the failure that
+    is the answer.  Each kernel is restricted to the treatments among its
+    parents, and the kernels are assembled into the query's estimand."""
+    ystar = _ancestral_set(g, query)
+    kernels = []
+    for dstar in g.induced_subgraph(ystar).districts():
+        e = solve(dstar)
+        if not isinstance(e, Estimand):
+            return e
+        kernels.append(_restrict_treatments(e, query, g.parents(dstar) - dstar))
+    return Identified(_assemble(kernels, ystar, query))
+
+
 # --------------------------------------------------------------------------
 # plain interventional identification (single law, no selector semantics)
 
@@ -167,17 +181,15 @@ def identify(g: Graph, query: Query, base: str = "p"):
     """District factorization over the ancestral outcome set; every district
     must be reachable in the full graph, else the hedge is returned."""
     _validate_query(g, query)
-    ystar = _ancestral_set(g, query)
     joint = ChainKernel.from_joint(g, base)
-    kernels = []
-    for dstar in _outcome_districts(g, ystar):
+
+    def solve(dstar):
         kernel = joint.fix_to(dstar)
         if kernel.randoms != dstar:
             return FailHedge(dstar, kernel.randoms)
-        e = kernel.expr()
-        e = _restrict_treatments(e, query, g.parents(dstar) - dstar)
-        kernels.append(e)
-    return Identified(_assemble(kernels, ystar, query))
+        return kernel.expr()
+
+    return _factorize(g, query, solve)
 
 
 # --------------------------------------------------------------------------
@@ -189,12 +201,10 @@ def identify_fused(g: Graph, datasets: Iterable[DatasetSpec], query: Query):
     kernel; with a single observational dataset this reduces to ``identify``."""
     _validate_query(g, query)
     datasets = list(datasets)
-    ystar = _ancestral_set(g, query)
     joints = {}  # dataset index -> its chain kernel, built on first use
-    kernels = []
-    for dstar in _outcome_districts(g, ystar):
+
+    def solve(dstar):
         tried = []
-        chosen = None
         for i, ds in enumerate(datasets):
             tried.append(ds.name)
             if not dstar <= ds.graph.random:
@@ -203,14 +213,10 @@ def identify_fused(g: Graph, datasets: Iterable[DatasetSpec], query: Query):
                 joints[i] = ChainKernel.from_joint(ds.graph, ds.name)
             kernel = joints[i].fix_to(dstar)
             if kernel.randoms == dstar:
-                chosen = kernel
-                break
-        if chosen is None:
-            return FailThicket(dstar, tuple(tried))
-        e = chosen.expr()
-        e = _restrict_treatments(e, query, g.parents(dstar) - dstar)
-        kernels.append(e)
-    return Identified(_assemble(kernels, ystar, query))
+                return kernel.expr()
+        return FailThicket(dstar, tuple(tried))
+
+    return _factorize(g, query, solve)
 
 
 # --------------------------------------------------------------------------
@@ -284,12 +290,7 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     return True
 
 
-def _polish_kernel(
-    kernel: ChainKernel,
-    g_labelled: Graph,
-    sval: Optional[SelectorAssign],
-    query: Query,
-) -> Estimand:
+def _polish_kernel(kernel: ChainKernel, g_labelled: Graph, sval: Optional[SelectorAssign]) -> Estimand:
     """Attach the selector restriction to chain factors that depend on the
     selector, trimming their conditioning sets in the context graph (the
     conditional independencies that hold given the chosen value)."""
@@ -381,44 +382,32 @@ def identify_selected(
     _validate_query(g, query)
     sel = g.selector
     children = _selector_children(g)
-    ystar = _ancestral_set(g, query)
     joint = ChainKernel.from_joint(g, base)
-    kernels = []
-    for dstar in _outcome_districts(g, ystar):
-        patterns = support.laidback_patterns(dstar)
-        if not patterns:
+
+    def solve(dstar):
+        if not support.laidback_patterns(dstar):
             return FailPositivity(dstar)
         required = children & query.treated & g.ancestors(dstar)
         qtil = joint.fix_to(dstar, _selection_fixable)
         closure = qtil.randoms
-
-        if closure == dstar:
-            pattern = _candidate_patterns(support, dstar, required)[0]
-            sval = _selector_assign(pattern, query, _kernel_scope(qtil))
-            e = _polish_kernel(qtil, g, sval, query)
-        elif sel not in closure:
-            e = None
-            tried = []
-            for pattern in _candidate_patterns(support, dstar, required):
-                tried.append(tuple(sorted(pattern)))
+        if sel in closure:
+            return _confounded_selector(g, query, qtil, dstar, support, required)
+        # a district that is its own closure takes the first candidate as it
+        # is; otherwise the first context in which the district is reachable
+        tried = []
+        for pattern in _candidate_patterns(support, dstar, required):
+            tried.append(tuple(sorted(pattern)))
+            kernel = qtil
+            if closure != dstar:
                 ctx = context_graph(qtil.graph, _pattern_value(pattern))
                 kernel = qtil.with_graph(ctx).fix_to(dstar)
                 if kernel.randoms != dstar:
                     continue
-                sval = _selector_assign(pattern, query, _kernel_scope(kernel))
-                e = _polish_kernel(kernel, g, sval, query)
-                break
-            if e is None:
-                return FailThicket(dstar, tuple(tried))
-        else:
-            sub = _confounded_selector(g, query, qtil, dstar, support, required)
-            if not isinstance(sub, Identified):
-                return sub
-            e = sub.estimand
+            sval = _selector_assign(pattern, query, _kernel_scope(kernel))
+            return _polish_kernel(kernel, g, sval)
+        return FailThicket(dstar, tuple(tried))
 
-        e = _restrict_treatments(e, query, g.parents(dstar) - dstar)
-        kernels.append(e)
-    return Identified(_assemble(kernels, ystar, query))
+    return _factorize(g, query, solve)
 
 
 def _confounded_selector(
@@ -473,7 +462,7 @@ def _confounded_selector(
         kernel = ChainKernel(sub, factors, None).fix_to(dstar)
         if kernel.randoms != dstar:
             continue
-        return Identified(kernel.expr())
+        return kernel.expr()
     return FailUnknown(dstar, tuple(tried))
 
 
@@ -509,7 +498,7 @@ def sequential_baseline(
         kernel = joint.fix_to(dstar, _selection_fixable)
         if kernel.randoms != dstar:
             return FailHedge(dstar, kernel.randoms)
-        e = _polish_kernel(kernel, g, obs_assign, query)
+        e = _polish_kernel(kernel, g, obs_assign)
         stage1.append(e)
     law = normal_form(
         stage1[0] if len(stage1) == 1 else Product(tuple(stage1))

@@ -28,7 +28,6 @@ One table layout, one step runner:
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -351,12 +350,12 @@ class _Operand:
     ``given``, and where its rows sit in run vector ``slot``.  ``place`` maps
     each axis to its row-major stride and the positions of its values;
     ``offset`` is the constant part that axes fixed to one value contribute.
-    ``step`` is the step that made it while no other step reads it, so that
-    the rows it keeps can be chosen in that step's gathers."""
+    An operand only names a slot: plans append steps and never rewrite one,
+    so every operand that reads a slot reads the same rows."""
 
-    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells", "given", "step")
+    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells", "given")
 
-    def __init__(self, slot: int, layout, domains: Mapping, fixed=None, given=frozenset(), step=None):
+    def __init__(self, slot: int, layout, domains: Mapping, fixed=None, given=frozenset()):
         fixed = fixed or {}
         self.slot = slot
         self.place = {}
@@ -375,7 +374,6 @@ class _Operand:
         self.domains = {a: domains[a] for a in self.axes}
         self.cells = math.prod(len(self.domains[a]) for a in self.axes)
         self.given = frozenset(given)
-        self.step = step
 
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
@@ -417,7 +415,8 @@ class _Plan:
 
     ``inputs`` name the tables a run starts from (slots 0, 1, ...), and
     ``operands`` are those shaped like ``tables``; each step appends its
-    result as the next slot, and ``out`` is the result.
+    result as the next slot and is never changed once made, and ``out`` is
+    the result.
     Operations return ``_Operand``s; margins of an input are planned once
     per axis set, each summed from the smallest margin already planned.
     """
@@ -431,23 +430,14 @@ class _Plan:
 
     def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()) -> _Operand:
         cells = width * math.prod(len(domains[a]) for a in axes)
-        step = _Step(op, [(s, array("l", idx)) for s, idx in inputs], width, cells, drop)
-        self.steps.append(step)
-        slot = len(self.inputs) + len(self.steps) - 1
-        return _Operand(slot, axes, domains, given=given, step=None if op is _SAME else step)
+        self.steps.append(_Step(op, [(s, array("l", idx)) for s, idx in inputs], width, cells, drop))
+        return _Operand(len(self.inputs) + len(self.steps) - 1, axes, domains, given=given)
 
     def view(self, t: _Operand, rows, width, axes, domains, given) -> _Operand:
         """The table over ``axes`` whose row r sums rows
-        ``rows[r * width:(r + 1) * width]`` of ``t``.  When the step that
-        made ``t`` is its alone, the rows are picked in that step's gathers."""
-        step = t.step
-        if step is None:
-            return self.step(_SUM, [(t.slot, rows)], width, axes, domains, given)
-        w = step.width
-        picks = [r * w + j for r in rows for j in range(w)] if w > 1 else rows
-        step.inputs = [(s, array("l", map(idx.__getitem__, picks))) for s, idx in step.inputs]
-        step.width, step.cells = w * width, len(picks)
-        return _Operand(t.slot, axes, domains, given=given, step=step)
+        ``rows[r * width:(r + 1) * width]`` of ``t``, made by a step of its
+        own; the step that made ``t`` is left as it is."""
+        return self.step(_SUM, [(t.slot, rows)], width, axes, domains, given)
 
     def product(self, factors: list) -> _Operand:
         axes, domains = _joined(factors)
@@ -475,7 +465,6 @@ class _Plan:
         if m is None:
             src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells)
             m = kept[axes] = self.sum_out(src, frozenset(src.axes) - axes)
-            m.step = None  # read by every kernel that divides it
         return m
 
     def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
@@ -512,7 +501,7 @@ class _Plan:
             if name not in t.axes:  # a rename: the rows stay
                 axes = [name if a == var else a for a in t.axes]
                 given = frozenset(name if a == var else a for a in t.given)
-                return _Operand(t.slot, axes, {**t.domains, name: t.domains[var]}, given=given, step=t.step)
+                return _Operand(t.slot, axes, {**t.domains, name: t.domains[var]}, given=given)
             ia, ib = t.axes.index(name), t.axes.index(var)
             keep = [i for i, a in enumerate(t.axes) if a != var]
             axes = [t.axes[i] for i in keep]
@@ -892,14 +881,15 @@ def _point(n: int, value) -> list:
 def _build_model(dag: Graph, support, mechanism, domain_size: int = 2) -> DiscreteCsScm:
     """Assemble a CS-SCM from per-vertex laidback mechanisms.
 
-    ``mechanism(v, parents, pa_vals)`` returns the natural-case weights of
-    ``v``'s values (or of the selector's, for the selector itself): one
-    non-negative integer per value, in domain order, not all zero.  The
-    intervene case of selector children is enforced here: a child the
-    selector value intervenes on takes its forced value, and the mechanism
-    is not asked for that row.  The other rows are asked for in
-    ``itertools.product`` order.  Each row is put in lowest terms, and the
-    CPT's denominator is the least common multiple of the row totals.
+    ``mechanism(v, parents, pa_vals, domain)`` returns the natural-case
+    weights of ``v``'s values, which ``domain`` lists (for the selector, its
+    (sorted pattern, value tuple) pairs): one non-negative integer per
+    value, in domain order, not all zero.  The intervene case of selector
+    children is enforced here: a child the selector value intervenes on
+    takes its forced value, and the mechanism is not asked for that row.
+    The other rows are asked for in ``itertools.product`` order.  Each row
+    is put in lowest terms, and the CPT's denominator is the least common
+    multiple of the row totals.
     """
     sel = dag.selector
     sizes = {v: domain_size for v in dag.vertices if v != sel}
@@ -915,7 +905,7 @@ def _build_model(dag: Graph, support, mechanism, domain_size: int = 2) -> Discre
                 pattern, values = pa_vals[si]
                 row = _point(domain_size, values[pattern.index(v)])
             else:
-                row = mechanism(v, parents, pa_vals)
+                row = mechanism(v, parents, pa_vals, domains[v])
             g = math.gcd(*row)
             if not g:
                 raise OracleError(f"a mechanism row of {v} has no mass")
@@ -949,20 +939,15 @@ def random_cs_scm(
         support = g.support
     if sel is not None and support is None:
         raise OracleError("selector models need a support")
-    sel_dom = ()
-    if sel is not None:
-        sel_dom = selector_domain(support, {v: domain_size for v in g.vertices if v != sel})
     # a selector child draws its natural row on the first row with the same
     # non-selector parent values; that row has the observational selector
     # value (first in its row domain), so the draws follow the product of
     # the non-selector parents
     natural: dict = {}
 
-    def mechanism(v, parents, pa_vals):
-        if v == sel:
-            return _weights(rng, len(sel_dom))
+    def mechanism(v, parents, pa_vals, domain):
         if sel not in parents:
-            return _weights(rng, domain_size)
+            return _weights(rng, len(domain))
         rest = (v,) + tuple(x for p, x in zip(parents, pa_vals) if p != sel)
         if rest not in natural:
             natural[rest] = _weights(rng, domain_size)
@@ -997,20 +982,18 @@ def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
 
     A ``BaseKernel`` divides two margins of its table; the margins every
     kernel divides are planned first, largest axis set first, so each is
-    summed from the smallest margin of the same table already planned.  A
-    ``Restrict`` picks rows, in the gathers of the step that made its child
-    when that step is the child's alone: a kernel restricted to a selector
-    pattern divides only the rows of that pattern.  A node that several
-    parents read is shared (``step`` None, as margins are) before any of
-    them picks its rows."""
+    summed from the smallest margin of the same table already planned.
+    Every node appends the steps that make it, after those of its children,
+    and rewrites none of them: a ``Restrict`` picks its rows in a step of its
+    own, so a node that several parents read gives each of them the same
+    rows."""
     plan = _Plan(tables, tables.values())
     inputs = dict(zip(plan.inputs, plan.operands))
-    kernels, reads = set(), collections.Counter()
+    kernels = set()
 
     def scan(x: Estimand, _parts: list):
         if isinstance(x, BaseKernel):
             kernels.add(x)
-        reads.update(map(id, x.parts()))
 
     fold(e, scan)
     wanted = {
@@ -1040,8 +1023,6 @@ def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
                 t = plan.restrict(t, var, val)
         else:
             raise OracleError(f"unknown estimand node {type(x).__name__}")
-        if reads[id(x)] > 1:
-            t.step = None
         return t
 
     return plan.finish(fold(e, node))
@@ -1147,11 +1128,14 @@ def _sel_pattern_uniform(sel_dom, pattern: tuple) -> list:
 
 
 def _never_laidback_members(support: SelectorSupport, vertices) -> list:
-    out = []
-    for v in sorted(vertices):
-        if all(v in p for p in support):
-            out.append(v)
-    return out
+    return [v for v in sorted(vertices) if all(v in p for p in support)]
+
+
+def _witness_models(g: Graph, mech) -> tuple:
+    """The models with mechanisms ``mech(0)`` and ``mech(1)`` on the
+    canonical hidden DAG of ``g``, binary vertices, ``g``'s support."""
+    dag = canonical_hidden_dag(g)
+    return tuple(_build_model(dag, g.support, mech(x)) for x in (0, 1))
 
 
 def positivity_witness_pair(g: Graph, query, district) -> tuple:
@@ -1168,25 +1152,20 @@ def positivity_witness_pair(g: Graph, query, district) -> tuple:
         )
     z = candidates[0]
     path_pred = _carrier_path(g, query, z)
-    dag = canonical_hidden_dag(g)
-    sel_dom = selector_domain(g.support, {v: 2 for v in dag.vertices if v != g.selector})
 
     def mech(zvalue):
-        def mechanism(v, parents, pa_vals):
-            if v == g.selector:
-                return _uniform(len(sel_dom))
+        def mechanism(v, parents, pa_vals, domain):
+            if v == g.selector:  # checked before z, which may be the selector
+                return _uniform(len(domain))
             if v == z:
                 return _point(2, zvalue)
             if v in path_pred:
-                p = path_pred[v]
-                return _point(2, pa_vals[parents.index(p)])
-            return _uniform(2)
+                return _point(2, pa_vals[parents.index(path_pred[v])])
+            return _uniform(len(domain))
 
         return mechanism
 
-    m1 = _build_model(dag, g.support, mech(0))
-    m2 = _build_model(dag, g.support, mech(1))
-    return m1, m2
+    return _witness_models(g, mech)
 
 
 def hedge_witness_pair(g: Graph, district, closure) -> tuple:
@@ -1197,17 +1176,17 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
     closure = frozenset(closure)
     sel = g.selector
     us_of = {v: [] for v in g.vertices}
-    dag = canonical_hidden_dag(g)
+    inside = set()  # latents whose two children are both in the district
     for e, u in bidirected_latents(g).items():
         if e.endpoints() <= closure:
             us_of[e.tail].append(u)
             us_of[e.head].append(u)
+            if e.endpoints() <= district:
+                inside.add(u)
 
     laid_pattern = serious_pattern = None
-    if sel is not None:
-        if g.support is None:
-            raise OracleError("selector hedges need a support")
-        sel_dom = selector_domain(g.support, {v: 2 for v in dag.vertices if v != sel})
+    if sel is not None and g.support is None:
+        raise OracleError("selector hedges need a support")
     if sel is not None and sel in closure:
         laid = [p for p in g.support if not (p & district)]
         if not laid:
@@ -1221,36 +1200,29 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
     def parity_inputs(v, blind: bool):
         scope = district if blind else closure
         ins = [p for p in g.parents(v) if p in scope and p != sel]
-        ins += [
-            u
-            for u in us_of[v]
-            if not blind or dag.children(u) <= district
-        ]
+        ins += [u for u in us_of[v] if not blind or u in inside]
         return sorted(set(ins))
 
-    def mech(blind_district: bool):
-        def mechanism(v, parents, pa_vals):
+    def mech(blind_district: int):
+        def mechanism(v, parents, pa_vals, domain):
             asg = dict(zip(parents, pa_vals))
             if v not in closure:
-                return _uniform(len(sel_dom) if v == sel else 2)
+                return _uniform(len(domain))
             if v == sel:
                 bit = 0
                 for u in us_of[v]:
                     bit ^= asg[u]
                 pattern = serious_pattern if bit else laid_pattern
-                return _sel_pattern_uniform(sel_dom, pattern)
+                return _sel_pattern_uniform(domain, pattern)
             blind = blind_district and v in district
             bit = 0
             for w in parity_inputs(v, blind):
-                val = asg[w]
-                bit ^= val
+                bit ^= asg[w]
             return _point(2, bit)
 
         return mechanism
 
-    m1 = _build_model(dag, g.support, mech(False))
-    m2 = _build_model(dag, g.support, mech(True))
-    return m1, m2
+    return _witness_models(g, mech)
 
 
 def _witness_separation(query, m1, m2) -> Fraction:
@@ -1333,31 +1305,28 @@ def adjacent_child_witness_pair(g: Graph, query, district, closure) -> tuple:
     serious_pattern = tuple(sorted(serious[0]))
     path_pred = _carrier_path(g, query, child)
 
-    dag = canonical_hidden_dag(g)
-    sel_dom = selector_domain(g.support, {v: 2 for v in dag.vertices if v != sel})
-
-    def mech(blind: bool):
-        def mechanism(v, parents, pa_vals):
+    def mech(blind: int):
+        def mechanism(v, parents, pa_vals, domain):
             asg = dict(zip(parents, pa_vals))
             if v == sel:
                 pattern = serious_pattern if asg[u_name] else laid_pattern
-                return _sel_pattern_uniform(sel_dom, pattern)
+                return _sel_pattern_uniform(domain, pattern)
             if v == child:
                 return _point(2, 0 if blind else asg[u_name])
             if v in path_pred:
                 return _point(2, asg[path_pred[v]])
-            return _uniform(2)
+            return _uniform(len(domain))
 
         return mechanism
 
-    m1 = _build_model(dag, g.support, mech(False))
-    m2 = _build_model(dag, g.support, mech(True))
-    return m1, m2
+    return _witness_models(g, mech)
 
 
 def _certified_witness(g: Graph, query, failure) -> tuple:
     """``((m1, m2), separation)``: a witness pair for a non-identification
-    verdict, validated exactly, with its ``_witness_separation``."""
+    verdict, validated exactly, with its ``_witness_separation``.  A pair
+    whose models break the model rules (``DiscreteCsScm.validate``) counts
+    as a construction that failed."""
     kind = getattr(failure, "kind", None)
     if kind == "positivity":
         builders = [lambda: positivity_witness_pair(g, query, failure.district)]
@@ -1373,6 +1342,8 @@ def _certified_witness(g: Graph, query, failure) -> tuple:
     for builder in builders:
         try:
             pair = builder()
+            for m in pair:
+                m.validate()
         except OracleError:
             if len(builders) == 1:  # a lone construction's reason is the answer
                 raise
@@ -1387,9 +1358,11 @@ def parity_witness(g: Graph, query, failure) -> tuple:
     """Two models witnessing a non-identification verdict: exactly equal
     observed laws over the support, different query distributions.
 
-    Every returned pair is validated exactly before being handed out; hedge
-    shapes outside the known constructions raise the unsupported error
-    instead of returning an uncertified pair.
+    Every returned pair is validated exactly before being handed out: both
+    models are checked against the model rules (normalized rows, the
+    selector case split), then their observed laws must agree and their
+    query laws differ.  Hedge shapes outside the known constructions raise
+    the unsupported error instead of returning an uncertified pair.
     """
     return _certified_witness(g, query, failure)[0]
 

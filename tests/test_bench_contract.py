@@ -115,3 +115,25 @@ def test_sequential_baseline_returns_on_a_shared_kernel_case():
     assert time.perf_counter() - start < 10
     if baseline.kind == "identified":
         assert S.identify.identify_selected(proj, query).kind == "identified"
+
+
+def test_reference_estimands_equal_identify_selected():
+    # fixture_verify checks the CLI's estimands against these references
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    refs = workloads.reference_estimands(S)
+    queries = {name: query for name, query, *_ in workloads.FIXTURE_QUERIES}
+    assert set(refs) == {"selection_web", "double_bow"}
+    for name, ref in refs.items():
+        g = all_fixtures()[name].graph
+        query, _ = S.lsg.parse_query(queries[name], g.selector)
+        result = S.identify.identify_selected(g, query)
+        assert S.estimand.normal_form(result.estimand) == ref, name
+
+
+def test_identify_reexports_the_estimand_helpers():
+    # the tracer wraps these two where selid.identify imports them as well,
+    # and bench/selftest.py checks them there
+    identify, estimand = _module("identify"), _module("estimand")
+    assert identify.normal_form is estimand.normal_form
+    assert identify.trim_conditioning is estimand.trim_conditioning

@@ -298,12 +298,11 @@ class TestConfoundedSelectorWrapper:
         g = fx.graph
         query = q("Y", A="a")
         qtil = ChainKernel.from_joint(g)
-        r = _confounded_selector(g, query, qtil, frozenset({"Y"}), g.support, frozenset({"A"}))
-        assert r.kind == "identified"
+        e = _confounded_selector(g, query, qtil, frozenset({"Y"}), g.support, frozenset({"A"}))
         expected = normal_form(
             restrict(
                 BaseKernel("p", frozenset("Y"), frozenset({"A", "S"})),
                 {"A": Sym("a"), "S": sval(A="a")},
             )
         )
-        assert normal_form(r.estimand) == expected
+        assert normal_form(e) == expected

@@ -444,13 +444,31 @@ class TestCliMoreSurfaces:
         assert code == 1
         assert json.loads(err)["error"] in ("usage", "input")
 
-    def test_selection_query_requires_empty_clause(self):
+    @pytest.mark.parametrize("command", ["identify", "verify", "witness"])
+    def test_selection_query_requires_empty_clause(self, command):
         code, out, err = run_cli(
-            "identify",
+            command,
             "--graph", str(FIXDIR / "double_bow.lsg"),
             "--query", "P(Y | do(A=a))",
         )
-        assert code == 1
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "selection queries must name the observational context: S=empty",
+        }
+
+    def test_repeated_treatment_is_rejected(self):
+        from selid.identify import QueryError
+
+        with pytest.raises(QueryError, match="more than once: A"):
+            parse_query("P(Y | do(A=a, A=b))", None)
+        code, out, err = run_cli(
+            "identify",
+            "--graph", str(FIXDIR / "backdoor.lsg"),
+            "--query", "P(Y | do(A=a, A=b))",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "input", "message": "intervened on more than once: A"}
 
     def test_witness_unsupported_is_an_answer(self):
         code, out, _ = run_cli(

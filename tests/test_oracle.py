@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Marginal, Product, Ratio, SelectorAssign, SumOver, Sym
+from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var
 from selid.fixtures import all_fixtures
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import Query, identify, identify_selected
@@ -98,7 +98,7 @@ class TestModelGeneration:
 
     def test_massless_mechanism_row_is_rejected(self):
         with pytest.raises(OracleError, match="no mass"):
-            oracle._build_model(FX["chain"].graph, None, lambda v, parents, pa_vals: [0, 0])
+            oracle._build_model(FX["chain"].graph, None, lambda v, parents, pa_vals, domain: [0, 0])
 
     def test_rows_sum_to_one(self):
         m = random_cs_scm(FX["chain"].graph, seed=1)
@@ -366,6 +366,28 @@ class TestVerify:
             detail,
         )
 
+    def test_witness_models_must_obey_the_model_rules(self, monkeypatch):
+        # the bow pair with its latent's rows summing to twice their
+        # denominator: both laws double, so they still agree on the observed
+        # law and separate the query, but they are not models
+        g, query = FX["bow"].graph, q("Y", A="a")
+        real = oracle.hedge_witness_pair
+
+        def doubled(*args):
+            pair = real(*args)
+            for m in pair:
+                (u,) = m.graph.latent
+                t = m.cpts[u]
+                m.cpts[u] = Table(t.axes, t.domains, [2 * x for x in t.values], denom=t.denom)
+            return pair
+
+        monkeypatch.setattr(oracle, "hedge_witness_pair", doubled)
+        rep = verify(g, query, None, identify(g, query))
+        assert (rep.status, rep.trials) == ("unverified", 0)
+        assert rep.detail == "no known witness construction separates this hedge shape"
+        with pytest.raises(OracleError):
+            parity_witness(g, query, identify(g, query))
+
     def test_trials_floor(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
         with pytest.raises(OracleError):
@@ -536,7 +558,7 @@ class TestLawPlans:
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=3))
         # every kernel the compiled plan divides: its table's final shape and
-        # the restrictions that picked its rows
+        # the restrictions that picked its rows, keyed by the slot of that shape
         kernels = {}
         real_conditional, real_restrict = oracle._Plan.conditional, oracle._Plan.restrict
 
@@ -547,9 +569,11 @@ class TestLawPlans:
 
         def restrict(self, table, var, val):
             out = real_restrict(self, table, var, val)
-            if out.slot in kernels:
-                kernels[out.slot][2] = out
-                kernels[out.slot][3].append((var, val))
+            kernel = kernels.pop(table.slot, None)
+            if kernel is not None:
+                kernel[2] = out
+                kernel[3].append((var, val))
+                kernels[out.slot] = kernel
             return out
 
         monkeypatch.setattr(oracle._Plan, "conditional", conditional)
@@ -573,22 +597,18 @@ class TestLawPlans:
 
         restricted = 0
         for outcome, context, shape, restrictions in kernels.values():
-            step = shape.step
+            # the plan's steps up to the one that made the shape's slot
             sub = oracle._Plan(plan.inputs)
-            sub.steps = [copy.copy(s) for s in plan.steps[: plan.steps.index(step) + 1]]
+            sub.steps = [copy.copy(s) for s in plan.steps[: shape.slot - len(plan.inputs) + 1]]
             for s in sub.steps:
                 s.release = []
             sub.out = shape
             got = sub.run([t])
             want = Table(t.axes, t.domains, dict(t.data)).conditional(outcome, context)
-            cells = len(want.values)
             for var, val in restrictions:
                 want = oracle._once([want], lambda p, a: p.restrict(a, var, val))
             assert got.equals(want)
-            if any(isinstance(val, SelectorAssign) for _, val in restrictions):
-                # the divide runs on the rows of the selector pattern only
-                restricted += 1
-                assert step.cells == len(got.values) < cells
+            restricted += any(isinstance(val, SelectorAssign) for _, val in restrictions)
         assert restricted >= 1
 
     def test_shared_token_binds_one_value(self):
@@ -643,6 +663,17 @@ def _ref_pointwise(op, left, right):
     return axes, out
 
 
+def _ref_restrict(value, var, name):
+    """``value`` with axis ``var`` read at axis ``name``: renamed when
+    ``value`` has no axis ``name``, else on the diagonal ``var == name``."""
+    axes, rows = value
+    if name not in axes:
+        return tuple(name if a == var else a for a in axes), rows
+    i, j = axes.index(var), axes.index(name)
+    keep = tuple(a for a in axes if a != var)
+    return keep, {row[:i] + row[i + 1:]: v for row, v in rows.items() if row[i] == row[j]}
+
+
 def _ref_eval(e, laws):
     if isinstance(e, BaseKernel):
         axes, rows = laws[e.name]
@@ -659,6 +690,9 @@ def _ref_eval(e, laws):
         num, den = _ref_eval(e.num, laws), _ref_eval(e.den, laws)
         assert set(den[0]) <= set(num[0])
         return _ref_pointwise(_ref_div, num, den)
+    if isinstance(e, Restrict):
+        ((var, tok),) = e.assignment
+        return _ref_restrict(_ref_eval(e.child, laws), var, tok.name if isinstance(tok, Sym) else tok.vertex)
     raise TypeError(e)
 
 
@@ -672,7 +706,7 @@ def _random_law(rng):
 
 def _random_expression(rng, depth, laws):
     """A random estimand over kernels of the laws ``p`` and ``q``."""
-    kind = rng.choice(("kernel", "sum", "marginal", "product", "ratio", "ratio"))
+    kind = rng.choice(("kernel", "sum", "marginal", "product", "ratio", "ratio", "restrict", "shared"))
     if depth:
         child = _random_expression(rng, depth - 1, laws)
         axes = list(_ref_eval(child, laws)[0])
@@ -685,6 +719,14 @@ def _random_expression(rng, depth, laws):
         return (SumOver if kind == "sum" else Marginal)(child, over)
     if kind == "product":
         return Product((child, _random_expression(rng, depth - 1, laws)))
+    if kind in ("restrict", "shared"):
+        # one axis read at another of BITS by token: a rename onto a name the
+        # child lacks, else the diagonal; "shared" multiplies the restriction
+        # with the child it restricts, so two parents read one subtree
+        var = rng.choice(axes)
+        token = rng.choice((Sym, Var))(rng.choice([b for b in BITS if b != var]))
+        restricted = Restrict(child, ((var, token),))
+        return restricted if kind == "restrict" else Product((child, restricted))
     # a divisor over some axes of the dividend: one of its margins, a kernel
     # of either law, or a product of the two
     some = rng.sample(axes, rng.randint(1, len(axes)))
