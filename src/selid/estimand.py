@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph, GraphError, NotFixableError, NotReachableError
+from .graph import Graph, GraphError, NotFixableError, NotReachableError, SelectorValue
 
 
 class EstimandError(ValueError):
@@ -47,25 +47,11 @@ class Lo:
     components whose value provably does not matter (mechanism invariance)."""
 
 
-@dataclass(frozen=True)
-class SelectorAssign:
-    """A symbolic selector value: seriousness pattern plus value tokens."""
+# The symbolic selector value of a restriction is the graph's own type; the
+# name SelectorAssign stays bound to it.
+SelectorAssign = SelectorValue
 
-    pattern: frozenset
-    values: tuple = ()  # sorted tuple of (child, Sym|Var) pairs
-
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", frozenset(self.pattern))
-        vals = dict(self.values)
-        if set(vals) != set(self.pattern):
-            raise EstimandError("selector assignment must value exactly its pattern")
-        object.__setattr__(self, "values", tuple(sorted(vals.items())))
-
-    def sort_key(self):
-        return (sorted(self.pattern), [(c, repr(v)) for c, v in self.values])
-
-
-Value = object  # Sym | Var | SelectorAssign
+Value = object  # Sym | Var | Lo | SelectorValue
 
 
 # --------------------------------------------------------------------------
@@ -483,10 +469,10 @@ class ChainKernel:
             # childless: marginalization, clean unless another factor
             # conditions on v
             return not (self._readers.get(v, set()) - {v})
-        # drop rule: legal when no factor outside de(v) touches de(v)
-        return all(self._readers.get(x, set()) <= de for x in de) and not (
-            self.factors[v].conditioning() & (de - {v})
-        )
+        # drop rule: legal when no factor outside de(v) touches de(v); v's own
+        # factor never conditions on de(v), as every conditioning set lies in
+        # a topological prefix and fixing only removes edges
+        return all(self._readers.get(x, set()) <= de for x in de)
 
     @functools.cached_property
     def _readers(self) -> dict:
@@ -761,7 +747,7 @@ def _value_key(v):
         return ("var", v.vertex)
     if isinstance(v, Lo):
         return ("lo",)
-    if isinstance(v, SelectorAssign):
+    if isinstance(v, SelectorValue):
         return ("sel", v.sort_key())
     return ("lit", repr(v))
 
@@ -824,7 +810,7 @@ def _render_value(v, latex: bool) -> str:
         return _vname(v.vertex.lower(), latex)
     if isinstance(v, Lo):
         return "*"
-    if isinstance(v, SelectorAssign):
+    if isinstance(v, SelectorValue):
         if not v.pattern:
             return "()"
         bits = []
@@ -901,7 +887,7 @@ def _value_to_jsonable(v):
         return {"var": v.vertex}
     if isinstance(v, Lo):
         return {"lo": True}
-    if isinstance(v, SelectorAssign):
+    if isinstance(v, SelectorValue):
         return {
             "selector": {
                 "pattern": sorted(v.pattern),
@@ -920,7 +906,7 @@ def _value_from_jsonable(d):
         return Lo()
     if "selector" in d:
         sel = d["selector"]
-        return SelectorAssign(
+        return SelectorValue(
             frozenset(sel["pattern"]),
             tuple((c, _value_from_jsonable(t)) for c, t in sel["values"].items()),
         )

@@ -84,24 +84,26 @@ def bidirected(a: str, b: str, label: Iterable[str] = ()) -> Edge:
 
 @dataclass(frozen=True)
 class SelectorValue:
-    """A value of the selector: which children are intervened, at what tokens.
+    """A value of the selector: which children are intervened, at what values.
 
     ``pattern`` is the set of children with intervene-flag 1; ``values`` maps
-    each of them to a symbolic value token (any hashable).  The distinguished
-    observational value has an empty pattern.
+    each of them to a value: a symbolic token in an estimand, a domain value
+    in a model.  The observational value ``OBSERVATIONAL`` has an empty
+    pattern.
     """
 
     pattern: frozenset = frozenset()
-    values: tuple = ()  # sorted tuple of (child, token) pairs
+    values: tuple = ()  # sorted tuple of (child, value) pairs
 
     def __post_init__(self):
+        object.__setattr__(self, "pattern", frozenset(self.pattern))
         vals = dict(self.values)
-        if set(vals) != set(self.pattern):
+        if set(vals) != self.pattern:
             raise GraphError("selector value present iff flag is 1")
         object.__setattr__(self, "values", tuple(sorted(vals.items())))
 
-    def is_laidback_for(self, vertices: Iterable[str]) -> bool:
-        return not (self.pattern & frozenset(vertices))
+    def sort_key(self):
+        return (sorted(self.pattern), [(c, repr(v)) for c, v in self.values])
 
 
 OBSERVATIONAL = SelectorValue()
@@ -109,7 +111,7 @@ OBSERVATIONAL = SelectorValue()
 
 def laidback(s: SelectorValue, d: Iterable[str]) -> bool:
     """True iff ``s`` intervenes on no member of ``d``."""
-    return s.is_laidback_for(d)
+    return not (s.pattern & frozenset(d))
 
 
 @dataclass(frozen=True)
@@ -195,23 +197,9 @@ class Graph:
                 # or fixed along the way; only sanity-check the names
                 if any(not c for c in e.label):
                     raise GraphError("empty name in an edge label")
-        if self._directed_cycle():
+        # Kahn's order leaves out every vertex on a cycle or downstream of one
+        if len(self.topological_order()) < len(self.vertices):
             raise GraphError("directed cycle")
-
-    def _directed_cycle(self) -> bool:
-        state = {}
-
-        def visit(v):
-            state[v] = 1
-            for w in self.children(v):
-                if state.get(w) == 1:
-                    return True
-                if state.get(w) is None and visit(w):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(state.get(v) is None and visit(v) for v in self.vertices)
 
     # -- basic views -------------------------------------------------------
 

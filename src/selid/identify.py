@@ -26,7 +26,6 @@ from .estimand import (
     Estimand,
     Lo,
     Product,
-    SelectorAssign,
     SumOver,
     Var,
     normal_form,
@@ -34,10 +33,8 @@ from .estimand import (
     substitute_base,
     trim_conditioning,
 )
-from .graph import Graph, GraphError, SelectorSupport, SelectorValue
+from .graph import OBSERVATIONAL, Graph, GraphError, SelectorSupport, SelectorValue
 from .projection import context_graph, fixed_name, swig
-
-OBS = SelectorValue()
 
 
 class QueryError(GraphError):
@@ -136,7 +133,7 @@ def _ancestral_set(g: Graph, query: Query) -> frozenset:
     """Ancestors of the outcomes among random vertices of the context SWIG
     for the intervention (treatments, selector observational)."""
     targets: dict = dict(query.tokens)
-    s = OBS if g.selector is not None else None
+    s = OBSERVATIONAL if g.selector is not None else None
     sw = swig(g, targets, s)
     return sw.ancestors(query.outcomes) & sw.random
 
@@ -249,7 +246,7 @@ def _candidate_patterns(
 
 def _selector_assign(
     pattern: frozenset, query: Query, scope: frozenset
-) -> SelectorAssign:
+) -> SelectorValue:
     """Concrete symbolic value for a pattern: query tokens where applicable,
     the child's own observed value when it is in scope (the data's diagonal),
     and an arbitrary fixed value otherwise (mechanism invariance)."""
@@ -262,7 +259,7 @@ def _selector_assign(
             vals.append((c, Var(c)))
         else:
             vals.append((c, Lo()))
-    return SelectorAssign(pattern, tuple(vals))
+    return SelectorValue(pattern, tuple(vals))
 
 
 def _pattern_value(pattern: frozenset) -> SelectorValue:
@@ -290,7 +287,7 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     return True
 
 
-def _polish_kernel(kernel: ChainKernel, g_labelled: Graph, sval: Optional[SelectorAssign]) -> Estimand:
+def _polish_kernel(kernel: ChainKernel, g_labelled: Graph, sval: Optional[SelectorValue]) -> Estimand:
     """Attach the selector restriction to chain factors that depend on the
     selector, trimming their conditioning sets in the context graph (the
     conditional independencies that hold given the chosen value)."""
@@ -308,7 +305,7 @@ def _polish_kernel(kernel: ChainKernel, g_labelled: Graph, sval: Optional[Select
     return ChainKernel(kernel.graph, factors, None).expr()
 
 
-def _pin_selector(ctx: Graph, f: ChainFactor, sval: SelectorAssign) -> ChainFactor:
+def _pin_selector(ctx: Graph, f: ChainFactor, sval: SelectorValue) -> ChainFactor:
     """``f`` restricted to the selector value ``sval``, its conditioning set
     re-trimmed in ``ctx``, the context graph of that value, keeping the
     selector."""
@@ -339,11 +336,11 @@ def selected_g_formula(g: Graph, query: Query, support: Optional[SelectorSupport
     ystar = _ancestral_set(g, query)
     factors = []
     for v in sorted(ystar):
-        patterns = support.laidback_patterns({v})
+        required = children & query.treated & g.ancestors({v})
+        patterns = _candidate_patterns(support, frozenset({v}), required)
         if not patterns:
             return FailPositivity(frozenset({v}))
-        required = children & query.treated & g.ancestors({v})
-        pattern = _candidate_patterns(support, frozenset({v}), required)[0]
+        pattern = patterns[0]
         pa = g.parents(v)
         e: Estimand = BaseKernel("p", frozenset({v}), pa)
         asg = {w: tok for w, tok in query.treatments if w in pa}
@@ -488,7 +485,6 @@ def sequential_baseline(
     sel = g.selector
     if frozenset() not in support:
         return FailPositivity(frozenset({sel}))
-    obs_assign = SelectorAssign(frozenset(), ())
 
     # stage 1: the observational-context law of everything but the selector
     rest = g.random - {sel}
@@ -498,7 +494,7 @@ def sequential_baseline(
         kernel = joint.fix_to(dstar, _selection_fixable)
         if kernel.randoms != dstar:
             return FailHedge(dstar, kernel.randoms)
-        e = _polish_kernel(kernel, g, obs_assign)
+        e = _polish_kernel(kernel, g, OBSERVATIONAL)
         stage1.append(e)
     law = normal_form(
         stage1[0] if len(stage1) == 1 else Product(tuple(stage1))
@@ -506,7 +502,7 @@ def sequential_baseline(
 
     # stage 2: plain identification over the observational-context graph;
     # the fixed half of the selector is a constant and carries no information
-    sw = swig(context_graph(g, OBS), {sel: OBS}, OBS)
+    sw = swig(context_graph(g, OBSERVATIONAL), {sel: OBSERVATIONAL}, OBSERVATIONAL)
     g2 = sw.induced_subgraph(sw.vertices - {sel, fixed_name(sel)})
     result = identify(g2, query, base="pbar")
     if not isinstance(result, Identified):

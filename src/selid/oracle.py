@@ -45,13 +45,12 @@ from .estimand import (
     Product,
     Ratio,
     Restrict,
-    SelectorAssign,
     SumOver,
     Sym,
     Var,
     fold,
 )
-from .graph import Graph, GraphError, SelectorSupport, SelectorValue
+from .graph import OBSERVATIONAL, Graph, GraphError, SelectorSupport, SelectorValue
 from .projection import bidirected_latents, canonical_hidden_dag
 
 MAX_CELLS = 1 << 20
@@ -222,6 +221,11 @@ def selector_domain(support: SelectorSupport, child_sizes: Mapping[str, int]) ->
     return tuple(out)
 
 
+def _selector_key(s: SelectorValue) -> tuple:
+    """The entry of ``selector_domain`` that ``s`` names."""
+    return tuple(sorted(s.pattern)), tuple(v for _, v in s.values)
+
+
 # --------------------------------------------------------------------------
 # discrete context-selected SCMs
 
@@ -324,9 +328,7 @@ class DiscreteCsScm(_SelectorDomains):
                 raise OracleError(f"value {val!r} outside the domain of {v}")
         fixed = dict(a)
         if sel is not None:
-            svals = dict(s.values)
-            pattern = tuple(sorted(s.pattern))
-            fixed[sel] = (pattern, tuple(svals[c] for c in pattern))
+            fixed[sel] = _selector_key(s)
         return fixed
 
     def joint(self) -> Table:
@@ -377,7 +379,13 @@ class _Operand:
 
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
-        table over ``axes``; axes the factor lacks are broadcast."""
+        table over ``axes``; axes the factor lacks are broadcast.  Every
+        plan step gathers its inputs here, so a step over more than
+        ``MAX_CELLS`` cells raises ``OracleError`` before its index arrays
+        are built."""
+        cells = math.prod(len(domains[a]) for a in axes)
+        if cells > MAX_CELLS:
+            raise OracleError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
         idx = [self.offset]
         for a in axes:
             if a in self.place:
@@ -492,7 +500,7 @@ class _Plan:
     def restrict(self, t: _Operand, var: str, val) -> _Operand:
         if var not in t.axes:
             return t
-        if isinstance(val, SelectorAssign):
+        if isinstance(val, SelectorValue):
             axes, domains, key = _selector_rows(t, var, val)
         elif isinstance(val, (Sym, Var)):
             name = val.name if isinstance(val, Sym) else val.vertex
@@ -727,7 +735,7 @@ def _pick(t: _Operand, axes, domains: Mapping, key) -> list:
         raise OracleError("restriction misses rows of its result")
 
 
-def _selector_rows(t: _Operand, var: str, val: SelectorAssign) -> tuple:
+def _selector_rows(t: _Operand, var: str, val: SelectorValue) -> tuple:
     """``(axes, domains, key)`` of the restriction of ``t`` to the selector
     value ``val`` on axis ``var``, ``key`` as ``_pick`` takes it.
 
@@ -787,8 +795,8 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
     so the order never depends on set iteration; what is left is multiplied
     and summed down to ``out_axes``.  The output lists the kept axes in
     product order, then the free axes sorted, broadcast where no factor has
-    them.  Every product is sized before anything runs, and one over
-    ``MAX_CELLS`` raises ``OracleError``.
+    them.  A product over more than ``MAX_CELLS`` cells raises
+    ``OracleError`` while the plan is made (``_Operand.gather``).
     """
     if m.selector in free:
         raise OracleError("intervene on the selector via its own slot")
@@ -803,11 +811,6 @@ def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: fr
 
     def product(factors: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
         layout = keep + summed
-        cells = math.prod(len(domains[a]) for a in layout)
-        if cells > MAX_CELLS:
-            raise OracleError(
-                f"an intermediate factor of {cells} cells exceeds the enumeration cap"
-            )
         width = math.prod(len(domains[a]) for a in summed)
         gathers = [(f.slot, f.gather(layout, domains)) for f in factors]
         return plan.step(_SUM, gathers, width, keep, domains, given)
@@ -862,7 +865,7 @@ class _Laws:
         """p(query outcomes | do(treatments)) for every treatment value at
         once, at the observational selector value when there is one; the
         treatment axes are context axes."""
-        fixed = m._fixed_values({}, SelectorValue() if m.selector is not None else None)
+        fixed = m._fixed_values({}, OBSERVATIONAL if m.selector is not None else None)
         return self.law(m, fixed, query.treated, query.outcomes | query.treated)
 
 
@@ -1054,11 +1057,7 @@ class FunctionalCsScm(_SelectorDomains):
         if s is not None:
             if sel is None:
                 raise OracleError("selector value given for a selector-free model")
-            svals = dict(s.values)
-            fixed_vals[sel] = (
-                tuple(sorted(s.pattern)),
-                tuple(svals[c] for c in sorted(s.pattern)),
-            )
+            fixed_vals[sel] = _selector_key(s)
         order = self.graph.topological_order()
         observed = sorted(self.graph.random - self.graph.latent)
         noise_vars = sorted(self.noise)
@@ -1127,10 +1126,6 @@ def _sel_pattern_uniform(sel_dom, pattern: tuple) -> list:
     return [int(sv[0] == pattern) for sv in sel_dom]
 
 
-def _never_laidback_members(support: SelectorSupport, vertices) -> list:
-    return [v for v in sorted(vertices) if all(v in p for p in support)]
-
-
 def _witness_models(g: Graph, mech) -> tuple:
     """The models with mechanisms ``mech(0)`` and ``mech(1)`` on the
     canonical hidden DAG of ``g``, binary vertices, ``g``'s support."""
@@ -1145,7 +1140,7 @@ def positivity_witness_pair(g: Graph, query, district) -> tuple:
     outcome."""
     if g.selector is None or g.support is None:
         raise OracleError("positivity witnesses need a selector with support")
-    candidates = _never_laidback_members(g.support, district)
+    candidates = [v for v in sorted(district) if not g.support.laidback_patterns({v})]
     if not candidates:
         raise OracleError(
             "no single never-laidback vertex; construction unsupported"
@@ -1188,7 +1183,7 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
     if sel is not None and g.support is None:
         raise OracleError("selector hedges need a support")
     if sel is not None and sel in closure:
-        laid = [p for p in g.support if not (p & district)]
+        laid = g.support.laidback_patterns(district)
         if not laid:
             raise OracleError("no laidback pattern; use the positivity witness")
         laid_pattern = tuple(sorted(laid[0]))
@@ -1297,7 +1292,7 @@ def adjacent_child_witness_pair(g: Graph, query, district, closure) -> tuple:
     if not options:
         raise OracleError("the selector has no bidirected-adjacent child here")
     _, child, u_name = sorted(options)[0]
-    laid = [p for p in g.support if not (p & district)]
+    laid = g.support.laidback_patterns(district)
     serious = [p for p in g.support if child in p]
     if not laid or not serious:
         raise OracleError("support cannot express the child's two regimes")

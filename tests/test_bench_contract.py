@@ -10,6 +10,7 @@ import time
 import types
 from pathlib import Path
 
+import selid
 from selid.estimand import BaseKernel, ChainKernel, Estimand, Marginal, Product, Restrict
 from selid.fixtures import all_fixtures
 
@@ -137,3 +138,10 @@ def test_identify_reexports_the_estimand_helpers():
     identify, estimand = _module("identify"), _module("estimand")
     assert identify.normal_form is estimand.normal_form
     assert identify.trim_conditioning is estimand.trim_conditioning
+
+
+def test_selector_assign_is_the_selector_value():
+    # bench/workloads.py builds the reference restrictions through this name
+    estimand, graph = _module("estimand"), _module("graph")
+    assert estimand.SelectorAssign is graph.SelectorValue
+    assert selid.SelectorAssign is graph.SelectorValue

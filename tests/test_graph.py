@@ -231,6 +231,14 @@ class TestInvariants:
                 random=frozenset("AB"),
                 edges=frozenset([directed("A", "B"), directed("B", "A")]),
             )
+        # a source feeding a cycle: only the source has a topological place
+        with pytest.raises(GraphError, match="directed cycle"):
+            Graph(
+                random=frozenset("ABCD"),
+                edges=frozenset(
+                    [directed("D", "A"), directed("A", "B"), directed("B", "C"), directed("C", "A")]
+                ),
+            )
 
     def test_no_edge_into_fixed(self):
         with pytest.raises(GraphError):

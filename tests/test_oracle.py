@@ -526,6 +526,21 @@ class TestLawPlans:
         monkeypatch.setattr(oracle, "MAX_CELLS", 32)
         assert sum(joint(m).data.values()) == 1
 
+    def test_every_plan_step_is_capped(self, monkeypatch):
+        # inputs of 2 and 16 cells, products of 64 and 256
+        names = [f"X{i}" for i in range(8)]
+        tables = {f"p{x}": Table((x,), {x: (0, 1)}, [1, 1], denom=2) for x in names[:6]}
+        e = Product(tuple(BaseKernel(f"p{x}", frozenset({x})) for x in names[:6]))
+        left, right = (Table(axes, {x: (0, 1) for x in axes}, [1] * 16, denom=16) for axes in (names[:4], names[4:]))
+        monkeypatch.setattr(oracle, "MAX_CELLS", 20)
+        with pytest.raises(OracleError, match="intermediate factor of 64 cells exceeds the enumeration cap"):
+            eval_estimand(e, tables)
+        with pytest.raises(OracleError, match="intermediate factor of 256 cells"):
+            left.multiply(right)
+        monkeypatch.setattr(oracle, "MAX_CELLS", 256)
+        assert sum(eval_estimand(e, tables).data.values()) == 1
+        assert sum(left.multiply(right).data.values()) == 1
+
     def test_verify_compiles_each_plan_once(self, monkeypatch):
         compiled, estimands = [], []
         real_law, real_estimand = oracle._compile_law, oracle._compile_estimand

@@ -3,22 +3,39 @@
 import itertools
 import random
 import sys
-from dataclasses import replace
+import types
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selid.estimand import ChainKernel, base_joint, fix_kernel, normal_form, trim_conditioning
+from selid.estimand import (
+    BaseKernel,
+    ChainKernel,
+    Marginal,
+    Product,
+    Ratio,
+    Restrict,
+    SumOver,
+    Var,
+    base_joint,
+    fix_kernel,
+    fold,
+    normal_form,
+    trim_conditioning,
+)
 from selid.fixtures import all_fixtures
 from selid.graph import (
+    Edge,
     Graph,
     GraphError,
     NotFixableError,
+    SelectorSupport,
     SelectorValue,
     bidirected,
     directed,
 )
-from selid.identify import _selection_fixable, identify_selected, sequential_baseline
+from selid.identify import Query, _selection_fixable, identify_selected, sequential_baseline
 from selid.lsg import parse_query
 from selid.oracle import (
     eval_estimand,
@@ -27,8 +44,9 @@ from selid.oracle import (
     random_cs_scm,
     random_functional_cs_scm,
 )
-from selid.projection import canonical_hidden_dag, context_graph, swig
+from selid.projection import canonical_hidden_dag, context_graph, derive_labels, latent_project, swig
 
+from test_bench_contract import MODULES, _load, _module
 from test_random_models import random_selection_model
 
 FX = all_fixtures()
@@ -154,6 +172,36 @@ class TestGraphLayerShortcuts:
                         assert fixed.parents(w) == fresh.parents(w), (seed, v, w)
                         assert fixed.children(w) == fresh.children(w), (seed, v, w)
                         assert fixed.siblings(w) == fresh.siblings(w), (seed, v, w)
+
+    def test_no_factor_conditions_on_its_descendants(self, monkeypatch):
+        # the drop rule of ChainKernel._fix_is_clean relies on this: every
+        # conditioning set lies in a topological prefix, and fixes, context
+        # graphs and SWIG subgraphs only remove edges
+        seen = []  # one entry per factor checked
+        real_fix = ChainKernel.fix
+
+        def checked(k, v):
+            out = real_fix(k, v)
+            for w, f in (out.factors or {}).items():
+                assert not f.conditioning() & (out.graph.descendants(w) - {w}), (v, w)
+                seen.append(w)
+            return out
+
+        monkeypatch.setattr(ChainKernel, "fix", checked)
+        for seed in range(300):
+            rng = random.Random(seed * 17 + 5)
+            g = random_admg(seed)
+            members = sorted(g.random)
+            g = replace(g, selector=rng.choice(members))
+            r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            joint = ChainKernel.from_joint(g)
+            for rule in (Graph.is_fixable, _selection_fixable):
+                joint.fix_to(r, rule)
+        for case in filter(None, map(random_selection_model, range(200))):
+            _, proj, query = case
+            identify_selected(proj, query)
+            sequential_baseline(proj, query)
+        assert len(seen) > 1000
 
     def test_fix_still_checks_its_vertex(self):
         for seed in range(300):
@@ -545,3 +593,114 @@ class TestNormalFormSemantics:
         q = Query(frozenset({"Y"}), (("A1", Sym("a1")), ("A2", Sym("a2"))))
         e = identify_selected(fx.graph, q).estimand
         assert normal_form(e) is e
+
+
+# --------------------------------------------------------------------------
+# vertex renaming: a prefix keeps the name order, so every deterministic
+# choice the procedures make by name is made alike
+
+
+def _renamed(v: str) -> str:
+    return "R" + v
+
+
+def _names(vs) -> frozenset:
+    return frozenset(map(_renamed, vs))
+
+
+def _rename_graph(g: Graph) -> Graph:
+    support = None
+    if g.support is not None:
+        support = SelectorSupport(frozenset(map(_names, g.support.patterns)))
+    return Graph(
+        random=_names(g.random),
+        fixed=_names(g.fixed),
+        latent=_names(g.latent),
+        edges=frozenset(Edge(e.kind, _renamed(e.tail), _renamed(e.head), _names(e.label)) for e in g.edges),
+        selector=None if g.selector is None else _renamed(g.selector),
+        support=support,
+    )
+
+
+def _rename_value(v):
+    if isinstance(v, Var):
+        return Var(_renamed(v.vertex))
+    if isinstance(v, SelectorValue):
+        return SelectorValue(_names(v.pattern), tuple((_renamed(c), _rename_value(t)) for c, t in v.values))
+    return v  # Sym and Lo name no vertex
+
+
+def _rename_estimand(e):
+    def visit(x, parts):
+        if isinstance(x, BaseKernel):
+            return BaseKernel(x.name, _names(x.outcome), _names(x.context))
+        if isinstance(x, (Marginal, SumOver)):
+            return type(x)(parts[0], _names(x.over))
+        if isinstance(x, Ratio):
+            return Ratio(*parts)
+        if isinstance(x, Product):
+            return Product(tuple(parts))
+        assert isinstance(x, Restrict)
+        return Restrict(parts[0], tuple((_renamed(k), _rename_value(v)) for k, v in x.assignment))
+
+    return fold(e, visit)
+
+
+def _interned(e, table: dict) -> int:
+    """A number that estimands interned in one ``table`` share exactly when
+    they are equal.  Each distinct node is visited once, where ``==`` walks
+    a shared subtree once per reference."""
+
+    def visit(x, parts):
+        own = tuple(getattr(x, f.name) for f in fields(x) if f.name not in ("child", "num", "den", "children"))
+        return table.setdefault((type(x), own, tuple(parts)), len(table))
+
+    return fold(e, visit)
+
+
+def _rename_verdict(r):
+    """``r`` with every vertex it names renamed: the estimand, or the
+    failure's district, closure and tried patterns."""
+    changes = {}
+    for f in fields(r):
+        x = getattr(r, f.name)
+        if f.name == "estimand":
+            changes[f.name] = _rename_estimand(x)
+        elif f.name in ("district", "closure"):
+            changes[f.name] = _names(x)
+        elif f.name == "tried":  # sorted support patterns
+            changes[f.name] = tuple(tuple(map(_renamed, p)) for p in x)
+    return replace(r, **changes)
+
+
+def _renaming_cases():
+    """(hidden-variable DAG, observed vertices, query): the identify_sweep
+    catalogue of the benchmark and the 200 small-model seeds."""
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    for n in workloads.SWEEP_SIZES:
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+            yield workloads.sweep_case(S, n, seed)
+    for case in filter(None, map(random_selection_model, range(200))):
+        dag, proj, query = case
+        yield dag, proj.vertices, query
+
+
+def test_vertex_renaming_commutes_with_identification():
+    cases = 0
+    for dag, obs, query in _renaming_cases():
+        proj = latent_project(derive_labels(dag), obs)
+        renamed = latent_project(derive_labels(_rename_graph(dag)), _names(obs))
+        assert renamed == _rename_graph(proj)
+        rquery = Query(_names(query.outcomes), tuple((_renamed(v), tok) for v, tok in query.treatments))
+        for procedure in (identify_selected, sequential_baseline):
+            got, want = procedure(renamed, rquery), _rename_verdict(procedure(proj, query))
+            why = (procedure.__name__, sorted(obs), query)
+            if want.kind == "identified":
+                table = {}
+                assert got.kind == want.kind, why
+                assert _interned(got.estimand, table) == _interned(want.estimand, table), why
+            else:
+                assert got == want, why
+        cases += 1
+    assert cases == 32 + 200
