@@ -80,9 +80,27 @@ def _cached(fn):
 class Estimand:
     """Base class; all nodes are frozen dataclasses, compared structurally.
 
-    Scope sets and sort keys are cached per node (see ``_cached``); every
-    other walk is a ``fold``.
+    Scope sets and sort keys are cached per node (see ``_cached``), and so
+    is the hash; ``==`` compares each pair of nodes once.  Every other walk
+    is a ``fold``.
     """
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other, set())
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((type(self), self._own(), tuple(map(hash, self.parts()))))
+        return h
+
+    def _own(self) -> tuple:
+        """The node's fields other than the nodes it is built from."""
+        return ()
 
     @_cached
     def free_vars(self) -> frozenset:
@@ -101,7 +119,26 @@ class Estimand:
         return (self.child,)
 
 
-@dataclass(frozen=True)
+def _equal(a: Estimand, b: Estimand, same: set) -> bool:
+    """Structural equality of ``a`` and ``b``; ``same`` holds the ``id``
+    pairs already found equal, so a subtree shared in both is compared once
+    however often it is reached."""
+    if a is b or (id(a), id(b)) in same:
+        return True
+    if type(a) is not type(b) or hash(a) != hash(b) or a._own() != b._own():
+        return False
+    pa, pb = a.parts(), b.parts()
+    if len(pa) != len(pb):
+        return False
+    for x, y in zip(pa, pb):
+        if not _equal(x, y, same):
+            return False
+    if pa:  # a leaf is compared in one step: no need to remember it
+        same.add((id(a), id(b)))
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class BaseKernel(Estimand):
     name: str
     outcome: frozenset
@@ -124,14 +161,20 @@ class BaseKernel(Estimand):
     def parts(self):
         return ()
 
+    def _own(self):
+        return (self.name, self.outcome, self.context)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Marginal(Estimand):
     child: Estimand
     over: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "over", frozenset(self.over))
+
+    def _own(self):
+        return (self.over,)
 
     @_cached
     def outcomes(self):
@@ -142,13 +185,16 @@ class Marginal(Estimand):
         return self.child.contexts()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumOver(Estimand):
     child: Estimand
     over: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "over", frozenset(self.over))
+
+    def _own(self):
+        return (self.over,)
 
     @_cached
     def outcomes(self):
@@ -159,7 +205,7 @@ class SumOver(Estimand):
         return self.child.contexts() - self.over
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ratio(Estimand):
     num: Estimand
     den: Estimand
@@ -178,7 +224,7 @@ class Ratio(Estimand):
         return (self.num, self.den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(Estimand):
     children: tuple
 
@@ -203,7 +249,7 @@ class Product(Estimand):
         return self.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Restrict(Estimand):
     child: Estimand
     assignment: tuple  # sorted tuple of (variable, Value) pairs
@@ -213,6 +259,9 @@ class Restrict(Estimand):
         object.__setattr__(
             self, "assignment", tuple(sorted(asg.items(), key=lambda kv: kv[0]))
         )
+
+    def _own(self):
+        return (self.assignment,)
 
     @property
     def asg(self) -> dict:

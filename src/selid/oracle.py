@@ -1,7 +1,7 @@
 """Exact ground-truth engine: discrete selector SCMs with rational tables.
 
 Everything here is exact: probabilities are integers over denominators,
-laws are enumerated (with variable elimination over latents), and every
+laws are enumerated by variable elimination over a model's CPTs, and every
 comparison is equality of rationals, never a tolerance.  The module
 supplies random model generation, observational/interventional laws,
 estimand evaluation, agreement witnesses for non-identification verdicts,
@@ -14,20 +14,24 @@ One table layout, one step runner:
   ``Fraction`` per row over 1 once a table has been divided.
 * **Plans** (``_Plan``) are steps worked out once per shape and replayed:
   each gathers its inputs by index arrays, multiplies or divides them cell
-  by cell, and reduces groups of ``width`` cells.  A law plan
-  (``_compile_law``) is variable elimination over a model's CPTs, which
-  are ``Table``s in the plan's layout from the moment they are drawn;
-  an estimand plan (``_compile_estimand``) runs on the laws it makes.
-  ``verify`` compiles each once per call and replays them on every trial;
-  each ``Table`` operation is a plan run once.
+  by cell, and reduces groups of ``width`` cells.  ``_compile_law`` is the
+  one variable-elimination routine: it appends the steps of a margin of a
+  law, over the factors of the margin's ancestral set, reading a model's
+  CPTs, which are ``Table``s in the plan's layout from the moment they are
+  drawn.  An estimand plan (``_compile_estimand``) runs on the laws it
+  makes: each kernel margin is eliminated from the CPTs or summed from a
+  larger margin, and no joint table is built.  Given ``Table``s instead,
+  it sums their margins.  ``verify`` compiles each plan once per call and
+  replays it on every trial; each ``Table`` operation is a plan run once.
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator, or from a divide onward over one denominator per
-  row, so a divide of two margins of one law is free; a result over
-  per-row denominators is divided once per row, into ``Fraction``s.
+  row, so a divide of two margins summed from one table is free; a result
+  over per-row denominators is divided once per row, into ``Fraction``s.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -35,7 +39,7 @@ import random as _random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .estimand import (
     BaseKernel,
@@ -339,8 +343,7 @@ class DiscreteCsScm(_SelectorDomains):
     def interventional(self, a: Mapping, s: Optional[SelectorValue] = None) -> Table:
         """Truncated factorization: intervened factors (and the selector's)
         are dropped and their values substituted; latents summed out."""
-        fixed = self._fixed_values(a, s)
-        return _Laws().law(self, fixed, frozenset(), self.observed() - frozenset(fixed))
+        return _Laws().law(_Law(self, self._fixed_values(a, s)))
 
 
 # --------------------------------------------------------------------------
@@ -425,21 +428,31 @@ class _Plan:
     ``operands`` are those shaped like ``tables``; each step appends its
     result as the next slot and is never changed once made, and ``out`` is
     the result.
-    Operations return ``_Operand``s; margins of an input are planned once
-    per axis set, each summed from the smallest margin already planned.
+    Operations return ``_Operand``s; margins of a source, an input operand
+    or a ``_Law``, are planned once per axis set (``margin``), and a step
+    equal to one already planned is not planned again (``step``).
     """
 
     def __init__(self, inputs, tables=()):
         self.inputs = list(inputs)
         self.operands = [_Operand(i, t.axes, t.domains, given=t.given) for i, t in enumerate(tables)]
         self.steps = []
-        self.margins: dict = {}  # input slot -> {axis set: margin}
+        self.margins: dict = {}  # source -> {axis set: margin}
+        self.made: dict = {}  # step key -> its slot
         self.out = None
 
     def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()) -> _Operand:
-        cells = width * math.prod(len(domains[a]) for a in axes)
-        self.steps.append(_Step(op, [(s, array("l", idx)) for s, idx in inputs], width, cells, drop))
-        return _Operand(len(self.inputs) + len(self.steps) - 1, axes, domains, given=given)
+        """The table a new step makes, or the slot of an equal step already
+        planned: one with the same op, width and gathers makes the same
+        rows (two margins eliminated from one law share products)."""
+        gathers = [(s, array("l", idx)) for s, idx in inputs]
+        key = (op, width, tuple(drop), tuple((s, idx.tobytes()) for s, idx in gathers))
+        slot = self.made.get(key)
+        if slot is None:
+            cells = width * math.prod(len(domains[a]) for a in axes)
+            self.steps.append(_Step(op, gathers, width, cells, drop))
+            slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
+        return _Operand(slot, axes, domains, given=given)
 
     def view(self, t: _Operand, rows, width, axes, domains, given) -> _Operand:
         """The table over ``axes`` whose row r sums rows
@@ -467,12 +480,20 @@ class _Plan:
             return self.step(_SAME, [(t.slot, rows)], width, keep, domains, t.given - drop, sorted(drop))
         return self.view(t, rows, width, keep, domains, t.given - drop)
 
-    def margin(self, t: _Operand, axes: frozenset) -> _Operand:
-        kept = self.margins.setdefault(t.slot, {frozenset(t.axes): t})
+    def margin(self, t, axes: frozenset) -> _Operand:
+        """The margin of ``t`` over ``axes``, summed from the smallest margin
+        of ``t`` already planned; the margin of a ``_Law`` is eliminated from
+        its CPTs instead (``_compile_law``) where no planned margin holds it
+        or where that plans fewer cells."""
+        kept = self.margins.setdefault(t, {} if isinstance(t, _Law) else {frozenset(t.axes): t})
         m = kept.get(axes)
         if m is None:
-            src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells)
-            m = kept[axes] = self.sum_out(src, frozenset(src.axes) - axes)
+            src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells, default=None)
+            if src is None or isinstance(t, _Law) and _elimination_cells(t, axes) < src.cells:
+                m = _compile_law(t, axes, self)
+            else:
+                m = self.sum_out(src, frozenset(src.axes) - axes)
+            kept[axes] = m
         return m
 
     def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
@@ -485,11 +506,14 @@ class _Plan:
         inputs = [(num.slot, range(num.cells)), (den.slot, idx)]
         return self.step(_DIV, inputs, 1, num.axes, dict(num.domains), given)
 
-    def conditional(self, t: _Operand, outcome: frozenset, context: frozenset) -> _Operand:
+    def conditional(self, t, outcome: frozenset, context: frozenset) -> _Operand:
         missing = t.given - context
         keep, rest = _kernel_axes(t, outcome, context)
-        out = self.divide(self.margin(t, keep), self.margin(t, rest), context | missing)
-        return self.sum_out(out, missing, _SAME)
+        num = self.margin(t, keep)
+        # margins of a law carry denominators of their own: its rest is
+        # summed from the kernel's own keep, so that the divide is free
+        den = self.margin(num if isinstance(t, _Law) else t, rest)
+        return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
 
     def select(self, t: _Operand, fixed: Mapping) -> _Operand:
         axes = [a for a in t.axes if a not in fixed]
@@ -785,52 +809,145 @@ def _selector_rows(t: _Operand, var: str, val: SelectorValue) -> tuple:
     return axes, domains, key
 
 
-def _compile_law(m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> _Plan:
-    """The plan of the law of ``m`` over ``out_axes`` with the factors of
-    ``fixed`` and ``free`` vertices dropped: ``fixed`` axes are held at their
-    values, ``free`` axes stay as context (``given``) axes of the result.
-    Its inputs are the vertices whose CPTs it multiplies.
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """A law of ``m`` as a kernel source: the observed vertices with the
+    factors of ``fixed`` and ``free`` vertices dropped, ``fixed`` vertices
+    held at their values and ``free`` ones kept as context axes.  A plan
+    reads it margin by margin (``_compile_law``), never whole."""
 
-    Latents are eliminated smallest product first, ties to the first name,
-    so the order never depends on set iteration; what is left is multiplied
-    and summed down to ``out_axes``.  The output lists the kept axes in
-    product order, then the free axes sorted, broadcast where no factor has
-    them.  A product over more than ``MAX_CELLS`` cells raises
-    ``OracleError`` while the plan is made (``_Operand.gather``).
-    """
-    if m.selector in free:
-        raise OracleError("intervene on the selector via its own slot")
-    if m._cells(m.observed()) > MAX_CELLS:
-        raise OracleError("observed state space exceeds the enumeration cap")
-    vertices = [v for v in m.graph.topological_order() if v not in fixed and v not in free]
-    plan = _Plan(vertices)
-    ops = []
-    for slot, v in enumerate(vertices):
-        t = m.cpts[v]
-        ops.append(_Operand(slot, t.axes, t.domains, fixed))
+    m: DiscreteCsScm
+    fixed: Mapping
+    free: frozenset = frozenset()
+    schedules: dict = field(default_factory=dict, repr=False)  # out axes -> its _elimination
 
-    def product(factors: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
-        layout = keep + summed
-        width = math.prod(len(domains[a]) for a in summed)
-        gathers = [(f.slot, f.gather(layout, domains)) for f in factors]
-        return plan.step(_SUM, gathers, width, keep, domains, given)
+    @property
+    def axes(self) -> frozenset:
+        return self.m.observed() - frozenset(self.fixed)
 
-    left = sorted(m.graph.latent - frozenset(fixed) - free)
+    @property
+    def given(self) -> frozenset:
+        return self.free
+
+    @functools.cached_property
+    def factors(self) -> dict:
+        """Each vertex whose factor the law keeps -> its CPT as an operand of
+        a plan whose inputs are the CPTs of ``m``, in their order, with the
+        fixed values held."""
+        cut = frozenset(self.fixed) | self.free
+        return {
+            v: _Operand(slot, t.axes, t.domains, self.fixed)
+            for slot, (v, t) in enumerate(self.m.cpts.items())
+            if v not in cut
+        }
+
+
+def _dataset_law(m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> _Law:
+    """p(V - Z | do(Z)) for every value of Z at once: the factors of Z are
+    dropped and its axes kept as context axes; the joint when Z is empty."""
+    if not z:
+        return _Law(m, {})
+    return _Law(m, m._fixed_values({}, s), frozenset(z))
+
+
+class _Shape(NamedTuple):
+    """The axes, domains and cells of a product ``_elimination`` plans."""
+
+    axes: list
+    domains: dict
+    cells: int
+
+
+def _elimination(law: _Law, out_axes: frozenset) -> tuple:
+    """``(ops, products)``: variable elimination for the margin of ``law``
+    over ``out_axes`` (its free axes included), worked out on shapes alone,
+    once per law and axis set.
+
+    Only the factors of vertices that ``out_axes`` descend from along kept
+    factors are read: any other factor is barren, and sums to its own
+    denominator.  ``ops`` are those factors (``law.factors``), in the
+    order of the model's CPTs, which is topological.  Every vertex of
+    theirs outside ``out_axes`` is eliminated, smallest product first,
+    ties to the first name, so the order never depends on set iteration;
+    the last product multiplies what is left, and sums the last vertex
+    itself when every factor left holds it.
+
+    Each product is ``(positions, keep, summed, domains, given)``: its
+    factors are at ``positions`` in ``ops`` followed by the products
+    before it, and its result is summed over ``summed`` and kept over
+    ``keep``, the kept axes in product order, then (in the last product)
+    the free axes sorted, broadcast where no factor has them."""
+    done = law.schedules.get(out_axes)
+    if done is not None:
+        return done
+    m, free, factors = law.m, law.free, law.factors
+    kept, todo = set(), [v for v in out_axes if v in factors]
+    while todo:
+        v = todo.pop()
+        if v not in kept:
+            kept.add(v)
+            todo.extend(p for p in m.cpts[v].axes[:-1] if p in factors)
+    ops = [op for v, op in factors.items() if v in kept]
+    live = list(range(len(ops)))  # positions of the factors not yet multiplied
+    shapes = list(ops)  # the shape at every position
+    products = []
+
+    def product(positions: list, keep: list, summed: list, domains: Mapping, given=frozenset()):
+        products.append((positions, keep, summed, domains, given))
+        kept_domains = {a: domains[a] for a in keep}
+        shapes.append(_Shape(keep, kept_domains, math.prod(map(len, kept_domains.values()))))
+        live.append(len(shapes) - 1)
+
+    left = sorted(kept - out_axes)
     while left:
-        h = min(left, key=lambda v: _product_cells(op for op in ops if v in op.axes))
-        left.remove(h)
+        h = min(left, key=lambda v: _product_cells(shapes[i] for i in live if v in shapes[i].axes))
         # smallest first: this order fixes the axis order of the product
-        touching = sorted((op for op in ops if h in op.axes), key=lambda op: op.cells)
-        ops = [op for op in ops if h not in op.axes]
-        if touching:
-            axes, domains = _joined(touching)
-            ops.append(product(touching, [a for a in axes if a != h], [h], domains))
-    ops.sort(key=lambda op: op.cells)
-    axes, domains = _joined(ops) if ops else ([], {})
+        touching = sorted((i for i in live if h in shapes[i].axes), key=lambda i: shapes[i].cells)
+        if len(left) == 1 and len(touching) == len(live):
+            break  # the last product sums h itself
+        left.remove(h)
+        live[:] = [i for i in live if h not in shapes[i].axes]
+        axes, domains = _joined([shapes[i] for i in touching])
+        product(touching, [a for a in axes if a != h], [h], domains)
+    live.sort(key=lambda i: shapes[i].cells)
+    axes, domains = _joined([shapes[i] for i in live]) if live else ([], {})
     keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
     for v in free:
         domains.setdefault(v, m.domain(v))
-    return plan.finish(product(ops, keep, [a for a in axes if a not in keep], domains, free))
+    product(list(live), keep, [a for a in axes if a not in keep], domains, free)
+    done = law.schedules[out_axes] = (ops, products)
+    return done
+
+
+def _elimination_cells(law: _Law, out_axes: frozenset) -> int:
+    """The cells the steps ``_compile_law`` plans for this margin gather."""
+    _, products = _elimination(law, out_axes)
+    return sum(math.prod(len(domains[a]) for a in keep + summed) for _, keep, summed, domains, _ in products)
+
+
+def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
+    """Append to ``plan`` the steps of the margin of ``law`` over
+    ``out_axes``, which lists the law's free axes too, and return it: the
+    single variable-elimination routine (``_elimination``) of the oracle.
+    The inputs of ``plan`` are the CPTs of ``law.m``, in their order.
+
+    The margin holds the product of the denominators of the CPTs it reads.
+    A product over more than ``MAX_CELLS`` cells raises ``OracleError``
+    while the plan is made (``_Operand.gather``).
+    """
+    m = law.m
+    if m.selector in law.free:
+        raise OracleError("intervene on the selector via its own slot")
+    if m._cells(m.observed()) > MAX_CELLS:
+        raise OracleError("observed state space exceeds the enumeration cap")
+    ops, products = _elimination(law, out_axes)
+    ops = list(ops)
+    for positions, keep, summed, domains, given in products:
+        layout = keep + summed
+        width = math.prod(len(domains[a]) for a in summed)
+        gathers = [(ops[i].slot, ops[i].gather(layout, domains)) for i in positions]
+        ops.append(plan.step(_SUM, gathers, width, keep, domains, given))
+    return ops[-1]
 
 
 class _Laws:
@@ -843,30 +960,25 @@ class _Laws:
     def __init__(self):
         self._plans: dict = {}
 
-    def law(self, m: DiscreteCsScm, fixed: Mapping, free: frozenset, out_axes: frozenset) -> Table:
-        key = (tuple(sorted(fixed.items())), free, out_axes)
+    def law(self, law: _Law, out_axes: Optional[frozenset] = None) -> Table:
+        """The margin of ``law`` over ``out_axes``, by default all of it."""
+        out_axes = law.axes if out_axes is None else out_axes
+        key = (tuple(sorted(law.fixed.items())), law.free, out_axes)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _compile_law(m, fixed, free, out_axes)
-        return plan.run([m.cpts[v] for v in plan.inputs])
+            plan = _Plan(law.m.cpts)
+            plan = self._plans[key] = plan.finish(_compile_law(law, out_axes, plan))
+        return plan.run([law.m.cpts[v] for v in plan.inputs])
 
     def joint(self, m: DiscreteCsScm) -> Table:
-        return self.law(m, {}, frozenset(), m.observed())
-
-    def dataset(self, m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> Table:
-        """p(V - Z | do(Z)) for every value of Z at once: the factors of Z
-        are dropped and its axes kept, last, as context axes."""
-        if not z:
-            return self.joint(m)
-        fixed = m._fixed_values({}, s)
-        return self.law(m, fixed, frozenset(z), m.observed() - frozenset(fixed))
+        return self.law(_Law(m, {}))
 
     def query(self, m: DiscreteCsScm, query) -> Table:
         """p(query outcomes | do(treatments)) for every treatment value at
         once, at the observational selector value when there is one; the
         treatment axes are context axes."""
         fixed = m._fixed_values({}, OBSERVATIONAL if m.selector is not None else None)
-        return self.law(m, fixed, query.treated, query.outcomes | query.treated)
+        return self.law(_Law(m, fixed, query.treated), query.outcomes | query.treated)
 
 
 # --------------------------------------------------------------------------
@@ -874,7 +986,18 @@ class _Laws:
 
 
 def _weights(rng: _random.Random, n: int) -> list:
-    return [rng.randint(1, 16) for _ in range(n)]
+    """``n`` draws of ``rng.randint(1, 16)``.  That call is ``1 +
+    rng._randbelow(16)``, which draws ``getrandbits(16 .bit_length())``, 5
+    bits, until the value is below 16: this loop draws the same stream,
+    without the two calls in between per weight."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = getrandbits(5)
+        while r >= 16:
+            r = getrandbits(5)
+        out.append(1 + r)
+    return out
 
 
 def _point(n: int, value) -> list:
@@ -979,19 +1102,31 @@ def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
     return plan.run([tables[n] for n in plan.inputs])
 
 
-def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
-    """The plan of ``e`` on tables shaped like ``tables``, its inputs named
-    by their keys; each distinct node of ``e`` is planned once.
+def _compile_estimand(e: Estimand, sources: Mapping) -> _Plan:
+    """The plan of ``e`` with each kernel name read from ``sources``; each
+    distinct node of ``e`` is planned once.
 
-    A ``BaseKernel`` divides two margins of its table; the margins every
-    kernel divides are planned first, largest axis set first, so each is
-    summed from the smallest margin of the same table already planned.
-    Every node appends the steps that make it, after those of its children,
-    and rewrites none of them: a ``Restrict`` picks its rows in a step of its
-    own, so a node that several parents read gives each of them the same
-    rows."""
-    plan = _Plan(tables, tables.values())
-    inputs = dict(zip(plan.inputs, plan.operands))
+    ``sources`` map every kernel name to a ``Table``, or every one to a
+    ``_Law`` of one model.  The plan's inputs are then the tables, named by
+    their keys, or the model's CPTs, named by their vertices: an estimand
+    plan runs on the laws it makes, and no joint table is built.
+
+    A ``BaseKernel`` divides two margins of its source, ``keep`` by
+    ``rest``.  The ``keep`` margins, and a table's ``rest`` margins, are
+    planned first, largest axis set first, each summed from the smallest
+    margin of the same source already planned or, for a law, eliminated from
+    the CPTs where that plans fewer cells (``_Plan.margin``); a law's
+    ``rest`` is summed from the kernel's own ``keep``.  Every node appends
+    the steps that make it, after those of its children, and rewrites none
+    of them: a ``Restrict`` picks its rows in a step of its own, so a node
+    that several parents read gives each of them the same rows."""
+    laws = [s for s in sources.values() if isinstance(s, _Law)]
+    if laws:
+        plan = _Plan(laws[0].m.cpts)
+        inputs = dict(sources)
+    else:
+        plan = _Plan(sources, sources.values())
+        inputs = dict(zip(plan.inputs, plan.operands))
     kernels = set()
 
     def scan(x: Estimand, _parts: list):
@@ -999,18 +1134,20 @@ def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
             kernels.add(x)
 
     fold(e, scan)
-    wanted = {
-        (k.name, axes)
-        for k in kernels
-        if k.name in tables
-        for axes in _kernel_axes(tables[k.name], k.outcome, k.context)
-    }
+    wanted = set()
+    for k in kernels:
+        if k.name in inputs:
+            src = inputs[k.name]
+            keep, rest = _kernel_axes(src, k.outcome, k.context)
+            wanted.add((k.name, keep))
+            if not isinstance(src, _Law):
+                wanted.add((k.name, rest))
     for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
         plan.margin(inputs[name], axes)
 
     def node(x: Estimand, parts: list) -> _Operand:
         if isinstance(x, BaseKernel):
-            if x.name not in tables:
+            if x.name not in inputs:
                 raise OracleError(f"no table for kernel {x.name!r}")
             t = plan.conditional(inputs[x.name], x.outcome, x.context)
         elif isinstance(x, (Marginal, SumOver)):
@@ -1369,7 +1506,7 @@ def parity_witness(g: Graph, query, failure) -> tuple:
 def dataset_table(m: DiscreteCsScm, z: Iterable[str], s: Optional[SelectorValue] = None) -> Table:
     """The conditional table p(V - Z | do(Z)) stacked over all values of Z,
     with the Z axes last in sorted order."""
-    return _Laws().dataset(m, z, s)
+    return _Laws().law(_dataset_law(m, z, s))
 
 
 @dataclass
@@ -1449,6 +1586,14 @@ def verify(
     Identified results must match the interventional law exactly on every
     random model; hedge and positivity failures must ship a valid agreement
     pair; thicket and unknown failures are reported unverified by design.
+
+    An identified estimand is planned once, on the laws of the first
+    trial's model: ``p`` is its observational law and each of ``datasets``,
+    ``(name, intervened vertices)``, the law with those vertices' factors
+    dropped.  Each kernel margin is eliminated from the CPTs over its
+    ancestral set, or summed from a margin already planned, so no trial
+    builds the observed joint; every trial replays that plan and the ground
+    truth's law plan on its own model's CPTs.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
@@ -1467,14 +1612,14 @@ def verify(
         failures = []
         for t in range(trials):
             m = random_cs_scm(dag, support, seed=seed + t, domain_size=domain_size)
-            tables = {"p": laws.joint(m)}
-            for name, z in datasets or ():
-                tables[name] = laws.dataset(m, z, None)
             truth = laws.query(m, query)
             if t == 0:
-                plan = _compile_estimand(result.estimand, tables)
+                sources = {"p": _Law(m, {})}
+                for name, z in datasets or ():
+                    sources[name] = _dataset_law(m, z, None)
+                plan = _compile_estimand(result.estimand, sources)
                 want, check = _comparison(plan.out, truth, query)
-            est = plan.run([tables[n] for n in plan.inputs])
+            est = plan.run([m.cpts[v] for v in plan.inputs])
             try:  # leftover context axes must be provably irrelevant
                 got = check.run([est])
             except OracleError:

@@ -11,9 +11,10 @@ import pytest
 
 from selid import oracle
 from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var
-from selid.fixtures import all_fixtures
+from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorValue, directed
-from selid.identify import Query, identify, identify_selected
+from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
+from selid.lsg import parse_query
 from selid.oracle import (
     OracleError,
     Table,
@@ -59,6 +60,13 @@ class TestModelGeneration:
         assert cpt_tables(a) == cpt_tables(b)
         c = random_cs_scm(fx.dag, fx.dag.support, seed=43)
         assert cpt_tables(a) != cpt_tables(c)
+
+    def test_weights_draw_the_randint_stream(self):
+        for seed in range(100):
+            a, b = random.Random(seed), random.Random(seed)
+            for n in (1, 2, 3, 8):
+                assert oracle._weights(a, n) == [b.randint(1, 16) for _ in range(n)]
+            assert a.random() == b.random()
 
     @pytest.mark.parametrize("name, seed", [("double_bow", 42), ("selection_web", 5)])
     def test_drawn_models_are_pinned(self, name, seed):
@@ -565,8 +573,9 @@ class TestLawPlans:
             rep = verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag)
             assert rep.passed and rep.trials == trials
             counts.append((len(compiled), len(estimands)))
-        # the joint and the stacked ground truth; the estimand once
-        assert counts == [(2, 1), (2, 1)]
+        # the stacked ground truth and the five kernel margins eliminated
+        # from the CPTs (no joint); the estimand once
+        assert counts == [(6, 1), (6, 1)]
 
     def test_memoized_kernels_equal_direct_conditionals(self, monkeypatch):
         fx = FX["selection_web"]
@@ -599,7 +608,7 @@ class TestLawPlans:
 
         # each distinct margin is summed once, some from a smaller margin
         # than the table, and every kernel divides two of them
-        margins = plan.margins[0]
+        margins = plan.margins[plan.operands[0]]
         slots = {m.slot for m in margins.values()}
         sums = [
             s for s in plan.steps
@@ -612,13 +621,7 @@ class TestLawPlans:
 
         restricted = 0
         for outcome, context, shape, restrictions in kernels.values():
-            # the plan's steps up to the one that made the shape's slot
-            sub = oracle._Plan(plan.inputs)
-            sub.steps = [copy.copy(s) for s in plan.steps[: shape.slot - len(plan.inputs) + 1]]
-            for s in sub.steps:
-                s.release = []
-            sub.out = shape
-            got = sub.run([t])
+            got = _run_to(plan, shape, [t])
             want = Table(t.axes, t.domains, dict(t.data)).conditional(outcome, context)
             for var, val in restrictions:
                 want = oracle._once([want], lambda p, a: p.restrict(a, var, val))
@@ -626,10 +629,93 @@ class TestLawPlans:
             restricted += any(isinstance(val, SelectorAssign) for _, val in restrictions)
         assert restricted >= 1
 
+    def test_law_margins_equal_margins_of_the_joint(self):
+        # every margin a kernel of an estimand divides, planned from the
+        # CPTs as verify plans it, against the same margin of the law's table
+        from test_random_models import random_selection_model
+
+        cases = []  # (estimand, model, {kernel name: intervened vertices})
+        for name, fx in FX.items():
+            g = fx.graph
+            query = parse_query(fx.query, g.selector)[0]
+            r = (identify_selected if g.selector is not None else identify)(g, query)
+            if r.kind == "identified":
+                dag = fx.dag or (canonical_hidden_dag(g) if any(e.kind == "bidirected" for e in g.edges) else g)
+                cases.append((r.estimand, random_cs_scm(dag, g.support, seed=1), {"p": frozenset()}))
+        model, experimental = compliance_pair()
+        specs = [DatasetSpec("p1", frozenset(), model.graph), DatasetSpec("p2", frozenset({"M"}), experimental)]
+        r = identify_fused(model.graph, specs, q("Y", A="a"))
+        cases.append((r.estimand, random_cs_scm(model.dag, seed=1), {"p1": frozenset(), "p2": frozenset({"M"})}))
+        for seed in range(200):
+            case = random_selection_model(seed)
+            if case is not None:
+                dag, proj, query = case
+                for procedure in (identify_selected, sequential_baseline):
+                    r = procedure(proj, query)
+                    if r.kind == "identified":
+                        cases.append((r.estimand, random_cs_scm(dag, dag.support, seed=seed), {"p": frozenset()}))
+        checked = eliminated = 0
+        for e, m, datasets in cases:
+            sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
+            plan = oracle._compile_estimand(e, sources)
+            cpts = [m.cpts[v] for v in plan.inputs]
+            for name, law in sources.items():
+                table = dataset_table(m, datasets[name])
+                for keep in plan.margins[law].values():
+                    # the kernel's rest margins are summed from its keep
+                    for margin in plan.margins.get(keep, {keep.axes: keep}).values():
+                        want = table.sum_out(frozenset(table.axes) - frozenset(margin.axes))
+                        assert _run_to(plan, margin, cpts).equals(want), (e, sorted(margin.axes))
+                        checked += 1
+            eliminated += sum(s.op is oracle._SUM and len(s.inputs) > 1 for s in plan.steps)
+        assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated
+
+    def test_equal_steps_are_planned_once(self):
+        t = Table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [1, 2, 3, 4], denom=10)
+        plan = oracle._Plan(["t"], [t])
+        a = plan.sum_out(plan.operands[0], {"B"})
+        b = plan.sum_out(plan.operands[0], {"B"})
+        c = plan.sum_out(plan.operands[0], {"A"})
+        assert a.slot == b.slot != c.slot and len(plan.steps) == 2
+        assert plan.finish(b).run([t]).equals(t.sum_out({"B"}))
+
+    def test_verify_builds_no_joint(self, monkeypatch):
+        fx = FX["selection_web"]
+        query = q("Y", A1="a1", A2="a2")
+        r = identify_selected(fx.graph, query)
+        observed = fx.dag.random - fx.dag.latent
+        assert random_cs_scm(fx.dag, fx.dag.support)._cells(observed) == 2304  # the joint's
+
+        def no_joint(*args):
+            raise AssertionError("verify built the joint")
+
+        kept = []
+        real_step = oracle._Plan.step
+
+        def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()):
+            kept.append((frozenset(axes), width * math.prod(len(domains[a]) for a in axes)))
+            return real_step(self, op, inputs, width, axes, domains, given, drop)
+
+        monkeypatch.setattr(oracle.DiscreteCsScm, "joint", no_joint)
+        monkeypatch.setattr(oracle._Laws, "joint", no_joint)
+        monkeypatch.setattr(oracle._Plan, "step", step)
+        assert verify(fx.graph, query, fx.graph.support, r, trials=3, seed=1, dag=fx.dag).passed
+        assert kept and all(not observed <= axes and cells < 2304 for axes, cells in kept)
+
     def test_shared_token_binds_one_value(self):
         query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))
         bindings = list(oracle._token_bindings(query, {"A1": 2, "A2": 2}))
         assert bindings == [({"A1": 0, "A2": 0}, {"a": 0}), ({"A1": 1, "A2": 1}, {"a": 1})]
+
+
+def _run_to(plan, out, tables) -> Table:
+    """The table ``plan`` makes in the slot of ``out``, run on ``tables``."""
+    sub = oracle._Plan(plan.inputs)
+    sub.steps = [copy.copy(s) for s in plan.steps[: out.slot - len(plan.inputs) + 1]]
+    for s in sub.steps:
+        s.release = []
+    sub.out = out
+    return sub.run(tables)
 
 
 # --------------------------------------------------------------------------
