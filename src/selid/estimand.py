@@ -293,7 +293,10 @@ def fold(e: Estimand, visit):
             out = done[id(x)] = visit(x, [go(p) for p in x.parts()])
         return out
 
-    return go(e)
+    try:
+        return go(e)
+    finally:
+        del go  # ``go`` holds itself through its closure: free ``done`` now
 
 
 # --------------------------------------------------------------------------

@@ -19,10 +19,11 @@ One table layout, one step runner:
   law, over the factors of the margin's ancestral set, reading a model's
   CPTs, which are ``Table``s in the plan's layout from the moment they are
   drawn.  An estimand plan (``_compile_estimand``) runs on the laws it
-  makes: each kernel margin is eliminated from the CPTs or summed from a
-  larger margin, and no joint table is built.  Given ``Table``s instead,
-  it sums their margins.  ``verify`` compiles each plan once per call and
-  replays it on every trial; each ``Table`` operation is a plan run once.
+  makes: each kernel's ``keep`` margin is eliminated from the CPTs, its
+  ``rest`` summed from that ``keep``, and no joint table is built.  Given
+  ``Table``s instead, it sums their margins.  ``verify`` compiles each
+  plan once per call and replays it on every trial; each ``Table``
+  operation is a plan run once.
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator, or from a divide onward over one denominator per
   row, so a divide of two margins summed from one table is free; a result
@@ -39,7 +40,7 @@ import random as _random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from .estimand import (
     BaseKernel,
@@ -428,9 +429,9 @@ class _Plan:
     ``operands`` are those shaped like ``tables``; each step appends its
     result as the next slot and is never changed once made, and ``out`` is
     the result.
-    Operations return ``_Operand``s; margins of a source, an input operand
-    or a ``_Law``, are planned once per axis set (``margin``), and a step
-    equal to one already planned is not planned again (``step``).
+    Operations return ``_Operand``s; margins of a source, an operand or a
+    ``_Law``, are planned once per axis set (``margin``), and a step equal
+    to one already planned is not planned again (``step``).
     """
 
     def __init__(self, inputs, tables=()):
@@ -481,17 +482,16 @@ class _Plan:
         return self.view(t, rows, width, keep, domains, t.given - drop)
 
     def margin(self, t, axes: frozenset) -> _Operand:
-        """The margin of ``t`` over ``axes``, summed from the smallest margin
-        of ``t`` already planned; the margin of a ``_Law`` is eliminated from
-        its CPTs instead (``_compile_law``) where no planned margin holds it
-        or where that plans fewer cells."""
+        """The margin of ``t`` over ``axes``, planned once: a ``_Law``'s is
+        eliminated from its CPTs (``_compile_law``), and a table's summed
+        from its smallest margin already planned."""
         kept = self.margins.setdefault(t, {} if isinstance(t, _Law) else {frozenset(t.axes): t})
         m = kept.get(axes)
         if m is None:
-            src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells, default=None)
-            if src is None or isinstance(t, _Law) and _elimination_cells(t, axes) < src.cells:
+            if isinstance(t, _Law):
                 m = _compile_law(t, axes, self)
             else:
+                src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells)
                 m = self.sum_out(src, frozenset(src.axes) - axes)
             kept[axes] = m
         return m
@@ -510,9 +510,9 @@ class _Plan:
         missing = t.given - context
         keep, rest = _kernel_axes(t, outcome, context)
         num = self.margin(t, keep)
-        # margins of a law carry denominators of their own: its rest is
-        # summed from the kernel's own keep, so that the divide is free
-        den = self.margin(num if isinstance(t, _Law) else t, rest)
+        # the rest is summed from the kernel's own keep, over the same
+        # denominator, so that the divide is free
+        den = self.margin(num, rest)
         return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
 
     def select(self, t: _Operand, fixed: Mapping) -> _Operand:
@@ -819,7 +819,6 @@ class _Law:
     m: DiscreteCsScm
     fixed: Mapping
     free: frozenset = frozenset()
-    schedules: dict = field(default_factory=dict, repr=False)  # out axes -> its _elimination
 
     @property
     def axes(self) -> frozenset:
@@ -850,104 +849,62 @@ def _dataset_law(m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> _Law:
     return _Law(m, m._fixed_values({}, s), frozenset(z))
 
 
-class _Shape(NamedTuple):
-    """The axes, domains and cells of a product ``_elimination`` plans."""
-
-    axes: list
-    domains: dict
-    cells: int
-
-
-def _elimination(law: _Law, out_axes: frozenset) -> tuple:
-    """``(ops, products)``: variable elimination for the margin of ``law``
-    over ``out_axes`` (its free axes included), worked out on shapes alone,
-    once per law and axis set.
+def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
+    """Append to ``plan`` the steps of the margin of ``law`` over
+    ``out_axes``, which lists the law's free axes too, and return it: the
+    single variable-elimination routine of the oracle.  The inputs of
+    ``plan`` are the CPTs of ``law.m``, in their order.
 
     Only the factors of vertices that ``out_axes`` descend from along kept
     factors are read: any other factor is barren, and sums to its own
-    denominator.  ``ops`` are those factors (``law.factors``), in the
-    order of the model's CPTs, which is topological.  Every vertex of
-    theirs outside ``out_axes`` is eliminated, smallest product first,
-    ties to the first name, so the order never depends on set iteration;
-    the last product multiplies what is left, and sums the last vertex
-    itself when every factor left holds it.
+    denominator.  They are taken in the order of the model's CPTs, which is
+    topological.  Every vertex of theirs outside ``out_axes`` is
+    eliminated, smallest product first, ties to the first name, so the
+    order never depends on set iteration; a product multiplies its factors
+    smallest first, which fixes its axis order.  The last product
+    multiplies what is left, and sums the last vertex itself when every
+    factor left holds it; it keeps the kept axes in product order, then the
+    free axes sorted, broadcast where no factor has them.
 
-    Each product is ``(positions, keep, summed, domains, given)``: its
-    factors are at ``positions`` in ``ops`` followed by the products
-    before it, and its result is summed over ``summed`` and kept over
-    ``keep``, the kept axes in product order, then (in the last product)
-    the free axes sorted, broadcast where no factor has them."""
-    done = law.schedules.get(out_axes)
-    if done is not None:
-        return done
+    The margin holds the product of the denominators of the CPTs it reads.
+    A product over more than ``MAX_CELLS`` cells raises ``OracleError``
+    while the plan is made (``_Operand.gather``).
+    """
     m, free, factors = law.m, law.free, law.factors
+    if m.selector in free:
+        raise OracleError("intervene on the selector via its own slot")
+    if m._cells(m.observed()) > MAX_CELLS:
+        raise OracleError("observed state space exceeds the enumeration cap")
     kept, todo = set(), [v for v in out_axes if v in factors]
     while todo:
         v = todo.pop()
         if v not in kept:
             kept.add(v)
             todo.extend(p for p in m.cpts[v].axes[:-1] if p in factors)
-    ops = [op for v, op in factors.items() if v in kept]
-    live = list(range(len(ops)))  # positions of the factors not yet multiplied
-    shapes = list(ops)  # the shape at every position
-    products = []
+    live = [op for v, op in factors.items() if v in kept]  # not yet multiplied
 
-    def product(positions: list, keep: list, summed: list, domains: Mapping, given=frozenset()):
-        products.append((positions, keep, summed, domains, given))
-        kept_domains = {a: domains[a] for a in keep}
-        shapes.append(_Shape(keep, kept_domains, math.prod(map(len, kept_domains.values()))))
-        live.append(len(shapes) - 1)
+    def product(ops: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
+        layout = keep + summed
+        width = math.prod(len(domains[a]) for a in summed)
+        gathers = [(op.slot, op.gather(layout, domains)) for op in ops]
+        return plan.step(_SUM, gathers, width, keep, domains, given)
 
     left = sorted(kept - out_axes)
     while left:
-        h = min(left, key=lambda v: _product_cells(shapes[i] for i in live if v in shapes[i].axes))
-        # smallest first: this order fixes the axis order of the product
-        touching = sorted((i for i in live if h in shapes[i].axes), key=lambda i: shapes[i].cells)
+        h = min(left, key=lambda v: _product_cells(op for op in live if v in op.axes))
+        touching = sorted((op for op in live if h in op.axes), key=lambda op: op.cells)
         if len(left) == 1 and len(touching) == len(live):
             break  # the last product sums h itself
         left.remove(h)
-        live[:] = [i for i in live if h not in shapes[i].axes]
-        axes, domains = _joined([shapes[i] for i in touching])
-        product(touching, [a for a in axes if a != h], [h], domains)
-    live.sort(key=lambda i: shapes[i].cells)
-    axes, domains = _joined([shapes[i] for i in live]) if live else ([], {})
+        live = [op for op in live if h not in op.axes]
+        axes, domains = _joined(touching)
+        live.append(product(touching, [a for a in axes if a != h], [h], domains))
+    live.sort(key=lambda op: op.cells)
+    axes, domains = _joined(live) if live else ([], {})
     keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
     for v in free:
         domains.setdefault(v, m.domain(v))
-    product(list(live), keep, [a for a in axes if a not in keep], domains, free)
-    done = law.schedules[out_axes] = (ops, products)
-    return done
-
-
-def _elimination_cells(law: _Law, out_axes: frozenset) -> int:
-    """The cells the steps ``_compile_law`` plans for this margin gather."""
-    _, products = _elimination(law, out_axes)
-    return sum(math.prod(len(domains[a]) for a in keep + summed) for _, keep, summed, domains, _ in products)
-
-
-def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
-    """Append to ``plan`` the steps of the margin of ``law`` over
-    ``out_axes``, which lists the law's free axes too, and return it: the
-    single variable-elimination routine (``_elimination``) of the oracle.
-    The inputs of ``plan`` are the CPTs of ``law.m``, in their order.
-
-    The margin holds the product of the denominators of the CPTs it reads.
-    A product over more than ``MAX_CELLS`` cells raises ``OracleError``
-    while the plan is made (``_Operand.gather``).
-    """
-    m = law.m
-    if m.selector in law.free:
-        raise OracleError("intervene on the selector via its own slot")
-    if m._cells(m.observed()) > MAX_CELLS:
-        raise OracleError("observed state space exceeds the enumeration cap")
-    ops, products = _elimination(law, out_axes)
-    ops = list(ops)
-    for positions, keep, summed, domains, given in products:
-        layout = keep + summed
-        width = math.prod(len(domains[a]) for a in summed)
-        gathers = [(ops[i].slot, ops[i].gather(layout, domains)) for i in positions]
-        ops.append(plan.step(_SUM, gathers, width, keep, domains, given))
-    return ops[-1]
+    return product(live, keep, [a for a in axes if a not in keep], domains, free)
 
 
 class _Laws:
@@ -1112,10 +1069,9 @@ def _compile_estimand(e: Estimand, sources: Mapping) -> _Plan:
     plan runs on the laws it makes, and no joint table is built.
 
     A ``BaseKernel`` divides two margins of its source, ``keep`` by
-    ``rest``.  The ``keep`` margins, and a table's ``rest`` margins, are
-    planned first, largest axis set first, each summed from the smallest
-    margin of the same source already planned or, for a law, eliminated from
-    the CPTs where that plans fewer cells (``_Plan.margin``); a law's
+    ``rest``.  The ``keep`` margins are planned first, largest axis set
+    first (``_Plan.margin``): a law's is eliminated from the CPTs, and a
+    table's summed from its smallest margin already planned.  Each
     ``rest`` is summed from the kernel's own ``keep``.  Every node appends
     the steps that make it, after those of its children, and rewrites none
     of them: a ``Restrict`` picks its rows in a step of its own, so a node
@@ -1137,11 +1093,8 @@ def _compile_estimand(e: Estimand, sources: Mapping) -> _Plan:
     wanted = set()
     for k in kernels:
         if k.name in inputs:
-            src = inputs[k.name]
-            keep, rest = _kernel_axes(src, k.outcome, k.context)
+            keep, _ = _kernel_axes(inputs[k.name], k.outcome, k.context)
             wanted.add((k.name, keep))
-            if not isinstance(src, _Law):
-                wanted.add((k.name, rest))
     for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
         plan.margin(inputs[name], axes)
 
@@ -1590,10 +1543,10 @@ def verify(
     An identified estimand is planned once, on the laws of the first
     trial's model: ``p`` is its observational law and each of ``datasets``,
     ``(name, intervened vertices)``, the law with those vertices' factors
-    dropped.  Each kernel margin is eliminated from the CPTs over its
-    ancestral set, or summed from a margin already planned, so no trial
-    builds the observed joint; every trial replays that plan and the ground
-    truth's law plan on its own model's CPTs.
+    dropped.  Each kernel's ``keep`` margin is eliminated from the CPTs
+    over its ancestral set, and its ``rest`` summed from that ``keep``, so
+    no trial builds the observed joint; every trial replays that plan and
+    the ground truth's law plan on its own model's CPTs.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")

@@ -5,6 +5,9 @@ breaks one of these must fail here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import time
 import types
@@ -14,7 +17,8 @@ import selid
 from selid.estimand import BaseKernel, ChainKernel, Estimand, Marginal, Product, Restrict
 from selid.fixtures import all_fixtures
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 MODULES = ("graph", "estimand", "identify", "projection", "lsg", "oracle", "cli")
 
 
@@ -145,3 +149,34 @@ def test_selector_assign_is_the_selector_value():
     estimand, graph = _module("estimand"), _module("graph")
     assert estimand.SelectorAssign is graph.SelectorValue
     assert selid.SelectorAssign is graph.SelectorValue
+
+
+# run.load_selid() drops selid from sys.modules, so the traced passes run
+# in a process of their own
+SMOKE = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import run
+out = {}
+for name in run.WORKLOADS:
+    result = run.trace(run.make_workload(name, smoke=True), seed=1, probe=False)
+    out[name] = {"failures": result["failures"], "metrics": list(result["metrics"])}
+print(json.dumps({"per_layer": list(run.PER_LAYER), "workloads": out}))
+"""
+
+
+def test_traced_smoke_pass_of_every_workload():
+    # one plain and one traced pass of each workload at its smallest size:
+    # a tracer hook that a refactor broke shows as a failure or a missing
+    # metric; timing ratios are left to bench/selftest.py
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SMOKE, str(ROOT / "src"), str(BENCH)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert set(report["workloads"]) == {"fixture_verify", "identify_sweep", "small_model_sweep"}
+    for name, result in report["workloads"].items():
+        assert result["failures"] == [], name
+        assert result["metrics"] == report["per_layer"], name

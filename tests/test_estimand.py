@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from selid.estimand import (
     Var,
     condition,
     fix_kernel,
+    fold,
     fix_sequence,
     from_jsonable,
     marginalize,
@@ -313,6 +316,25 @@ class TestSharedSubtrees:
         sub = substitute_base(e, "p", q)
         assert sub.free_vars() == xs | {"Y"}
         assert normal_form(sub) == BaseKernel("q", frozenset({"Y"}), xs)
+
+    def test_fold_frees_its_results_without_the_cyclic_collector(self):
+        class Result:
+            pass
+
+        refs = []
+
+        def visit(x, parts):
+            out = Result()
+            refs.append(weakref.ref(out))
+            return out
+
+        e = Product((k("A"), k("B"), k("C")))
+        gc.disable()
+        try:
+            fold(e, visit)
+            assert len(refs) == 4 and all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_tower_plan_is_linear_in_depth(self):
         # the shared level below each ratio is planned once, not once per

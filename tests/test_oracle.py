@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var
+from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold
 from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
@@ -607,9 +608,11 @@ class TestLawPlans:
         assert len(kernels) == 5
 
         # each distinct margin is summed once, some from a smaller margin
-        # than the table, and every kernel divides two of them
-        margins = plan.margins[plan.operands[0]]
-        slots = {m.slot for m in margins.values()}
+        # than the table, and every kernel divides two of them: the table's
+        # keep margins, and each rest margin keyed under its kernel's keep
+        keeps = plan.margins[plan.operands[0]].values()
+        margins = [m for keep in keeps for m in plan.margins.get(keep, {keep.axes: keep}).values()]
+        slots = {m.slot for m in margins}
         sums = [
             s for s in plan.steps
             if s.op is oracle._SUM and len(s.inputs) == 1 and s.inputs[0][0] in slots
@@ -632,28 +635,7 @@ class TestLawPlans:
     def test_law_margins_equal_margins_of_the_joint(self):
         # every margin a kernel of an estimand divides, planned from the
         # CPTs as verify plans it, against the same margin of the law's table
-        from test_random_models import random_selection_model
-
-        cases = []  # (estimand, model, {kernel name: intervened vertices})
-        for name, fx in FX.items():
-            g = fx.graph
-            query = parse_query(fx.query, g.selector)[0]
-            r = (identify_selected if g.selector is not None else identify)(g, query)
-            if r.kind == "identified":
-                dag = fx.dag or (canonical_hidden_dag(g) if any(e.kind == "bidirected" for e in g.edges) else g)
-                cases.append((r.estimand, random_cs_scm(dag, g.support, seed=1), {"p": frozenset()}))
-        model, experimental = compliance_pair()
-        specs = [DatasetSpec("p1", frozenset(), model.graph), DatasetSpec("p2", frozenset({"M"}), experimental)]
-        r = identify_fused(model.graph, specs, q("Y", A="a"))
-        cases.append((r.estimand, random_cs_scm(model.dag, seed=1), {"p1": frozenset(), "p2": frozenset({"M"})}))
-        for seed in range(200):
-            case = random_selection_model(seed)
-            if case is not None:
-                dag, proj, query = case
-                for procedure in (identify_selected, sequential_baseline):
-                    r = procedure(proj, query)
-                    if r.kind == "identified":
-                        cases.append((r.estimand, random_cs_scm(dag, dag.support, seed=seed), {"p": frozenset()}))
+        cases = _identified_cases()
         checked = eliminated = 0
         for e, m, datasets in cases:
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
@@ -669,6 +651,42 @@ class TestLawPlans:
                         checked += 1
             eliminated += sum(s.op is oracle._SUM and len(s.inputs) > 1 for s in plan.steps)
         assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated
+
+    def test_each_law_margin_is_eliminated_once(self, monkeypatch):
+        # one elimination pass per law margin: each distinct keep margin of
+        # a law is planned by _compile_law once and never summed from a
+        # larger margin; rest margins are summed from their keep
+        compiled = []
+        real_law = oracle._compile_law
+
+        def counting(law, axes, plan):
+            out = real_law(law, axes, plan)
+            compiled.append((law, axes, out))
+            return out
+
+        monkeypatch.setattr(oracle, "_compile_law", counting)
+        margins = 0
+        for e, m, datasets in _identified_cases():
+            compiled.clear()
+            sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
+            plan = oracle._compile_estimand(e, sources)
+            keeps = set()
+            for k in _kernels(e):
+                law = sources[k.name]
+                keeps.add((law, oracle._kernel_axes(law, k.outcome, k.context)[0]))
+            assert len(compiled) == len(keeps)
+            assert {(law, axes) for law, axes, _ in compiled} == keeps
+            assert all(plan.margins[law][axes] is out for law, axes, out in compiled)
+            margins += len(keeps)
+        assert margins > 300
+
+        # the verify plan of selection_web keeps its size
+        fx = FX["selection_web"]
+        r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
+        m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
+        plan = oracle._compile_estimand(r.estimand, {"p": oracle._Law(m, {})})
+        cells = [s.cells for s in plan.steps]
+        assert (len(cells), sum(cells), max(cells)) == (38, 6792, 1152)
 
     def test_equal_steps_are_planned_once(self):
         t = Table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [1, 2, 3, 4], denom=10)
@@ -706,6 +724,43 @@ class TestLawPlans:
         query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))
         bindings = list(oracle._token_bindings(query, {"A1": 2, "A2": 2}))
         assert bindings == [({"A1": 0, "A2": 0}, {"a": 0}), ({"A1": 1, "A2": 1}, {"a": 1})]
+
+
+@functools.cache
+def _identified_cases() -> list:
+    """(estimand, model, {kernel name: intervened vertices}) for every
+    identified estimand of the fixtures, of the fused compliance query, and
+    of both procedures on the 200 small-model seeds."""
+    from test_random_models import random_selection_model
+
+    cases = []
+    for fx in FX.values():
+        g = fx.graph
+        query = parse_query(fx.query, g.selector)[0]
+        r = (identify_selected if g.selector is not None else identify)(g, query)
+        if r.kind == "identified":
+            dag = fx.dag or (canonical_hidden_dag(g) if any(e.kind == "bidirected" for e in g.edges) else g)
+            cases.append((r.estimand, random_cs_scm(dag, g.support, seed=1), {"p": frozenset()}))
+    model, experimental = compliance_pair()
+    specs = [DatasetSpec("p1", frozenset(), model.graph), DatasetSpec("p2", frozenset({"M"}), experimental)]
+    r = identify_fused(model.graph, specs, q("Y", A="a"))
+    cases.append((r.estimand, random_cs_scm(model.dag, seed=1), {"p1": frozenset(), "p2": frozenset({"M"})}))
+    for seed in range(200):
+        case = random_selection_model(seed)
+        if case is not None:
+            dag, proj, query = case
+            for procedure in (identify_selected, sequential_baseline):
+                r = procedure(proj, query)
+                if r.kind == "identified":
+                    cases.append((r.estimand, random_cs_scm(dag, dag.support, seed=seed), {"p": frozenset()}))
+    return cases
+
+
+def _kernels(e) -> set:
+    """The distinct base kernels of ``e``."""
+    found = set()
+    fold(e, lambda x, _parts: found.add(x) if isinstance(x, BaseKernel) else None)
+    return found
 
 
 def _run_to(plan, out, tables) -> Table:
