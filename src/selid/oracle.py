@@ -13,8 +13,9 @@ One table layout, one step runner:
   list over one integer denominator: a law's integer numerators, or one
   ``Fraction`` per row over 1 once a table has been divided.
 * **Plans** (``_Plan``) are steps worked out once per shape and replayed:
-  each gathers its inputs by index arrays, multiplies or divides them cell
-  by cell, and reduces groups of ``width`` cells.  ``_compile_law`` is the
+  each gathers its inputs by readers made when it is planned, one C-level
+  call per input, multiplies or divides them cell by cell, and reduces
+  groups of ``width`` cells as strided slices.  ``_compile_law`` is the
   one variable-elimination routine: it appends the steps of a margin of a
   law, over the factors of the margin's ancestral set, reading a model's
   CPTs, which are ``Table``s in the plan's layout from the moment they are
@@ -22,8 +23,9 @@ One table layout, one step runner:
   makes: each kernel's ``keep`` margin is eliminated from the CPTs, its
   ``rest`` summed from that ``keep``, and no joint table is built.  Given
   ``Table``s instead, it sums their margins.  ``verify`` compiles each
-  plan once per call and replays it on every trial; each ``Table``
-  operation is a plan run once.
+  plan, and lays out its models (``_ModelLayout``), once per call and
+  replays them on every trial; each ``Table`` operation is a plan run
+  once.
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator, or from a divide onward over one denominator per
   row, so a divide of two margins summed from one table is free; a result
@@ -40,7 +42,7 @@ import random as _random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .estimand import (
     BaseKernel,
@@ -190,25 +192,39 @@ class Table:
     def total_variation(self, other: "Table") -> Fraction:
         if set(self.axes) != set(other.axes):
             raise OracleError("total variation over mismatched axes")
-        rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
-        mine = list(map(self.values.__getitem__, rows))
+        mine = self._read_as(other)
         if _has_undef(mine) or _has_undef(other.values):
             raise OracleError("total variation over undefined entries")
         dp, dq = self.denom, other.denom
         return Fraction(sum(abs(p * dq - q * dp) for p, q in zip(mine, other.values)), 2 * dp * dq)
 
+    def _read_as(self, other: "Table"):
+        """This table's values in the row order of ``other``, which has the
+        same axes, read as a plan step reads its inputs."""
+        return _reader(_Operand(0, self.axes, self.domains).gather(other.axes, other.domains))(self.values)
+
     def equals(self, other: "Table") -> bool:
         if set(self.axes) != set(other.axes):
             return False
-        rows = _Operand(0, self.axes, self.domains).gather(other.axes, other.domains)
-        mine, theirs = map(self.values.__getitem__, rows), other.values
-        dp, dq = self.denom, other.denom
-        if dp == dq:
-            return all(map(operator.eq, mine, theirs))
+        return _equal_rows((self._read_as(other), self.denom), (other.values, other.denom))
+
+
+def _equal_rows(a: tuple, b: tuple) -> bool:
+    """Whether the rows ``(values, denominators)`` of ``a`` and ``b``, the
+    same rows in the same order, are equal: by cross-multiplication, each
+    denominator one integer or one per row.  ``UNDEF`` equals ``UNDEF``
+    alone."""
+    (p, dp), (q, dq) = a, b
+    if type(dp) is int and dp == dq:
+        return all(map(operator.eq, p, q))
+    dp = itertools.repeat(dp) if type(dp) is int else dp
+    dq = itertools.repeat(dq) if type(dq) is int else dq
+    if _has_undef(p) or _has_undef(q):
         return all(
-            p is q if p is UNDEF or q is UNDEF else p * dq == q * dp
-            for p, q in zip(mine, theirs)
+            x is y if x is UNDEF or y is UNDEF else x * e == y * d
+            for x, d, y, e in zip(p, dp, q, dq)
         )
+    return all(map(operator.eq, map(operator.mul, p, dq), map(operator.mul, q, dp)))
 
 
 def _slice(t: Table, fixed: Mapping) -> Table:
@@ -401,18 +417,30 @@ class _Operand:
         return idx
 
 
+def _reader(idx):
+    """One C-level call that reads the positions ``idx`` of a sequence, as a
+    sequence: ``operator.itemgetter(*idx)``.  One position is read as a
+    one-row slice, since ``itemgetter`` of one index returns the value
+    itself."""
+    if len(idx) == 1:
+        return operator.itemgetter(slice(idx[0], idx[0] + 1))
+    return operator.itemgetter(*idx)
+
+
 _SUM, _DIV, _SAME = "sum", "divide", "same"
 
 
 @dataclass(eq=False, slots=True)
 class _Step:
-    """Gather each input ``(slot, indices)``, multiply them cell by cell
-    (``_SUM``, ``_SAME``; all ones without inputs) or divide the first by the
-    second (``_DIV``), then reduce consecutive groups of ``width`` cells: by
-    summing, or for ``_SAME`` by checking that they are equal and keeping
-    one.  Numerators and denominators are multiplied apart; a divide gives
-    one denominator per row, and products and sums of such rows keep one
-    (``_Plan.run``).  ``release`` lists the slots no later step reads."""
+    """Gather each input ``(slot, reader)``, the reader one C-level call
+    (``_reader``) made when the step is planned, multiply the inputs cell by
+    cell (``_SUM``, ``_SAME``; all ones without inputs) or divide the first
+    by the second (``_DIV``), then reduce consecutive groups of ``width``
+    cells: by summing, or for ``_SAME`` by checking that they are equal and
+    keeping one.  Numerators and denominators are multiplied apart; a
+    divide gives one denominator per row, and products and sums of such rows
+    keep one (``_Plan.run``).  ``release`` lists the slots no later step
+    reads."""
 
     op: str
     inputs: list
@@ -451,7 +479,7 @@ class _Plan:
         slot = self.made.get(key)
         if slot is None:
             cells = width * math.prod(len(domains[a]) for a in axes)
-            self.steps.append(_Step(op, gathers, width, cells, drop))
+            self.steps.append(_Step(op, [(s, _reader(idx)) for s, idx in gathers], width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
         return _Operand(slot, axes, domains, given=given)
 
@@ -554,47 +582,56 @@ class _Plan:
         return self
 
     def run(self, tables) -> Table:
-        """The result on ``tables``, one per input, shaped as at compile time.
+        """The result on ``tables``, one per input, shaped as at compile
+        time; a result over per-row denominators becomes one ``Fraction``
+        per row, over 1."""
+        vec, den = self.run_rows(list(map(_rows, tables)))
+        if type(den) is not int:
+            vec, den = [n if n is UNDEF else Fraction(n, d) for n, d in zip(vec, den)], 1
+        out = self.out
+        return Table(out.axes, dict(out.domains), vec, out.given, den)
+
+    def run_rows(self, inputs: list) -> tuple:
+        """``(values, denominators)`` of the result on ``inputs``, one
+        ``(values, denominators)`` per input table (``_rows``); ``run``
+        without building a ``Table``.
 
         A slot holds integer numerators, or ``UNDEF``, over one common
         denominator or, from a divide onward, over one denominator per row
-        (a list); a result over per-row denominators becomes one
-        ``Fraction`` per row, over 1."""
-        slots, denoms = [], []
-        for t in tables:
-            vec, den = _rows(t)
-            slots.append(vec)
-            denoms.append(den)
-        undef = [_has_undef(v) for v in slots]
+        (a list).  Each input is read by its step's reader in one call, and
+        the products are taken cell by cell by ``map``; no Python code runs
+        per cell unless a slot holds ``UNDEF`` or a divide needs lowest
+        terms."""
+        slots, denoms = map(list, zip(*inputs)) if inputs else ([], [])
+        undef = set()  # the slots that hold UNDEF
+        if _has_undef(itertools.chain.from_iterable(slots)):
+            undef = {s for s, vec in enumerate(slots) if _has_undef(vec)}
         for step in self.steps:
             inputs = step.inputs
-            flagged = any(undef[s] for s, _ in inputs)
+            flagged = bool(undef) and any(s in undef for s, _ in inputs)
             if step.op is _DIV:
                 acc, den = _divide(slots, denoms, inputs, flagged)
                 flagged = True
             elif inputs:
-                (s, idx), *rest = inputs
-                acc = map(slots[s].__getitem__, idx)
+                (s, read), *rest = inputs
+                acc = read(slots[s])
                 mul = _mul if flagged else operator.mul
-                for s, idx in rest:
-                    acc = map(mul, acc, map(slots[s].__getitem__, idx))
+                for s, read in rest:
+                    acc = map(mul, acc, read(slots[s]))
                 den = _product_denoms(denoms, inputs)
             else:
-                acc, den = itertools.repeat(1, step.cells), 1
+                acc, den = [1] * step.cells, 1
             if type(den) is int:
                 vec = _reduce(step, acc, flagged)
             else:
                 vec, den = _reduce_rows(step, acc, den, flagged)
+            if flagged and _has_undef(vec):
+                undef.add(len(slots))
             slots.append(vec)
             denoms.append(den)
-            undef.append(flagged and _has_undef(vec))
             for s in step.release:
                 slots[s] = denoms[s] = None
-        out = self.out
-        vec, den = slots[out.slot], denoms[out.slot]
-        if type(den) is not int:
-            vec, den = [n if n is UNDEF else Fraction(n, d) for n, d in zip(vec, den)], 1
-        return Table(out.axes, dict(out.domains), vec, out.given, den)
+        return slots[self.out.slot], denoms[self.out.slot]
 
 
 def _rows(t: Table) -> tuple:
@@ -607,11 +644,11 @@ def _rows(t: Table) -> tuple:
     return nums, [1 if v is UNDEF else v.denominator for v in values]
 
 
-def _scaled(vec: list, den, idx, mul) -> list:
-    """``vec`` times ``den``: one integer, or per-row denominators read at
-    ``idx``."""
+def _scaled(vec: list, den, read, mul) -> list:
+    """``vec`` times ``den``: one integer, or per-row denominators read by
+    ``read``."""
     if type(den) is not int:
-        return list(map(mul, vec, map(den.__getitem__, idx)))
+        return list(map(mul, vec, read(den)))
     return vec if den == 1 else list(map(mul, vec, itertools.repeat(den)))
 
 
@@ -620,9 +657,9 @@ def _divide(slots: list, denoms: list, inputs, flagged: bool) -> tuple:
     (a / da) / (b / db) = (a * db) / (b * da), so the denominator two
     margins of one table share cancels.  An ``UNDEF`` dividend or divisor,
     or a zero divisor, gives ``UNDEF``."""
-    (n, ni), (d, di) = inputs
-    num = list(map(slots[n].__getitem__, ni))
-    den = list(map(slots[d].__getitem__, di))
+    (n, read_n), (d, read_d) = inputs
+    num = list(read_n(slots[n]))
+    den = list(read_d(slots[d]))
     mul = operator.mul
     if flagged or 0 in den:
         mul = _mul
@@ -634,7 +671,7 @@ def _divide(slots: list, denoms: list, inputs, flagged: bool) -> tuple:
         return num, den
     # any other divide puts each row in lowest terms: nested ratios would
     # otherwise multiply the size of their integers at every level
-    return _lowest(_scaled(num, db, di, mul), _scaled(den, da, ni, operator.mul))
+    return _lowest(_scaled(num, db, read_d, mul), _scaled(den, da, read_n, operator.mul))
 
 
 def _lowest(num: list, den: list) -> tuple:
@@ -651,14 +688,14 @@ def _lowest(num: list, den: list) -> tuple:
 
 def _product_denoms(denoms: list, inputs):
     """The denominators of a product of ``inputs``: one integer when every
-    input has a common one, else an iterator of per-row denominators."""
+    input has a common one, else per-row denominators."""
     common, rows = 1, None
-    for s, idx in inputs:
+    for s, read in inputs:
         den = denoms[s]
         if type(den) is int:
             common *= den
         else:
-            row = map(den.__getitem__, idx)
+            row = read(den)
             rows = row if rows is None else map(operator.mul, rows, row)
     if rows is None:
         return common
@@ -669,11 +706,35 @@ def _not_constant(step: _Step):
     return OracleError(f"kernel is not constant over context axes {step.drop}")
 
 
+def _strided(vec: list, width: int) -> bool:
+    """Whether a sum reads ``vec`` as ``width`` strided slices, slice k
+    holding cell k of every group, rather than group by group: for groups
+    of at most 4 cells, at least 8 groups per cell of a group.  Timed on
+    64-bit numerators (CHANGES.md), the slices win there (2.7x for 576
+    groups of 2); with fewer groups, or groups of 8 cells or more, the
+    per-group loop is as fast or faster (10x for one group of 1152)."""
+    return width <= 4 and 8 * width * width <= len(vec)
+
+
+def _added(parts: list) -> list:
+    """The cell-by-cell sum of equally long ``parts``."""
+    vec = parts[0]
+    for part in parts[1:]:
+        vec = list(map(operator.add, vec, part))
+    return vec
+
+
 def _reduce(step: _Step, acc, flagged: bool) -> list:
-    """Reduce cells over one common denominator in groups of ``width``."""
+    """Reduce cells over one common denominator in groups of ``width``.
+    Without ``UNDEF``, a sum of many narrow groups (``_strided``) adds the
+    ``width`` strided slices."""
+    if type(acc) is not list:
+        acc = list(acc)
     width = step.width
     if width == 1:
-        return list(acc)
+        return acc
+    if step.op is _SUM and _strided(acc, width) and not (flagged and _has_undef(acc)):
+        return _added([acc[k::width] for k in range(width)])
     groups = zip(*[iter(acc)] * width)
     if step.op is _SAME:
         vec = []
@@ -690,10 +751,25 @@ def _reduce(step: _Step, acc, flagged: bool) -> list:
 def _reduce_rows(step: _Step, acc, dens, flagged: bool) -> tuple:
     """Reduce cells over per-row denominators in groups of ``width``: a sum
     adds numerators over a shared denominator, else over the group's least
-    common multiple; ``_SAME`` compares rows by cross-multiplication."""
+    common multiple; ``_SAME`` compares rows by cross-multiplication.
+
+    Without ``UNDEF``, a sum of many narrow groups (``_strided``) reads
+    ``width`` strided slices: ``lcm = map(math.lcm, *dens_k)``, and slice k's
+    numerators, scaled by ``lcm // d_k``, are added.  That is the per-group
+    rule, since lcm(d, ..., d) = d leaves a group over one denominator as
+    it is."""
+    acc, dens = list(acc), list(dens)
     width = step.width
     if width == 1:
-        return list(acc), list(dens)
+        return acc, dens
+    if step.op is _SUM and _strided(acc, width) and not (flagged and _has_undef(acc)):
+        nums = [acc[k::width] for k in range(width)]
+        ds = [dens[k::width] for k in range(width)]
+        lcm = ds[0]
+        if any(d != lcm for d in ds[1:]):
+            lcm = list(map(math.lcm, *ds))
+            nums = [list(map(operator.mul, n, map(operator.floordiv, lcm, d))) for n, d in zip(nums, ds)]
+        return _added(nums), lcm
     vec, out = [], []
     groups = zip(zip(*[iter(acc)] * width), zip(*[iter(dens)] * width))
     if step.op is _SAME:
@@ -945,62 +1021,150 @@ class _Laws:
 def _weights(rng: _random.Random, n: int) -> list:
     """``n`` draws of ``rng.randint(1, 16)``.  That call is ``1 +
     rng._randbelow(16)``, which draws ``getrandbits(16 .bit_length())``, 5
-    bits, until the value is below 16: this loop draws the same stream,
-    without the two calls in between per weight."""
-    getrandbits = rng.getrandbits
+    bits, until the value is below 16.  Each round here draws as many
+    5-bit values as are still wanted and keeps those below 16: the same
+    stream, without a Python call per weight."""
     out = []
-    for _ in range(n):
-        r = getrandbits(5)
-        while r >= 16:
-            r = getrandbits(5)
-        out.append(1 + r)
-    return out
+    while len(out) < n:  # draws no more values than are still wanted
+        out += filter((16).__gt__, map(rng.getrandbits, itertools.repeat(5, n - len(out))))
+    return list(map((1).__add__, out))
 
 
 def _point(n: int, value) -> list:
     return [int(k == value) for k in range(n)]
 
 
-def _build_model(dag: Graph, support, mechanism, domain_size: int = 2) -> DiscreteCsScm:
-    """Assemble a CS-SCM from per-vertex laidback mechanisms.
+class _CptLayout(NamedTuple):
+    """Where the cells of the CPT of ``v`` come from, in the law-plan layout
+    (``DiscreteCsScm``): ``n`` values of ``v`` per row; ``natural`` lists
+    the parent values of the rows the selector does not force, in
+    ``itertools.product`` order.  A fill lays out groups of ``n`` weights in
+    lowest terms after a 0 and the denominator (``_cpt``); ``by_row`` reads
+    the cells from one group per natural row, and ``by_draw`` from one per
+    draw of a random model, ``draws`` in all: a selector child draws one
+    row per value of its other parents, which every row with those values
+    reuses.  A forced row reads the 0 and the denominator."""
+
+    v: str
+    axes: tuple
+    domains: dict
+    n: int
+    natural: tuple
+    draws: int
+    by_row: object
+    by_draw: object
+
+
+class _ModelLayout:
+    """The layout every model on one (DAG, support, domain size) shares,
+    worked out once: each vertex's CPT axes and domains, the rows the
+    selector forces and the order of the weight draws (``_CptLayout``).
+    ``fill`` makes a model on it."""
+
+    def __init__(self, dag: Graph, support, domain_size: int):
+        sel = dag.selector
+        self.dag, self.support = dag, support
+        self.sizes = {v: domain_size for v in dag.vertices if v != sel}
+        shape = DiscreteCsScm(dag, self.sizes, {}, support)
+        row_domains = {v: shape.row_domain(v) for v in dag.vertices}
+        self.cpts = []
+        for v in dag.topological_order():
+            parents = tuple(sorted(dag.parents(v)))
+            domains = {p: row_domains[p] for p in parents}
+            domains[v] = shape.domain(v)
+            n = len(domains[v])
+            keys = list(itertools.product(*(domains[p] for p in parents)))
+            if sel not in parents:  # every row is natural and draws once
+                read = _reader(range(2, 2 + n * len(keys)))
+                self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(keys), len(keys), read, read))
+                continue
+            si = parents.index(sel)
+            natural, draws, by_row, by_draw = [], {}, [], []
+            for pa_vals in keys:
+                pattern, values = pa_vals[si]
+                if v in pattern:
+                    point = _point(n, values[pattern.index(v)])
+                    by_row += point
+                    by_draw += point
+                    continue
+                draw = draws.setdefault(pa_vals[:si] + pa_vals[si + 1:], len(draws))
+                by_row += range(2 + n * len(natural), 2 + n * len(natural) + n)
+                by_draw += range(2 + n * draw, 2 + n * draw + n)
+                natural.append(pa_vals)
+            self.cpts.append(
+                _CptLayout(
+                    v, parents + (v,), domains, n, tuple(natural), len(draws),
+                    _reader(by_row), _reader(by_draw),
+                )
+            )
+
+    def fill(self, cpt) -> DiscreteCsScm:
+        """The model whose CPT of each vertex is ``cpt(layout)``, asked in
+        topological order."""
+        cpts = {c.v: cpt(c) for c in self.cpts}
+        return DiscreteCsScm(self.dag, dict(self.sizes), cpts, self.support)
+
+
+def _cpt(c: _CptLayout, weights: list, read) -> Table:
+    """The CPT of ``c.v`` from consecutive groups of ``c.n`` ``weights``,
+    its cells read by ``read`` (``c.by_row`` or ``c.by_draw``): each group
+    in lowest terms, over the least common multiple of the group totals."""
+    n = c.n
+    parts = [weights[k::n] for k in range(n)]
+    gs = list(map(math.gcd, *parts))
+    if 0 in gs:
+        raise OracleError(f"a mechanism row of {c.v} has no mass")
+    parts = [list(map(operator.floordiv, part, gs)) for part in parts]
+    totals = _added(parts)
+    denom = math.lcm(*totals)
+    scales = list(map(denom.__floordiv__, totals))
+    cells = [0, denom]
+    cells += itertools.chain.from_iterable(zip(*(map(operator.mul, part, scales) for part in parts)))
+    return Table(c.axes, c.domains, list(read(cells)), denom=denom)
+
+
+def _build_model(layout: _ModelLayout, mechanism) -> DiscreteCsScm:
+    """A CS-SCM on ``layout`` from per-vertex laidback mechanisms.
 
     ``mechanism(v, parents, pa_vals, domain)`` returns the natural-case
     weights of ``v``'s values, which ``domain`` lists (for the selector, its
     (sorted pattern, value tuple) pairs): one non-negative integer per
     value, in domain order, not all zero.  The intervene case of selector
-    children is enforced here: a child the selector value intervenes on
-    takes its forced value, and the mechanism is not asked for that row.
-    The other rows are asked for in ``itertools.product`` order.  Each row
-    is put in lowest terms, and the CPT's denominator is the least common
-    multiple of the row totals.
+    children is enforced by the layout: a child the selector value
+    intervenes on takes its forced value, and the mechanism is not asked
+    for that row.  The other rows are asked for in ``itertools.product``
+    order, vertex by vertex in topological order.  Each row is put in
+    lowest terms, and the CPT's denominator is the least common multiple
+    of the row totals (``_cpt``).
     """
-    sel = dag.selector
-    sizes = {v: domain_size for v in dag.vertices if v != sel}
-    m = DiscreteCsScm(dag, sizes, {}, support)
-    for v in dag.topological_order():
-        parents = tuple(sorted(dag.parents(v)))
-        domains = {p: m.row_domain(p) for p in parents}
-        domains[v] = m.domain(v)
-        si = parents.index(sel) if v != sel and sel in parents else None
-        rows = []
-        for pa_vals in itertools.product(*(domains[p] for p in parents)):
-            if si is not None and v in pa_vals[si][0]:
-                pattern, values = pa_vals[si]
-                row = _point(domain_size, values[pattern.index(v)])
-            else:
-                row = mechanism(v, parents, pa_vals, domains[v])
-            g = math.gcd(*row)
-            if not g:
-                raise OracleError(f"a mechanism row of {v} has no mass")
-            rows.append([w // g for w in row])
-        totals = list(map(sum, rows))
-        denom = math.lcm(*totals)
-        values = []
-        for row, total in zip(rows, totals):
-            scale = denom // total
-            values += [w * scale for w in row]
-        m.cpts[v] = Table(parents + (v,), domains, values, denom=denom)
-    return m
+
+    def cpt(c: _CptLayout) -> Table:
+        parents, domain = c.axes[:-1], c.domains[c.v]
+        weights = [w for pa_vals in c.natural for w in mechanism(c.v, parents, pa_vals, domain)]
+        return _cpt(c, weights, c.by_row)
+
+    return layout.fill(cpt)
+
+
+def _random_layout(g: Graph, support: Optional[SelectorSupport], domain_size: int) -> _ModelLayout:
+    """The layout of ``random_cs_scm``'s models on these arguments, after
+    checking them."""
+    if domain_size < 2:
+        raise OracleError("domain size must be at least 2")
+    if any(e.kind != "directed" for e in g.edges):
+        raise OracleError("models are defined over DAGs; project or expand first")
+    if g.selector is not None and support is None:
+        support = g.support
+    if g.selector is not None and support is None:
+        raise OracleError("selector models need a support")
+    return _ModelLayout(g, support, domain_size)
+
+
+def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
+    """The seeded random model on ``layout`` (``random_cs_scm``); ``verify``
+    draws every trial's model on one layout."""
+    rng = _random.Random(seed)
+    return layout.fill(lambda c: _cpt(c, _weights(rng, c.draws * c.n), c.by_draw))
 
 
 def random_cs_scm(
@@ -1011,32 +1175,10 @@ def random_cs_scm(
 ) -> DiscreteCsScm:
     """Seeded random model on the full DAG ``g`` obeying the selector case
     split.  Every row the selector does not force is strictly positive: its
-    weights are drawn from 1-16, so its denominator divides their sum."""
-    if domain_size < 2:
-        raise OracleError("domain size must be at least 2")
-    if any(e.kind != "directed" for e in g.edges):
-        raise OracleError("models are defined over DAGs; project or expand first")
-    rng = _random.Random(seed)
-    sel = g.selector
-    if sel is not None and support is None:
-        support = g.support
-    if sel is not None and support is None:
-        raise OracleError("selector models need a support")
-    # a selector child draws its natural row on the first row with the same
-    # non-selector parent values; that row has the observational selector
-    # value (first in its row domain), so the draws follow the product of
-    # the non-selector parents
-    natural: dict = {}
-
-    def mechanism(v, parents, pa_vals, domain):
-        if sel not in parents:
-            return _weights(rng, len(domain))
-        rest = (v,) + tuple(x for p, x in zip(parents, pa_vals) if p != sel)
-        if rest not in natural:
-            natural[rest] = _weights(rng, domain_size)
-        return natural[rest]
-
-    return _build_model(g, support, mechanism, domain_size)
+    weights are drawn from 1-16, so its denominator divides their sum.  A
+    selector child draws its natural row once per value of its other
+    parents, and every row with those values reuses it."""
+    return _random_model(_random_layout(g, support, domain_size), seed)
 
 
 def joint(m: DiscreteCsScm) -> Table:
@@ -1219,8 +1361,8 @@ def _sel_pattern_uniform(sel_dom, pattern: tuple) -> list:
 def _witness_models(g: Graph, mech) -> tuple:
     """The models with mechanisms ``mech(0)`` and ``mech(1)`` on the
     canonical hidden DAG of ``g``, binary vertices, ``g``'s support."""
-    dag = canonical_hidden_dag(g)
-    return tuple(_build_model(dag, g.support, mech(x)) for x in (0, 1))
+    layout = _ModelLayout(canonical_hidden_dag(g), g.support, 2)
+    return tuple(_build_model(layout, mech(x)) for x in (0, 1))
 
 
 def positivity_witness_pair(g: Graph, query, district) -> tuple:
@@ -1546,7 +1688,10 @@ def verify(
     dropped.  Each kernel's ``keep`` margin is eliminated from the CPTs
     over its ancestral set, and its ``rest`` summed from that ``keep``, so
     no trial builds the observed joint; every trial replays that plan and
-    the ground truth's law plan on its own model's CPTs.
+    the ground truth's law plan on its own model's CPTs.  Every trial's
+    model is drawn on one ``_ModelLayout``, built once per call, and the
+    estimand's rows are compared with the truth's as the plans leave them
+    (``_Plan.run_rows``), without a ``Fraction`` per row.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
@@ -1561,10 +1706,11 @@ def verify(
                 "model graph; verify the hidden-variable DAG the graph was projected from "
                 "(for a fixture, its *_dag.lsg file)"
             )
+        layout = _random_layout(dag, support, domain_size)
         laws = _Laws()  # every trial's model has the same shape
         failures = []
         for t in range(trials):
-            m = random_cs_scm(dag, support, seed=seed + t, domain_size=domain_size)
+            m = _random_model(layout, seed + t)
             truth = laws.query(m, query)
             if t == 0:
                 sources = {"p": _Law(m, {})}
@@ -1572,13 +1718,15 @@ def verify(
                     sources[name] = _dataset_law(m, z, None)
                 plan = _compile_estimand(result.estimand, sources)
                 want, check = _comparison(plan.out, truth, query)
-            est = plan.run([m.cpts[v] for v in plan.inputs])
+                # the two lay out the same rows unless the estimand lacks an outcome
+                aligned = want.out.axes == check.out.axes
+            est = plan.run_rows([_rows(m.cpts[v]) for v in plan.inputs])
             try:  # leftover context axes must be provably irrelevant
-                got = check.run([est])
+                got = check.run_rows([est])
             except OracleError:
                 failures.append(t)
                 continue
-            if not got.defined_everywhere() or not want.run([truth]).equals(got):
+            if _has_undef(got[0]) or not aligned or not _equal_rows(want.run_rows([_rows(truth)]), got):
                 failures.append(t)
         status = "verified" if not failures else "refuted"
         return VerifyReport(status, kind, trials, tuple(failures))

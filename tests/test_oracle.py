@@ -12,7 +12,7 @@ import pytest
 
 from selid import oracle
 from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold
-from selid.fixtures import all_fixtures, compliance_pair
+from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
 from selid.lsg import parse_query
@@ -51,6 +51,48 @@ def cpt_tables(m) -> dict:
 def cpt_data(m) -> dict:
     """vertex -> (axes, {parent values + value: probability})."""
     return {v: (t.axes, t.data) for v, t in m.cpts.items()}
+
+
+def cpt_layout(m) -> list:
+    """(vertex, axes, domains, numerators, denominator) of each CPT, in order."""
+    return [(v, t.axes, t.domains, list(t.values), t.denom) for v, t in m.cpts.items()]
+
+
+def _drawn_row_by_row(dag, support, seed, domain_size) -> list:
+    """``cpt_layout`` of the model ``random_cs_scm`` draws, drawn row by row:
+    vertices in topological order, rows in product order, one
+    ``randint(1, 16)`` per weight.  A row the selector forces is a point
+    mass; a selector child draws its natural row on the first row with its
+    other parents' values and reuses it.  Each row in lowest terms, over
+    the least common multiple of the row totals."""
+    rng = random.Random(seed)
+    sel = dag.selector
+    shape = oracle.DiscreteCsScm(dag, {v: domain_size for v in dag.vertices if v != sel}, {}, support)
+    natural, cpts = {}, []
+    for v in dag.topological_order():
+        parents = tuple(sorted(dag.parents(v)))
+        domains = {p: shape.row_domain(p) for p in parents}
+        domains[v] = shape.domain(v)
+        n = len(domains[v])
+        rows = []
+        for pa_vals in itertools.product(*(domains[p] for p in parents)):
+            if sel not in parents:
+                row = [rng.randint(1, 16) for _ in range(n)]
+            else:
+                pattern, values = pa_vals[parents.index(sel)]
+                if v in pattern:
+                    row = [int(k == values[pattern.index(v)]) for k in range(n)]
+                else:
+                    rest = tuple(x for p, x in zip(parents, pa_vals) if p != sel)
+                    if rest not in natural.setdefault(v, {}):
+                        natural[v][rest] = [rng.randint(1, 16) for _ in range(n)]
+                    row = natural[v][rest]
+            g = math.gcd(*row)
+            rows.append([w // g for w in row])
+        denom = math.lcm(*(sum(row) for row in rows))
+        values = [w * (denom // sum(row)) for row in rows for w in row]
+        cpts.append((v, parents + (v,), domains, values, denom))
+    return cpts
 
 
 class TestModelGeneration:
@@ -106,8 +148,9 @@ class TestModelGeneration:
             m.validate()
 
     def test_massless_mechanism_row_is_rejected(self):
+        layout = oracle._ModelLayout(FX["chain"].graph, None, 2)
         with pytest.raises(OracleError, match="no mass"):
-            oracle._build_model(FX["chain"].graph, None, lambda v, parents, pa_vals, domain: [0, 0])
+            oracle._build_model(layout, lambda v, parents, pa_vals, domain: [0, 0])
 
     def test_rows_sum_to_one(self):
         m = random_cs_scm(FX["chain"].graph, seed=1)
@@ -127,6 +170,25 @@ class TestModelGeneration:
     def test_larger_domains(self):
         m = random_cs_scm(FX["chain"].graph, seed=0, domain_size=3)
         assert sum(joint(m).data.values()) == 1
+
+    def test_layout_fills_equal_row_by_row_draws(self):
+        # every fixture hidden-variable DAG and the 200 generator DAGs, at
+        # domain sizes 2 and 3: models drawn on one layout per DAG carry the
+        # CPTs a row-by-row randint reference draws, seed by seed
+        from test_random_models import random_selection_model
+
+        dags = [fx.dag for fx in FX.values() if fx.dag is not None]
+        assert len(dags) == len(list(FIXTURE_DIR.glob("*_dag.lsg")))
+        dags += [case[0] for case in map(random_selection_model, range(200)) if case is not None]
+        models = 0
+        for dag in dags:
+            for size in (2, 3):
+                layout = oracle._random_layout(dag, dag.support, size)
+                for seed in range(3):
+                    m = oracle._random_model(layout, seed)
+                    assert cpt_layout(m) == _drawn_row_by_row(dag, dag.support, seed, size), (dag, size, seed)
+                    models += 1
+        assert models > 1000
 
 
 class TestLaws:
@@ -551,8 +613,13 @@ class TestLawPlans:
         assert sum(left.multiply(right).data.values()) == 1
 
     def test_verify_compiles_each_plan_once(self, monkeypatch):
-        compiled, estimands = [], []
+        compiled, estimands, layouts = [], [], []
         real_law, real_estimand = oracle._compile_law, oracle._compile_estimand
+
+        class CountedLayout(oracle._ModelLayout):
+            def __init__(self, *args):
+                layouts.append(args)
+                super().__init__(*args)
 
         def counting(*args):
             compiled.append(args[1:])
@@ -564,6 +631,7 @@ class TestLawPlans:
 
         monkeypatch.setattr(oracle, "_compile_law", counting)
         monkeypatch.setattr(oracle, "_compile_estimand", counting_estimand)
+        monkeypatch.setattr(oracle, "_ModelLayout", CountedLayout)
         fx = FX["selection_web"]
         query = q("Y", A1="a1", A2="a2")
         r = identify_selected(fx.graph, query)
@@ -571,12 +639,14 @@ class TestLawPlans:
         for trials in (1, 5):
             compiled.clear()
             estimands.clear()
+            layouts.clear()
             rep = verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag)
             assert rep.passed and rep.trials == trials
-            counts.append((len(compiled), len(estimands)))
+            counts.append((len(compiled), len(estimands), len(layouts)))
         # the stacked ground truth and the five kernel margins eliminated
-        # from the CPTs (no joint); the estimand once
-        assert counts == [(6, 1), (6, 1)]
+        # from the CPTs (no joint); the estimand once; every trial's model
+        # drawn on one model layout
+        assert counts == [(6, 1, 1), (6, 1, 1)]
 
     def test_memoized_kernels_equal_direct_conditionals(self, monkeypatch):
         fx = FX["selection_web"]
@@ -763,6 +833,38 @@ def _kernels(e) -> set:
     return found
 
 
+def _per_group(step, nums, dens) -> list:
+    """``(numerator, denominator)`` of each group of ``step.width`` cells of
+    ``nums`` over ``dens``, reduced group by group.  A group of one cell is
+    kept as it is.  A sum is ``UNDEF`` over 1 when the group holds
+    ``UNDEF``, else over the group's denominator when it has one, else over
+    their least common multiple; ``_SAME`` keeps the first cell when every
+    cell equals it by cross-multiplication, or when every cell is ``UNDEF``,
+    and raises otherwise."""
+    out = []
+    for r in range(0, len(nums), step.width):
+        ns, ds = nums[r:r + step.width], dens[r:r + step.width]
+        if step.width == 1:
+            out.append((ns[0], ds[0]))
+        elif step.op is oracle._SAME:
+            n, d = ns[0], ds[0]
+            if n is UNDEF:
+                same = all(x is UNDEF for x in ns)
+            else:
+                same = all(x is not UNDEF and x * d == n * y for x, y in zip(ns, ds))
+            if not same:
+                raise OracleError("kernel is not constant over context axes")
+            out.append((n, d))
+        elif any(x is UNDEF for x in ns):
+            out.append((UNDEF, 1))
+        elif len(set(ds)) == 1:
+            out.append((sum(ns), ds[0]))
+        else:
+            lcm = math.lcm(*ds)
+            out.append((sum(x * (lcm // y) for x, y in zip(ns, ds)), lcm))
+    return out
+
+
 def _run_to(plan, out, tables) -> Table:
     """The table ``plan`` makes in the slot of ``out``, run on ``tables``."""
     sub = oracle._Plan(plan.inputs)
@@ -919,6 +1021,80 @@ class TestExactArithmetic:
         den = Table(("Y",), dom, [1, 0], denom=3)
         got = oracle._once([num, den], lambda plan, a, b: plan.divide(a, b, frozenset()))
         assert got.data == {(0,): Fraction(3, 4), (1,): UNDEF}
+
+    def test_sum_reductions_equal_a_per_group_reference(self):
+        # widths 1-4, with fewer groups than cells per group and more, and
+        # enough for strided slices (oracle._strided); one common
+        # denominator, or per-row ones equal everywhere, equal within each
+        # group, or unequal; with and without UNDEF
+        rng = random.Random(16)
+        checked, strided = 0, set()
+        for width, groups, dens_kind, undef in itertools.product(
+            (1, 2, 3, 4), (1, 2, 5, 9, 40), ("common", "equal", "grouped", "unequal"), (False, True)
+        ):
+            cells = width * groups
+            nums = [rng.randint(0, 20) for _ in range(cells)]
+            if undef:
+                nums[rng.randrange(cells)] = UNDEF
+            if dens_kind == "unequal":
+                dens = [rng.randint(1, 12) for _ in range(cells)]
+            elif dens_kind == "grouped":
+                dens = [d for d in (rng.randint(1, 12) for _ in range(groups)) for _ in range(width)]
+            else:
+                dens = [rng.randint(1, 12)] * cells
+            step = oracle._Step(oracle._SUM, [], width, cells, [])
+            if width > 1 and oracle._strided(nums, width):
+                strided.add(width)
+            want = _per_group(step, nums, dens)
+            # a run hands the reductions a lazy product, as an iterator
+            if dens_kind == "common":
+                assert oracle._reduce(step, iter(nums), undef) == [n for n, _ in want]
+            else:
+                assert list(zip(*oracle._reduce_rows(step, iter(nums), iter(dens), undef))) == want
+            checked += 1
+        assert checked == 160 and strided == {2, 3, 4}
+
+    def test_same_reductions_equal_a_per_group_reference(self):
+        rng = random.Random(61)
+        for width, groups in itertools.product((2, 3, 4), (1, 2, 5, 9)):
+            cells = width * groups
+            step = oracle._Step(oracle._SAME, [], width, cells, ["Z"])
+            # constant groups: per-row denominators write each group's value
+            # in different terms; the last of several groups is all UNDEF
+            base = [(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(groups)]
+            scale = [rng.randint(1, 4) for _ in range(cells)]
+            nums = [base[i // width][0] * scale[i] for i in range(cells)]
+            dens = [base[i // width][1] * scale[i] for i in range(cells)]
+            common = [base[i // width][0] for i in range(cells)]
+            defined = cells - width if groups > 1 else cells
+            for vec in (nums, common):
+                vec[defined:] = [UNDEF] * (cells - defined)
+            assert list(zip(*oracle._reduce_rows(step, nums, dens, True))) == _per_group(step, nums, dens)
+            assert oracle._reduce(step, common, True) == [n for n, _ in _per_group(step, common, [1] * cells)]
+            # one cell off its group's value, or UNDEF in part of a group
+            i = rng.randrange(defined)
+            for off in (1, UNDEF):
+                bad, bad_common = list(nums), list(common)
+                bad[i] = off if off is UNDEF else bad[i] + dens[i]
+                bad_common[i] = off if off is UNDEF else bad_common[i] + 1
+                with pytest.raises(OracleError, match="kernel is not constant over context axes"):
+                    oracle._reduce_rows(step, bad, dens, True)
+                with pytest.raises(OracleError, match="kernel is not constant over context axes"):
+                    oracle._reduce(step, bad_common, True)
+
+    def test_a_step_reads_one_row_as_a_row(self):
+        # operator.itemgetter of one index returns the value, not a row
+        vec = [5, 6, 7, 8, 9]
+        for idx in ([3], [0, 1, 2], [1, 3], [4, 2, 0], [2, 2], [0, 0, 1], [4, 1, 3]):
+            assert list(oracle._reader(idx)(vec)) == [vec[i] for i in idx], idx
+        t = Table(("A", "B"), {"A": (0, 1), "B": (0, 1, 2)}, [1, 2, 3, 4, 5, 6], denom=21)
+        one = oracle._once([t], lambda plan, a: plan.select(a, {"A": 1, "B": 2}))
+        assert (one.axes, one.values, one.denom) == ((), [6], 21)
+        # a row over a per-row denominator, read alone from a divide
+        def build(plan, a, b):
+            ratio = plan.divide(plan.select(a, {"A": 0}), plan.select(b, {"A": 1}), frozenset())
+            return plan.product([plan.select(ratio, {"B": 1}), plan.select(ratio, {"B": 1})])
+        assert oracle._once([t, t], build).data == {(): Fraction(4, 25)}
 
     def test_total_variation_across_denominators(self):
         dom = {"Y": (0, 1)}
