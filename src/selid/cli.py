@@ -9,6 +9,7 @@ overrides ``--seed``.  Output is byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -274,10 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on first use and reused by every main() call in the process:
+# parse_args leaves the parser unchanged, and a build costs more than ten
+# parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -455,6 +455,10 @@ class ChainKernel:
         self.graph = graph
         self.factors = factors  # dict vertex -> ChainFactor, or None once degraded
         self._expr = expr
+        # memos, valid only for this (graph, factors): every constructor
+        # starts them empty, and only a clean fix hands on what it can
+        self._fixed = {}  # vertex -> the kernel fix(vertex) returned
+        self._clean = {}  # vertex -> _fix_is_clean(vertex)
 
     @classmethod
     def from_joint(cls, graph: Graph, base: str = "p") -> "ChainKernel":
@@ -491,18 +495,60 @@ class ChainKernel:
     # -- fixing ----------------------------------------------------------------
 
     def fix(self, v: str) -> "ChainKernel":
+        """The kernel with ``v`` fixed, over ``graph.fix(v)``.
+
+        The kernel is immutable, so the result is kept, keyed by ``v``, and
+        every later ``fix(v)`` returns the same object: the districts of a
+        query, each fixed from the same joint, share their common fixing
+        prefix.  The memo points only from parent to child, so it makes no
+        cycle, and the kernels of a ``fix_to`` live as long as the kernel it
+        started from.
+
+        A clean fix hands its result this kernel's clean verdicts and
+        readers.  The verdict for ``w`` reads ``de(w)`` and the readers of
+        its members; dropping ``v``'s factor removes only the edges into
+        ``v`` and that factor's readings.  So the stale verdicts are those
+        of ``ancestors(conditioning | {v})`` in the graph before the fix:
+        any other ``w`` has ``v`` outside ``de(w)``, and no member of
+        ``de(w)`` gains or loses a reader.
+        """
+        k = self._fixed.get(v)
+        if k is None:
+            k = self._fixed[v] = self._fix(v)
+        return k
+
+    def _fix(self, v: str) -> "ChainKernel":
         g = self.graph
         g2 = g.fix(v)
         if self.factors is None:
             return ChainKernel(g2, None, fix_kernel(self._expr, g, v))
-        if self._fix_is_clean(v):
+        if self._is_clean(v):
+            cond = self.factors[v].conditioning()
             factors = dict(self.factors)
             factors.pop(v)
-            return ChainKernel(g2, factors, None)
+            k = ChainKernel(g2, factors, None)
+            stale = g.ancestors(cond | {v})
+            k._clean = {w: c for w, c in self._clean.items() if w not in stale}
+            readers = dict(self._readers)
+            for x in cond:
+                rest = readers[x] - {v}
+                if rest:
+                    readers[x] = rest
+                else:
+                    del readers[x]
+            k.__dict__["_readers"] = readers  # seeds the cached property
+            return k
         if g.descendants(v) & self.randoms == {v}:
             # childless but conditioned on elsewhere: fixing is marginalization
             return ChainKernel(g2, None, SumOver(self.expr(), frozenset([v])))
         return ChainKernel(g2, None, fix_kernel(self.expr(), g, v))
+
+    def _is_clean(self, v: str) -> bool:
+        """``_fix_is_clean(v)``, remembered."""
+        c = self._clean.get(v)
+        if c is None:
+            c = self._clean[v] = self._fix_is_clean(v)
+        return c
 
     def _fix_is_clean(self, v: str) -> bool:
         """Whether fixing ``v`` keeps the kernel in chain form: its factor is
@@ -549,6 +595,10 @@ class ChainKernel:
         reachable closure of ``target`` under the rule, equal to ``target``
         exactly when the target is reachable; an unreachable target is not
         an error.
+
+        Each step goes through the memoized ``fix`` and clean test, so the
+        ``fix_to`` calls made from one kernel, whatever their targets and
+        rules, compute each step of their common prefix once.
         """
         target = frozenset(target)
         unknown = target - self.randoms
@@ -558,7 +608,7 @@ class ChainKernel:
         ready = {v for v in k.randoms - target if fixable(k.graph, v)}
         while ready:
             cands = sorted(ready)
-            v = next((w for w in cands if k._fix_is_clean(w)), cands[0])
+            v = next((w for w in cands if k._is_clean(w)), cands[0])
             g = k.graph
             touched = (g.district_of(v) | g.ancestors(v)) & g.random
             k = k.fix(v)

@@ -122,6 +122,29 @@ def test_sequential_baseline_returns_on_a_shared_kernel_case():
         assert S.identify.identify_selected(proj, query).kind == "identified"
 
 
+def test_identify_sweep_fixes_each_step_once(monkeypatch):
+    # the districts of a query share the fixes of their common prefix
+    # through ChainKernel.fix's memo; the 32 identify_sweep cases made 4241
+    # graph fixes before the memo and make 2544 with it, so a lost share
+    # shows here as a count, without any timing
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    calls = []
+    real_fix = S.graph.Graph.fix
+
+    def counted(g, v):
+        calls.append(v)
+        return real_fix(g, v)
+
+    monkeypatch.setattr(S.graph.Graph, "fix", counted)
+    for n in workloads.SWEEP_SIZES:
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+            dag, obs, query = workloads.sweep_case(S, n, seed)
+            proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+            S.identify.identify_selected(proj, query)
+    assert len(calls) == 2544 < 4241
+
+
 def test_reference_estimands_equal_identify_selected():
     # fixture_verify checks the CLI's estimands against these references
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})

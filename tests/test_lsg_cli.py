@@ -172,6 +172,30 @@ class TestCli:
         b = run_cli(*args)
         assert a == b and a[0] == 0
 
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch):
+        # main() builds its parser once per process; calls after a verify
+        # and after usage errors, of argparse and of the commands, must
+        # answer as a parser built for that call alone does
+        from selid import cli
+
+        identify = ("identify", "--graph", str(FIXDIR / "double_bow.lsg"),
+                    "--query", "P(Y | do(A=a), S=empty)")
+        calls = [
+            identify,
+            ("verify", "--graph", str(FIXDIR / "chain.lsg"), "--query", "P(Y | do(A=a))",
+             "--trials", "3", "--seed", "2"),
+            ("identify", "--graph", str(FIXDIR / "chain.lsg")),
+            ("identify", "--graph", "missing.lsg", "--query", "P(Y | do(A=a))"),
+            identify,
+        ]
+        reused = [run_cli(*argv) for argv in calls]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(*argv) for argv in calls]
+        assert [(code, out) for code, out, _ in reused] == [(code, out) for code, out, _ in fresh]
+        assert [code for code, _, _ in reused] == [0, 0, 1, 1, 0]
+        assert reused[0] == reused[-1]
+
     def test_seed_env_override(self):
         base = run_cli(
             "verify",
