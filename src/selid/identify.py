@@ -428,10 +428,7 @@ def _confounded_selector(
             continue  # the chain degraded; no structured factors to order
         pv = _pattern_value(pattern)
         sw = swig(gtil, {sel: pv}, pv)
-        anchor = min(dstar)
-        if anchor not in sw.random:
-            continue
-        dprime = sw.district_of(anchor)
+        dprime = sw.district_of(min(dstar))
         if not dstar <= dprime or sel in dprime:
             continue
         left = dprime & de_s
@@ -448,7 +445,7 @@ def _confounded_selector(
         ctx = context_graph(g_full, pv)
         for v in sorted(dprime):
             f = qtil.factors[v]
-            if v in de_s and sel in f.cond:
+            if sel in f.cond:
                 f = _pin_selector(ctx, f, sval)
             restr = dict(f.restr)
             for w, tok in query.treatments:

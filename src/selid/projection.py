@@ -106,16 +106,16 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
 
 
 def _hidden_paths(start: str, children: dict, labels: dict, keep: frozenset) -> list:
-    """Every simple directed path from ``start`` that ends at its first kept
-    vertex after ``start``, depth first: (end, union of the edge labels, the
-    vertices before the end)."""
+    """Every directed path from ``start`` that ends at its first kept vertex
+    after ``start``, depth first: (end, union of the edge labels, the
+    vertices before the end).  The graph is acyclic (``latent_project``
+    takes only directed graphs, which are validated acyclic), so every such
+    path is simple."""
     found = []
     stack = [(start, frozenset(), (start,))]
     while stack:
         v, lab, path = stack.pop()
         for w in children[v]:
-            if w in path:
-                continue
             for edge_lab in labels[(v, w)]:
                 lab2 = lab | edge_lab
                 if w in keep:

@@ -22,7 +22,10 @@ from selid.identify import (
     selected_g_formula,
     sequential_baseline,
 )
+from selid.lsg import parse_graph, parse_query
 from selid.oracle import verify
+from selid.projection import derive_labels, latent_project
+
 FX = all_fixtures()
 
 
@@ -289,6 +292,14 @@ class TestSequentialBaseline:
                 assert ss.kind == "identified"
 
 
+def projected(text: str, query: str) -> tuple:
+    """The hidden-variable DAG of the .lsg ``text``, its projection onto the
+    observed vertices, and ``query`` parsed against it."""
+    dag = parse_graph(text)
+    proj = latent_project(derive_labels(dag), dag.random - dag.latent)
+    return dag, proj, parse_query(query, proj.selector)[0]
+
+
 class TestConfoundedSelectorWrapper:
     def test_wrapper_reproduces_instrument_answer(self):
         from selid.estimand import ChainKernel
@@ -306,3 +317,73 @@ class TestConfoundedSelectorWrapper:
             )
         )
         assert normal_form(e) == expected
+
+    def test_selector_is_pinned_in_every_factor_that_reads_it(self):
+        # V3's factor conditions on the selector V1 and on its forced child
+        # V2; read across all regimes it mixes V2's forced and natural values
+        dag, proj, query = projected(
+            """
+            selector V1
+            node V0
+            node V2
+            node V3
+            node V4
+            latent U0
+            latent U1
+            edge U0 -> V1
+            edge U0 -> V2
+            edge U1 -> V2
+            edge U1 -> V3
+            edge U1 -> V4
+            edge V1 -> V2
+            edge V2 -> V4
+            edge V3 -> V4
+            support {}, {V2}
+            """,
+            "P(V4 | do(V2=v2), V1=empty)",
+        )
+        r = identify_selected(proj, query)
+        pinned = SelectorAssign(frozenset({"V2"}), (("V2", Sym("v2")),))
+        expected = SumOver(
+            Product(
+                (
+                    kernel({"V3"}, {"V1"}, V1=pinned),
+                    kernel({"V4"}, {"V1", "V2", "V3"}, V1=pinned, V2=Sym("v2")),
+                )
+            ),
+            frozenset({"V3"}),
+        )
+        assert r.kind == "identified" and r.estimand == normal_form(expected)
+        assert verify(proj, query, proj.support, r, trials=20, seed=0, dag=dag).passed
+
+    def test_degraded_chain_tries_every_pattern_and_gives_unknown(self):
+        from selid.estimand import ChainKernel
+        from selid.identify import _selection_fixable
+
+        _, proj, query = projected(
+            """
+            selector V0
+            node V1
+            node V2
+            node V3
+            node V4
+            latent U0
+            latent U1
+            edge U0 -> V0
+            edge U0 -> V3
+            edge U1 -> V1
+            edge U1 -> V2
+            edge U1 -> V3
+            edge U1 -> V4
+            edge V0 -> V1
+            edge V0 -> V3
+            edge V3 -> V4
+            support {V1}, {V1, V3}
+            """,
+            "P(V4 | do(V2=v2, V3=v3), V0=empty)",
+        )
+        # the closure of {V4} holds the selector, and its chain degraded
+        qtil = ChainKernel.from_joint(proj).fix_to(frozenset({"V4"}), _selection_fixable)
+        assert "V0" in qtil.randoms and qtil.factors is None
+        r = identify_selected(proj, query)
+        assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V4"}), (("V1", "V3"), ("V1",)))

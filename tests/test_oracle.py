@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold
+from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
 from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
@@ -404,6 +404,18 @@ class TestVerify:
         rep = verify(FX["backdoor"].graph, q("Y", A="a"), None, bogus, trials=5, seed=0)
         assert rep.status == "refuted"
 
+    def test_kernel_varying_over_a_dropped_context_axis_is_refuted(self):
+        # p1 holds M as a context axis; a kernel that ignores M fails the
+        # check that it is constant over M on every trial, and raises nothing
+        from selid.identify import Identified
+
+        model, _ = compliance_pair()
+        bogus = Identified(restrict(BaseKernel("p1", frozenset("Y"), frozenset("A")), {"A": Sym("a")}))
+        rep = verify(
+            model.graph, q("Y", A="a"), None, bogus, trials=5, seed=0, dag=model.dag, datasets=[("p1", {"M"})]
+        )
+        assert rep.status == "refuted" and rep.failures == (0, 1, 2, 3, 4)
+
     def test_report_serializes(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
         rep = verify(FX["chain"].graph, q("Y", A="a"), None, r, trials=2, seed=0)
@@ -545,14 +557,14 @@ class TestLawPlans:
             assert set(t.axes) == set(obs) - {sel} - set(fixed)
             assert_law(t, brute_law(m, {**fixed, sel: ((), ())}, (), t.axes))
             # stacked over the treatment values, then sliced per binding
-            stacked = oracle._Laws().query(m, query)
+            stacked = _query_margin(m, query)
             assert stacked.given == query.treated
             law = brute_law(m, {sel: ((), ())}, query.treated, stacked.axes)
             assert_law(stacked, law)
             for vert_vals, _ in oracle._token_bindings(query, m.sizes):
                 want = interventional(m, vert_vals, SelectorValue())
                 want = want.sum_out(frozenset(want.axes) - query.outcomes)
-                assert oracle._slice(stacked, vert_vals).equals(want)
+                assert _select(stacked, vert_vals).equals(want)
             checked += 1
         assert checked >= 8
 
@@ -579,7 +591,7 @@ class TestLawPlans:
         t = dataset_table(m, {"A"}, SelectorValue())
         assert t.axes[-1] == "A" and t.given == {"A"}
         for a in range(3):
-            assert oracle._slice(t, {"A": a}).equals(interventional(m, {"A": a}, SelectorValue()))
+            assert _select(t, {"A": a}).equals(interventional(m, {"A": a}, SelectorValue()))
 
     def test_intermediate_cells_are_capped(self, monkeypatch):
         # the product over U and its four children has 32 cells, the observed
@@ -614,7 +626,7 @@ class TestLawPlans:
 
     def test_verify_compiles_each_plan_once(self, monkeypatch):
         compiled, estimands, layouts = [], [], []
-        real_law, real_estimand = oracle._compile_law, oracle._compile_estimand
+        real_law, real_estimand = oracle._compile_law, oracle._estimand_steps
 
         class CountedLayout(oracle._ModelLayout):
             def __init__(self, *args):
@@ -630,7 +642,7 @@ class TestLawPlans:
             return real_estimand(*args)
 
         monkeypatch.setattr(oracle, "_compile_law", counting)
-        monkeypatch.setattr(oracle, "_compile_estimand", counting_estimand)
+        monkeypatch.setattr(oracle, "_estimand_steps", counting_estimand)
         monkeypatch.setattr(oracle, "_ModelLayout", CountedLayout)
         fx = FX["selection_web"]
         query = q("Y", A1="a1", A2="a2")
@@ -767,6 +779,42 @@ class TestLawPlans:
         assert a.slot == b.slot != c.slot and len(plan.steps) == 2
         assert plan.finish(b).run([t]).equals(t.sum_out({"B"}))
 
+    def test_each_oracle_call_runs_one_plan(self, monkeypatch):
+        # verify plans its estimand, ground truth and comparison as one plan
+        # and runs it once per trial; a witness check plans the observed
+        # law and the query's slices as one plan, run once per model
+        plans, runs = [], []
+        real_init, real_run = oracle._Plan.__init__, oracle._Plan.run_rows
+
+        def init(self, *args):
+            plans.append(self)
+            real_init(self, *args)
+
+        def run_rows(self, inputs):
+            runs.append(self)
+            return real_run(self, inputs)
+
+        monkeypatch.setattr(oracle._Plan, "__init__", init)
+        monkeypatch.setattr(oracle._Plan, "run_rows", run_rows)
+        fx = FX["selection_web"]
+        query = q("Y", A1="a1", A2="a2")
+        r = identify_selected(fx.graph, query)
+        for trials in (1, 5):
+            plans.clear()
+            runs.clear()
+            assert verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag).passed
+            assert len(plans) == 1 and runs == plans * trials
+        # the estimand's 38 steps, the truth's and the comparison's
+        cells = [s.cells for s in plans[0].steps]
+        assert (len(cells), sum(cells)) == (48, 7024)
+        for name, query in (("bow", q("Y", A="a")), ("forced_outcome", q("Y"))):
+            g = FX[name].graph
+            r = identify_selected(g, query)
+            plans.clear()
+            runs.clear()
+            assert verify(g, query, g.support, r, seed=1).passed
+            assert len(plans) == 1 and runs == plans * 2
+
     def test_verify_builds_no_joint(self, monkeypatch):
         fx = FX["selection_web"]
         query = q("Y", A1="a1", A2="a2")
@@ -785,7 +833,7 @@ class TestLawPlans:
             return real_step(self, op, inputs, width, axes, domains, given, drop)
 
         monkeypatch.setattr(oracle.DiscreteCsScm, "joint", no_joint)
-        monkeypatch.setattr(oracle._Laws, "joint", no_joint)
+        monkeypatch.setattr(oracle._Law, "table", no_joint)
         monkeypatch.setattr(oracle._Plan, "step", step)
         assert verify(fx.graph, query, fx.graph.support, r, trials=3, seed=1, dag=fx.dag).passed
         assert kept and all(not observed <= axes and cells < 2304 for axes, cells in kept)
@@ -871,8 +919,20 @@ def _run_to(plan, out, tables) -> Table:
     sub.steps = [copy.copy(s) for s in plan.steps[: out.slot - len(plan.inputs) + 1]]
     for s in sub.steps:
         s.release = []
-    sub.out = out
-    return sub.run(tables)
+    return sub.finish(out).run(tables)
+
+
+def _query_margin(m, query) -> Table:
+    """The ground truth ``verify`` plans: the query law's margin over the
+    outcomes and treatments, stacked over the treatment values."""
+    plan = oracle._Plan(m.cpts)
+    law = oracle._compile_law(oracle._query_law(m, query), query.outcomes | query.treated, plan)
+    return plan.finish(law).run(m.cpts.values())
+
+
+def _select(t, fixed) -> Table:
+    """The rows of ``t`` at the values ``fixed`` gives, without those axes."""
+    return oracle._once([t], lambda plan, a: plan.select(a, fixed))
 
 
 # --------------------------------------------------------------------------
