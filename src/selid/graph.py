@@ -178,6 +178,8 @@ class Graph:
                 raise GraphError("empty vertex name")
         if self.selector is not None and self.selector not in verts:
             raise GraphError("selector must be a vertex of the graph")
+        if self.support is not None and any(self.selector in p for p in self.support.patterns):
+            raise GraphError("the selector support must not name the selector")
         seen = set()
         for e in self.edges:
             if e.tail not in verts or e.head not in verts:

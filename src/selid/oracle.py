@@ -20,15 +20,21 @@ One table layout, one step runner:
   law, over the factors of the margin's ancestral set, reading a model's
   CPTs, which are ``Table``s in the plan's layout from the moment they are
   drawn.  An estimand plan (``_compile_estimand``) runs on the laws it
-  makes: each kernel's ``keep`` margin is eliminated from the CPTs, its
-  ``rest`` summed from that ``keep``, and no joint table is built.  Given
-  ``Table``s instead, it sums their margins.  A plan may keep several
-  results, and each oracle call compiles one: ``verify`` one holding its
-  estimand, ground truth and comparison, run once per trial on models
-  laid out once per call (``_ModelLayout``); a witness check one holding
-  the observed joint and the query's slices, run once per model of the
-  pair.  Each ``Table`` operation, and each of ``joint``,
-  ``interventional`` and ``dataset_table``, is a plan run once.
+  makes: each kernel's ``keep`` margin is eliminated from the CPTs once
+  per axis set, its ``rest`` summed from that ``keep``, and no joint table
+  is built.  Given ``Table``s instead, it sums each ``keep`` from its
+  table.  A plan may keep several results, and each oracle call compiles
+  one: ``verify`` one holding its estimand, ground truth and comparison,
+  run once per trial on models laid out once per call (``_ModelLayout``);
+  a witness check one holding the observed joint and the query's slices,
+  run once per model of the pair.  Each ``Table`` operation, and each of
+  ``joint``, ``interventional`` and ``dataset_table``, is a plan run
+  once.
+* **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
+  draws, one per value of its parents other than the selector, and a
+  model is one group of weights per draw (``_cpt``).  A random model draws
+  the weights (``_random_model``); a witness pair computes them from
+  parity rules, data rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator, or from a divide onward over one denominator per
   row, so a divide of two margins summed from one table is free; a result
@@ -456,16 +462,16 @@ class _Plan:
     result as the next slot and is never changed once made, and ``outs``
     are the results, one or more: every oracle call plans all it compares
     in one plan and runs it once per model.
-    Operations return ``_Operand``s; margins of a source, an operand or a
-    ``_Law``, are planned once per axis set (``margin``), and a step equal
-    to one already planned is not planned again (``step``).
+    Operations return ``_Operand``s; a margin of a ``_Law`` is eliminated
+    once per axis set (``margin``), and a step equal to one already planned
+    is not planned again (``step``), so equal sums are shared too.
     """
 
     def __init__(self, inputs, tables=()):
         self.inputs = list(inputs)
         self.operands = [_Operand(i, t.axes, t.domains, given=t.given) for i, t in enumerate(tables)]
         self.steps = []
-        self.margins: dict = {}  # source -> {axis set: margin}
+        self.margins: dict = {}  # (law, axis set) -> margin
         self.made: dict = {}  # step key -> its slot
         self.outs = ()
 
@@ -508,19 +514,12 @@ class _Plan:
             return self.step(_SAME, [(t.slot, rows)], width, keep, domains, t.given - drop, sorted(drop))
         return self.view(t, rows, width, keep, domains, t.given - drop)
 
-    def margin(self, t, axes: frozenset) -> _Operand:
-        """The margin of ``t`` over ``axes``, planned once: a ``_Law``'s is
-        eliminated from its CPTs (``_compile_law``), and a table's summed
-        from its smallest margin already planned."""
-        kept = self.margins.setdefault(t, {} if isinstance(t, _Law) else {frozenset(t.axes): t})
-        m = kept.get(axes)
+    def margin(self, law: "_Law", axes: frozenset) -> _Operand:
+        """The margin of ``law`` over ``axes``, eliminated from its CPTs
+        (``_compile_law``) once per ``(law, axes)``."""
+        m = self.margins.get((law, axes))
         if m is None:
-            if isinstance(t, _Law):
-                m = _compile_law(t, axes, self)
-            else:
-                src = min((m for k, m in kept.items() if axes <= k), key=lambda m: m.cells)
-                m = self.sum_out(src, frozenset(src.axes) - axes)
-            kept[axes] = m
+            m = self.margins[law, axes] = _compile_law(law, axes, self)
         return m
 
     def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
@@ -535,11 +534,11 @@ class _Plan:
 
     def conditional(self, t, outcome: frozenset, context: frozenset) -> _Operand:
         missing = t.given - context
-        keep, rest = _kernel_axes(t, outcome, context)
-        num = self.margin(t, keep)
+        keep = _kernel_keep(t, outcome, context)
+        num = self.margin(t, keep) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
         # the rest is summed from the kernel's own keep, over the same
         # denominator, so that the divide is free
-        den = self.margin(num, rest)
+        den = self.sum_out(num, outcome)
         return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
 
     def select(self, t: _Operand, fixed: Mapping) -> _Operand:
@@ -809,13 +808,13 @@ def _once(tables: list, build) -> Table:
     return plan.finish(build(plan, *plan.operands)).run(tables)
 
 
-def _kernel_axes(t, outcome: frozenset, context: frozenset) -> tuple:
-    """The axis sets of the two margins of ``t`` a kernel divides."""
+def _kernel_keep(t, outcome: frozenset, context: frozenset) -> frozenset:
+    """The axes of the margin ``keep`` of ``t`` that a kernel divides by its
+    ``rest``, the same margin without ``outcome``."""
     missing = (outcome | context) - frozenset(t.axes)
     if missing:
         raise OracleError(f"kernel variables {sorted(missing)} are not axes of its table")
-    keep = outcome | context | (t.given & frozenset(t.axes))
-    return keep, keep - outcome
+    return outcome | context | (t.given & frozenset(t.axes))
 
 
 def _pick(t: _Operand, axes, domains: Mapping, key) -> list:
@@ -1017,30 +1016,30 @@ def _point(n: int, value) -> list:
 
 class _CptLayout(NamedTuple):
     """Where the cells of the CPT of ``v`` come from, in the law-plan layout
-    (``DiscreteCsScm``): ``n`` values of ``v`` per row; ``natural`` lists
-    the parent values of the rows the selector does not force, in
-    ``itertools.product`` order.  A fill lays out groups of ``n`` weights in
-    lowest terms after a 0 and the denominator (``_cpt``); ``by_row`` reads
-    the cells from one group per natural row, and ``by_draw`` from one per
-    draw of a random model, ``draws`` in all: a selector child draws one
-    row per value of its other parents, which every row with those values
-    reuses.  A forced row reads the 0 and the denominator."""
+    (``DiscreteCsScm``): ``n`` values of ``v`` per row, drawn once per entry
+    of ``draws``, the parents' values without the selector's, in
+    ``itertools.product`` order.  A selector child draws one row per value
+    of its other parents, which every row the selector leaves natural
+    reuses.  A fill lays out one group of ``n`` weights per draw, in lowest
+    terms, after a 0 and the denominator (``_cpt``); ``read`` reads the
+    cells from them, a row the selector forces from the 0 and the
+    denominator."""
 
     v: str
     axes: tuple
     domains: dict
     n: int
-    natural: tuple
-    draws: int
-    by_row: object
-    by_draw: object
+    draws: tuple
+    read: object
 
 
 class _ModelLayout:
     """The layout every model on one (DAG, support, domain size) shares,
     worked out once: each vertex's CPT axes and domains, the rows the
-    selector forces and the order of the weight draws (``_CptLayout``).
-    ``fill`` makes a model on it."""
+    selector forces and the draws (``_CptLayout``).  A CPT over more than
+    ``MAX_CELLS`` cells raises ``OracleError`` before its rows are listed.
+    ``fill`` makes a model on it; every model, random or witness, is made
+    there, one group of weights per draw."""
 
     def __init__(self, dag: Graph, support, domain_size: int):
         sel = dag.selector
@@ -1054,30 +1053,20 @@ class _ModelLayout:
             domains = {p: row_domains[p] for p in parents}
             domains[v] = shape.domain(v)
             n = len(domains[v])
-            keys = list(itertools.product(*(domains[p] for p in parents)))
-            if sel not in parents:  # every row is natural and draws once
-                read = _reader(range(2, 2 + n * len(keys)))
-                self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(keys), len(keys), read, read))
-                continue
-            si = parents.index(sel)
-            natural, draws, by_row, by_draw = [], {}, [], []
-            for pa_vals in keys:
-                pattern, values = pa_vals[si]
-                if v in pattern:
-                    point = _point(n, values[pattern.index(v)])
-                    by_row += point
-                    by_draw += point
-                    continue
-                draw = draws.setdefault(pa_vals[:si] + pa_vals[si + 1:], len(draws))
-                by_row += range(2 + n * len(natural), 2 + n * len(natural) + n)
-                by_draw += range(2 + n * draw, 2 + n * draw + n)
-                natural.append(pa_vals)
-            self.cpts.append(
-                _CptLayout(
-                    v, parents + (v,), domains, n, tuple(natural), len(draws),
-                    _reader(by_row), _reader(by_draw),
-                )
-            )
+            if math.prod(map(len, domains.values())) > MAX_CELLS:  # n cells per row
+                raise OracleError(f"the CPT of {v} exceeds the enumeration cap")
+            si = parents.index(sel) if sel in parents else None
+            draws, cells = {}, []
+            for pa_vals in itertools.product(*(domains[p] for p in parents)):
+                if si is not None:
+                    pattern, values = pa_vals[si]
+                    if v in pattern:
+                        cells += _point(n, values[pattern.index(v)])
+                        continue
+                    pa_vals = pa_vals[:si] + pa_vals[si + 1:]
+                draw = draws.setdefault(pa_vals, len(draws))
+                cells += range(2 + n * draw, 2 + n * draw + n)
+            self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(draws), _reader(cells)))
 
     def fill(self, cpt) -> DiscreteCsScm:
         """The model whose CPT of each vertex is ``cpt(layout)``, asked in
@@ -1086,10 +1075,10 @@ class _ModelLayout:
         return DiscreteCsScm(self.dag, dict(self.sizes), cpts, self.support)
 
 
-def _cpt(c: _CptLayout, weights: list, read) -> Table:
-    """The CPT of ``c.v`` from consecutive groups of ``c.n`` ``weights``,
-    its cells read by ``read`` (``c.by_row`` or ``c.by_draw``): each group
-    in lowest terms, over the least common multiple of the group totals."""
+def _cpt(c: _CptLayout, weights: list) -> Table:
+    """The CPT of ``c.v`` from consecutive groups of ``c.n`` ``weights``, one
+    per draw, its cells read by ``c.read``: each group in lowest terms, over
+    the least common multiple of the group totals."""
     n = c.n
     parts = [weights[k::n] for k in range(n)]
     gs = list(map(math.gcd, *parts))
@@ -1101,30 +1090,7 @@ def _cpt(c: _CptLayout, weights: list, read) -> Table:
     scales = list(map(denom.__floordiv__, totals))
     cells = [0, denom]
     cells += itertools.chain.from_iterable(zip(*(map(operator.mul, part, scales) for part in parts)))
-    return Table(c.axes, c.domains, list(read(cells)), denom=denom)
-
-
-def _build_model(layout: _ModelLayout, mechanism) -> DiscreteCsScm:
-    """A CS-SCM on ``layout`` from per-vertex laidback mechanisms.
-
-    ``mechanism(v, parents, pa_vals, domain)`` returns the natural-case
-    weights of ``v``'s values, which ``domain`` lists (for the selector, its
-    (sorted pattern, value tuple) pairs): one non-negative integer per
-    value, in domain order, not all zero.  The intervene case of selector
-    children is enforced by the layout: a child the selector value
-    intervenes on takes its forced value, and the mechanism is not asked
-    for that row.  The other rows are asked for in ``itertools.product``
-    order, vertex by vertex in topological order.  Each row is put in
-    lowest terms, and the CPT's denominator is the least common multiple
-    of the row totals (``_cpt``).
-    """
-
-    def cpt(c: _CptLayout) -> Table:
-        parents, domain = c.axes[:-1], c.domains[c.v]
-        weights = [w for pa_vals in c.natural for w in mechanism(c.v, parents, pa_vals, domain)]
-        return _cpt(c, weights, c.by_row)
-
-    return layout.fill(cpt)
+    return Table(c.axes, c.domains, list(c.read(cells)), denom=denom)
 
 
 def _random_layout(g: Graph, support: Optional[SelectorSupport], domain_size: int) -> _ModelLayout:
@@ -1145,7 +1111,7 @@ def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
     """The seeded random model on ``layout`` (``random_cs_scm``); ``verify``
     draws every trial's model on one layout."""
     rng = _random.Random(seed)
-    return layout.fill(lambda c: _cpt(c, _weights(rng, c.draws * c.n), c.by_draw))
+    return layout.fill(lambda c: _cpt(c, _weights(rng, len(c.draws) * c.n)))
 
 
 def random_cs_scm(
@@ -1205,28 +1171,13 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
     of ``e`` is planned once.
 
     A ``BaseKernel`` divides two margins of its source, ``keep`` by
-    ``rest``.  The ``keep`` margins are planned first, largest axis set
-    first (``_Plan.margin``): a law's is eliminated from the CPTs, and a
-    table's summed from its smallest margin already planned.  Each
-    ``rest`` is summed from the kernel's own ``keep``.  Every node appends
-    the steps that make it, after those of its children, and rewrites none
-    of them: a ``Restrict`` picks its rows in a step of its own, so a node
-    that several parents read gives each of them the same rows."""
-    kernels = set()
-
-    def scan(x: Estimand, _parts: list):
-        if isinstance(x, BaseKernel):
-            kernels.add(x)
-
-    fold(e, scan)
-    wanted = set()
-    for k in kernels:
-        if k.name in inputs:
-            keep, _ = _kernel_axes(inputs[k.name], k.outcome, k.context)
-            wanted.add((k.name, keep))
-    for name, axes in sorted(wanted, key=lambda w: (-len(w[1]), w[0], sorted(w[1]))):
-        plan.margin(inputs[name], axes)
-
+    ``rest`` (``_Plan.conditional``): a law's ``keep`` is eliminated from
+    the CPTs once per axis set (``_Plan.margin``), a table's is summed from
+    the table, and each ``rest`` is summed from the kernel's own ``keep``;
+    an equal sum is planned once.  Every node appends the steps that make
+    it, after those of its children, and rewrites none of them: a
+    ``Restrict`` picks its rows in a step of its own, so a node that
+    several parents read gives each of them the same rows."""
     def node(x: Estimand, parts: list) -> _Operand:
         if isinstance(x, BaseKernel):
             if x.name not in inputs:
@@ -1337,19 +1288,32 @@ def random_functional_cs_scm(
 # agreement witnesses for non-identification verdicts
 
 
-def _uniform(n: int) -> list:
-    return [1] * n
-
-
-def _sel_pattern_uniform(sel_dom, pattern: tuple) -> list:
-    return [int(sv[0] == pattern) for sv in sel_dom]
-
-
-def _witness_models(g: Graph, mech) -> tuple:
-    """The models with mechanisms ``mech(0)`` and ``mech(1)`` on the
-    canonical hidden DAG of ``g``, binary vertices, ``g``'s support."""
+def _witness_models(g: Graph, rules, patterns=None) -> tuple:
+    """The two models on the canonical hidden DAG of ``g``, binary vertices,
+    ``g``'s support, one per dict of ``rules``.  A rule ``v: (inputs,
+    flip)`` makes ``v`` the parity of its parents ``inputs``, XOR ``flip``;
+    the selector's bit picks ``patterns[bit]`` instead, every value of that
+    pattern equally likely.  A vertex without a rule is uniform.  A rule is
+    read once per draw of the layout (``_CptLayout``), as ``_random_model``
+    draws its weights, so a rule cannot read the selector and every row
+    the selector leaves natural shares its draw."""
     layout = _ModelLayout(canonical_hidden_dag(g), g.support, 2)
-    return tuple(_build_model(layout, mech(x)) for x in (0, 1))
+
+    def model(rule: dict) -> DiscreteCsScm:
+        def cpt(c: _CptLayout) -> Table:
+            if c.v not in rule:
+                return _cpt(c, [1] * (len(c.draws) * c.n))
+            inputs, flip = rule[c.v]
+            others = [p for p in c.axes[:-1] if p != g.selector]
+            at = [others.index(p) for p in inputs]
+            bits = [functools.reduce(operator.xor, (key[i] for i in at), flip) for key in c.draws]
+            if c.v != g.selector:
+                return _cpt(c, [w for bit in bits for w in _point(2, bit)])
+            return _cpt(c, [int(sv[0] == patterns[bit]) for bit in bits for sv in c.domains[c.v]])
+
+        return layout.fill(cpt)
+
+    return tuple(map(model, rules))
 
 
 def positivity_witness_pair(g: Graph, query, district) -> tuple:
@@ -1365,21 +1329,8 @@ def positivity_witness_pair(g: Graph, query, district) -> tuple:
             "no single never-laidback vertex; construction unsupported"
         )
     z = candidates[0]
-    path_pred = _carrier_path(g, query, z)
-
-    def mech(zvalue):
-        def mechanism(v, parents, pa_vals, domain):
-            if v == g.selector:  # checked before z, which may be the selector
-                return _uniform(len(domain))
-            if v == z:
-                return _point(2, zvalue)
-            if v in path_pred:
-                return _point(2, pa_vals[parents.index(path_pred[v])])
-            return _uniform(len(domain))
-
-        return mechanism
-
-    return _witness_models(g, mech)
+    path = {v: ((pred,), 0) for v, pred in _carrier_path(g, query, z).items()}
+    return _witness_models(g, [{**path, z: ((), zvalue)} for zvalue in (0, 1)])
 
 
 def hedge_witness_pair(g: Graph, district, closure) -> tuple:
@@ -1398,7 +1349,7 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
             if e.endpoints() <= district:
                 inside.add(u)
 
-    laid_pattern = serious_pattern = None
+    patterns = None
     if sel is not None and g.support is None:
         raise OracleError("selector hedges need a support")
     if sel is not None and sel in closure:
@@ -1409,7 +1360,7 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
         others = [p for p in g.support if tuple(sorted(p)) != laid_pattern]
         if not others:
             raise OracleError("selector hedge needs at least two support patterns")
-        serious_pattern = tuple(sorted(others[0]))
+        patterns = (laid_pattern, tuple(sorted(others[0])))
 
     def parity_inputs(v, blind: bool):
         scope = district if blind else closure
@@ -1417,26 +1368,13 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
         ins += [u for u in us_of[v] if not blind or u in inside]
         return sorted(set(ins))
 
-    def mech(blind_district: int):
-        def mechanism(v, parents, pa_vals, domain):
-            asg = dict(zip(parents, pa_vals))
-            if v not in closure:
-                return _uniform(len(domain))
-            if v == sel:
-                bit = 0
-                for u in us_of[v]:
-                    bit ^= asg[u]
-                pattern = serious_pattern if bit else laid_pattern
-                return _sel_pattern_uniform(domain, pattern)
-            blind = blind_district and v in district
-            bit = 0
-            for w in parity_inputs(v, blind):
-                bit ^= asg[w]
-            return _point(2, bit)
+    def rules(blind_district: bool) -> dict:
+        out = {v: (parity_inputs(v, blind_district and v in district), 0) for v in closure - {sel}}
+        if patterns:
+            out[sel] = (us_of[sel], 0)
+        return out
 
-        return mechanism
-
-    return _witness_models(g, mech)
+    return _witness_models(g, (rules(False), rules(True)), patterns)
 
 
 def _witness_separation(query, m1, m2) -> Fraction:
@@ -1517,25 +1455,11 @@ def adjacent_child_witness_pair(g: Graph, query, district, closure) -> tuple:
     serious = [p for p in g.support if child in p]
     if not laid or not serious:
         raise OracleError("support cannot express the child's two regimes")
-    laid_pattern = tuple(sorted(laid[0]))
-    serious_pattern = tuple(sorted(serious[0]))
-    path_pred = _carrier_path(g, query, child)
-
-    def mech(blind: int):
-        def mechanism(v, parents, pa_vals, domain):
-            asg = dict(zip(parents, pa_vals))
-            if v == sel:
-                pattern = serious_pattern if asg[u_name] else laid_pattern
-                return _sel_pattern_uniform(domain, pattern)
-            if v == child:
-                return _point(2, 0 if blind else asg[u_name])
-            if v in path_pred:
-                return _point(2, asg[path_pred[v]])
-            return _uniform(len(domain))
-
-        return mechanism
-
-    return _witness_models(g, mech)
+    patterns = (tuple(sorted(laid[0])), tuple(sorted(serious[0])))
+    path = {v: ((pred,), 0) for v, pred in _carrier_path(g, query, child).items()}
+    # the child reads the bit in the first model and is blind in the second
+    rules = [{**path, sel: ((u_name,), 0), child: (inputs, 0)} for inputs in ((u_name,), ())]
+    return _witness_models(g, rules, patterns)
 
 
 def _certified_witness(g: Graph, query, failure) -> tuple:

@@ -469,6 +469,16 @@ class TestCliMoreSurfaces:
         assert json.loads(err)["error"] in ("usage", "input")
 
     @pytest.mark.parametrize("command", ["identify", "verify", "witness"])
+    def test_support_naming_the_selector_is_an_input_error(self, command, tmp_path):
+        path = tmp_path / "self_support.lsg"
+        path.write_text("node Y\nselector S\nedge S -> Y\nbiedge S <-> Y\nsupport {S}\n")
+        code, out, err = run_cli(
+            command, "--graph", str(path), "--query", "P(Y | do(), S=empty)", "--algorithm", "baseline"
+        )
+        assert code == 1 and out == ""
+        assert "the selector support must not name the selector" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", ["identify", "verify", "witness"])
     def test_selection_query_requires_empty_clause(self, command):
         code, out, err = run_cli(
             command,

@@ -149,8 +149,19 @@ class TestModelGeneration:
 
     def test_massless_mechanism_row_is_rejected(self):
         layout = oracle._ModelLayout(FX["chain"].graph, None, 2)
-        with pytest.raises(OracleError, match="no mass"):
-            oracle._build_model(layout, lambda v, parents, pa_vals, domain: [0, 0])
+        for c in layout.cpts:
+            with pytest.raises(OracleError, match=f"a mechanism row of {c.v} has no mass"):
+                oracle._cpt(c, [0] * (len(c.draws) * c.n))
+
+    def test_each_cpt_is_capped_before_its_rows_are_listed(self, monkeypatch):
+        # a sink with 5 binary parents: a CPT of 2 * 32 = 64 cells
+        kids = tuple(f"X{i}" for i in range(5))
+        g = Graph(random=frozenset(kids + ("Y",)), edges=frozenset(directed(x, "Y") for x in kids))
+        monkeypatch.setattr(oracle, "MAX_CELLS", 63)
+        with pytest.raises(OracleError, match="the CPT of Y exceeds the enumeration cap"):
+            random_cs_scm(g, seed=0)
+        monkeypatch.setattr(oracle, "MAX_CELLS", 64)
+        assert sum(joint(random_cs_scm(g, seed=0)).data.values()) == 1
 
     def test_rows_sum_to_one(self):
         m = random_cs_scm(FX["chain"].graph, seed=1)
@@ -381,6 +392,20 @@ class TestWitnesses:
         m1, m2 = parity_witness(fx.graph, q("Y", A="a"), r)
         assert m1.validate() and m2.validate()
         assert joint(m1).equals(joint(m2))
+
+    def test_adjacent_child_witness_is_pinned(self):
+        # recorded numbers: generator seed 45's hedge is certified by the
+        # adjacent-child construction, and both of its models are pinned
+        from test_random_models import random_selection_model
+
+        _, proj, query = random_selection_model(45)
+        r = identify_selected(proj, query)
+        pair = parity_witness(proj, query, r)
+        pinned = json.loads((GOLDEN / "witness_adjacent_child.json").read_text())
+        assert [cpt_tables(m) for m in pair] == pinned["models"]
+        adjacent = oracle.adjacent_child_witness_pair(proj, query, r.district, r.closure)
+        assert [cpt_tables(m) for m in adjacent] == pinned["models"]
+        assert str(oracle._witness_separation(query, *pair)) == pinned["separation"]
 
     def test_thicket_has_no_construction(self):
         fx = FX["split_thicket"]
@@ -689,17 +714,20 @@ class TestLawPlans:
         monkeypatch.undo()
         assert len(kernels) == 5
 
-        # each distinct margin is summed once, some from a smaller margin
-        # than the table, and every kernel divides two of them: the table's
-        # keep margins, and each rest margin keyed under its kernel's keep
-        keeps = plan.margins[plan.operands[0]].values()
-        margins = [m for keep in keeps for m in plan.margins.get(keep, {keep.axes: keep}).values()]
-        slots = {m.slot for m in margins}
+        # each distinct margin is summed once, and every kernel divides two
+        # of them: its keep margin of the table, and its rest margin summed
+        # from that keep; planning them again appends no step
+        table, planned = plan.operands[0], len(plan.steps)
+        slots = {table.slot}
+        for outcome, context, _, _ in kernels.values():
+            keep = plan.sum_out(table, frozenset(table.axes) - oracle._kernel_keep(table, outcome, context))
+            slots |= {keep.slot, plan.sum_out(keep, outcome).slot}
+        assert len(plan.steps) == planned
         sums = [
             s for s in plan.steps
             if s.op is oracle._SUM and len(s.inputs) == 1 and s.inputs[0][0] in slots
         ]
-        assert len(sums) == len(slots - {0}) and any(s.inputs[0][0] != 0 for s in sums)
+        assert len(sums) == len(slots - {0})
         divides = [s for s in plan.steps if s.op is oracle._DIV]
         assert len(divides) == 5
         assert all(s.inputs[0][0] in slots and s.inputs[1][0] in slots for s in divides)
@@ -723,14 +751,20 @@ class TestLawPlans:
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
             plan = oracle._compile_estimand(e, sources)
             cpts = [m.cpts[v] for v in plan.inputs]
-            for name, law in sources.items():
-                table = dataset_table(m, datasets[name])
-                for keep in plan.margins[law].values():
-                    # the kernel's rest margins are summed from its keep
-                    for margin in plan.margins.get(keep, {keep.axes: keep}).values():
-                        want = table.sum_out(frozenset(table.axes) - frozenset(margin.axes))
-                        assert _run_to(plan, margin, cpts).equals(want), (e, sorted(margin.axes))
-                        checked += 1
+            tables = {name: dataset_table(m, z) for name, z in datasets.items()}
+            planned, margins = len(plan.steps), {}
+            for k in _kernels(e):
+                law = sources[k.name]
+                keep = plan.margins[law, oracle._kernel_keep(law, k.outcome, k.context)]
+                # the kernel's rest margin is summed from its keep: planning
+                # it again appends no step
+                for margin in (keep, plan.sum_out(keep, k.outcome)):
+                    margins[margin.slot] = (tables[k.name], margin)
+            assert len(plan.steps) == planned
+            for table, margin in margins.values():
+                want = table.sum_out(frozenset(table.axes) - frozenset(margin.axes))
+                assert _run_to(plan, margin, cpts).equals(want), (e, sorted(margin.axes))
+                checked += 1
             eliminated += sum(s.op is oracle._SUM and len(s.inputs) > 1 for s in plan.steps)
         assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated
 
@@ -755,10 +789,10 @@ class TestLawPlans:
             keeps = set()
             for k in _kernels(e):
                 law = sources[k.name]
-                keeps.add((law, oracle._kernel_axes(law, k.outcome, k.context)[0]))
+                keeps.add((law, oracle._kernel_keep(law, k.outcome, k.context)))
             assert len(compiled) == len(keeps)
             assert {(law, axes) for law, axes, _ in compiled} == keeps
-            assert all(plan.margins[law][axes] is out for law, axes, out in compiled)
+            assert all(plan.margins[law, axes] is out for law, axes, out in compiled)
             margins += len(keeps)
         assert margins > 300
 
