@@ -2,8 +2,9 @@
 generate witnesses.
 
 Exit codes: 0 an answer was produced (identification failures are answers),
-1 usage error, 2 internal error.  The environment variable ``SSID_SEED``
-overrides ``--seed``.  Output is byte-identical for identical inputs.
+1 usage error or a problem past the oracle's enumeration cap, 2 internal
+error.  The environment variable ``SSID_SEED`` overrides ``--seed``.
+Output is byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -299,6 +300,10 @@ def main(argv=None) -> int:
     except GraphError as exc:
         # violated input contracts (bad query/graph/algorithm combination)
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
+        return 1
+    except oracle.CapError as exc:
+        # an input too large to enumerate is refused, not an internal error
+        print(json.dumps({"error": "cap", "message": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
         print(

@@ -12,10 +12,11 @@ One table layout, one step runner:
 * **Tables** (``Table``) hold values row-major over their axes, as one flat
   list over one integer denominator: a law's integer numerators, or one
   ``Fraction`` per row over 1 once a table has been divided.
-* **Plans** (``_Plan``) are steps worked out once per shape and replayed:
-  each gathers its inputs by readers made when it is planned, one C-level
-  call per input, multiplies or divides them cell by cell, and reduces
-  groups of ``width`` cells as strided slices.  ``_compile_law`` is the
+* **Plans** (``_Plan``) are steps worked out once per shape and replayed
+  on a batch of models at a time, their rows back to back: each step
+  gathers its inputs by readers made on first use for a batch size, one
+  C-level call per input, multiplies or divides them cell by cell, and
+  reduces groups of ``width`` cells as strided slices.  ``_compile_law`` is the
   one variable-elimination routine: it appends the steps of a margin of a
   law, over the factors of the margin's ancestral set, reading a model's
   CPTs, which are ``Table``s in the plan's layout from the moment they are
@@ -25,20 +26,22 @@ One table layout, one step runner:
   is built.  Given ``Table``s instead, it sums each ``keep`` from its
   table.  A plan may keep several results, and each oracle call compiles
   one: ``verify`` one holding its estimand, ground truth and comparison,
-  run once per trial on models laid out once per call (``_ModelLayout``);
-  a witness check one holding the observed joint and the query's slices,
-  run once per model of the pair.  Each ``Table`` operation, and each of
-  ``joint``, ``interventional`` and ``dataset_table``, is a plan run
-  once.
+  run once per batch of trials on models laid out once per call
+  (``_ModelLayout``); a witness check one holding the observed joint and
+  the query's slices, run once per model of the pair.  Each ``Table``
+  operation, and each of ``joint``, ``interventional`` and
+  ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
-  model is one group of weights per draw (``_cpt``).  A random model draws
-  the weights (``_random_model``); a witness pair computes them from
-  parity rules, data rather than code (``_witness_models``).
+  model is one group of weights per draw (``_cpt``), normalized for a
+  batch of models at once.  A random model draws the weights
+  (``_random_model``); a witness pair computes them from parity rules,
+  data rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
-  common denominator, or from a divide onward over one denominator per
-  row, so a divide of two margins summed from one table is free; a result
-  over per-row denominators is divided once per row, into ``Fraction``s.
+  common denominator per model, or from a divide onward over one
+  denominator per row, so a divide of two margins summed from one table
+  is free; a result over per-row denominators is divided once per row,
+  into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -70,10 +73,23 @@ from .graph import OBSERVATIONAL, Graph, GraphError, SelectorSupport, SelectorVa
 from .projection import bidirected_latents, canonical_hidden_dag
 
 MAX_CELLS = 1 << 20
+# The cells one run of a plan may cover, over all the models of its batch,
+# and the cells of the batch's CPTs: ``verify`` runs as many trials per
+# batch as keep both within it.  Plans of a few dozen cells run dozens of
+# trials per batch, where per-step Python overhead dominates;
+# big-integer-bound plans run about two (selection_web: 7024 cells per
+# trial), since wider batches of them were measured slower; a model whose
+# CPTs alone exceed it runs one trial per batch.
+BATCH_CELLS = 1 << 14
 
 
 class OracleError(ValueError):
     pass
+
+
+class CapError(OracleError):
+    """A table, product or state space past ``MAX_CELLS`` cells, refused
+    before it is built."""
 
 
 class Undefined:
@@ -405,11 +421,11 @@ class _Operand:
         """Positions of this factor's rows for every row of the row-major
         table over ``axes``; axes the factor lacks are broadcast.  Every
         plan step gathers its inputs here, so a step over more than
-        ``MAX_CELLS`` cells raises ``OracleError`` before its index arrays
-        are built."""
+        ``MAX_CELLS`` cells raises ``CapError`` before its index arrays are
+        built."""
         cells = math.prod(len(domains[a]) for a in axes)
         if cells > MAX_CELLS:
-            raise OracleError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
+            raise CapError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
         idx = [self.offset]
         for a in axes:
             if a in self.place:
@@ -436,15 +452,16 @@ _SUM, _DIV, _SAME = "sum", "divide", "same"
 
 @dataclass(eq=False, slots=True)
 class _Step:
-    """Gather each input ``(slot, reader)``, the reader one C-level call
-    (``_reader``) made when the step is planned, multiply the inputs cell by
-    cell (``_SUM``, ``_SAME``; all ones without inputs) or divide the first
-    by the second (``_DIV``), then reduce consecutive groups of ``width``
-    cells: by summing, or for ``_SAME`` by checking that they are equal and
-    keeping one.  Numerators and denominators are multiplied apart; a
-    divide gives one denominator per row, and products and sums of such rows
-    keep one (``_Plan.run``).  ``release`` lists the slots no later step
-    reads."""
+    """Gather each input ``(slot, idx)``, the positions ``idx`` of that
+    slot's rows, multiply the inputs cell by cell (``_SUM``, ``_SAME``; all
+    ones without inputs) or divide the first by the second (``_DIV``),
+    then reduce consecutive groups of ``width`` cells: by
+    summing, or for ``_SAME`` by checking that they are equal and keeping
+    one.  ``cells`` counts one model's.  Numerators and denominators are
+    multiplied apart; a divide gives one denominator per row, and products
+    and sums of such rows keep one (``_Plan.run_rows``).  ``release`` lists
+    the slots no later step reads.  ``readers`` holds the inputs' readers
+    by input and batch size (``_batch_reader``)."""
 
     op: str
     inputs: list
@@ -452,6 +469,7 @@ class _Step:
     cells: int
     drop: list  # the axes a _SAME step drops, for its error
     release: list = field(default_factory=list)
+    readers: dict = field(default_factory=dict)
 
 
 class _Plan:
@@ -479,12 +497,11 @@ class _Plan:
         """The table a new step makes, or the slot of an equal step already
         planned: one with the same op, width and gathers makes the same
         rows (two margins eliminated from one law share products)."""
-        gathers = [(s, array("l", idx)) for s, idx in inputs]
-        key = (op, width, tuple(drop), tuple((s, idx.tobytes()) for s, idx in gathers))
+        key = (op, width, tuple(drop), tuple((s, array("l", idx).tobytes()) for s, idx in inputs))
         slot = self.made.get(key)
         if slot is None:
             cells = width * math.prod(len(domains[a]) for a in axes)
-            self.steps.append(_Step(op, [(s, _reader(idx)) for s, idx in gathers], width, cells, drop))
+            self.steps.append(_Step(op, list(inputs), width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
         return _Operand(slot, axes, domains, given=given)
 
@@ -583,29 +600,35 @@ class _Plan:
     def run(self, tables) -> Table:
         """The one result on ``tables``, one per input, shaped as at compile
         time."""
-        (rows,) = self.run_rows(list(map(_rows, tables)))
-        return _table(self.outs[0], rows)
+        (rows,) = self.run_rows(list(map(_rows, tables)), 1)
+        return _table(self.outs[0], _trials(rows, 1)[0])
 
-    def run_rows(self, inputs: list) -> list:
-        """``(values, denominators)`` of each result on ``inputs``, one
-        ``(values, denominators)`` per input table (``_rows``), without
-        building a ``Table``.
+    def run_rows(self, inputs: list, trials: int) -> list:
+        """``(values, denominators)`` of each result on a batch of
+        ``trials`` models, in one pass, without building a ``Table``:
+        ``inputs`` holds one slot per input table (``_rows``,
+        ``_ModelLayout.fill``), and ``_trials`` splits a result by model.
 
-        A slot holds integer numerators, or ``UNDEF``, over one common
-        denominator or, from a divide onward, over one denominator per row
-        (a list).  Each input is read by its step's reader in one call, and
-        the products are taken cell by cell by ``map``; no Python code runs
-        per cell unless a slot holds ``UNDEF`` or a divide needs lowest
-        terms."""
+        A slot holds the models' rows back to back: integer numerators, or
+        ``UNDEF``, over one common denominator per model (a tuple) or, from
+        a divide onward, over one denominator per row (a list).  Each input
+        is read by its step's reader in one call, and the products are
+        taken cell by cell by ``map``; no Python code runs per cell unless a
+        slot holds ``UNDEF`` or a divide needs lowest terms.  A group a
+        step reduces never spans two models, so a batch of one model is a
+        run on that model alone."""
         slots, denoms = map(list, zip(*inputs)) if inputs else ([], [])
         undef = set()  # the slots that hold UNDEF
         if _has_undef(itertools.chain.from_iterable(slots)):
             undef = {s for s, vec in enumerate(slots) if _has_undef(vec)}
         for step in self.steps:
-            inputs = step.inputs
+            inputs = [
+                (s, _batch_reader(step.readers, (k, trials), idx, len(slots[s]) // trials, trials))
+                for k, (s, idx) in enumerate(step.inputs)
+            ]
             flagged = bool(undef) and any(s in undef for s, _ in inputs)
             if step.op is _DIV:
-                acc, den = _divide(slots, denoms, inputs, flagged)
+                acc, den = _divide(slots, denoms, inputs, flagged, step.cells)
                 flagged = True
             elif inputs:
                 (s, read), *rest = inputs
@@ -613,10 +636,10 @@ class _Plan:
                 mul = _mul if flagged else operator.mul
                 for s, read in rest:
                     acc = map(mul, acc, read(slots[s]))
-                den = _product_denoms(denoms, inputs)
+                den = _product_denoms(denoms, inputs, step.cells)
             else:
-                acc, den = [1] * step.cells, 1
-            if type(den) is int:
+                acc, den = [1] * (step.cells * trials), (1,) * trials
+            if type(den) is tuple:
                 vec = _reduce(step, acc, flagged)
             else:
                 vec, den = _reduce_rows(step, acc, den, flagged)
@@ -629,9 +652,47 @@ class _Plan:
         return [(slots[out.slot], denoms[out.slot]) for out in self.outs]
 
 
+def _batch_reader(cache: dict, key, idx, size: int, trials: int):
+    """One C-level call (``_reader``) that reads the positions ``idx`` of
+    each of ``trials`` models laid out back to back, ``size`` cells each:
+    made on first use and kept in ``cache`` under ``key``, which names
+    ``idx`` and ``trials``."""
+    read = cache.get(key)
+    if read is None:
+        read = cache[key] = _reader(_repeated(idx, size, trials))
+    return read
+
+
+def _repeated(idx, size: int, trials: int) -> list:
+    """The positions ``idx`` in each of ``trials`` consecutive blocks of
+    ``size``."""
+    out = list(idx)
+    for at in range(size, size * trials, size):
+        out += [i + at for i in idx]
+    return out
+
+
+def _trials(rows: tuple, trials: int) -> list:
+    """Each model's rows ``(values, denominators)`` of a batch's rows: its
+    values over one integer, or over a list of per-row denominators."""
+    vec, den = rows
+    n = len(vec) // trials
+    cut = [slice(t * n, (t + 1) * n) for t in range(trials)]
+    if type(den) is tuple:
+        return [(vec[c], d) for c, d in zip(cut, den)]
+    return [(vec[c], den[c]) for c in cut]
+
+
+def _per_row(den: tuple, cells: int):
+    """One denominator per model, repeated for each of its ``cells``
+    rows."""
+    return itertools.chain.from_iterable(map(itertools.repeat, den, itertools.repeat(cells)))
+
+
 def _table(out: _Operand, rows: tuple) -> Table:
-    """The table ``out`` of rows ``(values, denominators)``; rows over
-    per-row denominators become one ``Fraction`` per row, over 1."""
+    """The table ``out`` of one model's rows ``(values, denominators)``
+    (``_trials``); rows over per-row denominators become one ``Fraction``
+    per row, over 1."""
     vec, den = rows
     if type(den) is not int:
         vec, den = [n if n is UNDEF else Fraction(n, d) for n, d in zip(vec, den)], 1
@@ -639,28 +700,29 @@ def _table(out: _Operand, rows: tuple) -> Table:
 
 
 def _rows(t: Table) -> tuple:
-    """``(values, denominator)`` of ``t`` as a run slot: its own, or for a
-    table of rationals over 1 their numerators over per-row denominators."""
+    """``(values, denominators)`` of ``t`` as a run slot of one model: its
+    own over its denominator, or for a table of rationals over 1 their
+    numerators over per-row denominators."""
     values = t.values
     if t.denom != 1 or all(type(v) is int or v is UNDEF for v in values):
-        return values, t.denom
+        return values, (t.denom,)
     nums = [v if v is UNDEF else v.numerator for v in values]
     return nums, [1 if v is UNDEF else v.denominator for v in values]
 
 
-def _scaled(vec: list, den, read, mul) -> list:
-    """``vec`` times ``den``: one integer, or per-row denominators read by
-    ``read``."""
-    if type(den) is not int:
+def _scaled(vec: list, den, read, mul, cells: int) -> list:
+    """``vec`` times ``den``: one integer per model, or per-row
+    denominators read by ``read``."""
+    if type(den) is not tuple:
         return list(map(mul, vec, read(den)))
-    return vec if den == 1 else list(map(mul, vec, itertools.repeat(den)))
+    return vec if den.count(1) == len(den) else list(map(mul, vec, _per_row(den, cells)))
 
 
-def _divide(slots: list, denoms: list, inputs, flagged: bool) -> tuple:
-    """Numerators and per-row denominators of a ``_DIV`` step's cells:
-    (a / da) / (b / db) = (a * db) / (b * da), so the denominator two
-    margins of one table share cancels.  An ``UNDEF`` dividend or divisor,
-    or a zero divisor, gives ``UNDEF``."""
+def _divide(slots: list, denoms: list, inputs, flagged: bool, cells: int) -> tuple:
+    """Numerators and per-row denominators of a ``_DIV`` step's ``cells``
+    per model: (a / da) / (b / db) = (a * db) / (b * da), so the
+    denominator two margins of one table share cancels.  An ``UNDEF``
+    dividend or divisor, or a zero divisor, gives ``UNDEF``."""
     (n, read_n), (d, read_d) = inputs
     num = list(read_n(slots[n]))
     den = list(read_d(slots[d]))
@@ -671,11 +733,11 @@ def _divide(slots: list, denoms: list, inputs, flagged: bool) -> tuple:
             if a is UNDEF or b is UNDEF or not b:
                 num[i], den[i] = UNDEF, 1
     da, db = denoms[n], denoms[d]
-    if type(da) is int and da == db:
+    if type(da) is tuple and da == db:
         return num, den
     # any other divide puts each row in lowest terms: nested ratios would
     # otherwise multiply the size of their integers at every level
-    return _lowest(_scaled(num, db, read_d, mul), _scaled(den, da, read_n, operator.mul))
+    return _lowest(_scaled(num, db, read_d, mul, cells), _scaled(den, da, read_n, operator.mul, cells))
 
 
 def _lowest(num: list, den: list) -> tuple:
@@ -690,20 +752,23 @@ def _lowest(num: list, den: list) -> tuple:
     return num, den
 
 
-def _product_denoms(denoms: list, inputs):
-    """The denominators of a product of ``inputs``: one integer when every
-    input has a common one, else per-row denominators."""
-    common, rows = 1, None
+def _product_denoms(denoms: list, inputs, cells: int):
+    """The denominators of a product of ``inputs`` over ``cells`` per model:
+    one integer per model when every input has one, else per-row
+    denominators."""
+    common, rows = None, None
     for s, read in inputs:
         den = denoms[s]
-        if type(den) is int:
-            common *= den
+        if type(den) is tuple:
+            common = den if common is None else tuple(map(operator.mul, common, den))
         else:
             row = read(den)
             rows = row if rows is None else map(operator.mul, rows, row)
     if rows is None:
         return common
-    return rows if common == 1 else map(operator.mul, rows, itertools.repeat(common))
+    if common is not None and common.count(1) != len(common):
+        rows = map(operator.mul, rows, _per_row(common, cells))
+    return list(rows)  # never a tuple, which would read as one per model
 
 
 def _not_constant(step: _Step):
@@ -947,14 +1012,14 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
     free axes sorted, broadcast where no factor has them.
 
     The margin holds the product of the denominators of the CPTs it reads.
-    A product over more than ``MAX_CELLS`` cells raises ``OracleError``
-    while the plan is made (``_Operand.gather``).
+    A product over more than ``MAX_CELLS`` cells raises ``CapError`` while
+    the plan is made (``_Operand.gather``).
     """
     m, free, factors = law.m, law.free, law.factors
     if m.selector in free:
         raise OracleError("intervene on the selector via its own slot")
     if m._cells(m.observed()) > MAX_CELLS:
-        raise OracleError("observed state space exceeds the enumeration cap")
+        raise CapError("observed state space exceeds the enumeration cap")
     kept, todo = set(), [v for v in out_axes if v in factors]
     while todo:
         v = todo.pop()
@@ -1021,25 +1086,26 @@ class _CptLayout(NamedTuple):
     ``itertools.product`` order.  A selector child draws one row per value
     of its other parents, which every row the selector leaves natural
     reuses.  A fill lays out one group of ``n`` weights per draw, in lowest
-    terms, after a 0 and the denominator (``_cpt``); ``read`` reads the
-    cells from them, a row the selector forces from the 0 and the
-    denominator."""
+    terms, after a 0 and the denominator (``_cpt``); ``index`` lists the
+    positions of the cells there, a row the selector forces reading the 0
+    and the denominator."""
 
     v: str
     axes: tuple
     domains: dict
     n: int
     draws: tuple
-    read: object
+    index: list
 
 
 class _ModelLayout:
     """The layout every model on one (DAG, support, domain size) shares,
     worked out once: each vertex's CPT axes and domains, the rows the
     selector forces and the draws (``_CptLayout``).  A CPT over more than
-    ``MAX_CELLS`` cells raises ``OracleError`` before its rows are listed.
-    ``fill`` makes a model on it; every model, random or witness, is made
-    there, one group of weights per draw."""
+    ``MAX_CELLS`` cells raises ``CapError`` before its rows are listed.
+    Every model, random or witness, is made there, one group of weights per
+    draw, in batches (``fill``, ``draw``): a batch is one run slot per CPT,
+    a plan's inputs as they are, and ``models`` splits it into models."""
 
     def __init__(self, dag: Graph, support, domain_size: int):
         sel = dag.selector
@@ -1054,7 +1120,7 @@ class _ModelLayout:
             domains[v] = shape.domain(v)
             n = len(domains[v])
             if math.prod(map(len, domains.values())) > MAX_CELLS:  # n cells per row
-                raise OracleError(f"the CPT of {v} exceeds the enumeration cap")
+                raise CapError(f"the CPT of {v} exceeds the enumeration cap")
             si = parents.index(sel) if sel in parents else None
             draws, cells = {}, []
             for pa_vals in itertools.product(*(domains[p] for p in parents)):
@@ -1066,31 +1132,71 @@ class _ModelLayout:
                     pa_vals = pa_vals[:si] + pa_vals[si + 1:]
                 draw = draws.setdefault(pa_vals, len(draws))
                 cells += range(2 + n * draw, 2 + n * draw + n)
-            self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(draws), _reader(cells)))
+            self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(draws), cells))
+        self.weights = sum(len(c.draws) * c.n for c in self.cpts)  # per model
+        self.cells = sum(len(c.index) for c in self.cpts)  # per model
+        self.readers = {}  # (vertex, batch size) -> reader of its CPT's cells
 
-    def fill(self, cpt) -> DiscreteCsScm:
-        """The model whose CPT of each vertex is ``cpt(layout)``, asked in
-        topological order."""
-        cpts = {c.v: cpt(c) for c in self.cpts}
+    def model(self, cpts: dict) -> DiscreteCsScm:
         return DiscreteCsScm(self.dag, dict(self.sizes), cpts, self.support)
 
+    def shape(self) -> DiscreteCsScm:
+        """A model whose CPTs hold no values: plans compile on it."""
+        return self.model({c.v: Table(c.axes, c.domains, ()) for c in self.cpts})
 
-def _cpt(c: _CptLayout, weights: list) -> Table:
-    """The CPT of ``c.v`` from consecutive groups of ``c.n`` ``weights``, one
-    per draw, its cells read by ``c.read``: each group in lowest terms, over
-    the least common multiple of the group totals."""
-    n = c.n
+    def fill(self, weights: list) -> list:
+        """The CPTs of a batch of models, one ``(cells, denominators)`` slot
+        per CPT (``_cpt``): ``weights`` holds one list per model, its
+        weights for every CPT's draws, CPT after CPT in topological order.
+        Each CPT's cells are read out of its groups by one reader per
+        batch size (``_batch_reader``)."""
+        batch, at, trials = [], 0, len(weights)
+        for c in self.cpts:
+            end = at + len(c.draws) * c.n
+            groups, denoms = _cpt(c, list(itertools.chain.from_iterable(w[at:end] for w in weights)))
+            read = _batch_reader(self.readers, (c.v, trials), c.index, end - at + 2, trials)
+            batch.append((list(read(groups)), denoms))
+            at = end
+        return batch
+
+    def draw(self, seeds) -> list:
+        """The batch (``fill``) of the random models seeded by ``seeds``: one
+        ``_weights`` call per model covers every CPT, the same stream as a
+        call per CPT, since ``_weights`` draws no value past those asked
+        for."""
+        return self.fill([_weights(_random.Random(seed), self.weights) for seed in seeds])
+
+    def models(self, batch: list, trials: int) -> list:
+        """The ``trials`` models of ``batch``."""
+        cpts = [{} for _ in range(trials)]
+        for c, rows in zip(self.cpts, batch):
+            for model, (values, denom) in zip(cpts, _trials(rows, trials)):
+                model[c.v] = Table(c.axes, c.domains, values, denom=denom)
+        return list(map(self.model, cpts))
+
+
+def _cpt(c: _CptLayout, weights: list) -> tuple:
+    """The CPT of ``c.v`` in each model of a batch, from consecutive groups
+    of ``c.n`` ``weights``, one per draw, model after model: each group in
+    lowest terms, over the least common multiple of its model's group
+    totals.  Returns the groups, each model's after a 0 and its
+    denominator, and the denominators; ``c.index`` reads the cells there
+    (``_ModelLayout.fill``)."""
+    n, draws = c.n, len(c.draws)
     parts = [weights[k::n] for k in range(n)]
     gs = list(map(math.gcd, *parts))
     if 0 in gs:
         raise OracleError(f"a mechanism row of {c.v} has no mass")
     parts = [list(map(operator.floordiv, part, gs)) for part in parts]
     totals = _added(parts)
-    denom = math.lcm(*totals)
-    scales = list(map(denom.__floordiv__, totals))
-    cells = [0, denom]
-    cells += itertools.chain.from_iterable(zip(*(map(operator.mul, part, scales) for part in parts)))
-    return Table(c.axes, c.domains, list(c.read(cells)), denom=denom)
+    denoms = tuple(itertools.starmap(math.lcm, zip(*[iter(totals)] * draws)))  # per model
+    scales = list(map(operator.floordiv, _per_row(denoms, draws), totals))
+    scaled = list(itertools.chain.from_iterable(zip(*(map(operator.mul, part, scales) for part in parts))))
+    size, cells = draws * n, []
+    for t, denom in enumerate(denoms):
+        cells += (0, denom)
+        cells += scaled[t * size:(t + 1) * size]
+    return cells, denoms
 
 
 def _random_layout(g: Graph, support: Optional[SelectorSupport], domain_size: int) -> _ModelLayout:
@@ -1108,10 +1214,10 @@ def _random_layout(g: Graph, support: Optional[SelectorSupport], domain_size: in
 
 
 def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
-    """The seeded random model on ``layout`` (``random_cs_scm``); ``verify``
-    draws every trial's model on one layout."""
-    rng = _random.Random(seed)
-    return layout.fill(lambda c: _cpt(c, _weights(rng, len(c.draws) * c.n)))
+    """The seeded random model on ``layout`` (``random_cs_scm``): a batch of
+    one."""
+    (m,) = layout.models(layout.draw([seed]), 1)
+    return m
 
 
 def random_cs_scm(
@@ -1296,24 +1402,23 @@ def _witness_models(g: Graph, rules, patterns=None) -> tuple:
     pattern equally likely.  A vertex without a rule is uniform.  A rule is
     read once per draw of the layout (``_CptLayout``), as ``_random_model``
     draws its weights, so a rule cannot read the selector and every row
-    the selector leaves natural shares its draw."""
+    the selector leaves natural shares its draw.  The two models are filled
+    as one batch."""
     layout = _ModelLayout(canonical_hidden_dag(g), g.support, 2)
 
-    def model(rule: dict) -> DiscreteCsScm:
-        def cpt(c: _CptLayout) -> Table:
-            if c.v not in rule:
-                return _cpt(c, [1] * (len(c.draws) * c.n))
-            inputs, flip = rule[c.v]
-            others = [p for p in c.axes[:-1] if p != g.selector]
-            at = [others.index(p) for p in inputs]
-            bits = [functools.reduce(operator.xor, (key[i] for i in at), flip) for key in c.draws]
-            if c.v != g.selector:
-                return _cpt(c, [w for bit in bits for w in _point(2, bit)])
-            return _cpt(c, [int(sv[0] == patterns[bit]) for bit in bits for sv in c.domains[c.v]])
+    def weights(rule: dict, c: _CptLayout) -> list:
+        if c.v not in rule:
+            return [1] * (len(c.draws) * c.n)
+        inputs, flip = rule[c.v]
+        others = [p for p in c.axes[:-1] if p != g.selector]
+        at = [others.index(p) for p in inputs]
+        bits = [functools.reduce(operator.xor, (key[i] for i in at), flip) for key in c.draws]
+        if c.v != g.selector:
+            return [w for bit in bits for w in _point(2, bit)]
+        return [int(sv[0] == patterns[bit]) for bit in bits for sv in c.domains[c.v]]
 
-        return layout.fill(cpt)
-
-    return tuple(map(model, rules))
+    filled = [[w for c in layout.cpts for w in weights(rule, c)] for rule in rules]
+    return tuple(layout.models(layout.fill(filled), len(filled)))
 
 
 def positivity_witness_pair(g: Graph, query, district) -> tuple:
@@ -1388,7 +1493,10 @@ def _witness_separation(query, m1, m2) -> Fraction:
     truth = _compile_law(_query_law(m1, query), query.outcomes | query.treated, plan)
     slices = [plan.select(truth, vert_vals) for vert_vals, _ in _token_bindings(query, m1.sizes)]
     plan.finish(joint, *slices)
-    (j1, *q1), (j2, *q2) = (plan.run_rows([_rows(m.cpts[v]) for v in plan.inputs]) for m in (m1, m2))
+    (j1, *q1), (j2, *q2) = (
+        [_trials(rows, 1)[0] for rows in plan.run_rows([_rows(m.cpts[v]) for v in plan.inputs], 1)]
+        for m in (m1, m2)
+    )
     if not _equal_rows(j1, j2):
         return Fraction(0)
     return max(_table(s, a).total_variation(_table(s, b)) for s, a, b in zip(slices, q1, q2))
@@ -1580,11 +1688,16 @@ def verify(
     set and its ``rest`` summed from that ``keep``, so no trial builds the
     observed joint; the ground truth's margin, read at the tokens; and the
     estimand without its other axes, checked to be constant over them.
-    Every trial's model is drawn on one ``_ModelLayout``, built once per
-    call, and the plan runs once on it (``_Plan.run_rows``); the two
-    results are compared as rows, without a ``Fraction`` per row.  A
-    check of constancy that fails, in a kernel or in the comparison,
-    fails that trial.
+    The plan compiles on the shape of the one ``_ModelLayout`` every
+    trial's model is drawn on, built once per call.  Trials run in
+    batches, as many per batch as keep both a run and the batch's CPTs
+    within ``BATCH_CELLS`` cells: each batch's models are drawn in one
+    pass and the plan runs once on them (``_Plan.run_rows``), each trial
+    over its own denominators.  Each trial's two results are compared as rows, without
+    a ``Fraction`` per row.  A check of constancy that fails, in a kernel
+    or in the comparison, fails its trial: a batch in which one fails runs
+    again trial by trial, so the report names exactly the failing trials,
+    as a run of each trial alone would.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
@@ -1600,35 +1713,42 @@ def verify(
                 "(for a fixture, its *_dag.lsg file)"
             )
         layout = _random_layout(dag, support, domain_size)
-        failures = []
-        for t in range(trials):
-            m = _random_model(layout, seed + t)
-            if t == 0:  # every trial's model has the same shape
-                plan = _Plan(m.cpts)
-                sources = {"p": _Law(m, {})}
-                for name, z in datasets or ():
-                    sources[name] = _dataset_law(m, z, None)
-                est = _estimand_steps(result.estimand, sources, plan)
-                # the truth with each treatment's axis read at its token
-                want = _compile_law(_query_law(m, query), query.outcomes | query.treated, plan)
-                for v, tok in query.treatments:
-                    want = plan.restrict(want, v, tok)
-                # the estimand without its other axes, checked to be constant
-                # over them, and broadcast over tokens it does not depend on,
-                # never over an outcome
-                got = plan.sum_out(est, frozenset(est.axes) - frozenset(want.axes), _SAME)
-                keep = [a for a in want.axes if a in got.axes or a not in query.outcomes]
-                got = plan.view(got, got.gather(keep, want.domains), 1, keep, want.domains, got.given)
-                plan.finish(want, got)
-                # the two lay out the same rows unless the estimand lacks an outcome
-                aligned = want.axes == got.axes
+        m = layout.shape()  # every trial's model has its shape
+        plan = _Plan(m.cpts)
+        sources = {"p": _Law(m, {})}
+        for name, z in datasets or ():
+            sources[name] = _dataset_law(m, z, None)
+        est = _estimand_steps(result.estimand, sources, plan)
+        # the truth with each treatment's axis read at its token
+        want = _compile_law(_query_law(m, query), query.outcomes | query.treated, plan)
+        for v, tok in query.treatments:
+            want = plan.restrict(want, v, tok)
+        # the estimand without its other axes, checked to be constant over
+        # them, and broadcast over tokens it does not depend on, never over
+        # an outcome
+        got = plan.sum_out(est, frozenset(est.axes) - frozenset(want.axes), _SAME)
+        keep = [a for a in want.axes if a in got.axes or a not in query.outcomes]
+        got = plan.view(got, got.gather(keep, want.domains), 1, keep, want.domains, got.given)
+        plan.finish(want, got)
+        # the two lay out the same rows unless the estimand lacks an outcome
+        aligned = want.axes == got.axes
+
+        def failed(batch: range) -> list:
+            """The trials of ``batch`` that fail, run as one batch: a batch
+            in which a constancy check fails runs again trial by trial."""
+            inputs = layout.draw([seed + t for t in batch])
             try:  # every context axis dropped must be provably irrelevant
-                truth, value = plan.run_rows([_rows(m.cpts[v]) for v in plan.inputs])
+                truth, value = plan.run_rows(inputs, len(batch))
             except OracleError:
-                failures.append(t)
-                continue
-            if _has_undef(value[0]) or not aligned or not _equal_rows(truth, value):
-                failures.append(t)
+                if len(batch) == 1:
+                    return list(batch)
+                return [t for one in batch for t in failed(range(one, one + 1))]
+            rows = zip(batch, _trials(truth, len(batch)), _trials(value, len(batch)))
+            return [t for t, a, b in rows if _has_undef(b[0]) or not aligned or not _equal_rows(a, b)]
+
+        per_trial = max(layout.cells, sum(step.cells for step in plan.steps))
+        size = max(1, min(trials, BATCH_CELLS // per_trial))
+        failures = [t for at in range(0, trials, size) for t in failed(range(at, min(at + size, trials)))]
         status = "verified" if not failures else "refuted"
         return VerifyReport(status, kind, trials, tuple(failures))
 

@@ -478,6 +478,15 @@ class TestCliMoreSurfaces:
         assert code == 1 and out == ""
         assert "the selector support must not name the selector" in json.loads(err)["message"]
 
+    def test_problem_past_the_enumeration_cap_is_exit_one(self, tmp_path):
+        # a star whose sink has 21 binary parents: its CPT has 2^22 cells
+        path = tmp_path / "star.lsg"
+        parents = [f"P{i}" for i in range(21)]
+        path.write_text("".join(f"node {p}\nedge {p} -> Y\n" for p in parents) + "node Y\n")
+        code, out, err = run_cli("verify", "--graph", str(path), "--query", "P(Y | do(P0=p))")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "cap", "message": "the CPT of Y exceeds the enumeration cap"}
+
     @pytest.mark.parametrize("command", ["identify", "verify", "witness"])
     def test_selection_query_requires_empty_clause(self, command):
         code, out, err = run_cli(

@@ -120,6 +120,23 @@ class TestModelGeneration:
         pinned = json.loads((GOLDEN / "drawn_models.json").read_text())
         assert cpt_tables(m) == pinned[f"{name} {seed}"]
 
+    def test_batched_draws_equal_models_drawn_alone(self):
+        # every fixture's hidden-variable DAG: a batch of T models drawn in
+        # one pass holds, CPT by CPT, the CPTs random_cs_scm draws for each
+        # seed alone
+        for fx in FX.values():
+            g = fx.dag or canonical_hidden_dag(fx.graph)
+            layout = oracle._random_layout(g, g.support, 2)
+            for trials in (1, 2, 3, 7):
+                seeds = range(5 * trials, 6 * trials)
+                batch = layout.draw(seeds)
+                alone = [random_cs_scm(g, g.support, seed=seed) for seed in seeds]
+                for c, (cells, denoms) in zip(layout.cpts, batch, strict=True):
+                    assert cells == [x for m in alone for x in m.cpts[c.v].values]
+                    assert denoms == tuple(m.cpts[c.v].denom for m in alone)
+                models = layout.models(batch, trials)
+                assert list(map(cpt_tables, models)) == list(map(cpt_tables, alone))
+
     def test_selector_case_split_holds(self):
         fx = FX["selection_web"]
         m = random_cs_scm(fx.dag, fx.dag.support, seed=5)
@@ -440,6 +457,41 @@ class TestVerify:
             model.graph, q("Y", A="a"), None, bogus, trials=5, seed=0, dag=model.dag, datasets=[("p1", {"M"})]
         )
         assert rep.status == "refuted" and rep.failures == (0, 1, 2, 3, 4)
+
+    def test_batched_failures_equal_trials_run_alone(self):
+        # verify(trials=N, seed=s) fails exactly the trials t that fail when
+        # run alone as verify(trials=1, seed=s + t): on the fixtures, the
+        # 200 small-model seeds, an estimand refuted on some trials only, and
+        # one whose constancy check fails on most trials of a batch
+        from selid.identify import Identified
+        from test_random_models import random_selection_model
+
+        a = {"A": Sym("a")}
+        no_adjustment = restrict(BaseKernel("p", frozenset("Y"), frozenset("A")), a)
+        # p(Y | a) p(a | C) / p(a): constant over C, and right, exactly
+        # where A and C are independent
+        independent_only = Ratio(
+            Product((no_adjustment, restrict(BaseKernel("p", frozenset("A"), frozenset("C")), a))),
+            restrict(BaseKernel("p", frozenset("A")), a),
+        )
+        backdoor = FX["backdoor"].graph
+        cases = [(backdoor, q("Y", A="a"), Identified(e), {}, 60, 0) for e in [no_adjustment, independent_only]]
+        for fx in FX.values():
+            query = parse_query(fx.query, fx.graph.selector)[0]
+            r = (identify_selected if fx.graph.selector is not None else identify)(fx.graph, query)
+            cases.append((fx.graph, query, r, {"dag": fx.dag}, 12, 1))
+        for seed in range(200):
+            case = random_selection_model(seed)
+            if case is not None:
+                dag, proj, query = case
+                cases.append((proj, query, identify_selected(proj, query), {"dag": dag}, 3, seed))
+        refuted = set()
+        for g, query, r, kw, trials, seed in cases:
+            alone = [verify(g, query, g.support, r, trials=1, seed=seed + t, **kw) for t in range(trials)]
+            want = tuple(t for t, rep in enumerate(alone) if rep.failures)
+            assert verify(g, query, g.support, r, trials=trials, seed=seed, **kw).failures == want, (g, query)
+            refuted.add(len(want) if r.kind == "identified" else None)
+        assert {0, 57} <= refuted  # the two bogus estimands pass trials 24, 32 and 55 alone
 
     def test_report_serializes(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
@@ -815,39 +867,86 @@ class TestLawPlans:
 
     def test_each_oracle_call_runs_one_plan(self, monkeypatch):
         # verify plans its estimand, ground truth and comparison as one plan
-        # and runs it once per trial; a witness check plans the observed
-        # law and the query's slices as one plan, run once per model
-        plans, runs = [], []
-        real_init, real_run = oracle._Plan.__init__, oracle._Plan.run_rows
+        # and runs it once per batch of trials, as many trials per batch as
+        # keep the batch within BATCH_CELLS; a witness check plans the
+        # observed law and the query's slices as one plan, run once per
+        # model of the pair
+        plans, runs, layouts = [], [], set()
+        real_init, real_run, real_draw = oracle._Plan.__init__, oracle._Plan.run_rows, oracle._ModelLayout.draw
 
         def init(self, *args):
             plans.append(self)
             real_init(self, *args)
 
-        def run_rows(self, inputs):
-            runs.append(self)
-            return real_run(self, inputs)
+        def run_rows(self, inputs, trials):
+            runs.append((self, trials))
+            return real_run(self, inputs, trials)
+
+        def draw(self, seeds):
+            layouts.add(self)
+            return real_draw(self, seeds)
 
         monkeypatch.setattr(oracle._Plan, "__init__", init)
         monkeypatch.setattr(oracle._Plan, "run_rows", run_rows)
-        fx = FX["selection_web"]
-        query = q("Y", A1="a1", A2="a2")
-        r = identify_selected(fx.graph, query)
-        for trials in (1, 5):
-            plans.clear()
-            runs.clear()
-            assert verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag).passed
-            assert len(plans) == 1 and runs == plans * trials
-        # the estimand's 38 steps, the truth's and the comparison's
-        cells = [s.cells for s in plans[0].steps]
-        assert (len(cells), sum(cells)) == (48, 7024)
+        monkeypatch.setattr(oracle._ModelLayout, "draw", draw)
+        cases = [("selection_web", q("Y", A1="a1", A2="a2")), ("chain", q("Y", A="a"))]
+        for name, query in cases:
+            fx = FX[name]
+            r = identify_selected(fx.graph, query)
+            for trials in (1, 5, 100):
+                plans.clear()
+                runs.clear()
+                layouts.clear()
+                assert verify(fx.graph, query, fx.graph.support, r, trials=trials, seed=1, dag=fx.dag).passed
+                (plan,), (layout,) = plans, layouts
+                cells = sum(s.cells for s in plan.steps)
+                size = min(trials, oracle.BATCH_CELLS // max(cells, layout.cells))
+                assert size * max(cells, layout.cells) <= oracle.BATCH_CELLS
+                assert all(p is plan for p, _ in runs) and len(runs) == math.ceil(trials / size)
+                assert [t for _, t in runs[:-1]] == [size] * (len(runs) - 1) and sum(t for _, t in runs) == trials
+            if name == "selection_web":
+                # the estimand's 38 steps, the truth's and the comparison's,
+                # two trials per batch
+                assert (len(plan.steps), cells, size) == (48, 7024, 2)
+            else:
+                assert size == 100
         for name, query in (("bow", q("Y", A="a")), ("forced_outcome", q("Y"))):
             g = FX[name].graph
             r = identify_selected(g, query)
             plans.clear()
             runs.clear()
             assert verify(g, query, g.support, r, seed=1).passed
-            assert len(plans) == 1 and runs == plans * 2
+            assert len(plans) == 1 and runs == [(plans[0], 1)] * 2
+
+    def test_batches_bound_the_cpts_they_draw(self, monkeypatch):
+        # Z, the sink of a star of 6 binary parents, lies outside the
+        # query's ancestral set: no step reads its 128-cell CPT, but every
+        # batch draws it, so the batch size bounds the models' cells as
+        # well as the plan's
+        kids = tuple(f"X{i}" for i in range(6))
+        edges = frozenset([directed("A", "Y"), *(directed(x, "Z") for x in kids)])
+        g = Graph(random=frozenset(kids + ("A", "Y", "Z")), edges=edges)
+        query = q("Y", A="a")
+        runs, draws = [], []
+        real_run, real_draw = oracle._Plan.run_rows, oracle._ModelLayout.draw
+
+        def run_rows(self, inputs, trials):
+            runs.append((self, trials))
+            return real_run(self, inputs, trials)
+
+        def draw(self, seeds):
+            draws.append((self, len(seeds)))
+            return real_draw(self, seeds)
+
+        monkeypatch.setattr(oracle._Plan, "run_rows", run_rows)
+        monkeypatch.setattr(oracle._ModelLayout, "draw", draw)
+        monkeypatch.setattr(oracle, "BATCH_CELLS", 512)
+        assert verify(g, query, None, identify(g, query), trials=10, seed=0).passed
+        (plan,), (layout,) = {p for p, _ in runs}, {m for m, _ in draws}
+        # the plan alone would run all ten trials at once
+        cells = sum(len(c.index) for c in layout.cpts)
+        assert 10 * sum(s.cells for s in plan.steps) <= 512 < 10 * cells == 1460
+        assert [t for _, t in draws] == [t for _, t in runs] == [3, 3, 3, 1]
 
     def test_verify_builds_no_joint(self, monkeypatch):
         fx = FX["selection_web"]
