@@ -10,7 +10,6 @@ oracle over discrete rational models.
 from .estimand import (
     BaseKernel,
     Estimand,
-    Marginal,
     Product,
     Ratio,
     Restrict,

@@ -2,11 +2,12 @@
 
 Estimands are immutable trees over named base kernels.  A base kernel
 ``p(O | C)`` denotes a conditional of a named distribution; derived kernels
-are built with marginalization, ratios, products, explicit sums and value
-restrictions.  Identification algorithms mostly manipulate kernels in *chain
-form* (products of single-vertex conditionals), for which the fixing
-operator admits cheap structured rules; a general quotient rule covers the
-rest.  Evaluation lives in the oracle module.
+are built with sums (``SumOver``, which marginalization builds too), ratios,
+products and value restrictions.  Identification algorithms mostly
+manipulate kernels in *chain form* (products of single-vertex conditionals),
+where fixing a vertex often just drops its factor; every other step is
+``fix_kernel``, which sums out a childless vertex and otherwise divides by a
+quotient.  Evaluation lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -166,26 +167,6 @@ class BaseKernel(Estimand):
 
 
 @dataclass(frozen=True, eq=False)
-class Marginal(Estimand):
-    child: Estimand
-    over: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "over", frozenset(self.over))
-
-    def _own(self):
-        return (self.over,)
-
-    @_cached
-    def outcomes(self):
-        return self.child.outcomes() - self.over
-
-    @_cached
-    def contexts(self):
-        return self.child.contexts()
-
-
-@dataclass(frozen=True, eq=False)
 class SumOver(Estimand):
     child: Estimand
     over: frozenset
@@ -315,7 +296,7 @@ def marginalize(e: Estimand, b: Iterable[str]) -> Estimand:
     extra = b - e.outcomes()
     if extra:
         raise EstimandError(f"cannot marginalize non-outcome variables {sorted(extra)}")
-    return Marginal(e, b)
+    return SumOver(e, b)
 
 
 def condition(e: Estimand, b: Iterable[str]) -> Estimand:
@@ -359,12 +340,12 @@ def fix_kernel(e: Estimand, g: Graph, v: str) -> Estimand:
         raise EstimandError(f"{v!r} is not an outcome variable of the kernel")
     de = g.descendants(v) & e.outcomes()
     if de == {v}:
-        return Marginal(e, {v})
+        return SumOver(e, de)
     if de == e.outcomes():
         # no nondescendants among the outcomes: divide by the plain margin
-        return Ratio(e, Marginal(e, de - {v}))
-    num_keep = Marginal(e, de - {v})  # kernel over nd(v) + v
-    den_keep = Marginal(e, de)  # kernel over nd(v)
+        return Ratio(e, SumOver(e, de - {v}))
+    num_keep = SumOver(e, de - {v})  # kernel over nd(v) + v
+    den_keep = SumOver(e, de)  # kernel over nd(v)
     return Ratio(e, Ratio(num_keep, den_keep))
 
 
@@ -440,13 +421,13 @@ class ChainKernel:
     The kernel starts as the full base law of ``graph`` factorized into
     single-vertex conditionals along the deterministic topological order,
     each conditioned on its Markov pillow (a Markov-equivalent,
-    display-friendly form).  ``fix`` applies, in order of preference: the
-    factor-drop rule, marginalization of a childless vertex, or the general
-    quotient.  The selector is special: its factor is always divided out so
-    that it remains a conditioning variable — marginalizing it would assume
+    display-friendly form).  ``fix`` drops the vertex's factor when that
+    keeps the chain form, and otherwise hands the step to ``fix_kernel``.
+    The selector is special: a childless selector's factor is always dropped
+    so that it remains a conditioning variable — summing it out would assume
     positivity its support structurally violates.  Once a step forces a
-    non-chain expression the object degrades to a plain estimand and further
-    fixing uses the generic operator.  ``fix_to`` fixes toward a target set
+    non-chain expression the object degrades to a plain estimand and every
+    further step goes to ``fix_kernel``.  ``fix_to`` fixes toward a target set
     and stops at its reachable closure, so one kernel built by ``from_joint``
     serves every district of a query.
     """
@@ -520,8 +501,6 @@ class ChainKernel:
     def _fix(self, v: str) -> "ChainKernel":
         g = self.graph
         g2 = g.fix(v)
-        if self.factors is None:
-            return ChainKernel(g2, None, fix_kernel(self._expr, g, v))
         if self._is_clean(v):
             cond = self.factors[v].conditioning()
             factors = dict(self.factors)
@@ -538,9 +517,6 @@ class ChainKernel:
                     del readers[x]
             k.__dict__["_readers"] = readers  # seeds the cached property
             return k
-        if g.descendants(v) & self.randoms == {v}:
-            # childless but conditioned on elsewhere: fixing is marginalization
-            return ChainKernel(g2, None, SumOver(self.expr(), frozenset([v])))
         return ChainKernel(g2, None, fix_kernel(self.expr(), g, v))
 
     def _is_clean(self, v: str) -> bool:
@@ -552,9 +528,9 @@ class ChainKernel:
 
     def _fix_is_clean(self, v: str) -> bool:
         """Whether fixing ``v`` keeps the kernel in chain form: its factor is
-        then simply dropped."""
+        then simply dropped; a degraded kernel has no factor to drop."""
         if self.factors is None:
-            return True
+            return False
         g = self.graph
         de = g.descendants(v) & self.randoms
         if de == {v}:
@@ -623,7 +599,8 @@ class ChainKernel:
 
 def normal_form(e: Estimand) -> Estimand:
     """Canonical form: margins folded into kernels, ratios cancelled, chain
-    factors merged, restrictions pushed to the smallest scope, children sorted.
+    factors merged, unit sums dropped from products, restrictions pushed to
+    the smallest scope, children sorted.
     Two estimands are structurally equal iff their normal forms are identical.
 
     Each round rewrites every distinct node once (a ``fold``), and a node no
@@ -643,17 +620,6 @@ def _rewrite_node(e: Estimand, parts: list) -> Estimand:
     ``parts``; ``e`` itself when no rule fires and no part changed."""
     if isinstance(e, BaseKernel):
         return e
-    if isinstance(e, Marginal):
-        (child,) = parts
-        if not e.over:
-            return child
-        if isinstance(child, BaseKernel) and e.over < child.outcome:
-            return BaseKernel(child.name, child.outcome - e.over, child.context)
-        if isinstance(child, Marginal):
-            return Marginal(child.child, child.over | e.over)
-        if isinstance(child, BaseKernel):
-            return e if child is e.child else Marginal(child, e.over)
-        return SumOver(child, e.over)
     if isinstance(e, SumOver):
         (child,) = parts
         over = e.over
@@ -728,7 +694,10 @@ def _rewrite_node(e: Estimand, parts: list) -> Estimand:
                 flat.extend(c.children)
             else:
                 flat.append(c)
-        return _mk_product(_merge_chain_factors(flat), e)
+        # a conditional summed over all of its outcomes is one wherever it
+        # is defined: Σ_O p(O | C) = 1
+        kept = [c for c in flat if not (isinstance(c, SumOver) and _summable_outcomes(c.child) == c.over)]
+        return _mk_product(_merge_chain_factors(kept or flat[:1]), e)
     if isinstance(e, Restrict):
         (child,) = parts
         free = child.free_vars()
@@ -743,9 +712,9 @@ def _rewrite_node(e: Estimand, parts: list) -> Estimand:
             return _mk_product(
                 [restrict(c, {k: v for k, v in asg.items() if k in c.free_vars()}) for c in child.children]
             )
-        if isinstance(child, (SumOver, Marginal)):
+        if isinstance(child, SumOver):
             if not (frozenset(asg) & child.over):
-                return type(child)(restrict(child.child, asg), child.over)
+                return SumOver(restrict(child.child, asg), child.over)
         if child is e.child and len(asg) == len(e.assignment):
             return e
         return Restrict(child, tuple(asg.items()))
@@ -825,8 +794,6 @@ def _merge_chain_factors(parts: list) -> list:
 def sort_key(e: Estimand):
     if isinstance(e, BaseKernel):
         return ("base", e.name, sorted(e.outcome), sorted(e.context))
-    if isinstance(e, Marginal):
-        return ("marginal", sorted(e.over), sort_key(e.child))
     if isinstance(e, SumOver):
         return ("sum", sorted(e.over), sort_key(e.child))
     if isinstance(e, Ratio):
@@ -881,7 +848,7 @@ def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:
             return Product(tuple(parts))
         if isinstance(x, Restrict):
             return Restrict(parts[0], x.assignment)
-        return type(x)(parts[0], x.over)  # Marginal, SumOver
+        return SumOver(parts[0], x.over)
 
     return fold(e, visit)
 
@@ -966,7 +933,7 @@ def _render(e: Estimand, latex: bool) -> str:
             if latex:
                 return rf"\left[{inner}\right]_{{{asg}}}", _ATOM
             return f"[{inner}]@{{{asg}}}", _ATOM
-        if isinstance(x, (SumOver, Marginal)):
+        if isinstance(x, SumOver):
             over = ", ".join(_vname(v, latex) for v in sorted(x.over))
             sigma = r"\sum" if latex else "Σ"
             return f"{sigma}_{{{over}}} {at(parts[0], 1)}", _SUM_LEVEL
@@ -1027,8 +994,6 @@ def to_jsonable(e: Estimand):
                 "outcome": sorted(x.outcome),
                 "context": sorted(x.context),
             }
-        if isinstance(x, Marginal):
-            return {"kind": "marginal", "over": sorted(x.over), "child": parts[0]}
         if isinstance(x, SumOver):
             return {"kind": "sum", "over": sorted(x.over), "child": parts[0]}
         if isinstance(x, Ratio):
@@ -1050,9 +1015,7 @@ def from_jsonable(d) -> Estimand:
     kind = d["kind"]
     if kind == "base":
         return BaseKernel(d["name"], frozenset(d["outcome"]), frozenset(d["context"]))
-    if kind == "marginal":
-        return Marginal(from_jsonable(d["child"]), frozenset(d["over"]))
-    if kind == "sum":
+    if kind in ("sum", "marginal"):  # "marginal": written by earlier versions
         return SumOver(from_jsonable(d["child"]), frozenset(d["over"]))
     if kind == "ratio":
         return Ratio(from_jsonable(d["num"]), from_jsonable(d["den"]))

@@ -35,19 +35,24 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
+def _parse_names(inner: str, where: str, lineno: int) -> frozenset:
+    """The comma-separated names of one brace group; ``{}`` is empty."""
+    inner = inner.strip()
+    if not inner:
+        return frozenset()
+    parts = [p.strip() for p in inner.split(",")]
+    for p in parts:
+        if not _NAME_RE.fullmatch(p):
+            raise ParseError(f"bad name {p!r} in {where}", lineno)
+    return frozenset(parts)
+
+
 def _parse_label(text: str, lineno: int) -> frozenset:
     text = text.strip()
     m = re.fullmatch(r"label\s*\{([^}]*)\}", text)
     if not m:
         raise ParseError(f"malformed label clause {text!r}", lineno)
-    inner = m.group(1).strip()
-    if not inner:
-        return frozenset()
-    parts = [p.strip() for p in inner.split(",")]
-    for p in parts:
-        if not re.fullmatch(NAME, p):
-            raise ParseError(f"bad name {p!r} in label", lineno)
-    return frozenset(parts)
+    return _parse_names(m.group(1), "label", lineno)
 
 
 def _parse_support(text: str, lineno: int) -> SelectorSupport:
@@ -55,18 +60,7 @@ def _parse_support(text: str, lineno: int) -> SelectorSupport:
     rest = re.sub(r"\{[^}]*\}", "", text).replace(",", "").strip()
     if rest or not groups:
         raise ParseError("support expects brace groups: {A}, {A,B}, {}", lineno)
-    patterns = []
-    for grp in groups:
-        inner = grp.strip()
-        if not inner:
-            patterns.append(frozenset())
-            continue
-        parts = [p.strip() for p in inner.split(",")]
-        for p in parts:
-            if not re.fullmatch(NAME, p):
-                raise ParseError(f"bad name {p!r} in support", lineno)
-        patterns.append(frozenset(parts))
-    return SelectorSupport(frozenset(patterns))
+    return SelectorSupport(frozenset(_parse_names(grp, "support", lineno) for grp in groups))
 
 
 def parse_graph(text: str) -> Graph:

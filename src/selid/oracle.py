@@ -20,16 +20,16 @@ One table layout, one step runner:
   one variable-elimination routine: it appends the steps of a margin of a
   law, over the factors of the margin's ancestral set, reading a model's
   CPTs, which are ``Table``s in the plan's layout from the moment they are
-  drawn.  An estimand plan (``_compile_estimand``) runs on the laws it
+  drawn.  An estimand's steps (``_estimand_steps``) run on the laws it
   makes: each kernel's ``keep`` margin is eliminated from the CPTs once
   per axis set, its ``rest`` summed from that ``keep``, and no joint table
-  is built.  Given ``Table``s instead, it sums each ``keep`` from its
-  table.  A plan may keep several results, and each oracle call compiles
-  one: ``verify`` one holding its estimand, ground truth and comparison,
-  run once per batch of trials on models laid out once per call
-  (``_ModelLayout``); a witness check one holding the observed joint and
-  the query's slices, run once per model of the pair.  Each ``Table``
-  operation, and each of ``joint``, ``interventional`` and
+  is built.  Given ``Table``s instead (``eval_estimand``), it sums each
+  ``keep`` from its table.  A plan may keep several results, and each
+  oracle call compiles one: ``verify`` one holding its estimand, ground
+  truth and comparison, run once per batch of trials on models laid out
+  once per call (``_ModelLayout``); a witness check one holding the
+  observed joint and the query's slices, run once per model of the pair.
+  Each ``Table`` operation, and each of ``joint``, ``interventional`` and
   ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
@@ -60,7 +60,6 @@ from .estimand import (
     BaseKernel,
     Estimand,
     Lo,
-    Marginal,
     Product,
     Ratio,
     Restrict,
@@ -1254,19 +1253,11 @@ def eval_estimand(e: Estimand, tables: Mapping[str, Table]) -> Table:
     return plan.run([tables[n] for n in plan.inputs])
 
 
-def _compile_estimand(e: Estimand, sources: Mapping) -> _Plan:
-    """The plan of ``e`` with each kernel name read from ``sources``, which
-    map every kernel name to a ``Table``, or every one to a ``_Law`` of one
-    model.  The plan's inputs are then the tables, named by their keys, or
-    the model's CPTs, named by their vertices (``_estimand_steps``)."""
-    laws = [s for s in sources.values() if isinstance(s, _Law)]
-    if laws:
-        plan = _Plan(laws[0].m.cpts)
-        inputs = sources
-    else:
-        plan = _Plan(sources, sources.values())
-        inputs = dict(zip(plan.inputs, plan.operands))
-    return plan.finish(_estimand_steps(e, inputs, plan))
+def _compile_estimand(e: Estimand, tables: Mapping[str, Table]) -> _Plan:
+    """The plan of ``e`` with each kernel name read from ``tables``, whose
+    keys name the plan's inputs."""
+    plan = _Plan(tables, tables.values())
+    return plan.finish(_estimand_steps(e, dict(zip(plan.inputs, plan.operands)), plan))
 
 
 def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
@@ -1289,7 +1280,7 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
             if x.name not in inputs:
                 raise OracleError(f"no table for kernel {x.name!r}")
             t = plan.conditional(inputs[x.name], x.outcome, x.context)
-        elif isinstance(x, (Marginal, SumOver)):
+        elif isinstance(x, SumOver):
             t = plan.sum_out(parts[0], x.over)
         elif isinstance(x, Product):
             t = plan.product(parts)

@@ -14,7 +14,7 @@ import types
 from pathlib import Path
 
 import selid
-from selid.estimand import BaseKernel, ChainKernel, Estimand, Marginal, Product, Restrict
+from selid.estimand import BaseKernel, ChainKernel, Estimand, Product, Restrict, SumOver
 from selid.fixtures import all_fixtures
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,13 +99,13 @@ def test_outcomes_counter_sees_every_node_class():
     tr = _load("tracer")
     t = tr.Tracer()
     rebinding = tr.instrument(t, {m: _module(m) for m in MODULES})
-    e = Marginal(BaseKernel("p", frozenset({"X", "Y"})), frozenset({"X"}))
+    e = SumOver(BaseKernel("p", frozenset({"X", "Y"})), frozenset({"X"}))
     rebinding.enable()
     try:
         assert e.outcomes() == frozenset({"Y"})
     finally:
         rebinding.disable()
-    assert t.counts["estimand.outcomes"] == 2  # the marginal and its child
+    assert t.counts["estimand.outcomes"] == 2  # the sum and its child
     assert "estimand.outcomes" not in t.spans
 
 

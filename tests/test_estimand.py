@@ -10,7 +10,6 @@ from selid.estimand import (
     BaseKernel,
     ChainKernel,
     EstimandError,
-    Marginal,
     Product,
     Ratio,
     Restrict,
@@ -167,6 +166,11 @@ class TestNormalForm:
         n = normal_form(e)
         assert isinstance(n, Product)
 
+    def test_product_drops_a_unit_sum(self):
+        # Σ_V p(V) = 1 wherever it is defined
+        e = Product((k("Y", "X"), SumOver(k("V"), frozenset({"V"}))))
+        assert normal_form(e) == k("Y", "X")
+
 
 class TestRenderAndJson:
     def test_text_restriction_rendering(self):
@@ -185,7 +189,7 @@ class TestRenderAndJson:
         assert render(e) == "[(Σ_{M} p(M | A1) p(Y | A1, M))]@{A1=a1}"
 
     def test_latex_ratio_is_a_fraction(self):
-        e = Ratio(k("AY"), Marginal(k("AY"), frozenset({"Y"})))
+        e = Ratio(k("AY"), SumOver(k("AY"), frozenset({"Y"})))
         assert render(e, "latex") == r"\frac{p(A, Y)}{\sum_{Y} p(A, Y)}"
         assert render(e) == "p(A, Y) / (Σ_{Y} p(A, Y))"
 
@@ -205,12 +209,18 @@ class TestRenderAndJson:
         )
         assert parse(render(e, "json")) == e
 
+    def test_marginal_json_reads_as_a_sum(self):
+        # the node kind "marginal" of earlier versions is the same sum
+        text = '{"child":{"context":[],"kind":"base","name":"p","outcome":["A","Y"]},"kind":"marginal","over":["A"]}'
+        assert parse(text) == SumOver(k("AY"), frozenset({"A"}))
+        assert render(parse(text), "json") == text.replace('"marginal"', '"sum"')
+
     def test_json_round_trip_all_nodes(self):
         e = SumOver(
             Product(
                 (
                     Ratio(k("AY"), k("A")),
-                    Marginal(k("MC"), frozenset({"C"})),
+                    SumOver(k("MC"), frozenset({"C"})),
                     restrict(k("Y", "W"), {"W": Var("W2")}),
                 )
             ),
@@ -262,13 +272,13 @@ class TestNumericAgreement:
 
 def conditioning_tower(depth: int):
     """p(X0..X{depth-1}, Y) conditioned on X0, then X1, ...: each level is
-    ``Ratio(e, Marginal(e, ...))`` over the level below, so the tree has
+    ``Ratio(e, SumOver(e, ...))`` over the level below, so the tree has
     about 2**(depth+1) nodes but only 2*depth + 1 distinct ones."""
     xs = [f"X{i}" for i in range(depth)]
     outs = frozenset(xs) | {"Y"}
     e = BaseKernel("p", outs)
     for x in xs:
-        e = Ratio(e, Marginal(e, outs - {x}))
+        e = Ratio(e, SumOver(e, outs - {x}))
         outs = outs - {x}
     return e, frozenset(xs)
 
@@ -277,13 +287,19 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _tree_sort_key(e):
+    """``sort_key`` of a tower node, walked as a tree with no memo."""
+    if isinstance(e, BaseKernel):
+        return ("base", e.name, sorted(e.outcome), sorted(e.context))
+    if isinstance(e, SumOver):
+        return ("sum", sorted(e.over), _tree_sort_key(e.child))
+    assert isinstance(e, Ratio)
+    return ("ratio", _tree_sort_key(e.num), _tree_sort_key(e.den))
+
+
 class TestSharedSubtrees:
-    # sha256 prefixes of repr(sort_key(e)) and of render(substitute_base(e)),
-    # recorded from the tree-walking implementation
-    SORT_KEYS = {
-        1: "b9b994caf72e469d", 2: "139ae23ee2436779", 3: "ea55f96e7a2e00dc",
-        4: "0b6db27e16b4c920", 5: "b813beb14f5ac324", 6: "e84cea56dadc992a",
-    }
+    # sha256 prefixes of render(substitute_base(e)), recorded from the
+    # tree-walking implementation
     SUBSTITUTED = {
         1: "9c8d4044686f6223", 2: "aac63ffa44edf233", 3: "249d630c194b7f7e",
         4: "dcc5c9c08599d043", 5: "4ac87c2b09192c5c", 6: "b6d7ce8dc119f9dd",
@@ -301,7 +317,7 @@ class TestSharedSubtrees:
             sub = substitute_base(e, "p", q)
             assert e.free_vars() == xs | {"Y"}
             assert e.outcomes() == frozenset({"Y"})
-            assert _digest(repr(sort_key(e))) == self.SORT_KEYS[depth]
+            assert sort_key(e) == _tree_sort_key(e)
             assert _digest(render(sub)) == self.SUBSTITUTED[depth]
             assert normal_form(e) == BaseKernel("p", frozenset({"Y"}), xs)
             assert normal_form(sub) == BaseKernel("q", frozenset({"Y"}), xs)

@@ -53,6 +53,12 @@ class TestGrammar:
         )
         assert len([e for e in g.edges if e.tail == "A"]) == 2
 
+    def test_bad_name_in_a_brace_group(self):
+        with pytest.raises(ParseError, match=r"^line 3, column 1: bad name '1y' in label$"):
+            parse_graph("node A\nnode B\nedge A -> B label {X, 1y}\n")
+        with pytest.raises(ParseError, match=r"^line 4, column 1: bad name '2' in support$"):
+            parse_graph("node A\nselector S\nedge S -> A\nsupport {A}, {A, 2}\n")
+
     def test_syntax_error_carries_line(self):
         with pytest.raises(ParseError) as exc:
             parse_graph("node A\nedge A -> \n")

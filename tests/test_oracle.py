@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Marginal, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
+from selid.estimand import BaseKernel, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
 from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
@@ -801,7 +801,7 @@ class TestLawPlans:
         checked = eliminated = 0
         for e, m, datasets in cases:
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
-            plan = oracle._compile_estimand(e, sources)
+            plan = _verify_plan(e, m, sources)
             cpts = [m.cpts[v] for v in plan.inputs]
             tables = {name: dataset_table(m, z) for name, z in datasets.items()}
             planned, margins = len(plan.steps), {}
@@ -837,7 +837,7 @@ class TestLawPlans:
         for e, m, datasets in _identified_cases():
             compiled.clear()
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
-            plan = oracle._compile_estimand(e, sources)
+            plan = _verify_plan(e, m, sources)
             keeps = set()
             for k in _kernels(e):
                 law = sources[k.name]
@@ -852,7 +852,7 @@ class TestLawPlans:
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
-        plan = oracle._compile_estimand(r.estimand, {"p": oracle._Law(m, {})})
+        plan = _verify_plan(r.estimand, m, {"p": oracle._Law(m, {})})
         cells = [s.cells for s in plan.steps]
         assert (len(cells), sum(cells), max(cells)) == (38, 6792, 1152)
 
@@ -1046,6 +1046,13 @@ def _per_group(step, nums, dens) -> list:
     return out
 
 
+def _verify_plan(e, m, sources):
+    """The plan of ``e`` on the CPTs of ``m``, each kernel name read from a
+    law of ``sources``, as ``verify`` plans it."""
+    plan = oracle._Plan(m.cpts)
+    return plan.finish(oracle._estimand_steps(e, sources, plan))
+
+
 def _run_to(plan, out, tables) -> Table:
     """The table ``plan`` makes in the slot of ``out``, run on ``tables``."""
     sub = oracle._Plan(plan.inputs)
@@ -1130,7 +1137,7 @@ def _ref_eval(e, laws):
         axes, rows = laws[e.name]
         joint = _ref_sum((axes, rows), frozenset(axes) - e.outcome - e.context)
         return _ref_pointwise(_ref_div, joint, _ref_sum(joint, e.outcome))
-    if isinstance(e, (Marginal, SumOver)):
+    if isinstance(e, SumOver):
         return _ref_sum(_ref_eval(e.child, laws), e.over)
     if isinstance(e, Product):
         value = _ref_eval(e.children[0], laws)
@@ -1157,7 +1164,7 @@ def _random_law(rng):
 
 def _random_expression(rng, depth, laws):
     """A random estimand over kernels of the laws ``p`` and ``q``."""
-    kind = rng.choice(("kernel", "sum", "marginal", "product", "ratio", "ratio", "restrict", "shared"))
+    kind = rng.choice(("kernel", "sum", "sum", "product", "ratio", "ratio", "restrict", "shared"))
     if depth:
         child = _random_expression(rng, depth - 1, laws)
         axes = list(_ref_eval(child, laws)[0])
@@ -1165,9 +1172,9 @@ def _random_expression(rng, depth, laws):
         names = rng.sample(BITS, rng.randint(1, 3))
         cut = rng.randint(1, len(names))
         return BaseKernel(rng.choice("pq"), frozenset(names[:cut]), frozenset(names[cut:]))
-    if kind in ("sum", "marginal"):
+    if kind == "sum":
         over = frozenset(rng.sample(axes, rng.randint(1, len(axes))))
-        return (SumOver if kind == "sum" else Marginal)(child, over)
+        return SumOver(child, over)
     if kind == "product":
         return Product((child, _random_expression(rng, depth - 1, laws)))
     if kind in ("restrict", "shared"):

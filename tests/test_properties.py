@@ -15,7 +15,6 @@ from selid.estimand import (
     BaseKernel,
     ChainFactor,
     ChainKernel,
-    Marginal,
     Product,
     Ratio,
     Restrict,
@@ -788,8 +787,8 @@ def _rename_estimand(e):
     def visit(x, parts):
         if isinstance(x, BaseKernel):
             return BaseKernel(x.name, _names(x.outcome), _names(x.context))
-        if isinstance(x, (Marginal, SumOver)):
-            return type(x)(parts[0], _names(x.over))
+        if isinstance(x, SumOver):
+            return SumOver(parts[0], _names(x.over))
         if isinstance(x, Ratio):
             return Ratio(*parts)
         if isinstance(x, Product):
@@ -841,3 +840,36 @@ def test_vertex_renaming_commutes_with_identification():
             assert got == want, why
         cases += 1
     assert cases == 32 + 200
+
+
+# --------------------------------------------------------------------------
+# unit sums: a conditional summed over all of its outcomes is one
+
+
+def _unit_sums(e) -> int:
+    """How many sums in ``e`` (counted per reference) sum a conditional,
+    restricted or not, over all of its outcomes."""
+
+    def visit(x, parts):
+        unit = False
+        if isinstance(x, SumOver):
+            c = x.child.child if isinstance(x.child, Restrict) else x.child
+            unit = isinstance(c, BaseKernel) and c.outcome == x.over == x.child.outcomes()
+        return sum(parts) + unit
+
+    return fold(e, visit)
+
+
+def test_no_identified_estimand_holds_a_unit_sum():
+    # identify_sweep n=32 seed 7 held two copies of Σ_{V7} p(V7)
+    cases = [(fx.graph, parse_query(fx.query, fx.graph.selector)[0]) for fx in FX.values()]
+    cases += [(latent_project(derive_labels(dag), obs), query) for dag, obs, query in _renaming_cases()]
+    identified = 0
+    for g, query in cases:
+        for procedure in (identify_selected, sequential_baseline) if g.selector else (identify,):
+            r = procedure(g, query)
+            if r.kind == "identified":
+                assert _unit_sums(r.estimand) == 0, (procedure.__name__, sorted(g.vertices), query)
+                identified += 1
+    assert identified > 150
+    assert _unit_sums(SumOver(Restrict(BaseKernel("p", {"V"}, {"X"}), (("X", Sym("x")),)), {"V"})) == 1
