@@ -22,8 +22,9 @@ One table layout, one step runner:
   CPTs, which are ``Table``s in the plan's layout from the moment they are
   drawn.  An estimand's steps (``_estimand_steps``) run on the laws it
   makes: each kernel's ``keep`` margin is eliminated from the CPTs once
-  per axis set, its ``rest`` summed from that ``keep``, and no joint table
-  is built.  Given ``Table``s instead (``eval_estimand``), it sums each
+  per axis set, over one pattern's selector values alone when the kernel
+  is read at a value of that pattern, its ``rest`` summed from that
+  ``keep``, and no joint table is built.  Given ``Table``s instead (``eval_estimand``), it sums each
   ``keep`` from its table.  A plan may keep several results, and each
   oracle call compiles one: ``verify`` one holding its estimand, ground
   truth and comparison, run once per batch of trials on models laid out
@@ -46,6 +47,7 @@ One table layout, one step runner:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -76,8 +78,8 @@ MAX_CELLS = 1 << 20
 # and the cells of the batch's CPTs: ``verify`` runs as many trials per
 # batch as keep both within it.  Plans of a few dozen cells run dozens of
 # trials per batch, where per-step Python overhead dominates;
-# big-integer-bound plans run about two (selection_web: 7024 cells per
-# trial), since wider batches of them were measured slower; a model whose
+# big-integer-bound plans run a few (selection_web: 3814 cells per trial,
+# four), since wider batches of them were measured slower; a model whose
 # CPTs alone exceed it runs one trial per batch.
 BATCH_CELLS = 1 << 14
 
@@ -416,6 +418,17 @@ class _Operand:
         self.cells = math.prod(len(self.domains[a]) for a in self.axes)
         self.given = frozenset(given)
 
+    def narrowed(self, axis: str, values: tuple) -> "_Operand":
+        """This operand read at ``values`` of ``axis`` alone, when it has
+        that axis: the rows stay where they are, and a product over it keeps
+        those values (``_joined``)."""
+        if axis not in self.domains:
+            return self
+        out = copy.copy(self)
+        out.domains = {**self.domains, axis: values}
+        out.cells = self.cells // len(self.domains[axis]) * len(values)
+        return out
+
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
         table over ``axes``; axes the factor lacks are broadcast.  Every
@@ -488,7 +501,7 @@ class _Plan:
         self.inputs = list(inputs)
         self.operands = [_Operand(i, t.axes, t.domains, given=t.given) for i, t in enumerate(tables)]
         self.steps = []
-        self.margins: dict = {}  # (law, axis set) -> margin
+        self.margins: dict = {}  # (law, axis set, selector values) -> margin
         self.made: dict = {}  # step key -> its slot
         self.outs = ()
 
@@ -530,12 +543,15 @@ class _Plan:
             return self.step(_SAME, [(t.slot, rows)], width, keep, domains, t.given - drop, sorted(drop))
         return self.view(t, rows, width, keep, domains, t.given - drop)
 
-    def margin(self, law: "_Law", axes: frozenset) -> _Operand:
+    def margin(self, law: "_Law", axes: frozenset, selector: Optional[tuple] = None) -> _Operand:
         """The margin of ``law`` over ``axes``, eliminated from its CPTs
-        (``_compile_law``) once per ``(law, axes)``."""
-        m = self.margins.get((law, axes))
+        (``_compile_law``) once per ``(law, axes, selector)``: over the
+        selector values ``selector`` lists alone, or over all when it is
+        None."""
+        key = (law, axes, selector)
+        m = self.margins.get(key)
         if m is None:
-            m = self.margins[law, axes] = _compile_law(law, axes, self)
+            m = self.margins[key] = _compile_law(law, axes, self, selector)
         return m
 
     def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
@@ -548,10 +564,13 @@ class _Plan:
         inputs = [(num.slot, range(num.cells)), (den.slot, idx)]
         return self.step(_DIV, inputs, 1, num.axes, dict(num.domains), given)
 
-    def conditional(self, t, outcome: frozenset, context: frozenset) -> _Operand:
+    def conditional(self, t, outcome: frozenset, context: frozenset, selector: Optional[tuple] = None) -> _Operand:
+        """p(outcome | context) of ``t``, a ``_Law`` (over the selector
+        values ``selector`` lists alone, when given: ``_narrowed``) or an
+        operand."""
         missing = t.given - context
         keep = _kernel_keep(t, outcome, context)
-        num = self.margin(t, keep) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
+        num = self.margin(t, keep, selector) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
         # the rest is summed from the kernel's own keep, over the same
         # denominator, so that the divide is free
         den = self.sum_out(num, outcome)
@@ -972,17 +991,19 @@ class _Law:
         plan = _Plan(self.m.cpts)
         return plan.finish(_compile_law(self, self.axes, plan)).run(self.m.cpts.values())
 
-    @functools.cached_property
-    def factors(self) -> dict:
+    def factors(self, selector: Optional[tuple] = None) -> dict:
         """Each vertex whose factor the law keeps -> its CPT as an operand of
         a plan whose inputs are the CPTs of ``m``, in their order, with the
-        fixed values held."""
+        fixed values held and, when ``selector`` lists selector values, the
+        selector's axis read at those alone."""
         cut = frozenset(self.fixed) | self.free
-        return {
-            v: _Operand(slot, t.axes, t.domains, self.fixed)
-            for slot, (v, t) in enumerate(self.m.cpts.items())
-            if v not in cut
-        }
+        out = {}
+        for slot, (v, t) in enumerate(self.m.cpts.items()):
+            if v not in cut:
+                out[v] = _Operand(slot, t.axes, t.domains, self.fixed)
+                if selector:
+                    out[v] = out[v].narrowed(self.m.selector, selector)
+        return out
 
 
 def _dataset_law(m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> _Law:
@@ -993,11 +1014,14 @@ def _dataset_law(m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> _Law:
     return _Law(m, m._fixed_values({}, s), frozenset(z))
 
 
-def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
+def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Optional[tuple] = None) -> _Operand:
     """Append to ``plan`` the steps of the margin of ``law`` over
     ``out_axes``, which lists the law's free axes too, and return it: the
     single variable-elimination routine of the oracle.  The inputs of
-    ``plan`` are the CPTs of ``law.m``, in their order.
+    ``plan`` are the CPTs of ``law.m``, in their order.  Given
+    ``selector``, a tuple of selector values, every factor reads the
+    selector at those values alone (``_Law.factors``): the margin's rows at
+    them, and no other rows.
 
     Only the factors of vertices that ``out_axes`` descend from along kept
     factors are read: any other factor is barren, and sums to its own
@@ -1014,9 +1038,11 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan") -> _Operand:
     A product over more than ``MAX_CELLS`` cells raises ``CapError`` while
     the plan is made (``_Operand.gather``).
     """
-    m, free, factors = law.m, law.free, law.factors
+    m, free, factors = law.m, law.free, law.factors(selector)
     if m.selector in free:
         raise OracleError("intervene on the selector via its own slot")
+    if selector and m.selector not in out_axes:
+        raise OracleError("a margin over some selector values must keep the selector")
     if m._cells(m.observed()) > MAX_CELLS:
         raise CapError("observed state space exceeds the enumeration cap")
     kept, todo = set(), [v for v in out_axes if v in factors]
@@ -1271,16 +1297,27 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
     ``rest`` (``_Plan.conditional``): a law's ``keep`` is eliminated from
     the CPTs once per axis set (``_Plan.margin``), a table's is summed from
     the table, and each ``rest`` is summed from the kernel's own ``keep``;
-    an equal sum is planned once.  Every node appends the steps that make
-    it, after those of its children, and rewrites none of them: a
-    ``Restrict`` picks its rows in a step of its own, so a node that
-    several parents read gives each of them the same rows."""
-    def node(x: Estimand, parts: list) -> _Operand:
+    an equal sum is planned once.  A kernel is planned as each parent reads
+    it: under a ``Restrict`` that gives the selector a value, a law's kernel
+    is eliminated over that value's pattern alone where no check covers
+    fewer rows for it (``_narrowed``), and kernels restricted to one pattern
+    share their margins; a kernel no parent reads whole is never planned
+    whole.  Every node appends the steps that make it, after those of its
+    children, and rewrites none of them: a ``Restrict`` picks its rows in a
+    step of its own, so a node that several parents read gives each of them
+    the same rows."""
+    def kernel(k: BaseKernel, parent: Optional[Estimand]) -> _Operand:
+        """``k`` as ``parent`` reads it; None reads it whole."""
+        if k.name not in inputs:
+            raise OracleError(f"no table for kernel {k.name!r}")
+        source = inputs[k.name]
+        return plan.conditional(source, k.outcome, k.context, _narrowed(source, k, parent))
+
+    def node(x: Estimand, parts: list):
         if isinstance(x, BaseKernel):
-            if x.name not in inputs:
-                raise OracleError(f"no table for kernel {x.name!r}")
-            t = plan.conditional(inputs[x.name], x.outcome, x.context)
-        elif isinstance(x, SumOver):
+            return x  # planned by each parent as it reads it (``kernel``)
+        parts = [kernel(p, x) if isinstance(p, BaseKernel) else p for p in parts]
+        if isinstance(x, SumOver):
             t = plan.sum_out(parts[0], x.over)
         elif isinstance(x, Product):
             t = plan.product(parts)
@@ -1295,7 +1332,26 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
             raise OracleError(f"unknown estimand node {type(x).__name__}")
         return t
 
-    return fold(e, node)
+    out = fold(e, node)
+    return kernel(out, None) if isinstance(out, BaseKernel) else out
+
+
+def _narrowed(source, k: BaseKernel, parent: Optional[Estimand]) -> Optional[tuple]:
+    """The selector values the kernel ``k`` of ``source`` is eliminated
+    over when ``parent`` reads it, or None for all of them.  A ``Restrict``
+    that gives the selector a ``SelectorValue`` keeps the rows of that
+    value's pattern alone, so ``k`` is eliminated over the pattern's values
+    alone when no check covers fewer rows for it: ``source`` is a ``_Law``
+    without free axes, so no constancy check (``_SAME``) drops any, and the
+    selector is in ``k``'s context, so its ``rest`` never sums over it."""
+    if not isinstance(parent, Restrict) or not isinstance(source, _Law) or source.free:
+        return None
+    sel = source.m.selector
+    val = parent.asg.get(sel)
+    if sel not in k.context or not isinstance(val, SelectorValue):
+        return None
+    pattern = tuple(sorted(val.pattern))
+    return tuple(x for x in source.m.domain(sel) if x[0] == pattern) or None
 
 
 # --------------------------------------------------------------------------
@@ -1677,7 +1733,9 @@ def verify(
     vertices' factors dropped.  The plan holds the estimand's steps, each
     kernel's ``keep`` margin eliminated from the CPTs over its ancestral
     set and its ``rest`` summed from that ``keep``, so no trial builds the
-    observed joint; the ground truth's margin, read at the tokens; and the
+    observed joint (a kernel read at one selector value, as each regime's
+    kernel is, is eliminated over that value's pattern alone:
+    ``_narrowed``); the ground truth's margin, read at the tokens; and the
     estimand without its other axes, checked to be constant over them.
     The plan compiles on the shape of the one ``_ModelLayout`` every
     trial's model is drawn on, built once per call.  Trials run in

@@ -122,6 +122,22 @@ def test_sequential_baseline_returns_on_a_shared_kernel_case():
         assert S.identify.identify_selected(proj, query).kind == "identified"
 
 
+def test_sequential_baseline_never_beats_identify_selected():
+    # dominance on the 32 identify_sweep cases: the two-stage baseline
+    # identifies no query that the one-shot procedure does not
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    identified = 0
+    for n in workloads.SWEEP_SIZES:
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+            dag, obs, query = workloads.sweep_case(S, n, seed)
+            proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+            if S.identify.sequential_baseline(proj, query).kind == "identified":
+                assert S.identify.identify_selected(proj, query).kind == "identified", (n, seed)
+                identified += 1
+    assert identified
+
+
 def test_identify_sweep_fixes_each_step_once(monkeypatch):
     # the districts of a query share the fixes of their common prefix
     # through ChainKernel.fix's memo; the 32 identify_sweep cases made 4241

@@ -746,8 +746,8 @@ class TestLawPlans:
         kernels = {}
         real_conditional, real_restrict = oracle._Plan.conditional, oracle._Plan.restrict
 
-        def conditional(self, table, outcome, context):
-            out = real_conditional(self, table, outcome, context)
+        def conditional(self, table, outcome, context, selector=None):
+            out = real_conditional(self, table, outcome, context, selector)
             kernels[out.slot] = [outcome, context, out, []]
             return out
 
@@ -796,40 +796,47 @@ class TestLawPlans:
 
     def test_law_margins_equal_margins_of_the_joint(self):
         # every margin a kernel of an estimand divides, planned from the
-        # CPTs as verify plans it, against the same margin of the law's table
+        # CPTs as verify plans it, against the same rows of the same margin
+        # of the law's table: a margin eliminated over some selector values
+        # alone holds the rows at those values
         cases = _identified_cases()
-        checked = eliminated = 0
+        checked = eliminated = narrowed = 0
         for e, m, datasets in cases:
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
             plan = _verify_plan(e, m, sources)
             cpts = [m.cpts[v] for v in plan.inputs]
             tables = {name: dataset_table(m, z) for name, z in datasets.items()}
             planned, margins = len(plan.steps), {}
-            for k in _kernels(e):
+            for k, selector in _kernel_reads(e, sources):
                 law = sources[k.name]
-                keep = plan.margins[law, oracle._kernel_keep(law, k.outcome, k.context)]
+                keep = plan.margins[law, oracle._kernel_keep(law, k.outcome, k.context), selector]
                 # the kernel's rest margin is summed from its keep: planning
                 # it again appends no step
                 for margin in (keep, plan.sum_out(keep, k.outcome)):
                     margins[margin.slot] = (tables[k.name], margin)
+                narrowed += selector is not None
             assert len(plan.steps) == planned
             for table, margin in margins.values():
                 want = table.sum_out(frozenset(table.axes) - frozenset(margin.axes))
-                assert _run_to(plan, margin, cpts).equals(want), (e, sorted(margin.axes))
+                got = _run_to(plan, margin, cpts)
+                want = Table(got.axes, got.domains, want._read_as(got), denom=want.denom)
+                assert got.equals(want), (e, sorted(margin.axes))
                 checked += 1
             eliminated += sum(s.op is oracle._SUM and len(s.inputs) > 1 for s in plan.steps)
-        assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated
+        assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated and narrowed
 
     def test_each_law_margin_is_eliminated_once(self, monkeypatch):
         # one elimination pass per law margin: each distinct keep margin of
-        # a law is planned by _compile_law once and never summed from a
-        # larger margin; rest margins are summed from their keep
+        # a law, whole or over one pattern's selector values, is planned by
+        # _compile_law once and never summed from a larger margin; rest
+        # margins are summed from their keep, and no margin is planned that
+        # no parent reads
         compiled = []
         real_law = oracle._compile_law
 
-        def counting(law, axes, plan):
-            out = real_law(law, axes, plan)
-            compiled.append((law, axes, out))
+        def counting(law, axes, plan, selector=None):
+            out = real_law(law, axes, plan, selector)
+            compiled.append((law, axes, selector, out))
             return out
 
         monkeypatch.setattr(oracle, "_compile_law", counting)
@@ -839,22 +846,105 @@ class TestLawPlans:
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
             plan = _verify_plan(e, m, sources)
             keeps = set()
-            for k in _kernels(e):
+            for k, selector in _kernel_reads(e, sources):
                 law = sources[k.name]
-                keeps.add((law, oracle._kernel_keep(law, k.outcome, k.context)))
+                keeps.add((law, oracle._kernel_keep(law, k.outcome, k.context), selector))
             assert len(compiled) == len(keeps)
-            assert {(law, axes) for law, axes, _ in compiled} == keeps
-            assert all(plan.margins[law, axes] is out for law, axes, out in compiled)
+            assert {(law, axes, selector) for law, axes, selector, _ in compiled} == keeps
+            assert all(plan.margins[law, axes, selector] is out for law, axes, selector, out in compiled)
             margins += len(keeps)
         assert margins > 300
 
-        # the verify plan of selection_web keeps its size
+        # the plan of selection_web's estimand keeps its size: its three
+        # selector-restricted kernels read 2, 2 and 4 of the selector's 9
+        # values (38 steps, 6792 cells, widest 1152 when read over all 9)
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
         plan = _verify_plan(r.estimand, m, {"p": oracle._Law(m, {})})
         cells = [s.cells for s in plan.steps]
-        assert (len(cells), sum(cells), max(cells)) == (38, 6792, 1152)
+        assert (len(cells), sum(cells), max(cells)) == (40, 3582, 512)
+
+    def test_narrowed_kernels_equal_restricted_conditionals(self):
+        # a kernel that a Restrict reads over its pattern's selector values
+        # alone holds, row for row, the whole conditional restricted
+        # afterwards
+        checked = 0
+        for e, m, datasets in _identified_cases():
+            sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
+            restricts = []
+            fold(e, lambda x, _parts: restricts.append(x) if isinstance(x, Restrict) else None)
+            for r in restricts:
+                k = r.child
+                if not isinstance(k, BaseKernel) or oracle._narrowed(sources[k.name], k, r) is None:
+                    continue
+                plan = oracle._Plan(m.cpts)
+                got = oracle._estimand_steps(r, sources, plan)
+                want = plan.conditional(sources[k.name], k.outcome, k.context)
+                for var, val in r.assignment:
+                    want = plan.restrict(want, var, val)
+                cpts = [m.cpts[v] for v in plan.inputs]
+                a, b = _run_to(plan, got, cpts), _run_to(plan, want, cpts)
+                assert (a.axes, a.domains, a.denom, a.values) == (b.axes, b.domains, b.denom, b.values), r
+                checked += 1
+        assert checked > 100
+
+    def test_kernels_with_a_check_over_the_selector_are_planned_whole(self):
+        # no kernel is narrowed where a check would then cover fewer rows:
+        # with the selector among its outcomes its rest sums over the
+        # selector, and a law with free axes checks the kernel constant over
+        # those it drops; each is planned step for step as the whole kernel
+        # restricted afterwards
+        def shape(plan) -> list:
+            return [(s.op, s.width, s.cells, [(t, list(idx)) for t, idx in s.inputs]) for s in plan.steps]
+
+        a = SelectorValue(frozenset({"A"}), (("A", Sym("a")),))
+        bow = random_cs_scm(FX["double_bow"].dag, FX["double_bow"].dag.support, seed=1)
+        scar = random_cs_scm(FX["scar"].graph, FX["scar"].graph.support, seed=1)
+        cases = [
+            (bow, oracle._Law(bow, {}), BaseKernel("p", {"Y", "S"}, {"A"}), (("A", Sym("a")), ("S", a))),
+            (
+                scar,
+                oracle._Law(scar, {}, frozenset({"C"})),
+                BaseKernel("p", {"M"}, {"S", "U2", "A"}),
+                (("A", Sym("a")), ("S", SelectorValue())),
+            ),
+        ]
+        for m, law, k, assignment in cases:
+            r = Restrict(k, assignment)
+            assert oracle._narrowed(law, k, r) is None
+            plan = oracle._Plan(m.cpts)
+            got = oracle._estimand_steps(r, {"p": law}, plan)
+            whole = oracle._Plan(m.cpts)
+            want = whole.conditional(law, k.outcome, k.context)
+            for var, val in r.assignment:
+                want = whole.restrict(want, var, val)
+            assert shape(plan) == shape(whole) and got.slot == want.slot
+            assert [selector for _, _, selector in plan.margins] == [None]
+
+    def test_selector_restricted_kernels_are_narrowed(self, monkeypatch):
+        # (steps, cells) of each estimand plan, and the number of selector
+        # values each narrowed margin reads, against the plan with every
+        # kernel eliminated whole
+        want = {
+            "selection_web": ((40, 3582), [2, 2, 4], (38, 6792)),
+            "double_bow": ((5, 52), [2], (5, 76)),
+            "scar": ((25, 354), [1], (25, 402)),
+        }
+        got, real = {}, oracle._narrowed
+        for name in want:
+            fx = FX[name]
+            g = fx.graph
+            r = identify_selected(g, parse_query(fx.query, g.selector)[0])
+            m = random_cs_scm(fx.dag or g, g.support, seed=1)
+            plans = []
+            for narrowed in (real, lambda *args: None):
+                monkeypatch.setattr(oracle, "_narrowed", narrowed)
+                plans.append(_verify_plan(r.estimand, m, {"p": oracle._Law(m, {})}))
+            narrow, whole = ((len(p.steps), sum(s.cells for s in p.steps)) for p in plans)
+            sizes = sorted(len(selector) for _, _, selector in plans[0].margins if selector)
+            got[name] = (narrow, sizes, whole)
+        assert got == want
 
     def test_equal_steps_are_planned_once(self):
         t = Table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [1, 2, 3, 4], denom=10)
@@ -905,9 +995,10 @@ class TestLawPlans:
                 assert all(p is plan for p, _ in runs) and len(runs) == math.ceil(trials / size)
                 assert [t for _, t in runs[:-1]] == [size] * (len(runs) - 1) and sum(t for _, t in runs) == trials
             if name == "selection_web":
-                # the estimand's 38 steps, the truth's and the comparison's,
-                # two trials per batch
-                assert (len(plan.steps), cells, size) == (48, 7024, 2)
+                # the estimand's 40 steps, the truth's and the comparison's,
+                # four trials per batch (two while every kernel was
+                # eliminated over all the selector's values)
+                assert (len(plan.steps), cells, size) == (50, 3814, 4)
             else:
                 assert size == 100
         for name, query in (("bow", q("Y", A="a")), ("forced_outcome", q("Y"))):
@@ -1007,11 +1098,19 @@ def _identified_cases() -> list:
     return cases
 
 
-def _kernels(e) -> set:
-    """The distinct base kernels of ``e``."""
-    found = set()
-    fold(e, lambda x, _parts: found.add(x) if isinstance(x, BaseKernel) else None)
-    return found
+def _kernel_reads(e, sources) -> set:
+    """``(kernel, selector values)`` for each way a parent of a base kernel
+    of ``e`` reads it, each kernel name read from a law of ``sources``:
+    over the values ``oracle._narrowed`` gives, or whole (None)."""
+    reads = {(e, None)} if isinstance(e, BaseKernel) else set()
+
+    def visit(x, _parts):
+        for k in x.parts():
+            if isinstance(k, BaseKernel):
+                reads.add((k, oracle._narrowed(sources[k.name], k, x)))
+
+    fold(e, visit)
+    return reads
 
 
 def _per_group(step, nums, dens) -> list:

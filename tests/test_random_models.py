@@ -5,6 +5,7 @@ and positivity certificates must validate or decline honestly; the two-stage
 baseline never beats the one-shot procedure.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -95,6 +96,29 @@ def test_sweep_soundness_certificates_and_dominance():
     assert counts["positivity"] > 10
     assert counts["hedge"] + counts["thicket"] > 5
     assert checked > 20
+
+
+def test_a_larger_support_never_loses_identification():
+    # each support pattern the generator left out, over the selector's
+    # children, added on its own to the graph's declared support (a query
+    # may only name patterns of the graph's support): a query identified
+    # under the smaller support stays identified
+    checks = 0
+    for seed in range(200):
+        case = random_selection_model(seed)
+        if case is None:
+            continue
+        _, proj, query = case
+        if identify_selected(proj, query).kind != "identified":
+            continue
+        kids = sorted(proj.children(proj.selector))
+        for size in range(len(kids) + 1):
+            for pattern in map(frozenset, itertools.combinations(kids, size)):
+                if pattern not in proj.support:
+                    g = dataclasses.replace(proj, support=SelectorSupport(proj.support.patterns | {pattern}))
+                    assert identify_selected(g, query).kind == "identified", (seed, sorted(pattern))
+                    checks += 1
+    assert checks > 100
 
 
 @pytest.mark.parametrize("seed", [24, 98, 124])
