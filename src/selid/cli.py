@@ -160,12 +160,18 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_identify(args) -> int:
-    _, g = _query_graph(args.graph)
+def _verdict(args) -> tuple:
+    """The verdict ``identify``, ``verify`` and ``witness`` report: ``(dag,
+    g, query, datasets, algorithm, result)``, ``dag, g`` from ``_query_graph``."""
+    dag, g = _query_graph(args.graph)
     query = _read_query(args, g)
     datasets = _datasets(args)
     algorithm = _pick_algorithm(args, g)
-    result = _run_algorithm(algorithm, g, query, datasets)
+    return dag, g, query, datasets, algorithm, _run_algorithm(algorithm, g, query, datasets)
+
+
+def cmd_identify(args) -> int:
+    *_, algorithm, result = _verdict(args)
     if isinstance(result, Identified):
         if args.format == "json":
             payload = {
@@ -186,11 +192,7 @@ def cmd_identify(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    dag, g = _query_graph(args.graph)
-    query = _read_query(args, g)
-    datasets = _datasets(args)
-    algorithm = _pick_algorithm(args, g)
-    result = _run_algorithm(algorithm, g, query, datasets)
+    dag, g, query, datasets, algorithm, result = _verdict(args)
     report = oracle.verify(
         g,
         query,
@@ -210,10 +212,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    _, g = _query_graph(args.graph)
-    query = _read_query(args, g)
-    algorithm = _pick_algorithm(args, g)
-    result = _run_algorithm(algorithm, g, query, _datasets(args))
+    _, g, query, _, _, result = _verdict(args)
     if isinstance(result, Identified):
         print(json.dumps({"identified": True, "witness": None}, sort_keys=True, indent=2))
         return 0

@@ -598,10 +598,12 @@ class ChainKernel:
 
 
 def normal_form(e: Estimand) -> Estimand:
-    """Canonical form: margins folded into kernels, ratios cancelled, chain
+    """Normal form: margins folded into kernels, ratios cancelled, chain
     factors merged, unit sums dropped from products, restrictions pushed to
-    the smallest scope, children sorted.
-    Two estimands are structurally equal iff their normal forms are identical.
+    the smallest scope, children sorted.  Identical normal forms imply equal
+    estimands, but not conversely: ``Σ_{V0,V1} p(V0) p(V1) p(V4|V0,V1)``
+    and ``Σ_{V1} p(V1) Σ_{V0} p(V0) p(V4|V0,V1)`` are equal by
+    distributivity, yet each is its own normal form.
 
     Each round rewrites every distinct node once (a ``fold``), and a node no
     rule changes comes back as the same object, so the fixpoint is reached
@@ -822,6 +824,8 @@ def _value_key(v):
 
 
 def structurally_equal(a: Estimand, b: Estimand) -> bool:
+    """Whether the normal forms of ``a`` and ``b`` are identical, which
+    implies that they are equal; equal estimands may still differ here."""
     return normal_form(a) == normal_form(b)
 
 

@@ -176,8 +176,11 @@ def _factorize(g: Graph, query: Query, solve):
 
 def identify(g: Graph, query: Query, base: str = "p"):
     """District factorization over the ancestral outcome set; every district
-    must be reachable in the full graph, else the hedge is returned."""
+    must be reachable in the full graph, else the hedge is returned.  A
+    graph with a selector raises ``QueryError``: ``identify_selected``."""
     _validate_query(g, query)
+    if g.selector is not None:
+        raise QueryError("the graph has a selector; use identify_selected")
     joint = ChainKernel.from_joint(g, base)
 
     def solve(dstar):
@@ -195,8 +198,11 @@ def identify(g: Graph, query: Query, base: str = "p"):
 
 def identify_fused(g: Graph, datasets: Iterable[DatasetSpec], query: Query):
     """Per district, the first dataset in which it is reachable supplies the
-    kernel; with a single observational dataset this reduces to ``identify``."""
+    kernel; with a single observational dataset this reduces to ``identify``,
+    and it takes selector-free graphs as ``identify`` does."""
     _validate_query(g, query)
+    if g.selector is not None:
+        raise QueryError("the graph has a selector; use identify_selected")
     datasets = list(datasets)
     joints = {}  # dataset index -> its chain kernel, built on first use
 

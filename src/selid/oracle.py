@@ -16,22 +16,25 @@ One table layout, one step runner:
   on a batch of models at a time, their rows back to back: each step
   gathers its inputs by readers made on first use for a batch size, one
   C-level call per input, multiplies or divides them cell by cell, and
-  reduces groups of ``width`` cells as strided slices.  ``_compile_law`` is the
-  one variable-elimination routine: it appends the steps of a margin of a
-  law, over the factors of the margin's ancestral set, reading a model's
-  CPTs, which are ``Table``s in the plan's layout from the moment they are
+  reduces groups of ``width`` cells as strided slices.  A step only
+  multiplies, divides or reduces: a restriction is a view, rows read in
+  place by the one addressing rule of ``_Operand``, and ``finish`` copies
+  out a result that is a view.  ``_compile_law`` is the one
+  variable-elimination routine: it appends the steps of a margin of a law,
+  over the factors of the margin's ancestral set, reading a model's CPTs,
+  which are ``Table``s in the plan's layout from the moment they are
   drawn.  An estimand's steps (``_estimand_steps``) run on the laws it
   makes: each kernel's ``keep`` margin is eliminated from the CPTs once
   per axis set, over one pattern's selector values alone when the kernel
   is read at a value of that pattern, its ``rest`` summed from that
-  ``keep``, and no joint table is built.  Given ``Table``s instead (``eval_estimand``), it sums each
-  ``keep`` from its table.  A plan may keep several results, and each
-  oracle call compiles one: ``verify`` one holding its estimand, ground
-  truth and comparison, run once per batch of trials on models laid out
-  once per call (``_ModelLayout``); a witness check one holding the
-  observed joint and the query's slices, run once per model of the pair.
-  Each ``Table`` operation, and each of ``joint``, ``interventional`` and
-  ``dataset_table``, is a plan run once.
+  ``keep``, and no joint table is built.  Given ``Table``s instead
+  (``eval_estimand``), it sums each ``keep`` from its table.  A plan may
+  keep several results, and each oracle call compiles one: ``verify`` one
+  holding its estimand, ground truth and comparison, run once per batch of
+  trials on models laid out once per call (``_ModelLayout``); a witness
+  check one holding the observed joint and the query's slices, run once
+  per model of the pair.  Each ``Table`` operation, and each of ``joint``,
+  ``interventional`` and ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
   model is one group of weights per draw (``_cpt``), normalized for a
@@ -390,33 +393,81 @@ class DiscreteCsScm(_SelectorDomains):
 
 class _Operand:
     """A table a plan reads or makes: its ``axes``, ``domains`` and
-    ``given``, and where its rows sit in run vector ``slot``.  ``place`` maps
-    each axis to its row-major stride and the positions of its values;
-    ``offset`` is the constant part that axes fixed to one value contribute.
-    An operand only names a slot: plans append steps and never rewrite one,
-    so every operand that reads a slot reads the same rows."""
+    ``given``, and where its rows sit in run vector ``slot``: ``place`` maps
+    each axis to the position each of its values adds, in domain order, to
+    ``offset``.  A restriction is a view (``at``, ``renamed``, ``fixed``,
+    ``narrowed``): it reads the rows already in the slot elsewhere.
+    ``whole`` says the operand reads every row of its slot in order, as one
+    a step makes does; every view but a rename clears it.  An operand only
+    names a slot: plans append steps and never rewrite one, so every
+    operand that reads a slot reads the same rows."""
 
-    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells", "given")
+    __slots__ = ("axes", "domains", "slot", "place", "offset", "cells", "given", "whole")
 
-    def __init__(self, slot: int, layout, domains: Mapping, fixed=None, given=frozenset()):
-        fixed = fixed or {}
-        self.slot = slot
-        self.place = {}
-        self.offset = 0
-        stride = 1
+    def __init__(self, slot: int, layout, domains: Mapping, given=frozenset()):
+        self.slot, self.place, stride = slot, {}, 1
         for a in reversed(layout):
-            pos = {x: i for i, x in enumerate(domains[a])}
-            if a in fixed:
-                if fixed[a] not in pos:
-                    raise OracleError(f"value {fixed[a]!r} outside the domain of {a}")
-                self.offset += stride * pos[fixed[a]]
-            else:
-                self.place[a] = (stride, pos)
-            stride *= len(pos)
-        self.axes = tuple(a for a in layout if a not in fixed)
+            self.place[a] = {x: stride * i for i, x in enumerate(domains[a])}
+            stride *= len(domains[a])
+        self.offset = 0
+        self.axes = tuple(layout)
         self.domains = {a: domains[a] for a in self.axes}
-        self.cells = math.prod(len(self.domains[a]) for a in self.axes)
+        self.cells = stride
         self.given = frozenset(given)
+        self.whole = True
+
+    def _view(self, axes, place: dict, offset: int, given) -> "_Operand":
+        out = copy.copy(self)
+        out.axes, out.place, out.offset, out.given = tuple(axes), place, offset, frozenset(given)
+        out.domains = {a: tuple(place[a]) for a in out.axes}
+        out.cells = math.prod(map(len, out.domains.values()))
+        out.whole = False
+        return out
+
+    def at(self, var: str, parts, base: int = 0) -> "_Operand":
+        """This operand read at one value of axis ``var``, without that
+        axis: at position ``base`` of it plus, for each ``(adds, token)`` of
+        ``parts``, the position ``adds`` gives the token's value.  A literal,
+        or ``Lo`` for the lowest value, adds its position; a ``Var`` or
+        ``Sym`` naming an axis there reads the diagonal with it; one naming
+        no axis becomes a new one, after the others, over ``adds``' values."""
+        axes = [a for a in self.axes if a != var]
+        place = {a: self.place[a] for a in axes}
+        offset = self.offset + base
+        for adds, tok in parts:
+            if isinstance(tok, (Sym, Var)):
+                name = tok.name if isinstance(tok, Sym) else tok.vertex
+                if name not in place:
+                    axes.append(name)
+                    place[name] = adds
+                elif set(place[name]) <= set(adds):
+                    place[name] = {x: p + adds[x] for x, p in place[name].items()}
+                else:
+                    raise OracleError("restriction misses rows of its result")
+            else:
+                val = min(adds) if isinstance(tok, Lo) else tok
+                if val not in adds:
+                    raise OracleError(f"value {val!r} outside the domain of {var}")
+                offset += adds[val]
+        return self._view(axes, place, offset, self.given - {var})
+
+    def renamed(self, var: str, name: str) -> "_Operand":
+        """This operand with axis ``var`` called ``name``: the rows stay in
+        order, so a whole operand stays whole."""
+        out = copy.copy(self)
+        out.axes = tuple(name if a == var else a for a in self.axes)
+        out.domains = {name if a == var else a: d for a, d in self.domains.items()}
+        out.place = {name if a == var else a: p for a, p in self.place.items()}
+        out.given = frozenset(name if a == var else a for a in self.given)
+        return out
+
+    def fixed(self, values: Mapping) -> "_Operand":
+        """This operand read at ``values`` of its axes, without them."""
+        out = self
+        for a, val in values.items():
+            if a in out.place:
+                out = out.at(a, [(out.place[a], val)])
+        return out
 
     def narrowed(self, axis: str, values: tuple) -> "_Operand":
         """This operand read at ``values`` of ``axis`` alone, when it has
@@ -424,10 +475,8 @@ class _Operand:
         those values (``_joined``)."""
         if axis not in self.domains:
             return self
-        out = copy.copy(self)
-        out.domains = {**self.domains, axis: values}
-        out.cells = self.cells // len(self.domains[axis]) * len(values)
-        return out
+        place = {**self.place, axis: {x: self.place[axis][x] for x in values}}
+        return self._view(self.axes, place, self.offset, self.given)
 
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
@@ -440,11 +489,8 @@ class _Operand:
             raise CapError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
         idx = [self.offset]
         for a in axes:
-            if a in self.place:
-                stride, pos = self.place[a]
-                steps = [stride * pos[x] for x in domains[a]]
-            else:
-                steps = [0] * len(domains[a])
+            place = self.place.get(a)
+            steps = [place[x] for x in domains[a]] if place else [0] * len(domains[a])
             idx = [i + d for i in idx for d in steps]
         return idx
 
@@ -494,7 +540,9 @@ class _Plan:
     in one plan and runs it once per model.
     Operations return ``_Operand``s; a margin of a ``_Law`` is eliminated
     once per axis set (``margin``), and a step equal to one already planned
-    is not planned again (``step``), so equal sums are shared too.
+    is not planned again (``step``), so equal sums are shared too.  A
+    restriction (``restrict``) is a view, never a step, and ``finish``
+    copies out a result that is a view.
     """
 
     def __init__(self, inputs, tables=()):
@@ -517,11 +565,10 @@ class _Plan:
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
         return _Operand(slot, axes, domains, given=given)
 
-    def view(self, t: _Operand, rows, width, axes, domains, given) -> _Operand:
-        """The table over ``axes`` whose row r sums rows
-        ``rows[r * width:(r + 1) * width]`` of ``t``, made by a step of its
-        own; the step that made ``t`` is left as it is."""
-        return self.step(_SUM, [(t.slot, rows)], width, axes, domains, given)
+    def laid_out(self, t: _Operand, axes, domains) -> _Operand:
+        """``t`` copied by a step of its own into rows over ``axes``,
+        broadcast over those it lacks."""
+        return self.step(_SUM, [(t.slot, t.gather(axes, domains))], 1, axes, domains, t.given)
 
     def product(self, factors: list) -> _Operand:
         axes, domains = _joined(factors)
@@ -539,9 +586,8 @@ class _Plan:
         rows = t.gather(keep + gone, t.domains)
         width = math.prod(len(t.domains[a]) for a in gone)
         domains = {a: t.domains[a] for a in keep}
-        if op is _SAME:
-            return self.step(_SAME, [(t.slot, rows)], width, keep, domains, t.given - drop, sorted(drop))
-        return self.view(t, rows, width, keep, domains, t.given - drop)
+        checked = sorted(drop) if op is _SAME else ()
+        return self.step(op, [(t.slot, rows)], width, keep, domains, t.given - drop, checked)
 
     def margin(self, law: "_Law", axes: frozenset, selector: Optional[tuple] = None) -> _Operand:
         """The margin of ``law`` over ``axes``, eliminated from its CPTs
@@ -561,7 +607,7 @@ class _Plan:
             idx = den.gather(num.axes, num.domains)
         except KeyError:
             raise OracleError("ratio denominator misses rows of the numerator")
-        inputs = [(num.slot, range(num.cells)), (den.slot, idx)]
+        inputs = [(num.slot, num.gather(num.axes, num.domains)), (den.slot, idx)]
         return self.step(_DIV, inputs, 1, num.axes, dict(num.domains), given)
 
     def conditional(self, t, outcome: frozenset, context: frozenset, selector: Optional[tuple] = None) -> _Operand:
@@ -576,39 +622,31 @@ class _Plan:
         den = self.sum_out(num, outcome)
         return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
 
-    def select(self, t: _Operand, fixed: Mapping) -> _Operand:
-        axes = [a for a in t.axes if a not in fixed]
-        domains = {a: t.domains[a] for a in axes}
-        rows = _Operand(t.slot, t.axes, t.domains, fixed).gather(axes, domains)
-        return self.view(t, rows, 1, axes, domains, t.given - frozenset(fixed))
-
     def restrict(self, t: _Operand, var: str, val) -> _Operand:
+        """``t`` read at the value ``val`` of ``var``, a view of its rows
+        (``_Operand.at``): a selector value through ``_selector_parts``, a
+        ``Sym`` or ``Var`` on the diagonal with the axis it names, or as a
+        rename when ``t`` has no such axis."""
         if var not in t.axes:
             return t
         if isinstance(val, SelectorValue):
-            axes, domains, key = _selector_rows(t, var, val)
-        elif isinstance(val, (Sym, Var)):
-            name = val.name if isinstance(val, Sym) else val.vertex
-            if name == var:
-                return t
-            if name not in t.axes:  # a rename: the rows stay
-                axes = [name if a == var else a for a in t.axes]
-                given = frozenset(name if a == var else a for a in t.given)
-                return _Operand(t.slot, axes, {**t.domains, name: t.domains[var]}, given=given)
-            ia, ib = t.axes.index(name), t.axes.index(var)
-            keep = [i for i, a in enumerate(t.axes) if a != var]
-            axes = [t.axes[i] for i in keep]
-            domains = {a: t.domains[a] for a in axes}
-            key = lambda vals: tuple(vals[i] for i in keep) if vals[ia] == vals[ib] else None
-        else:
+            base, adds = _selector_parts(t, var, val)
+            return t.at(var, list(zip(adds, (tok for _, tok in val.values))), base)
+        if not isinstance(val, (Sym, Var)):
             raise OracleError(f"unknown restriction value {val!r}")
-        return self.view(t, _pick(t, axes, domains, key), 1, axes, domains, t.given - {var})
+        name = val.name if isinstance(val, Sym) else val.vertex
+        if name == var:
+            return t
+        if name not in t.axes:
+            return t.renamed(var, name)
+        return t.at(var, [(t.place[var], val)])
 
     def finish(self, *outs: _Operand) -> "_Plan":
-        """Record ``outs`` as the results and release every other slot
-        after the last step that reads it."""
-        self.outs = outs
-        kept = {out.slot for out in outs}
+        """Record ``outs`` as the results, each one that is a view copied
+        out by a step of its own, and release every other slot after the
+        last step that reads it."""
+        self.outs = tuple(out if out.whole else self.laid_out(out, out.axes, out.domains) for out in outs)
+        kept = {out.slot for out in self.outs}
         last = {s: step for step in self.steps for s, _ in step.inputs}
         for s, step in last.items():
             if s not in kept:
@@ -900,71 +938,24 @@ def _kernel_keep(t, outcome: frozenset, context: frozenset) -> frozenset:
     return outcome | context | (t.given & frozenset(t.axes))
 
 
-def _pick(t: _Operand, axes, domains: Mapping, key) -> list:
-    """Positions of rows of ``t`` for every row of the row-major table over
-    ``axes``: ``key`` maps a row of ``t`` (its values in axis order) to the
-    row it becomes, or to None when it is dropped."""
-    found = {}
-    for i, vals in enumerate(itertools.product(*(t.domains[a] for a in t.axes))):
-        k = key(vals)
-        if k is not None:
-            if k in found:
-                raise OracleError("selector restriction is not single-valued")
-            found[k] = i
-    try:
-        return [found[k] for k in itertools.product(*(domains[a] for a in axes))]
-    except KeyError:
-        raise OracleError("restriction misses rows of its result")
-
-
-def _selector_rows(t: _Operand, var: str, val: SelectorValue) -> tuple:
-    """``(axes, domains, key)`` of the restriction of ``t`` to the selector
-    value ``val`` on axis ``var``, ``key`` as ``_pick`` takes it.
-
-    Rows carry the selector value (pattern, component values) with the
-    components in sorted-pattern order; each component moves into a token
-    axis, is matched against an axis, or is matched to a literal."""
+def _selector_parts(t: _Operand, var: str, val: SelectorValue) -> tuple:
+    """``(base, adds)`` that read axis ``var`` of ``t``, the selector, at
+    the pattern of ``val`` (``_Operand.at``): ``base`` is the position of
+    the pattern's first value there, and ``adds`` maps each component, in
+    sorted-pattern order, to the position each of its values adds.
+    ``selector_domain`` lays out one pattern's values as a product over its
+    components; a layout that is not raises ``OracleError``."""
     pattern = tuple(sorted(val.pattern))
-    iv = t.axes.index(var)
-    base = [i for i, a in enumerate(t.axes) if a != var]
-    axes = [t.axes[i] for i in base]
-    domains = {a: t.domains[a] for a in axes}
-    child_domain = {}
-    for kids, cvals in t.domains[var]:
-        for c, cv in zip(kids, cvals):
-            child_domain.setdefault(c, set()).add(cv)
-    extend = []  # component positions that become new axes
-    bound = {}  # token -> the component position whose axis it became
-    match = []  # (component position, position in row + components) that must agree
-    literal = []  # (component position, value)
-    for ci, (c, tok) in enumerate(val.values):  # in sorted-pattern order
-        name = None
-        if isinstance(tok, (Sym, Var)):
-            name = tok.name if isinstance(tok, Sym) else tok.vertex
-        if name is None:
-            literal.append((ci, min(child_domain[c]) if isinstance(tok, Lo) else tok))
-        elif name in bound:
-            match.append((ci, len(t.axes) + bound[name]))
-        elif name in domains:
-            match.append((ci, t.axes.index(name)))
-        else:
-            bound[name] = ci
-            axes.append(name)
-            extend.append(ci)
-            domains[name] = tuple(sorted(child_domain[c]))
-
-    def key(vals):
-        kids, cvals = vals[iv]
-        both = vals + cvals
-        if (
-            kids != pattern
-            or any(cvals[ci] != both[i] for ci, i in match)
-            or any(cvals[ci] != lit for ci, lit in literal)
-        ):
-            return None
-        return tuple(vals[i] for i in base) + tuple(cvals[ci] for ci in extend)
-
-    return axes, domains, key
+    at = {vals: p for (kids, vals), p in t.place[var].items() if kids == pattern}
+    if not at:
+        raise OracleError("restriction misses rows of its result")
+    (first, base), *_ = at.items()
+    values = [sorted({r[i] for r in at}) for i in range(len(pattern))]
+    if len(at) == math.prod(map(len, values)):  # every combination is there
+        adds = [{x: at[first[:i] + (x,) + first[i + 1:]] - base for x in xs} for i, xs in enumerate(values)]
+        if all(p == base + sum(map(operator.getitem, adds, r)) for r, p in at.items()):
+            return base, adds
+    raise OracleError(f"the selector values of pattern {pattern} are not laid out as a product")
 
 
 @dataclass(frozen=True, eq=False)
@@ -1000,7 +991,7 @@ class _Law:
         out = {}
         for slot, (v, t) in enumerate(self.m.cpts.items()):
             if v not in cut:
-                out[v] = _Operand(slot, t.axes, t.domains, self.fixed)
+                out[v] = _Operand(slot, t.axes, t.domains).fixed(self.fixed)
                 if selector:
                     out[v] = out[v].narrowed(self.m.selector, selector)
         return out
@@ -1303,9 +1294,9 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
     fewer rows for it (``_narrowed``), and kernels restricted to one pattern
     share their margins; a kernel no parent reads whole is never planned
     whole.  Every node appends the steps that make it, after those of its
-    children, and rewrites none of them: a ``Restrict`` picks its rows in a
-    step of its own, so a node that several parents read gives each of them
-    the same rows."""
+    children, and rewrites none of them: a ``Restrict`` reads its child's
+    rows in place (``_Plan.restrict``), so a node that several parents read
+    gives each of them the same rows."""
     def kernel(k: BaseKernel, parent: Optional[Estimand]) -> _Operand:
         """``k`` as ``parent`` reads it; None reads it whole."""
         if k.name not in inputs:
@@ -1385,9 +1376,8 @@ class FunctionalCsScm(_SelectorDomains):
         observed = sorted(self.graph.random - self.graph.latent)
         noise_vars = sorted(self.noise)
         parents_of = {v: tuple(sorted(self.graph.parents(v))) for v in order}
-        axes = tuple(observed)
-        domains = {v: self.domain(v) for v in observed}
-        values = [0] * math.prod(len(d) for d in domains.values())
+        law = _Operand(0, observed, {v: self.domain(v) for v in observed})
+        values = [0] * law.cells
         for combo in itertools.product(*(range(len(self.noise[v])) for v in noise_vars)):
             eps = dict(zip(noise_vars, combo))
             w = math.prod(self.noise[v][val] for v, val in eps.items())
@@ -1398,8 +1388,8 @@ class FunctionalCsScm(_SelectorDomains):
                 val = self.mech[v][(pa_vals, eps[v])]
                 natural[v] = val
                 downstream[v] = fixed_vals.get(v, val)
-            values[_Operand(0, axes, domains, natural).offset] += w
-        return Table(axes, domains, values, denom=math.prod(sum(self.noise[v]) for v in noise_vars))
+            values[law.fixed(natural).offset] += w
+        return Table(law.axes, law.domains, values, denom=math.prod(sum(self.noise[v]) for v in noise_vars))
 
 
 def random_functional_cs_scm(
@@ -1538,15 +1528,14 @@ def _witness_separation(query, m1, m2) -> Fraction:
     plan = _Plan(m1.cpts)
     joint = _compile_law(_Law(m1, {}), m1.observed(), plan)
     truth = _compile_law(_query_law(m1, query), query.outcomes | query.treated, plan)
-    slices = [plan.select(truth, vert_vals) for vert_vals, _ in _token_bindings(query, m1.sizes)]
-    plan.finish(joint, *slices)
+    plan.finish(joint, *(truth.fixed(vert_vals) for vert_vals, _ in _token_bindings(query, m1.sizes)))
     (j1, *q1), (j2, *q2) = (
         [_trials(rows, 1)[0] for rows in plan.run_rows([_rows(m.cpts[v]) for v in plan.inputs], 1)]
         for m in (m1, m2)
     )
     if not _equal_rows(j1, j2):
         return Fraction(0)
-    return max(_table(s, a).total_variation(_table(s, b)) for s, a, b in zip(slices, q1, q2))
+    return max(_table(s, a).total_variation(_table(s, b)) for s, a, b in zip(plan.outs[1:], q1, q2))
 
 
 def _carrier_path(g: Graph, query, start: str) -> dict:
@@ -1777,7 +1766,7 @@ def verify(
         # an outcome
         got = plan.sum_out(est, frozenset(est.axes) - frozenset(want.axes), _SAME)
         keep = [a for a in want.axes if a in got.axes or a not in query.outcomes]
-        got = plan.view(got, got.gather(keep, want.domains), 1, keep, want.domains, got.given)
+        got = plan.laid_out(got, keep, want.domains)
         plan.finish(want, got)
         # the two lay out the same rows unless the estimand lacks an outcome
         aligned = want.axes == got.axes

@@ -88,6 +88,17 @@ class TestPlainIdentification:
             with pytest.raises(QueryError, match="latent-project"):
                 algorithm(dag, q("Y", A="a"))
 
+    def test_a_graph_with_a_selector_is_refused(self):
+        # plain and fused identification read no selector semantics: they
+        # would leave S free in the estimand (scar: p(M | A=a, S, U2))
+        for name, outcome in (("scar", "Y"), ("parallel_paths", "B")):
+            g = FX[name].graph
+            assert g.selector is not None
+            with pytest.raises(QueryError, match="identify_selected"):
+                identify(g, q(outcome, A="a"))
+            with pytest.raises(QueryError, match="identify_selected"):
+                identify_fused(g, [DatasetSpec("p", frozenset(), g)], q(outcome, A="a"))
+
 
 class TestFusedIdentification:
     def test_single_observational_dataset_reduces_to_plain(self):

@@ -424,6 +424,15 @@ class TestHiddenVariableInput:
         assert payload["error"] == "input"
         assert "['W2', 'Z1']" in payload["message"] and "_dag.lsg" in payload["message"]
 
+    def test_plain_identification_refuses_a_selector(self):
+        # --algorithm id ignores selection, so it must not answer on scar
+        code, out, err = run_cli(
+            "identify", "--graph", str(FIXDIR / "scar.lsg"),
+            "--query", "P(Y | do(A=a), S=empty)", "--algorithm", "id",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "input"
+
 
 class TestCliMoreSurfaces:
     def test_latex_format_is_deterministic(self):

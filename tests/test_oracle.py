@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from selid import oracle
-from selid.estimand import BaseKernel, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
+from selid.estimand import BaseKernel, Lo, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
 from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
-from selid.graph import Graph, SelectorValue, directed
+from selid.graph import Graph, SelectorSupport, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
 from selid.lsg import parse_query
 from selid.oracle import (
@@ -857,13 +857,14 @@ class TestLawPlans:
 
         # the plan of selection_web's estimand keeps its size: its three
         # selector-restricted kernels read 2, 2 and 4 of the selector's 9
-        # values (38 steps, 6792 cells, widest 1152 when read over all 9)
+        # values (35 steps, 6524 cells, widest 1152 when read over all 9),
+        # and its restrictions are views, not steps
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
         plan = _verify_plan(r.estimand, m, {"p": oracle._Law(m, {})})
         cells = [s.cells for s in plan.steps]
-        assert (len(cells), sum(cells), max(cells)) == (40, 3582, 512)
+        assert (len(cells), sum(cells), max(cells)) == (37, 3314, 512)
 
     def test_narrowed_kernels_equal_restricted_conditionals(self):
         # a kernel that a Restrict reads over its pattern's selector values
@@ -927,9 +928,9 @@ class TestLawPlans:
         # values each narrowed margin reads, against the plan with every
         # kernel eliminated whole
         want = {
-            "selection_web": ((40, 3582), [2, 2, 4], (38, 6792)),
+            "selection_web": ((37, 3314), [2, 2, 4], (35, 6524)),
             "double_bow": ((5, 52), [2], (5, 76)),
-            "scar": ((25, 354), [1], (25, 402)),
+            "scar": ((24, 346), [1], (24, 394)),
         }
         got, real = {}, oracle._narrowed
         for name in want:
@@ -995,10 +996,10 @@ class TestLawPlans:
                 assert all(p is plan for p, _ in runs) and len(runs) == math.ceil(trials / size)
                 assert [t for _, t in runs[:-1]] == [size] * (len(runs) - 1) and sum(t for _, t in runs) == trials
             if name == "selection_web":
-                # the estimand's 40 steps, the truth's and the comparison's,
+                # the estimand's 37 steps, the truth's and the comparison's,
                 # four trials per batch (two while every kernel was
                 # eliminated over all the selector's values)
-                assert (len(plan.steps), cells, size) == (50, 3814, 4)
+                assert (len(plan.steps), cells, size) == (47, 3546, 4)
             else:
                 assert size == 100
         for name, query in (("bow", q("Y", A="a")), ("forced_outcome", q("Y"))):
@@ -1066,6 +1067,176 @@ class TestLawPlans:
         query = Query(frozenset("Y"), (("A1", Sym("a")), ("A2", Sym("a"))))
         bindings = list(oracle._token_bindings(query, {"A1": 2, "A2": 2}))
         assert bindings == [({"A1": 0, "A2": 0}, {"a": 0}), ({"A1": 1, "A2": 1}, {"a": 1})]
+
+
+class TestRestrictionViews:
+    def test_restrictions_equal_a_row_reference(self):
+        # every kind of restriction an estimand reads, as a view of a random
+        # table, against the rows of Table.data it picks: a rename, the
+        # diagonal with an axis by Sym and by Var, and selector values with
+        # observational, Sym, repeated Sym, Var, Lo and literal components;
+        # each read from the table, from an operand narrowed to the value's
+        # pattern, and after another axis is fixed
+        rng = random.Random(23)
+        sizes = {"C1": 2, "C2": 3}
+        patterns = [frozenset(), frozenset({"C1"}), frozenset({"C2"}), frozenset({"C1", "C2"})]
+        kinds = collections.Counter()
+        for _ in range(300):
+            support = SelectorSupport(frozenset(rng.sample(patterns, rng.randint(1, 4))))
+            domains = {"S": selector_domain(support, sizes), "A": (0, 1), "B": (0, 1, 2), "a": (0, 1)}
+            axes = ["S", "A", "B"] + ["a"] * (rng.random() < 0.5)
+            rng.shuffle(axes)
+            cells = math.prod(len(domains[x]) for x in axes)
+            t = Table(axes, domains, [rng.randint(0, 9) for _ in range(cells)], denom=97)
+            pattern = rng.choice(sorted(support, key=sorted))
+            tokens = [(c, [Sym("a"), Sym("b"), Var("A"), Lo(), rng.randrange(sizes[c])]) for c in sorted(pattern)]
+            sval = SelectorValue(pattern, tuple((c, rng.choice(toks)) for c, toks in tokens))
+            restrictions = [("S", sval), ("A", Sym("z")), ("B", Sym("A")), ("B", Var("A"))]
+            if "a" in axes:
+                restrictions.append(("B", Sym("a")))
+            narrowed = tuple(x for x in domains["S"] if x[0] == tuple(sorted(pattern)))
+            for var, val in restrictions:
+                for how in ("table", "narrowed", "fixed"):
+                    want = (t.axes, t.data)
+                    if how == "narrowed":
+                        want = (t.axes, {row: v for row, v in t.data.items() if row[axes.index("S")] in narrowed})
+                    if how == "fixed" and var != "A":
+                        want = _ref_fixed(want, {"A": 1})
+                    if var == "S":
+                        want = _ref_selector(want, var, val)
+                    else:
+                        want = _ref_restrict(want, var, _token_name(val))
+
+                    def read(plan, op, var=var, val=val, how=how):
+                        if how == "narrowed":
+                            op = op.narrowed("S", narrowed)
+                        elif how == "fixed" and var != "A":
+                            op = op.fixed({"A": 1})
+                        return plan.restrict(op, var, val)
+
+                    got = oracle._once([t], read)
+                    assert (got.axes, got.data) == want, (axes, var, val, how)
+                kinds[_restriction_kind(var, val, axes)] += 1
+        assert set(kinds) == {
+            "rename", "diagonal", "observational", "Sym", "repeated Sym", "Var", "Lo", "literal"
+        }, kinds
+
+    def test_a_selector_layout_that_is_not_a_product_is_refused(self):
+        # the values of pattern {C1, C2} listed out of product order
+        values = [(("C1", "C2"), v) for v in ((0, 0), (1, 1), (0, 1), (1, 0))]
+        t = Table(("S",), {"S": tuple(values)}, [1, 2, 3, 4], denom=10)
+        val = SelectorValue(frozenset({"C1", "C2"}), (("C1", Sym("a")), ("C2", Sym("b"))))
+        with pytest.raises(OracleError, match="not laid out as a product"):
+            oracle._once([t], lambda plan, a: plan.restrict(a, "S", val))
+
+    def test_restrictions_plan_no_step(self, monkeypatch):
+        # a restriction reads rows in place: no step is planned while
+        # _Plan.restrict or _Operand.fixed runs, on every Restrict of the
+        # identified cases, for a law's fixed values (verify's truth) or for
+        # a witness check's slices; only finish copies out a result that is
+        # a view
+        inside, calls = [], collections.Counter()
+        real_step = oracle._Plan.step
+
+        def step(self, *args, **kwargs):
+            assert not inside, f"{inside[-1]} planned a step"
+            return real_step(self, *args, **kwargs)
+
+        def reading(name, real):
+            def wrapped(*args):
+                inside.append(name)
+                calls[name] += 1
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        monkeypatch.setattr(oracle._Plan, "step", step)
+        monkeypatch.setattr(oracle._Plan, "restrict", reading("restrict", oracle._Plan.restrict))
+        monkeypatch.setattr(oracle._Operand, "fixed", reading("fixed", oracle._Operand.fixed))
+        restricts = 0
+        for e, m, datasets in _identified_cases():
+            sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
+            _verify_plan(e, m, sources)
+            restricts += len([x for x in _nodes(e) if isinstance(x, Restrict)])
+        fx, query = FX["selection_web"], q("Y", A1="a1", A2="a2")
+        r = identify_selected(fx.graph, query)
+        assert verify(fx.graph, query, fx.graph.support, r, trials=2, dag=fx.dag).passed
+        bow = FX["bow"].graph
+        assert verify(bow, q("Y", A="a"), None, identify(bow, q("Y", A="a"))).passed
+        assert restricts > 100 and calls["restrict"] >= restricts and calls["fixed"] > 100, (restricts, calls)
+
+
+def _nodes(e) -> list:
+    """The distinct nodes of ``e``."""
+    out = []
+    fold(e, lambda x, _parts: out.append(x))
+    return out
+
+
+def _restriction_kind(var, val, axes) -> str:
+    """Which kind of restriction ``val`` of ``var`` is on a table over
+    ``axes``: a selector value's by its components."""
+    if not isinstance(val, SelectorValue):
+        return "rename" if _token_name(val) not in axes else "diagonal"
+    toks = [tok for _, tok in val.values]
+    if not toks:
+        return "observational"
+    if any(isinstance(tok, Lo) for tok in toks):
+        return "Lo"
+    if any(isinstance(tok, Var) for tok in toks):
+        return "Var"
+    syms = [tok for tok in toks if isinstance(tok, Sym)]
+    if len(set(syms)) < len(syms):
+        return "repeated Sym"
+    return "Sym" if syms else "literal"
+
+
+def _token_name(tok) -> str:
+    return tok.name if isinstance(tok, Sym) else tok.vertex
+
+
+def _ref_fixed(value, fixed: dict):
+    """``value`` at the values ``fixed`` gives, without those axes."""
+    axes, rows = value
+    keep = [i for i, a in enumerate(axes) if a not in fixed]
+    picked = {
+        tuple(row[i] for i in keep): v
+        for row, v in rows.items()
+        if all(row[i] == fixed[a] for i, a in enumerate(axes) if a in fixed)
+    }
+    return tuple(axes[i] for i in keep), picked
+
+
+def _ref_selector(value, var, val):
+    """``value`` with the selector axis ``var`` read at ``val``: the rows of
+    its pattern whose components match their tokens.  A component matches
+    a literal, ``Lo`` (the lowest value it takes there), or the axis a
+    ``Sym`` or ``Var`` names; a token naming no axis becomes a new axis,
+    after the others, which a later component with that token matches."""
+    axes, rows = value
+    i = axes.index(var)
+    pattern = tuple(sorted(val.pattern))
+    mine = {row: v for row, v in rows.items() if row[i][0] == pattern}
+    lowest = [min(row[i][1][k] for row in mine) for k in range(len(pattern))]
+    named = [_token_name(tok) for _, tok in val.values if isinstance(tok, (Sym, Var))]
+    new = list(dict.fromkeys(n for n in named if n not in axes))
+    out = {}
+    for row, v in mine.items():
+        at, comps = dict(zip(axes, row)), row[i][1]
+        bound, ok = {}, True
+        for k, (_, tok) in enumerate(val.values):
+            if isinstance(tok, (Sym, Var)):
+                name = _token_name(tok)
+                ok &= comps[k] == (at[name] if name in at else bound.setdefault(name, comps[k]))
+            else:
+                ok &= comps[k] == (lowest[k] if isinstance(tok, Lo) else tok)
+        if ok:
+            key = row[:i] + row[i + 1:] + tuple(bound[n] for n in new)
+            assert key not in out
+            out[key] = v
+    return tuple(a for a in axes if a != var) + tuple(new), out
 
 
 @functools.cache
@@ -1171,7 +1342,7 @@ def _query_margin(m, query) -> Table:
 
 def _select(t, fixed) -> Table:
     """The rows of ``t`` at the values ``fixed`` gives, without those axes."""
-    return oracle._once([t], lambda plan, a: plan.select(a, fixed))
+    return oracle._once([t], lambda plan, a: a.fixed(fixed))
 
 
 # --------------------------------------------------------------------------
@@ -1387,12 +1558,12 @@ class TestExactArithmetic:
         for idx in ([3], [0, 1, 2], [1, 3], [4, 2, 0], [2, 2], [0, 0, 1], [4, 1, 3]):
             assert list(oracle._reader(idx)(vec)) == [vec[i] for i in idx], idx
         t = Table(("A", "B"), {"A": (0, 1), "B": (0, 1, 2)}, [1, 2, 3, 4, 5, 6], denom=21)
-        one = oracle._once([t], lambda plan, a: plan.select(a, {"A": 1, "B": 2}))
+        one = oracle._once([t], lambda plan, a: a.fixed({"A": 1, "B": 2}))
         assert (one.axes, one.values, one.denom) == ((), [6], 21)
         # a row over a per-row denominator, read alone from a divide
         def build(plan, a, b):
-            ratio = plan.divide(plan.select(a, {"A": 0}), plan.select(b, {"A": 1}), frozenset())
-            return plan.product([plan.select(ratio, {"B": 1}), plan.select(ratio, {"B": 1})])
+            ratio = plan.divide(a.fixed({"A": 0}), b.fixed({"A": 1}), frozenset())
+            return plan.product([ratio.fixed({"B": 1}), ratio.fixed({"B": 1})])
         assert oracle._once([t, t], build).data == {(): Fraction(4, 25)}
 
     def test_total_variation_across_denominators(self):
