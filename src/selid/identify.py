@@ -155,12 +155,12 @@ def _assemble(kernels: list, ystar: frozenset, query: Query) -> Estimand:
     return normal_form(e)
 
 
-def _factorize(g: Graph, query: Query, solve):
-    """District factorization over the ancestral outcome set: ``solve(d)``
-    gives the kernel of district ``d`` as an estimand, or the failure that
-    is the answer.  Each kernel is restricted to the treatments among its
-    parents, and the kernels are assembled into the query's estimand."""
-    ystar = _ancestral_set(g, query)
+def _factorize(g: Graph, query: Query, ystar: frozenset, solve):
+    """District factorization over the ancestral outcome set ``ystar``:
+    ``solve(d)`` gives the kernel of district ``d`` as an estimand, or the
+    failure that is the answer.  Each kernel is restricted to the treatments
+    among its parents, and the kernels are assembled into the query's
+    estimand."""
     kernels = []
     for dstar in g.induced_subgraph(ystar).districts():
         e = solve(dstar)
@@ -189,7 +189,7 @@ def identify(g: Graph, query: Query, base: str = "p"):
             return FailHedge(dstar, kernel.randoms)
         return kernel.expr()
 
-    return _factorize(g, query, solve)
+    return _factorize(g, query, _ancestral_set(g, query), solve)
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def identify_fused(g: Graph, datasets: Iterable[DatasetSpec], query: Query):
                 return kernel.expr()
         return FailThicket(dstar, tuple(tried))
 
-    return _factorize(g, query, solve)
+    return _factorize(g, query, _ancestral_set(g, query), solve)
 
 
 # --------------------------------------------------------------------------
@@ -376,6 +376,24 @@ def identify_selected(
     across contexts like a dataset-fusion problem (else the thicket failure);
     a closure containing the selector goes to the confounded-selector
     routine.
+
+    Every district is fixed from one chain-form joint over the ancestral
+    margin A = An(Y* ∪ {S}) rather than over the whole graph, which is
+    sound because A is ancestral and holds the selector:
+
+    * the law of A factorizes by G[A];
+    * in G every vertex outside A can be fixed first, sinks first, since
+      its random descendants all lie outside A; that leaves G[A] with
+      isolated fixed vertices, so under both fixing rules every district
+      of Y* reaches the same closure in G and in G[A];
+    * Kahn's lexicographic order of G[A] is G's order restricted to A, so
+      each chain factor over A conditions on its vertex's Markov pillow
+      among the earlier vertices of A, a subset of what it conditions on
+      in G.
+
+    ``identify``, ``identify_fused`` and ``sequential_baseline`` keep the
+    whole joint (the baseline's first stage needs the law of every vertex
+    but the selector).
     """
     if g.selector is None:
         return identify(g, query, base)
@@ -385,7 +403,8 @@ def identify_selected(
     _validate_query(g, query)
     sel = g.selector
     children = _selector_children(g)
-    joint = ChainKernel.from_joint(g, base)
+    ystar = _ancestral_set(g, query)
+    joint = ChainKernel.from_joint(g.induced_subgraph(g.ancestors(ystar | {sel})), base)
 
     def solve(dstar):
         if not support.laidback_patterns(dstar):
@@ -410,7 +429,7 @@ def identify_selected(
             return _polish_kernel(kernel, g, sval)
         return FailThicket(dstar, tuple(tried))
 
-    return _factorize(g, query, solve)
+    return _factorize(g, query, ystar, solve)
 
 
 def _confounded_selector(

@@ -13,6 +13,8 @@ import time
 import types
 from pathlib import Path
 
+import pytest
+
 import selid
 from selid.estimand import BaseKernel, ChainKernel, Estimand, Product, Restrict, SumOver
 from selid.fixtures import all_fixtures
@@ -140,9 +142,11 @@ def test_sequential_baseline_never_beats_identify_selected():
 
 def test_identify_sweep_fixes_each_step_once(monkeypatch):
     # the districts of a query share the fixes of their common prefix
-    # through ChainKernel.fix's memo; the 32 identify_sweep cases made 4241
-    # graph fixes before the memo and make 2544 with it, so a lost share
-    # shows here as a count, without any timing
+    # through ChainKernel.fix's memo, and fix from the joint of the
+    # ancestral margin An(Y* ∪ {S}); the 32 identify_sweep cases made 4241
+    # graph fixes before the memo, 2544 with it over the whole graph and 745
+    # from the margin, so a lost share shows here as a count, without any
+    # timing
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
     calls = []
@@ -158,7 +162,25 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
             S.identify.identify_selected(proj, query)
-    assert len(calls) == 2544 < 4241
+    assert len(calls) == 745 < 4241
+
+
+@pytest.mark.parametrize("n, seed", [(64, 3), (128, 1), (128, 11)])
+def test_large_sweep_cases_render_and_round_trip(n, seed):
+    # fixed over the whole graph these estimands were trees of 6.6e8, 1.2e8
+    # and 3.6e12 nodes that no rendering finished; fixed from the ancestral
+    # margin each one identifies, renders as text and round-trips through
+    # JSON within a 5 s budget (128/11, the largest, takes about 0.7 s on a
+    # 2-core box)
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    dag, obs, query = _load("workloads").sweep_case(S, n, seed)
+    proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+    start = time.perf_counter()
+    result = S.identify.identify_selected(proj, query)
+    assert result.kind == "identified"
+    assert S.estimand.render(result.estimand)
+    assert S.estimand.parse(S.estimand.render(result.estimand, "json")) == result.estimand
+    assert time.perf_counter() - start < 5
 
 
 def test_reference_estimands_equal_identify_selected():

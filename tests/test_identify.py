@@ -2,12 +2,14 @@ import pytest
 
 from selid.estimand import (
     BaseKernel,
+    Lo,
     Product,
     Restrict,
     SelectorAssign,
     SumOver,
     Sym,
     normal_form,
+    render,
     restrict,
 )
 from selid.fixtures import all_fixtures, compliance_pair
@@ -367,11 +369,64 @@ class TestConfoundedSelectorWrapper:
         assert r.kind == "identified" and r.estimand == normal_form(expected)
         assert verify(proj, query, proj.support, r, trials=20, seed=0, dag=dag).passed
 
+    # V1 and V2 are ancestors of neither V4 nor the selector V0, but over the
+    # whole graph they share V4's district, and fixing V2 degrades the chain
+    DEGRADED = (
+        """
+        selector V0
+        node V1
+        node V2
+        node V3
+        node V4
+        latent U0
+        latent U1
+        edge U0 -> V0
+        edge U0 -> V3
+        edge U1 -> V1
+        edge U1 -> V2
+        edge U1 -> V3
+        edge U1 -> V4
+        edge V0 -> V1
+        edge V0 -> V3
+        edge V3 -> V4
+        support {V1}, {V1, V3}
+        """,
+        "P(V4 | do(V2=v2, V3=v3), V0=empty)",
+    )
+
     def test_degraded_chain_tries_every_pattern_and_gives_unknown(self):
         from selid.estimand import ChainKernel
-        from selid.identify import _selection_fixable
+        from selid.identify import _confounded_selector, _selection_fixable
 
-        _, proj, query = projected(
+        _, proj, query = projected(*self.DEGRADED)
+        # the closure of {V4} in the whole graph holds the selector, and its
+        # chain degraded
+        qtil = ChainKernel.from_joint(proj).fix_to(frozenset({"V4"}), _selection_fixable)
+        assert "V0" in qtil.randoms and qtil.factors is None
+        r = _confounded_selector(proj, query, qtil, frozenset({"V4"}), proj.support, frozenset({"V3"}))
+        assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V4"}), (("V1", "V3"), ("V1",)))
+
+    def test_ancestral_margin_identifies_the_degraded_case(self):
+        # the joint of An({V4, V0}) = {V0, V3, V4} never fixes V1 or V2, so
+        # the confounded-selector routine gets a chain kernel to work on
+        dag, proj, query = projected(*self.DEGRADED)
+        r = identify_selected(proj, query)
+        pinned = SelectorAssign(frozenset({"V1", "V3"}), (("V1", Lo()), ("V3", Sym("v3"))))
+        expected = kernel({"V4"}, {"V0", "V3"}, V0=pinned, V3=Sym("v3"))
+        assert r.kind == "identified" and r.estimand == normal_form(expected)
+        assert render(r.estimand) == "p(V4 | V0=(e_V1=1, v_V1=*, e_V3=1, v_V3=v3), V3=v3)"
+        assert verify(proj, query, proj.support, r, trials=50, seed=0, dag=dag).passed
+
+
+class TestAncestralMargin:
+    """Queries whose verdict moved when the selection procedure started
+    fixing from the joint of An(Y* ∪ {S}) instead of the whole graph; each
+    graph is pinned as text, and each estimand is checked by the oracle."""
+
+    CASES = {
+        # bench generator seed 2809: over the whole graph the selector was
+        # fixed on a degraded kernel and summed out, which the oracle refuted
+        "fix_selector_on_degraded_kernel": (
             """
             selector V0
             node V1
@@ -380,21 +435,76 @@ class TestConfoundedSelectorWrapper:
             node V4
             latent U0
             latent U1
-            edge U0 -> V0
             edge U0 -> V3
+            edge U0 -> V4
+            edge U1 -> V0
+            edge U1 -> V3
+            edge V0 -> V1
+            edge V1 -> V3
+            edge V1 -> V4
+            edge V2 -> V3
+            edge V2 -> V4
+            support {}, {V1}
+            """,
+            "P(V4 | do(V1=v1), V0=empty)",
+            "Σ_{V2} p(V2) p(V4 | V1=v1, V2)",
+        ),
+        # seeds 752 and 2871: unknown over the whole graph, where fixing the
+        # non-ancestors of V4 degraded the chain of V4's district
+        "non_ancestor_sibling": (
+            """
+            selector V0
+            node V1
+            node V2
+            node V3
+            node V4
+            latent U0
+            latent U1
+            edge U0 -> V1
+            edge U0 -> V2
+            edge U0 -> V4
+            edge U1 -> V0
             edge U1 -> V1
             edge U1 -> V2
             edge U1 -> V3
-            edge U1 -> V4
             edge V0 -> V1
             edge V0 -> V3
-            edge V3 -> V4
-            support {V1}, {V1, V3}
+            edge V1 -> V4
+            support {V1}, {V3}, {}
             """,
-            "P(V4 | do(V2=v2, V3=v3), V0=empty)",
-        )
-        # the closure of {V4} holds the selector, and its chain degraded
-        qtil = ChainKernel.from_joint(proj).fix_to(frozenset({"V4"}), _selection_fixable)
-        assert "V0" in qtil.randoms and qtil.factors is None
+            "P(V4 | do(V1=v1), V0=empty)",
+            "p(V4 | V0=(e_V1=1, v_V1=v1), V1=v1)",
+        ),
+        "treated_non_ancestor": (
+            """
+            selector V0
+            node V1
+            node V2
+            node V3
+            node V4
+            latent U0
+            latent U1
+            edge U0 -> V1
+            edge U0 -> V3
+            edge U0 -> V4
+            edge U1 -> V0
+            edge U1 -> V1
+            edge U1 -> V2
+            edge V0 -> V1
+            edge V0 -> V3
+            edge V1 -> V4
+            edge V2 -> V3
+            support {V1}, {}
+            """,
+            "P(V4 | do(V1=v1, V3=v3), V0=empty)",
+            "p(V4 | V0=(e_V1=1, v_V1=v1), V1=v1)",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_identified_and_verified(self, name):
+        text, query_text, rendered = self.CASES[name]
+        dag, proj, query = projected(text, query_text)
         r = identify_selected(proj, query)
-        assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V4"}), (("V1", "V3"), ("V1",)))
+        assert r.kind == "identified" and render(r.estimand) == rendered
+        assert verify(proj, query, proj.support, r, trials=50, seed=0, dag=dag).passed

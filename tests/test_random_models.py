@@ -11,9 +11,15 @@ import random
 
 import pytest
 
-from selid.estimand import Sym, render
+from selid.estimand import ChainKernel, Sym, render
 from selid.graph import Graph, SelectorSupport, SelectorValue, bidirected, directed
-from selid.identify import Query, identify_selected, sequential_baseline
+from selid.identify import (
+    Query,
+    _ancestral_set,
+    _selection_fixable,
+    identify_selected,
+    sequential_baseline,
+)
 from selid.oracle import OracleError, parity_witness, verify
 from selid.projection import derive_labels, latent_project
 
@@ -96,6 +102,29 @@ def test_sweep_soundness_certificates_and_dominance():
     assert counts["positivity"] > 10
     assert counts["hedge"] + counts["thicket"] > 5
     assert checked > 20
+
+
+def test_ancestral_margin_fixes_to_the_same_closures():
+    # identify_selected fixes from the joint of G[A], A = An(Y* ∪ {S}): every
+    # district of Y* reaches the same closure there as in the whole graph,
+    # under both fixing rules; G[A]'s chain order is G's restricted to A, and
+    # each of its chain factors conditions on a subset of the factor in G
+    checks = 0
+    for seed in range(200):
+        case = random_selection_model(seed)
+        if case is None:
+            continue
+        _, g, query = case
+        ystar = _ancestral_set(g, query)
+        sub = g.induced_subgraph(g.ancestors(ystar | {g.selector}))
+        assert sub.topological_order() == tuple(v for v in g.topological_order() if v in sub.vertices)
+        whole, margin = ChainKernel.from_joint(g), ChainKernel.from_joint(sub)
+        assert all(f.cond <= whole.factors[v].cond for v, f in margin.factors.items())
+        for d in g.induced_subgraph(ystar).districts():
+            for rule in (Graph.is_fixable, _selection_fixable):
+                assert whole.fix_to(d, rule).randoms == margin.fix_to(d, rule).randoms, (seed, sorted(d))
+                checks += 1
+    assert checks > 500
 
 
 def test_a_larger_support_never_loses_identification():
