@@ -12,7 +12,8 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import heapq
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -167,6 +168,18 @@ class Graph:
         object.__setattr__(self, "latent", frozenset(self.latent))
         self._validate()
 
+    def _derive(self, **changes) -> "Graph":
+        """This graph with ``changes`` applied, built without ``_validate``.
+
+        Unnamed fields are taken from ``self``; a change may also seed a
+        cached view (``vertices`` or an adjacency table).  Only derivations
+        that keep every invariant by construction build through here, each
+        saying why; a graph from outside data goes through ``Graph(...)``.
+        """
+        g = object.__new__(Graph)
+        g.__dict__.update({f: getattr(self, f) for f in _FIELDS}, **changes)
+        return g
+
     def _validate(self):
         if self.random & self.fixed:
             raise GraphError("random and fixed vertices must be disjoint")
@@ -303,20 +316,22 @@ class Graph:
 
     def topological_order(self) -> tuple:
         """Deterministic topological order (lexicographic Kahn)."""
-        pending = {v: len(self._parents[v]) for v in self.vertices}
-        ready = sorted((v for v, n in pending.items() if n == 0), reverse=True)
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple:
+        # the smallest ready vertex goes next
+        pending = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [v for v, n in pending.items() if n == 0]
+        heapq.heapify(ready)
         order = []
         while ready:
-            v = ready.pop()
+            v = heapq.heappop(ready)
             order.append(v)
-            changed = False
             for w in self._children[v]:
                 pending[w] -= 1
                 if pending[w] == 0:
-                    ready.append(w)
-                    changed = True
-            if changed:
-                ready.sort(reverse=True)
+                    heapq.heappush(ready, w)
         return tuple(order)
 
     # -- structural edits ---------------------------------------------------
@@ -330,8 +345,10 @@ class Graph:
         if self.selector not in keep:
             # labels are meaningless without the selector
             kept = [Edge(e.kind, e.tail, e.head) for e in kept]
-        return replace(
-            self,
+        # a subset of the vertices and of the edges among them, so no new
+        # cycle, arrowhead at a fixed vertex or clash; a label stays only
+        # with the selector
+        return self._derive(
             random=self.random & keep,
             fixed=self.fixed & keep,
             latent=self.latent & keep,
@@ -412,26 +429,22 @@ class Graph:
                 if e.head == v or (e.kind == BIDIRECTED and e.tail == v)
             ]
         )
-        # Built without _validate: the vertices, latent marks and selector
-        # stay, v moves from random to fixed, and the edges only lose those
-        # with an arrowhead at v.  So the vertex sets stay disjoint, every
-        # endpoint is a vertex, no edge points into a fixed vertex, none is
-        # duplicated or newly labelled, and no cycle appears.
-        g = object.__new__(Graph)
-        g.__dict__.update(
+        # the vertices, latent marks and selector stay, v moves from random
+        # to fixed, and the edges only lose those with an arrowhead at v: the
+        # vertex sets stay disjoint, every endpoint is a vertex, no edge
+        # points into a fixed vertex, none is duplicated or newly labelled,
+        # and no cycle appears
+        return self._derive(
             random=self.random - {v},
             fixed=self.fixed | {v},
             edges=kept,
             latent=self.latent - {v},
-            selector=self.selector,
-            support=self.support,
             vertices=self.vertices,
             # the adjacency tables lose the same edges
             _parents={**self._parents, v: frozenset()},
             _children=_without(self._children, self._parents[v], v),
             _siblings={**_without(self._siblings, self._siblings[v], v), v: frozenset()},
         )
-        return g
 
     def fix_all(self, vs: Iterable[str]) -> "Graph":
         g = self
@@ -472,6 +485,9 @@ class Graph:
                 return tuple(seq), g.random
             g = g.fix(v)
             seq.append(v)
+
+
+_FIELDS = tuple(f.name for f in fields(Graph))
 
 
 def _without(table: dict, keys, v: str) -> dict:

@@ -293,21 +293,39 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     return True
 
 
-def _polish_kernel(kernel: ChainKernel, g_labelled: Graph, sval: Optional[SelectorValue]) -> Estimand:
-    """Attach the selector restriction to chain factors that depend on the
-    selector, trimming their conditioning sets in the context graph (the
-    conditional independencies that hold given the chosen value)."""
-    sel = g_labelled.selector
-    if kernel.factors is None or sval is None or sel is None:
+def _contexts(g: Graph):
+    """``pattern -> the context graph of g at that pattern``, each built on
+    first use and kept for the caller's query."""
+    built = {}
+
+    def at(pattern: frozenset) -> Graph:
+        ctx = built.get(pattern)
+        if ctx is None:
+            ctx = built[pattern] = context_graph(g, _pattern_value(pattern))
+        return ctx
+
+    return at
+
+
+def _polish_kernel(kernel: ChainKernel, sel: str, sval: SelectorValue, contexts) -> Estimand:
+    """Attach the selector restriction ``sval`` to the chain factors that
+    depend on the selector ``sel``, trimming their conditioning sets in
+    ``contexts(sval.pattern)``, the margin's context graph at that value
+    (the conditional independencies that hold given the chosen value).
+
+    The margin G[A] serves as well as G for any A that holds every factor's
+    vertex and conditioning set: ``trim_conditioning`` reads only siblings
+    within those sets and their parents, and G[A] has G's edges among A.
+    """
+    if kernel.factors is None:
         e = kernel.expr()
-        if sval is not None and sel is not None and sel in e.free_vars():
+        if sel in e.free_vars():
             e = restrict(e, {sel: sval})
         return e
-    ctx = context_graph(g_labelled, _pattern_value(sval.pattern))
     factors = dict(kernel.factors)
     for v, f in kernel.factors.items():
         if sel in f.cond:
-            factors[v] = _pin_selector(ctx, f, sval)
+            factors[v] = _pin_selector(contexts(sval.pattern), f, sval)
     return ChainKernel(kernel.graph, factors, None).expr()
 
 
@@ -404,7 +422,9 @@ def identify_selected(
     sel = g.selector
     children = _selector_children(g)
     ystar = _ancestral_set(g, query)
-    joint = ChainKernel.from_joint(g.induced_subgraph(g.ancestors(ystar | {sel})), base)
+    margin = g.induced_subgraph(g.ancestors(ystar | {sel}))
+    joint = ChainKernel.from_joint(margin, base)
+    contexts = _contexts(margin)
 
     def solve(dstar):
         if not support.laidback_patterns(dstar):
@@ -413,7 +433,7 @@ def identify_selected(
         qtil = joint.fix_to(dstar, _selection_fixable)
         closure = qtil.randoms
         if sel in closure:
-            return _confounded_selector(g, query, qtil, dstar, support, required)
+            return _confounded_selector(margin, query, qtil, dstar, support, required)
         # a district that is its own closure takes the first candidate as it
         # is; otherwise the first context in which the district is reachable
         tried = []
@@ -426,20 +446,25 @@ def identify_selected(
                 if kernel.randoms != dstar:
                     continue
             sval = _selector_assign(pattern, query, _kernel_scope(kernel))
-            return _polish_kernel(kernel, g, sval)
+            return _polish_kernel(kernel, sel, sval, contexts)
         return FailThicket(dstar, tuple(tried))
 
     return _factorize(g, query, ystar, solve)
 
 
 def _confounded_selector(
-    g_full: Graph,
+    g: Graph,
     query: Query,
     qtil: ChainKernel,
     dstar: frozenset,
     support: SelectorSupport,
     required: frozenset,
 ):
+    """The kernel of ``dstar`` when its closure ``qtil`` holds the selector,
+    from the first candidate pattern whose context SWIG cuts the district
+    off the selector, or the failure.  Factors that read the selector are
+    re-trimmed in ``g``'s context graph at that pattern; ``g`` is any
+    margin holding ``qtil``'s factors (see ``_polish_kernel``)."""
     gtil, closure = qtil.graph, qtil.randoms
     sel = gtil.selector
     ch_star = gtil.children(sel) & (closure - dstar)
@@ -467,7 +492,7 @@ def _confounded_selector(
             scope |= qtil.factors[v].cond
         sval = _selector_assign(pattern, query, scope)
         factors = {}
-        ctx = context_graph(g_full, pv)
+        ctx = context_graph(g, pv)
         for v in sorted(dprime):
             f = qtil.factors[v]
             if sel in f.cond:
@@ -511,12 +536,13 @@ def sequential_baseline(
     # stage 1: the observational-context law of everything but the selector
     rest = g.random - {sel}
     joint = ChainKernel.from_joint(g, base)
+    contexts = _contexts(g)
     stage1 = []
     for dstar in g.induced_subgraph(rest).districts():
         kernel = joint.fix_to(dstar, _selection_fixable)
         if kernel.randoms != dstar:
             return FailHedge(dstar, kernel.randoms)
-        e = _polish_kernel(kernel, g, OBSERVATIONAL)
+        e = _polish_kernel(kernel, sel, OBSERVATIONAL, contexts)
         stage1.append(e)
     law = normal_form(
         stage1[0] if len(stage1) == 1 else Product(tuple(stage1))
@@ -524,7 +550,7 @@ def sequential_baseline(
 
     # stage 2: plain identification over the observational-context graph;
     # the fixed half of the selector is a constant and carries no information
-    sw = swig(context_graph(g, OBSERVATIONAL), {sel: OBSERVATIONAL}, OBSERVATIONAL)
+    sw = swig(contexts(frozenset()), {sel: OBSERVATIONAL}, OBSERVATIONAL)
     g2 = sw.induced_subgraph(sw.vertices - {sel, fixed_name(sel)})
     result = identify(g2, query, base="pbar")
     if not isinstance(result, Identified):

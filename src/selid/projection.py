@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Mapping, Optional
 
 from .graph import (
@@ -31,7 +30,8 @@ def derive_labels(g: Graph) -> Graph:
             out.append(directed(e.tail, e.head, {e.head}))
         else:
             out.append(directed(e.tail, e.head))
-    return g.with_edges(out)
+    # the same directed edges, labelled only in a graph with a selector
+    return g._derive(edges=frozenset(out))
 
 
 def _prune_label_sets(label_sets: set) -> list:
@@ -96,8 +96,10 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
         for lab in _prune_label_sets(sets):
             edges.append(bidirected(x, y, lab))
 
-    return replace(
-        g,
+    # a directed edge stands for a path of the acyclic g, and both kinds end
+    # with an arrowhead at a vertex that has a parent in g, so is not fixed;
+    # labels come from g, whose selector is kept
+    return g._derive(
         random=g.random & keep,
         fixed=g.fixed & keep,
         latent=g.latent & keep,
@@ -130,10 +132,11 @@ def context_graph(g: Graph, s: SelectorValue) -> Graph:
     names a vertex ``s`` intervenes on is removed, remaining labels are
     stripped, and newly identical parallel edges merge.  The result is a plain
     (C)ADMG."""
+    # both branches keep a subset of g's edges, unlabelled
     if g.selector is None:
         if s.pattern:
             raise GraphError("serious selector value for a graph without selector")
-        return g.with_edges(Edge(e.kind, e.tail, e.head) for e in g.edges)
+        return g._derive(edges=frozenset(Edge(e.kind, e.tail, e.head) for e in g.edges))
     if g.support is not None and s.pattern not in g.support:
         raise GraphError(
             f"selector pattern {sorted(s.pattern)} outside the declared support"
@@ -143,7 +146,7 @@ def context_graph(g: Graph, s: SelectorValue) -> Graph:
         if e.label & s.pattern:
             continue
         out.append(Edge(e.kind, e.tail, e.head))
-    return g.with_edges(out)
+    return g._derive(edges=frozenset(out))
 
 
 def fixed_name(v: str) -> str:
@@ -176,6 +179,10 @@ def swig(
     unknown = frozenset(targets) - g.random
     if unknown:
         raise GraphError(f"cannot intervene on {sorted(unknown)}")
+    halves = frozenset(fixed_name(t) for t in targets)
+    clash = halves & g.vertices
+    if clash:
+        raise GraphError(f"fixed halves already vertices: {sorted(clash)}")
 
     # random vertices deleted outright: serious children of the selector
     serious = frozenset()
@@ -198,10 +205,11 @@ def swig(
             continue
         edges.append(Edge(e.kind, tail, head, label))
 
-    return replace(
-        g,
+    # the fixed halves are new vertices and only tails; the rest loses
+    # vertices and edges, and labels go only with a given value
+    return g._derive(
         random=g.random - serious,
-        fixed=g.fixed | frozenset(fixed_name(t) for t in targets),
+        fixed=g.fixed | halves,
         latent=g.latent - serious,
         edges=frozenset(edges),
     )
@@ -235,8 +243,9 @@ def canonical_hidden_dag(g: Graph) -> Graph:
             u = names[e]
             edges.append(directed(u, e.tail))
             edges.append(directed(u, e.head))
-    return replace(
-        g,
+    # the fresh latents are new names and sources, each a parent of two
+    # random vertices (bidirected edges meet no fixed vertex)
+    return g._derive(
         random=g.random | frozenset(names.values()),
         latent=g.latent | frozenset(names.values()),
         edges=frozenset(edges),

@@ -165,6 +165,42 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
     assert len(calls) == 745 < 4241
 
 
+def test_identify_sweep_validates_no_derived_graph(monkeypatch):
+    # a graph is validated where it is built from outside data, and every
+    # derivation carries the invariants through; the context graphs of a
+    # query are built once per selector pattern, from the ancestral margin.
+    # Projecting and identifying the 32 identify_sweep cases ran
+    # Graph._validate 291 times and context_graph 131 times before, and 0
+    # and 6 times since
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    cases = [
+        workloads.sweep_case(S, n, seed)
+        for n in workloads.SWEEP_SIZES
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE)
+    ]
+    validated, contexts = [], []
+    real_validate = S.graph.Graph._validate
+    real_context = S.projection.context_graph
+
+    def counted_validate(g):
+        validated.append(g)
+        return real_validate(g)
+
+    def counted_context(g, s):
+        contexts.append(s)
+        return real_context(g, s)
+
+    monkeypatch.setattr(S.graph.Graph, "_validate", counted_validate)
+    monkeypatch.setattr(S.projection, "context_graph", counted_context)
+    monkeypatch.setattr(S.identify, "context_graph", counted_context)
+    for dag, obs, query in cases:
+        proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+        S.identify.identify_selected(proj, query)
+    assert len(validated) == 0
+    assert len(contexts) <= 6 < 131
+
+
 @pytest.mark.parametrize("n, seed", [(64, 3), (128, 1), (128, 11)])
 def test_large_sweep_cases_render_and_round_trip(n, seed):
     # fixed over the whole graph these estimands were trees of 6.6e8, 1.2e8

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from selid.fixtures import all_fixtures
-from selid.graph import GraphError, SelectorValue, directed
+from selid.graph import Graph, GraphError, SelectorValue, directed
 from selid.projection import (
     canonical_hidden_dag,
     context_graph,
@@ -170,6 +170,20 @@ class TestSwig:
         g = FX["selection_web"].graph
         sw = swig(g, {"A3": "a3"})
         assert any(e.label for e in sw.edges)
+
+    @pytest.mark.parametrize("kind", ["random", "fixed"])
+    def test_fixed_half_name_taken(self, kind):
+        # A's fixed half would be named A__do, which the graph already has;
+        # as a fixed vertex it would silently take A's outgoing edges
+        names = {"random": {"A", "Y"}, "fixed": set()}
+        names[kind].add(fixed_name("A"))
+        g = Graph(
+            random=frozenset(names["random"]),
+            fixed=frozenset(names["fixed"]),
+            edges=frozenset({directed("A", "Y"), directed(fixed_name("A"), "Y")}),
+        )
+        with pytest.raises(GraphError):
+            swig(g, {"A": "a"})
 
 
 class TestDeriveProjectIdentity:

@@ -29,6 +29,7 @@ from selid.estimand import (
 )
 from selid.fixtures import all_fixtures
 from selid.graph import (
+    OBSERVATIONAL,
     Edge,
     Graph,
     GraphError,
@@ -160,6 +161,92 @@ def _validated(g: Graph) -> Graph:
     )
 
 
+def _assert_validated(g: Graph, where) -> None:
+    """``g`` equals ``_validated(g)`` in its fields, adjacency and order."""
+    fresh = _validated(g)
+    assert g == fresh, where
+    assert g.vertices == fresh.vertices, where
+    for w in sorted(fresh.vertices):
+        assert g.parents(w) == fresh.parents(w), (where, w)
+        assert g.children(w) == fresh.children(w), (where, w)
+        assert g.siblings(w) == fresh.siblings(w), (where, w)
+    assert g.topological_order() == fresh.topological_order(), where
+
+
+def _derivations(g: Graph, rng: random.Random) -> list:
+    """(name, graph) for each derivation of ``g`` but label derivation and
+    latent projection: subgraphs with and without the selector, the context
+    graph at every support pattern, SWIGs without a selector value and at
+    every pattern, the canonical hidden DAG, and fixes two deep."""
+    members = sorted(g.random)
+    keep = frozenset(rng.sample(members, rng.randint(1, len(members))))
+    out = [("induced_subgraph", g.induced_subgraph(keep | g.fixed))]
+    sel = g.selector
+    if sel is not None:
+        out += [
+            ("induced_subgraph, selector kept", g.induced_subgraph(keep | {sel})),
+            ("induced_subgraph, selector dropped", g.induced_subgraph(g.vertices - {sel})),
+        ]
+    others = [v for v in members if v != sel]
+    a = {v: v.lower() for v in rng.sample(others, min(2, len(others)))}
+    out.append(("swig", swig(g, a)))
+    patterns = list(g.support) if g.support is not None else [frozenset()]
+    for p in patterns:
+        sval = SelectorValue(p, tuple((c, "*") for c in sorted(p)))
+        if sel is None:
+            out.append(("context_graph", context_graph(g, OBSERVATIONAL)))
+            continue
+        out.append((f"context_graph {sorted(p)}", context_graph(g, sval)))
+        out.append((f"swig {sorted(p)}", swig(g, {**a, sel: sval}, sval)))
+    out.append(("canonical_hidden_dag", canonical_hidden_dag(g)))
+    for v in members:
+        if g.is_fixable(v):
+            h = g.fix(v)
+            out.append((f"fix {v}", h))
+            out += [(f"fix {v} {w}", h.fix(w)) for w in sorted(h.random) if h.is_fixable(w)]
+    return out
+
+
+def _reference_topological_order(g: Graph) -> tuple:
+    """Lexicographic Kahn that re-sorts its ready list whenever it grows."""
+    pending = {v: len(g.parents(v)) for v in g.vertices}
+    ready = sorted((v for v, n in pending.items() if n == 0), reverse=True)
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        changed = False
+        for w in g.children(v):
+            pending[w] -= 1
+            if pending[w] == 0:
+                ready.append(w)
+                changed = True
+        if changed:
+            ready.sort(reverse=True)
+    return tuple(order)
+
+
+def _shuffled_dag(seed: int) -> Graph:
+    """A random ADMG over 2-10 shuffled names, with some sources fixed."""
+    rng = random.Random(seed)
+    names = rng.sample([f"{c}{i}" for c in "ABCDE" for i in range(3)], rng.randint(2, 10))
+    directed_edges, bidirected_pairs = [], []
+    for i, j in itertools.combinations(range(len(names)), 2):
+        r = rng.random()
+        if r < 0.35:
+            directed_edges.append(directed(names[i], names[j]))
+        elif r < 0.45:
+            bidirected_pairs.append((names[i], names[j]))
+    heads = {e.head for e in directed_edges}
+    fixed = {v for v in names if v not in heads and rng.random() < 0.4}
+    edges = directed_edges + [
+        bidirected(a, b) for a, b in bidirected_pairs if a not in fixed and b not in fixed
+    ]
+    return Graph(
+        random=frozenset(names) - fixed, fixed=frozenset(fixed), edges=frozenset(edges)
+    )
+
+
 class TestGraphLayerShortcuts:
     def test_incremental_fix_to_matches_full_retest(self):
         for seed in range(300):
@@ -185,13 +272,65 @@ class TestGraphLayerShortcuts:
                     continue
                 h = g.fix(v)
                 for fixed in [h] + [h.fix(w) for w in sorted(h.random) if h.is_fixable(w)]:
-                    fresh = _validated(fixed)
-                    assert fixed == fresh, (seed, v)
-                    assert fixed.vertices == fresh.vertices
-                    for w in sorted(fresh.vertices):
-                        assert fixed.parents(w) == fresh.parents(w), (seed, v, w)
-                        assert fixed.children(w) == fresh.children(w), (seed, v, w)
-                        assert fixed.siblings(w) == fresh.siblings(w), (seed, v, w)
+                    _assert_validated(fixed, (seed, v))
+
+    def test_derivations_equal_validated_construction(self):
+        # every derivation builds without Graph._validate; on random ADMGs,
+        # with a selector and a support drawn over its children, and with
+        # latent marks
+        for seed in range(300):
+            rng = random.Random(seed * 13 + 7)
+            g = random_admg(seed)
+            members = sorted(g.random)
+            sel = rng.choice(members)
+            children = sorted(g.children(sel))
+            patterns = {frozenset()} | {
+                frozenset(rng.sample(children, rng.randint(0, len(children)))) for _ in range(2)
+            }
+            selected = replace(g, selector=sel, support=SelectorSupport(frozenset(patterns)))
+            latent = frozenset(rng.sample(members, rng.randint(0, len(members))))
+            for h in (g, selected, replace(selected, latent=latent)):
+                for name, d in _derivations(h, rng):
+                    _assert_validated(d, (seed, name))
+
+    def test_derivations_equal_validated_construction_on_selection_models(self):
+        # the 200-seed sweep: label derivation and latent projection of each
+        # hidden-variable DAG, then every derivation of both results
+        for seed in range(200):
+            case = random_selection_model(seed)
+            if case is None:
+                continue
+            dag, proj, _ = case
+            rng = random.Random(seed)
+            labelled = derive_labels(dag)
+            projected = latent_project(labelled, dag.random - dag.latent)
+            assert projected == proj
+            for name, d in [("derive_labels", labelled), ("latent_project", projected)]:
+                _assert_validated(d, (seed, name))
+            for h in (labelled, projected):
+                for name, d in _derivations(h, rng):
+                    _assert_validated(d, (seed, name))
+
+    def test_topological_order_is_sorted_kahn(self):
+        # ties and fixed sources, on names whose sort order is not the order
+        # the edges were drawn in
+        for seed in range(300):
+            g = _shuffled_dag(seed)
+            assert g.topological_order() == _reference_topological_order(g), seed
+            for v in sorted(g.random):
+                if g.is_fixable(v):
+                    h = g.fix(v)
+                    assert h.topological_order() == _reference_topological_order(h), (seed, v)
+
+    def test_cycle_still_rejected(self):
+        for edges in (
+            {directed("A", "B"), directed("B", "A")},
+            {directed("A", "B"), directed("B", "C"), directed("C", "A"), directed("D", "A")},
+            {directed("A", "B"), directed("C", "D"), directed("D", "E"), directed("E", "C")},
+        ):
+            names = frozenset(n for e in edges for n in (e.tail, e.head))
+            with pytest.raises(GraphError, match="directed cycle"):
+                Graph(random=names, edges=frozenset(edges))
 
     def test_no_factor_conditions_on_its_descendants(self, monkeypatch):
         # the drop rule of ChainKernel._fix_is_clean relies on this: every
