@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph, GraphError, NotFixableError, NotReachableError, SelectorValue
+from .graph import FixState, Graph, GraphError, NotReachableError, SelectorValue
 
 
 class EstimandError(ValueError):
@@ -325,17 +325,13 @@ def restrict(e: Estimand, asg: Mapping[str, Value]) -> Estimand:
     return Restrict(e, tuple(asg.items()))
 
 
-def fix_kernel(e: Estimand, g: Graph, v: str) -> Estimand:
+def fix_kernel(e: Estimand, g: Graph | FixState, v: str) -> Estimand:
     """Divide out the kernel factor of ``v``; pair with ``g.fix(v)``.
 
     For a childless vertex this is marginalization; otherwise the kernel is
     divided by the conditional of ``v`` given its nondescendants.
     """
-    if v not in g.random:
-        raise GraphError(f"{v!r} is not random")
-    witness = g.district_of(v) & g.descendants(v)
-    if witness != {v}:
-        raise NotFixableError(v, witness)
+    g.check_fixable(v)
     if v not in e.outcomes():
         raise EstimandError(f"{v!r} is not an outcome variable of the kernel")
     de = g.descendants(v) & e.outcomes()
@@ -421,25 +417,27 @@ class ChainKernel:
     The kernel starts as the full base law of ``graph`` factorized into
     single-vertex conditionals along the deterministic topological order,
     each conditioned on its Markov pillow (a Markov-equivalent,
-    display-friendly form).  ``fix`` drops the vertex's factor when that
-    keeps the chain form, and otherwise hands the step to ``fix_kernel``.
-    The selector is special: a childless selector's factor is always dropped
-    so that it remains a conditioning variable — summing it out would assume
-    positivity its support structurally violates.  Once a step forces a
-    non-chain expression the object degrades to a plain estimand and every
-    further step goes to ``fix_kernel``.  ``fix_to`` fixes toward a target set
-    and stops at its reachable closure, so one kernel built by ``from_joint``
-    serves every district of a query.
+    display-friendly form).  A fixing step drops the vertex's factor when
+    that keeps the chain form, and otherwise hands the step to
+    ``fix_kernel``.  The selector is special: a childless selector's factor
+    is always dropped so that it remains a conditioning variable — summing
+    it out would assume positivity its support structurally violates.  Once
+    a step forces a non-chain expression the kernel degrades to a plain
+    estimand and every further step goes to ``fix_kernel``.  ``fix_to``
+    fixes toward a target set and stops at its reachable closure, so one
+    kernel built by ``from_joint`` serves every district of a query.
+
+    A kernel is never changed: ``fix`` and ``fix_to`` take their steps in
+    a working state (``_Walk``) and build one new kernel at the end.
     """
 
     def __init__(self, graph: Graph, factors: Optional[dict], expr: Optional[Estimand]):
         self.graph = graph
         self.factors = factors  # dict vertex -> ChainFactor, or None once degraded
         self._expr = expr
-        # memos, valid only for this (graph, factors): every constructor
-        # starts them empty, and only a clean fix hands on what it can
-        self._fixed = {}  # vertex -> the kernel fix(vertex) returned
-        self._clean = {}  # vertex -> _fix_is_clean(vertex)
+        # vertex -> whether fixing it first keeps the chain form; filled by
+        # the walks that start here, before their first step
+        self._clean = {}
 
     @classmethod
     def from_joint(cls, graph: Graph, base: str = "p") -> "ChainKernel":
@@ -459,94 +457,12 @@ class ChainKernel:
 
     def expr(self) -> Estimand:
         if self.factors is not None:
-            order = {v: i for i, v in enumerate(self.graph.topological_order())}
-            parts = [
-                self.factors[v].to_estimand()
-                for v in sorted(self.factors, key=lambda v: order.get(v, 0))
-            ]
-            if len(parts) == 1:
-                return parts[0]
-            return Product(tuple(parts))
+            return _chain_expr(self.factors, self.graph.topological_order())
         return self._expr
 
     def with_graph(self, g: Graph) -> "ChainKernel":
         """Reinterpret the same kernel over another graph (e.g. a context graph)."""
         return ChainKernel(g, dict(self.factors) if self.factors else None, self._expr)
-
-    # -- fixing ----------------------------------------------------------------
-
-    def fix(self, v: str) -> "ChainKernel":
-        """The kernel with ``v`` fixed, over ``graph.fix(v)``.
-
-        The kernel is immutable, so the result is kept, keyed by ``v``, and
-        every later ``fix(v)`` returns the same object: the districts of a
-        query, each fixed from the same joint, share their common fixing
-        prefix.  The memo points only from parent to child, so it makes no
-        cycle, and the kernels of a ``fix_to`` live as long as the kernel it
-        started from.
-
-        A clean fix hands its result this kernel's clean verdicts and
-        readers.  The verdict for ``w`` reads ``de(w)`` and the readers of
-        its members; dropping ``v``'s factor removes only the edges into
-        ``v`` and that factor's readings.  So the stale verdicts are those
-        of ``ancestors(conditioning | {v})`` in the graph before the fix:
-        any other ``w`` has ``v`` outside ``de(w)``, and no member of
-        ``de(w)`` gains or loses a reader.
-        """
-        k = self._fixed.get(v)
-        if k is None:
-            k = self._fixed[v] = self._fix(v)
-        return k
-
-    def _fix(self, v: str) -> "ChainKernel":
-        g = self.graph
-        g2 = g.fix(v)
-        if self._is_clean(v):
-            cond = self.factors[v].conditioning()
-            factors = dict(self.factors)
-            factors.pop(v)
-            k = ChainKernel(g2, factors, None)
-            stale = g.ancestors(cond | {v})
-            k._clean = {w: c for w, c in self._clean.items() if w not in stale}
-            readers = dict(self._readers)
-            for x in cond:
-                rest = readers[x] - {v}
-                if rest:
-                    readers[x] = rest
-                else:
-                    del readers[x]
-            k.__dict__["_readers"] = readers  # seeds the cached property
-            return k
-        return ChainKernel(g2, None, fix_kernel(self.expr(), g, v))
-
-    def _is_clean(self, v: str) -> bool:
-        """``_fix_is_clean(v)``, remembered."""
-        c = self._clean.get(v)
-        if c is None:
-            c = self._clean[v] = self._fix_is_clean(v)
-        return c
-
-    def _fix_is_clean(self, v: str) -> bool:
-        """Whether fixing ``v`` keeps the kernel in chain form: its factor is
-        then simply dropped; a degraded kernel has no factor to drop."""
-        if self.factors is None:
-            return False
-        g = self.graph
-        de = g.descendants(v) & self.randoms
-        if de == {v}:
-            if v == g.selector:
-                # the selector stays a conditioning variable: marginalizing
-                # it would silently assume positivity, which its support
-                # structurally violates; the calling algorithm restricts the
-                # remaining factors to one of its values
-                return True
-            # childless: marginalization, clean unless another factor
-            # conditions on v
-            return not (self._readers.get(v, set()) - {v})
-        # drop rule: legal when no factor outside de(v) touches de(v); v's own
-        # factor never conditions on de(v), as every conditioning set lies in
-        # a topological prefix and fixing only removes edges
-        return all(self._readers.get(x, set()) <= de for x in de)
 
     @functools.cached_property
     def _readers(self) -> dict:
@@ -556,6 +472,16 @@ class ChainKernel:
             for x in f.conditioning():
                 out.setdefault(x, set()).add(w)
         return out
+
+    # -- fixing ----------------------------------------------------------------
+
+    def fix(self, v: str) -> "ChainKernel":
+        """The kernel with ``v`` fixed, over ``graph.fix(v)``: one step of
+        the walk ``fix_to`` takes.  Raises ``NotFixableError`` when ``v`` is
+        not fixable."""
+        walk = _Walk(self)
+        walk.step(v)
+        return walk.kernel()
 
     def fix_to(self, target: Iterable[str], fixable=Graph.is_fixable) -> "ChainKernel":
         """Fix every vertex outside ``target`` that ``fixable(graph, v)``
@@ -572,25 +498,130 @@ class ChainKernel:
         exactly when the target is reachable; an unreachable target is not
         an error.
 
-        Each step goes through the memoized ``fix`` and clean test, so the
-        ``fix_to`` calls made from one kernel, whatever their targets and
-        rules, compute each step of their common prefix once.
+        The rule reads the walk's ``FixState``, which answers as the graph
+        of the kernel so far would.  Every step changes that one working
+        state in place, and only the result is built as a ``Graph`` and a
+        ``ChainKernel``; with nothing to fix, the result is this kernel.
         """
         target = frozenset(target)
         unknown = target - self.randoms
         if unknown:
             raise GraphError(f"not random vertices: {sorted(unknown)}")
-        k = self
-        ready = {v for v in k.randoms - target if fixable(k.graph, v)}
+        walk = _Walk(self)
+        state = walk.state
+        ready = {v for v in self.randoms - target if fixable(state, v)}
         while ready:
             cands = sorted(ready)
-            v = next((w for w in cands if k._is_clean(w)), cands[0])
-            g = k.graph
-            touched = (g.district_of(v) | g.ancestors(v)) & g.random
-            k = k.fix(v)
+            v = next((w for w in cands if walk.is_clean(w)), cands[0])
+            touched = (state.district_of(v) | state.ancestors(v)) & state.random
+            walk.step(v)
             ready.discard(v)
-            ready |= {w for w in touched - target - ready - {v} if fixable(k.graph, w)}
-        return k
+            ready |= {w for w in touched - target - ready - {v} if fixable(state, w)}
+        return walk.kernel()
+
+
+def _chain_expr(factors: dict, order: tuple) -> Estimand:
+    """The product of the chain factors along ``order``."""
+    rank = {v: i for i, v in enumerate(order)}
+    parts = [factors[v].to_estimand() for v in sorted(factors, key=lambda v: rank.get(v, 0))]
+    if len(parts) == 1:
+        return parts[0]
+    return Product(tuple(parts))
+
+
+class _Walk:
+    """The working state of one fixing walk from a ``ChainKernel``.
+
+    It holds a ``FixState`` of the kernel's graph and copies of its chain
+    factors and of the readers of each variable, and changes them in place
+    at every ``step``; ``kernel`` builds the kernel the walk ends at.  The
+    clean verdicts (whether fixing a vertex keeps the chain form) are the
+    starting kernel's own until the first step, which keeps those it leaves
+    valid in a dict of the walk's own.
+    """
+
+    __slots__ = ("start", "state", "factors", "readers", "expr", "clean")
+
+    def __init__(self, k: ChainKernel):
+        self.start = k
+        self.state = FixState(k.graph)
+        self.expr = k._expr
+        self.factors = self.readers = None
+        if k.factors is not None:
+            self.factors = dict(k.factors)
+            self.readers = dict(k._readers)  # each entry is replaced, never changed
+        self.clean = k._clean
+
+    def is_clean(self, v: str) -> bool:
+        """Whether fixing ``v`` now keeps the chain form, remembered."""
+        c = self.clean.get(v)
+        if c is None:
+            c = self.clean[v] = self._fix_is_clean(v)
+        return c
+
+    def _fix_is_clean(self, v: str) -> bool:
+        """Whether fixing ``v`` keeps the kernel in chain form: its factor is
+        then simply dropped; a degraded kernel has no factor to drop."""
+        if self.factors is None:
+            return False
+        g = self.state
+        de = g.descendants(v) & g.random
+        if de == {v}:
+            if v == g.selector:
+                # the selector stays a conditioning variable: marginalizing
+                # it would silently assume positivity, which its support
+                # structurally violates; the calling algorithm restricts the
+                # remaining factors to one of its values
+                return True
+            # childless: marginalization, clean unless another factor
+            # conditions on v
+            return not (self.readers.get(v, set()) - {v})
+        # drop rule: legal when no factor outside de(v) touches de(v); v's own
+        # factor never conditions on de(v), as every conditioning set lies in
+        # a topological prefix and fixing only removes edges
+        return all(self.readers.get(x, set()) <= de for x in de)
+
+    def expression(self) -> Estimand:
+        if self.factors is not None:
+            return _chain_expr(self.factors, self.state.topological_order())
+        return self.expr
+
+    def step(self, v: str) -> None:
+        """Fix ``v``: drop its factor when that keeps the chain form, and
+        otherwise hand the kernel to ``fix_kernel``.
+
+        A clean verdict for ``w`` reads ``de(w)`` and the readers of its
+        members; dropping ``v``'s factor removes only the edges into ``v``
+        and that factor's readings.  So the stale verdicts are those of
+        ``ancestors(conditioning | {v})`` before the fix: any other ``w``
+        has ``v`` outside ``de(w)``, and no member of ``de(w)`` gains or
+        loses a reader.
+        """
+        state = self.state
+        state.check_fixable(v)
+        if self.is_clean(v):
+            cond = self.factors.pop(v).conditioning()
+            stale = state.ancestors(cond | {v})
+            self.clean = {w: c for w, c in self.clean.items() if w not in stale}
+            readers = self.readers
+            for x in cond:
+                rest = readers[x] - {v}
+                if rest:
+                    readers[x] = rest
+                else:
+                    del readers[x]
+        else:
+            self.expr = fix_kernel(self.expression(), state, v)
+            self.factors = self.readers = None
+            self.clean = {}
+        state.fix(v)
+
+    def kernel(self) -> ChainKernel:
+        """The kernel the walk has reached: the starting one if no step was
+        taken."""
+        if not self.state.done:
+            return self.start
+        return ChainKernel(self.state.graph(), self.factors, self.expr)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ selector.  Edges are directed or bidirected and may carry a label naming
 selector children; two parallel edges of the same kind must differ in label.
 
 All operations are pure functions over immutable data and are safe to share
-across threads.
+across threads; the one mutable class, ``FixState``, is the private working
+state of a single fixing walk.
 """
 
 from __future__ import annotations
@@ -144,8 +145,113 @@ class SelectorSupport:
         return [p for p in self if not (p & dset)]
 
 
+class _Adjacency:
+    """Genealogy read off adjacency tables: the read-only side that the
+    frozen ``Graph`` and the mutable ``FixState`` share.
+
+    A subclass provides ``random``, ``vertices``, ``selector`` and the
+    tables ``_parents``, ``_children`` and ``_siblings`` (vertex -> frozenset
+    of neighbours).
+    """
+
+    __slots__ = ()
+
+    def parents(self, x) -> frozenset:
+        return self._relation_over(x, self._parents)
+
+    def children(self, x) -> frozenset:
+        return self._relation_over(x, self._children)
+
+    def siblings(self, x) -> frozenset:
+        return self._relation_over(x, self._siblings)
+
+    def _relation_over(self, x, table) -> frozenset:
+        if isinstance(x, str):
+            x = (x,)
+        out = set()
+        for v in x:
+            if v not in table:
+                raise GraphError(f"unknown vertex {v!r}")
+            out |= table[v]
+        return frozenset(out)
+
+    def _closure(self, x, table) -> frozenset:
+        """``x`` and everything reachable from it through ``table``."""
+        if isinstance(x, str):
+            x = (x,)
+        seen = set()
+        stack = list(x)
+        verts = self.vertices
+        for v in stack:
+            if v not in verts:
+                raise GraphError(f"unknown vertex {v!r}")
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            stack.extend(table[v])
+        return frozenset(seen)
+
+    def ancestors(self, x) -> frozenset:
+        return self._closure(x, self._parents)
+
+    def descendants(self, x) -> frozenset:
+        return self._closure(x, self._children)
+
+    def nondescendants(self, x) -> frozenset:
+        return self.vertices - self.descendants(x)
+
+    def district_of(self, x) -> frozenset:
+        """Bidirected-connected component over random vertices."""
+        if isinstance(x, str):
+            x = (x,)
+        for v in x:
+            if v not in self.random:
+                raise GraphError(f"district defined for random vertices, got {v!r}")
+        # no bidirected edge meets a fixed vertex, so siblings are random
+        return self._closure(x, self._siblings)
+
+    def is_fixable(self, v: str) -> bool:
+        if v not in self.random:
+            raise GraphError(f"{v!r} is not a random vertex")
+        return self._fix_witness(v) == {v}
+
+    def check_fixable(self, v: str) -> None:
+        """Raise unless ``v`` is random and fixable: ``NotFixableError``
+        carries the witness ``dis(v) & de(v)``."""
+        if v not in self.random:
+            raise GraphError(f"{v!r} is not a random vertex")
+        witness = self._fix_witness(v)
+        if witness != {v}:
+            raise NotFixableError(v, witness)
+
+    def _fix_witness(self, v: str) -> frozenset:
+        """``dis(v) & de(v)`` for a random ``v``, which is ``{v}`` exactly
+        when ``v`` is fixable."""
+        if not (self._siblings[v] and self._children[v]):
+            return frozenset((v,))  # its district or its descendants are {v}
+        return self.district_of(v) & self.descendants(v)
+
+    def topological_order(self) -> tuple:
+        """Deterministic topological order (lexicographic Kahn)."""
+        # the smallest ready vertex goes next
+        pending = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [v for v, n in pending.items() if n == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in self._children[v]:
+                pending[w] -= 1
+                if pending[w] == 0:
+                    heapq.heappush(ready, w)
+        return tuple(order)
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Adjacency):
     """A mixed multigraph with random, fixed and latent vertices.
 
     ``fixed`` vertices receive no arrowheads; ``latent`` is a subset of
@@ -247,61 +353,8 @@ class Graph:
                 out[e.head].add(e.tail)
         return {v: frozenset(s) for v, s in out.items()}
 
-    def parents(self, x) -> frozenset:
-        return self._relation_over(x, self._parents)
-
-    def children(self, x) -> frozenset:
-        return self._relation_over(x, self._children)
-
-    def siblings(self, x) -> frozenset:
-        return self._relation_over(x, self._siblings)
-
-    def _relation_over(self, x, table) -> frozenset:
-        if isinstance(x, str):
-            x = (x,)
-        out = set()
-        for v in x:
-            if v not in table:
-                raise GraphError(f"unknown vertex {v!r}")
-            out |= table[v]
-        return frozenset(out)
-
-    def _closure(self, x, table) -> frozenset:
-        """``x`` and everything reachable from it through ``table``."""
-        if isinstance(x, str):
-            x = (x,)
-        seen = set()
-        stack = list(x)
-        verts = self.vertices
-        for v in stack:
-            if v not in verts:
-                raise GraphError(f"unknown vertex {v!r}")
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(table[v])
-        return frozenset(seen)
-
-    def ancestors(self, x) -> frozenset:
-        return self._closure(x, self._parents)
-
-    def descendants(self, x) -> frozenset:
-        return self._closure(x, self._children)
-
-    def nondescendants(self, x) -> frozenset:
-        return self.vertices - self.descendants(x)
-
-    def district_of(self, x) -> frozenset:
-        """Bidirected-connected component over random vertices."""
-        if isinstance(x, str):
-            x = (x,)
-        for v in x:
-            if v not in self.random:
-                raise GraphError(f"district defined for random vertices, got {v!r}")
-        # no bidirected edge meets a fixed vertex, so siblings are random
-        return self._closure(x, self._siblings)
+    # bench/tracer.py wraps ancestors in Graph's own namespace
+    ancestors = _Adjacency.ancestors
 
     def districts(self) -> list:
         """Partition of the random vertices into districts, sorted."""
@@ -315,24 +368,11 @@ class Graph:
         return sorted(out, key=lambda d: sorted(d))
 
     def topological_order(self) -> tuple:
-        """Deterministic topological order (lexicographic Kahn)."""
+        """Deterministic topological order (lexicographic Kahn), computed
+        once per graph."""
         return self._order
 
-    @cached_property
-    def _order(self) -> tuple:
-        # the smallest ready vertex goes next
-        pending = {v: len(ps) for v, ps in self._parents.items()}
-        ready = [v for v, n in pending.items() if n == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for w in self._children[v]:
-                pending[w] -= 1
-                if pending[w] == 0:
-                    heapq.heappush(ready, w)
-        return tuple(order)
+    _order = cached_property(_Adjacency.topological_order)
 
     # -- structural edits ---------------------------------------------------
 
@@ -410,41 +450,12 @@ class Graph:
 
     # -- fixing -------------------------------------------------------------
 
-    def is_fixable(self, v: str) -> bool:
-        if v not in self.random:
-            raise GraphError(f"{v!r} is not a random vertex")
-        return self.district_of(v) & self.descendants(v) == {v}
-
     def fix(self, v: str) -> "Graph":
         """Render ``v`` fixed, removing every edge with an arrowhead into it."""
-        if v not in self.random:
-            raise GraphError(f"{v!r} is not a random vertex")
-        witness = self.district_of(v) & self.descendants(v)
-        if witness != {v}:
-            raise NotFixableError(v, witness)
-        kept = self.edges.difference(
-            [
-                e
-                for e in self.edges
-                if e.head == v or (e.kind == BIDIRECTED and e.tail == v)
-            ]
-        )
-        # the vertices, latent marks and selector stay, v moves from random
-        # to fixed, and the edges only lose those with an arrowhead at v: the
-        # vertex sets stay disjoint, every endpoint is a vertex, no edge
-        # points into a fixed vertex, none is duplicated or newly labelled,
-        # and no cycle appears
-        return self._derive(
-            random=self.random - {v},
-            fixed=self.fixed | {v},
-            edges=kept,
-            latent=self.latent - {v},
-            vertices=self.vertices,
-            # the adjacency tables lose the same edges
-            _parents={**self._parents, v: frozenset()},
-            _children=_without(self._children, self._parents[v], v),
-            _siblings={**_without(self._siblings, self._siblings[v], v), v: frozenset()},
-        )
+        state = FixState(self)
+        state.check_fixable(v)
+        state.fix(v)
+        return state.graph()
 
     def fix_all(self, vs: Iterable[str]) -> "Graph":
         g = self
@@ -490,12 +501,64 @@ class Graph:
 _FIELDS = tuple(f.name for f in fields(Graph))
 
 
-def _without(table: dict, keys, v: str) -> dict:
-    """A copy of ``table`` with ``v`` removed from the entries of ``keys``."""
-    out = dict(table)
-    for k in keys:
-        out[k] = out[k] - {v}
-    return out
+class FixState(_Adjacency):
+    """A graph under fixing, changed in place: the working state of a walk
+    that fixes one vertex after another.
+
+    It copies the graph's random set and adjacency tables once.  ``fix``
+    updates only the entries that fixing one vertex changes, and ``graph``
+    builds the graph the walk ends at, sharing the tables; the state is
+    spent after that.
+    """
+
+    __slots__ = ("start", "random", "vertices", "selector", "done",
+                 "_parents", "_children", "_siblings")
+
+    def __init__(self, g: Graph):
+        self.start = g
+        self.random = set(g.random)
+        self.vertices = g.vertices
+        self.selector = g.selector
+        self.done = []  # the vertices fixed, in order
+        self._parents = dict(g._parents)
+        self._children = dict(g._children)
+        self._siblings = dict(g._siblings)
+
+    def fix(self, v: str) -> None:
+        """Fix ``v``, which ``check_fixable`` admits: drop every edge with an
+        arrowhead at ``v`` from the tables."""
+        self.random.discard(v)
+        self.done.append(v)
+        children, siblings = self._children, self._siblings
+        for p in self._parents[v]:
+            children[p] = children[p] - {v}
+        for w in siblings[v]:
+            siblings[w] = siblings[w] - {v}
+        self._parents[v] = siblings[v] = frozenset()
+
+    def graph(self) -> Graph:
+        """The starting graph with every vertex of ``done`` fixed."""
+        g = self.start
+        done = frozenset(self.done)
+        # the vertices, latent marks and selector stay, the fixed vertices
+        # move from random to fixed, and the edges only lose those with an
+        # arrowhead at them: the vertex sets stay disjoint, every endpoint is
+        # a vertex, no edge points into a fixed vertex, none is duplicated or
+        # newly labelled, and no cycle appears
+        return g._derive(
+            random=frozenset(self.random),
+            fixed=g.fixed | done,
+            edges=frozenset(
+                e for e in g.edges
+                if e.head not in done and not (e.kind == BIDIRECTED and e.tail in done)
+            ),
+            latent=g.latent - done,
+            vertices=g.vertices,
+            # the tables lost the same edges
+            _parents=self._parents,
+            _children=self._children,
+            _siblings=self._siblings,
+        )
 
 
 def genealogy(g: Graph, kind: str, x, strict: bool = False) -> frozenset:

@@ -273,7 +273,14 @@ def _pattern_value(pattern: frozenset) -> SelectorValue:
 
 
 def _kernel_scope(kernel: ChainKernel) -> frozenset:
-    return kernel.expr().free_vars()
+    """The free variables of ``kernel.expr()``: each chain factor's vertex
+    and its unrestricted conditioning variables."""
+    if kernel.factors is None:
+        return kernel.expr().free_vars()
+    scope = set(kernel.factors)
+    for f in kernel.factors.values():
+        scope |= f.conditioning()
+    return frozenset(scope)
 
 
 def _selection_fixable(g: Graph, v: str) -> bool:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -141,28 +142,55 @@ def test_sequential_baseline_never_beats_identify_selected():
 
 
 def test_identify_sweep_fixes_each_step_once(monkeypatch):
-    # the districts of a query share the fixes of their common prefix
-    # through ChainKernel.fix's memo, and fix from the joint of the
-    # ancestral margin An(Y* ∪ {S}); the 32 identify_sweep cases made 4241
-    # graph fixes before the memo, 2544 with it over the whole graph and 745
-    # from the margin, so a lost share shows here as a count, without any
-    # timing
+    # every fix_to call fixes in one working state and builds at most one
+    # graph, its result, from the joint of the ancestral margin
+    # An(Y* ∪ {S}); the 32 identify_sweep cases take 137 fix_to calls and
+    # 1124 steps, 4 of them on a degraded kernel, and build no graph through
+    # Graph.fix.  Before, each step built a graph through Graph.fix: 4241
+    # without sharing, and 745 with a memo that shared the steps of the
+    # districts' common prefix while keeping every kernel of the query
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
-    calls = []
+    steps, degraded, built, graph_fixes = [], [], [], []
+    per_call = []  # graphs built by fixing, one entry per fix_to call
+    real_step = S.estimand._Walk.step
+    real_graph = S.graph.FixState.graph
+    real_fix_to = S.estimand.ChainKernel.fix_to
     real_fix = S.graph.Graph.fix
 
-    def counted(g, v):
-        calls.append(v)
+    def counted_step(walk, v):
+        real_step(walk, v)
+        steps.append(v)
+        if walk.factors is None:
+            degraded.append(v)
+
+    def counted_graph(state):
+        if state.done:
+            built.append(state)
+        return real_graph(state)
+
+    def counted_fix_to(k, *args):
+        before = len(built)
+        out = real_fix_to(k, *args)
+        per_call.append(len(built) - before)
+        return out
+
+    def counted_fix(g, v):
+        graph_fixes.append(v)
         return real_fix(g, v)
 
-    monkeypatch.setattr(S.graph.Graph, "fix", counted)
+    monkeypatch.setattr(S.estimand._Walk, "step", counted_step)
+    monkeypatch.setattr(S.graph.FixState, "graph", counted_graph)
+    monkeypatch.setattr(S.estimand.ChainKernel, "fix_to", counted_fix_to)
+    monkeypatch.setattr(S.graph.Graph, "fix", counted_fix)
     for n in workloads.SWEEP_SIZES:
         for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
             S.identify.identify_selected(proj, query)
-    assert len(calls) == 745 < 4241
+    assert (len(per_call), len(steps), len(degraded)) == (137, 1124, 4)
+    assert max(per_call) == 1 and len(built) == sum(per_call)
+    assert not graph_fixes
 
 
 def test_identify_sweep_validates_no_derived_graph(monkeypatch):
@@ -217,6 +245,23 @@ def test_large_sweep_cases_render_and_round_trip(n, seed):
     assert S.estimand.render(result.estimand)
     assert S.estimand.parse(S.estimand.render(result.estimand, "json")) == result.estimand
     assert time.perf_counter() - start < 5
+
+
+def test_identify_selected_memory_on_the_largest_sweep_case():
+    # fixing keeps no kernel or graph of a step: the tracemalloc peak of
+    # identify_selected on sweep_case 128/11 was 14.2 MiB while a memo kept
+    # every kernel of the query, and is about 0.4 MiB since
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    dag, obs, query = _load("workloads").sweep_case(S, 128, 11)
+    proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+    tracemalloc.start()
+    try:
+        result = S.identify.identify_selected(proj, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.kind == "identified"
+    assert peak <= 2 * 2**20
 
 
 def test_reference_estimands_equal_identify_selected():

@@ -21,6 +21,7 @@ from selid.estimand import (
     SumOver,
     Sym,
     Var,
+    _Walk,
     base_joint,
     fix_kernel,
     fold,
@@ -129,24 +130,163 @@ class TestChainKernelClosure:
             ordinary = joint.fix_to(r).randoms
             assert ordinary <= joint.fix_to(r, _selection_fixable).randoms, seed
 
+    def test_kernel_scope_is_the_free_variables_of_the_expression(self, monkeypatch):
+        # identify_selected reads a district kernel's scope off its chain
+        # factors, and builds the expression only for a degraded kernel;
+        # checked on identify_sweep and on the 200-seed sweep
+        S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+        workloads = _load("workloads")
+        real = S.identify._kernel_scope
+        chain = []  # one entry per kernel: whether it is in chain form
 
-def _fresh(k: ChainKernel) -> ChainKernel:
-    """``k``'s graph, factors and expression in a new kernel: no memo and no
-    carried readers."""
-    return ChainKernel(k.graph, None if k.factors is None else dict(k.factors), k._expr)
+        def checked(kernel):
+            out = real(kernel)
+            assert out == kernel.expr().free_vars(), sorted(out)
+            chain.append(kernel.factors is not None)
+            return out
+
+        monkeypatch.setattr(S.identify, "_kernel_scope", checked)
+        for n in workloads.SWEEP_SIZES:
+            for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+                dag, obs, query = workloads.sweep_case(S, n, seed)
+                identify_selected(latent_project(derive_labels(dag), obs), query)
+        for case in filter(None, map(random_selection_model, range(200))):
+            _, proj, query = case
+            identify_selected(proj, query)
+        assert sum(chain) > 250
 
 
-def _reference_fix_to(g: Graph, target: frozenset, fixable) -> ChainKernel:
+def _reference_graph_fix(g: Graph, v: str) -> Graph:
+    """``g.fix(v)`` as a validated construction from the edges that keep no
+    arrowhead at ``v``; its adjacency tables are built from those edges."""
+    if v not in g.random:
+        raise GraphError(f"{v!r} is not a random vertex")
+    witness = g.district_of(v) & g.descendants(v)
+    if witness != {v}:
+        raise NotFixableError(v, witness)
+    kept = frozenset(
+        e for e in g.edges if not (e.head == v or (e.kind == "bidirected" and e.tail == v))
+    )
+    return replace(g, random=g.random - {v}, fixed=g.fixed | {v}, edges=kept, latent=g.latent - {v})
+
+
+class _StepKernel(ChainKernel):
+    """The reference for ``ChainKernel.fix_to``: fixing one kernel at a time.
+
+    Every step builds a new graph (``_reference_graph_fix``) and a new
+    kernel.  ``fix`` keeps each kernel it returns, keyed by the vertex, a
+    clean fix hands its result the clean verdicts and readers it leaves
+    valid, and ``fix_to`` takes its steps through that memo, re-testing
+    only the old district and the ancestors of each fixed vertex.
+    """
+
+    def __init__(self, graph, factors, expr):
+        super().__init__(graph, factors, expr)
+        self._fixed = {}  # vertex -> the kernel fix(vertex) returned
+
+    def with_graph(self, g: Graph) -> "_StepKernel":
+        return _StepKernel(g, dict(self.factors) if self.factors else None, self._expr)
+
+    def fix(self, v: str) -> "_StepKernel":
+        k = self._fixed.get(v)
+        if k is None:
+            k = self._fixed[v] = self._fix(v)
+        return k
+
+    def _fix(self, v: str) -> "_StepKernel":
+        g = self.graph
+        g2 = _reference_graph_fix(g, v)
+        if self._is_clean(v):
+            cond = self.factors[v].conditioning()
+            factors = dict(self.factors)
+            factors.pop(v)
+            k = _StepKernel(g2, factors, None)
+            stale = g.ancestors(cond | {v})
+            k._clean = {w: c for w, c in self._clean.items() if w not in stale}
+            readers = dict(self._readers)
+            for x in cond:
+                rest = readers[x] - {v}
+                if rest:
+                    readers[x] = rest
+                else:
+                    del readers[x]
+            k.__dict__["_readers"] = readers  # seeds the cached property
+            return k
+        return _StepKernel(g2, None, fix_kernel(self.expr(), g, v))
+
+    def _is_clean(self, v: str) -> bool:
+        c = self._clean.get(v)
+        if c is None:
+            c = self._clean[v] = self._fix_is_clean(v)
+        return c
+
+    def _fix_is_clean(self, v: str) -> bool:
+        if self.factors is None:
+            return False
+        g = self.graph
+        de = g.descendants(v) & self.randoms
+        if de == {v}:
+            if v == g.selector:
+                return True
+            return not (self._readers.get(v, set()) - {v})
+        return all(self._readers.get(x, set()) <= de for x in de)
+
+    def fix_to(self, target, fixable=Graph.is_fixable) -> "_StepKernel":
+        target = frozenset(target)
+        k = self
+        ready = {v for v in k.randoms - target if fixable(k.graph, v)}
+        while ready:
+            cands = sorted(ready)
+            v = next((w for w in cands if k._is_clean(w)), cands[0])
+            g = k.graph
+            touched = (g.district_of(v) | g.ancestors(v)) & g.random
+            k = k.fix(v)
+            ready.discard(v)
+            ready |= {w for w in touched - target - ready - {v} if fixable(k.graph, w)}
+        return k
+
+
+def _fresh(g: Graph, factors, expr) -> _StepKernel:
+    """A reference kernel over ``g``: no memo and no carried readers."""
+    return _StepKernel(g, None if factors is None else dict(factors), expr)
+
+
+def _reference_fix_to(g: Graph, target: frozenset, fixable) -> _StepKernel:
     """``ChainKernel.fix_to`` from ``g``'s joint without its incremental
-    re-test or its memos: every vertex outside ``target`` is tested again at
-    every step, each time on a fresh kernel."""
-    k = ChainKernel.from_joint(g)
+    re-test or any memo: every vertex outside ``target`` is tested again at
+    every step, each time on a fresh reference kernel."""
+    k = _StepKernel.from_joint(g)
     while True:
         cands = [v for v in sorted(k.randoms - target) if fixable(k.graph, v)]
         if not cands:
             return k
-        k = _fresh(k)
+        k = _fresh(k.graph, k.factors, k._expr)
         k = k.fix(next((v for v in cands if k._fix_is_clean(v)), cands[0]))
+
+
+def _walk_graph(walk: _Walk) -> Graph:
+    """The graph a walk has reached, fixed step by step by the reference."""
+    g = walk.start.graph
+    for v in walk.state.done:
+        g = _reference_graph_fix(g, v)
+    return g
+
+
+def _assert_same_kernel(got: ChainKernel, want: ChainKernel, where) -> None:
+    """Equal ``randoms``, factors and expression, and equal graphs: fields,
+    adjacency tables and topological order."""
+    assert got.randoms == want.randoms, where
+    assert got.factors == want.factors, where
+    assert got.expr() == want.expr(), where
+    g, h = got.graph, want.graph
+    for f in fields(Graph):
+        assert getattr(g, f.name) == getattr(h, f.name), (where, f.name)
+    assert g.vertices == h.vertices, where
+    for w in sorted(h.vertices):
+        assert g.parents(w) == h.parents(w), (where, w)
+        assert g.children(w) == h.children(w), (where, w)
+        assert g.siblings(w) == h.siblings(w), (where, w)
+    assert g.topological_order() == h.topological_order(), where
 
 
 def _validated(g: Graph) -> Graph:
@@ -333,20 +473,21 @@ class TestGraphLayerShortcuts:
                 Graph(random=names, edges=frozenset(edges))
 
     def test_no_factor_conditions_on_its_descendants(self, monkeypatch):
-        # the drop rule of ChainKernel._fix_is_clean relies on this: every
+        # the drop rule of _Walk._fix_is_clean relies on this: every
         # conditioning set lies in a topological prefix, and fixes, context
-        # graphs and SWIG subgraphs only remove edges
+        # graphs and SWIG subgraphs only remove edges; checked after every
+        # step of every walk
         seen = []  # one entry per factor checked
-        real_fix = ChainKernel.fix
+        real_step = _Walk.step
 
-        def checked(k, v):
-            out = real_fix(k, v)
-            for w, f in (out.factors or {}).items():
-                assert not f.conditioning() & (out.graph.descendants(w) - {w}), (v, w)
+        def checked(walk, v):
+            real_step(walk, v)
+            state = walk.state
+            for w, f in (walk.factors or {}).items():
+                assert not f.conditioning() & (state.descendants(w) - {w}), (v, w)
                 seen.append(w)
-            return out
 
-        monkeypatch.setattr(ChainKernel, "fix", checked)
+        monkeypatch.setattr(_Walk, "step", checked)
         for seed in range(300):
             rng = random.Random(seed * 17 + 5)
             g = random_admg(seed)
@@ -362,87 +503,113 @@ class TestGraphLayerShortcuts:
             sequential_baseline(proj, query)
         assert len(seen) > 1000
 
+    def test_fix_to_matches_the_step_by_step_reference(self):
+        # the fixing walk against the reference that builds a graph and a
+        # kernel at every step: on labelled ADMGs, three targets each, under
+        # both rules, and each result reinterpreted over a context graph and
+        # fixed again
+        compared = degraded = 0
+        for seed in range(300):
+            g = _labelled_admg(seed)
+            rng = random.Random(seed * 41 + 3)
+            members = sorted(g.random)
+            labels = sorted({c for e in g.edges for c in e.label})
+            joint, reference = ChainKernel.from_joint(g), _StepKernel.from_joint(g)
+            for _ in range(3):
+                r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+                for rule in (Graph.is_fixable, _selection_fixable):
+                    got, want = joint.fix_to(r, rule), reference.fix_to(r, rule)
+                    _assert_same_kernel(got, want, (seed, sorted(r)))
+                    pattern = frozenset(rng.sample(labels, rng.randint(0, len(labels))))
+                    sval = SelectorValue(pattern, tuple((c, 1) for c in sorted(pattern)))
+                    ctx = context_graph(got.graph, sval)
+                    _assert_same_kernel(
+                        got.with_graph(ctx).fix_to(r),
+                        want.with_graph(ctx).fix_to(r),
+                        (seed, sorted(r), sorted(pattern)),
+                    )
+                    compared += 2
+                    degraded += got.factors is None
+        assert compared == 3600 and degraded > 100
+
     def test_fix_still_checks_its_vertex(self):
+        # for the graph and for one step of the chain kernel's walk; the
+        # fixability test skips its closures when v has no sibling or no
+        # child, and answers as the definition dis(v) & de(v) == {v}
         for seed in range(300):
             g = random_admg(seed)
+            k = ChainKernel.from_joint(g)
             for v in sorted(g.random):
+                assert g.is_fixable(v) == (g.district_of(v) & g.descendants(v) == {v}), (seed, v)
                 if g.is_fixable(v):
                     h = g.fix(v)
                     with pytest.raises(GraphError):
                         h.fix(v)  # fixed, no longer random
+                    with pytest.raises(GraphError):
+                        k.fix(v).fix(v)
                 else:
                     with pytest.raises(NotFixableError):
                         g.fix(v)
+                    with pytest.raises(NotFixableError):
+                        k.fix(v)
             with pytest.raises(GraphError):
                 g.fix("nowhere")
-
-
-def _memo_tree(k: ChainKernel) -> list:
-    """``k`` and every kernel reached from it through ``fix``'s memo."""
-    out, stack = [], [k]
-    while stack:
-        k = stack.pop()
-        out.append(k)
-        stack.extend(k._fixed.values())
-    return out
+            with pytest.raises(GraphError):
+                k.fix("nowhere")
 
 
 class TestFixMemo:
     def test_carried_verdicts_and_readers_equal_fresh_ones(self, monkeypatch):
-        # every step the fix_to calls of a query take from one joint, under
-        # both rules and in context kernels made by with_graph: what a
-        # kernel inherits at its fix, and what it remembers later, equals
-        # what a fresh kernel computes
-        carried = []  # one entry per inherited verdict
-        real_fix = ChainKernel._fix
+        # after every step of every walk the fix_to calls of a query take,
+        # under both rules and in context kernels made by with_graph, the
+        # working state answers as the graph fixed step by step, and the
+        # clean verdicts and readers it carries equal those a fresh kernel
+        # over that graph and those factors computes
+        carried = []  # one entry per carried verdict
+        steps = degraded = 0
+        real_step = _Walk.step
 
-        def checked(k, v):
-            out = real_fix(k, v)
-            fresh = _fresh(out)
-            for w, clean in out._clean.items():
+        def checked(walk, v):
+            nonlocal steps, degraded
+            real_step(walk, v)
+            g = _walk_graph(walk)
+            state = walk.state
+            assert state.random == g.random, v
+            for w in sorted(g.vertices):
+                assert state.parents(w) == g.parents(w), (v, w)
+                assert state.children(w) == g.children(w), (v, w)
+                assert state.siblings(w) == g.siblings(w), (v, w)
+            fresh = _fresh(g, walk.factors, walk.expr)
+            for w, clean in walk.clean.items():
                 assert clean == fresh._fix_is_clean(w), (v, w)
                 carried.append(w)
-            if "_readers" in vars(out):
-                assert out._readers == fresh._readers, v
-            return out
+            if walk.readers is not None:
+                assert walk.readers == fresh._readers, v
+            steps += 1
+            degraded += walk.factors is None
 
-        monkeypatch.setattr(ChainKernel, "_fix", checked)
-        kernels = degraded = 0
+        monkeypatch.setattr(_Walk, "step", checked)
         for seed in range(300):
             g = _labelled_admg(seed)
             rng = random.Random(seed * 41 + 3)
             members = sorted(g.random)
             labels = sorted({c for e in g.edges for c in e.label})
             joint = ChainKernel.from_joint(g)
-            roots = [joint]
             for _ in range(3):
                 r = frozenset(rng.sample(members, rng.randint(1, len(members))))
                 for rule in (Graph.is_fixable, _selection_fixable):
                     qtil = joint.fix_to(r, rule)
-                    assert joint.fix_to(r, rule) is qtil, seed
                     pattern = frozenset(rng.sample(labels, rng.randint(0, len(labels))))
                     ctx = context_graph(qtil.graph, SelectorValue(pattern, tuple((c, 1) for c in sorted(pattern))))
                     kc = qtil.with_graph(ctx)
-                    assert not kc._fixed and not kc._clean and "_readers" not in vars(kc), seed
+                    assert not kc._clean and "_readers" not in vars(kc), seed
                     kc.fix_to(r)
-                    roots.append(kc)
-            for root in roots:
-                for k in _memo_tree(root):
-                    kernels += 1
-                    degraded += k.factors is None
-                    fresh = _fresh(k)
-                    for w, clean in k._clean.items():
-                        assert clean == fresh._fix_is_clean(w), (seed, w)
-                    if "_readers" in vars(k):
-                        assert k._readers == fresh._readers, seed
-                    for v, child in k._fixed.items():
-                        assert k.fix(v) is child, (seed, v)
         # restricted factors: the selection procedures pin values in them
         for case in filter(None, map(random_selection_model, range(200))):
             _, proj, query = case
             identify_selected(proj, query)
             sequential_baseline(proj, query)
-        assert kernels > 3000 and degraded > 500 and len(carried) > 200
+        assert steps > 3000 and degraded > 500 and len(carried) > 200
 
     def test_ancestors_of_the_fixed_vertex_go_stale(self):
         # V's factor reads nothing, as its parent P is restricted, so only
@@ -462,26 +629,40 @@ class TestFixMemo:
             "X": ChainFactor("X", "p", frozenset("W")),
             "R": ChainFactor("R", "p", frozenset("XVW")),
         }
-        k = ChainKernel(g, factors, None)
-        assert k._is_clean("W") and k._is_clean("V")
-        child = k.fix("V")
-        assert child.factors is not None
-        assert not child._is_clean("W")
-        assert not _fresh(child)._fix_is_clean("W")
+        walk = _Walk(ChainKernel(g, factors, None))
+        assert walk.is_clean("W") and walk.is_clean("V")
+        walk.step("V")
+        assert walk.factors is not None
+        assert not walk.is_clean("W")
+        assert not _Walk(walk.kernel()).is_clean("W")
 
-    def test_kernels_of_a_fix_to_die_with_the_joint(self):
-        # the memo points from parent to child only: without the cycle
-        # collector, dropping the joint and the result frees every kernel
+    def test_kernels_of_a_fix_to_die_with_the_joint(self, monkeypatch):
+        # a walk builds no kernel but its result, and nothing it builds
+        # outlives the joint and the result: without the cycle collector,
+        # dropping both frees every kernel and the result's graph
+        made = []
+        real_init = ChainKernel.__init__
+
+        def recorded(k, *args):
+            real_init(k, *args)
+            made.append(weakref.ref(k))
+
+        monkeypatch.setattr(ChainKernel, "__init__", recorded)
         gc.disable()
         try:
+            stepped = 0
             for seed in range(50):
                 g = random_admg(seed)
                 joint = ChainKernel.from_joint(g)
+                made.clear()
                 result = joint.fix_to(frozenset([min(g.random)]))
-                refs = [weakref.ref(k) for k in _memo_tree(joint)]
-                assert len(refs) > 1 or result is joint, seed
-                del joint, result
+                live = [k for k in (ref() for ref in made) if k is not None]
+                assert live == ([] if result is joint else [result]), seed
+                stepped += result is not joint
+                refs = [weakref.ref(joint), weakref.ref(result.graph)] + made
+                del joint, result, live
                 assert all(ref() is None for ref in refs), seed
+            assert stepped > 25
         finally:
             gc.enable()
 
