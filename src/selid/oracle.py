@@ -43,9 +43,9 @@ One table layout, one step runner:
   data rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator per model, or from a divide onward over one
-  denominator per row, so a divide of two margins summed from one table
-  is free; a result over per-row denominators is divided once per row,
-  into ``Fraction``s.
+  denominator per row, each divide's rows in lowest terms; products run
+  on ``operator.mul``, which ``UNDEF`` answers itself; a result over
+  per-row denominators is divided once per row, into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ class CapError(OracleError):
 
 
 class Undefined:
-    """Marker for kernel values at zero-mass contexts; absorbs arithmetic."""
+    """Marker for kernel values at zero-mass contexts; absorbs arithmetic.
+    A product with it is 0 when the other factor is 0 and ``UNDEF``
+    otherwise, from either side, so every product runs on ``operator.mul``;
+    a sum that holds it is ``UNDEF`` (``_reduce``, ``_reduce_rows``)."""
 
     _instance = None
 
@@ -109,16 +112,13 @@ class Undefined:
     def __repr__(self):
         return "UNDEF"
 
+    def __mul__(self, other):
+        return 0 if other == 0 else self
+
+    __rmul__ = __mul__
+
 
 UNDEF = Undefined()
-
-
-def _mul(a, b):
-    if a is UNDEF:
-        return 0 if b == 0 else UNDEF
-    if b is UNDEF:
-        return 0 if a == 0 else UNDEF
-    return a * b
 
 
 def _has_undef(values) -> bool:
@@ -618,7 +618,7 @@ class _Plan:
         keep = _kernel_keep(t, outcome, context)
         num = self.margin(t, keep, selector) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
         # the rest is summed from the kernel's own keep, over the same
-        # denominator, so that the divide is free
+        # denominator, which the divide cancels
         den = self.sum_out(num, outcome)
         return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
 
@@ -669,8 +669,8 @@ class _Plan:
         ``UNDEF``, over one common denominator per model (a tuple) or, from
         a divide onward, over one denominator per row (a list).  Each input
         is read by its step's reader in one call, and the products are
-        taken cell by cell by ``map``; no Python code runs per cell unless a
-        slot holds ``UNDEF`` or a divide needs lowest terms.  A group a
+        taken cell by cell by ``map`` over ``operator.mul``; no Python code
+        runs per cell unless a slot holds ``UNDEF``.  A group a
         step reduces never spans two models, so a batch of one model is a
         run on that model alone."""
         slots, denoms = map(list, zip(*inputs)) if inputs else ([], [])
@@ -689,9 +689,8 @@ class _Plan:
             elif inputs:
                 (s, read), *rest = inputs
                 acc = read(slots[s])
-                mul = _mul if flagged else operator.mul
                 for s, read in rest:
-                    acc = map(mul, acc, read(slots[s]))
+                    acc = map(operator.mul, acc, read(slots[s]))
                 den = _product_denoms(denoms, inputs, step.cells)
             else:
                 acc, den = [1] * (step.cells * trials), (1,) * trials
@@ -766,34 +765,34 @@ def _rows(t: Table) -> tuple:
     return nums, [1 if v is UNDEF else v.denominator for v in values]
 
 
-def _scaled(vec: list, den, read, mul, cells: int) -> list:
+def _scaled(vec: list, den, read, cells: int) -> list:
     """``vec`` times ``den``: one integer per model, or per-row
     denominators read by ``read``."""
     if type(den) is not tuple:
-        return list(map(mul, vec, read(den)))
-    return vec if den.count(1) == len(den) else list(map(mul, vec, _per_row(den, cells)))
+        return list(map(operator.mul, vec, read(den)))
+    return vec if den.count(1) == len(den) else list(map(operator.mul, vec, _per_row(den, cells)))
 
 
 def _divide(slots: list, denoms: list, inputs, flagged: bool, cells: int) -> tuple:
     """Numerators and per-row denominators of a ``_DIV`` step's ``cells``
-    per model: (a / da) / (b / db) = (a * db) / (b * da), so the
-    denominator two margins of one table share cancels.  An ``UNDEF``
-    dividend or divisor, or a zero divisor, gives ``UNDEF``."""
+    per model, each row in lowest terms: (a / da) / (b / db) = (a * db) /
+    (b * da), so the denominator two margins of one table share cancels.
+    An ``UNDEF`` dividend or divisor, or a zero divisor, gives ``UNDEF``.
+    Lowest terms keep the integers that later products and sums carry
+    small: without them nested ratios multiply their size at every level,
+    and even one divide of two margins of one law carries the law's
+    factors into every row."""
     (n, read_n), (d, read_d) = inputs
     num = list(read_n(slots[n]))
     den = list(read_d(slots[d]))
-    mul = operator.mul
     if flagged or 0 in den:
-        mul = _mul
         for i, (a, b) in enumerate(zip(num, den)):
             if a is UNDEF or b is UNDEF or not b:
                 num[i], den[i] = UNDEF, 1
     da, db = denoms[n], denoms[d]
-    if type(da) is tuple and da == db:
-        return num, den
-    # any other divide puts each row in lowest terms: nested ratios would
-    # otherwise multiply the size of their integers at every level
-    return _lowest(_scaled(num, db, read_d, mul, cells), _scaled(den, da, read_n, operator.mul, cells))
+    if type(da) is not tuple or da != db:
+        num, den = _scaled(num, db, read_d, cells), _scaled(den, da, read_n, cells)
+    return _lowest(num, den)
 
 
 def _lowest(num: list, den: list) -> tuple:
@@ -1079,16 +1078,28 @@ def _query_law(m: DiscreteCsScm, query) -> _Law:
 # random model generation
 
 
+# A 32-bit word's top byte b as a weight: its top 5 bits plus 1.  A byte of
+# 128 or more, whose top 5 bits are 16 or more, gives none: ``_OVER_16``
+# deletes it.
+_TOP_BITS = bytes((b >> 3) + 1 if b < 128 else 0 for b in range(256))
+_OVER_16 = bytes(range(128, 256))
+
+
 def _weights(rng: _random.Random, n: int) -> list:
     """``n`` draws of ``rng.randint(1, 16)``.  That call is ``1 +
     rng._randbelow(16)``, which draws ``getrandbits(16 .bit_length())``, 5
-    bits, until the value is below 16.  Each round here draws as many
-    5-bit values as are still wanted and keeps those below 16: the same
-    stream, without a Python call per weight."""
-    out = []
+    bits, until the value is below 16.  ``getrandbits(5)`` is the top 5
+    bits of the generator's next 32-bit word, and ``getrandbits(32 * k)``
+    holds its next k words, the first lowest.  Each round here draws as
+    many words as weights are still wanted in one call and keeps the top
+    bits of those below 16 (``_TOP_BITS``): the same stream, and the
+    generator left in the same state, without a Python call per weight."""
+    out = b""
     while len(out) < n:  # draws no more values than are still wanted
-        out += filter((16).__gt__, map(rng.getrandbits, itertools.repeat(5, n - len(out))))
-    return list(map((1).__add__, out))
+        k = n - len(out)
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        out += words[3::4].translate(_TOP_BITS, _OVER_16)
+    return list(out)
 
 
 def _point(n: int, value) -> list:
@@ -1101,8 +1112,8 @@ class _CptLayout(NamedTuple):
     of ``draws``, the parents' values without the selector's, in
     ``itertools.product`` order.  A selector child draws one row per value
     of its other parents, which every row the selector leaves natural
-    reuses.  A fill lays out one group of ``n`` weights per draw, in lowest
-    terms, after a 0 and the denominator (``_cpt``); ``index`` lists the
+    reuses.  A model's fill is a 0, the denominator, and one group of ``n``
+    weights per draw, in lowest terms (``_cpt``); ``index`` lists the
     positions of the cells there, a row the selector forces reading the 0
     and the denominator."""
 
@@ -1343,88 +1354,6 @@ def _narrowed(source, k: BaseKernel, parent: Optional[Estimand]) -> Optional[tup
         return None
     pattern = tuple(sorted(val.pattern))
     return tuple(x for x in source.m.domain(sel) if x[0] == pattern) or None
-
-
-# --------------------------------------------------------------------------
-# functional models: deterministic mechanisms over explicit noises, for
-# counterfactual (single-world) laws
-
-
-@dataclass
-class FunctionalCsScm(_SelectorDomains):
-    """Structural-equation form: each vertex is a deterministic function of
-    its parents and a private noise; the selector case split is enforced.
-    Counterfactual laws are enumerable by integrating over the noises."""
-
-    graph: Graph
-    sizes: dict
-    support: Optional[SelectorSupport]
-    noise: dict  # vertex -> integer weight of each noise value
-    mech: dict  # vertex -> {(pa values, noise value): value}
-
-    def counterfactual_law(self, a: Mapping, s: Optional[SelectorValue] = None) -> Table:
-        """The single-world law p(V(a, s)): counterfactuals of non-intervened
-        vertices jointly with the natural values of intervened ones, as
-        integers over the product of the noises' weight totals."""
-        sel = self.selector
-        fixed_vals = dict(a)
-        if s is not None:
-            if sel is None:
-                raise OracleError("selector value given for a selector-free model")
-            fixed_vals[sel] = _selector_key(s)
-        order = self.graph.topological_order()
-        observed = sorted(self.graph.random - self.graph.latent)
-        noise_vars = sorted(self.noise)
-        parents_of = {v: tuple(sorted(self.graph.parents(v))) for v in order}
-        law = _Operand(0, observed, {v: self.domain(v) for v in observed})
-        values = [0] * law.cells
-        for combo in itertools.product(*(range(len(self.noise[v])) for v in noise_vars)):
-            eps = dict(zip(noise_vars, combo))
-            w = math.prod(self.noise[v][val] for v, val in eps.items())
-            natural: dict = {}
-            downstream: dict = {}
-            for v in order:
-                pa_vals = tuple(downstream[p] for p in parents_of[v])
-                val = self.mech[v][(pa_vals, eps[v])]
-                natural[v] = val
-                downstream[v] = fixed_vals.get(v, val)
-            values[law.fixed(natural).offset] += w
-        return Table(law.axes, law.domains, values, denom=math.prod(sum(self.noise[v]) for v in noise_vars))
-
-
-def random_functional_cs_scm(
-    g: Graph,
-    support: Optional[SelectorSupport] = None,
-    seed: int = 0,
-    domain_size: int = 2,
-) -> FunctionalCsScm:
-    """Seeded random structural-equation model obeying the selector case split."""
-    if any(e.kind != "directed" for e in g.edges):
-        raise OracleError("functional models are defined over DAGs")
-    rng = _random.Random(seed)
-    sel = g.selector
-    if sel is not None and support is None:
-        support = g.support
-    sizes = {v: domain_size for v in g.vertices if v != sel}
-    m = FunctionalCsScm(g, sizes, support, {}, {})
-    for v in g.topological_order():
-        dom = m.domain(v)
-        n_noise = len(dom) + 1
-        m.noise[v] = _weights(rng, n_noise)
-        parents = tuple(sorted(g.parents(v)))
-        table = {}
-        for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):
-            forced = None
-            if sel is not None and sel in parents and v != sel:
-                sval = pa_vals[parents.index(sel)]
-                pattern, values = sval
-                if v in pattern:
-                    forced = values[pattern.index(v)]
-            base = [rng.choice(dom) for _ in range(n_noise)]
-            for nz in range(n_noise):
-                table[(pa_vals, nz)] = forced if forced is not None else base[nz]
-        m.mech[v] = table
-    return m
 
 
 # --------------------------------------------------------------------------

@@ -34,10 +34,11 @@ from selid.oracle import (
     exact_ci,
     joint,
     random_cs_scm,
-    random_functional_cs_scm,
     verify,
 )
 from selid.projection import canonical_hidden_dag, swig
+
+from functional_models import random_functional_cs_scm
 
 FX = all_fixtures()
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -331,6 +332,14 @@ class TestEvaluation:
         assert t.sum_out({"A"}).value({"B": 0}) is UNDEF
         assert t.sum_out({"A"}).value({"B": 1}) == Fraction(3, 4)
         assert t.sum_out({"A", "B"}).value({}) is UNDEF
+
+    def test_undef_multiplies_by_the_reference_rule(self):
+        # every product runs on operator.mul, which UNDEF answers itself: it
+        # equals the reference rule (_ref_mul) on every pair, in both orders
+        values = (UNDEF, 0, 1, 7, Fraction(3, 4))
+        for a, b in itertools.product(values, repeat=2):
+            got, want = operator.mul(a, b), _ref_mul(a, b)
+            assert got is UNDEF if want is UNDEF else got is not UNDEF and got == want, (a, b)
 
     def test_law_numerators_match_data(self):
         m = random_cs_scm(FX["selection_web"].dag, FX["selection_web"].dag.support, seed=4)
@@ -1465,9 +1474,10 @@ def _random_expression(rng, depth, laws):
 
 class TestExactArithmetic:
     def test_equal_rationals_in_different_terms_are_constant(self):
-        # p(Y | Z) reads 1/2 at Z=0 and 2/4 at Z=1, each a divide of two
-        # margins and so not in lowest terms; the context check compares
-        # them by cross-multiplication
+        # p(Y | Z) reads 1/2 at Z=0 and 2/4 at Z=1 as a divide of two
+        # margins, which puts both in lowest terms before the context check;
+        # that check compares rows in different terms by cross-multiplication
+        # (test_same_reductions_equal_a_per_group_reference)
         axes, dom = ("Z", "Y"), {"Z": (0, 1), "Y": (0, 1)}
         same = Table(axes, dom, [1, 1, 2, 2], given={"Z"}, denom=6)
         got = same.conditional({"Y"}, set())
@@ -1491,6 +1501,26 @@ class TestExactArithmetic:
         den = Table(("Y",), dom, [1, 0], denom=3)
         got = oracle._once([num, den], lambda plan, a, b: plan.divide(a, b, frozenset()))
         assert got.data == {(0,): Fraction(3, 4), (1,): UNDEF}
+
+    def test_a_divide_of_two_margins_of_one_law_is_in_lowest_terms(self, monkeypatch):
+        # the two margins share the law's denominator, which the divide
+        # cancels; each row's numerator and denominator, as the run hands
+        # them on before any Fraction is built, are coprime as well
+        runs = []
+        run_rows = oracle._Plan.run_rows
+
+        def recorded(plan, inputs, trials):
+            runs.append(run_rows(plan, inputs, trials))
+            return runs[-1]
+
+        monkeypatch.setattr(oracle._Plan, "run_rows", recorded)
+        law = joint(random_cs_scm(FX["selection_web"].dag, FX["selection_web"].dag.support, seed=4))
+        outcome, context = frozenset({"Y"}), frozenset({"C", "M", "W1"})
+        got = oracle._once([law], lambda plan, t: plan.conditional(t, outcome, context))
+        ((nums, dens),) = runs[-1]
+        assert len(nums) == 16 and all(n is not UNDEF and math.gcd(n, d) == 1 for n, d in zip(nums, dens))
+        axes, want = _ref_eval(BaseKernel("p", outcome, context), {"p": (law.axes, law.data)})
+        assert {row: got.value(dict(zip(axes, row))) for row in want} == want
 
     def test_sum_reductions_equal_a_per_group_reference(self):
         # widths 1-4, with fewer groups than cells per group and more, and

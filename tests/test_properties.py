@@ -55,10 +55,10 @@ from selid.oracle import (
     exact_ci,
     joint,
     random_cs_scm,
-    random_functional_cs_scm,
 )
 from selid.projection import canonical_hidden_dag, context_graph, derive_labels, latent_project, swig
 
+from functional_models import random_functional_cs_scm
 from test_bench_contract import MODULES, _load, _module
 from test_random_models import random_selection_model
 
