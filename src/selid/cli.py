@@ -2,9 +2,10 @@
 generate witnesses.
 
 Exit codes: 0 an answer was produced (identification failures are answers),
-1 usage error or a problem past the oracle's enumeration cap, 2 internal
-error.  The environment variable ``SSID_SEED`` overrides ``--seed``.
-Output is byte-identical for identical inputs.
+1 usage error or a problem past the oracle's enumeration cap or the
+projection's state cap, 2 internal error.  The environment variable
+``SSID_SEED`` overrides ``--seed``.  Output is byte-identical for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .identify import (
     sequential_baseline,
 )
 from .lsg import ParseError, parse_graph, parse_query, render_graph
-from .projection import derive_labels, latent_project
+from .projection import ProjectionCapError, derive_labels, latent_project
 
 
 class UsageError(ValueError):
@@ -296,13 +297,14 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
         return 1
+    except (oracle.CapError, ProjectionCapError) as exc:
+        # an input too large to enumerate or project is refused, not an
+        # internal error
+        print(json.dumps({"error": "cap", "message": str(exc)}), file=sys.stderr)
+        return 1
     except GraphError as exc:
         # violated input contracts (bad query/graph/algorithm combination)
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
-        return 1
-    except oracle.CapError as exc:
-        # an input too large to enumerate is refused, not an internal error
-        print(json.dumps({"error": "cap", "message": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
         print(

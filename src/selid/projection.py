@@ -11,7 +11,6 @@ from .graph import (
     Graph,
     GraphError,
     SelectorValue,
-    bidirected,
     directed,
 )
 
@@ -29,72 +28,94 @@ def derive_labels(g: Graph) -> Graph:
         if e.head in sel_children and e.tail != g.selector:
             out.append(directed(e.tail, e.head, {e.head}))
         else:
-            out.append(directed(e.tail, e.head))
+            out.append(directed(e.tail, e.head) if e.label else e)
     # the same directed edges, labelled only in a graph with a selector
     return g._derive(edges=frozenset(out))
 
 
-def _prune_label_sets(label_sets: set) -> list:
+def _prune_label_sets(label_sets) -> list:
     """Drop any label set that is a superset of another: the edge it labels is
     removed only if the smaller-labelled parallel edge is removed too."""
+    if len(label_sets) < 2:
+        return list(label_sets)
     keep = []
     for ls in sorted(label_sets, key=lambda s: (len(s), sorted(s))):
-        if not any(k < ls or k == ls for k in keep):
+        if not any(k <= ls for k in keep):
             keep.append(ls)
     return keep
 
 
-def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
-    """Project the labelled DAG (or SWIG) ``g`` onto ``keep``.
+MAX_PROJECTION_STATES = 1 << 22  # the largest state bound latent_project searches
 
-    Hidden vertices are everything outside ``keep``.  Directed paths through
-    hidden vertices become directed edges labelled by the union of the path
-    labels; hidden treks with arrowheads into both endpoints become labelled
-    bidirected edges.  Parallel edges with incomparable label sets are kept,
-    so the result is in general a multigraph.
+
+class ProjectionCapError(GraphError):
+    """A latent projection whose state bound exceeds ``MAX_PROJECTION_STATES``."""
+
+
+def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
+    """Project the labelled DAG (or SWIG) ``g`` onto ``keep`` (Verma & Pearl,
+    1990; Evans, *Graphs for margins of Bayesian networks*, 2016).
+
+    Hidden vertices are everything outside ``keep``.  A directed path between
+    kept vertices through hidden ones becomes a directed edge, a hidden trek
+    x <- ... <- h -> ... -> y a bidirected edge, each labelled by the union
+    of its edge labels; of parallel edges only minimal label sets are kept,
+    so the result is in general a multigraph.  No path is listed: a search
+    from each vertex visits each state (hidden vertex, labels so far) once
+    and records (kept end, labels).  A kept vertex's ends are its directed
+    edges; a hidden h's ends x < y pair into x <-> y.  Branches sharing a
+    hidden vertex need no exclusion: their suffixes from the last shared
+    vertex form a trek with a subset of their labels, so the minimal sets
+    are the same.  A kept-to-kept edge that survives is the same ``Edge``.
+
+    The labels of a state at hidden h are a subset of the names C(h) on the
+    edges into h and into its ancestors through hidden vertices, so a search
+    visits at most sum_h 2^|C(h)| states (|H| without labels) and the |V|
+    searches |V| times that.  A bound past ``MAX_PROJECTION_STATES`` raises
+    ``ProjectionCapError`` before any search.
     """
     keep = frozenset(keep)
     unknown = keep - g.vertices
     if unknown:
         raise GraphError(f"unknown vertices {sorted(unknown)}")
-    if any(e.kind == BIDIRECTED for e in g.edges):
-        raise GraphError("latent projection expects a directed (labelled) graph")
     if g.selector is not None and g.selector not in keep:
         raise GraphError("the selector cannot be projected out")
     hidden = g.vertices - keep
     if hidden & g.fixed:
         raise GraphError("cannot project out fixed vertices")
 
-    children = {v: sorted(g.children(v)) for v in g.vertices}
-    labels: dict = {}  # (tail, head) -> the labels of its parallel edges
+    out: dict = {}  # tail -> its out-edges
+    into: dict = {}  # hidden head -> its in-edges
     for e in g.edges:
-        labels.setdefault((e.tail, e.head), []).append(e.label)
-
-    # directed: simple hidden-interior paths between kept vertices
-    directed_sets: dict = {}
-    for x in sorted(keep):
-        for w, lab, _ in _hidden_paths(x, children, labels, keep):
-            directed_sets.setdefault((x, w), set()).add(lab)
-
-    # bidirected: hidden treks x <- ... <- h -> ... -> y
-    bidirected_sets: dict = {}
-    for h in sorted(hidden):
-        branches = [(w, lab, frozenset(path)) for w, lab, path in _hidden_paths(h, children, labels, keep)]
-        for x, lx, px in branches:
-            for y, ly, py in branches:
-                if y <= x:
-                    continue
-                if (px & py) - {h}:
-                    continue
-                bidirected_sets.setdefault((x, y), set()).add(lx | ly)
+        if e.kind == BIDIRECTED:
+            raise GraphError("latent projection expects a directed (labelled) graph")
+        out.setdefault(e.tail, []).append(e)
+        if e.head in hidden:
+            into.setdefault(e.head, []).append(e)
+    states = len(hidden)  # per search
+    if any(e.label for es in into.values() for e in es):
+        carried: dict = {}  # hidden h -> C(h)
+        for h in g.topological_order():
+            if h in hidden:
+                carried[h] = frozenset().union(*(e.label | carried.get(e.tail, frozenset()) for e in into.get(h, ())))
+        states = sum(1 << len(c) for c in carried.values())
+    bound = len(g.vertices) * states
+    if bound > MAX_PROJECTION_STATES:
+        raise ProjectionCapError(f"projection may visit {bound} search states, past {MAX_PROJECTION_STATES}")
 
     edges = []
-    for (x, y), sets in directed_sets.items():
-        for lab in _prune_label_sets(sets):
-            edges.append(directed(x, y, lab))
-    for (x, y), sets in bidirected_sets.items():
-        for lab in _prune_label_sets(sets):
-            edges.append(bidirected(x, y, lab))
+    for x in keep.intersection(out):
+        for y, found in _hidden_ends(x, out, keep).items():
+            for lab in _prune_label_sets(found):
+                edges.append(found[lab] or directed(x, y, lab))
+    treks: dict = {}  # (x, y) -> the label sets of hidden treks x <-> y
+    for h in hidden.intersection(out):
+        ends = sorted((y, _prune_label_sets(found)) for y, found in _hidden_ends(h, out, keep).items())
+        for i, (x, lxs) in enumerate(ends):
+            for y, lys in ends[i + 1 :]:
+                treks.setdefault((x, y), set()).update(lx | ly for lx in lxs for ly in lys)
+    for (x, y), sets in treks.items():
+        edges.extend(Edge(BIDIRECTED, x, y, lab) for lab in _prune_label_sets(sets))
 
     # a directed edge stands for a path of the acyclic g, and both kinds end
     # with an arrowhead at a vertex that has a parent in g, so is not fixed;
@@ -107,24 +128,29 @@ def latent_project(g: Graph, keep: Iterable[str]) -> Graph:
     )
 
 
-def _hidden_paths(start: str, children: dict, labels: dict, keep: frozenset) -> list:
-    """Every directed path from ``start`` that ends at its first kept vertex
-    after ``start``, depth first: (end, union of the edge labels, the
-    vertices before the end).  The graph is acyclic (``latent_project``
-    takes only directed graphs, which are validated acyclic), so every such
-    path is simple."""
-    found = []
-    stack = [(start, frozenset(), (start,))]
+def _hidden_ends(start: str, out: dict, keep: frozenset) -> dict:
+    """The kept ends of the directed paths from ``start`` with a hidden
+    interior: end -> {label union: the edge start -> end so labelled, or
+    None}.  Each state (hidden vertex, labels so far) is visited once.  This
+    is the walk of ``_Adjacency._closure`` over labelled states; a walk
+    shared through a per-state step callback was slower for both."""
+    ends: dict = {}
+    seen = set()
+    stack = [(start, frozenset())]
     while stack:
-        v, lab, path = stack.pop()
-        for w in children[v]:
-            for edge_lab in labels[(v, w)]:
-                lab2 = lab | edge_lab
-                if w in keep:
-                    found.append((w, lab2, path))
+        v, lab = stack.pop()
+        for e in out.get(v, ()):
+            w, lab2 = e.head, (lab | e.label if e.label else lab)
+            if w in keep:
+                found = ends.setdefault(w, {})
+                if v == start:
+                    found[lab2] = e
                 else:
-                    stack.append((w, lab2, path + (w,)))
-    return found
+                    found.setdefault(lab2, None)
+            elif (w, lab2) not in seen:
+                seen.add((w, lab2))
+                stack.append((w, lab2))
+    return ends
 
 
 def context_graph(g: Graph, s: SelectorValue) -> Graph:
@@ -132,20 +158,13 @@ def context_graph(g: Graph, s: SelectorValue) -> Graph:
     names a vertex ``s`` intervenes on is removed, remaining labels are
     stripped, and newly identical parallel edges merge.  The result is a plain
     (C)ADMG."""
-    # both branches keep a subset of g's edges, unlabelled
     if g.selector is None:
         if s.pattern:
             raise GraphError("serious selector value for a graph without selector")
-        return g._derive(edges=frozenset(Edge(e.kind, e.tail, e.head) for e in g.edges))
-    if g.support is not None and s.pattern not in g.support:
-        raise GraphError(
-            f"selector pattern {sorted(s.pattern)} outside the declared support"
-        )
-    out = []
-    for e in g.edges:
-        if e.label & s.pattern:
-            continue
-        out.append(Edge(e.kind, e.tail, e.head))
+    elif g.support is not None and s.pattern not in g.support:
+        raise GraphError(f"selector pattern {sorted(s.pattern)} outside the declared support")
+    # a subset of g's edges, unlabelled
+    out = [Edge(e.kind, e.tail, e.head) if e.label else e for e in g.edges if not e.label & s.pattern]
     return g._derive(edges=frozenset(out))
 
 
@@ -203,7 +222,7 @@ def swig(
             tail, head = e.tail, e.head
         if tail in serious or head in serious:
             continue
-        edges.append(Edge(e.kind, tail, head, label))
+        edges.append(e if (tail, label) == (e.tail, e.label) else Edge(e.kind, tail, head, label))
 
     # the fixed halves are new vertices and only tails; the rest loses
     # vertices and edges, and labels go only with a given value
@@ -238,7 +257,7 @@ def canonical_hidden_dag(g: Graph) -> Graph:
     edges = []
     for e in sorted(g.edges, key=Edge.sort_key):
         if e.kind == DIRECTED:
-            edges.append(directed(e.tail, e.head))
+            edges.append(directed(e.tail, e.head) if e.label else e)
         else:
             u = names[e]
             edges.append(directed(u, e.tail))

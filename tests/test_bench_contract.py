@@ -229,6 +229,31 @@ def test_identify_sweep_validates_no_derived_graph(monkeypatch):
     assert len(contexts) <= 6 < 131
 
 
+def test_identify_sweep_projection_rebuilds_no_surviving_edge(monkeypatch):
+    # label derivation and latent projection build an Edge only for an edge
+    # whose label or endpoints change; an edge they carry over is the same
+    # object.  On the 32 identify_sweep cases they built 2787 edges when
+    # every edge was rebuilt, and build 346 since
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    cases = [
+        workloads.sweep_case(S, n, seed)
+        for n in workloads.SWEEP_SIZES
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE)
+    ]
+    built = []
+    real_post_init = S.graph.Edge.__post_init__
+
+    def counted_post_init(e):
+        built.append(e)
+        real_post_init(e)
+
+    monkeypatch.setattr(S.graph.Edge, "__post_init__", counted_post_init)
+    for dag, obs, _ in cases:
+        S.projection.latent_project(S.projection.derive_labels(dag), obs)
+    assert len(built) == 346
+
+
 @pytest.mark.parametrize("n, seed", [(64, 3), (128, 1), (128, 11)])
 def test_large_sweep_cases_render_and_round_trip(n, seed):
     # fixed over the whole graph these estimands were trees of 6.6e8, 1.2e8

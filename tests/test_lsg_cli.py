@@ -9,6 +9,7 @@ import pytest
 from selid.cli import main
 from selid.fixtures import all_fixtures
 from selid.lsg import ParseError, parse_graph, parse_query, render_graph
+from test_projection import ladder_dag
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -423,6 +424,35 @@ class TestHiddenVariableInput:
         payload = json.loads(err)
         assert payload["error"] == "input"
         assert "['W2', 'Z1']" in payload["message"] and "_dag.lsg" in payload["message"]
+
+    @staticmethod
+    def _project_within(budget_s, graph, tmp_path):
+        # a child process, so a projection that runs past the budget is
+        # killed there rather than hanging the suite
+        path = tmp_path / "ladder_dag.lsg"
+        path.write_text(render_graph(graph))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXDIR.parent / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "selid.cli", "project", "--graph", str(path)],
+            capture_output=True, text=True, env=env, timeout=budget_s,
+        )
+
+    def test_project_a_16_layer_hidden_ladder(self, tmp_path):
+        # 2^16 hidden-interior paths from X to Y; enumerating them took 85.7 s,
+        # and the search takes under a millisecond of the 10 s budget, which
+        # is mostly interpreter start-up
+        proc = self._project_within(10, ladder_dag(16), tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "node X\nnode Y\nselector S\nedge S -> X\nedge X -> Y\nsupport {}\n"
+
+    def test_project_past_the_state_cap_is_refused(self, tmp_path):
+        # the same ladder with 24 layers of selector children: about 1.9e16
+        # states by the bound, refused before any search
+        proc = self._project_within(10, ladder_dag(24, selected=True), tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "cap" and "search states" in payload["message"]
 
     def test_plain_identification_refuses_a_selector(self):
         # --algorithm id ignores selection, so it must not answer on scar
