@@ -19,7 +19,6 @@ from .estimand import (
     Var,
     condition,
     fix_kernel,
-    fix_sequence,
     marginalize,
     normal_form,
     render,
@@ -31,12 +30,10 @@ from .graph import (
     Graph,
     GraphError,
     NotFixableError,
-    NotReachableError,
     SelectorSupport,
     SelectorValue,
     bidirected,
     directed,
-    genealogy,
     laidback,
 )
 from .identify import (

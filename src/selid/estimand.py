@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .graph import FixState, Graph, GraphError, NotReachableError, SelectorValue
+from .graph import FixState, Graph, SelectorValue
 
 
 class EstimandError(ValueError):
@@ -345,22 +345,6 @@ def fix_kernel(e: Estimand, g: Graph | FixState, v: str) -> Estimand:
     return Ratio(e, Ratio(num_keep, den_keep))
 
 
-def fix_sequence(e: Estimand, g: Graph, target: Iterable[str]):
-    """Fix everything outside ``target`` along the deterministic valid sequence.
-
-    Returns the pair (kernel, graph).  Raises NotReachableError carrying the
-    reachable closure when no valid sequence exists.
-    """
-    target = frozenset(target)
-    seq = g.reachable(target)
-    if seq is None:
-        raise NotReachableError(target, g.reachable_closure(target))
-    for v in seq:
-        e = fix_kernel(e, g, v)
-        g = g.fix(v)
-    return e, g
-
-
 # --------------------------------------------------------------------------
 # chain-form kernels (structured fixing for the identification algorithms)
 
@@ -425,7 +409,8 @@ class ChainKernel:
     a step forces a non-chain expression the kernel degrades to a plain
     estimand and every further step goes to ``fix_kernel``.  ``fix_to``
     fixes toward a target set and stops at its reachable closure, so one
-    kernel built by ``from_joint`` serves every district of a query.
+    kernel built by ``from_joint`` serves every district of a query; its
+    loop is ``FixState.fix_to``, the same walk ``Graph.reachable`` takes.
 
     A kernel is never changed: ``fix`` and ``fix_to`` take their steps in
     a working state (``_Walk``) and build one new kernel at the end.
@@ -486,37 +471,18 @@ class ChainKernel:
     def fix_to(self, target: Iterable[str], fixable=Graph.is_fixable) -> "ChainKernel":
         """Fix every vertex outside ``target`` that ``fixable(graph, v)``
         admits, steps that keep the chain form first, then the smallest
-        name, until none is left.
-
-        The rule's answer for ``w`` must depend only on ``w``'s district and
-        descendants, and a vertex it admits must stay admitted after other
-        fixes, as the ordinary criterion does.  Then every order ends at the
-        same kernel, and after fixing ``v`` only the vertices of ``v``'s old
-        district and ``v``'s ancestors, whose district or descendants that
-        fix changed, are tested again.  The result's ``randoms`` are the
-        reachable closure of ``target`` under the rule, equal to ``target``
-        exactly when the target is reachable; an unreachable target is not
-        an error.
+        name, until none is left: ``FixState.fix_to``, the one fixing walk,
+        run on the walk's state, whose contract the rule must meet.  The
+        result's ``randoms`` are the reachable closure of ``target`` under
+        the rule.
 
         The rule reads the walk's ``FixState``, which answers as the graph
         of the kernel so far would.  Every step changes that one working
         state in place, and only the result is built as a ``Graph`` and a
         ``ChainKernel``; with nothing to fix, the result is this kernel.
         """
-        target = frozenset(target)
-        unknown = target - self.randoms
-        if unknown:
-            raise GraphError(f"not random vertices: {sorted(unknown)}")
         walk = _Walk(self)
-        state = walk.state
-        ready = {v for v in self.randoms - target if fixable(state, v)}
-        while ready:
-            cands = sorted(ready)
-            v = next((w for w in cands if walk.is_clean(w)), cands[0])
-            touched = (state.district_of(v) | state.ancestors(v)) & state.random
-            walk.step(v)
-            ready.discard(v)
-            ready |= {w for w in touched - target - ready - {v} if fixable(state, w)}
+        walk.state.fix_to(target, fixable, walk.pick, walk.step)
         return walk.kernel()
 
 
@@ -558,6 +524,11 @@ class _Walk:
         if c is None:
             c = self.clean[v] = self._fix_is_clean(v)
         return c
+
+    def pick(self, ready) -> str:
+        """The next vertex to fix: the smallest clean one, else the smallest."""
+        cands = sorted(ready)
+        return next((w for w in cands if self.is_clean(w)), cands[0])
 
     def _fix_is_clean(self, v: str) -> bool:
         """Whether fixing ``v`` keeps the kernel in chain form: its factor is

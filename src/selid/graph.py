@@ -39,17 +39,6 @@ class NotFixableError(GraphError):
         super().__init__(f"{vertex} is not fixable; dis & de = {sorted(witness)}")
 
 
-class NotReachableError(GraphError):
-    """A requested vertex set is not reachable; carries its reachable closure."""
-
-    def __init__(self, target: frozenset, closure: frozenset):
-        self.target = target
-        self.closure = closure
-        super().__init__(
-            f"{sorted(target)} is not reachable; closure is {sorted(closure)}"
-        )
-
-
 @dataclass(frozen=True)
 class Edge:
     kind: str
@@ -457,45 +446,23 @@ class Graph(_Adjacency):
         state.fix(v)
         return state.graph()
 
-    def fix_all(self, vs: Iterable[str]) -> "Graph":
-        g = self
-        for v in vs:
-            g = g.fix(v)
-        return g
-
     def reachable(self, r: Iterable[str]) -> Optional[tuple]:
         """A valid fixing sequence for everything outside ``r``, if one exists.
 
-        Among currently fixable vertices the lexicographically smallest is
-        fixed first, so the sequence is deterministic.
+        The sequence is the one ``FixState.fix_to`` takes, the smallest
+        fixable name first, so it is deterministic.
         """
         r = frozenset(r)
-        seq, closure = self._fix_greedily(r)
-        return seq if closure == r else None
+        state = FixState(self)
+        state.fix_to(r)
+        return tuple(state.done) if state.random == r else None
 
     def reachable_closure(self, r: Iterable[str]) -> frozenset:
-        """The unique smallest reachable superset of ``r``."""
-        return self._fix_greedily(r)[1]
-
-    def _fix_greedily(self, r: Iterable[str]) -> tuple:
-        """Fix the smallest fixable vertex outside ``r`` until none is left.
-
-        A fixable vertex stays fixable after other fixes, so every maximal
-        sequence ends at the same random set, the reachable closure of ``r``.
-        Returns the sequence and that closure.
-        """
-        r = frozenset(r)
-        unknown = r - self.random
-        if unknown:
-            raise GraphError(f"not random vertices: {sorted(unknown)}")
-        g = self
-        seq = []
-        while True:
-            v = next((v for v in sorted(g.random - r) if g.is_fixable(v)), None)
-            if v is None:
-                return tuple(seq), g.random
-            g = g.fix(v)
-            seq.append(v)
+        """The unique smallest reachable superset of ``r``: the random set
+        that ``FixState.fix_to`` ends at."""
+        state = FixState(self)
+        state.fix_to(r)
+        return frozenset(state.random)
 
 
 _FIELDS = tuple(f.name for f in fields(Graph))
@@ -506,7 +473,8 @@ class FixState(_Adjacency):
     that fixes one vertex after another.
 
     It copies the graph's random set and adjacency tables once.  ``fix``
-    updates only the entries that fixing one vertex changes, and ``graph``
+    updates only the entries that fixing one vertex changes, ``fix_to``
+    walks toward a target set by such steps, and ``graph``
     builds the graph the walk ends at, sharing the tables; the state is
     spent after that.
     """
@@ -536,6 +504,37 @@ class FixState(_Adjacency):
             siblings[w] = siblings[w] - {v}
         self._parents[v] = siblings[v] = frozenset()
 
+    def fix_to(self, target: Iterable[str], fixable=_Adjacency.is_fixable,
+               pick=min, step=None) -> None:
+        """Fix every random vertex outside ``target`` that ``fixable(self,
+        v)`` admits, one ``step(v)`` at a time (``fix`` by default), until
+        none is left; ``pick`` chooses the next vertex from the set of those
+        admitted now (the smallest name by default).
+
+        This is the one fixing walk.  The rule's answer for ``w`` must
+        depend only on ``w``'s district and descendants, and a vertex it
+        admits must stay admitted after other fixes, as the ordinary
+        criterion does.  Then every order ends at the same random set, and
+        after fixing ``v`` only the vertices of ``v``'s old district and
+        ``v``'s ancestors, whose district or descendants that fix changed,
+        are tested again.  The walk ends with ``random`` the reachable
+        closure of ``target`` under the rule, equal to ``target`` exactly
+        when the target is reachable; an unreachable target is not an
+        error.
+        """
+        target = frozenset(target)
+        unknown = target - self.random
+        if unknown:
+            raise GraphError(f"not random vertices: {sorted(unknown)}")
+        step = step or self.fix
+        ready = {v for v in self.random - target if fixable(self, v)}
+        while ready:
+            v = pick(ready)
+            touched = (self.district_of(v) | self.ancestors(v)) & self.random
+            step(v)
+            ready.discard(v)
+            ready |= {w for w in touched - target - ready - {v} if fixable(self, w)}
+
     def graph(self) -> Graph:
         """The starting graph with every vertex of ``done`` fixed."""
         g = self.start
@@ -559,24 +558,3 @@ class FixState(_Adjacency):
             _children=self._children,
             _siblings=self._siblings,
         )
-
-
-def genealogy(g: Graph, kind: str, x, strict: bool = False) -> frozenset:
-    """Genealogical relation ``kind`` of ``x`` in ``g``, disjunctive over sets.
-
-    ``kind`` is one of pa, ch, an, de, nd, dis.  Strict variants exclude the
-    argument set itself.
-    """
-    x = frozenset((x,) if isinstance(x, str) else x)
-    fns = {
-        "pa": g.parents,
-        "ch": g.children,
-        "an": g.ancestors,
-        "de": g.descendants,
-        "nd": g.nondescendants,
-        "dis": g.district_of,
-    }
-    if kind not in fns:
-        raise GraphError(f"unknown genealogy kind {kind!r}")
-    out = fns[kind](x)
-    return out - x if strict else out

@@ -1,13 +1,20 @@
 """Identification procedures for interventional queries, with and without a
 systematic-selection variable.
 
-Five entry points share the district-factorization backbone:
+Three entry points factorize the query over the districts of its ancestral
+set and solve each district in turn (``_factorize``):
 
 * ``identify``            single observational law, hidden-variable ADMG
 * ``identify_fused``      several interventional datasets over one model
-* ``selected_g_formula``  fully observed selection model (labelled DAG)
 * ``identify_selected``   hidden-variable selection model (labelled multigraph)
-* ``sequential_baseline`` de-select first, then identify (strictly weaker)
+
+Two more do not call that backbone themselves:
+
+* ``selected_g_formula``  fully observed selection model (labelled DAG): a
+  product of one parent conditional per vertex of the ancestral set
+* ``sequential_baseline`` de-select first, then identify (strictly weaker):
+  stage 1 fixes every district of the non-selector vertices, and stage 2
+  reaches the backbone through ``identify``
 
 Results are either an ``Identified`` estimand or a structured failure naming
 the obstructing district.  Failure verdicts that carry a non-identification
@@ -291,7 +298,8 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     load-bearing, so the selector stays random until its district is clear.
     Other vertices use the ordinary criterion.  The answer depends only on
     the vertex's district and descendants, and a fixable vertex stays
-    fixable, so the rule meets the contract of ``ChainKernel.fix_to``.
+    fixable, so the rule meets the contract of ``FixState.fix_to``, the
+    walk ``ChainKernel.fix_to`` runs.
     """
     if not g.is_fixable(v):
         return False

@@ -160,13 +160,15 @@ _QUERY_RE = re.compile(
     rf"(\|\s*(?P<rest>.*?))?\s*\)\s*",
     re.DOTALL,
 )
+_EMPTY_RE = re.compile(rf"({NAME})\s*=\s*empty")
 
 
 def parse_query(text: str, selector: str | None = None):
     """Parse ``P(Y | do(A=a), S=empty)`` into a query and a selector flag.
 
     Returns (Query, wants_observational_context).  The selector is addressed
-    only through ``S=empty``.
+    only through ``S=empty``; with no intervention the ``do()`` clause may be
+    left out, so ``P(Y | S=empty)`` is ``P(Y | do(), S=empty)``.
     """
     m = _QUERY_RE.fullmatch(text)
     if not m:
@@ -177,9 +179,12 @@ def parse_query(text: str, selector: str | None = None):
     wants_empty = False
     if rest:
         mdo = re.match(rf"do\s*\(([^)]*)\)\s*(,\s*(?P<tail>.*))?$", rest, re.DOTALL)
-        if not mdo:
+        if mdo:
+            inner, tail = mdo.group(1).strip(), (mdo.group("tail") or "").strip()
+        elif _EMPTY_RE.fullmatch(rest):
+            inner, tail = "", rest  # P(Y | S=empty) reads as P(Y | do(), S=empty)
+        else:
             raise ParseError("expected a do(...) clause after '|'", 1)
-        inner = mdo.group(1).strip()
         if inner:
             for item in inner.split(","):
                 ma = re.fullmatch(rf"\s*({NAME})\s*=\s*({NAME})\s*", item)
@@ -191,9 +196,8 @@ def parse_query(text: str, selector: str | None = None):
                         "the selector is addressed only via S=empty", 1
                     )
                 treatments.append((v, Sym(tok)))
-        tail = (mdo.group("tail") or "").strip()
         if tail:
-            msel = re.fullmatch(rf"({NAME})\s*=\s*empty", tail)
+            msel = _EMPTY_RE.fullmatch(tail)
             if not msel:
                 raise ParseError(f"unrecognized clause {tail!r}", 1)
             if selector is not None and msel.group(1) != selector:

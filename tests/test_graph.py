@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from selid.fixtures import all_fixtures
@@ -8,7 +10,6 @@ from selid.graph import (
     SelectorValue,
     bidirected,
     directed,
-    genealogy,
     laidback,
 )
 
@@ -41,17 +42,17 @@ class TestGenealogy:
 
     def test_strict_variants(self):
         g = FX["chain"].graph
-        assert genealogy(g, "an", {"Y"}) == {"A", "M", "Y"}
-        assert genealogy(g, "an", {"Y"}, strict=True) == {"A", "M"}
-        assert genealogy(g, "pa", {"Y"}) == {"M"}
-        assert genealogy(g, "dis", {"Y"}, strict=True) == frozenset()
+        assert g.ancestors({"Y"}) == {"A", "M", "Y"}
+        assert g.ancestors({"Y"}) - {"Y"} == {"A", "M"}
+        assert g.parents({"Y"}) == {"M"}
+        assert g.district_of({"Y"}) - {"Y"} == frozenset()
 
     def test_unknown_vertex_rejected(self):
         g = FX["chain"].graph
         with pytest.raises(GraphError):
             g.ancestors("Q")
         with pytest.raises(GraphError):
-            genealogy(g, "pa", {"Q"})
+            g.parents({"Q"})
 
 
 class TestDistricts:
@@ -206,7 +207,7 @@ class TestReachability:
         b = g.fix("A") if g.is_fixable("A") else None
         assert b is None  # A only becomes fixable after Y
         seq = g.reachable({"M"})
-        assert g.fix_all(seq) == a
+        assert functools.reduce(Graph.fix, seq, g) == a
 
 
 class TestSelectorValues:

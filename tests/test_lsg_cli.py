@@ -90,6 +90,18 @@ class TestQueryGrammar:
         qy, empty = parse_query("P(Y | do(), S=empty)", "S")
         assert qy.treatments == () and empty
 
+    def test_selection_margin_needs_no_do_clause(self):
+        # P(Y | S=empty), the margin of Y in the observational context, is
+        # P(Y | do(), S=empty) on every graph
+        for selector in ("S", None):
+            assert parse_query("P(Y | S=empty)", selector) == parse_query(
+                "P(Y | do(), S=empty)", selector
+            )
+        with pytest.raises(ParseError, match="expected a do"):
+            parse_query("P(Y | A=a)", "S")
+        with pytest.raises(ParseError, match="T is not the selector"):
+            parse_query("P(Y | T=empty)", "S")
+
     def test_selector_in_do_rejected(self):
         with pytest.raises(ParseError):
             parse_query("P(Y | do(S=1))", "S")
@@ -544,6 +556,15 @@ class TestCliMoreSurfaces:
             "error": "usage",
             "message": "selection queries must name the observational context: S=empty",
         }
+
+    @pytest.mark.parametrize("fixture", ["selection_web", "bow"])
+    def test_selection_margin_without_do_identifies_as_the_do_form(self, fixture):
+        outs = [
+            run_cli("identify", "--graph", str(FIXDIR / f"{fixture}.lsg"), "--query", query)
+            for query in ("P(Y | S=empty)", "P(Y | do(), S=empty)")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1] and not outs[0][2]
 
     def test_repeated_treatment_is_rejected(self):
         from selid.identify import QueryError

@@ -1,5 +1,6 @@
 """Randomized and exhaustive property suites for the graph and kernel laws."""
 
+import functools
 import gc
 import itertools
 import random
@@ -106,6 +107,54 @@ class TestRandomizedGraphInvariants:
                 assert g.nondescendants(v) == g.vertices - g.descendants(v)
                 for w in sorted(g.random):
                     assert (v in g.ancestors(w)) == (w in g.descendants(v))
+
+
+def _greedy_fixing(g: Graph, r) -> tuple:
+    """The reference for ``Graph.reachable`` and ``reachable_closure``: fix
+    the smallest fixable vertex outside ``r``, testing every vertex again
+    and building a new graph at each step, until none is left.  Returns the
+    sequence and the random set it ends at."""
+    r = frozenset(r)
+    unknown = r - g.random
+    if unknown:
+        raise GraphError(f"not random vertices: {sorted(unknown)}")
+    seq = []
+    while True:
+        v = next((v for v in sorted(g.random - r) if g.is_fixable(v)), None)
+        if v is None:
+            return tuple(seq), g.random
+        g = g.fix(v)
+        seq.append(v)
+
+
+class TestReachabilityReference:
+    def test_reachable_and_closure_match_the_greedy_reference(self):
+        unreachable = fixed_some = 0
+        for seed in range(300):
+            g = random_admg(seed)
+            rng = random.Random(seed * 13 + 2)
+            members = sorted(g.random)
+            for _ in range(4):
+                r = frozenset(rng.sample(members, rng.randint(0, len(members))))
+                seq, closure = _greedy_fixing(g, r)
+                assert g.reachable_closure(r) == closure, (seed, sorted(r))
+                assert g.reachable(r) == (seq if closure == r else None), (seed, sorted(r))
+                unreachable += closure != r
+                fixed_some += bool(seq) and closure == r
+        # both outcomes, and sequences to order, are exercised
+        assert unreachable > 100 and fixed_some > 100
+
+    def test_unknown_target_raises_the_reference_error(self):
+        g = FX["frontdoor"].graph
+        fixed = g.fix("Y")
+        for graph, r in ((g, {"Q"}), (g, {"M", "Q", "P"}), (fixed, {"Y"})):
+            with pytest.raises(GraphError) as want:
+                _greedy_fixing(graph, r)
+            for method in (graph.reachable, graph.reachable_closure):
+                with pytest.raises(GraphError) as got:
+                    method(r)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
 
 
 class TestChainKernelClosure:
@@ -968,7 +1017,7 @@ class TestRandomFixingCommutation:
             seqs = _valid_sequences(g, r, cap=6)
             if len(seqs) < 2:
                 continue
-            results = {g.fix_all(seq) for seq in seqs}
+            results = {functools.reduce(Graph.fix, seq, g) for seq in seqs}
             assert len(results) == 1
 
 
