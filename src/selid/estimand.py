@@ -503,10 +503,11 @@ class _Walk:
     at every ``step``; ``kernel`` builds the kernel the walk ends at.  The
     clean verdicts (whether fixing a vertex keeps the chain form) are the
     starting kernel's own until the first step, which keeps those it leaves
-    valid in a dict of the walk's own.
+    valid in a dict of the walk's own.  ``de`` holds, for each verdict the
+    walk has made or filtered, the random descendants it was made on.
     """
 
-    __slots__ = ("start", "state", "factors", "readers", "expr", "clean")
+    __slots__ = ("start", "state", "factors", "readers", "expr", "clean", "de")
 
     def __init__(self, k: ChainKernel):
         self.start = k
@@ -517,6 +518,7 @@ class _Walk:
             self.factors = dict(k.factors)
             self.readers = dict(k._readers)  # each entry is replaced, never changed
         self.clean = k._clean
+        self.de = {}
 
     def is_clean(self, v: str) -> bool:
         """Whether fixing ``v`` now keeps the chain form, remembered."""
@@ -536,7 +538,7 @@ class _Walk:
         if self.factors is None:
             return False
         g = self.state
-        de = g.descendants(v) & g.random
+        de = self.de[v] = g.descendants(v) & g.random
         if de == {v}:
             if v == g.selector:
                 # the selector stays a conditioning variable: marginalizing
@@ -564,16 +566,23 @@ class _Walk:
         A clean verdict for ``w`` reads ``de(w)`` and the readers of its
         members; dropping ``v``'s factor removes only the edges into ``v``
         and that factor's readings.  So the stale verdicts are those of
-        ``ancestors(conditioning | {v})`` before the fix: any other ``w``
+        ``ancestors(conditioning | {v})`` before the fix, which are the
+        ``w`` whose ``de(w)`` meets ``conditioning | {v}``: any other ``w``
         has ``v`` outside ``de(w)``, and no member of ``de(w)`` gains or
-        loses a reader.
+        loses a reader.  Nor does ``de(w)`` change, as no path from ``w``
+        uses an edge into ``v``; so the set kept with a verdict stays
+        valid, and one inherited from the starting kernel gets its set the
+        first time a step filters it.
         """
         state = self.state
         state.check_fixable(v)
         if self.is_clean(v):
             cond = self.factors.pop(v).conditioning()
-            stale = state.ancestors(cond | {v})
-            self.clean = {w: c for w, c in self.clean.items() if w not in stale}
+            hit, de = cond | {v}, self.de
+            if self.clean is self.start._clean:
+                for w in self.clean.keys() - de.keys():
+                    de[w] = state.descendants(w) & state.random
+            self.clean = {w: c for w, c in self.clean.items() if de[w].isdisjoint(hit)}
             readers = self.readers
             for x in cond:
                 rest = readers[x] - {v}

@@ -515,25 +515,31 @@ class FixState(_Adjacency):
         depend only on ``w``'s district and descendants, and a vertex it
         admits must stay admitted after other fixes, as the ordinary
         criterion does.  Then every order ends at the same random set, and
-        after fixing ``v`` only the vertices of ``v``'s old district and
-        ``v``'s ancestors, whose district or descendants that fix changed,
-        are tested again.  The walk ends with ``random`` the reachable
-        closure of ``target`` under the rule, equal to ``target`` exactly
-        when the target is reachable; an unreachable target is not an
-        error.
+        only the *blocked* vertices (random, outside ``target``, not yet
+        admitted) are ever tested again: after fixing ``v``, those of
+        ``v``'s old district and ``v``'s ancestors, the only vertices whose
+        district or descendants that fix changed.  With none blocked, a step
+        computes neither closure.  The walk ends with ``random`` the
+        reachable closure of ``target`` under the rule, equal to ``target``
+        exactly when the target is reachable; an unreachable target is not
+        an error.
         """
         target = frozenset(target)
         unknown = target - self.random
         if unknown:
             raise GraphError(f"not random vertices: {sorted(unknown)}")
         step = step or self.fix
-        ready = {v for v in self.random - target if fixable(self, v)}
+        blocked = self.random - target
+        ready = {v for v in blocked if fixable(self, v)}
+        blocked -= ready
         while ready:
             v = pick(ready)
-            touched = (self.district_of(v) | self.ancestors(v)) & self.random
+            touched = blocked & (self.district_of(v) | self.ancestors(v)) if blocked else ()
             step(v)
             ready.discard(v)
-            ready |= {w for w in touched - target - ready - {v} if fixable(self, w)}
+            freed = {w for w in touched if fixable(self, w)}
+            ready |= freed
+            blocked -= freed
 
     def graph(self) -> Graph:
         """The starting graph with every vertex of ``done`` fixed."""

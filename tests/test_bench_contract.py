@@ -193,6 +193,42 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
     assert not graph_fixes
 
 
+def test_identify_sweep_walks_take_few_closures(monkeypatch):
+    # the fixing walk re-tests only blocked vertices, and computes the fixed
+    # vertex's district and ancestors only while some vertex is blocked; a
+    # clean step drops the verdicts whose descendant set, kept with each,
+    # meets the dropped factor's variables.  Over the 32 identify_sweep
+    # cases the walks take 1890 closures; re-testing the district and
+    # ancestors of every fixed vertex and dropping ancestors(conditioning)
+    # took 4824
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    depth, closures = [0], []
+    real_closure = S.graph._Adjacency._closure
+    real_fix_to = S.estimand.ChainKernel.fix_to
+
+    def counted_closure(g, x, table):
+        if depth[0]:
+            closures.append(x)
+        return real_closure(g, x, table)
+
+    def counted_fix_to(k, *args):
+        depth[0] += 1
+        try:
+            return real_fix_to(k, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(S.graph._Adjacency, "_closure", counted_closure)
+    monkeypatch.setattr(S.estimand.ChainKernel, "fix_to", counted_fix_to)
+    for n in workloads.SWEEP_SIZES:
+        for seed in range(workloads.SWEEP_SEEDS_PER_SIZE):
+            dag, obs, query = workloads.sweep_case(S, n, seed)
+            proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+            S.identify.identify_selected(proj, query)
+    assert len(closures) == 1890
+
+
 def test_identify_sweep_validates_no_derived_graph(monkeypatch):
     # a graph is validated where it is built from outside data, and every
     # derivation carries the invariants through; the context graphs of a

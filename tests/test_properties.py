@@ -33,6 +33,7 @@ from selid.fixtures import all_fixtures
 from selid.graph import (
     OBSERVATIONAL,
     Edge,
+    FixState,
     Graph,
     GraphError,
     NotFixableError,
@@ -581,6 +582,43 @@ class TestGraphLayerShortcuts:
                     degraded += got.factors is None
         assert compared == 3600 and degraded > 100
 
+    def test_a_blocked_vertex_is_freed_by_a_later_fix(self):
+        # X sees Z as both a child and a sibling, so it is blocked until Z
+        # is fixed; the walk re-tests only blocked vertices, so this is the
+        # path that admits a vertex after the first scan
+        g = Graph(
+            random=frozenset("XYZ"),
+            edges=frozenset([directed("X", "Z"), bidirected("X", "Z")]),
+        )
+        for rule in (Graph.is_fixable, _selection_fixable):
+            assert not rule(g, "X") and rule(g, "Z")
+            state = FixState(g)
+            state.fix_to({"Y"}, rule)
+            assert state.done == ["Z", "X"] and state.random == {"Y"}
+            assert ChainKernel.from_joint(g).fix_to({"Y"}, rule).randoms == {"Y"}
+
+    def test_freed_vertices_match_the_full_retest(self):
+        # the walk re-tests only the blocked vertices of each step's old
+        # district and ancestors; the reference re-tests every vertex there.
+        # Many walks admit a vertex that the first scan found blocked
+        freeing_walks = freed = 0
+        for seed in range(300):
+            g = _labelled_admg(seed)
+            rng = random.Random(seed * 41 + 3)
+            members = sorted(g.random)
+            joint, reference = ChainKernel.from_joint(g), _StepKernel.from_joint(g)
+            for _ in range(3):
+                r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+                for rule in (Graph.is_fixable, _selection_fixable):
+                    walk = _Walk(joint)
+                    walk.state.fix_to(r, rule, walk.pick, walk.step)
+                    _assert_same_kernel(walk.kernel(), reference.fix_to(r, rule), (seed, sorted(r)))
+                    first = {v for v in g.random - r if rule(g, v)}
+                    late = set(walk.state.done) - first
+                    freeing_walks += bool(late)
+                    freed += len(late)
+        assert (freeing_walks, freed) == (333, 554)
+
     def test_fix_still_checks_its_vertex(self):
         # for the graph and for one step of the chain kernel's walk; the
         # fixability test skips its closures when v has no sibling or no
@@ -684,6 +722,31 @@ class TestFixMemo:
         assert walk.factors is not None
         assert not walk.is_clean("W")
         assert not _Walk(walk.kernel()).is_clean("W")
+
+    def test_an_inherited_verdict_goes_stale(self):
+        # the kernel of test_ancestors_of_the_fixed_vertex_go_stale, with
+        # W's verdict made by an earlier walk and shared through the
+        # kernel: the walk that fixes V never computed de(W) itself
+        g = Graph(
+            random=frozenset("WPVXR"),
+            edges=frozenset([
+                directed("W", "P"), directed("P", "V"), directed("V", "R"),
+                directed("W", "X"), bidirected("X", "R"),
+            ]),
+        )
+        factors = {
+            "W": ChainFactor("W", "p", frozenset()),
+            "P": ChainFactor("P", "p", frozenset("W")),
+            "V": ChainFactor("V", "p", frozenset("P"), (("P", Sym("p")),)),
+            "X": ChainFactor("X", "p", frozenset("W")),
+            "R": ChainFactor("R", "p", frozenset("XVW")),
+        }
+        k = ChainKernel(g, factors, None)
+        assert _Walk(k).is_clean("W") and k._clean == {"W": True}
+        walk = _Walk(k)
+        walk.step("V")
+        assert walk.factors is not None
+        assert not walk.is_clean("W")
 
     def test_kernels_of_a_fix_to_die_with_the_joint(self, monkeypatch):
         # a walk builds no kernel but its result, and nothing it builds
