@@ -3,11 +3,12 @@
 Estimands are immutable trees over named base kernels.  A base kernel
 ``p(O | C)`` denotes a conditional of a named distribution; derived kernels
 are built with sums (``SumOver``, which marginalization builds too), ratios,
-products and value restrictions.  Identification algorithms mostly
-manipulate kernels in *chain form* (products of single-vertex conditionals),
-where fixing a vertex often just drops its factor; every other step is
-``fix_kernel``, which sums out a childless vertex and otherwise divides by a
-quotient.  Evaluation lives in the oracle module.
+products and value restrictions.  Identification algorithms fix a
+``ChainKernel``: a map from each random vertex to its factor, a
+single-vertex conditional or one block for its whole district.  A fixing
+step drops the vertex's factor or rewrites its district's block, and no
+other factor.  ``fix_kernel`` fixes a whole expression at once, the generic
+reference.  Evaluation lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -346,26 +347,7 @@ def fix_kernel(e: Estimand, g: Graph | FixState, v: str) -> Estimand:
 
 
 # --------------------------------------------------------------------------
-# chain-form kernels (structured fixing for the identification algorithms)
-
-
-@dataclass(frozen=True)
-class ChainFactor:
-    vertex: str
-    base: str
-    cond: frozenset
-    restr: tuple = ()  # sorted (variable, Value) pairs applied to this factor
-
-    def to_estimand(self) -> Estimand:
-        e: Estimand = BaseKernel(self.base, frozenset([self.vertex]), self.cond)
-        if self.restr:
-            e = Restrict(e, self.restr)
-        return e
-
-    @_cached
-    def conditioning(self) -> frozenset:
-        """Context variables still free after restriction."""
-        return self.cond - frozenset(dict(self.restr))
+# kernels under fixing (structured fixing for the identification algorithms)
 
 
 def trim_conditioning(g: Graph, v: str, cond: Iterable[str], keep: Iterable[str] = ()) -> frozenset:
@@ -396,32 +378,37 @@ def trim_conditioning(g: Graph, v: str, cond: Iterable[str], keep: Iterable[str]
 
 
 class ChainKernel:
-    """A kernel under fixing, kept in chain form as long as the rules allow.
+    """A kernel under fixing: a map from each random vertex to its factor.
 
-    The kernel starts as the full base law of ``graph`` factorized into
-    single-vertex conditionals along the deterministic topological order,
-    each conditioned on its Markov pillow (a Markov-equivalent,
-    display-friendly form).  A fixing step drops the vertex's factor when
-    that keeps the chain form, and otherwise hands the step to
-    ``fix_kernel``.  The selector is special: a childless selector's factor
-    is always dropped so that it remains a conditioning variable — summing
-    it out would assume positivity its support structurally violates.  Once
-    a step forces a non-chain expression the kernel degrades to a plain
-    estimand and every further step goes to ``fix_kernel``.  ``fix_to``
-    fixes toward a target set and stops at its reachable closure, so one
-    kernel built by ``from_joint`` serves every district of a query; its
-    loop is ``FixState.fix_to``, the same walk ``Graph.reachable`` takes.
+    The kernel is the product of its distinct factors, and the factors of a
+    district's members multiply to that district's kernel q_D (the
+    c-component factorization of Tian & Pearl, AAAI 2002, which every
+    kernel reached by fixing has: Richardson, Evans, Robins & Shpitser,
+    Ann. Statist. 2023).  A factor is its vertex's chain conditional
+    ``p(v | pillow)``, a ``BaseKernel``, restricted once a value is pinned
+    in it; or its district's *block*, one estimand that every member of the
+    district maps to.  ``from_joint`` factorizes the base law of ``graph``
+    into chain conditionals along the deterministic topological order,
+    each conditioned on its Markov pillow.
 
-    A kernel is never changed: ``fix`` and ``fix_to`` take their steps in
-    a working state (``_Walk``) and build one new kernel at the end.
+    Fixing ``v`` rewrites only the factors of its district D
+    (``_Walk.step``).  A *clean* step, or one with D = {v}, drops ``v``'s
+    factor; the selection procedures fix the selector only once its
+    district is {S}, so it is never summed out, which would assume
+    positivity its support structurally violates.  Any other step sums
+    ``v`` out of the product of D's factors, which is q_D / q_D(v | mb(v))
+    as ``v`` has no other descendant in D, and splits the sum into the
+    districts of D - {v} (``_split``).  ``fix_to`` stops at the reachable
+    closure of its target, so one kernel built by ``from_joint`` serves
+    every district of a query.  A kernel is never changed: ``fix`` and
+    ``fix_to`` step in a working state (``_Walk``) and build one new kernel.
     """
 
-    def __init__(self, graph: Graph, factors: Optional[dict], expr: Optional[Estimand]):
+    def __init__(self, graph: Graph, factors: dict):
         self.graph = graph
-        self.factors = factors  # dict vertex -> ChainFactor, or None once degraded
-        self._expr = expr
-        # vertex -> whether fixing it first keeps the chain form; filled by
-        # the walks that start here, before their first step
+        self.factors = factors  # random vertex -> its chain conditional or its district's block
+        # vertex -> whether fixing it first is clean; filled by the walks
+        # that start here, before their first step
         self._clean = {}
 
     @classmethod
@@ -430,9 +417,9 @@ class ChainKernel:
         pre: list = []
         for v in graph.topological_order():
             if v in graph.random:
-                factors[v] = ChainFactor(v, base, trim_conditioning(graph, v, pre))
+                factors[v] = BaseKernel(base, frozenset((v,)), trim_conditioning(graph, v, pre))
             pre.append(v)
-        return cls(graph, factors, None)
+        return cls(graph, factors)
 
     # -- views ---------------------------------------------------------------
 
@@ -441,20 +428,23 @@ class ChainKernel:
         return self.graph.random
 
     def expr(self) -> Estimand:
-        if self.factors is not None:
-            return _chain_expr(self.factors, self.graph.topological_order())
-        return self._expr
+        return _product(self.factors, self.graph.topological_order())
 
     def with_graph(self, g: Graph) -> "ChainKernel":
-        """Reinterpret the same kernel over another graph (e.g. a context graph)."""
-        return ChainKernel(g, dict(self.factors) if self.factors else None, self._expr)
+        """Reinterpret the same kernel over ``g``, a graph with some of its
+        edges (e.g. a context graph); a block whose district falls apart in
+        ``g`` is split into ``g``'s districts."""
+        factors = dict(self.factors)
+        for b in {id(f): f for f in factors.values() if len(f.outcomes()) > 1}.values():
+            factors.update(_split(b, g, g.topological_order()))
+        return ChainKernel(g, factors)
 
     @functools.cached_property
     def _readers(self) -> dict:
-        """Variable -> the vertices whose chain factor conditions on it."""
+        """Variable -> the vertices whose factor conditions on it."""
         out = {}
         for w, f in self.factors.items():
-            for x in f.conditioning():
+            for x in f.contexts():
                 out.setdefault(x, set()).add(w)
         return out
 
@@ -470,58 +460,81 @@ class ChainKernel:
 
     def fix_to(self, target: Iterable[str], fixable=Graph.is_fixable) -> "ChainKernel":
         """Fix every vertex outside ``target`` that ``fixable(graph, v)``
-        admits, steps that keep the chain form first, then the smallest
-        name, until none is left: ``FixState.fix_to``, the one fixing walk,
-        run on the walk's state, whose contract the rule must meet.  The
-        result's ``randoms`` are the reachable closure of ``target`` under
-        the rule.
-
-        The rule reads the walk's ``FixState``, which answers as the graph
-        of the kernel so far would.  Every step changes that one working
-        state in place, and only the result is built as a ``Graph`` and a
-        ``ChainKernel``; with nothing to fix, the result is this kernel.
+        admits, clean steps first, then the smallest name, until none is
+        left: ``FixState.fix_to``, the one fixing walk, run on the walk's
+        ``FixState``, which answers as the graph of the kernel so far would;
+        the rule must meet that walk's contract.  The result's ``randoms``
+        are the reachable closure of ``target`` under the rule, and it is
+        this kernel when there is nothing to fix.
         """
         walk = _Walk(self)
         walk.state.fix_to(target, fixable, walk.pick, walk.step)
         return walk.kernel()
 
 
-def _chain_expr(factors: dict, order: tuple) -> Estimand:
-    """The product of the chain factors along ``order``."""
-    rank = {v: i for i, v in enumerate(order)}
-    parts = [factors[v].to_estimand() for v in sorted(factors, key=lambda v: rank.get(v, 0))]
-    if len(parts) == 1:
-        return parts[0]
-    return Product(tuple(parts))
+def _product(factors: dict, order) -> Estimand:
+    """The product of the distinct factors of the vertices in ``order``."""
+    parts = tuple({id(f): f for f in map(factors.get, order) if f is not None}.values())
+    return parts[0] if len(parts) == 1 else Product(parts)
+
+
+def _split(b: Estimand, g: Graph | FixState, order) -> dict:
+    """Tian's formula: ``b``, the kernel of a union of districts of ``g``,
+    as one block per district, mapped from each of its members.
+
+    A district's block is the product of its members' conditionals given
+    their predecessors along ``order``, a topological order of ``g``, in
+    the margin of ``b`` over the members' and the selector's ancestors (an
+    ancestral set).  The selector is moved up to just after its own
+    ancestors, so it is summed out of no other block.  A run of one
+    district's members telescopes into one ratio of two margins.
+    """
+    members, districts, rest = b.outcomes(), [], set(b.outcomes())
+    while rest:
+        districts.append(g.district_of(min(rest)))
+        rest -= districts[-1]
+    if len(districts) == 1:
+        return dict.fromkeys(members, b)
+    sel = {g.selector} & members
+    first = g.ancestors(sel) & members
+    order = [v for v in order if v in first] + [v for v in order if v in members - first]
+    out = {}
+    for d in districts:
+        an = g.ancestors(d | sel) & members
+        margin, seq, runs = marginalize(b, members - an), [v for v in order if v in an], []
+        for i, v in enumerate(seq):
+            if v in d and (i == 0 or seq[i - 1] not in d):
+                j = next((j for j in range(i, len(seq)) if seq[j] not in d), len(seq))
+                run = marginalize(margin, seq[j:])
+                runs.append(Ratio(run, marginalize(margin, seq[i:])) if i else run)
+        out.update(dict.fromkeys(d, runs[0] if len(runs) == 1 else Product(tuple(runs))))
+    return out
 
 
 class _Walk:
     """The working state of one fixing walk from a ``ChainKernel``.
 
-    It holds a ``FixState`` of the kernel's graph and copies of its chain
-    factors and of the readers of each variable, and changes them in place
-    at every ``step``; ``kernel`` builds the kernel the walk ends at.  The
-    clean verdicts (whether fixing a vertex keeps the chain form) are the
-    starting kernel's own until the first step, which keeps those it leaves
-    valid in a dict of the walk's own.  ``de`` holds, for each verdict the
-    walk has made or filtered, the random descendants it was made on.
+    It holds a ``FixState`` of the kernel's graph and copies of its factors
+    and of the readers of each variable, and changes them in place at every
+    ``step``; ``kernel`` builds the kernel the walk ends at.  The clean
+    verdicts are the starting kernel's own until the first step, which
+    keeps those it leaves valid in a dict of the walk's own.  ``de`` holds,
+    for each verdict the walk has made or filtered, the random vertices it
+    was made on.
     """
 
-    __slots__ = ("start", "state", "factors", "readers", "expr", "clean", "de")
+    __slots__ = ("start", "state", "factors", "readers", "clean", "de")
 
     def __init__(self, k: ChainKernel):
         self.start = k
         self.state = FixState(k.graph)
-        self.expr = k._expr
-        self.factors = self.readers = None
-        if k.factors is not None:
-            self.factors = dict(k.factors)
-            self.readers = dict(k._readers)  # each entry is replaced, never changed
+        self.factors = dict(k.factors)
+        self.readers = dict(k._readers)  # each entry is replaced, never changed
         self.clean = k._clean
         self.de = {}
 
     def is_clean(self, v: str) -> bool:
-        """Whether fixing ``v`` now keeps the chain form, remembered."""
+        """Whether fixing ``v`` now is clean, remembered."""
         c = self.clean.get(v)
         if c is None:
             c = self.clean[v] = self._fix_is_clean(v)
@@ -533,9 +546,10 @@ class _Walk:
         return next((w for w in cands if self.is_clean(w)), cands[0])
 
     def _fix_is_clean(self, v: str) -> bool:
-        """Whether fixing ``v`` keeps the kernel in chain form: its factor is
-        then simply dropped; a degraded kernel has no factor to drop."""
-        if self.factors is None:
+        """Whether fixing ``v`` may drop its factor and keep every other one."""
+        if len(self.factors[v].outcomes()) > 1:
+            # v shares a block, which only a step that touches v rewrites
+            self.de[v] = frozenset((v,))
             return False
         g = self.state
         de = self.de[v] = g.descendants(v) & g.random
@@ -554,54 +568,54 @@ class _Walk:
         # a topological prefix and fixing only removes edges
         return all(self.readers.get(x, set()) <= de for x in de)
 
-    def expression(self) -> Estimand:
-        if self.factors is not None:
-            return _chain_expr(self.factors, self.state.topological_order())
-        return self.expr
-
     def step(self, v: str) -> None:
-        """Fix ``v``: drop its factor when that keeps the chain form, and
-        otherwise hand the kernel to ``fix_kernel``.
+        """Fix ``v``: drop its factor if the step is clean or its district
+        is {v}, else replace the factors of its district D by the sum over
+        ``v`` of their product, split into the districts of D - {v}.
 
-        A clean verdict for ``w`` reads ``de(w)`` and the readers of its
-        members; dropping ``v``'s factor removes only the edges into ``v``
-        and that factor's readings.  So the stale verdicts are those of
-        ``ancestors(conditioning | {v})`` before the fix, which are the
-        ``w`` whose ``de(w)`` meets ``conditioning | {v}``: any other ``w``
-        has ``v`` outside ``de(w)``, and no member of ``de(w)`` gains or
-        loses a reader.  Nor does ``de(w)`` change, as no path from ``w``
-        uses an edge into ``v``; so the set kept with a verdict stays
-        valid, and one inherited from the starting kernel gets its set the
-        first time a step filters it.
+        A clean verdict for ``w`` reads ``de(w)``, the readers of its
+        members and whether ``w`` shares a block.  The step rewrites the
+        factors of ``touched`` ({v} or D), so it changes the readers of
+        their contexts alone, and it removes only edges into ``v``.  So a
+        verdict goes stale only if its ``de(w)`` meets ``touched`` or those
+        contexts; for any other ``w``, ``v`` is outside ``de(w)``, so no
+        path from ``w`` uses an edge into ``v`` and the set kept with the
+        verdict stays valid.  One inherited from the starting kernel gets
+        its set the first time a step filters it.
         """
-        state = self.state
+        state, factors, readers = self.state, self.factors, self.readers
         state.check_fixable(v)
-        if self.is_clean(v):
-            cond = self.factors.pop(v).conditioning()
-            hit, de = cond | {v}, self.de
-            if self.clean is self.start._clean:
-                for w in self.clean.keys() - de.keys():
-                    de[w] = state.descendants(w) & state.random
-            self.clean = {w: c for w, c in self.clean.items() if de[w].isdisjoint(hit)}
-            readers = self.readers
-            for x in cond:
-                rest = readers[x] - {v}
-                if rest:
-                    readers[x] = rest
-                else:
-                    del readers[x]
+        if self.is_clean(v) or not state.siblings(v):
+            touched, ctx = {v}, factors[v].contexts()
         else:
-            self.expr = fix_kernel(self.expression(), state, v)
-            self.factors = self.readers = None
-            self.clean = {}
+            touched = state.district_of(v)
+            ctx = frozenset().union(*(factors[w].contexts() for w in touched))
+        hit, de = ctx | touched, self.de
+        if self.clean is self.start._clean:
+            for w in self.clean.keys() - de.keys():
+                de[w] = state.descendants(w) & state.random
+        self.clean = {w: c for w, c in self.clean.items() if de[w].isdisjoint(hit)}
+        for x in ctx:
+            rest = readers[x] - touched
+            if rest:
+                readers[x] = rest
+            else:
+                del readers[x]
         state.fix(v)
+        if len(touched) > 1:
+            order = state.topological_order()
+            blocks = _split(SumOver(_product({w: factors[w] for w in touched}, order), frozenset((v,))), state, order)
+            factors.update(blocks)
+            for b in {id(b): b for b in blocks.values()}.values():
+                for x in b.contexts():
+                    readers[x] = readers.get(x, set()) | b.outcomes()
+        del factors[v]
 
     def kernel(self) -> ChainKernel:
-        """The kernel the walk has reached: the starting one if no step was
-        taken."""
+        """The kernel the walk has reached: the starting one if no step."""
         if not self.state.done:
             return self.start
-        return ChainKernel(self.state.graph(), self.factors, self.expr)
+        return ChainKernel(self.state.graph(), self.factors)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Iterable, Optional
 
 from .estimand import (
     BaseKernel,
-    ChainFactor,
     ChainKernel,
     Estimand,
     Lo,
@@ -279,15 +278,10 @@ def _pattern_value(pattern: frozenset) -> SelectorValue:
     return SelectorValue(pattern, tuple((c, "*") for c in sorted(pattern)))
 
 
-def _kernel_scope(kernel: ChainKernel) -> frozenset:
-    """The free variables of ``kernel.expr()``: each chain factor's vertex
-    and its unrestricted conditioning variables."""
-    if kernel.factors is None:
-        return kernel.expr().free_vars()
-    scope = set(kernel.factors)
-    for f in kernel.factors.values():
-        scope |= f.conditioning()
-    return frozenset(scope)
+def _kernel_scope(factors: dict) -> frozenset:
+    """The free variables of the product of ``factors``, a kernel's factor
+    map or part of one: the vertices and the contexts of their factors."""
+    return frozenset(factors).union(*(f.contexts() for f in factors.values()))
 
 
 def _selection_fixable(g: Graph, v: str) -> bool:
@@ -295,7 +289,9 @@ def _selection_fixable(g: Graph, v: str) -> bool:
 
     The selector's own factor can only be divided out where its law is
     positive; a remaining bidirected neighbour makes the restricted slices
-    load-bearing, so the selector stays random until its district is clear.
+    load-bearing, so the selector stays random until its district is {S},
+    that is until it has no sibling, as no bidirected edge meets a fixed
+    vertex.
     Other vertices use the ordinary criterion.  The answer depends only on
     the vertex's district and descendants, and a fixable vertex stays
     fixable, so the rule meets the contract of ``FixState.fix_to``, the
@@ -304,7 +300,7 @@ def _selection_fixable(g: Graph, v: str) -> bool:
     if not g.is_fixable(v):
         return False
     if v == g.selector:
-        return g.district_of(v) == {v}
+        return not g.siblings(v)
     return True
 
 
@@ -323,35 +319,30 @@ def _contexts(g: Graph):
 
 
 def _polish_kernel(kernel: ChainKernel, sel: str, sval: SelectorValue, contexts) -> Estimand:
-    """Attach the selector restriction ``sval`` to the chain factors that
-    depend on the selector ``sel``, trimming their conditioning sets in
-    ``contexts(sval.pattern)``, the margin's context graph at that value
-    (the conditional independencies that hold given the chosen value).
+    """``kernel.expr()`` with the factors that read the selector ``sel``
+    pinned at ``sval`` in ``contexts(sval.pattern)``, the margin's context
+    graph at that value (``_pin_selector``).
 
     The margin G[A] serves as well as G for any A that holds every factor's
     vertex and conditioning set: ``trim_conditioning`` reads only siblings
     within those sets and their parents, and G[A] has G's edges among A.
     """
-    if kernel.factors is None:
-        e = kernel.expr()
-        if sel in e.free_vars():
-            e = restrict(e, {sel: sval})
-        return e
-    factors = dict(kernel.factors)
-    for v, f in kernel.factors.items():
-        if sel in f.cond:
-            factors[v] = _pin_selector(contexts(sval.pattern), f, sval)
-    return ChainKernel(kernel.graph, factors, None).expr()
+    pinned = {}  # id of each distinct factor -> it as polished
+    for f in {id(f): f for f in kernel.factors.values()}.values():
+        pinned[id(f)] = _pin_selector(contexts(sval.pattern), f, sval) if sel in f.contexts() else f
+    return ChainKernel(kernel.graph, {v: pinned[id(f)] for v, f in kernel.factors.items()}).expr()
 
 
-def _pin_selector(ctx: Graph, f: ChainFactor, sval: SelectorValue) -> ChainFactor:
-    """``f`` restricted to the selector value ``sval``, its conditioning set
-    re-trimmed in ``ctx``, the context graph of that value, keeping the
-    selector."""
-    sel = ctx.selector
-    cond = trim_conditioning(ctx, f.vertex, f.cond, keep={sel})
-    restr = {**dict(f.restr), sel: sval}
-    return ChainFactor(f.vertex, f.base, cond, tuple(sorted(restr.items())))
+def _pin_selector(ctx: Graph, f: Estimand, sval: SelectorValue) -> Estimand:
+    """``f``, an unrestricted chain conditional or a block, restricted to
+    the selector value ``sval``.  A chain conditional's conditioning set is
+    re-trimmed first in ``ctx``, the context graph of that value (the
+    conditional independencies that hold given the chosen value), keeping
+    the selector."""
+    if isinstance(f, BaseKernel):
+        (v,) = f.outcome
+        f = BaseKernel(f.name, f.outcome, trim_conditioning(ctx, v, f.context, keep={ctx.selector}))
+    return restrict(f, {ctx.selector: sval})
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +451,7 @@ def identify_selected(
                 kernel = qtil.with_graph(ctx).fix_to(dstar)
                 if kernel.randoms != dstar:
                     continue
-            sval = _selector_assign(pattern, query, _kernel_scope(kernel))
+            sval = _selector_assign(pattern, query, _kernel_scope(kernel.factors))
             return _polish_kernel(kernel, sel, sval, contexts)
         return FailThicket(dstar, tuple(tried))
 
@@ -489,36 +480,29 @@ def _confounded_selector(
     tried = []
     for pattern in _candidate_patterns(support, dstar, required):
         tried.append(tuple(sorted(pattern)))
-        if qtil.factors is None:
-            continue  # the chain degraded; no structured factors to order
         pv = _pattern_value(pattern)
         sw = swig(gtil, {sel: pv}, pv)
         dprime = sw.district_of(min(dstar))
         if not dstar <= dprime or sel in dprime:
             continue
+        if any(len(qtil.factors[v].outcomes()) > 1 for v in dprime):
+            continue  # dprime meets a block: no single-vertex factors to order
         left = dprime & de_s
         cond = (dprime - left) | (gtil.parents(dprime) - dprime)
         cond = (cond & sw.vertices) - {sel}
         if left and not sw.m_separated(left, {sel}, cond):
             continue
 
-        scope = frozenset(dprime)
-        for v in dprime:
-            scope |= qtil.factors[v].cond
-        sval = _selector_assign(pattern, query, scope)
+        sval = _selector_assign(pattern, query, _kernel_scope({v: qtil.factors[v] for v in dprime}))
         factors = {}
         ctx = context_graph(g, pv)
         for v in sorted(dprime):
             f = qtil.factors[v]
-            if sel in f.cond:
+            if sel in f.contexts():
                 f = _pin_selector(ctx, f, sval)
-            restr = dict(f.restr)
-            for w, tok in query.treatments:
-                if w in pattern and w in f.cond:
-                    restr[w] = tok
-            factors[v] = ChainFactor(v, f.base, f.cond, tuple(sorted(restr.items())))
+            factors[v] = restrict(f, {w: tok for w, tok in query.treatments if w in pattern and w != v})
         sub = sw.induced_subgraph(dprime | sw.fixed)
-        kernel = ChainKernel(sub, factors, None).fix_to(dstar)
+        kernel = ChainKernel(sub, factors).fix_to(dstar)
         if kernel.randoms != dstar:
             continue
         return kernel.expr()

@@ -74,9 +74,11 @@ def _is_chain(e: Estimand) -> bool:
     return True
 
 
-def test_chain_fix_result_marks_degraded_steps():
-    # the tracer counts estimand.chain_degraded as results with factors None
-    clean = degraded = 0
+def test_chain_fix_results_always_have_factors():
+    # the tracer counts estimand.chain_degraded as results with factors
+    # None, which no kernel has: each maps every random vertex to a factor,
+    # also once a step has left a block that is not a chain conditional
+    chain = blocks = 0
     for fx in all_fixtures().values():
         k = ChainKernel.from_joint(fx.graph)
         while True:
@@ -84,10 +86,10 @@ def test_chain_fix_result_marks_degraded_steps():
             if not fixable:
                 break
             k = k.fix(fixable[0])
-            assert (k.factors is None) == (not _is_chain(k.expr())), fx.name
-            clean += k.factors is not None
-            degraded += k.factors is None
-    assert clean and degraded
+            assert k.factors is not None and set(k.factors) == k.randoms, fx.name
+            chain += _is_chain(k.expr())
+            blocks += not _is_chain(k.expr())
+    assert chain and blocks
 
 
 def test_outcomes_counter_sees_every_node_class():
@@ -145,13 +147,15 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
     # every fix_to call fixes in one working state and builds at most one
     # graph, its result, from the joint of the ancestral margin
     # An(Y* ∪ {S}); the 32 identify_sweep cases take 137 fix_to calls and
-    # 1124 steps, 4 of them on a degraded kernel, and build no graph through
-    # Graph.fix.  Before, each step built a graph through Graph.fix: 4241
+    # 1124 steps, and build no graph through Graph.fix.  3 steps are not
+    # clean: 2 rewrite their district's factors into a block, and 1 drops
+    # the factor of a district {v} (before blocks, 4 steps were on a kernel
+    # that had left chain form).  Before, each step built a graph through Graph.fix: 4241
     # without sharing, and 745 with a memo that shared the steps of the
     # districts' common prefix while keeping every kernel of the query
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
-    steps, degraded, built, graph_fixes = [], [], [], []
+    steps, not_clean, block_steps, built, graph_fixes = [], [], [], [], []
     per_call = []  # graphs built by fixing, one entry per fix_to call
     real_step = S.estimand._Walk.step
     real_graph = S.graph.FixState.graph
@@ -159,10 +163,13 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
     real_fix = S.graph.Graph.fix
 
     def counted_step(walk, v):
+        before = dict(walk.factors)
+        if not walk.is_clean(v):
+            not_clean.append(v)
         real_step(walk, v)
         steps.append(v)
-        if walk.factors is None:
-            degraded.append(v)
+        if any(f is not before[w] for w, f in walk.factors.items()):
+            block_steps.append(v)
 
     def counted_graph(state):
         if state.done:
@@ -188,7 +195,7 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
             S.identify.identify_selected(proj, query)
-    assert (len(per_call), len(steps), len(degraded)) == (137, 1124, 4)
+    assert (len(per_call), len(steps), len(not_clean), len(block_steps)) == (137, 1124, 3, 2)
     assert max(per_call) == 1 and len(built) == sum(per_call)
     assert not graph_fixes
 
@@ -198,9 +205,12 @@ def test_identify_sweep_walks_take_few_closures(monkeypatch):
     # vertex's district and ancestors only while some vertex is blocked; a
     # clean step drops the verdicts whose descendant set, kept with each,
     # meets the dropped factor's variables.  Over the 32 identify_sweep
-    # cases the walks take 1890 closures; re-testing the district and
+    # cases the walks take 1748 closures; re-testing the district and
     # ancestors of every fixed vertex and dropping ancestors(conditioning)
-    # took 4824
+    # took 4824.  It was 1890 while _selection_fixable tested the
+    # selector's district by a closure where its siblings say the same
+    # (143 closures), and a kernel that had left chain form made no clean
+    # verdicts (a block step takes a district closure)
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
     depth, closures = [0], []
@@ -226,7 +236,7 @@ def test_identify_sweep_walks_take_few_closures(monkeypatch):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
             S.identify.identify_selected(proj, query)
-    assert len(closures) == 1890
+    assert len(closures) == 1748
 
 
 def test_identify_sweep_validates_no_derived_graph(monkeypatch):

@@ -370,7 +370,8 @@ class TestConfoundedSelectorWrapper:
         assert verify(proj, query, proj.support, r, trials=20, seed=0, dag=dag).passed
 
     # V1 and V2 are ancestors of neither V4 nor the selector V0, but over the
-    # whole graph they share V4's district, and fixing V2 degrades the chain
+    # whole graph they share V4's district, and fixing V2 leaves a block (a
+    # kernel that had only chain form degraded here, hence the name)
     DEGRADED = (
         """
         selector V0
@@ -399,10 +400,11 @@ class TestConfoundedSelectorWrapper:
         from selid.identify import _confounded_selector, _selection_fixable
 
         _, proj, query = projected(*self.DEGRADED)
-        # the closure of {V4} in the whole graph holds the selector, and its
-        # chain degraded
+        # the closure of {V4} in the whole graph holds the selector, and is
+        # one district whose factors are one block
         qtil = ChainKernel.from_joint(proj).fix_to(frozenset({"V4"}), _selection_fixable)
-        assert "V0" in qtil.randoms and qtil.factors is None
+        assert qtil.randoms == {"V0", "V3", "V4"} == qtil.factors["V0"].outcomes()
+        assert qtil.factors["V0"] is qtil.factors["V3"] is qtil.factors["V4"]
         r = _confounded_selector(proj, query, qtil, frozenset({"V4"}), proj.support, frozenset({"V3"}))
         assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V4"}), (("V1", "V3"), ("V1",)))
 
@@ -425,7 +427,8 @@ class TestAncestralMargin:
 
     CASES = {
         # bench generator seed 2809: over the whole graph the selector was
-        # fixed on a degraded kernel and summed out, which the oracle refuted
+        # once fixed on a kernel that had left chain form, and summed out,
+        # which the oracle refuted (test_whole_graph_keeps_the_selector)
         "fix_selector_on_degraded_kernel": (
             """
             selector V0
@@ -500,6 +503,37 @@ class TestAncestralMargin:
             "p(V4 | V0=(e_V1=1, v_V1=v1), V1=v1)",
         ),
     }
+
+    def test_whole_graph_keeps_the_selector(self):
+        # seed 2809 fixed over the whole projected graph, each district
+        # polished as identify_selected polishes it.  For {V4} the walk fixes
+        # V2, then the childless V3 that V4's factor reads (V3's district is
+        # {V3}: its factor is dropped), then the selector V0, whose district
+        # is {V0}: its factor is dropped too, and no sum over V0 is built.
+        # Summing V0 out instead gave Σ_{V2} p(V2) (Σ_{V0} p(V0) p(V4 | V0,
+        # V1=v1, V2)), which verify refuted 20 of 20 times
+        from selid.estimand import ChainKernel
+        from selid.identify import (
+            _ancestral_set, _candidate_patterns, _contexts, _factorize, _kernel_scope,
+            _polish_kernel, _selection_fixable, _selector_assign, _selector_children,
+        )
+
+        text, query_text, _ = self.CASES["fix_selector_on_degraded_kernel"]
+        dag, proj, query = projected(text, query_text)
+        joint = ChainKernel.from_joint(proj)
+
+        def solve(d):
+            kernel = joint.fix_to(d, _selection_fixable)
+            assert kernel.randoms == d
+            required = _selector_children(proj) & query.treated & proj.ancestors(d)
+            pattern = _candidate_patterns(proj.support, d, required)[0]
+            sval = _selector_assign(pattern, query, _kernel_scope(kernel.factors))
+            return _polish_kernel(kernel, "V0", sval, _contexts(proj))
+
+        r = _factorize(proj, query, _ancestral_set(proj, query), solve)
+        assert render(r.estimand) == "Σ_{V2} p(V2) p(V4 | V0=(e_V1=1, v_V1=v1), V1=v1, V2)"
+        rep = verify(proj, query, proj.support, r, trials=20, seed=0, dag=dag)
+        assert (rep.status, rep.trials) == ("verified", 20)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_identified_and_verified(self, name):

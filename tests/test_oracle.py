@@ -878,7 +878,8 @@ class TestLawPlans:
     def test_narrowed_kernels_equal_restricted_conditionals(self):
         # a kernel that a Restrict reads over its pattern's selector values
         # alone holds, row for row, the whole conditional restricted
-        # afterwards
+        # afterwards; the two tables may order their axes apart, so each is
+        # read in the row order of the other's axes
         checked = 0
         for e, m, datasets in _identified_cases():
             sources = {n: oracle._dataset_law(m, z, None) for n, z in datasets.items()}
@@ -895,7 +896,9 @@ class TestLawPlans:
                     want = plan.restrict(want, var, val)
                 cpts = [m.cpts[v] for v in plan.inputs]
                 a, b = _run_to(plan, got, cpts), _run_to(plan, want, cpts)
-                assert (a.axes, a.domains, a.denom, a.values) == (b.axes, b.domains, b.denom, b.values), r
+                assert set(a.axes) == set(b.axes), r
+                assert all(a.domains[x] == b.domains[x] for x in a.axes), r
+                assert _rows_as(a, b) == _rows_as(b, b), r
                 checked += 1
         assert checked > 100
 
@@ -1330,6 +1333,13 @@ def _verify_plan(e, m, sources):
     law of ``sources``, as ``verify`` plans it."""
     plan = oracle._Plan(m.cpts)
     return plan.finish(oracle._estimand_steps(e, sources, plan))
+
+
+def _rows_as(t: Table, other: Table) -> tuple:
+    """The values and denominators of ``t`` in the row order of ``other``,
+    which has the same axes."""
+    read = oracle._reader(oracle._Operand(0, t.axes, t.domains).gather(other.axes, other.domains))
+    return list(read(t.values)), t.denom if type(t.denom) is int else list(read(t.denom))
 
 
 def _run_to(plan, out, tables) -> Table:

@@ -12,9 +12,9 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import selid.estimand as estimand_module
 from selid.estimand import (
     BaseKernel,
-    ChainFactor,
     ChainKernel,
     Product,
     Ratio,
@@ -23,6 +23,7 @@ from selid.estimand import (
     Sym,
     Var,
     _Walk,
+    _split,
     base_joint,
     fix_kernel,
     fold,
@@ -181,18 +182,20 @@ class TestChainKernelClosure:
             assert ordinary <= joint.fix_to(r, _selection_fixable).randoms, seed
 
     def test_kernel_scope_is_the_free_variables_of_the_expression(self, monkeypatch):
-        # identify_selected reads a district kernel's scope off its chain
-        # factors, and builds the expression only for a degraded kernel;
-        # checked on identify_sweep and on the 200-seed sweep
+        # identify_selected reads a kernel's scope, or that of some of its
+        # factors, off the factors without building the product; checked on
+        # identify_sweep and on the 200-seed sweep, where a block is among
+        # the factors at times
         S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
         workloads = _load("workloads")
         real = S.identify._kernel_scope
-        chain = []  # one entry per kernel: whether it is in chain form
+        blocks = []  # one entry per call: whether a block is among the factors
 
-        def checked(kernel):
-            out = real(kernel)
-            assert out == kernel.expr().free_vars(), sorted(out)
-            chain.append(kernel.factors is not None)
+        def checked(factors):
+            out = real(factors)
+            parts = {id(f): f for f in factors.values()}.values()
+            assert out == Product(tuple(parts)).free_vars(), sorted(out)
+            blocks.append(not all(map(_is_conditional, parts)))
             return out
 
         monkeypatch.setattr(S.identify, "_kernel_scope", checked)
@@ -203,7 +206,7 @@ class TestChainKernelClosure:
         for case in filter(None, map(random_selection_model, range(200))):
             _, proj, query = case
             identify_selected(proj, query)
-        assert sum(chain) > 250
+        assert len(blocks) > 250 and any(blocks)
 
 
 def _reference_graph_fix(g: Graph, v: str) -> Graph:
@@ -220,22 +223,33 @@ def _reference_graph_fix(g: Graph, v: str) -> Graph:
     return replace(g, random=g.random - {v}, fixed=g.fixed | {v}, edges=kept, latent=g.latent - {v})
 
 
+def _is_conditional(f) -> bool:
+    """Whether the factor ``f`` is a chain conditional, restricted or not,
+    rather than a block."""
+    return isinstance(f.child if isinstance(f, Restrict) else f, BaseKernel)
+
+
 class _StepKernel(ChainKernel):
     """The reference for ``ChainKernel.fix_to``: fixing one kernel at a time.
 
     Every step builds a new graph (``_reference_graph_fix``) and a new
-    kernel.  ``fix`` keeps each kernel it returns, keyed by the vertex, a
-    clean fix hands its result the clean verdicts and readers it leaves
-    valid, and ``fix_to`` takes its steps through that memo, re-testing
-    only the old district and the ancestors of each fixed vertex.
+    kernel, whose readers are computed afresh.  A clean step, or one whose
+    district is {v}, drops v's factor; any other step sums v out of the
+    product of its district's factors and splits the sum with ``_split``
+    (checked on its own by ``TestBlocks``).  ``fix`` keeps each kernel it
+    returns, keyed by the vertex, and hands its result the clean verdicts
+    that the step leaves valid: those of the vertices that are not
+    ancestors of a rewritten factor's vertices or contexts.  ``fix_to``
+    takes its steps through that memo, re-testing only the old district
+    and the ancestors of each fixed vertex.
     """
 
-    def __init__(self, graph, factors, expr):
-        super().__init__(graph, factors, expr)
+    def __init__(self, graph, factors):
+        super().__init__(graph, factors)
         self._fixed = {}  # vertex -> the kernel fix(vertex) returned
 
     def with_graph(self, g: Graph) -> "_StepKernel":
-        return _StepKernel(g, dict(self.factors) if self.factors else None, self._expr)
+        return _StepKernel(g, ChainKernel.with_graph(self, g).factors)
 
     def fix(self, v: str) -> "_StepKernel":
         k = self._fixed.get(v)
@@ -246,23 +260,25 @@ class _StepKernel(ChainKernel):
     def _fix(self, v: str) -> "_StepKernel":
         g = self.graph
         g2 = _reference_graph_fix(g, v)
-        if self._is_clean(v):
-            cond = self.factors[v].conditioning()
-            factors = dict(self.factors)
-            factors.pop(v)
-            k = _StepKernel(g2, factors, None)
-            stale = g.ancestors(cond | {v})
-            k._clean = {w: c for w, c in self._clean.items() if w not in stale}
-            readers = dict(self._readers)
-            for x in cond:
-                rest = readers[x] - {v}
-                if rest:
-                    readers[x] = rest
-                else:
-                    del readers[x]
-            k.__dict__["_readers"] = readers  # seeds the cached property
-            return k
-        return _StepKernel(g2, None, fix_kernel(self.expr(), g, v))
+        factors = dict(self.factors)
+        if self._is_clean(v) or g.district_of(v) == {v}:
+            touched = {v}
+        else:
+            touched = g.district_of(v)
+        old = {id(factors[w]): factors[w] for w in touched}.values()
+        hit = set(touched).union(*(f.contexts() for f in old))
+        if touched == {v}:
+            del factors[v]
+        else:
+            order = [w for w in g2.topological_order() if w in touched]
+            parts = list({id(factors[w]): factors[w] for w in order}.values())
+            block = SumOver(parts[0] if len(parts) == 1 else Product(tuple(parts)), frozenset({v}))
+            del factors[v]
+            factors.update(_split(block, g2, order))
+        k = _StepKernel(g2, factors)
+        stale = g.ancestors(hit)
+        k._clean = {w: c for w, c in self._clean.items() if w not in stale}
+        return k
 
     def _is_clean(self, v: str) -> bool:
         c = self._clean.get(v)
@@ -271,7 +287,7 @@ class _StepKernel(ChainKernel):
         return c
 
     def _fix_is_clean(self, v: str) -> bool:
-        if self.factors is None:
+        if len(self.factors[v].outcomes()) > 1:
             return False
         g = self.graph
         de = g.descendants(v) & self.randoms
@@ -296,9 +312,9 @@ class _StepKernel(ChainKernel):
         return k
 
 
-def _fresh(g: Graph, factors, expr) -> _StepKernel:
+def _fresh(g: Graph, factors) -> _StepKernel:
     """A reference kernel over ``g``: no memo and no carried readers."""
-    return _StepKernel(g, None if factors is None else dict(factors), expr)
+    return _StepKernel(g, dict(factors))
 
 
 def _reference_fix_to(g: Graph, target: frozenset, fixable) -> _StepKernel:
@@ -310,8 +326,110 @@ def _reference_fix_to(g: Graph, target: frozenset, fixable) -> _StepKernel:
         cands = [v for v in sorted(k.randoms - target) if fixable(k.graph, v)]
         if not cands:
             return k
-        k = _fresh(k.graph, k.factors, k._expr)
+        k = _fresh(k.graph, k.factors)
         k = k.fix(next((v for v in cands if k._fix_is_clean(v)), cands[0]))
+
+
+class TestBlocks:
+    def test_each_district_has_chain_conditionals_or_one_block(self, monkeypatch):
+        # after every step of every walk, and in every kernel with_graph
+        # makes: a factor's outcomes are the vertices that map to it, a
+        # block's outcomes are one district, and a district's members all
+        # have chain conditionals or all share one block
+        counts = {"block": 0, "split in a step": 0, "split by with_graph": 0}
+        real_step, real_split = _Walk.step, estimand_module._split
+
+        def check(factors, g):
+            for v, f in factors.items():
+                members = {w for w, h in factors.items() if h is f}
+                assert f.outcomes() == members, v
+                if _is_conditional(f):
+                    assert all(map(_is_conditional, (factors[w] for w in g.district_of(v)))), v
+                else:
+                    assert members == g.district_of(v), v
+                    counts["block"] += 1
+
+        def checked_step(walk, v):
+            real_step(walk, v)
+            check(walk.factors, walk.state)
+
+        def counted_split(b, g, order):
+            out = real_split(b, g, order)
+            if len({id(f) for f in out.values()}) > 1:
+                counts["split in a step" if isinstance(g, FixState) else "split by with_graph"] += 1
+            return out
+
+        monkeypatch.setattr(_Walk, "step", checked_step)
+        monkeypatch.setattr(estimand_module, "_split", counted_split)
+        for seed in range(300):
+            g = _labelled_admg(seed)
+            rng = random.Random(seed * 41 + 3)
+            members = sorted(g.random)
+            labels = sorted({c for e in g.edges for c in e.label})
+            joint = ChainKernel.from_joint(g)
+            for _ in range(3):
+                r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+                for rule in (Graph.is_fixable, _selection_fixable):
+                    qtil = joint.fix_to(r, rule)
+                    pattern = frozenset(rng.sample(labels, rng.randint(0, len(labels))))
+                    ctx = context_graph(qtil.graph, SelectorValue(pattern, tuple((c, 1) for c in sorted(pattern))))
+                    kc = qtil.with_graph(ctx)
+                    check(kc.factors, kc.graph)
+                    kc.fix_to(r)
+        for case in filter(None, map(random_selection_model, range(200))):
+            _, proj, query = case
+            identify_selected(proj, query)
+            sequential_baseline(proj, query)
+        assert counts["block"] > 2000 and counts["split in a step"] > 100 and counts["split by with_graph"] > 40
+
+    def test_district_factors_equal_the_generic_reference(self, monkeypatch):
+        # a drawn model's kernel of each district D of a walk's result,
+        # computed two ways: the product of D's factors, and fix_kernel on
+        # the whole joint along a fixing sequence that reaches D.  They
+        # agree as functions: a context axis that one carries and the other
+        # does not must be provably constant.  Each result is checked again
+        # through with_graph, over the graph without some of its bidirected
+        # edges, on a model drawn from that sparser graph: there a block
+        # can fall apart, and with_graph splits it
+        compared, splits = {"block": 0, "factor": 0}, []
+        real_split = estimand_module._split
+
+        def counted_split(b, g, order):
+            out = real_split(b, g, order)
+            splits.append(isinstance(g, FixState) if len({id(f) for f in out.values()}) > 1 else None)
+            return out
+
+        def check(k, g, tables, where):
+            for d in k.graph.districts():
+                parts = list({id(k.factors[v]): k.factors[v] for v in sorted(d)}.values())
+                got = eval_estimand(parts[0] if len(parts) == 1 else Product(tuple(parts)), tables)
+                e, h = base_joint("p", g.random), g
+                for v in g.reachable(d):
+                    e, h = fix_kernel(e, h, v), h.fix(v)
+                want = eval_estimand(normal_form(e), tables)
+                core = frozenset(got.axes) & frozenset(want.axes)
+                got = got.project_constant(frozenset(got.axes) - core)
+                want = want.project_constant(frozenset(want.axes) - core)
+                assert got.equals(want), (where, sorted(d))
+                compared["factor" if _is_conditional(parts[0]) else "block"] += 1
+
+        monkeypatch.setattr(estimand_module, "_split", counted_split)
+        for seed in range(400):
+            g = random_admg(seed)
+            if len(g.random) > 6:
+                continue
+            rng = random.Random(seed * 31 + 1)
+            members = sorted(g.random)
+            r = frozenset(rng.sample(members, rng.randint(1, len(members))))
+            k = ChainKernel.from_joint(g).fix_to(r)
+            check(k, g, {"p": joint(random_cs_scm(canonical_hidden_dag(g), seed=seed))}, (seed, sorted(r)))
+            cut = {e for e in g.edges if e.kind == "bidirected" and rng.random() < 0.5}
+            sparse = g.with_edges(g.edges - cut)
+            kc = k.with_graph(k.graph.with_edges(k.graph.edges - cut))
+            tables = {"p": joint(random_cs_scm(canonical_hidden_dag(sparse), seed=seed))}
+            check(kc, sparse, tables, (seed, sorted(r), "sparse"))
+        assert compared["factor"] > 1000 and compared["block"] > 100
+        assert splits.count(True) > 10 and splits.count(False) > 5  # in a step, by with_graph
 
 
 def _walk_graph(walk: _Walk) -> Graph:
@@ -523,19 +641,21 @@ class TestGraphLayerShortcuts:
                 Graph(random=names, edges=frozenset(edges))
 
     def test_no_factor_conditions_on_its_descendants(self, monkeypatch):
-        # the drop rule of _Walk._fix_is_clean relies on this: every
-        # conditioning set lies in a topological prefix, and fixes, context
-        # graphs and SWIG subgraphs only remove edges; checked after every
-        # step of every walk
+        # the drop rule of _Walk._fix_is_clean relies on this for chain
+        # conditionals: every conditioning set lies in a topological prefix,
+        # and fixes, context graphs and SWIG subgraphs only remove edges;
+        # checked after every step of every walk.  A block is dropped only
+        # with its district {v}, whatever it reads
         seen = []  # one entry per factor checked
         real_step = _Walk.step
 
         def checked(walk, v):
             real_step(walk, v)
             state = walk.state
-            for w, f in (walk.factors or {}).items():
-                assert not f.conditioning() & (state.descendants(w) - {w}), (v, w)
-                seen.append(w)
+            for w, f in walk.factors.items():
+                if _is_conditional(f):
+                    assert not f.contexts() & (state.descendants(w) - {w}), (v, w)
+                    seen.append(w)
 
         monkeypatch.setattr(_Walk, "step", checked)
         for seed in range(300):
@@ -558,7 +678,7 @@ class TestGraphLayerShortcuts:
         # kernel at every step: on labelled ADMGs, three targets each, under
         # both rules, and each result reinterpreted over a context graph and
         # fixed again
-        compared = degraded = 0
+        compared = blocks = 0
         for seed in range(300):
             g = _labelled_admg(seed)
             rng = random.Random(seed * 41 + 3)
@@ -579,8 +699,8 @@ class TestGraphLayerShortcuts:
                         (seed, sorted(r), sorted(pattern)),
                     )
                     compared += 2
-                    degraded += got.factors is None
-        assert compared == 3600 and degraded > 100
+                    blocks += not all(map(_is_conditional, got.factors.values()))
+        assert compared == 3600 and blocks > 300
 
     def test_a_blocked_vertex_is_freed_by_a_later_fix(self):
         # X sees Z as both a child and a sibling, so it is blocked until Z
@@ -653,11 +773,12 @@ class TestFixMemo:
         # clean verdicts and readers it carries equal those a fresh kernel
         # over that graph and those factors computes
         carried = []  # one entry per carried verdict
-        steps = degraded = 0
+        steps = block_steps = 0
         real_step = _Walk.step
 
         def checked(walk, v):
-            nonlocal steps, degraded
+            nonlocal steps, block_steps
+            before = dict(walk.factors)
             real_step(walk, v)
             g = _walk_graph(walk)
             state = walk.state
@@ -666,14 +787,13 @@ class TestFixMemo:
                 assert state.parents(w) == g.parents(w), (v, w)
                 assert state.children(w) == g.children(w), (v, w)
                 assert state.siblings(w) == g.siblings(w), (v, w)
-            fresh = _fresh(g, walk.factors, walk.expr)
+            fresh = _fresh(g, walk.factors)
             for w, clean in walk.clean.items():
                 assert clean == fresh._fix_is_clean(w), (v, w)
                 carried.append(w)
-            if walk.readers is not None:
-                assert walk.readers == fresh._readers, v
+            assert walk.readers == fresh._readers, v
             steps += 1
-            degraded += walk.factors is None
+            block_steps += any(f is not before[w] for w, f in walk.factors.items())
 
         monkeypatch.setattr(_Walk, "step", checked)
         for seed in range(300):
@@ -696,7 +816,7 @@ class TestFixMemo:
             _, proj, query = case
             identify_selected(proj, query)
             sequential_baseline(proj, query)
-        assert steps > 3000 and degraded > 500 and len(carried) > 200
+        assert steps > 3000 and block_steps > 500 and len(carried) > 200
 
     def test_ancestors_of_the_fixed_vertex_go_stale(self):
         # V's factor reads nothing, as its parent P is restricted, so only
@@ -710,16 +830,16 @@ class TestFixMemo:
             ]),
         )
         factors = {
-            "W": ChainFactor("W", "p", frozenset()),
-            "P": ChainFactor("P", "p", frozenset("W")),
-            "V": ChainFactor("V", "p", frozenset("P"), (("P", Sym("p")),)),
-            "X": ChainFactor("X", "p", frozenset("W")),
-            "R": ChainFactor("R", "p", frozenset("XVW")),
+            "W": BaseKernel("p", "W"),
+            "P": BaseKernel("p", "P", "W"),
+            "V": Restrict(BaseKernel("p", "V", "P"), (("P", Sym("p")),)),
+            "X": BaseKernel("p", "X", "W"),
+            "R": BaseKernel("p", "R", "XVW"),
         }
-        walk = _Walk(ChainKernel(g, factors, None))
+        walk = _Walk(ChainKernel(g, factors))
         assert walk.is_clean("W") and walk.is_clean("V")
         walk.step("V")
-        assert walk.factors is not None
+        assert walk.factors == {w: f for w, f in factors.items() if w != "V"}
         assert not walk.is_clean("W")
         assert not _Walk(walk.kernel()).is_clean("W")
 
@@ -735,17 +855,17 @@ class TestFixMemo:
             ]),
         )
         factors = {
-            "W": ChainFactor("W", "p", frozenset()),
-            "P": ChainFactor("P", "p", frozenset("W")),
-            "V": ChainFactor("V", "p", frozenset("P"), (("P", Sym("p")),)),
-            "X": ChainFactor("X", "p", frozenset("W")),
-            "R": ChainFactor("R", "p", frozenset("XVW")),
+            "W": BaseKernel("p", "W"),
+            "P": BaseKernel("p", "P", "W"),
+            "V": Restrict(BaseKernel("p", "V", "P"), (("P", Sym("p")),)),
+            "X": BaseKernel("p", "X", "W"),
+            "R": BaseKernel("p", "R", "XVW"),
         }
-        k = ChainKernel(g, factors, None)
+        k = ChainKernel(g, factors)
         assert _Walk(k).is_clean("W") and k._clean == {"W": True}
         walk = _Walk(k)
         walk.step("V")
-        assert walk.factors is not None
+        assert walk.factors == {w: f for w, f in factors.items() if w != "V"}
         assert not walk.is_clean("W")
 
     def test_kernels_of_a_fix_to_die_with_the_joint(self, monkeypatch):
@@ -847,7 +967,7 @@ class TestMarkovPillowTrim:
                 pre = []
                 for v in h.topological_order():
                     if v in h.random:
-                        assert factors[v].cond == _greedy_trim(h, v, pre), (seed, v)
+                        assert factors[v].context == _greedy_trim(h, v, pre), (seed, v)
                         compared += 1
                     pre.append(v)
         assert compared > 7000
@@ -863,7 +983,7 @@ class TestMarkovPillowTrim:
                 for pattern in itertools.combinations(names, k):
                     ctx = context_graph(g, SelectorValue(frozenset(pattern), tuple((c, 1) for c in pattern)))
                     for v in sorted(factors):
-                        cond = factors[v].cond
+                        cond = factors[v].context
                         if sel not in cond:
                             continue
                         got = trim_conditioning(ctx, v, cond, keep={sel})

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from selid.estimand import ChainKernel, Sym, render
+from selid.estimand import BaseKernel, ChainKernel, Restrict, SumOver, Sym, fold, render
 from selid.graph import Graph, SelectorSupport, SelectorValue, bidirected, directed
 from selid.identify import (
     Query,
@@ -127,6 +127,57 @@ def test_soundness_sweep_over_3000_seeds():
     }
 
 
+def test_whole_graph_fixing_is_sound_over_3000_seeds(monkeypatch):
+    # identify_selected fixing over the whole graph instead of its margin
+    # An(Y* ∪ {S}): the only graph it takes a subgraph of that holds the
+    # selector is that margin, so the whole graph stands in for it.  Every
+    # identified verdict still verifies; when a step could sum the selector
+    # out of a kernel that had left chain form, one did not (bench seed
+    # 2809's case, TestAncestralMargin)
+    real = Graph.induced_subgraph
+    monkeypatch.setattr(Graph, "induced_subgraph", lambda g, keep: g if g.selector in keep else real(g, keep))
+    identified = 0
+    for seed in range(3000):
+        dag, proj, query = random_selection_model(seed)
+        result = identify_selected(proj, query)
+        if result.kind == "identified":
+            rep = verify(proj, query, proj.support, result, trials=3, seed=seed, dag=dag)
+            assert rep.status == "verified", seed
+            identified += 1
+    assert identified > 1700
+
+
+def test_no_walk_sums_over_the_selector(monkeypatch):
+    # the selection procedures fix the selector only once its district is
+    # {S}, a step that drops its factor, and a split sums it out of the
+    # blocks of its own ancestors alone: no kernel that a walk of
+    # identify_selected or sequential_baseline returns over the 3000-seed
+    # sweep holds a sum over the selector, though some hold a block
+    real = ChainKernel.fix_to
+    kernels = blocks = 0
+
+    def checked(k, *args):
+        nonlocal kernels, blocks
+        out = real(k, *args)
+        sel = k.graph.selector
+
+        def visit(x, _parts):
+            assert not (isinstance(x, SumOver) and sel in x.over), render(x)
+
+        for f in {id(f): f for f in out.factors.values()}.values():
+            fold(f, visit)
+            blocks += not isinstance(f.child if isinstance(f, Restrict) else f, BaseKernel)
+        kernels += 1
+        return out
+
+    monkeypatch.setattr(ChainKernel, "fix_to", checked)
+    for seed in range(3000):
+        _, proj, query = random_selection_model(seed)
+        identify_selected(proj, query)
+        sequential_baseline(proj, query)
+    assert kernels > 10000 and blocks > 300
+
+
 def test_ancestral_margin_fixes_to_the_same_closures():
     # identify_selected fixes from the joint of G[A], A = An(Y* ∪ {S}): every
     # district of Y* reaches the same closure there as in the whole graph,
@@ -142,7 +193,7 @@ def test_ancestral_margin_fixes_to_the_same_closures():
         sub = g.induced_subgraph(g.ancestors(ystar | {g.selector}))
         assert sub.topological_order() == tuple(v for v in g.topological_order() if v in sub.vertices)
         whole, margin = ChainKernel.from_joint(g), ChainKernel.from_joint(sub)
-        assert all(f.cond <= whole.factors[v].cond for v, f in margin.factors.items())
+        assert all(f.context <= whole.factors[v].context for v, f in margin.factors.items())
         for d in g.induced_subgraph(ystar).districts():
             for rule in (Graph.is_fixable, _selection_fixable):
                 assert whole.fix_to(d, rule).randoms == margin.fix_to(d, rule).randoms, (seed, sorted(d))
