@@ -47,7 +47,6 @@ from .identify import (
     identify,
     identify_fused,
     identify_selected,
-    selected_g_formula,
     sequential_baseline,
 )
 from .lsg import parse_graph, parse_query, render_graph

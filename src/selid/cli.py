@@ -24,10 +24,10 @@ from .graph import Graph, GraphError
 from .identify import (
     DatasetSpec,
     Identified,
+    QueryError,
     identify,
     identify_fused,
     identify_selected,
-    selected_g_formula,
     sequential_baseline,
 )
 from .lsg import ParseError, parse_graph, parse_query, render_graph
@@ -65,7 +65,13 @@ def _run_algorithm(name: str, g: Graph, query, datasets):
             raise UsageError("--algorithm gid needs at least one --dataset")
         return identify_fused(g, datasets, query)
     if name == "csg":
-        return selected_g_formula(g, query)
+        # the selected g-formula: identify_selected on a fully observed
+        # selection model, whose districts are single vertices
+        if g.latent or any(e.kind == "bidirected" for e in g.edges):
+            raise QueryError("the selected g-formula needs a fully observed model")
+        if g.selector is None:
+            raise QueryError("no selector; use identify instead")
+        return identify_selected(g, query)
     if name == "ssid":
         return identify_selected(g, query)
     if name == "baseline":

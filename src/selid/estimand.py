@@ -285,10 +285,6 @@ def fold(e: Estimand, visit):
 # constructors / operators
 
 
-def base_joint(name: str, variables: Iterable[str]) -> BaseKernel:
-    return BaseKernel(name, frozenset(variables))
-
-
 def marginalize(e: Estimand, b: Iterable[str]) -> Estimand:
     """Sum the outcome variables ``b`` out of ``e``."""
     b = frozenset(b)

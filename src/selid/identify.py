@@ -6,12 +6,12 @@ set and solve each district in turn (``_factorize``):
 
 * ``identify``            single observational law, hidden-variable ADMG
 * ``identify_fused``      several interventional datasets over one model
-* ``identify_selected``   hidden-variable selection model (labelled multigraph)
+* ``identify_selected``   hidden-variable selection model (labelled multigraph);
+  on a fully observed one every district is a single vertex, and this is
+  the selected g-formula
 
-Two more do not call that backbone themselves:
+A fourth does not call that backbone itself:
 
-* ``selected_g_formula``  fully observed selection model (labelled DAG): a
-  product of one parent conditional per vertex of the ancestral set
 * ``sequential_baseline`` de-select first, then identify (strictly weaker):
   stage 1 fixes every district of the non-selector vertices, and stage 2
   reaches the backbone through ``identify``
@@ -343,43 +343,6 @@ def _pin_selector(ctx: Graph, f: Estimand, sval: SelectorValue) -> Estimand:
         (v,) = f.outcome
         f = BaseKernel(f.name, f.outcome, trim_conditioning(ctx, v, f.context, keep={ctx.selector}))
     return restrict(f, {ctx.selector: sval})
-
-
-# --------------------------------------------------------------------------
-# fully observed selection models: the selected g-formula
-
-
-def selected_g_formula(g: Graph, query: Query, support: Optional[SelectorSupport] = None):
-    """Product of parent conditionals over the SWIG-ancestral set, each factor
-    at a selector value that leaves its vertex natural; identified exactly
-    when such a value exists for every factor."""
-    if g.latent or any(e.kind == "bidirected" for e in g.edges):
-        raise QueryError("the selected g-formula needs a fully observed model")
-    if g.selector is None:
-        raise QueryError("no selector; use identify instead")
-    support = support or g.support
-    if support is None:
-        raise QueryError("a selector support is required")
-    _validate_query(g, query)
-    sel = g.selector
-    children = _selector_children(g)
-    ystar = _ancestral_set(g, query)
-    factors = []
-    for v in sorted(ystar):
-        required = children & query.treated & g.ancestors({v})
-        patterns = _candidate_patterns(support, frozenset({v}), required)
-        if not patterns:
-            return FailPositivity(frozenset({v}))
-        pattern = patterns[0]
-        pa = g.parents(v)
-        e: Estimand = BaseKernel("p", frozenset({v}), pa)
-        asg = {w: tok for w, tok in query.treatments if w in pa}
-        if sel in pa:
-            asg[sel] = _selector_assign(pattern, query, pa | {v})
-        if asg:
-            e = restrict(e, asg)
-        factors.append(e)
-    return Identified(_assemble(factors, ystar, query))
 
 
 # --------------------------------------------------------------------------

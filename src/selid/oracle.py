@@ -1728,11 +1728,3 @@ def verify(
 
     return VerifyReport("unverified", str(kind), 0, (), "no checkable certificate")
 
-
-def exact_ci(t: Table, x, y, z) -> bool:
-    """Exact conditional independence X indep Y | Z in the joint table ``t``,
-    decided by cross-multiplication (no divisions)."""
-    x, y, z = frozenset(x), frozenset(y), frozenset(z)
-    pxyz = t.sum_out(frozenset(t.axes) - x - y - z)
-    pz, pxz, pyz = (pxyz.sum_out(w) for w in (x | y, y, x))
-    return pxyz.multiply(pz).equals(pxz.multiply(pyz))

@@ -25,13 +25,11 @@ from selid.identify import (
     identify,
     identify_fused,
     identify_selected,
-    selected_g_formula,
     sequential_baseline,
 )
 from selid.oracle import (
     dataset_table,
     eval_estimand,
-    exact_ci,
     joint,
     random_cs_scm,
     verify,
@@ -39,6 +37,7 @@ from selid.oracle import (
 from selid.projection import canonical_hidden_dag, swig
 
 from functional_models import random_functional_cs_scm
+from reference import exact_ci, same_answer, selected_g_formula
 
 FX = all_fixtures()
 
@@ -232,7 +231,10 @@ class TestAcceptance:
                 for v in rng.sample(treatable, rng.randint(0, min(2, len(treatable))))
             )
             query = Query(outs, treats)
-            result = selected_g_formula(g, query)
+            # identify_selected is what `--algorithm csg` runs; on a fully
+            # observed model it must give the selected g-formula's answer
+            result = identify_selected(g, query)
+            assert same_answer(result, selected_g_formula(g, query)), trial
             if result.kind == "identified":
                 rep = verify(g, query, g.support, result, trials=4, seed=50 + trial, dag=g)
                 if not rep.passed:
@@ -313,7 +315,7 @@ def _random_observed_selection_dag(rng: random.Random) -> Graph:
 
 
 def _property_fixing_order_invariance():
-    from selid.estimand import base_joint, fix_kernel
+    from selid.estimand import fix_kernel
 
     for name in ("chain", "frontdoor", "backdoor", "compliance_pair"):
         g = FX[name].graph
@@ -325,7 +327,7 @@ def _property_fixing_order_invariance():
             evaluated = []
             graphs = set()
             for seq in seqs:
-                gg, e = g, base_joint("p", g.random)
+                gg, e = g, BaseKernel("p", g.random)
                 for v in seq:
                     e = fix_kernel(e, gg, v)
                     gg = gg.fix(v)

@@ -12,6 +12,7 @@ from selid.estimand import (
     render,
     restrict,
 )
+from selid.cli import _run_algorithm
 from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import SelectorSupport
 from selid.identify import (
@@ -21,12 +22,13 @@ from selid.identify import (
     identify,
     identify_fused,
     identify_selected,
-    selected_g_formula,
     sequential_baseline,
 )
 from selid.lsg import parse_graph, parse_query
 from selid.oracle import verify
 from selid.projection import derive_labels, latent_project
+
+from reference import same_answer, selected_g_formula
 
 FX = all_fixtures()
 
@@ -162,9 +164,18 @@ def _base_kernels(e):
 
 
 class TestSelectedGFormula:
+    """``--algorithm csg``: ``identify_selected`` on a fully observed
+    selection model, held to the reference selected g-formula."""
+
+    @staticmethod
+    def csg(g, query, support=None):
+        r = identify_selected(g, query, support)
+        assert same_answer(r, selected_g_formula(g, query, support))
+        return r
+
     def test_scar_identifies_and_verifies(self):
         fx = FX["scar"]
-        r = selected_g_formula(fx.graph, q("Y", A="a"))
+        r = self.csg(fx.graph, q("Y", A="a"))
         assert r.kind == "identified"
         rep = verify(fx.graph, q("Y", A="a"), fx.graph.support, r, trials=20, seed=1, dag=fx.graph)
         assert rep.passed
@@ -172,16 +183,22 @@ class TestSelectedGFormula:
     def test_trivial_support_is_plain_g_formula(self):
         fx = FX["scar"]
         support = SelectorSupport(frozenset([frozenset()]))
-        r = selected_g_formula(fx.graph, q("Y", A="a"), support)
+        r = self.csg(fx.graph, q("Y", A="a"), support)
         assert r.kind == "identified"
 
     def test_forced_outcome_not_identified(self):
-        r = selected_g_formula(FX["forced_outcome"].graph, q("Y"))
+        r = self.csg(FX["forced_outcome"].graph, q("Y"))
         assert r.kind == "positivity" and r.district == {"Y"}
 
     def test_rejects_latent_models(self):
-        with pytest.raises(QueryError):
-            selected_g_formula(FX["double_bow"].dag, q("Y", A="a"))
+        cases = [
+            (FX["double_bow"].dag, "the selected g-formula needs a fully observed model"),
+            (FX["double_bow"].graph, "the selected g-formula needs a fully observed model"),
+            (FX["chain"].graph, "no selector; use identify instead"),
+        ]
+        for g, message in cases:
+            with pytest.raises(QueryError, match=f"^{message}$"):
+                _run_algorithm("csg", g, q("Y", A="a"), [])
 
 
 class TestSelectedIdentification:

@@ -397,14 +397,69 @@ def test_output_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-DAG_QUERIES = {
+# the query asked of each fixture file; a `<name>_dag.lsg` file takes the
+# query of its projection `<name>.lsg`
+QUERIES = {
+    "backdoor": "P(Y | do(A=a))",
+    "bow": "P(Y | do(A=a))",
+    "chain": "P(Y | do(A=a))",
+    "compliance_experimental": "P(Y | do(A=a))",
     "compliance_pair": "P(Y | do(A=a))",
     "confounded_selector_hedge": "P(Y | do(A=a), S=empty)",
     "double_bow": "P(Y | do(A=a), S=empty)",
+    "forced_outcome": "P(Y | do(), S=empty)",
+    "frontdoor": "P(Y | do(A=a))",
     "parallel_paths": "P(B | do(A=a), S=empty)",
+    "scar": "P(Y | do(A=a), S=empty)",
     "selection_web": "P(Y | do(A1=a1, A2=a2), S=empty)",
     "split_thicket": "P(Y | do(A1=a1, A2=a2), S=empty)",
 }
+DAG_QUERIES = {
+    name: QUERIES[name]
+    for name in (
+        "compliance_pair", "confounded_selector_hedge", "double_bow",
+        "parallel_paths", "selection_web", "split_thicket",
+    )
+}
+
+
+def test_csg_answers_as_ssid_or_refuses():
+    # `--algorithm csg` is `identify_selected` restricted to fully observed
+    # selection models: it refuses every other model with one of its two
+    # input errors, and on the rest each command exits and prints as under
+    # `ssid`, with "algorithm" read as "csg"
+    refusals = {
+        "the selected g-formula needs a fully observed model",
+        "no selector; use identify instead",
+    }
+    commands = (
+        ("identify", "--format", "text"),
+        ("identify", "--format", "json"),
+        ("verify", "--trials", "5"),
+        ("witness",),
+    )
+    paths = sorted(FIXDIR.glob("*.lsg"))
+    assert {p.stem.removesuffix("_dag") for p in paths} == set(QUERIES)
+    accepted = []
+    for path in paths:
+        query = QUERIES[path.stem.removesuffix("_dag")]
+        for cmd, *extra in commands:
+            argv = (cmd, "--graph", str(path), "--query", query, *extra)
+            code, out, err = run_cli(*argv, "--algorithm", "csg")
+            if code == 1 and json.loads(err)["message"] in refusals:
+                assert out == "" and json.loads(err)["error"] == "input", argv
+                continue
+            ssid_code, ssid_out, ssid_err = run_cli(*argv, "--algorithm", "ssid")
+            ssid_out = ssid_out.replace('"algorithm": "ssid"', '"algorithm": "csg"')
+            assert (code, out, err) == (ssid_code, ssid_out, ssid_err), argv
+            accepted.append((path.stem, cmd, code))
+    # verify refuses the projection parallel_paths.lsg, as under ssid: its
+    # support names selector children that only the _dag file has
+    assert sorted({stem for stem, *_ in accepted}) == [
+        "forced_outcome", "parallel_paths", "parallel_paths_dag", "scar",
+    ]
+    assert [a for a in accepted if a[2] != 0] == [("parallel_paths", "verify", 1)]
+    assert len(accepted) == 16
 
 
 class TestHiddenVariableInput:

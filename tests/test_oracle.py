@@ -23,7 +23,6 @@ from selid.oracle import (
     UNDEF,
     dataset_table,
     eval_estimand,
-    exact_ci,
     interventional,
     joint,
     parity_witness,
@@ -32,6 +31,8 @@ from selid.oracle import (
     verify,
 )
 from selid.projection import canonical_hidden_dag
+
+from reference import exact_ci
 
 FX = all_fixtures()
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -24,7 +24,6 @@ from selid.estimand import (
     Var,
     _Walk,
     _split,
-    base_joint,
     fix_kernel,
     fold,
     normal_form,
@@ -55,13 +54,13 @@ from selid.identify import (
 from selid.lsg import parse_query
 from selid.oracle import (
     eval_estimand,
-    exact_ci,
     joint,
     random_cs_scm,
 )
 from selid.projection import canonical_hidden_dag, context_graph, derive_labels, latent_project, swig
 
 from functional_models import random_functional_cs_scm
+from reference import exact_ci
 from test_bench_contract import MODULES, _load, _module
 from test_random_models import random_selection_model
 
@@ -403,7 +402,7 @@ class TestBlocks:
             for d in k.graph.districts():
                 parts = list({id(k.factors[v]): k.factors[v] for v in sorted(d)}.values())
                 got = eval_estimand(parts[0] if len(parts) == 1 else Product(tuple(parts)), tables)
-                e, h = base_joint("p", g.random), g
+                e, h = BaseKernel("p", g.random), g
                 for v in g.reachable(d):
                     e, h = fix_kernel(e, h, v), h.fix(v)
                 want = eval_estimand(normal_form(e), tables)
@@ -1049,7 +1048,7 @@ class TestFixingInvariance:
             graphs = set()
             evaluated = []
             for seq in seqs:
-                gg, e = g, base_joint("p", g.random)
+                gg, e = g, BaseKernel("p", g.random)
                 for v in seq:
                     e = fix_kernel(e, gg, v)
                     gg = gg.fix(v)
