@@ -17,13 +17,10 @@ from .estimand import (
     SumOver,
     Sym,
     Var,
-    condition,
-    fix_kernel,
     marginalize,
     normal_form,
     render,
     restrict,
-    structurally_equal,
 )
 from .graph import (
     Edge,
@@ -34,7 +31,6 @@ from .graph import (
     SelectorValue,
     bidirected,
     directed,
-    laidback,
 )
 from .identify import (
     DatasetSpec,

@@ -7,8 +7,7 @@ products and value restrictions.  Identification algorithms fix a
 ``ChainKernel``: a map from each random vertex to its factor, a
 single-vertex conditional or one block for its whole district.  A fixing
 step drops the vertex's factor or rewrites its district's block, and no
-other factor.  ``fix_kernel`` fixes a whole expression at once, the generic
-reference.  Evaluation lives in the oracle module.
+other factor.  Evaluation lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -296,17 +295,6 @@ def marginalize(e: Estimand, b: Iterable[str]) -> Estimand:
     return SumOver(e, b)
 
 
-def condition(e: Estimand, b: Iterable[str]) -> Estimand:
-    """Condition ``e`` on its outcome variables ``b``."""
-    b = frozenset(b)
-    if not b:
-        return e
-    extra = b - e.outcomes()
-    if extra:
-        raise EstimandError(f"cannot condition on non-outcome variables {sorted(extra)}")
-    return Ratio(e, marginalize(e, e.outcomes() - b))
-
-
 def restrict(e: Estimand, asg: Mapping[str, Value]) -> Estimand:
     """Evaluate ``e`` at the given symbolic assignment."""
     asg = {k: v for k, v in asg.items() if k in e.free_vars()}
@@ -320,26 +308,6 @@ def restrict(e: Estimand, asg: Mapping[str, Value]) -> Estimand:
             merged[k] = v
         return Restrict(e.child, tuple(merged.items()))
     return Restrict(e, tuple(asg.items()))
-
-
-def fix_kernel(e: Estimand, g: Graph | FixState, v: str) -> Estimand:
-    """Divide out the kernel factor of ``v``; pair with ``g.fix(v)``.
-
-    For a childless vertex this is marginalization; otherwise the kernel is
-    divided by the conditional of ``v`` given its nondescendants.
-    """
-    g.check_fixable(v)
-    if v not in e.outcomes():
-        raise EstimandError(f"{v!r} is not an outcome variable of the kernel")
-    de = g.descendants(v) & e.outcomes()
-    if de == {v}:
-        return SumOver(e, de)
-    if de == e.outcomes():
-        # no nondescendants among the outcomes: divide by the plain margin
-        return Ratio(e, SumOver(e, de - {v}))
-    num_keep = SumOver(e, de - {v})  # kernel over nd(v) + v
-    den_keep = SumOver(e, de)  # kernel over nd(v)
-    return Ratio(e, Ratio(num_keep, den_keep))
 
 
 # --------------------------------------------------------------------------
@@ -842,12 +810,6 @@ def _value_key(v):
     if isinstance(v, SelectorValue):
         return ("sel", v.sort_key())
     return ("lit", repr(v))
-
-
-def structurally_equal(a: Estimand, b: Estimand) -> bool:
-    """Whether the normal forms of ``a`` and ``b`` are identical, which
-    implies that they are equal; equal estimands may still differ here."""
-    return normal_form(a) == normal_form(b)
 
 
 def substitute_base(e: Estimand, name: str, replacement: Estimand) -> Estimand:

@@ -14,7 +14,7 @@ state of a single fixing walk.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -100,11 +100,6 @@ class SelectorValue:
 OBSERVATIONAL = SelectorValue()
 
 
-def laidback(s: SelectorValue, d: Iterable[str]) -> bool:
-    """True iff ``s`` intervenes on no member of ``d``."""
-    return not (s.pattern & frozenset(d))
-
-
 @dataclass(frozen=True)
 class SelectorSupport:
     """The allowed seriousness patterns of the selector.
@@ -187,9 +182,6 @@ class _Adjacency:
 
     def descendants(self, x) -> frozenset:
         return self._closure(x, self._children)
-
-    def nondescendants(self, x) -> frozenset:
-        return self.vertices - self.descendants(x)
 
     def district_of(self, x) -> frozenset:
         """Bidirected-connected component over random vertices."""
@@ -384,9 +376,6 @@ class Graph(_Adjacency):
             edges=frozenset(kept),
             selector=self.selector if self.selector in keep else None,
         )
-
-    def with_edges(self, edges: Iterable[Edge]) -> "Graph":
-        return replace(self, edges=frozenset(edges))
 
     # -- separation ---------------------------------------------------------
 

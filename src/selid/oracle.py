@@ -77,6 +77,11 @@ from .graph import OBSERVATIONAL, Graph, GraphError, SelectorSupport, SelectorVa
 from .projection import bidirected_latents, canonical_hidden_dag
 
 MAX_CELLS = 1 << 20
+# The cells one plan's steps make for one model, summed over its steps: a
+# plan that would make more is refused while it is made.  Of the identified
+# benchmark sweep cases at 16-64 observed vertices, 64/1 plans the most,
+# 263 938 cells per model; case 128/6 would plan more than two million.
+MAX_PLAN_CELLS = 1 << 20
 # The cells one run of a plan may cover, over all the models of its batch,
 # and the cells of the batch's CPTs: ``verify`` runs as many trials per
 # batch as keep both within it.  Plans of a few dozen cells run dozens of
@@ -92,8 +97,8 @@ class OracleError(ValueError):
 
 
 class CapError(OracleError):
-    """A table, product or state space past ``MAX_CELLS`` cells, refused
-    before it is built."""
+    """A table or product past ``MAX_CELLS`` cells, or a plan past
+    ``MAX_PLAN_CELLS`` cells per model, refused before it is built."""
 
 
 class Undefined:
@@ -211,13 +216,6 @@ class Table:
         outcome, context = frozenset(outcome), frozenset(context)
         return _once([self], lambda plan, a: plan.conditional(a, outcome, context))
 
-    def project_constant(self, axes: Iterable[str]) -> "Table":
-        """Drop axes the table provably does not vary over (exact check)."""
-        return _once([self], lambda plan, a: plan.sum_out(a, axes, _SAME))
-
-    def defined_everywhere(self) -> bool:
-        return not _has_undef(self.values)
-
     def total_variation(self, other: "Table") -> Fraction:
         if set(self.axes) != set(other.axes):
             raise OracleError("total variation over mismatched axes")
@@ -231,11 +229,6 @@ class Table:
         """This table's values in the row order of ``other``, which has the
         same axes, read as a plan step reads its inputs."""
         return _reader(_Operand(0, self.axes, self.domains).gather(other.axes, other.domains))(self.values)
-
-    def equals(self, other: "Table") -> bool:
-        if set(self.axes) != set(other.axes):
-            return False
-        return _equal_rows((self._read_as(other), self.denom), (other.values, other.denom))
 
 
 def _equal_rows(a: tuple, b: tuple) -> bool:
@@ -354,9 +347,6 @@ class DiscreteCsScm(_SelectorDomains):
         return True
 
     # -- laws -----------------------------------------------------------------
-
-    def _cells(self, axes) -> int:
-        return math.prod(len(self.domain(a)) for a in axes)
 
     def _fixed_values(self, a: Mapping, s: Optional[SelectorValue]) -> dict:
         """The values an intervention fixes: ``a`` plus, in a model with a
@@ -551,29 +541,39 @@ class _Plan:
         self.steps = []
         self.margins: dict = {}  # (law, axis set, selector values) -> margin
         self.made: dict = {}  # step key -> its slot
+        self.cells = 0  # the cells of one model's run, over every step
         self.outs = ()
 
-    def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()) -> _Operand:
-        """The table a new step makes, or the slot of an equal step already
-        planned: one with the same op, width and gathers makes the same
-        rows (two margins eliminated from one law share products)."""
+    def step(self, op, operands, axes, domains, given=frozenset(), drop=(), summed=()) -> _Operand:
+        """The table over ``axes`` a step makes from ``operands``, each read
+        over ``axes`` then ``summed`` (``_Operand.gather``) and reduced over
+        ``summed``; or the slot of an equal step already planned, one with
+        the same op, width and gathers, which makes the same rows (two
+        margins eliminated from one law share products).  A step that would
+        take the plan past ``MAX_PLAN_CELLS`` cells raises ``CapError``
+        before its inputs are gathered."""
+        layout = list(axes) + list(summed)
+        width = math.prod(len(domains[a]) for a in summed)
+        cells = width * math.prod(len(domains[a]) for a in axes)
+        if self.cells + cells > MAX_PLAN_CELLS:
+            raise CapError(f"a plan of at least {self.cells + cells} cells per model exceeds the enumeration cap")
+        inputs = [(t.slot, t.gather(layout, domains)) for t in operands]
         key = (op, width, tuple(drop), tuple((s, array("l", idx).tobytes()) for s, idx in inputs))
         slot = self.made.get(key)
         if slot is None:
-            cells = width * math.prod(len(domains[a]) for a in axes)
-            self.steps.append(_Step(op, list(inputs), width, cells, drop))
+            self.cells += cells
+            self.steps.append(_Step(op, inputs, width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
         return _Operand(slot, axes, domains, given=given)
 
     def laid_out(self, t: _Operand, axes, domains) -> _Operand:
         """``t`` copied by a step of its own into rows over ``axes``,
         broadcast over those it lacks."""
-        return self.step(_SUM, [(t.slot, t.gather(axes, domains))], 1, axes, domains, t.given)
+        return self.step(_SUM, [t], axes, domains, t.given)
 
     def product(self, factors: list) -> _Operand:
         axes, domains = _joined(factors)
-        gathers = [(f.slot, f.gather(axes, domains)) for f in factors]
-        return self.step(_SUM, gathers, 1, axes, domains, frozenset().union(*(f.given for f in factors)))
+        return self.step(_SUM, factors, axes, domains, frozenset().union(*(f.given for f in factors)))
 
     def sum_out(self, t: _Operand, axes, op=_SUM) -> _Operand:
         """``t`` without ``axes``: summed out, or with ``op`` ``_SAME``
@@ -583,11 +583,8 @@ class _Plan:
             return t
         keep = [a for a in t.axes if a not in drop]
         gone = [a for a in t.axes if a in drop]
-        rows = t.gather(keep + gone, t.domains)
-        width = math.prod(len(t.domains[a]) for a in gone)
-        domains = {a: t.domains[a] for a in keep}
         checked = sorted(drop) if op is _SAME else ()
-        return self.step(op, [(t.slot, rows)], width, keep, domains, t.given - drop, checked)
+        return self.step(op, [t], keep, t.domains, t.given - drop, checked, gone)
 
     def margin(self, law: "_Law", axes: frozenset, selector: Optional[tuple] = None) -> _Operand:
         """The margin of ``law`` over ``axes``, eliminated from its CPTs
@@ -604,11 +601,9 @@ class _Plan:
         if not set(den.axes) <= set(num.axes):
             raise OracleError("ratio denominator misses axes of the numerator")
         try:
-            idx = den.gather(num.axes, num.domains)
+            return self.step(_DIV, [num, den], num.axes, num.domains, given)
         except KeyError:
             raise OracleError("ratio denominator misses rows of the numerator")
-        inputs = [(num.slot, num.gather(num.axes, num.domains)), (den.slot, idx)]
-        return self.step(_DIV, inputs, 1, num.axes, dict(num.domains), given)
 
     def conditional(self, t, outcome: frozenset, context: frozenset, selector: Optional[tuple] = None) -> _Operand:
         """p(outcome | context) of ``t``, a ``_Law`` (over the selector
@@ -1025,16 +1020,16 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
     free axes sorted, broadcast where no factor has them.
 
     The margin holds the product of the denominators of the CPTs it reads.
-    A product over more than ``MAX_CELLS`` cells raises ``CapError`` while
-    the plan is made (``_Operand.gather``).
+    A product over more than ``MAX_CELLS`` cells, or one that takes the
+    plan past ``MAX_PLAN_CELLS``, raises ``CapError`` while the plan is
+    made, before its rows are gathered (``_Plan.step``).  The law's state
+    space is capped only where a step builds it.
     """
     m, free, factors = law.m, law.free, law.factors(selector)
     if m.selector in free:
         raise OracleError("intervene on the selector via its own slot")
     if selector and m.selector not in out_axes:
         raise OracleError("a margin over some selector values must keep the selector")
-    if m._cells(m.observed()) > MAX_CELLS:
-        raise CapError("observed state space exceeds the enumeration cap")
     kept, todo = set(), [v for v in out_axes if v in factors]
     while todo:
         v = todo.pop()
@@ -1042,13 +1037,6 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
             kept.add(v)
             todo.extend(p for p in m.cpts[v].axes[:-1] if p in factors)
     live = [op for v, op in factors.items() if v in kept]  # not yet multiplied
-
-    def product(ops: list, keep: list, summed: list, domains: Mapping, given=frozenset()) -> _Operand:
-        layout = keep + summed
-        width = math.prod(len(domains[a]) for a in summed)
-        gathers = [(op.slot, op.gather(layout, domains)) for op in ops]
-        return plan.step(_SUM, gathers, width, keep, domains, given)
-
     left = sorted(kept - out_axes)
     while left:
         h = min(left, key=lambda v: _product_cells(op for op in live if v in op.axes))
@@ -1058,13 +1046,13 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
         left.remove(h)
         live = [op for op in live if h not in op.axes]
         axes, domains = _joined(touching)
-        live.append(product(touching, [a for a in axes if a != h], [h], domains))
+        live.append(plan.step(_SUM, touching, [a for a in axes if a != h], domains, summed=[h]))
     live.sort(key=lambda op: op.cells)
     axes, domains = _joined(live) if live else ([], {})
     keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
     for v in free:
         domains.setdefault(v, m.domain(v))
-    return product(live, keep, [a for a in axes if a not in keep], domains, free)
+    return plan.step(_SUM, live, keep, domains, free, summed=[a for a in axes if a not in keep])
 
 
 def _query_law(m: DiscreteCsScm, query) -> _Law:
@@ -1713,7 +1701,7 @@ def verify(
             rows = zip(batch, _trials(truth, len(batch)), _trials(value, len(batch)))
             return [t for t, a, b in rows if _has_undef(b[0]) or not aligned or not _equal_rows(a, b)]
 
-        per_trial = max(layout.cells, sum(step.cells for step in plan.steps))
+        per_trial = max(layout.cells, plan.cells)
         size = max(1, min(trials, BATCH_CELLS // per_trial))
         failures = [t for at in range(0, trials, size) for t in failed(range(at, min(at + size, trials)))]
         status = "verified" if not failures else "refuted"

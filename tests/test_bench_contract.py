@@ -3,8 +3,10 @@ functions and methods named by string and reads two hooks of their results,
 and the sweep builds its graphs with bench/workloads.py.  A refactor that
 breaks one of these must fail here rather than in a benchmark run."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -333,6 +335,54 @@ def test_identify_selected_memory_on_the_largest_sweep_case():
         tracemalloc.stop()
     assert result.kind == "identified"
     assert peak <= 2 * 2**20
+
+
+def test_identified_sweep_verdicts_verify():
+    # the oracle caps the cells a plan makes per model (MAX_PLAN_CELLS), not
+    # the observed state space, which verify never builds: every identified
+    # identify_sweep verdict verifies, where a cap on the state space
+    # refused 22 of these 27 (all at n >= 24)
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    workloads = _load("workloads")
+    checked = 0
+    for n in (16, 24, 32, 40):
+        for seed in range(8):
+            dag, obs, query = workloads.sweep_case(S, n, seed)
+            proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+            result = S.identify.identify_selected(proj, query)
+            if result.kind != "identified":
+                continue
+            report = S.oracle.verify(proj, query, dag.support, result, trials=3, seed=1, dag=dag)
+            assert report.status == "verified", (n, seed, report)
+            checked += 1
+    assert checked == 27
+
+
+def test_oversized_plan_is_refused_while_it_is_made(tmp_path):
+    # sweep_case 128/6 would plan over two million cells per model, one step
+    # of them 2^20 cells: refused before any index list of a step past the
+    # cap is built, from the library and from `selid verify` alike
+    S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
+    dag, obs, query = _load("workloads").sweep_case(S, 128, 6)
+    proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
+    result = S.identify.identify_selected(proj, query)
+    assert result.kind == "identified"
+    start = time.perf_counter()
+    with pytest.raises(S.oracle.CapError, match="cells per model exceeds the enumeration cap"):
+        S.oracle.verify(proj, query, dag.support, result, trials=3, seed=1, dag=dag)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "sweep_128_6.lsg"
+    path.write_text(S.lsg.render_graph(dag))
+    (y,) = query.outcomes
+    treats = ", ".join(f"{v}={tok.name}" for v, tok in query.treatments)
+    text = f"P({y} | do({treats}), {dag.selector}=empty)"
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = S.cli.main(["verify", "--graph", str(path), "--query", text, "--trials", "3"])
+    assert time.perf_counter() - start < 1
+    assert (code, out.getvalue()) == (1, "")
+    assert json.loads(err.getvalue())["error"] == "cap"
 
 
 def test_reference_estimands_equal_identify_selected():

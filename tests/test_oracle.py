@@ -32,7 +32,7 @@ from selid.oracle import (
 )
 from selid.projection import canonical_hidden_dag
 
-from reference import exact_ci
+from reference import defined_everywhere, equals, exact_ci
 
 FX = all_fixtures()
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -285,7 +285,7 @@ class TestEvaluation:
         t = joint(m)
         got = eval_estimand(BaseKernel("p", frozenset("Y"), frozenset("A")), {"p": t})
         want = t.conditional({"Y"}, {"A"})
-        assert want.equals(got)
+        assert equals(want, got)
 
     def test_zero_mass_context_is_undefined(self):
         t = Table(
@@ -321,7 +321,7 @@ class TestEvaluation:
             assert prod.value({"A": 0, "B": 0}) == 0
             assert prod.value({"A": 0, "B": 1}) == Fraction(1, 12)
             assert prod.value({"A": 1, "B": 1}) == Fraction(1, 6)
-            assert prod.defined_everywhere()
+            assert defined_everywhere(prod)
             assert prod.sum_out({"B"}).value({"A": 0}) == Fraction(1, 12)
         # UNDEF * x = UNDEF for x != 0
         prod = t.multiply(positive)
@@ -350,7 +350,7 @@ class TestEvaluation:
         margin = t.sum_out({"Y"})
         assert margin.denom == t.denom and all(isinstance(n, int) for n in margin.values)
         rebuilt = Table(t.axes, t.domains, dict(t.data)).sum_out({"Y"})
-        assert rebuilt.denom == 1 and rebuilt.equals(margin)
+        assert rebuilt.denom == 1 and equals(rebuilt, margin)
 
     def test_unknown_kernel_name(self):
         with pytest.raises(OracleError):
@@ -399,7 +399,7 @@ class TestWitnesses:
     def test_bow_hedge_witness(self):
         r = identify(FX["bow"].graph, q("Y", A="a"))
         m1, m2 = parity_witness(FX["bow"].graph, q("Y", A="a"), r)
-        assert joint(m1).equals(joint(m2))
+        assert equals(joint(m1), joint(m2))
         t1 = interventional(m1, {"A": 1}).sum_out({"A"})
         t2 = interventional(m2, {"A": 1}).sum_out({"A"})
         assert t1.total_variation(t2) > 0
@@ -408,7 +408,7 @@ class TestWitnesses:
         fx = FX["forced_outcome"]
         r = identify_selected(fx.graph, q("Y"))
         m1, m2 = parity_witness(fx.graph, q("Y"), r)
-        assert joint(m1).equals(joint(m2))
+        assert equals(joint(m1), joint(m2))
         t1 = interventional(m1, {}, SelectorValue()).sum_out({"S"})
         t2 = interventional(m2, {}, SelectorValue()).sum_out({"S"})
         assert t1.total_variation(t2) == 1
@@ -418,7 +418,7 @@ class TestWitnesses:
         r = identify_selected(fx.graph, q("Y", A="a"))
         m1, m2 = parity_witness(fx.graph, q("Y", A="a"), r)
         assert m1.validate() and m2.validate()
-        assert joint(m1).equals(joint(m2))
+        assert equals(joint(m1), joint(m2))
 
     def test_adjacent_child_witness_is_pinned(self):
         # recorded numbers: generator seed 45's hedge is certified by the
@@ -651,7 +651,7 @@ class TestLawPlans:
             for vert_vals, _ in oracle._token_bindings(query, m.sizes):
                 want = interventional(m, vert_vals, SelectorValue())
                 want = want.sum_out(frozenset(want.axes) - query.outcomes)
-                assert _select(stacked, vert_vals).equals(want)
+                assert equals(_select(stacked, vert_vals), want)
             checked += 1
         assert checked >= 8
 
@@ -678,7 +678,7 @@ class TestLawPlans:
         t = dataset_table(m, {"A"}, SelectorValue())
         assert t.axes[-1] == "A" and t.given == {"A"}
         for a in range(3):
-            assert _select(t, {"A": a}).equals(interventional(m, {"A": a}, SelectorValue()))
+            assert equals(_select(t, {"A": a}), interventional(m, {"A": a}, SelectorValue()))
 
     def test_intermediate_cells_are_capped(self, monkeypatch):
         # the product over U and its four children has 32 cells, the observed
@@ -710,6 +710,30 @@ class TestLawPlans:
         monkeypatch.setattr(oracle, "MAX_CELLS", 256)
         assert sum(eval_estimand(e, tables).data.values()) == 1
         assert sum(left.multiply(right).data.values()) == 1
+
+    def test_every_plan_is_capped_as_a_whole(self, monkeypatch):
+        # a product of 256 cells, then a sum that reads them in groups of
+        # 2: each step is under the cap, the plan's 512 cells are not, and
+        # the sum is refused before its rows are gathered
+        names = [f"X{i}" for i in range(8)]
+        left, right = (Table(axes, {x: (0, 1) for x in axes}, [1] * 16, denom=16) for axes in (names[:4], names[4:]))
+        gathered = []
+        real_gather = oracle._Operand.gather
+
+        def gather(t, axes, domains):
+            gathered.append(len(axes))
+            return real_gather(t, axes, domains)
+
+        def build(plan, a, b):
+            return plan.sum_out(plan.product([a, b]), {"X0"})
+
+        monkeypatch.setattr(oracle._Operand, "gather", gather)
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 511)
+        with pytest.raises(OracleError, match="a plan of at least 512 cells per model exceeds the enumeration cap"):
+            oracle._once([left, right], build)
+        assert gathered == [8, 8]  # the product's two inputs alone
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 512)
+        assert sum(oracle._once([left, right], build).data.values()) == 1
 
     def test_verify_compiles_each_plan_once(self, monkeypatch):
         compiled, estimands, layouts = [], [], []
@@ -800,7 +824,7 @@ class TestLawPlans:
             want = Table(t.axes, t.domains, dict(t.data)).conditional(outcome, context)
             for var, val in restrictions:
                 want = oracle._once([want], lambda p, a: p.restrict(a, var, val))
-            assert got.equals(want)
+            assert equals(got, want)
             restricted += any(isinstance(val, SelectorAssign) for _, val in restrictions)
         assert restricted >= 1
 
@@ -830,7 +854,7 @@ class TestLawPlans:
                 want = table.sum_out(frozenset(table.axes) - frozenset(margin.axes))
                 got = _run_to(plan, margin, cpts)
                 want = Table(got.axes, got.domains, want._read_as(got), denom=want.denom)
-                assert got.equals(want), (e, sorted(margin.axes))
+                assert equals(got, want), (e, sorted(margin.axes))
                 checked += 1
             eliminated += sum(s.op is oracle._SUM and len(s.inputs) > 1 for s in plan.steps)
         assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated and narrowed
@@ -967,7 +991,7 @@ class TestLawPlans:
         b = plan.sum_out(plan.operands[0], {"B"})
         c = plan.sum_out(plan.operands[0], {"A"})
         assert a.slot == b.slot != c.slot and len(plan.steps) == 2
-        assert plan.finish(b).run([t]).equals(t.sum_out({"B"}))
+        assert equals(plan.finish(b).run([t]), t.sum_out({"B"}))
 
     def test_each_oracle_call_runs_one_plan(self, monkeypatch):
         # verify plans its estimand, ground truth and comparison as one plan
@@ -1058,7 +1082,8 @@ class TestLawPlans:
         query = q("Y", A1="a1", A2="a2")
         r = identify_selected(fx.graph, query)
         observed = fx.dag.random - fx.dag.latent
-        assert random_cs_scm(fx.dag, fx.dag.support)._cells(observed) == 2304  # the joint's
+        m = random_cs_scm(fx.dag, fx.dag.support)
+        assert math.prod(len(m.domain(v)) for v in observed) == 2304  # the joint's
 
         def no_joint(*args):
             raise AssertionError("verify built the joint")
@@ -1066,9 +1091,9 @@ class TestLawPlans:
         kept = []
         real_step = oracle._Plan.step
 
-        def step(self, op, inputs, width, axes, domains, given=frozenset(), drop=()):
-            kept.append((frozenset(axes), width * math.prod(len(domains[a]) for a in axes)))
-            return real_step(self, op, inputs, width, axes, domains, given, drop)
+        def step(self, op, operands, axes, domains, given=frozenset(), drop=(), summed=()):
+            kept.append((frozenset(axes), math.prod(len(domains[a]) for a in [*axes, *summed])))
+            return real_step(self, op, operands, axes, domains, given, drop, summed)
 
         monkeypatch.setattr(oracle.DiscreteCsScm, "joint", no_joint)
         monkeypatch.setattr(oracle._Law, "table", no_joint)
@@ -1500,11 +1525,11 @@ class TestExactArithmetic:
     def test_equals_compares_across_denominators(self):
         dom = {"Y": (0, 1)}
         half = Table(("Y",), dom, [1, 1], denom=2)
-        assert half.equals(Table(("Y",), dom, [2, 2], denom=4))
-        assert half.equals(Table(("Y",), dom, [Fraction(1, 2), Fraction(2, 4)]))
-        assert not half.equals(Table(("Y",), dom, [1, 2], denom=3))
-        assert not half.equals(Table(("Y",), dom, [UNDEF, 2], denom=4))
-        assert Table(("Y",), dom, [UNDEF, 1], denom=2).equals(Table(("Y",), dom, [UNDEF, 2], denom=4))
+        assert equals(half, Table(("Y",), dom, [2, 2], denom=4))
+        assert equals(half, Table(("Y",), dom, [Fraction(1, 2), Fraction(2, 4)]))
+        assert not equals(half, Table(("Y",), dom, [1, 2], denom=3))
+        assert not equals(half, Table(("Y",), dom, [UNDEF, 2], denom=4))
+        assert equals(Table(("Y",), dom, [UNDEF, 1], denom=2), Table(("Y",), dom, [UNDEF, 2], denom=4))
 
     def test_divide_cross_multiplies_different_denominators(self):
         dom = {"Y": (0, 1)}
@@ -1630,7 +1655,7 @@ class TestExactArithmetic:
             for row, v in want.items():
                 value = got.value(dict(zip(axes, row)))
                 assert value is v if v is UNDEF else value == v
-            undefined += not got.defined_everywhere()
+            undefined += not defined_everywhere(got)
         assert 20 < undefined < 230
 
     def test_estimand_plan_builds_one_fraction_per_output_row(self, monkeypatch):
@@ -1649,6 +1674,6 @@ class TestExactArithmetic:
         out = plan.run([t])
         monkeypatch.undo()
         assert len(out.values) == 8 and len(built) <= len(out.values), len(built)
-        assert out.equals(eval_estimand(r.estimand, {"p": t}))
+        assert equals(out, eval_estimand(r.estimand, {"p": t}))
         # a law's integers are read as they are, without a scan or a copy
         assert oracle._rows(t)[0] is t.values
