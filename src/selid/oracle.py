@@ -19,16 +19,17 @@ One table layout, one step runner:
   reduces groups of ``width`` cells as strided slices.  A step only
   multiplies, divides or reduces: a restriction is a view, rows read in
   place by the one addressing rule of ``_Operand``, and ``finish`` copies
-  out a result that is a view.  ``_compile_law`` is the one
-  variable-elimination routine: it appends the steps of a margin of a law,
-  over the factors of the margin's ancestral set, reading a model's CPTs,
-  which are ``Table``s in the plan's layout from the moment they are
-  drawn.  An estimand's steps (``_estimand_steps``) run on the laws it
-  makes: each kernel's ``keep`` margin is eliminated from the CPTs once
-  per axis set, over one pattern's selector values alone when the kernel
-  is read at a value of that pattern, its ``rest`` summed from that
-  ``keep``, and no joint table is built.  Given ``Table``s instead
-  (``eval_estimand``), it sums each ``keep`` from its table.  A plan may
+  out a result that is a view.  ``_Plan.eliminate`` is the one
+  variable-elimination routine, for every sum of products: a law's margin
+  over the CPTs of its ancestral set (``_compile_law``), which are
+  ``Table``s in the plan's layout from the moment they are drawn, an
+  estimand's ``Product`` as each parent reads it, and ``Table.multiply``.
+  An estimand's steps (``_estimand_steps``) run on the laws it makes: each
+  kernel's ``keep`` margin is eliminated from the CPTs once per axis set,
+  over one pattern's selector values alone when the kernel is read at a
+  value of that pattern, its ``rest`` summed from that ``keep``, and no
+  joint table is built; given ``Table``s (``eval_estimand``), each
+  ``keep`` is summed from its table.  A plan may
   keep several results, and each oracle call compiles one: ``verify`` one
   holding its estimand, ground truth and comparison, run once per batch of
   trials on models laid out once per call (``_ModelLayout``); a witness
@@ -56,7 +57,6 @@ import itertools
 import math
 import operator
 import random as _random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -79,15 +79,15 @@ from .projection import bidirected_latents, canonical_hidden_dag
 MAX_CELLS = 1 << 20
 # The cells one plan's steps make for one model, summed over its steps: a
 # plan that would make more is refused while it is made.  Of the identified
-# benchmark sweep cases at 16-64 observed vertices, 64/1 plans the most,
-# 263 938 cells per model; case 128/6 would plan more than two million.
+# benchmark sweep cases at 16-128 observed vertices, seeds 0-31, 128/11
+# plans the most, 49 676 cells per model.
 MAX_PLAN_CELLS = 1 << 20
 # The cells one run of a plan may cover, over all the models of its batch,
 # and the cells of the batch's CPTs: ``verify`` runs as many trials per
 # batch as keep both within it.  Plans of a few dozen cells run dozens of
 # trials per batch, where per-step Python overhead dominates;
-# big-integer-bound plans run a few (selection_web: 3814 cells per trial,
-# four), since wider batches of them were measured slower; a model whose
+# big-integer-bound plans run a few (selection_web: 3240 cells per trial,
+# five), since wider batches of them were measured slower; a model whose
 # CPTs alone exceed it runs one trial per batch.
 BATCH_CELLS = 1 << 14
 
@@ -200,7 +200,7 @@ class Table:
         return self.data[tuple(assignment[a] for a in self.axes)]
 
     def multiply(self, other: "Table") -> "Table":
-        return _once([self, other], lambda plan, a, b: plan.product([a, b]))
+        return _once([self, other], lambda plan, a, b: plan.eliminate([a, b], frozenset(a.axes) | frozenset(b.axes)))
 
     def sum_out(self, axes: Iterable[str]) -> "Table":
         return _once([self], lambda plan, a: plan.sum_out(a, axes))
@@ -468,6 +468,20 @@ class _Operand:
         place = {**self.place, axis: {x: self.place[axis][x] for x in values}}
         return self._view(self.axes, place, self.offset, self.given)
 
+    def view(self, axes, domains: Mapping) -> tuple:
+        """``(slot, base, diffs)``: where this factor's first row sits for
+        the row-major table over ``axes``, and what each value of each axis
+        of several values adds; two views are equal exactly when they gather
+        equal positions, each a sum of one term per axis (``gather``)."""
+        base, diffs = self.offset, []
+        for a in axes:
+            place = self.place.get(a)
+            steps = [place[x] for x in domains[a]] if place else [0] * len(domains[a])
+            base += steps[0]
+            if len(steps) > 1:
+                diffs.append(tuple(d - steps[0] for d in steps))
+        return self.slot, base, tuple(diffs)
+
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
         table over ``axes``; axes the factor lacks are broadcast.  Every
@@ -477,10 +491,9 @@ class _Operand:
         cells = math.prod(len(domains[a]) for a in axes)
         if cells > MAX_CELLS:
             raise CapError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
-        idx = [self.offset]
-        for a in axes:
-            place = self.place.get(a)
-            steps = [place[x] for x in domains[a]] if place else [0] * len(domains[a])
+        _, base, diffs = self.view(axes, domains)
+        idx = [base]
+        for steps in diffs:
             idx = [i + d for i in idx for d in steps]
         return idx
 
@@ -527,12 +540,12 @@ class _Plan:
     ``operands`` are those shaped like ``tables``; each step appends its
     result as the next slot and is never changed once made, and ``outs``
     are the results, one or more: every oracle call plans all it compares
-    in one plan and runs it once per model.
-    Operations return ``_Operand``s; a margin of a ``_Law`` is eliminated
-    once per axis set (``margin``), and a step equal to one already planned
-    is not planned again (``step``), so equal sums are shared too.  A
-    restriction (``restrict``) is a view, never a step, and ``finish``
-    copies out a result that is a view.
+    in one plan and runs it once per model.  Operations return
+    ``_Operand``s; every sum of products is eliminated (``eliminate``), a
+    margin of a ``_Law`` once per axis set (``margin``), and a step equal
+    to one already planned is not planned again (``step``).  A restriction
+    (``restrict``) is a view, never a step, and ``finish`` copies out a
+    result that is a view.
     """
 
     def __init__(self, inputs, tables=()):
@@ -548,32 +561,52 @@ class _Plan:
         """The table over ``axes`` a step makes from ``operands``, each read
         over ``axes`` then ``summed`` (``_Operand.gather``) and reduced over
         ``summed``; or the slot of an equal step already planned, one with
-        the same op, width and gathers, which makes the same rows (two
-        margins eliminated from one law share products).  A step that would
-        take the plan past ``MAX_PLAN_CELLS`` cells raises ``CapError``
-        before its inputs are gathered."""
+        the same op, width and input views (``_Operand.view``), which
+        makes the same rows (two margins eliminated from one law share
+        products); an equal step is found before any input is gathered.  A
+        step that would take the plan past ``MAX_PLAN_CELLS`` cells raises
+        ``CapError`` before its inputs are gathered."""
         layout = list(axes) + list(summed)
         width = math.prod(len(domains[a]) for a in summed)
-        cells = width * math.prod(len(domains[a]) for a in axes)
-        if self.cells + cells > MAX_PLAN_CELLS:
-            raise CapError(f"a plan of at least {self.cells + cells} cells per model exceeds the enumeration cap")
-        inputs = [(t.slot, t.gather(layout, domains)) for t in operands]
-        key = (op, width, tuple(drop), tuple((s, array("l", idx).tobytes()) for s, idx in inputs))
+        key = (op, width, tuple(drop), tuple(t.view(layout, domains) for t in operands))
         slot = self.made.get(key)
         if slot is None:
+            cells = width * math.prod(len(domains[a]) for a in axes)
+            if self.cells + cells > MAX_PLAN_CELLS:
+                raise CapError(f"a plan of at least {self.cells + cells} cells per model exceeds the enumeration cap")
+            inputs = [(t.slot, t.gather(layout, domains)) for t in operands]
             self.cells += cells
             self.steps.append(_Step(op, inputs, width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
         return _Operand(slot, axes, domains, given=given)
 
-    def laid_out(self, t: _Operand, axes, domains) -> _Operand:
-        """``t`` copied by a step of its own into rows over ``axes``,
-        broadcast over those it lacks."""
-        return self.step(_SUM, [t], axes, domains, t.given)
-
-    def product(self, factors: list) -> _Operand:
-        axes, domains = _joined(factors)
-        return self.step(_SUM, factors, axes, domains, frozenset().union(*(f.given for f in factors)))
+    def eliminate(self, factors: list, out_axes, free: Mapping = {}) -> _Operand:
+        """The product of ``factors`` summed down to ``out_axes``: the one
+        variable-elimination routine.  Axes are summed out smallest product
+        first, ties to the first name, each from the factors that hold it,
+        multiplied smallest first; at the first axis every factor left
+        holds, one last step multiplies them and sums the rest.  It keeps
+        the kept axes in product order, then the ``free`` axes sorted, each
+        over its domain there, broadcast where no factor has it.  A lone
+        factor with nothing to sum is returned as it is."""
+        live = list(factors)
+        left = sorted(frozenset().union(*(f.axes for f in live)) - frozenset(out_axes))
+        while left:
+            h = min(left, key=lambda v: _product_cells(f for f in live if v in f.axes))
+            touching = sorted((f for f in live if h in f.axes), key=lambda f: f.cells)
+            if len(touching) == len(live):
+                break
+            left.remove(h)
+            live = [f for f in live if h not in f.axes]
+            axes, domains = _joined(touching)
+            live.append(self.step(_SUM, touching, [a for a in axes if a != h], domains, summed=[h]))
+        live.sort(key=lambda f: f.cells)
+        axes, domains = _joined(live) if live else ([], {})
+        keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
+        if len(live) == 1 and tuple(keep) == live[0].axes:
+            return live[0]
+        given = frozenset().union(*(f.given for f in factors), free) & frozenset(keep)
+        return self.step(_SUM, live, keep, {**free, **domains}, given, summed=[a for a in axes if a not in keep])
 
     def sum_out(self, t: _Operand, axes, op=_SUM) -> _Operand:
         """``t`` without ``axes``: summed out, or with ``op`` ``_SAME``
@@ -640,7 +673,7 @@ class _Plan:
         """Record ``outs`` as the results, each one that is a view copied
         out by a step of its own, and release every other slot after the
         last step that reads it."""
-        self.outs = tuple(out if out.whole else self.laid_out(out, out.axes, out.domains) for out in outs)
+        self.outs = tuple(t if t.whole else self.step(_SUM, [t], t.axes, t.domains, t.given) for t in outs)
         kept = {out.slot for out in self.outs}
         last = {s: step for step in self.steps for s, _ in step.inputs}
         for s, step in last.items():
@@ -1001,9 +1034,8 @@ def _dataset_law(m: DiscreteCsScm, z, s: Optional[SelectorValue]) -> _Law:
 
 def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Optional[tuple] = None) -> _Operand:
     """Append to ``plan`` the steps of the margin of ``law`` over
-    ``out_axes``, which lists the law's free axes too, and return it: the
-    single variable-elimination routine of the oracle.  The inputs of
-    ``plan`` are the CPTs of ``law.m``, in their order.  Given
+    ``out_axes``, which lists the law's free axes too, and return it.  The
+    inputs of ``plan`` are the CPTs of ``law.m``, in their order.  Given
     ``selector``, a tuple of selector values, every factor reads the
     selector at those values alone (``_Law.factors``): the margin's rows at
     them, and no other rows.
@@ -1011,13 +1043,8 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
     Only the factors of vertices that ``out_axes`` descend from along kept
     factors are read: any other factor is barren, and sums to its own
     denominator.  They are taken in the order of the model's CPTs, which is
-    topological.  Every vertex of theirs outside ``out_axes`` is
-    eliminated, smallest product first, ties to the first name, so the
-    order never depends on set iteration; a product multiplies its factors
-    smallest first, which fixes its axis order.  The last product
-    multiplies what is left, and sums the last vertex itself when every
-    factor left holds it; it keeps the kept axes in product order, then the
-    free axes sorted, broadcast where no factor has them.
+    topological, and every vertex of theirs outside ``out_axes`` is
+    eliminated (``_Plan.eliminate``); the free axes come last, sorted.
 
     The margin holds the product of the denominators of the CPTs it reads.
     A product over more than ``MAX_CELLS`` cells, or one that takes the
@@ -1036,23 +1063,7 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
         if v not in kept:
             kept.add(v)
             todo.extend(p for p in m.cpts[v].axes[:-1] if p in factors)
-    live = [op for v, op in factors.items() if v in kept]  # not yet multiplied
-    left = sorted(kept - out_axes)
-    while left:
-        h = min(left, key=lambda v: _product_cells(op for op in live if v in op.axes))
-        touching = sorted((op for op in live if h in op.axes), key=lambda op: op.cells)
-        if len(left) == 1 and len(touching) == len(live):
-            break  # the last product sums h itself
-        left.remove(h)
-        live = [op for op in live if h not in op.axes]
-        axes, domains = _joined(touching)
-        live.append(plan.step(_SUM, touching, [a for a in axes if a != h], domains, summed=[h]))
-    live.sort(key=lambda op: op.cells)
-    axes, domains = _joined(live) if live else ([], {})
-    keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
-    for v in free:
-        domains.setdefault(v, m.domain(v))
-    return plan.step(_SUM, live, keep, domains, free, summed=[a for a in axes if a not in keep])
+    return plan.eliminate([op for v, op in factors.items() if v in kept], out_axes, {v: m.domain(v) for v in free})
 
 
 def _query_law(m: DiscreteCsScm, query) -> _Law:
@@ -1286,16 +1297,15 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
     A ``BaseKernel`` divides two margins of its source, ``keep`` by
     ``rest`` (``_Plan.conditional``): a law's ``keep`` is eliminated from
     the CPTs once per axis set (``_Plan.margin``), a table's is summed from
-    the table, and each ``rest`` is summed from the kernel's own ``keep``;
-    an equal sum is planned once.  A kernel is planned as each parent reads
-    it: under a ``Restrict`` that gives the selector a value, a law's kernel
-    is eliminated over that value's pattern alone where no check covers
-    fewer rows for it (``_narrowed``), and kernels restricted to one pattern
-    share their margins; a kernel no parent reads whole is never planned
-    whole.  Every node appends the steps that make it, after those of its
-    children, and rewrites none of them: a ``Restrict`` reads its child's
-    rows in place (``_Plan.restrict``), so a node that several parents read
-    gives each of them the same rows."""
+    the table, and each ``rest`` is summed from the kernel's own ``keep``.
+    A kernel is planned as each parent reads it: under a ``Restrict`` that
+    gives the selector a value, a law's kernel is eliminated over that
+    value's pattern alone where no check covers fewer rows for it
+    (``_narrowed``).  A ``Product`` plans no step: it is its factors,
+    nested products flattened, which a ``SumOver`` sums down in one
+    ``_Plan.eliminate`` and any other parent multiplies whole.  No node
+    rewrites a step: a ``Restrict`` reads its child's rows in place
+    (``_Plan.restrict``), and an equal step is planned once."""
     def kernel(k: BaseKernel, parent: Optional[Estimand]) -> _Operand:
         """``k`` as ``parent`` reads it; None reads it whole."""
         if k.name not in inputs:
@@ -1303,27 +1313,30 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
         source = inputs[k.name]
         return plan.conditional(source, k.outcome, k.context, _narrowed(source, k, parent))
 
-    def node(x: Estimand, parts: list):
+    def summed(factors: list, over=frozenset()) -> _Operand:
+        """The product of ``factors`` with ``over`` summed out."""
+        return plan.eliminate(factors, frozenset().union(*(f.axes for f in factors)) - over)
+
+    def node(x: Estimand, parts: list) -> list:  # x's factors
         if isinstance(x, BaseKernel):
             return x  # planned by each parent as it reads it (``kernel``)
-        parts = [kernel(p, x) if isinstance(p, BaseKernel) else p for p in parts]
+        parts = [[kernel(p, x)] if isinstance(p, BaseKernel) else p for p in parts]
         if isinstance(x, SumOver):
-            t = plan.sum_out(parts[0], x.over)
-        elif isinstance(x, Product):
-            t = plan.product(parts)
-        elif isinstance(x, Ratio):
-            num, den = parts
-            t = plan.divide(num, den, num.given | den.given)
-        elif isinstance(x, Restrict):
-            t = parts[0]
-            for var, val in x.assignment:
-                t = plan.restrict(t, var, val)
-        else:
+            return [summed(parts[0], x.over)]
+        if isinstance(x, Product):
+            return [f for factors in parts for f in factors]
+        if isinstance(x, Ratio):
+            num, den = map(summed, parts)
+            return [plan.divide(num, den, num.given | den.given)]
+        if not isinstance(x, Restrict):
             raise OracleError(f"unknown estimand node {type(x).__name__}")
-        return t
+        t = summed(parts[0])
+        for var, val in x.assignment:
+            t = plan.restrict(t, var, val)
+        return [t]
 
     out = fold(e, node)
-    return kernel(out, None) if isinstance(out, BaseKernel) else out
+    return summed([kernel(out, None)] if isinstance(out, BaseKernel) else out)
 
 
 def _narrowed(source, k: BaseKernel, parent: Optional[Estimand]) -> Optional[tuple]:
@@ -1636,23 +1649,20 @@ def verify(
     An identified verdict is checked by one plan, compiled on the laws of
     the first trial's model: ``p`` is its observational law and each of
     ``datasets``, ``(name, intervened vertices)``, the law with those
-    vertices' factors dropped.  The plan holds the estimand's steps, each
-    kernel's ``keep`` margin eliminated from the CPTs over its ancestral
-    set and its ``rest`` summed from that ``keep``, so no trial builds the
-    observed joint (a kernel read at one selector value, as each regime's
-    kernel is, is eliminated over that value's pattern alone:
-    ``_narrowed``); the ground truth's margin, read at the tokens; and the
-    estimand without its other axes, checked to be constant over them.
-    The plan compiles on the shape of the one ``_ModelLayout`` every
-    trial's model is drawn on, built once per call.  Trials run in
-    batches, as many per batch as keep both a run and the batch's CPTs
-    within ``BATCH_CELLS`` cells: each batch's models are drawn in one
-    pass and the plan runs once on them (``_Plan.run_rows``), each trial
-    over its own denominators.  Each trial's two results are compared as rows, without
-    a ``Fraction`` per row.  A check of constancy that fails, in a kernel
-    or in the comparison, fails its trial: a batch in which one fails runs
-    again trial by trial, so the report names exactly the failing trials,
-    as a run of each trial alone would.
+    vertices' factors dropped.  The plan holds the estimand's steps
+    (``_estimand_steps``), every sum of products in it eliminated from the
+    CPTs (``_Plan.eliminate``), so no trial builds the observed joint; the
+    ground truth's margin, read at the tokens; and the estimand without its
+    other axes, checked to be constant over them.  It compiles on the shape
+    of the one ``_ModelLayout`` every trial's model is drawn on, built once
+    per call.  Trials run in batches, as many per batch as keep both a run
+    and the batch's CPTs within ``BATCH_CELLS`` cells: each batch's models
+    are drawn in one pass and the plan runs once on them
+    (``_Plan.run_rows``), each trial over its own denominators, and each
+    trial's two results are compared as rows.  A check of constancy that
+    fails, in a kernel or in the comparison, fails its trial: a batch in
+    which one fails runs again trial by trial, so the report names exactly
+    the failing trials, as a run of each trial alone would.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
@@ -1683,7 +1693,7 @@ def verify(
         # an outcome
         got = plan.sum_out(est, frozenset(est.axes) - frozenset(want.axes), _SAME)
         keep = [a for a in want.axes if a in got.axes or a not in query.outcomes]
-        got = plan.laid_out(got, keep, want.domains)
+        got = plan.step(_SUM, [got], keep, want.domains, got.given)
         plan.finish(want, got)
         # the two lay out the same rows unless the estimand lacks an outcome
         aligned = want.axes == got.axes

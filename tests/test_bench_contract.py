@@ -341,11 +341,15 @@ def test_identified_sweep_verdicts_verify():
     # the oracle caps the cells a plan makes per model (MAX_PLAN_CELLS), not
     # the observed state space, which verify never builds: every identified
     # identify_sweep verdict verifies, where a cap on the state space
-    # refused 22 of these 27 (all at n >= 24)
+    # refused 22 of the 27 at n = 16-40 (all at n >= 24).  Past identify_sweep
+    # 26 more verify, among them 64/1, which planned 263 938 cells per model
+    # while a product was planned apart from its sum, and 128/6, which
+    # planned past the cap then; the 53 verify in about 1 s on a 2-core box
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
-    checked = 0
-    for n in (16, 24, 32, 40):
+    checked = []
+    start = time.perf_counter()
+    for n in (16, 24, 32, 40, 48, 64, 96, 128):
         for seed in range(8):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
@@ -354,19 +358,24 @@ def test_identified_sweep_verdicts_verify():
                 continue
             report = S.oracle.verify(proj, query, dag.support, result, trials=3, seed=1, dag=dag)
             assert report.status == "verified", (n, seed, report)
-            checked += 1
-    assert checked == 27
+            checked.append((n, seed))
+    assert len(checked) == 53 and {(64, 1), (128, 6)} <= set(checked)
+    assert sum(n <= 40 for n, _ in checked) == 27
+    assert time.perf_counter() - start < 20
 
 
-def test_oversized_plan_is_refused_while_it_is_made(tmp_path):
-    # sweep_case 128/6 would plan over two million cells per model, one step
-    # of them 2^20 cells: refused before any index list of a step past the
-    # cap is built, from the library and from `selid verify` alike
+def test_oversized_plan_is_refused_while_it_is_made(tmp_path, monkeypatch):
+    # no sweep case at n = 128 (seeds 0-399) or n = 256 (seeds 0-99) plans
+    # past MAX_PLAN_CELLS, so the cap is lowered below the plan of sweep_case
+    # 128/6 (2664 cells per model): the plan is refused before any index list
+    # of a step past the cap is built, from the library and from `selid
+    # verify` alike
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     dag, obs, query = _load("workloads").sweep_case(S, 128, 6)
     proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
     result = S.identify.identify_selected(proj, query)
     assert result.kind == "identified"
+    monkeypatch.setattr(S.oracle, "MAX_PLAN_CELLS", 2048)
     start = time.perf_counter()
     with pytest.raises(S.oracle.CapError, match="cells per model exceeds the enumeration cap"):
         S.oracle.verify(proj, query, dag.support, result, trials=3, seed=1, dag=dag)

@@ -712,9 +712,10 @@ class TestLawPlans:
         assert sum(left.multiply(right).data.values()) == 1
 
     def test_every_plan_is_capped_as_a_whole(self, monkeypatch):
-        # a product of 256 cells, then a sum that reads them in groups of
-        # 2: each step is under the cap, the plan's 512 cells are not, and
-        # the sum is refused before its rows are gathered
+        # a product of 256 cells, eliminated with nothing summed, then a sum
+        # that reads them in groups of 2: each step is under the cap, the
+        # plan's 512 cells are not, and the sum is refused before its rows
+        # are gathered
         names = [f"X{i}" for i in range(8)]
         left, right = (Table(axes, {x: (0, 1) for x in axes}, [1] * 16, denom=16) for axes in (names[:4], names[4:]))
         gathered = []
@@ -725,7 +726,7 @@ class TestLawPlans:
             return real_gather(t, axes, domains)
 
         def build(plan, a, b):
-            return plan.sum_out(plan.product([a, b]), {"X0"})
+            return plan.sum_out(plan.eliminate([a, b], names), {"X0"})
 
         monkeypatch.setattr(oracle._Operand, "gather", gather)
         monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 511)
@@ -891,14 +892,15 @@ class TestLawPlans:
 
         # the plan of selection_web's estimand keeps its size: its three
         # selector-restricted kernels read 2, 2 and 4 of the selector's 9
-        # values (35 steps, 6524 cells, widest 1152 when read over all 9),
-        # and its restrictions are views, not steps
+        # values (34 steps, 6234 cells, widest 1152 when read over all 9),
+        # and its restrictions are views, not steps; it was 37 steps and
+        # 3314 cells while a product was planned apart from its sum
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
         m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
         plan = _verify_plan(r.estimand, m, {"p": oracle._Law(m, {})})
         cells = [s.cells for s in plan.steps]
-        assert (len(cells), sum(cells), max(cells)) == (37, 3314, 512)
+        assert (len(cells), sum(cells), max(cells)) == (36, 3024, 512)
 
     def test_narrowed_kernels_equal_restricted_conditionals(self):
         # a kernel that a Restrict reads over its pattern's selector values
@@ -965,9 +967,9 @@ class TestLawPlans:
         # values each narrowed margin reads, against the plan with every
         # kernel eliminated whole
         want = {
-            "selection_web": ((37, 3314), [2, 2, 4], (35, 6524)),
+            "selection_web": ((36, 3024), [2, 2, 4], (34, 6234)),
             "double_bow": ((5, 52), [2], (5, 76)),
-            "scar": ((24, 346), [1], (24, 394)),
+            "scar": ((23, 252), [1], (23, 300)),
         }
         got, real = {}, oracle._narrowed
         for name in want:
@@ -1033,10 +1035,11 @@ class TestLawPlans:
                 assert all(p is plan for p, _ in runs) and len(runs) == math.ceil(trials / size)
                 assert [t for _, t in runs[:-1]] == [size] * (len(runs) - 1) and sum(t for _, t in runs) == trials
             if name == "selection_web":
-                # the estimand's 37 steps, the truth's and the comparison's,
-                # four trials per batch (two while every kernel was
-                # eliminated over all the selector's values)
-                assert (len(plan.steps), cells, size) == (47, 3546, 4)
+                # the estimand's 36 steps, the truth's and the comparison's,
+                # five trials per batch (four while a product was planned
+                # apart from its sum, two while every kernel was eliminated
+                # over all the selector's values)
+                assert (len(plan.steps), cells, size) == (45, 3240, 5)
             else:
                 assert size == 100
         for name, query in (("bow", q("Y", A="a")), ("forced_outcome", q("Y"))):
@@ -1629,7 +1632,7 @@ class TestExactArithmetic:
         # a row over a per-row denominator, read alone from a divide
         def build(plan, a, b):
             ratio = plan.divide(a.fixed({"A": 0}), b.fixed({"A": 1}), frozenset())
-            return plan.product([ratio.fixed({"B": 1}), ratio.fixed({"B": 1})])
+            return plan.eliminate([ratio.fixed({"B": 1}), ratio.fixed({"B": 1})], ())
         assert oracle._once([t, t], build).data == {(): Fraction(4, 25)}
 
     def test_total_variation_across_denominators(self):
@@ -1657,6 +1660,68 @@ class TestExactArithmetic:
                 assert value is v if v is UNDEF else value == v
             undefined += not defined_everywhere(got)
         assert 20 < undefined < 230
+
+    def test_sums_of_products_equal_a_cell_by_cell_enumeration(self, monkeypatch):
+        # SumOver(Product(kernels)) is planned by one _Plan.eliminate call,
+        # which sums an axis out of the factors that hold it before it
+        # multiplies the rest; against every cell of the product, enumerated
+        # and summed here.  Zero rows of the laws make kernels read 0 at some
+        # cells and UNDEF at zero-mass contexts, and an UNDEF cell of a law
+        # makes every kernel row that reads it UNDEF, so UNDEF * 0 = 0 and
+        # UNDEF * x = UNDEF both occur
+        rng = random.Random(35)
+        calls, seen = [], collections.Counter()
+        real = oracle._Plan.eliminate
+
+        def eliminate(plan, factors, out_axes, free={}):
+            before = len(plan.steps)
+            out = real(plan, factors, out_axes, free)
+            calls.append((len(factors), len(plan.steps) - before))
+            return out
+
+        monkeypatch.setattr(oracle._Plan, "eliminate", eliminate)
+        for _ in range(200):
+            tables, laws = {}, {}
+            for name in "pq":
+                weights, total = _random_law(rng)
+                if rng.random() < 0.3:
+                    weights[rng.randrange(16)] = UNDEF
+                    total = sum(w for w in weights if w is not UNDEF) or 1
+                tables[name] = Table(BITS, {a: (0, 1) for a in BITS}, weights, denom=total)
+                rows = (w if w is UNDEF else Fraction(w, total) for w in weights)
+                laws[name] = (BITS, dict(zip(_ref_rows(BITS), rows)))
+            kernels = []
+            for _ in range(rng.randint(2, 4)):
+                names = rng.sample(BITS, rng.randint(1, 3))
+                cut = rng.randint(1, len(names))
+                kernels.append(BaseKernel(rng.choice("pq"), frozenset(names[:cut]), frozenset(names[cut:])))
+            axes = sorted(frozenset().union(*(k.outcome | k.context for k in kernels)))
+            over = frozenset(rng.sample(axes, rng.randint(1, len(axes))))
+            calls.clear()
+            got = eval_estimand(SumOver(Product(tuple(kernels)), over), tables)
+            # the product's one call, then the sum read whole: no step
+            (factors, made), *rest = calls
+            assert factors == len(kernels) and rest == [(1, 0)]
+            seen["steps", min(made, 2)] += 1
+            values = [_ref_eval(k, laws) for k in kernels]
+            keep = tuple(a for a in axes if a not in over)
+            want = dict.fromkeys(_ref_rows(keep), 0)
+            for row in _ref_rows(axes):
+                at = dict(zip(axes, row))
+                factors = [rows[tuple(at[a] for a in ax)] for ax, rows in values]
+                cell = functools.reduce(_ref_mul, factors, 1)
+                if any(f is UNDEF for f in factors):
+                    seen["UNDEF * x" if cell is UNDEF else "UNDEF * 0"] += 1
+                key = tuple(at[a] for a in keep)
+                want[key] = UNDEF if want[key] is UNDEF or cell is UNDEF else want[key] + cell
+            assert set(got.axes) == set(keep)
+            for key, v in want.items():
+                value = got.value(dict(zip(keep, key)))
+                assert value is v if v is UNDEF else value == v, (kernels, over, key)
+        # some sums pull a factor out (a step before the last), some are one
+        # step, and both UNDEF products occur
+        assert seen["steps", 2] > 20 and seen["steps", 1] > 20, seen
+        assert seen["UNDEF * 0"] > 20 and seen["UNDEF * x"] > 20, seen
 
     def test_estimand_plan_builds_one_fraction_per_output_row(self, monkeypatch):
         fx = FX["selection_web"]
