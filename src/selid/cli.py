@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
     report = oracle.verify(
         g,
         query,
-        g.support,
+        None,
         result,
         trials=args.trials,
         seed=args.seed,

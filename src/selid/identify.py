@@ -24,7 +24,7 @@ guarantee can be certified by the oracle's witness generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .estimand import (
     BaseKernel,
@@ -349,13 +349,9 @@ def _pin_selector(ctx: Graph, f: Estimand, sval: SelectorValue) -> Estimand:
 # hidden-variable selection models
 
 
-def identify_selected(
-    g: Graph,
-    query: Query,
-    support: Optional[SelectorSupport] = None,
-    base: str = "p",
-):
-    """General identification under systematic selection and confounding.
+def identify_selected(g: Graph, query: Query):
+    """General identification under systematic selection and confounding,
+    over the patterns of ``g.support``.
 
     Per district of the ancestral set: a selector value leaving the district
     natural must exist (else the positivity failure); districts equal to
@@ -383,8 +379,8 @@ def identify_selected(
     but the selector).
     """
     if g.selector is None:
-        return identify(g, query, base)
-    support = support or g.support
+        return identify(g, query)
+    support = g.support
     if support is None:
         raise QueryError("a selector support is required")
     _validate_query(g, query)
@@ -392,7 +388,7 @@ def identify_selected(
     children = _selector_children(g)
     ystar = _ancestral_set(g, query)
     margin = g.induced_subgraph(g.ancestors(ystar | {sel}))
-    joint = ChainKernel.from_joint(margin, base)
+    joint = ChainKernel.from_joint(margin)
     contexts = _contexts(margin)
 
     def solve(dstar):
@@ -402,7 +398,7 @@ def identify_selected(
         qtil = joint.fix_to(dstar, _selection_fixable)
         closure = qtil.randoms
         if sel in closure:
-            return _confounded_selector(margin, query, qtil, dstar, support, required)
+            return _confounded_selector(query, qtil, dstar, required, contexts)
         # a district that is its own closure takes the first candidate as it
         # is; otherwise the first context in which the district is reachable
         tried = []
@@ -421,19 +417,12 @@ def identify_selected(
     return _factorize(g, query, ystar, solve)
 
 
-def _confounded_selector(
-    g: Graph,
-    query: Query,
-    qtil: ChainKernel,
-    dstar: frozenset,
-    support: SelectorSupport,
-    required: frozenset,
-):
+def _confounded_selector(query: Query, qtil: ChainKernel, dstar: frozenset, required: frozenset, contexts):
     """The kernel of ``dstar`` when its closure ``qtil`` holds the selector,
     from the first candidate pattern whose context SWIG cuts the district
     off the selector, or the failure.  Factors that read the selector are
-    re-trimmed in ``g``'s context graph at that pattern; ``g`` is any
-    margin holding ``qtil``'s factors (see ``_polish_kernel``)."""
+    re-trimmed in ``contexts(pattern)``, the context graph at that pattern
+    of a margin holding ``qtil``'s factors (see ``_polish_kernel``)."""
     gtil, closure = qtil.graph, qtil.randoms
     sel = gtil.selector
     ch_star = gtil.children(sel) & (closure - dstar)
@@ -441,7 +430,7 @@ def _confounded_selector(
         return FailHedge(dstar, closure)
     de_s = gtil.descendants(sel)
     tried = []
-    for pattern in _candidate_patterns(support, dstar, required):
+    for pattern in _candidate_patterns(gtil.support, dstar, required):
         tried.append(tuple(sorted(pattern)))
         pv = _pattern_value(pattern)
         sw = swig(gtil, {sel: pv}, pv)
@@ -458,11 +447,10 @@ def _confounded_selector(
 
         sval = _selector_assign(pattern, query, _kernel_scope({v: qtil.factors[v] for v in dprime}))
         factors = {}
-        ctx = context_graph(g, pv)
         for v in sorted(dprime):
             f = qtil.factors[v]
             if sel in f.contexts():
-                f = _pin_selector(ctx, f, sval)
+                f = _pin_selector(contexts(pattern), f, sval)
             factors[v] = restrict(f, {w: tok for w, tok in query.treatments if w in pattern and w != v})
         sub = sw.induced_subgraph(dprime | sw.fixed)
         kernel = ChainKernel(sub, factors).fix_to(dstar)
@@ -476,28 +464,22 @@ def _confounded_selector(
 # the two-stage baseline
 
 
-def sequential_baseline(
-    g: Graph,
-    query: Query,
-    support: Optional[SelectorSupport] = None,
-    base: str = "p",
-):
+def sequential_baseline(g: Graph, query: Query):
     """First identify the law of the observational context, then run plain
     identification on it.  Sound but strictly weaker than the one-shot
     procedure: failures here do not imply non-identification."""
     if g.selector is None:
-        return identify(g, query, base)
-    support = support or g.support
-    if support is None:
+        return identify(g, query)
+    if g.support is None:
         raise QueryError("a selector support is required")
     _validate_query(g, query)
     sel = g.selector
-    if frozenset() not in support:
+    if frozenset() not in g.support:
         return FailPositivity(frozenset({sel}))
 
     # stage 1: the observational-context law of everything but the selector
     rest = g.random - {sel}
-    joint = ChainKernel.from_joint(g, base)
+    joint = ChainKernel.from_joint(g)
     contexts = _contexts(g)
     stage1 = []
     for dstar in g.induced_subgraph(rest).districts():

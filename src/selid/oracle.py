@@ -269,8 +269,9 @@ def _selector_key(s: SelectorValue) -> tuple:
 
 
 class _SelectorDomains:
-    """Vertex domains of a model with ``graph``, ``sizes`` and ``support``:
-    the selector ranges over (sorted pattern, value tuple) pairs."""
+    """Vertex domains of a model with ``graph`` and ``sizes``: the selector
+    ranges over (sorted pattern, value tuple) pairs of the graph's
+    support."""
 
     @property
     def selector(self):
@@ -278,13 +279,13 @@ class _SelectorDomains:
 
     def domain(self, v) -> tuple:
         if v == self.selector:
-            return selector_domain(self.support, self.sizes)
+            return selector_domain(self.graph.support, self.sizes)
         return tuple(range(self.sizes[v]))
 
     def response_support(self) -> SelectorSupport:
         """Patterns the mechanisms must respond to: the declared support plus
         the observational value (always a legal intervention)."""
-        return SelectorSupport(self.support.patterns | {frozenset()})
+        return SelectorSupport(self.graph.support.patterns | {frozenset()})
 
     def row_domain(self, v) -> tuple:
         """Domain used when enumerating mechanism rows: children of the
@@ -308,7 +309,6 @@ class DiscreteCsScm(_SelectorDomains):
     graph: Graph  # full DAG: observed + latent (+ selector)
     sizes: dict  # vertex -> domain size (non-selector vertices)
     cpts: dict  # vertex -> Table over parents + (vertex,)
-    support: Optional[SelectorSupport] = None
 
     def observed(self) -> frozenset:
         return self.graph.random - self.graph.latent
@@ -1125,7 +1125,7 @@ class _CptLayout(NamedTuple):
 
 
 class _ModelLayout:
-    """The layout every model on one (DAG, support, domain size) shares,
+    """The layout every model on one (DAG, domain size) shares,
     worked out once: each vertex's CPT axes and domains, the rows the
     selector forces and the draws (``_CptLayout``).  A CPT over more than
     ``MAX_CELLS`` cells raises ``CapError`` before its rows are listed.
@@ -1133,11 +1133,11 @@ class _ModelLayout:
     draw, in batches (``fill``, ``draw``): a batch is one run slot per CPT,
     a plan's inputs as they are, and ``models`` splits it into models."""
 
-    def __init__(self, dag: Graph, support, domain_size: int):
+    def __init__(self, dag: Graph, domain_size: int):
         sel = dag.selector
-        self.dag, self.support = dag, support
+        self.dag = dag
         self.sizes = {v: domain_size for v in dag.vertices if v != sel}
-        shape = DiscreteCsScm(dag, self.sizes, {}, support)
+        shape = DiscreteCsScm(dag, self.sizes, {})
         row_domains = {v: shape.row_domain(v) for v in dag.vertices}
         self.cpts = []
         for v in dag.topological_order():
@@ -1164,7 +1164,7 @@ class _ModelLayout:
         self.readers = {}  # (vertex, batch size) -> reader of its CPT's cells
 
     def model(self, cpts: dict) -> DiscreteCsScm:
-        return DiscreteCsScm(self.dag, dict(self.sizes), cpts, self.support)
+        return DiscreteCsScm(self.dag, dict(self.sizes), cpts)
 
     def shape(self) -> DiscreteCsScm:
         """A model whose CPTs hold no values: plans compile on it."""
@@ -1225,18 +1225,16 @@ def _cpt(c: _CptLayout, weights: list) -> tuple:
     return cells, denoms
 
 
-def _random_layout(g: Graph, support: Optional[SelectorSupport], domain_size: int) -> _ModelLayout:
+def _random_layout(g: Graph, domain_size: int) -> _ModelLayout:
     """The layout of ``random_cs_scm``'s models on these arguments, after
     checking them."""
     if domain_size < 2:
         raise OracleError("domain size must be at least 2")
     if any(e.kind != "directed" for e in g.edges):
         raise OracleError("models are defined over DAGs; project or expand first")
-    if g.selector is not None and support is None:
-        support = g.support
-    if g.selector is not None and support is None:
+    if g.selector is not None and g.support is None:
         raise OracleError("selector models need a support")
-    return _ModelLayout(g, support, domain_size)
+    return _ModelLayout(g, domain_size)
 
 
 def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
@@ -1246,18 +1244,13 @@ def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
     return m
 
 
-def random_cs_scm(
-    g: Graph,
-    support: Optional[SelectorSupport] = None,
-    seed: int = 0,
-    domain_size: int = 2,
-) -> DiscreteCsScm:
+def random_cs_scm(g: Graph, seed: int = 0, domain_size: int = 2) -> DiscreteCsScm:
     """Seeded random model on the full DAG ``g`` obeying the selector case
-    split.  Every row the selector does not force is strictly positive: its
-    weights are drawn from 1-16, so its denominator divides their sum.  A
-    selector child draws its natural row once per value of its other
-    parents, and every row with those values reuses it."""
-    return _random_model(_random_layout(g, support, domain_size), seed)
+    split over ``g.support``.  Every row the selector does not force is
+    strictly positive: its weights are drawn from 1-16, so its denominator
+    divides their sum.  A selector child draws its natural row once per
+    value of its other parents, and every row with those values reuses it."""
+    return _random_model(_random_layout(g, domain_size), seed)
 
 
 def joint(m: DiscreteCsScm) -> Table:
@@ -1371,7 +1364,7 @@ def _witness_models(g: Graph, rules, patterns=None) -> tuple:
     draws its weights, so a rule cannot read the selector and every row
     the selector leaves natural shares its draw.  The two models are filled
     as one batch."""
-    layout = _ModelLayout(canonical_hidden_dag(g), g.support, 2)
+    layout = _ModelLayout(canonical_hidden_dag(g), 2)
 
     def weights(rule: dict, c: _CptLayout) -> list:
         if c.v not in rule:
@@ -1642,6 +1635,11 @@ def verify(
 ) -> VerifyReport:
     """Check an identification verdict against enumerated ground truth.
 
+    Models are laid out on the support of ``g``, which ``dag``, when given,
+    must share.  ``support`` is kept for positional callers: it must be
+    ``None`` or ``g.support``, and any other value, like a ``dag`` with
+    another support, raises ``GraphError``.
+
     Identified results must match the interventional law exactly on every
     random model; hedge and positivity failures must ship a valid agreement
     pair; thicket and unknown failures are reported unverified by design.
@@ -1666,18 +1664,20 @@ def verify(
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
+    if support not in (None, g.support) or (dag is not None and dag.support != g.support):
+        raise GraphError("verify reads the support from the graph: pass None or g.support, and a dag with it")
     kind = getattr(result, "kind", None)
 
     if kind == "identified":
         dag = dag or (g if not any(e.kind == "bidirected" for e in g.edges) else canonical_hidden_dag(g))
-        absent = frozenset().union(*support.patterns) - dag.vertices if support else frozenset()
+        absent = frozenset().union(*g.support.patterns) - dag.vertices if g.support else frozenset()
         if absent:
             raise GraphError(
                 f"the selector support names {sorted(absent)}, which are not vertices of the "
                 "model graph; verify the hidden-variable DAG the graph was projected from "
                 "(for a fixture, its *_dag.lsg file)"
             )
-        layout = _random_layout(dag, support, domain_size)
+        layout = _random_layout(dag, domain_size)
         m = layout.shape()  # every trial's model has its shape
         plan = _Plan(m.cpts)
         sources = {"p": _Law(m, {})}

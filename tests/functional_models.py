@@ -9,7 +9,7 @@ import random as _random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from selid.graph import Graph, SelectorSupport, SelectorValue
+from selid.graph import Graph, SelectorValue
 from selid.oracle import OracleError, Table, _Operand, _SelectorDomains, _selector_key, _weights
 
 
@@ -21,7 +21,6 @@ class FunctionalCsScm(_SelectorDomains):
 
     graph: Graph
     sizes: dict
-    support: Optional[SelectorSupport]
     noise: dict  # vertex -> integer weight of each noise value
     mech: dict  # vertex -> {(pa values, noise value): value}
 
@@ -55,21 +54,14 @@ class FunctionalCsScm(_SelectorDomains):
         return Table(law.axes, law.domains, values, denom=math.prod(sum(self.noise[v]) for v in noise_vars))
 
 
-def random_functional_cs_scm(
-    g: Graph,
-    support: Optional[SelectorSupport] = None,
-    seed: int = 0,
-    domain_size: int = 2,
-) -> FunctionalCsScm:
+def random_functional_cs_scm(g: Graph, seed: int = 0, domain_size: int = 2) -> FunctionalCsScm:
     """Seeded random structural-equation model obeying the selector case split."""
     if any(e.kind != "directed" for e in g.edges):
         raise OracleError("functional models are defined over DAGs")
     rng = _random.Random(seed)
     sel = g.selector
-    if sel is not None and support is None:
-        support = g.support
     sizes = {v: domain_size for v in g.vertices if v != sel}
-    m = FunctionalCsScm(g, sizes, support, {}, {})
+    m = FunctionalCsScm(g, sizes, {}, {})
     for v in g.topological_order():
         dom = m.domain(v)
         n_noise = len(dom) + 1

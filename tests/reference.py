@@ -16,10 +16,10 @@ None of these runs in the package itself:
   and trim oracle tables.
 """
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from selid.estimand import BaseKernel, Estimand, EstimandError, Ratio, SumOver, marginalize, restrict
-from selid.graph import FixState, Graph, SelectorSupport
+from selid.graph import FixState, Graph
 from selid.identify import (
     FailPositivity,
     Identified,
@@ -35,7 +35,7 @@ from selid.identify import (
 from selid.oracle import _SAME, UNDEF, Table, _equal_rows, _once
 
 
-def selected_g_formula(g: Graph, query: Query, support: Optional[SelectorSupport] = None):
+def selected_g_formula(g: Graph, query: Query):
     """Product of parent conditionals over the SWIG-ancestral set, each factor
     at a selector value that leaves its vertex natural; identified exactly
     when such a value exists for every factor."""
@@ -43,8 +43,7 @@ def selected_g_formula(g: Graph, query: Query, support: Optional[SelectorSupport
         raise QueryError("the selected g-formula needs a fully observed model")
     if g.selector is None:
         raise QueryError("no selector; use identify instead")
-    support = support or g.support
-    if support is None:
+    if g.support is None:
         raise QueryError("a selector support is required")
     _validate_query(g, query)
     sel = g.selector
@@ -53,7 +52,7 @@ def selected_g_formula(g: Graph, query: Query, support: Optional[SelectorSupport
     factors = []
     for v in sorted(ystar):
         required = children & query.treated & g.ancestors({v})
-        patterns = _candidate_patterns(support, frozenset({v}), required)
+        patterns = _candidate_patterns(g.support, frozenset({v}), required)
         if not patterns:
             return FailPositivity(frozenset({v}))
         pattern = patterns[0]

@@ -369,7 +369,7 @@ def _property_msep_implies_ci(trials):
                     if g.m_separated({x}, {y}, set(z)):
                         statements.append((x, y, frozenset(z)))
         for t in range(trials):
-            table = joint(random_cs_scm(dag, dag.support, seed=7000 + t))
+            table = joint(random_cs_scm(dag, seed=7000 + t))
             for x, y, z in statements:
                 assert exact_ci(table, {x}, {y}, z), (name, t, x, y, z)
 
@@ -381,7 +381,7 @@ def _property_context_swig_ci(trials):
         sel = g.selector
         treated = sorted(g.random & {"A", "A1"})
         for t in range(trials):
-            m = random_functional_cs_scm(dag, dag.support, seed=8000 + t)
+            m = random_functional_cs_scm(dag, seed=8000 + t)
             for pattern in sorted(g.support, key=lambda p: (len(p), sorted(p))):
                 svalue = SelectorValue(pattern, tuple((c, 1) for c in sorted(pattern)))
                 a = {v: 1 for v in treated}

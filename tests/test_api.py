@@ -6,6 +6,7 @@ a test diff, not silently.
 
 import ast
 import collections
+import inspect
 import re
 import types
 from pathlib import Path
@@ -44,6 +45,19 @@ def test_public_names():
     }
     assert exported == PUBLIC
 
+
+def test_the_graph_is_the_one_source_of_the_support():
+    # the selection procedures and the model generator read the selector
+    # support from the graph and take no other
+    params = {
+        f.__name__: list(inspect.signature(f).parameters)
+        for f in (selid.identify_selected, selid.sequential_baseline, selid.random_cs_scm)
+    }
+    assert params == {
+        "identify_selected": ["g", "query"],
+        "sequential_baseline": ["g", "query"],
+        "random_cs_scm": ["g", "seed", "domain_size"],
+    }
 
 
 def _reads(tree) -> collections.Counter:

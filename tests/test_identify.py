@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from selid.estimand import (
@@ -17,6 +19,7 @@ from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import SelectorSupport
 from selid.identify import (
     DatasetSpec,
+    Identified,
     Query,
     QueryError,
     identify,
@@ -168,9 +171,9 @@ class TestSelectedGFormula:
     selection model, held to the reference selected g-formula."""
 
     @staticmethod
-    def csg(g, query, support=None):
-        r = identify_selected(g, query, support)
-        assert same_answer(r, selected_g_formula(g, query, support))
+    def csg(g, query):
+        r = identify_selected(g, query)
+        assert same_answer(r, selected_g_formula(g, query))
         return r
 
     def test_scar_identifies_and_verifies(self):
@@ -182,8 +185,8 @@ class TestSelectedGFormula:
 
     def test_trivial_support_is_plain_g_formula(self):
         fx = FX["scar"]
-        support = SelectorSupport(frozenset([frozenset()]))
-        r = self.csg(fx.graph, q("Y", A="a"), support)
+        g = dataclasses.replace(fx.graph, support=SelectorSupport(frozenset([frozenset()])))
+        r = self.csg(g, q("Y", A="a"))
         assert r.kind == "identified"
 
     def test_forced_outcome_not_identified(self):
@@ -333,13 +336,13 @@ def projected(text: str, query: str) -> tuple:
 class TestConfoundedSelectorWrapper:
     def test_wrapper_reproduces_instrument_answer(self):
         from selid.estimand import ChainKernel
-        from selid.identify import _confounded_selector
+        from selid.identify import _confounded_selector, _contexts
 
         fx = FX["double_bow"]
         g = fx.graph
         query = q("Y", A="a")
         qtil = ChainKernel.from_joint(g)
-        e = _confounded_selector(g, query, qtil, frozenset({"Y"}), g.support, frozenset({"A"}))
+        e = _confounded_selector(query, qtil, frozenset({"Y"}), frozenset({"A"}), _contexts(g))
         expected = normal_form(
             restrict(
                 BaseKernel("p", frozenset("Y"), frozenset({"A", "S"})),
@@ -414,7 +417,7 @@ class TestConfoundedSelectorWrapper:
 
     def test_degraded_chain_tries_every_pattern_and_gives_unknown(self):
         from selid.estimand import ChainKernel
-        from selid.identify import _confounded_selector, _selection_fixable
+        from selid.identify import _confounded_selector, _contexts, _selection_fixable
 
         _, proj, query = projected(*self.DEGRADED)
         # the closure of {V4} in the whole graph holds the selector, and is
@@ -422,7 +425,7 @@ class TestConfoundedSelectorWrapper:
         qtil = ChainKernel.from_joint(proj).fix_to(frozenset({"V4"}), _selection_fixable)
         assert qtil.randoms == {"V0", "V3", "V4"} == qtil.factors["V0"].outcomes()
         assert qtil.factors["V0"] is qtil.factors["V3"] is qtil.factors["V4"]
-        r = _confounded_selector(proj, query, qtil, frozenset({"V4"}), proj.support, frozenset({"V3"}))
+        r = _confounded_selector(query, qtil, frozenset({"V4"}), frozenset({"V3"}), _contexts(proj))
         assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V4"}), (("V1", "V3"), ("V1",)))
 
     def test_ancestral_margin_identifies_the_degraded_case(self):
@@ -435,6 +438,51 @@ class TestConfoundedSelectorWrapper:
         assert r.kind == "identified" and r.estimand == normal_form(expected)
         assert render(r.estimand) == "p(V4 | V0=(e_V1=1, v_V1=*, e_V3=1, v_V3=v3), V3=v3)"
         assert verify(proj, query, proj.support, r, trials=50, seed=0, dag=dag).passed
+
+    # in the ancestral margin {V0, V1, V3, V4, V5}, fixing V1, whose factor
+    # V4 and V5 read, leaves one block over its district {V0, V4, V5}; V4
+    # stays, as V4 -> V5.  Pattern {V4} cuts V5 off the selector, so D' is
+    # {V5}, but V5's factor is the block, with outcomes V0 and V4 outside
+    # D'.  Read as V5's factor it would be refuted by the oracle, so the
+    # routine skips the pattern (minimized from a random DAG with 6 observed
+    # and 2 latent vertices)
+    BLOCKED = (
+        """
+        selector V0
+        node V1
+        node V3
+        node V4
+        node V5
+        latent U0
+        latent U1
+        edge U0 -> V0
+        edge U0 -> V4
+        edge U1 -> V1
+        edge U1 -> V4
+        edge U1 -> V5
+        edge V0 -> V4
+        edge V1 -> V3
+        edge V4 -> V5
+        support {V4}
+        """,
+        "P(V3, V5 | do(V1=v1, V4=v4), V0=empty)",
+    )
+
+    def test_a_pattern_whose_district_meets_a_block_is_skipped(self):
+        from selid.estimand import ChainKernel
+        from selid.identify import _confounded_selector, _contexts, _selection_fixable
+
+        dag, proj, query = projected(*self.BLOCKED)
+        margin = proj.induced_subgraph(proj.ancestors({"V0", "V3", "V5"}))
+        qtil = ChainKernel.from_joint(margin).fix_to(frozenset({"V5"}), _selection_fixable)
+        assert qtil.randoms == {"V0", "V4", "V5"} == qtil.factors["V5"].outcomes()
+        r = _confounded_selector(query, qtil, frozenset({"V5"}), frozenset({"V4"}), _contexts(margin))
+        assert (r.kind, r.district, r.tried) == ("unknown", frozenset({"V5"}), (("V4",),))
+        assert identify_selected(proj, query) == r
+        # the skip costs a verdict: the query has an answer, which the oracle
+        # verifies
+        answer = Product((kernel({"V3"}, {"V1"}, V1=Sym("v1")), kernel({"V5"}, {"V0"}, V0=sval(V4="v4"))))
+        assert verify(proj, query, None, Identified(normal_form(answer)), trials=20, seed=0, dag=dag).passed
 
 
 class TestAncestralMargin:

@@ -289,11 +289,14 @@ class TestCli:
         assert json.loads(out) == {"identified": True, "witness": None}
 
     def test_console_script_entry(self):
+        # the child imports the selid this test imported, installed or not
+        src = str(Path(sys.modules["selid"].__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "selid.cli", "identify",
              "--graph", str(FIXDIR / "chain.lsg"),
              "--query", "P(Y | do(A=a))"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
         )
         assert proc.returncode == 0 and "p(" in proc.stdout
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import functools
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from selid import oracle
 from selid.estimand import BaseKernel, Lo, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
 from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
-from selid.graph import Graph, SelectorSupport, SelectorValue, directed
+from selid.graph import Graph, GraphError, SelectorSupport, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
 from selid.lsg import parse_query
 from selid.oracle import (
@@ -60,7 +61,7 @@ def cpt_layout(m) -> list:
     return [(v, t.axes, t.domains, list(t.values), t.denom) for v, t in m.cpts.items()]
 
 
-def _drawn_row_by_row(dag, support, seed, domain_size) -> list:
+def _drawn_row_by_row(dag, seed, domain_size) -> list:
     """``cpt_layout`` of the model ``random_cs_scm`` draws, drawn row by row:
     vertices in topological order, rows in product order, one
     ``randint(1, 16)`` per weight.  A row the selector forces is a point
@@ -69,7 +70,7 @@ def _drawn_row_by_row(dag, support, seed, domain_size) -> list:
     the least common multiple of the row totals."""
     rng = random.Random(seed)
     sel = dag.selector
-    shape = oracle.DiscreteCsScm(dag, {v: domain_size for v in dag.vertices if v != sel}, {}, support)
+    shape = oracle.DiscreteCsScm(dag, {v: domain_size for v in dag.vertices if v != sel}, {})
     natural, cpts = {}, []
     for v in dag.topological_order():
         parents = tuple(sorted(dag.parents(v)))
@@ -100,10 +101,10 @@ def _drawn_row_by_row(dag, support, seed, domain_size) -> list:
 class TestModelGeneration:
     def test_seed_determinism(self):
         fx = FX["double_bow"]
-        a = random_cs_scm(fx.dag, fx.dag.support, seed=42)
-        b = random_cs_scm(fx.dag, fx.dag.support, seed=42)
+        a = random_cs_scm(fx.dag, seed=42)
+        b = random_cs_scm(fx.dag, seed=42)
         assert cpt_tables(a) == cpt_tables(b)
-        c = random_cs_scm(fx.dag, fx.dag.support, seed=43)
+        c = random_cs_scm(fx.dag, seed=43)
         assert cpt_tables(a) != cpt_tables(c)
 
     def test_weights_draw_the_randint_stream(self):
@@ -118,7 +119,7 @@ class TestModelGeneration:
         # recorded numbers, not a rerun of the code: a change of draw order or
         # of CPT layout fails here, where test_seed_determinism would pass
         fx = FX[name]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=seed)
+        m = random_cs_scm(fx.dag, seed=seed)
         pinned = json.loads((GOLDEN / "drawn_models.json").read_text())
         assert cpt_tables(m) == pinned[f"{name} {seed}"]
 
@@ -128,11 +129,11 @@ class TestModelGeneration:
         # seed alone
         for fx in FX.values():
             g = fx.dag or canonical_hidden_dag(fx.graph)
-            layout = oracle._random_layout(g, g.support, 2)
+            layout = oracle._random_layout(g, 2)
             for trials in (1, 2, 3, 7):
                 seeds = range(5 * trials, 6 * trials)
                 batch = layout.draw(seeds)
-                alone = [random_cs_scm(g, g.support, seed=seed) for seed in seeds]
+                alone = [random_cs_scm(g, seed=seed) for seed in seeds]
                 for c, (cells, denoms) in zip(layout.cpts, batch, strict=True):
                     assert cells == [x for m in alone for x in m.cpts[c.v].values]
                     assert denoms == tuple(m.cpts[c.v].denom for m in alone)
@@ -141,7 +142,7 @@ class TestModelGeneration:
 
     def test_selector_case_split_holds(self):
         fx = FX["selection_web"]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=5)
+        m = random_cs_scm(fx.dag, seed=5)
         assert m.validate()
 
     @pytest.mark.parametrize(
@@ -150,7 +151,7 @@ class TestModelGeneration:
     )
     def test_validate_rejects_broken_rows(self, kind, error):
         fx = FX["selection_web"]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=5)
+        m = random_cs_scm(fx.dag, seed=5)
         t = m.cpts["A1"]  # a selector child, two values per row
         parents, rows = m.rows("A1")
         si = parents.index("S")
@@ -167,7 +168,7 @@ class TestModelGeneration:
             m.validate()
 
     def test_massless_mechanism_row_is_rejected(self):
-        layout = oracle._ModelLayout(FX["chain"].graph, None, 2)
+        layout = oracle._ModelLayout(FX["chain"].graph, 2)
         for c in layout.cpts:
             with pytest.raises(OracleError, match=f"a mechanism row of {c.v} has no mass"):
                 oracle._cpt(c, [0] * (len(c.draws) * c.n))
@@ -213,10 +214,10 @@ class TestModelGeneration:
         models = 0
         for dag in dags:
             for size in (2, 3):
-                layout = oracle._random_layout(dag, dag.support, size)
+                layout = oracle._random_layout(dag, size)
                 for seed in range(3):
                     m = oracle._random_model(layout, seed)
-                    assert cpt_layout(m) == _drawn_row_by_row(dag, dag.support, seed, size), (dag, size, seed)
+                    assert cpt_layout(m) == _drawn_row_by_row(dag, seed, size), (dag, size, seed)
                     models += 1
         assert models > 1000
 
@@ -258,7 +259,7 @@ class TestLaws:
 
     def test_intervene_nothing_recovers_context_law(self):
         fx = FX["double_bow"]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=4)
+        m = random_cs_scm(fx.dag, seed=4)
         t = interventional(m, {}, SelectorValue())
         assert sum(t.data.values()) == 1
 
@@ -268,7 +269,7 @@ class TestLaws:
 
     def test_perfect_instrument_consistency(self):
         fx = FX["double_bow"]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=6)
+        m = random_cs_scm(fx.dag, seed=6)
         t = joint(m)
         cond = t.conditional({"Y"}, {"A", "S"})
         for a in (0, 1):
@@ -343,7 +344,7 @@ class TestEvaluation:
             assert got is UNDEF if want is UNDEF else got is not UNDEF and got == want, (a, b)
 
     def test_law_numerators_match_data(self):
-        m = random_cs_scm(FX["selection_web"].dag, FX["selection_web"].dag.support, seed=4)
+        m = random_cs_scm(FX["selection_web"].dag, seed=4)
         t = joint(m)
         assert all(isinstance(n, int) for n in t.values)
         assert all(Fraction(n, t.denom) == p for n, p in zip(t.values, t.data.values()))
@@ -563,6 +564,19 @@ class TestVerify:
         with pytest.raises(OracleError):
             verify(FX["chain"].graph, q("Y", A="a"), None, r, trials=0)
 
+    def test_models_are_laid_out_on_the_graphs_support(self):
+        # the third argument may only repeat g.support, and a dag must
+        # share it
+        fx = FX["double_bow"]
+        query = q("Y", A="a")
+        r = identify_selected(fx.graph, query)
+        for support in (None, fx.graph.support):
+            assert verify(fx.graph, query, support, r, trials=1, dag=fx.dag).passed
+        other = SelectorSupport(frozenset({frozenset({"A"})}))
+        for support, dag in ((other, fx.dag), (None, dataclasses.replace(fx.dag, support=other))):
+            with pytest.raises(GraphError, match="^verify reads the support from the graph"):
+                verify(fx.graph, query, support, r, trials=1, dag=dag)
+
 
 class TestExactCI:
     def test_chain_ci(self):
@@ -625,7 +639,7 @@ def small_models(domain_size, seeds, max_states):
         if case is None:
             continue
         dag, _, query = case
-        m = random_cs_scm(dag, dag.support, seed=seed, domain_size=domain_size)
+        m = random_cs_scm(dag, seed=seed, domain_size=domain_size)
         if math.prod(len(m.domain(v)) for v in m.graph.vertices) <= max_states:
             yield m, query
 
@@ -674,7 +688,7 @@ class TestLawPlans:
 
     def test_stacked_dataset_equals_one_law_per_value(self):
         fx = FX["double_bow"]
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=5, domain_size=3)
+        m = random_cs_scm(fx.dag, seed=5, domain_size=3)
         t = dataset_table(m, {"A"}, SelectorValue())
         assert t.axes[-1] == "A" and t.given == {"A"}
         for a in range(3):
@@ -775,7 +789,7 @@ class TestLawPlans:
     def test_memoized_kernels_equal_direct_conditionals(self, monkeypatch):
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
-        t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=3))
+        t = joint(random_cs_scm(fx.dag, seed=3))
         # every kernel the compiled plan divides: its table's final shape and
         # the restrictions that picked its rows, keyed by the slot of that shape
         kernels = {}
@@ -897,7 +911,7 @@ class TestLawPlans:
         # 3314 cells while a product was planned apart from its sum
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
-        m = random_cs_scm(fx.dag, fx.dag.support, seed=1)
+        m = random_cs_scm(fx.dag, seed=1)
         plan = _verify_plan(r.estimand, m, {"p": oracle._Law(m, {})})
         cells = [s.cells for s in plan.steps]
         assert (len(cells), sum(cells), max(cells)) == (36, 3024, 512)
@@ -939,8 +953,8 @@ class TestLawPlans:
             return [(s.op, s.width, s.cells, [(t, list(idx)) for t, idx in s.inputs]) for s in plan.steps]
 
         a = SelectorValue(frozenset({"A"}), (("A", Sym("a")),))
-        bow = random_cs_scm(FX["double_bow"].dag, FX["double_bow"].dag.support, seed=1)
-        scar = random_cs_scm(FX["scar"].graph, FX["scar"].graph.support, seed=1)
+        bow = random_cs_scm(FX["double_bow"].dag, seed=1)
+        scar = random_cs_scm(FX["scar"].graph, seed=1)
         cases = [
             (bow, oracle._Law(bow, {}), BaseKernel("p", {"Y", "S"}, {"A"}), (("A", Sym("a")), ("S", a))),
             (
@@ -976,7 +990,7 @@ class TestLawPlans:
             fx = FX[name]
             g = fx.graph
             r = identify_selected(g, parse_query(fx.query, g.selector)[0])
-            m = random_cs_scm(fx.dag or g, g.support, seed=1)
+            m = random_cs_scm(fx.dag or g, seed=1)
             plans = []
             for narrowed in (real, lambda *args: None):
                 monkeypatch.setattr(oracle, "_narrowed", narrowed)
@@ -1085,7 +1099,7 @@ class TestLawPlans:
         query = q("Y", A1="a1", A2="a2")
         r = identify_selected(fx.graph, query)
         observed = fx.dag.random - fx.dag.latent
-        m = random_cs_scm(fx.dag, fx.dag.support)
+        m = random_cs_scm(fx.dag)
         assert math.prod(len(m.domain(v)) for v in observed) == 2304  # the joint's
 
         def no_joint(*args):
@@ -1294,7 +1308,7 @@ def _identified_cases() -> list:
         r = (identify_selected if g.selector is not None else identify)(g, query)
         if r.kind == "identified":
             dag = fx.dag or (canonical_hidden_dag(g) if any(e.kind == "bidirected" for e in g.edges) else g)
-            cases.append((r.estimand, random_cs_scm(dag, g.support, seed=1), {"p": frozenset()}))
+            cases.append((r.estimand, random_cs_scm(dag, seed=1), {"p": frozenset()}))
     model, experimental = compliance_pair()
     specs = [DatasetSpec("p1", frozenset(), model.graph), DatasetSpec("p2", frozenset({"M"}), experimental)]
     r = identify_fused(model.graph, specs, q("Y", A="a"))
@@ -1306,7 +1320,7 @@ def _identified_cases() -> list:
             for procedure in (identify_selected, sequential_baseline):
                 r = procedure(proj, query)
                 if r.kind == "identified":
-                    cases.append((r.estimand, random_cs_scm(dag, dag.support, seed=seed), {"p": frozenset()}))
+                    cases.append((r.estimand, random_cs_scm(dag, seed=seed), {"p": frozenset()}))
     return cases
 
 
@@ -1553,7 +1567,7 @@ class TestExactArithmetic:
             return runs[-1]
 
         monkeypatch.setattr(oracle._Plan, "run_rows", recorded)
-        law = joint(random_cs_scm(FX["selection_web"].dag, FX["selection_web"].dag.support, seed=4))
+        law = joint(random_cs_scm(FX["selection_web"].dag, seed=4))
         outcome, context = frozenset({"Y"}), frozenset({"C", "M", "W1"})
         got = oracle._once([law], lambda plan, t: plan.conditional(t, outcome, context))
         ((nums, dens),) = runs[-1]
@@ -1726,7 +1740,7 @@ class TestExactArithmetic:
     def test_estimand_plan_builds_one_fraction_per_output_row(self, monkeypatch):
         fx = FX["selection_web"]
         r = identify_selected(fx.graph, q("Y", A1="a1", A2="a2"))
-        t = joint(random_cs_scm(fx.dag, fx.dag.support, seed=0))
+        t = joint(random_cs_scm(fx.dag, seed=0))
         plan = oracle._compile_estimand(r.estimand, {"p": t})
         built = []
 

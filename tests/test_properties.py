@@ -1082,7 +1082,7 @@ class TestMSeparationSoundness:
                         statements.append((x, y, frozenset(z)))
         trials = 100
         for t in range(trials):
-            m = random_cs_scm(dag, dag.support, seed=1000 + t)
+            m = random_cs_scm(dag, seed=1000 + t)
             table = joint(m)
             for x, y, z in statements:
                 assert exact_ci(table, {x}, {y}, z), (name, t, x, y, z)
@@ -1099,7 +1099,7 @@ class TestContextSwigIndependencies:
         children = sorted(g.children(sel))
         treated = sorted(g.random & {"A", "A1"})
         for t in range(12):
-            m = random_functional_cs_scm(dag, dag.support, seed=500 + t)
+            m = random_functional_cs_scm(dag, seed=500 + t)
             for pattern in sorted(g.support, key=lambda p: (len(p), sorted(p))):
                 sval = SelectorValue(pattern, tuple((c, 1) for c in sorted(pattern)))
                 a = {v: 1 for v in treated}
@@ -1123,7 +1123,7 @@ class TestContextSwigIndependencies:
     def test_functional_law_matches_truncated_factorization(self):
         fx = FX["double_bow"]
         for t in range(10):
-            m = random_functional_cs_scm(fx.dag, fx.dag.support, seed=900 + t)
+            m = random_functional_cs_scm(fx.dag, seed=900 + t)
             law = m.counterfactual_law({"A": 1}, SelectorValue()).sum_out({"A", "S"})
             # independent truncated-factorization computation over the same model
             from fractions import Fraction

@@ -223,23 +223,28 @@ def test_a_larger_support_never_loses_identification():
     # each support pattern the generator left out, over the selector's
     # children, added on its own to the graph's declared support (a query
     # may only name patterns of the graph's support): a query identified
-    # under the smaller support stays identified
-    checks = 0
+    # under the smaller support stays identified by either procedure, and
+    # the baseline never identifies what identify_selected does not
+    procedures = (identify_selected, sequential_baseline)
+    checks = collections.Counter()
     for seed in range(200):
         case = random_selection_model(seed)
         if case is None:
             continue
         _, proj, query = case
-        if identify_selected(proj, query).kind != "identified":
-            continue
+        before = [f(proj, query).kind == "identified" for f in procedures]
         kids = sorted(proj.children(proj.selector))
         for size in range(len(kids) + 1):
             for pattern in map(frozenset, itertools.combinations(kids, size)):
                 if pattern not in proj.support:
                     g = dataclasses.replace(proj, support=SelectorSupport(proj.support.patterns | {pattern}))
-                    assert identify_selected(g, query).kind == "identified", (seed, sorted(pattern))
-                    checks += 1
-    assert checks > 100
+                    one_shot, baseline = after = [f(g, query).kind == "identified" for f in procedures]
+                    for f, was, now in zip(procedures, before, after):
+                        assert now or not was, (f.__name__, seed, sorted(pattern))
+                        checks[f.__name__] += was
+                    assert one_shot or not baseline, (seed, sorted(pattern))
+                    checks["dominance"] += baseline
+    assert min(checks.values()) > 50 and checks["identify_selected"] > 100
 
 
 @pytest.mark.parametrize("seed", [24, 98, 124])
