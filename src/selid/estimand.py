@@ -403,15 +403,6 @@ class ChainKernel:
             factors.update(_split(b, g, g.topological_order()))
         return ChainKernel(g, factors)
 
-    @functools.cached_property
-    def _readers(self) -> dict:
-        """Variable -> the vertices whose factor conditions on it."""
-        out = {}
-        for w, f in self.factors.items():
-            for x in f.contexts():
-                out.setdefault(x, set()).add(w)
-        return out
-
     # -- fixing ----------------------------------------------------------------
 
     def fix(self, v: str) -> "ChainKernel":
@@ -478,27 +469,23 @@ def _split(b: Estimand, g: Graph | FixState, order) -> dict:
 class _Walk:
     """The working state of one fixing walk from a ``ChainKernel``.
 
-    It holds a ``FixState`` of the kernel's graph and copies of its factors
-    and of the readers of each variable, and changes them in place at every
-    ``step``; ``kernel`` builds the kernel the walk ends at.  The clean
-    verdicts are the starting kernel's own until the first step, which
-    keeps those it leaves valid in a dict of the walk's own.  ``de`` holds,
-    for each verdict the walk has made or filtered, the random vertices it
-    was made on.
+    It holds a ``FixState`` of the kernel's graph and a copy of its
+    factors, and changes them in place at every ``step``; ``kernel`` builds
+    the kernel the walk ends at.  Clean verdicts last one step: until the
+    first, they are the starting kernel's own, which every walk from it
+    shares.
     """
 
-    __slots__ = ("start", "state", "factors", "readers", "clean", "de")
+    __slots__ = ("start", "state", "factors", "clean")
 
     def __init__(self, k: ChainKernel):
         self.start = k
         self.state = FixState(k.graph)
         self.factors = dict(k.factors)
-        self.readers = dict(k._readers)  # each entry is replaced, never changed
         self.clean = k._clean
-        self.de = {}
 
     def is_clean(self, v: str) -> bool:
-        """Whether fixing ``v`` now is clean, remembered."""
+        """Whether fixing ``v`` now is clean, remembered until the step."""
         c = self.clean.get(v)
         if c is None:
             c = self.clean[v] = self._fix_is_clean(v)
@@ -511,12 +498,12 @@ class _Walk:
 
     def _fix_is_clean(self, v: str) -> bool:
         """Whether fixing ``v`` may drop its factor and keep every other one."""
-        if len(self.factors[v].outcomes()) > 1:
+        factors = self.factors
+        if len(factors[v].outcomes()) > 1:
             # v shares a block, which only a step that touches v rewrites
-            self.de[v] = frozenset((v,))
             return False
         g = self.state
-        de = self.de[v] = g.descendants(v) & g.random
+        de = g.descendants(v) & g.random
         if de == {v}:
             if v == g.selector:
                 # the selector stays a conditioning variable: marginalizing
@@ -526,53 +513,28 @@ class _Walk:
                 return True
             # childless: marginalization, clean unless another factor
             # conditions on v
-            return not (self.readers.get(v, set()) - {v})
+            return not any(v in f.contexts() for w, f in factors.items() if w != v)
         # drop rule: legal when no factor outside de(v) touches de(v); v's own
         # factor never conditions on de(v), as every conditioning set lies in
         # a topological prefix and fixing only removes edges
-        return all(self.readers.get(x, set()) <= de for x in de)
+        return all(f.contexts().isdisjoint(de) for w, f in factors.items() if w not in de)
 
     def step(self, v: str) -> None:
         """Fix ``v``: drop its factor if the step is clean or its district
         is {v}, else replace the factors of its district D by the sum over
-        ``v`` of their product, split into the districts of D - {v}.
-
-        A clean verdict for ``w`` reads ``de(w)``, the readers of its
-        members and whether ``w`` shares a block.  The step rewrites the
-        factors of ``touched`` ({v} or D), so it changes the readers of
-        their contexts alone, and it removes only edges into ``v``.  So a
-        verdict goes stale only if its ``de(w)`` meets ``touched`` or those
-        contexts; for any other ``w``, ``v`` is outside ``de(w)``, so no
-        path from ``w`` uses an edge into ``v`` and the set kept with the
-        verdict stays valid.  One inherited from the starting kernel gets
-        its set the first time a step filters it.
-        """
-        state, factors, readers = self.state, self.factors, self.readers
+        ``v`` of their product, split into the districts of D - {v}."""
+        state, factors = self.state, self.factors
         state.check_fixable(v)
         if self.is_clean(v) or not state.siblings(v):
-            touched, ctx = {v}, factors[v].contexts()
+            touched = {v}
         else:
             touched = state.district_of(v)
-            ctx = frozenset().union(*(factors[w].contexts() for w in touched))
-        hit, de = ctx | touched, self.de
-        if self.clean is self.start._clean:
-            for w in self.clean.keys() - de.keys():
-                de[w] = state.descendants(w) & state.random
-        self.clean = {w: c for w, c in self.clean.items() if de[w].isdisjoint(hit)}
-        for x in ctx:
-            rest = readers[x] - touched
-            if rest:
-                readers[x] = rest
-            else:
-                del readers[x]
+        self.clean = {}
         state.fix(v)
         if len(touched) > 1:
             order = state.topological_order()
-            blocks = _split(SumOver(_product({w: factors[w] for w in touched}, order), frozenset((v,))), state, order)
-            factors.update(blocks)
-            for b in {id(b): b for b in blocks.values()}.values():
-                for x in b.contexts():
-                    readers[x] = readers.get(x, set()) | b.outcomes()
+            block = SumOver(_product({w: factors[w] for w in touched}, order), frozenset((v,)))
+            factors.update(_split(block, state, order))
         del factors[v]
 
     def kernel(self) -> ChainKernel:

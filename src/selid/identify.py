@@ -180,14 +180,14 @@ def _factorize(g: Graph, query: Query, ystar: frozenset, solve):
 # plain interventional identification (single law, no selector semantics)
 
 
-def identify(g: Graph, query: Query, base: str = "p"):
+def identify(g: Graph, query: Query):
     """District factorization over the ancestral outcome set; every district
     must be reachable in the full graph, else the hedge is returned.  A
     graph with a selector raises ``QueryError``: ``identify_selected``."""
     _validate_query(g, query)
     if g.selector is not None:
         raise QueryError("the graph has a selector; use identify_selected")
-    joint = ChainKernel.from_joint(g, base)
+    joint = ChainKernel.from_joint(g)
 
     def solve(dstar):
         kernel = joint.fix_to(dstar)
@@ -496,7 +496,9 @@ def sequential_baseline(g: Graph, query: Query):
     # the fixed half of the selector is a constant and carries no information
     sw = swig(contexts(frozenset()), {sel: OBSERVATIONAL}, OBSERVATIONAL)
     g2 = sw.induced_subgraph(sw.vertices - {sel, fixed_name(sel)})
-    result = identify(g2, query, base="pbar")
+    result = identify(g2, query)
     if not isinstance(result, Identified):
         return result
-    return Identified(normal_form(substitute_base(result.estimand, "pbar", law)))
+    # the law's own kernels are named p too, but substitute_base never
+    # walks into a replacement
+    return Identified(normal_form(substitute_base(result.estimand, "p", law)))

@@ -113,6 +113,8 @@ def parse_graph(text: str) -> Graph:
             seen_edges.add(e)
             edges.append(e)
         elif stmt == "support":
+            if support is not None:
+                raise ParseError("more than one support", lineno)
             support = _parse_support(rest, lineno)
         else:
             raise ParseError(f"unknown statement {stmt!r}", lineno)

@@ -48,12 +48,14 @@ def test_public_names():
 
 def test_the_graph_is_the_one_source_of_the_support():
     # the selection procedures and the model generator read the selector
-    # support from the graph and take no other
+    # support from the graph and take no other; ``identify`` reads its law
+    # as ``p`` and takes no base name (the baseline substitutes its law)
     params = {
         f.__name__: list(inspect.signature(f).parameters)
-        for f in (selid.identify_selected, selid.sequential_baseline, selid.random_cs_scm)
+        for f in (selid.identify, selid.identify_selected, selid.sequential_baseline, selid.random_cs_scm)
     }
     assert params == {
+        "identify": ["g", "query"],
         "identify_selected": ["g", "query"],
         "sequential_baseline": ["g", "query"],
         "random_cs_scm": ["g", "seed", "domain_size"],

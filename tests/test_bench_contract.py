@@ -204,15 +204,16 @@ def test_identify_sweep_fixes_each_step_once(monkeypatch):
 
 def test_identify_sweep_walks_take_few_closures(monkeypatch):
     # the fixing walk re-tests only blocked vertices, and computes the fixed
-    # vertex's district and ancestors only while some vertex is blocked; a
-    # clean step drops the verdicts whose descendant set, kept with each,
-    # meets the dropped factor's variables.  Over the 32 identify_sweep
-    # cases the walks take 1748 closures; re-testing the district and
-    # ancestors of every fixed vertex and dropping ancestors(conditioning)
-    # took 4824.  It was 1890 while _selection_fixable tested the
-    # selector's district by a closure where its siblings say the same
-    # (143 closures), and a kernel that had left chain form made no clean
-    # verdicts (a block step takes a district closure)
+    # vertex's district and ancestors only while some vertex is blocked;
+    # clean verdicts last one step.  Over the 32 identify_sweep cases the
+    # walks take 1733 closures; 1748 while a step kept the verdicts it left
+    # valid, filling in the descendant set of each inherited one, and 4824
+    # while it re-tested the district and ancestors of every fixed vertex
+    # and dropped ancestors(conditioning).  It was 1890 while
+    # _selection_fixable tested the selector's district by a closure where
+    # its siblings say the same (143 closures), and a kernel that had left
+    # chain form made no clean verdicts (a block step takes a district
+    # closure)
     S = types.SimpleNamespace(**{m: _module(m) for m in MODULES})
     workloads = _load("workloads")
     depth, closures = [0], []
@@ -238,7 +239,7 @@ def test_identify_sweep_walks_take_few_closures(monkeypatch):
             dag, obs, query = workloads.sweep_case(S, n, seed)
             proj = S.projection.latent_project(S.projection.derive_labels(dag), obs)
             S.identify.identify_selected(proj, query)
-    assert len(closures) == 1748
+    assert len(closures) == 1733
 
 
 def test_identify_sweep_validates_no_derived_graph(monkeypatch):

@@ -72,6 +72,12 @@ class TestGrammar:
         )
         assert frozenset() in g.support and frozenset({"A1", "A2"}) in g.support
 
+    def test_a_second_support_is_refused(self):
+        # as with the selector: a second statement would replace the first
+        with pytest.raises(ParseError, match="more than one support") as exc:
+            parse_graph("node A\nselector S\nedge S -> A\nsupport {A}, {}\nsupport {}\n")
+        assert exc.value.line == 5
+
     def test_round_trip_all_fixture_files(self):
         for path in sorted(FIXDIR.glob("*.lsg")):
             text = path.read_text()
