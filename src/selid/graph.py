@@ -238,7 +238,7 @@ class Graph(_Adjacency):
     ``fixed`` vertices receive no arrowheads; ``latent`` is a subset of
     ``random`` and only meaningful before latent projection.  ``selector``
     names the selection vertex when present, and ``support`` its allowed
-    patterns.
+    patterns: the two are given together or not at all.
     """
 
     random: frozenset
@@ -276,10 +276,13 @@ class Graph(_Adjacency):
         for v in verts:
             if not v:
                 raise GraphError("empty vertex name")
-        if self.selector is not None and self.selector not in verts:
-            raise GraphError("selector must be a vertex of the graph")
-        if self.support is not None and any(self.selector in p for p in self.support.patterns):
-            raise GraphError("the selector support must not name the selector")
+        if (self.selector is None) != (self.support is None):
+            raise GraphError("a selector and its support come together: give both or neither")
+        if self.selector is not None:
+            if self.selector not in verts:
+                raise GraphError("selector must be a vertex of the graph")
+            if any(self.selector in p for p in self.support.patterns):
+                raise GraphError("the selector support must not name the selector")
         seen = set()
         for e in self.edges:
             if e.tail not in verts or e.head not in verts:
@@ -363,18 +366,20 @@ class Graph(_Adjacency):
         if unknown:
             raise GraphError(f"unknown vertices {sorted(unknown)}")
         kept = [e for e in self.edges if e.endpoints() <= keep]
-        if self.selector not in keep:
-            # labels are meaningless without the selector
+        with_selector = self.selector in keep
+        if not with_selector:
+            # labels and the support are meaningless without the selector
             kept = [Edge(e.kind, e.tail, e.head) for e in kept]
         # a subset of the vertices and of the edges among them, so no new
-        # cycle, arrowhead at a fixed vertex or clash; a label stays only
-        # with the selector
+        # cycle, arrowhead at a fixed vertex or clash; a label and the
+        # support stay only with the selector
         return self._derive(
             random=self.random & keep,
             fixed=self.fixed & keep,
             latent=self.latent & keep,
             edges=frozenset(kept),
-            selector=self.selector if self.selector in keep else None,
+            selector=self.selector if with_selector else None,
+            support=self.support if with_selector else None,
         )
 
     # -- separation ---------------------------------------------------------

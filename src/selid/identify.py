@@ -381,8 +381,6 @@ def identify_selected(g: Graph, query: Query):
     if g.selector is None:
         return identify(g, query)
     support = g.support
-    if support is None:
-        raise QueryError("a selector support is required")
     _validate_query(g, query)
     sel = g.selector
     children = _selector_children(g)
@@ -470,8 +468,6 @@ def sequential_baseline(g: Graph, query: Query):
     procedure: failures here do not imply non-identification."""
     if g.selector is None:
         return identify(g, query)
-    if g.support is None:
-        raise QueryError("a selector support is required")
     _validate_query(g, query)
     sel = g.selector
     if frozenset() not in g.support:

@@ -24,18 +24,20 @@ One table layout, one step runner:
   over the CPTs of its ancestral set (``_compile_law``), which are
   ``Table``s in the plan's layout from the moment they are drawn, an
   estimand's ``Product`` as each parent reads it, and ``Table.multiply``.
-  An estimand's steps (``_estimand_steps``) run on the laws it makes: each
-  kernel's ``keep`` margin is eliminated from the CPTs once per axis set,
-  over one pattern's selector values alone when the kernel is read at a
-  value of that pattern, its ``rest`` summed from that ``keep``, and no
-  joint table is built; given ``Table``s (``eval_estimand``), each
-  ``keep`` is summed from its table.  A plan may
-  keep several results, and each oracle call compiles one: ``verify`` one
-  holding its estimand, ground truth and comparison, run once per batch of
-  trials on models laid out once per call (``_ModelLayout``); a witness
-  check one holding the observed joint and the query's slices, run once
-  per model of the pair.  Each ``Table`` operation, and each of ``joint``,
-  ``interventional`` and ``dataset_table``, is a plan run once.
+  Plans share work through equal steps alone: a step equal to one already
+  planned is found by its key and not planned again.  An estimand's steps
+  (``_estimand_steps``) run on the laws it makes: each kernel's ``keep``
+  margin is eliminated from the CPTs, over one pattern's selector values
+  alone when the kernel is read at a value of that pattern, its ``rest``
+  summed from that ``keep``, and no joint table is built; given
+  ``Table``s (``eval_estimand``), each ``keep`` is summed from its table.
+  A plan may keep several results, and each oracle call compiles one:
+  ``verify`` one holding its estimand, ground truth and comparison, run
+  once per batch of trials on models laid out once per call
+  (``_ModelLayout``); a witness check one holding the observed joint and
+  the query's slices, run once per model of the pair.  Each ``Table``
+  operation, and each of ``joint``, ``interventional`` and
+  ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
   model is one group of weights per draw (``_cpt``), normalized for a
@@ -76,6 +78,8 @@ from .estimand import (
 from .graph import OBSERVATIONAL, Graph, GraphError, SelectorSupport, SelectorValue
 from .projection import bidirected_latents, canonical_hidden_dag
 
+# The cells of one CPT of a model: a larger one is refused before its rows
+# are listed.
 MAX_CELLS = 1 << 20
 # The cells one plan's steps make for one model, summed over its steps: a
 # plan that would make more is refused while it is made.  Of the identified
@@ -97,8 +101,8 @@ class OracleError(ValueError):
 
 
 class CapError(OracleError):
-    """A table or product past ``MAX_CELLS`` cells, or a plan past
-    ``MAX_PLAN_CELLS`` cells per model, refused before it is built."""
+    """A CPT past ``MAX_CELLS`` cells, or a plan past ``MAX_PLAN_CELLS``
+    cells per model, refused before it is built."""
 
 
 class Undefined:
@@ -485,12 +489,8 @@ class _Operand:
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
         table over ``axes``; axes the factor lacks are broadcast.  Every
-        plan step gathers its inputs here, so a step over more than
-        ``MAX_CELLS`` cells raises ``CapError`` before its index arrays are
-        built."""
-        cells = math.prod(len(domains[a]) for a in axes)
-        if cells > MAX_CELLS:
-            raise CapError(f"an intermediate factor of {cells} cells exceeds the enumeration cap")
+        plan step gathers its inputs here, after ``_Plan.step`` has charged
+        the step against ``MAX_PLAN_CELLS``."""
         _, base, diffs = self.view(axes, domains)
         idx = [base]
         for steps in diffs:
@@ -541,18 +541,17 @@ class _Plan:
     result as the next slot and is never changed once made, and ``outs``
     are the results, one or more: every oracle call plans all it compares
     in one plan and runs it once per model.  Operations return
-    ``_Operand``s; every sum of products is eliminated (``eliminate``), a
-    margin of a ``_Law`` once per axis set (``margin``), and a step equal
-    to one already planned is not planned again (``step``).  A restriction
-    (``restrict``) is a view, never a step, and ``finish`` copies out a
-    result that is a view.
+    ``_Operand``s; every sum of products is eliminated (``eliminate``),
+    and a step equal to one already planned is not planned again
+    (``step``), so a margin of a ``_Law`` planned again adds no step.  A
+    restriction (``restrict``) is a view, never a step, and ``finish``
+    copies out a result that is a view.
     """
 
     def __init__(self, inputs, tables=()):
         self.inputs = list(inputs)
         self.operands = [_Operand(i, t.axes, t.domains, given=t.given) for i, t in enumerate(tables)]
         self.steps = []
-        self.margins: dict = {}  # (law, axis set, selector values) -> margin
         self.made: dict = {}  # step key -> its slot
         self.cells = 0  # the cells of one model's run, over every step
         self.outs = ()
@@ -619,17 +618,6 @@ class _Plan:
         checked = sorted(drop) if op is _SAME else ()
         return self.step(op, [t], keep, t.domains, t.given - drop, checked, gone)
 
-    def margin(self, law: "_Law", axes: frozenset, selector: Optional[tuple] = None) -> _Operand:
-        """The margin of ``law`` over ``axes``, eliminated from its CPTs
-        (``_compile_law``) once per ``(law, axes, selector)``: over the
-        selector values ``selector`` lists alone, or over all when it is
-        None."""
-        key = (law, axes, selector)
-        m = self.margins.get(key)
-        if m is None:
-            m = self.margins[key] = _compile_law(law, axes, self, selector)
-        return m
-
     def divide(self, num: _Operand, den: _Operand, given) -> _Operand:
         if not set(den.axes) <= set(num.axes):
             raise OracleError("ratio denominator misses axes of the numerator")
@@ -644,7 +632,7 @@ class _Plan:
         operand."""
         missing = t.given - context
         keep = _kernel_keep(t, outcome, context)
-        num = self.margin(t, keep, selector) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
+        num = _compile_law(t, keep, self, selector) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
         # the rest is summed from the kernel's own keep, over the same
         # denominator, which the divide cancels
         den = self.sum_out(num, outcome)
@@ -1047,10 +1035,10 @@ def _compile_law(law: _Law, out_axes: frozenset, plan: "_Plan", selector: Option
     eliminated (``_Plan.eliminate``); the free axes come last, sorted.
 
     The margin holds the product of the denominators of the CPTs it reads.
-    A product over more than ``MAX_CELLS`` cells, or one that takes the
-    plan past ``MAX_PLAN_CELLS``, raises ``CapError`` while the plan is
-    made, before its rows are gathered (``_Plan.step``).  The law's state
-    space is capped only where a step builds it.
+    A product that takes the plan past ``MAX_PLAN_CELLS`` raises
+    ``CapError`` while the plan is made, before its rows are gathered
+    (``_Plan.step``).  The law's state space is capped only where a step
+    builds it.
     """
     m, free, factors = law.m, law.free, law.factors(selector)
     if m.selector in free:
@@ -1232,8 +1220,6 @@ def _random_layout(g: Graph, domain_size: int) -> _ModelLayout:
         raise OracleError("domain size must be at least 2")
     if any(e.kind != "directed" for e in g.edges):
         raise OracleError("models are defined over DAGs; project or expand first")
-    if g.selector is not None and g.support is None:
-        raise OracleError("selector models need a support")
     return _ModelLayout(g, domain_size)
 
 
@@ -1289,8 +1275,9 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
 
     A ``BaseKernel`` divides two margins of its source, ``keep`` by
     ``rest`` (``_Plan.conditional``): a law's ``keep`` is eliminated from
-    the CPTs once per axis set (``_Plan.margin``), a table's is summed from
-    the table, and each ``rest`` is summed from the kernel's own ``keep``.
+    the CPTs (``_compile_law``), a table's is summed from the table, and
+    each ``rest`` is summed from the kernel's own ``keep``; a ``keep`` that
+    another kernel already planned is found step by step (``_Plan.step``).
     A kernel is planned as each parent reads it: under a ``Restrict`` that
     gives the selector a value, a law's kernel is eliminated over that
     value's pattern alone where no check covers fewer rows for it
@@ -1386,8 +1373,8 @@ def positivity_witness_pair(g: Graph, query, district) -> tuple:
     disagreeing on the query: the natural mechanism of a never-laidback
     vertex is unobservable, and a copy path carries the difference to the
     outcome."""
-    if g.selector is None or g.support is None:
-        raise OracleError("positivity witnesses need a selector with support")
+    if g.selector is None:
+        raise OracleError("positivity witnesses need a selector")
     candidates = [v for v in sorted(district) if not g.support.laidback_patterns({v})]
     if not candidates:
         raise OracleError(
@@ -1415,8 +1402,6 @@ def hedge_witness_pair(g: Graph, district, closure) -> tuple:
                 inside.add(u)
 
     patterns = None
-    if sel is not None and g.support is None:
-        raise OracleError("selector hedges need a support")
     if sel is not None and sel in closure:
         laid = g.support.laidback_patterns(district)
         if not laid:
@@ -1504,7 +1489,7 @@ def adjacent_child_witness_pair(g: Graph, query, district, closure) -> tuple:
     bit zero; freeing the bit under the observational intervention separates
     the models, and a copy path carries the difference to the outcome."""
     sel = g.selector
-    if sel is None or sel not in closure or g.support is None:
+    if sel is None or sel not in closure:
         raise OracleError("construction needs a selector inside the closure")
     district = frozenset(district)
     latents = bidirected_latents(g)

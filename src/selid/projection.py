@@ -161,7 +161,7 @@ def context_graph(g: Graph, s: SelectorValue) -> Graph:
     if g.selector is None:
         if s.pattern:
             raise GraphError("serious selector value for a graph without selector")
-    elif g.support is not None and s.pattern not in g.support:
+    elif s.pattern not in g.support:
         raise GraphError(f"selector pattern {sorted(s.pattern)} outside the declared support")
     # a subset of g's edges, unlabelled
     out = [Edge(e.kind, e.tail, e.head) if e.label else e for e in g.edges if not e.label & s.pattern]

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .graph import Graph
-from .lsg import parse_graph
+from selid.graph import Graph
+from selid.lsg import parse_graph
 
-FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 
 QUERIES = {
     "chain": "P(Y | do(A=a))",

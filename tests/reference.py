@@ -43,8 +43,6 @@ def selected_g_formula(g: Graph, query: Query):
         raise QueryError("the selected g-formula needs a fully observed model")
     if g.selector is None:
         raise QueryError("no selector; use identify instead")
-    if g.support is None:
-        raise QueryError("a selector support is required")
     _validate_query(g, query)
     sel = g.selector
     children = _selector_children(g)

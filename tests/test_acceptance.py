@@ -17,7 +17,6 @@ from selid.estimand import (
     normal_form,
     restrict,
 )
-from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import Graph, SelectorSupport, SelectorValue, directed
 from selid.identify import (
     DatasetSpec,
@@ -36,6 +35,7 @@ from selid.oracle import (
 )
 from selid.projection import canonical_hidden_dag, swig
 
+from fixture_graphs import all_fixtures, compliance_pair
 from functional_models import random_functional_cs_scm
 from reference import equals, exact_ci, fix_kernel, project_constant, same_answer, selected_g_formula
 

@@ -78,16 +78,13 @@ def test_every_function_has_a_reader_in_the_package():
     # body, is dead code or a test helper, which belongs under tests/
     # (tests/reference.py).  bench/ wraps some names by string, so a name
     # anywhere in its text counts as read.  Dunder methods are called by
-    # the language, and fixtures.py builds the example graphs of the tests
-    # and the README, which the package never calls
+    # the language
     package = Path(selid.__file__).parent
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     reads = sum(map(_reads, trees.values()), collections.Counter())
     bench = "\n".join(p.read_text() for p in sorted((package.parents[1] / "bench").glob("*.py")))
     unread = []
     for name, tree in trees.items():
-        if name == "fixtures.py":
-            continue
         for top in tree.body:
             defs = [top] if not isinstance(top, ast.ClassDef) else top.body
             for node in defs:

@@ -20,7 +20,8 @@ import pytest
 
 import selid
 from selid.estimand import BaseKernel, ChainKernel, Estimand, Product, Restrict, SumOver
-from selid.fixtures import all_fixtures
+
+from fixture_graphs import all_fixtures
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"

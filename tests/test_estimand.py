@@ -28,11 +28,11 @@ from selid.estimand import (
     substitute_base,
     to_jsonable,
 )
-from selid.fixtures import all_fixtures
 from selid.graph import NotFixableError
 from selid.projection import canonical_hidden_dag
 from selid.oracle import Table, _compile_estimand, eval_estimand, joint, random_cs_scm
 
+from fixture_graphs import all_fixtures
 from reference import condition, equals, fix_kernel, project_constant
 
 FX = all_fixtures()

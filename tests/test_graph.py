@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import pytest
 
-from selid.fixtures import all_fixtures
 from selid.graph import (
     Graph,
     GraphError,
@@ -13,6 +12,8 @@ from selid.graph import (
     bidirected,
     directed,
 )
+
+from fixture_graphs import all_fixtures
 
 FX = all_fixtures()
 
@@ -92,6 +93,13 @@ class TestInducedSubgraph:
             ("bidirected", "A3", "W2"),
             ("bidirected", "W2", "Y"),
         ]
+
+    def test_dropping_the_selector_drops_its_support(self):
+        g = FX["selection_web"].graph
+        sub = g.induced_subgraph(g.vertices - {g.selector})
+        assert sub.selector is None and sub.support is None
+        assert replace(sub) == sub  # the derived graph passes validation
+        assert g.induced_subgraph(g.ancestors({g.selector})).support == g.support
 
 
 class TestMSeparation:
@@ -226,6 +234,16 @@ class TestSelectorValues:
 
 
 class TestInvariants:
+    def test_a_selector_and_its_support_come_together(self):
+        edges = frozenset([directed("S", "A")])
+        support = SelectorSupport(frozenset({frozenset(), frozenset({"A"})}))
+        for half in ({"selector": "S"}, {"support": support}):
+            with pytest.raises(GraphError, match="a selector and its support come together"):
+                Graph(random=frozenset("SA"), edges=edges, **half)
+        g = Graph(random=frozenset("SA"), edges=edges, selector="S", support=support)
+        with pytest.raises(GraphError, match="come together"):
+            replace(g, support=None)
+
     def test_no_directed_cycle(self):
         with pytest.raises(GraphError):
             Graph(
@@ -259,6 +277,7 @@ class TestInvariants:
         g = Graph(
             random=frozenset(["S", "A", "B"]),
             selector="S",
+            support=SelectorSupport(frozenset({frozenset()})),
             edges=frozenset(
                 [
                     directed("S", "B"),

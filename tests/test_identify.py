@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -15,7 +16,6 @@ from selid.estimand import (
     restrict,
 )
 from selid.cli import _run_algorithm
-from selid.fixtures import all_fixtures, compliance_pair
 from selid.graph import SelectorSupport
 from selid.identify import (
     DatasetSpec,
@@ -31,6 +31,7 @@ from selid.lsg import parse_graph, parse_query
 from selid.oracle import verify
 from selid.projection import derive_labels, latent_project
 
+from fixture_graphs import all_fixtures, compliance_pair
 from reference import same_answer, selected_g_formula
 
 FX = all_fixtures()
@@ -308,6 +309,25 @@ class TestSequentialBaseline:
         assert r.kind == "identified"
         rep = verify(fx.graph, q("Y", A="a"), fx.graph.support, r, trials=10, seed=2, dag=fx.graph)
         assert rep.passed
+
+    def test_the_second_stage_drops_the_selector_and_its_support(self, monkeypatch):
+        # stage 2 identifies on the observational-context graph without the
+        # selector, so without its support, and still answers
+        stage2, real = [], identify
+
+        def recording(g, query, *args):
+            stage2.append(g)
+            return real(g, query, *args)
+
+        # the package exports a function named identify, so go by sys.modules
+        monkeypatch.setattr(sys.modules["selid.identify"], "identify", recording)
+        for name in ("scar", "parallel_paths"):
+            fx = FX[name]
+            stage2.clear()
+            r = sequential_baseline(fx.graph, parse_query(fx.query, fx.graph.selector)[0])
+            assert r.kind == "identified", name
+            (g2,) = stage2
+            assert g2.selector is None and g2.support is None, name
 
     def test_baseline_identified_implies_selected_identified(self):
         for name in ("scar", "double_bow", "selection_web"):

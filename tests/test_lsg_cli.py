@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from selid.cli import main
-from selid.fixtures import all_fixtures
 from selid.lsg import ParseError, parse_graph, parse_query, render_graph
+
+from fixture_graphs import all_fixtures
 from test_projection import ladder_dag
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -50,7 +51,7 @@ class TestGrammar:
     def test_parallel_labelled_edges_allowed(self):
         g = parse_graph(
             "node A\nnode B\nselector S\n"
-            "edge A -> B label {X}\nedge A -> B label {Z}\nedge S -> B\n"
+            "edge A -> B label {X}\nedge A -> B label {Z}\nedge S -> B\nsupport {}\n"
         )
         assert len([e for e in g.edges if e.tail == "A"]) == 2
 
@@ -77,6 +78,14 @@ class TestGrammar:
         with pytest.raises(ParseError, match="more than one support") as exc:
             parse_graph("node A\nselector S\nedge S -> A\nsupport {A}, {}\nsupport {}\n")
         assert exc.value.line == 5
+
+    def test_a_support_needs_a_selector(self):
+        with pytest.raises(ParseError, match="a selector and its support come together"):
+            parse_graph("node A\nnode Y\nedge A -> Y\nsupport {A}, {}\n")
+
+    def test_a_selector_needs_a_support(self):
+        with pytest.raises(ParseError, match="a selector and its support come together"):
+            parse_graph("node A\nselector S\nedge S -> A\n")
 
     def test_round_trip_all_fixture_files(self):
         for path in sorted(FIXDIR.glob("*.lsg")):
@@ -598,6 +607,21 @@ class TestCliMoreSurfaces:
         )
         assert code == 1 and out == ""
         assert "the selector support must not name the selector" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", ["identify", "project"])
+    def test_a_support_without_a_selector_is_refused_as_the_file_is_read(self, command, tmp_path):
+        # the file fails where it enters, as any malformed graph file does,
+        # rather than being answered, or written back, as if the support
+        # were not there
+        path = tmp_path / "support_only.lsg"
+        path.write_text("node A\nnode Y\nedge A -> Y\nsupport {A}, {}\n")
+        query = ("--query", "P(Y | do(A=a))") if command == "identify" else ()
+        code, out, err = run_cli(command, "--graph", str(path), *query)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": f"{path}: line 4, column 1: a selector and its support come together: give both or neither",
+        }
 
     def test_problem_past_the_enumeration_cap_is_exit_one(self, tmp_path):
         # a star whose sink has 21 binary parents: its CPT has 2^22 cells

@@ -14,7 +14,6 @@ import pytest
 
 from selid import oracle
 from selid.estimand import BaseKernel, Lo, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
-from selid.fixtures import FIXTURE_DIR, all_fixtures, compliance_pair
 from selid.graph import Graph, GraphError, SelectorSupport, SelectorValue, directed
 from selid.identify import DatasetSpec, Query, identify, identify_fused, identify_selected, sequential_baseline
 from selid.lsg import parse_query
@@ -33,6 +32,7 @@ from selid.oracle import (
 )
 from selid.projection import canonical_hidden_dag
 
+from fixture_graphs import FIXTURE_DIR, all_fixtures, compliance_pair
 from reference import defined_everywhere, equals, exact_ci
 
 FX = all_fixtures()
@@ -694,9 +694,22 @@ class TestLawPlans:
         for a in range(3):
             assert equals(_select(t, {"A": a}), interventional(m, {"A": a}, SelectorValue()))
 
+    @staticmethod
+    def _gathered(monkeypatch) -> list:
+        """The axis counts of every gather from now on."""
+        gathered, real_gather = [], oracle._Operand.gather
+
+        def gather(t, axes, domains):
+            gathered.append(len(axes))
+            return real_gather(t, axes, domains)
+
+        monkeypatch.setattr(oracle._Operand, "gather", gather)
+        return gathered
+
     def test_intermediate_cells_are_capped(self, monkeypatch):
         # the product over U and its four children has 32 cells, the observed
-        # space only 16
+        # space only 16: the one step of the joint's plan is refused before
+        # its inputs are gathered
         kids = ("A", "B", "C", "D")
         g = Graph(
             random=frozenset(("U",) + kids),
@@ -704,25 +717,33 @@ class TestLawPlans:
             edges=frozenset(directed("U", k) for k in kids),
         )
         m = random_cs_scm(g, seed=0)
-        monkeypatch.setattr(oracle, "MAX_CELLS", 20)
-        with pytest.raises(OracleError, match="intermediate factor of 32 cells"):
+        gathered = self._gathered(monkeypatch)
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 31)
+        with pytest.raises(OracleError, match="a plan of at least 32 cells per model"):
             joint(m)
-        monkeypatch.setattr(oracle, "MAX_CELLS", 32)
+        assert gathered == []
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 32)
         assert sum(joint(m).data.values()) == 1
 
     def test_every_plan_step_is_capped(self, monkeypatch):
-        # inputs of 2 and 16 cells, products of 64 and 256
+        # inputs of 2 and 16 cells, products of 64 and 256: the estimand's
+        # six kernels plan 24 cells before its product, and each product is
+        # refused before its inputs are gathered over its 6 or 8 axes
         names = [f"X{i}" for i in range(8)]
         tables = {f"p{x}": Table((x,), {x: (0, 1)}, [1, 1], denom=2) for x in names[:6]}
         e = Product(tuple(BaseKernel(f"p{x}", frozenset({x})) for x in names[:6]))
         left, right = (Table(axes, {x: (0, 1) for x in axes}, [1] * 16, denom=16) for axes in (names[:4], names[4:]))
-        monkeypatch.setattr(oracle, "MAX_CELLS", 20)
-        with pytest.raises(OracleError, match="intermediate factor of 64 cells exceeds the enumeration cap"):
+        gathered = self._gathered(monkeypatch)
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 87)
+        with pytest.raises(OracleError, match="a plan of at least 88 cells per model exceeds the enumeration cap"):
             eval_estimand(e, tables)
-        with pytest.raises(OracleError, match="intermediate factor of 256 cells"):
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 255)
+        with pytest.raises(OracleError, match="a plan of at least 256 cells per model"):
             left.multiply(right)
-        monkeypatch.setattr(oracle, "MAX_CELLS", 256)
+        assert 6 not in gathered and 8 not in gathered
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 88)
         assert sum(eval_estimand(e, tables).data.values()) == 1
+        monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 256)
         assert sum(left.multiply(right).data.values()) == 1
 
     def test_every_plan_is_capped_as_a_whole(self, monkeypatch):
@@ -732,17 +753,10 @@ class TestLawPlans:
         # are gathered
         names = [f"X{i}" for i in range(8)]
         left, right = (Table(axes, {x: (0, 1) for x in axes}, [1] * 16, denom=16) for axes in (names[:4], names[4:]))
-        gathered = []
-        real_gather = oracle._Operand.gather
-
-        def gather(t, axes, domains):
-            gathered.append(len(axes))
-            return real_gather(t, axes, domains)
-
         def build(plan, a, b):
             return plan.sum_out(plan.eliminate([a, b], names), {"X0"})
 
-        monkeypatch.setattr(oracle._Operand, "gather", gather)
+        gathered = self._gathered(monkeypatch)
         monkeypatch.setattr(oracle, "MAX_PLAN_CELLS", 511)
         with pytest.raises(OracleError, match="a plan of at least 512 cells per model exceeds the enumeration cap"):
             oracle._once([left, right], build)
@@ -858,9 +872,10 @@ class TestLawPlans:
             planned, margins = len(plan.steps), {}
             for k, selector in _kernel_reads(e, sources):
                 law = sources[k.name]
-                keep = plan.margins[law, oracle._kernel_keep(law, k.outcome, k.context), selector]
-                # the kernel's rest margin is summed from its keep: planning
-                # it again appends no step
+                keep = oracle._compile_law(law, oracle._kernel_keep(law, k.outcome, k.context), plan, selector)
+                # the kernel's keep margin is eliminated from the CPTs and
+                # its rest summed from that keep: planning either again
+                # appends no step
                 for margin in (keep, plan.sum_out(keep, k.outcome)):
                     margins[margin.slot] = (tables[k.name], margin)
                 narrowed += selector is not None
@@ -875,20 +890,14 @@ class TestLawPlans:
         assert len(cases) > 100 and checked >= 2 * len(cases) and eliminated and narrowed
 
     def test_each_law_margin_is_eliminated_once(self, monkeypatch):
-        # one elimination pass per law margin: each distinct keep margin of
-        # a law, whole or over one pattern's selector values, is planned by
-        # _compile_law once and never summed from a larger margin; rest
-        # margins are summed from their keep, and no margin is planned that
-        # no parent reads
-        compiled = []
-        real_law = oracle._compile_law
-
-        def counting(law, axes, plan, selector=None):
-            out = real_law(law, axes, plan, selector)
-            compiled.append((law, axes, selector, out))
-            return out
-
-        monkeypatch.setattr(oracle, "_compile_law", counting)
+        # one elimination pass per law margin: each keep margin of a law,
+        # whole or over one pattern's selector values, is planned by
+        # _compile_law from the CPTs and never summed from a larger margin;
+        # rest margins are summed from their keep, and no margin is planned
+        # that no parent reads.  A margin planned again, as a second kernel
+        # with the same keep plans it, finds each of its steps by its key:
+        # it adds no step and ends in the same slot
+        compiled = _compiled_margins(monkeypatch)
         margins = 0
         for e, m, datasets in _identified_cases():
             compiled.clear()
@@ -898,9 +907,11 @@ class TestLawPlans:
             for k, selector in _kernel_reads(e, sources):
                 law = sources[k.name]
                 keeps.add((law, oracle._kernel_keep(law, k.outcome, k.context), selector))
-            assert len(compiled) == len(keeps)
-            assert {(law, axes, selector) for law, axes, selector, _ in compiled} == keeps
-            assert all(plan.margins[law, axes, selector] is out for law, axes, selector, out in compiled)
+            assert set(compiled) == keeps
+            planned = len(plan.steps)
+            for (law, axes, selector), slot in list(compiled.items()):
+                assert oracle._compile_law(law, axes, plan, selector).slot == slot
+            assert len(plan.steps) == planned
             margins += len(keeps)
         assert margins > 300
 
@@ -943,7 +954,7 @@ class TestLawPlans:
                 checked += 1
         assert checked > 100
 
-    def test_kernels_with_a_check_over_the_selector_are_planned_whole(self):
+    def test_kernels_with_a_check_over_the_selector_are_planned_whole(self, monkeypatch):
         # no kernel is narrowed where a check would then cover fewer rows:
         # with the selector among its outcomes its rest sums over the
         # selector, and a law with free axes checks the kernel constant over
@@ -964,17 +975,19 @@ class TestLawPlans:
                 (("A", Sym("a")), ("S", SelectorValue())),
             ),
         ]
+        compiled = _compiled_margins(monkeypatch)
         for m, law, k, assignment in cases:
             r = Restrict(k, assignment)
             assert oracle._narrowed(law, k, r) is None
+            compiled.clear()
             plan = oracle._Plan(m.cpts)
             got = oracle._estimand_steps(r, {"p": law}, plan)
+            assert [selector for _, _, selector in compiled] == [None]
             whole = oracle._Plan(m.cpts)
             want = whole.conditional(law, k.outcome, k.context)
             for var, val in r.assignment:
                 want = whole.restrict(want, var, val)
             assert shape(plan) == shape(whole) and got.slot == want.slot
-            assert [selector for _, _, selector in plan.margins] == [None]
 
     def test_selector_restricted_kernels_are_narrowed(self, monkeypatch):
         # (steps, cells) of each estimand plan, and the number of selector
@@ -986,6 +999,7 @@ class TestLawPlans:
             "scar": ((23, 252), [1], (23, 300)),
         }
         got, real = {}, oracle._narrowed
+        compiled = _compiled_margins(monkeypatch)
         for name in want:
             fx = FX[name]
             g = fx.graph
@@ -994,9 +1008,11 @@ class TestLawPlans:
             plans = []
             for narrowed in (real, lambda *args: None):
                 monkeypatch.setattr(oracle, "_narrowed", narrowed)
+                compiled.clear()
                 plans.append(_verify_plan(r.estimand, m, {"p": oracle._Law(m, {})}))
+                if narrowed is real:
+                    sizes = sorted(len(selector) for _, _, selector in compiled if selector)
             narrow, whole = ((len(p.steps), sum(s.cells for s in p.steps)) for p in plans)
-            sizes = sorted(len(selector) for _, _, selector in plans[0].margins if selector)
             got[name] = (narrow, sizes, whole)
         assert got == want
 
@@ -1369,6 +1385,20 @@ def _per_group(step, nums, dens) -> list:
             lcm = math.lcm(*ds)
             out.append((sum(x * (lcm // y) for x, y in zip(ns, ds)), lcm))
     return out
+
+
+def _compiled_margins(monkeypatch) -> dict:
+    """``(law, axes, selector values) -> slot`` of each distinct margin
+    that ``_compile_law`` plans from now on, in the order first planned."""
+    compiled, real = {}, oracle._compile_law
+
+    def counting(law, axes, plan, selector=None):
+        out = real(law, axes, plan, selector)
+        compiled.setdefault((law, axes, selector), out.slot)
+        return out
+
+    monkeypatch.setattr(oracle, "_compile_law", counting)
+    return compiled
 
 
 def _verify_plan(e, m, sources):

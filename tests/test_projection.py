@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from selid import projection
-from selid.fixtures import all_fixtures
 from selid.graph import (
     Graph,
     GraphError,
@@ -26,6 +25,8 @@ from selid.projection import (
     latent_project,
     swig,
 )
+
+from fixture_graphs import all_fixtures
 from test_bench_contract import MODULES, _load, _module
 from test_random_models import random_selection_model
 

@@ -28,7 +28,6 @@ from selid.estimand import (
     normal_form,
     trim_conditioning,
 )
-from selid.fixtures import all_fixtures
 from selid.graph import (
     OBSERVATIONAL,
     Edge,
@@ -58,12 +57,17 @@ from selid.oracle import (
 )
 from selid.projection import canonical_hidden_dag, context_graph, derive_labels, latent_project, swig
 
+from fixture_graphs import all_fixtures
 from functional_models import random_functional_cs_scm
 from reference import condition, defined_everywhere, equals, exact_ci, fix_kernel, project_constant
 from test_bench_contract import MODULES, _load, _module
 from test_random_models import random_selection_model
 
 FX = all_fixtures()
+
+
+# the support of a selector that these tests never read at a serious value
+OBSERVATIONAL_SUPPORT = SelectorSupport(frozenset({frozenset()}))
 
 
 def random_admg(seed: int) -> Graph:
@@ -172,7 +176,7 @@ class TestChainKernelClosure:
             rng = random.Random(seed * 17 + 5)
             g = random_admg(seed)
             members = sorted(g.random)
-            g = replace(g, selector=rng.choice(members))
+            g = replace(g, selector=rng.choice(members), support=OBSERVATIONAL_SUPPORT)
             r = frozenset(rng.sample(members, rng.randint(1, len(members))))
             joint = ChainKernel.from_joint(g)
             ordinary = joint.fix_to(r).randoms
@@ -568,7 +572,7 @@ class TestGraphLayerShortcuts:
             rng = random.Random(seed * 17 + 5)
             g = random_admg(seed)
             members = sorted(g.random)
-            g = replace(g, selector=rng.choice(members))
+            g = replace(g, selector=rng.choice(members), support=OBSERVATIONAL_SUPPORT)
             r = frozenset(rng.sample(members, rng.randint(1, len(members))))
             joint = ChainKernel.from_joint(g)
             for rule in (Graph.is_fixable, _selection_fixable):
@@ -669,7 +673,7 @@ class TestGraphLayerShortcuts:
             rng = random.Random(seed * 17 + 5)
             g = random_admg(seed)
             members = sorted(g.random)
-            g = replace(g, selector=rng.choice(members))
+            g = replace(g, selector=rng.choice(members), support=OBSERVATIONAL_SUPPORT)
             r = frozenset(rng.sample(members, rng.randint(1, len(members))))
             joint = ChainKernel.from_joint(g)
             for rule in (Graph.is_fixable, _selection_fixable):
@@ -942,7 +946,8 @@ def _greedy_trim(g: Graph, v: str, cond, keep=()) -> frozenset:
 
 def _labelled_admg(seed: int) -> Graph:
     """``random_admg`` with a selector and some edges labelled by a vertex
-    name, so that context graphs drop edges."""
+    name, so that context graphs drop edges; a label drawn as the selector
+    is dropped, and the support holds every set of label names."""
     g = random_admg(seed)
     rng = random.Random(seed * 13 + 7)
     names = sorted(g.random)
@@ -950,7 +955,11 @@ def _labelled_admg(seed: int) -> Graph:
         replace(e, label=frozenset({rng.choice(names)})) if rng.random() < 0.4 else e
         for e in sorted(g.edges, key=lambda e: e.sort_key())
     ]
-    return replace(g, selector=rng.choice(names), edges=frozenset(edges))
+    sel = rng.choice(names)
+    edges = [replace(e, label=e.label - {sel}) for e in edges]
+    labels = sorted({c for e in edges for c in e.label})
+    patterns = {frozenset(p) for k in range(len(labels) + 1) for p in itertools.combinations(labels, k)}
+    return replace(g, selector=sel, support=SelectorSupport(frozenset(patterns)), edges=frozenset(edges))
 
 
 class TestMarkovPillowTrim:
@@ -1208,7 +1217,6 @@ class TestRandomFixingCommutation:
 class TestLargerDomains:
     def test_identified_exactness_beyond_binary(self):
         from selid.estimand import Sym
-        from selid.fixtures import all_fixtures
         from selid.identify import Query, identify
         from selid.oracle import verify
 
@@ -1235,7 +1243,6 @@ class TestNormalFormSemantics:
             parse,
             render,
         )
-        from selid.fixtures import all_fixtures
         from selid.oracle import eval_estimand, joint, random_cs_scm
 
         fx = all_fixtures()["backdoor"]
@@ -1290,7 +1297,6 @@ class TestNormalFormSemantics:
 
     def test_normal_form_idempotent(self):
         from selid.estimand import normal_form
-        from selid.fixtures import all_fixtures
         from selid.identify import Query, identify_selected
         from selid.estimand import Sym
 

@@ -373,7 +373,7 @@ def test_multi_outcome_queries_sound():
 
 
 def test_ternary_domains_remain_exact():
-    from selid.fixtures import all_fixtures
+    from fixture_graphs import all_fixtures
 
     for name, treats in (("double_bow", {"A": "a"}), ("selection_web", {"A1": "a1", "A2": "a2"})):
         fx = all_fixtures()[name]
