@@ -39,12 +39,15 @@ class UsageError(ValueError):
 
 
 def _load_graph(path: str) -> Graph:
+    """The graph in the ``.lsg`` file at ``path``: a missing file is a
+    usage error, and a malformed one a ``ParseError`` that names it."""
     try:
         return parse_graph(Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except ParseError as exc:
-        raise UsageError(f"{path}: {exc}")
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _failure_payload(result) -> dict:

@@ -14,9 +14,11 @@ One table layout, one step runner:
   ``Fraction`` per row over 1 once a table has been divided.
 * **Plans** (``_Plan``) are steps worked out once per shape and replayed
   on a batch of models at a time, their rows back to back: each step
-  gathers its inputs by readers made on first use for a batch size, one
-  C-level call per input, multiplies or divides them cell by cell, and
-  reduces groups of ``width`` cells as strided slices.  A step only
+  gathers its inputs by readers made on first use for a batch size
+  (``_batch_reader``), one ``operator.itemgetter`` per input for at most
+  8 models and one strided slice per position for more, multiplies or
+  divides them cell by cell, and reduces groups of ``width`` cells as
+  strided slices.  A step only
   multiplies, divides or reduces: a restriction is a view, rows read in
   place by the one addressing rule of ``_Operand``, and ``finish`` copies
   out a result that is a view.  ``_Plan.eliminate`` is the one
@@ -522,7 +524,8 @@ class _Step:
     multiplied apart; a divide gives one denominator per row, and products
     and sums of such rows keep one (``_Plan.run_rows``).  ``release`` lists
     the slots no later step reads.  ``readers`` holds the inputs' readers
-    by input and batch size (``_batch_reader``)."""
+    by input and batch size, each kept from its first use
+    (``_batch_reader``)."""
 
     op: str
     inputs: list
@@ -724,14 +727,40 @@ class _Plan:
 
 
 def _batch_reader(cache: dict, key, idx, size: int, trials: int):
-    """One C-level call (``_reader``) that reads the positions ``idx`` of
-    each of ``trials`` models laid out back to back, ``size`` cells each:
-    made on first use and kept in ``cache`` under ``key``, which names
-    ``idx`` and ``trials``."""
+    """A reader of the positions ``idx`` of each of ``trials`` models laid
+    out back to back, ``size`` cells each: made on first use and kept in
+    ``cache`` under ``key``, which names ``idx`` and ``trials``.
+
+    The batch size alone picks it.  A batch of one model reads through
+    ``_reader(idx)``, and a batch of 2 to 8 through one ``_reader`` of the
+    positions in every model (``_repeated``).  A batch of more than 8 takes
+    one strided slice per position instead, regrouped by model
+    (``_by_position``): n slices rather than T x n index integers, which a
+    batch size read once in a call, as ``verify --trials 100`` on a small
+    graph reads each, never reuses.  Timed on 64-bit values (CHANGES.md),
+    for 4 to 80 positions of 8 to 512 a strided read costs 1.0-1.8x a first
+    expanded one (index built, then read) in 4 or 5 models, 0.74-0.94x in 8
+    or 9, and 0.25-0.33x in 100: 30 us against 98 us for 20 positions of
+    40.  A built expanded reader reads those in 24 us, so it would repay
+    its index only after about 13 reads of one batch size."""
     read = cache.get(key)
     if read is None:
-        read = cache[key] = _reader(_repeated(idx, size, trials))
+        if trials > 8:
+            read = _by_position(idx, size)
+        else:
+            read = _reader(_repeated(idx, size, trials) if trials > 1 else idx)
+        cache[key] = read
     return read
+
+
+def _by_position(idx, size: int):
+    """The rows at positions ``idx`` of each model of a batch laid out back
+    to back, ``size`` cells each, read as one strided slice per position
+    (every model's cell there) and regrouped model by model."""
+    if len(idx) == 1:
+        return operator.itemgetter(slice(idx[0], None, size))
+    read = operator.itemgetter(*(slice(i, None, size) for i in idx))
+    return lambda vec: itertools.chain.from_iterable(zip(*read(vec)))
 
 
 def _repeated(idx, size: int, trials: int) -> list:
@@ -1149,7 +1178,7 @@ class _ModelLayout:
             self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(draws), cells))
         self.weights = sum(len(c.draws) * c.n for c in self.cpts)  # per model
         self.cells = sum(len(c.index) for c in self.cpts)  # per model
-        self.readers = {}  # (vertex, batch size) -> reader of its CPT's cells
+        self.readers = {}  # (vertex, batch size) -> reader of its CPT's cells (_batch_reader)
 
     def model(self, cpts: dict) -> DiscreteCsScm:
         return DiscreteCsScm(self.dag, dict(self.sizes), cpts)
@@ -1162,8 +1191,9 @@ class _ModelLayout:
         """The CPTs of a batch of models, one ``(cells, denominators)`` slot
         per CPT (``_cpt``): ``weights`` holds one list per model, its
         weights for every CPT's draws, CPT after CPT in topological order.
-        Each CPT's cells are read out of its groups by one reader per
-        batch size (``_batch_reader``)."""
+        Each CPT's cells are read out of its groups by its reader for the
+        batch size, kept in ``readers`` (``_batch_reader``): strided slices
+        for more than 8 models, else one ``operator.itemgetter``."""
         batch, at, trials = [], 0, len(weights)
         for c in self.cpts:
             end = at + len(c.draws) * c.n

@@ -619,9 +619,23 @@ class TestCliMoreSurfaces:
         code, out, err = run_cli(command, "--graph", str(path), *query)
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "usage",
+            "error": "parse",
             "message": f"{path}: line 4, column 1: a selector and its support come together: give both or neither",
         }
+
+    def test_a_malformed_dataset_file_is_a_parse_error(self, tmp_path):
+        # a --dataset file fails as a malformed --graph or --query does,
+        # naming the file; a missing one stays a usage error
+        path = tmp_path / "dataset.lsg"
+        path.write_text("node A\nnode Y\nedge A => Y\n")
+        graph = ("--graph", str(FIXDIR / "compliance_pair.lsg"), "--query", "P(Y | do(A=a))")
+        code, out, err = run_cli("identify", *graph, "--algorithm", "gid", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "parse" and error["message"].startswith(f"{path}: line 3, column 1: ")
+        code, out, err = run_cli("identify", *graph, "--algorithm", "gid", "--dataset", str(tmp_path / "missing.lsg"))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": f"no such file: {tmp_path / 'missing.lsg'}"}
 
     def test_problem_past_the_enumeration_cap_is_exit_one(self, tmp_path):
         # a star whose sink has 21 binary parents: its CPT has 2^22 cells

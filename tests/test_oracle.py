@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selid import oracle
 from selid.estimand import BaseKernel, Lo, Product, Ratio, Restrict, SelectorAssign, SumOver, Sym, Var, fold, restrict
@@ -469,11 +470,12 @@ class TestVerify:
         )
         assert rep.status == "refuted" and rep.failures == (0, 1, 2, 3, 4)
 
-    def test_batched_failures_equal_trials_run_alone(self):
-        # verify(trials=N, seed=s) fails exactly the trials t that fail when
-        # run alone as verify(trials=1, seed=s + t): on the fixtures, the
-        # 200 small-model seeds, an estimand refuted on some trials only, and
-        # one whose constancy check fails on most trials of a batch
+    @staticmethod
+    def batched_cases():
+        """``(g, query, r, kw, trials, seed)``: two bogus backdoor estimands,
+        one refuted on some trials only and one whose constancy check fails
+        on most trials of a batch, every fixture query and the 200
+        small-model seeds."""
         from selid.identify import Identified
         from test_random_models import random_selection_model
 
@@ -496,13 +498,40 @@ class TestVerify:
             if case is not None:
                 dag, proj, query = case
                 cases.append((proj, query, identify_selected(proj, query), {"dag": dag}, 3, seed))
+        return cases
+
+    def test_batched_failures_equal_trials_run_alone(self):
+        # verify(trials=N, seed=s) fails exactly the trials t that fail when
+        # run alone as verify(trials=1, seed=s + t)
         refuted = set()
-        for g, query, r, kw, trials, seed in cases:
+        for g, query, r, kw, trials, seed in self.batched_cases():
             alone = [verify(g, query, g.support, r, trials=1, seed=seed + t, **kw) for t in range(trials)]
             want = tuple(t for t, rep in enumerate(alone) if rep.failures)
             assert verify(g, query, g.support, r, trials=trials, seed=seed, **kw).failures == want, (g, query)
             refuted.add(len(want) if r.kind == "identified" else None)
         assert {0, 57} <= refuted  # the two bogus estimands pass trials 24, 32 and 55 alone
+
+    def test_reports_do_not_depend_on_the_batch_shape(self, monkeypatch):
+        # 100 trials as one batch (strided reads), as batches of 9 and a
+        # remainder of one, and as batches of 8 (expanded reads) give equal
+        # reports on the identified cases, the bogus estimands' batches
+        # among them, which fail and run again trial by trial
+
+        class Batches(int):
+            """A cell budget that every call divides into batches of its
+            own value."""
+
+            def __floordiv__(self, per_trial):
+                return int(self)
+
+        for g, query, r, kw, _, seed in self.batched_cases():
+            if r.kind != "identified":
+                continue
+            reports = []
+            for size in (100, 9, 8):
+                monkeypatch.setattr(oracle, "BATCH_CELLS", Batches(size))
+                reports.append(verify(g, query, g.support, r, trials=100, seed=seed, **kw))
+            assert reports.count(reports[0]) == len(reports), (g, query)
 
     def test_report_serializes(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
@@ -1109,6 +1138,73 @@ class TestLawPlans:
         cells = sum(len(c.index) for c in layout.cpts)
         assert 10 * sum(s.cells for s in plan.steps) <= 512 < 10 * cells == 1460
         assert [t for _, t in draws] == [t for _, t in runs] == [3, 3, 3, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_reader_reads_the_same_rows(self, data):
+        # the first and the second read of a batch, through the reader its
+        # size takes and keeps, read each model's rows at idx, on a slot of
+        # integers and UNDEF and on its per-row denominators
+        trials = data.draw(st.sampled_from([1, 2, 8, 9, 55, 100]))
+        size = data.draw(st.integers(1, 12))
+        position = st.integers(0, size - 1)
+        repeats = st.lists(position, min_size=1, max_size=2 * size)
+        idx = data.draw(st.one_of(repeats, position.map(lambda i: [i]), st.just(list(range(size)))))
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        nums = [UNDEF if rng.random() < 0.1 else rng.getrandbits(64) for _ in range(size * trials)]
+        dens = [rng.randint(1, 1 << 40) for _ in range(size * trials)]
+        cache = {}
+        for _ in range(2):
+            read = oracle._batch_reader(cache, ("input", trials), idx, size, trials)
+            for vec in (nums, dens):
+                assert list(read(vec)) == [vec[t * size + i] for t in range(trials) for i in idx]
+
+    def test_a_batch_of_more_than_8_builds_no_index(self, monkeypatch):
+        # chain runs its 100 trials as one batch: every step input and every
+        # CPT is read as strided slices, and no position index is built
+        fx = FX["chain"]
+        query = q("Y", A="a")
+        r = identify(fx.graph, query)
+
+        def no_index(*args):
+            raise AssertionError("a batch of more than 8 built an index")
+
+        monkeypatch.setattr(oracle, "_repeated", no_index)
+        assert verify(fx.graph, query, None, r, trials=100, seed=1).passed
+
+    def test_a_batch_of_at_most_8_builds_each_index_once(self, monkeypatch):
+        # selection_web runs its 100 trials in 20 batches of 5: each step
+        # input's and each CPT's index is built on the first batch, once per
+        # call, and kept for the other 19
+        built, plans, layouts = collections.Counter(), [], set()
+        real_repeated, real_init, real_draw = oracle._repeated, oracle._Plan.__init__, oracle._ModelLayout.draw
+
+        def repeated(idx, size, trials):
+            built[id(idx)] += 1
+            return real_repeated(idx, size, trials)
+
+        def init(self, *args):
+            plans.append(self)
+            real_init(self, *args)
+
+        def draw(self, seeds):
+            layouts.add(self)
+            return real_draw(self, seeds)
+
+        monkeypatch.setattr(oracle, "_repeated", repeated)
+        monkeypatch.setattr(oracle._Plan, "__init__", init)
+        monkeypatch.setattr(oracle._ModelLayout, "draw", draw)
+        fx = FX["selection_web"]
+        query = q("Y", A1="a1", A2="a2")
+        r = identify_selected(fx.graph, query)
+        for _ in range(2):
+            built.clear()
+            plans.clear()
+            layouts.clear()
+            assert verify(fx.graph, query, None, r, trials=100, seed=1, dag=fx.dag).passed
+            (plan,), (layout,) = plans, layouts
+            inputs = [idx for step in plan.steps for _, idx in step.inputs] + [c.index for c in layout.cpts]
+            assert set(built.values()) == {1} and set(built) == set(map(id, inputs))
 
     def test_verify_builds_no_joint(self, monkeypatch):
         fx = FX["selection_web"]
