@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import oracle
-from .estimand import render as render_estimand
+from .estimand import render as render_estimand, to_jsonable as estimand_jsonable
 from .graph import Graph, GraphError
 from .identify import (
     DatasetSpec,
@@ -187,7 +187,7 @@ def cmd_identify(args) -> int:
             payload = {
                 "identified": True,
                 "algorithm": algorithm,
-                "estimand": json.loads(render_estimand(result.estimand, "json")),
+                "estimand": estimand_jsonable(result.estimand),
             }
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:

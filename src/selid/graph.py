@@ -283,7 +283,6 @@ class Graph(_Adjacency):
                 raise GraphError("selector must be a vertex of the graph")
             if any(self.selector in p for p in self.support.patterns):
                 raise GraphError("the selector support must not name the selector")
-        seen = set()
         for e in self.edges:
             if e.tail not in verts or e.head not in verts:
                 raise GraphError(f"edge endpoint not a vertex: {e}")
@@ -291,10 +290,6 @@ class Graph(_Adjacency):
                 raise GraphError(f"directed edge into fixed vertex {e.head}")
             if e.kind == BIDIRECTED and (e.endpoints() & self.fixed):
                 raise GraphError("bidirected edge at a fixed vertex")
-            key = (e.kind, e.tail, e.head, e.label)
-            if key in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(key)
             if e.label:
                 if self.selector is None:
                     raise GraphError("labelled edge in a graph without selector")
@@ -542,8 +537,8 @@ class FixState(_Adjacency):
         # the vertices, latent marks and selector stay, the fixed vertices
         # move from random to fixed, and the edges only lose those with an
         # arrowhead at them: the vertex sets stay disjoint, every endpoint is
-        # a vertex, no edge points into a fixed vertex, none is duplicated or
-        # newly labelled, and no cycle appears
+        # a vertex, no edge points into a fixed vertex, none is newly
+        # labelled, and no cycle appears
         return g._derive(
             random=frozenset(self.random),
             fixed=g.fixed | done,

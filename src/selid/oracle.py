@@ -48,9 +48,10 @@ One table layout, one step runner:
   data rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator per model, or from a divide onward over one
-  denominator per row, each divide's rows in lowest terms; products run
-  on ``operator.mul``, which ``UNDEF`` answers itself; a result over
-  per-row denominators is divided once per row, into ``Fraction``s.
+  denominator per row, each divide's rows in lowest terms; sums and
+  products run on ``operator.add`` and ``operator.mul``, which ``UNDEF``
+  answers itself (``Undefined``); a result over per-row denominators is
+  divided once per row, into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -108,10 +109,13 @@ class CapError(OracleError):
 
 
 class Undefined:
-    """Marker for kernel values at zero-mass contexts; absorbs arithmetic.
-    A product with it is 0 when the other factor is 0 and ``UNDEF``
-    otherwise, from either side, so every product runs on ``operator.mul``;
-    a sum that holds it is ``UNDEF`` (``_reduce``, ``_reduce_rows``)."""
+    """Marker for kernel values at zero-mass contexts, made where a divisor
+    is 0 (``_divide``), that carries its own arithmetic: a sum that holds it
+    is ``UNDEF``, and a product with it is 0 when the other factor is 0 and
+    ``UNDEF`` otherwise, from either side.  So every sum and product runs on
+    ``operator.add`` and ``operator.mul``, and rows compare by
+    cross-multiplication, since ``UNDEF`` equals only itself and no
+    denominator is 0.  An ``UNDEF`` row's denominator means nothing."""
 
     _instance = None
 
@@ -123,9 +127,13 @@ class Undefined:
     def __repr__(self):
         return "UNDEF"
 
+    def __add__(self, other):
+        return self
+
     def __mul__(self, other):
         return 0 if other == 0 else self
 
+    __radd__ = __add__
     __rmul__ = __mul__
 
 
@@ -240,18 +248,12 @@ class Table:
 def _equal_rows(a: tuple, b: tuple) -> bool:
     """Whether the rows ``(values, denominators)`` of ``a`` and ``b``, the
     same rows in the same order, are equal: by cross-multiplication, each
-    denominator one integer or one per row.  ``UNDEF`` equals ``UNDEF``
-    alone."""
+    denominator one integer or one per row (``Undefined``)."""
     (p, dp), (q, dq) = a, b
     if type(dp) is int and dp == dq:
         return all(map(operator.eq, p, q))
     dp = itertools.repeat(dp) if type(dp) is int else dp
     dq = itertools.repeat(dq) if type(dq) is int else dq
-    if _has_undef(p) or _has_undef(q):
-        return all(
-            x is y if x is UNDEF or y is UNDEF else x * e == y * d
-            for x, d, y, e in zip(p, dp, q, dq)
-        )
     return all(map(operator.eq, map(operator.mul, p, dq), map(operator.mul, q, dp)))
 
 
@@ -688,23 +690,20 @@ class _Plan:
         ``UNDEF``, over one common denominator per model (a tuple) or, from
         a divide onward, over one denominator per row (a list).  Each input
         is read by its step's reader in one call, and the products are
-        taken cell by cell by ``map`` over ``operator.mul``; no Python code
-        runs per cell unless a slot holds ``UNDEF``.  A group a
-        step reduces never spans two models, so a batch of one model is a
-        run on that model alone."""
+        taken cell by cell by ``map`` over ``operator.mul``, the sums by
+        ``operator.add`` or ``sum``.  ``UNDEF`` answers both itself
+        (``Undefined``), so no step tracks which rows hold it, and no
+        Python code runs per cell but its own and the pass of a divide
+        that makes it.  A group a step reduces never spans two models, so
+        a batch of one model is a run on that model alone."""
         slots, denoms = map(list, zip(*inputs)) if inputs else ([], [])
-        undef = set()  # the slots that hold UNDEF
-        if _has_undef(itertools.chain.from_iterable(slots)):
-            undef = {s for s, vec in enumerate(slots) if _has_undef(vec)}
         for step in self.steps:
             inputs = [
                 (s, _batch_reader(step.readers, (k, trials), idx, len(slots[s]) // trials, trials))
                 for k, (s, idx) in enumerate(step.inputs)
             ]
-            flagged = bool(undef) and any(s in undef for s, _ in inputs)
             if step.op is _DIV:
-                acc, den = _divide(slots, denoms, inputs, flagged, step.cells)
-                flagged = True
+                acc, den = _divide(slots, denoms, inputs, step.cells)
             elif inputs:
                 (s, read), *rest = inputs
                 acc = read(slots[s])
@@ -714,11 +713,9 @@ class _Plan:
             else:
                 acc, den = [1] * (step.cells * trials), (1,) * trials
             if type(den) is tuple:
-                vec = _reduce(step, acc, flagged)
+                vec = _reduce(step, acc)
             else:
-                vec, den = _reduce_rows(step, acc, den, flagged)
-            if flagged and _has_undef(vec):
-                undef.add(len(slots))
+                vec, den = _reduce_rows(step, acc, den)
             slots.append(vec)
             denoms.append(den)
             for s in step.release:
@@ -818,35 +815,28 @@ def _scaled(vec: list, den, read, cells: int) -> list:
     return vec if den.count(1) == len(den) else list(map(operator.mul, vec, _per_row(den, cells)))
 
 
-def _divide(slots: list, denoms: list, inputs, flagged: bool, cells: int) -> tuple:
+def _divide(slots: list, denoms: list, inputs, cells: int) -> tuple:
     """Numerators and per-row denominators of a ``_DIV`` step's ``cells``
     per model, each row in lowest terms: (a / da) / (b / db) = (a * db) /
     (b * da), so the denominator two margins of one table share cancels.
-    An ``UNDEF`` dividend or divisor, or a zero divisor, gives ``UNDEF``.
     Lowest terms keep the integers that later products and sums carry
     small: without them nested ratios multiply their size at every level,
     and even one divide of two margins of one law carries the law's
-    factors into every row."""
+    factors into every row.  ``UNDEF`` is born here: a row whose divisor is
+    0 is ``UNDEF``, as is one that reads ``UNDEF``, each over 1, in one pass
+    row by row taken only when such a row is there."""
     (n, read_n), (d, read_d) = inputs
-    num = list(read_n(slots[n]))
-    den = list(read_d(slots[d]))
-    if flagged or 0 in den:
-        for i, (a, b) in enumerate(zip(num, den)):
-            if a is UNDEF or b is UNDEF or not b:
-                num[i], den[i] = UNDEF, 1
+    num, den = list(read_n(slots[n])), list(read_d(slots[d]))
     da, db = denoms[n], denoms[d]
     if type(da) is not tuple or da != db:
         num, den = _scaled(num, db, read_d, cells), _scaled(den, da, read_n, cells)
-    return _lowest(num, den)
-
-
-def _lowest(num: list, den: list) -> tuple:
-    """Each row of ``num`` over ``den`` in lowest terms."""
-    if not _has_undef(num):
+    if 0 not in den and not _has_undef(itertools.chain(num, den)):
         gs = list(map(math.gcd, num, den))
         return list(map(operator.floordiv, num, gs)), list(map(operator.floordiv, den, gs))
     for i, (a, b) in enumerate(zip(num, den)):
-        if a is not UNDEF:
+        if a is UNDEF or b is UNDEF or not b:
+            num[i], den[i] = UNDEF, 1
+        else:
             g = math.gcd(a, b)
             num[i], den[i] = a // g, b // g
     return num, den
@@ -893,16 +883,16 @@ def _added(parts: list) -> list:
     return vec
 
 
-def _reduce(step: _Step, acc, flagged: bool) -> list:
-    """Reduce cells over one common denominator in groups of ``width``.
-    Without ``UNDEF``, a sum of many narrow groups (``_strided``) adds the
-    ``width`` strided slices."""
+def _reduce(step: _Step, acc) -> list:
+    """Reduce cells over one common denominator in groups of ``width``.  A
+    sum of many narrow groups (``_strided``) adds the ``width`` strided
+    slices."""
     if type(acc) is not list:
         acc = list(acc)
     width = step.width
     if width == 1:
         return acc
-    if step.op is _SUM and _strided(acc, width) and not (flagged and _has_undef(acc)):
+    if step.op is _SUM and _strided(acc, width):
         return _added([acc[k::width] for k in range(width)])
     groups = zip(*[iter(acc)] * width)
     if step.op is _SAME:
@@ -912,26 +902,23 @@ def _reduce(step: _Step, acc, flagged: bool) -> list:
                 raise _not_constant(step)
             vec.append(group[0])
         return vec
-    if flagged:
-        return [UNDEF if _has_undef(group) else sum(group) for group in groups]
     return list(map(sum, groups))
 
 
-def _reduce_rows(step: _Step, acc, dens, flagged: bool) -> tuple:
+def _reduce_rows(step: _Step, acc, dens) -> tuple:
     """Reduce cells over per-row denominators in groups of ``width``: a sum
     adds numerators over a shared denominator, else over the group's least
     common multiple; ``_SAME`` compares rows by cross-multiplication.
 
-    Without ``UNDEF``, a sum of many narrow groups (``_strided``) reads
-    ``width`` strided slices: ``lcm = map(math.lcm, *dens_k)``, and slice k's
-    numerators, scaled by ``lcm // d_k``, are added.  That is the per-group
-    rule, since lcm(d, ..., d) = d leaves a group over one denominator as
-    it is."""
+    A sum of many narrow groups (``_strided``) reads ``width`` strided
+    slices: ``lcm = map(math.lcm, *dens_k)``, and slice k's numerators,
+    scaled by ``lcm // d_k``, are added.  That is the per-group rule, since
+    lcm(d, ..., d) = d leaves a group over one denominator as it is."""
     acc, dens = list(acc), list(dens)
     width = step.width
     if width == 1:
         return acc, dens
-    if step.op is _SUM and _strided(acc, width) and not (flagged and _has_undef(acc)):
+    if step.op is _SUM and _strided(acc, width):
         nums = [acc[k::width] for k in range(width)]
         ds = [dens[k::width] for k in range(width)]
         lcm = ds[0]
@@ -944,20 +931,12 @@ def _reduce_rows(step: _Step, acc, dens, flagged: bool) -> tuple:
     if step.op is _SAME:
         for nums, ds in groups:
             n, d = nums[0], ds[0]
-            if n is UNDEF:
-                same = nums.count(UNDEF) == width
-            else:
-                same = not _has_undef(nums) and all(x * d == n * y for x, y in zip(nums, ds))
-            if not same:
+            if not all(x * d == n * y for x, y in zip(nums, ds)):
                 raise _not_constant(step)
             vec.append(n)
             out.append(d)
         return vec, out
     for nums, ds in groups:
-        if flagged and _has_undef(nums):
-            vec.append(UNDEF)
-            out.append(1)
-            continue
         d = ds[0]
         if ds.count(d) != width:
             d = math.lcm(*ds)
@@ -1552,7 +1531,7 @@ def _certified_witness(g: Graph, query, failure) -> tuple:
     kind = getattr(failure, "kind", None)
     if kind == "positivity":
         builders = [lambda: positivity_witness_pair(g, query, failure.district)]
-        failed = "positivity witness construction failed validation"
+        failed = "the positivity witness pair does not separate the query"
     elif kind == "hedge":
         builders = [
             lambda: hedge_witness_pair(g, failure.district, failure.closure),

@@ -272,6 +272,7 @@ class TestInvariants:
         # cannot coexist; the file parser reports them as errors instead
         g = replace(Graph(random=frozenset("AB")), edges=frozenset([directed("A", "B"), directed("A", "B")]))
         assert len(g.edges) == 1
+        assert len(Graph(random={"A", "B"}, edges=[directed("A", "B")] * 2).edges) == 1
 
     def test_parallel_edges_need_distinct_labels(self):
         g = Graph(

@@ -344,6 +344,14 @@ class TestEvaluation:
             got, want = operator.mul(a, b), _ref_mul(a, b)
             assert got is UNDEF if want is UNDEF else got is not UNDEF and got == want, (a, b)
 
+    def test_undef_absorbs_sums_and_nonzero_products(self):
+        # every sum and product runs on operator.add and operator.mul, which
+        # UNDEF answers itself, from either side
+        assert UNDEF + 3 is UNDEF and 3 + UNDEF is UNDEF
+        assert sum([1, UNDEF, 2]) is UNDEF
+        assert UNDEF * 0 == 0 * UNDEF == 0
+        assert UNDEF * 5 is UNDEF
+
     def test_law_numerators_match_data(self):
         m = random_cs_scm(FX["selection_web"].dag, seed=4)
         t = joint(m)
@@ -587,6 +595,16 @@ class TestVerify:
         assert rep.detail == "no known witness construction separates this hedge shape"
         with pytest.raises(OracleError):
             parity_witness(g, query, identify(g, query))
+
+    def test_a_positivity_pair_that_does_not_separate_says_so(self, monkeypatch):
+        # the lone positivity construction reports its own errors and those
+        # of validation; a valid pair that does not separate the query is
+        # the one case left to the closing reason
+        g, query = FX["forced_outcome"].graph, q("Y")
+        monkeypatch.setattr(oracle, "_witness_separation", lambda *args: Fraction(0))
+        rep = verify(g, query, None, identify_selected(g, query))
+        assert (rep.status, rep.trials) == ("unverified", 0)
+        assert rep.detail == "the positivity witness pair does not separate the query"
 
     def test_trials_floor(self):
         r = identify(FX["chain"].graph, q("Y", A="a"))
@@ -1454,11 +1472,11 @@ def _kernel_reads(e, sources) -> set:
 def _per_group(step, nums, dens) -> list:
     """``(numerator, denominator)`` of each group of ``step.width`` cells of
     ``nums`` over ``dens``, reduced group by group.  A group of one cell is
-    kept as it is.  A sum is ``UNDEF`` over 1 when the group holds
-    ``UNDEF``, else over the group's denominator when it has one, else over
-    their least common multiple; ``_SAME`` keeps the first cell when every
-    cell equals it by cross-multiplication, or when every cell is ``UNDEF``,
-    and raises otherwise."""
+    kept as it is.  A sum is over the group's denominator when it has one,
+    else over their least common multiple, and is ``UNDEF`` when the group
+    holds ``UNDEF``; ``_SAME`` keeps the first cell when every cell equals
+    it by cross-multiplication, or when every cell is ``UNDEF``, and raises
+    otherwise."""
     out = []
     for r in range(0, len(nums), step.width):
         ns, ds = nums[r:r + step.width], dens[r:r + step.width]
@@ -1473,13 +1491,9 @@ def _per_group(step, nums, dens) -> list:
             if not same:
                 raise OracleError("kernel is not constant over context axes")
             out.append((n, d))
-        elif any(x is UNDEF for x in ns):
-            out.append((UNDEF, 1))
-        elif len(set(ds)) == 1:
-            out.append((sum(ns), ds[0]))
         else:
-            lcm = math.lcm(*ds)
-            out.append((sum(x * (lcm // y) for x, y in zip(ns, ds)), lcm))
+            d = ds[0] if len(set(ds)) == 1 else math.lcm(*ds)
+            out.append((UNDEF if any(x is UNDEF for x in ns) else sum(x * (d // y) for x, y in zip(ns, ds)), d))
     return out
 
 
@@ -1727,9 +1741,9 @@ class TestExactArithmetic:
             want = _per_group(step, nums, dens)
             # a run hands the reductions a lazy product, as an iterator
             if dens_kind == "common":
-                assert oracle._reduce(step, iter(nums), undef) == [n for n, _ in want]
+                assert oracle._reduce(step, iter(nums)) == [n for n, _ in want]
             else:
-                assert list(zip(*oracle._reduce_rows(step, iter(nums), iter(dens), undef))) == want
+                assert list(zip(*oracle._reduce_rows(step, iter(nums), iter(dens)))) == want
             checked += 1
         assert checked == 160 and strided == {2, 3, 4}
 
@@ -1748,8 +1762,8 @@ class TestExactArithmetic:
             defined = cells - width if groups > 1 else cells
             for vec in (nums, common):
                 vec[defined:] = [UNDEF] * (cells - defined)
-            assert list(zip(*oracle._reduce_rows(step, nums, dens, True))) == _per_group(step, nums, dens)
-            assert oracle._reduce(step, common, True) == [n for n, _ in _per_group(step, common, [1] * cells)]
+            assert list(zip(*oracle._reduce_rows(step, nums, dens))) == _per_group(step, nums, dens)
+            assert oracle._reduce(step, common) == [n for n, _ in _per_group(step, common, [1] * cells)]
             # one cell off its group's value, or UNDEF in part of a group
             i = rng.randrange(defined)
             for off in (1, UNDEF):
@@ -1757,9 +1771,50 @@ class TestExactArithmetic:
                 bad[i] = off if off is UNDEF else bad[i] + dens[i]
                 bad_common[i] = off if off is UNDEF else bad_common[i] + 1
                 with pytest.raises(OracleError, match="kernel is not constant over context axes"):
-                    oracle._reduce_rows(step, bad, dens, True)
+                    oracle._reduce_rows(step, bad, dens)
                 with pytest.raises(OracleError, match="kernel is not constant over context axes"):
-                    oracle._reduce(step, bad_common, True)
+                    oracle._reduce(step, bad_common)
+
+    def test_a_strided_sum_puts_undef_on_the_groups_that_hold_it(self, monkeypatch):
+        # groups of 2-4 cells, 8 per cell of a group, so every sum adds
+        # strided slices (oracle._strided, oracle._added), over one
+        # denominator and over per-row ones (a table of Fractions)
+        added, real = [], oracle._added
+        monkeypatch.setattr(oracle, "_added", lambda parts: added.append(len(parts)) or real(parts))
+        rng = random.Random(40)
+        kinds = set()
+        for width, rational in itertools.product((2, 3, 4), (False, True)):
+            groups = 8 * width
+            cells = [rng.randint(0, 9) for _ in range(groups * width)]
+            for i in rng.sample(range(groups * width), groups // 2):
+                cells[i] = UNDEF
+            if rational:
+                cells = [v if v is UNDEF else Fraction(v, rng.randint(1, 6)) for v in cells]
+            dom = {"A": tuple(range(groups)), "B": tuple(range(width))}
+            t = Table(("A", "B"), dom, cells, denom=1 if rational else 7)
+            got = t.sum_out({"B"})
+            assert added[-1] == width
+            for a in dom["A"]:
+                group = [t.value({"A": a, "B": b}) for b in dom["B"]]
+                value = got.value({"A": a})
+                if any(v is UNDEF for v in group):
+                    assert value is UNDEF, (width, rational, a)
+                else:
+                    assert value is not UNDEF and value == sum(group), (width, rational, a)
+                kinds.add(value is UNDEF)
+        assert len(added) == 6 and kinds == {False, True}
+
+    def test_equal_rows_match_undef_with_undef_alone(self):
+        # the rows UNDEF, 1/2, 0 over one denominator, another, and per-row
+        # ones are equal in every pairing; UNDEF on one side only, in place
+        # of a value or of 0 (where UNDEF * 0 = 0 must not make them equal),
+        # is not
+        forms = [([UNDEF, 1, 0], 2), ([UNDEF, 2, 0], 4), ([UNDEF, 3, 0], [5, 6, 7]), ([UNDEF, 1, 0], [3, 2, 1])]
+        for a, (q, dq) in itertools.product(forms, repeat=2):
+            assert oracle._equal_rows(a, (q, dq)), (a, q, dq)
+            for bad in ([0] + q[1:], q[:2] + [UNDEF], [UNDEF] * 3):
+                assert not oracle._equal_rows(a, (bad, dq)), (a, bad, dq)
+                assert not oracle._equal_rows((bad, dq), a), (a, bad, dq)
 
     def test_a_step_reads_one_row_as_a_row(self):
         # operator.itemgetter of one index returns the value, not a row
