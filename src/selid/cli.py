@@ -202,6 +202,8 @@ def cmd_identify(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     dag, g, query, datasets, algorithm, result = _verdict(args)
     report = oracle.verify(
         g,
@@ -240,9 +242,12 @@ def cmd_witness(args) -> int:
 
 def _env_seed(text: str) -> int:
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise UsageError(f"SSID_SEED must be an integer, got {text!r}")
+    if seed < 0:
+        raise UsageError(f"SSID_SEED must be at least 0, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,8 @@ One table layout, one step runner:
   on a batch of models at a time, their rows back to back: each step
   gathers its inputs by readers made on first use for a batch size
   (``_batch_reader``), one ``operator.itemgetter`` per input for at most
-  8 models and one strided slice per position for more, multiplies or
+  8 models and one strided slice per position for more (a batch's CPTs
+  need none: ``_cpt`` emits them in the plan's layout), multiplies or
   divides them cell by cell, and reduces groups of ``width`` cells as
   strided slices.  A step only
   multiplies, divides or reduces: a restriction is a view, rows read in
@@ -36,16 +37,20 @@ One table layout, one step runner:
   A plan may keep several results, and each oracle call compiles one:
   ``verify`` one holding its estimand, ground truth and comparison, run
   once per batch of trials on models laid out once per call
-  (``_ModelLayout``); a witness check one holding the observed joint and
+  (``_ModelLayout``), its two results compared in one pass per batch
+  (``_mismatched``); a witness check one holding the observed joint and
   the query's slices, run once per model of the pair.  Each ``Table``
   operation, and each of ``joint``, ``interventional`` and
   ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
-  model is one group of weights per draw (``_cpt``), normalized for a
-  batch of models at once.  A random model draws the weights
-  (``_random_model``); a witness pair computes them from parity rules,
-  data rather than code (``_witness_models``).
+  model is one group of weights per draw.  A batch's CPTs are each
+  normalized in vector operations over the batch, with no loop over
+  models, and emitted column by column, every model's value at one
+  column of the layout a cell (``_cpt``).  A random model draws its
+  weights for every CPT from one over-drawn ``getrandbits`` call
+  (``_weights``); a witness pair computes them from parity rules, data
+  rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
   common denominator per model, or from a divide onward over one
   denominator per row, each divide's rows in lowest terms; sums and
@@ -56,12 +61,12 @@ One table layout, one step runner:
 
 from __future__ import annotations
 
+import _random
 import copy
 import functools
 import itertools
 import math
 import operator
-import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -245,16 +250,32 @@ class Table:
         return _reader(_Operand(0, self.axes, self.domains).gather(other.axes, other.domains))(self.values)
 
 
-def _equal_rows(a: tuple, b: tuple) -> bool:
-    """Whether the rows ``(values, denominators)`` of ``a`` and ``b``, the
-    same rows in the same order, are equal: by cross-multiplication, each
-    denominator one integer or one per row (``Undefined``)."""
+def _mismatched(a: tuple, b: tuple, trials: int) -> list:
+    """The models, by position in the batch, whose rows differ between
+    ``a`` and ``b``, the rows ``(values, denominators)`` of a batch of
+    ``trials`` models, the same rows in the same order, each side over one
+    denominator per model (a tuple) or one per row (a list).  The rows are
+    compared in one pass over the batch, by cross-multiplication
+    (``Undefined``); the rows that differ alone are mapped to their
+    models."""
     (p, dp), (q, dq) = a, b
-    if type(dp) is int and dp == dq:
-        return all(map(operator.eq, p, q))
-    dp = itertools.repeat(dp) if type(dp) is int else dp
-    dq = itertools.repeat(dq) if type(dq) is int else dq
-    return all(map(operator.eq, map(operator.mul, p, dq), map(operator.mul, q, dp)))
+    cells = len(p) // trials
+    if type(dp) is tuple and dp == dq:
+        same = map(operator.eq, p, q)
+    else:
+        dp = _per_row(dp, cells) if type(dp) is tuple else dp
+        dq = _per_row(dq, cells) if type(dq) is tuple else dq
+        same = map(operator.eq, map(operator.mul, p, dq), map(operator.mul, q, dp))
+    return sorted({i // cells for i in itertools.compress(itertools.count(), map(operator.not_, same))})
+
+
+def _equal_rows(a: tuple, b: tuple) -> bool:
+    """Whether one model's rows ``a`` and ``b``, ``(values,
+    denominators)`` with each denominator one integer or one per row, are
+    equal (``_mismatched`` on a batch of one)."""
+    (p, dp), (q, dq) = a, b
+    dp, dq = ((d,) if type(d) is int else d for d in (dp, dq))
+    return not _mismatched((p, dp), (q, dq), 1)
 
 
 def selector_domain(support: SelectorSupport, child_sizes: Mapping[str, int]) -> tuple:
@@ -479,8 +500,9 @@ class _Operand:
     def view(self, axes, domains: Mapping) -> tuple:
         """``(slot, base, diffs)``: where this factor's first row sits for
         the row-major table over ``axes``, and what each value of each axis
-        of several values adds; two views are equal exactly when they gather
-        equal positions, each a sum of one term per axis (``gather``)."""
+        of several values adds, axes the factor lacks broadcast; two views
+        are equal exactly when they gather equal positions, each a sum of
+        one term per axis (``_gather``)."""
         base, diffs = self.offset, []
         for a in axes:
             place = self.place.get(a)
@@ -492,14 +514,20 @@ class _Operand:
 
     def gather(self, axes, domains: Mapping) -> list:
         """Positions of this factor's rows for every row of the row-major
-        table over ``axes``; axes the factor lacks are broadcast.  Every
-        plan step gathers its inputs here, after ``_Plan.step`` has charged
-        the step against ``MAX_PLAN_CELLS``."""
-        _, base, diffs = self.view(axes, domains)
-        idx = [base]
-        for steps in diffs:
-            idx = [i + d for i in idx for d in steps]
-        return idx
+        table over ``axes`` (``_gather``)."""
+        return _gather(self.view(axes, domains))
+
+
+def _gather(view: tuple) -> list:
+    """The positions a factor's ``view`` reads, one for every row of the
+    table it was taken over.  Every plan step gathers its inputs here, from
+    the views its key holds, after ``_Plan.step`` has charged the step
+    against ``MAX_PLAN_CELLS``."""
+    _, base, diffs = view
+    idx = [base]
+    for steps in diffs:
+        idx = [i + d for i in idx for d in steps]
+    return idx
 
 
 def _reader(idx):
@@ -563,22 +591,24 @@ class _Plan:
 
     def step(self, op, operands, axes, domains, given=frozenset(), drop=(), summed=()) -> _Operand:
         """The table over ``axes`` a step makes from ``operands``, each read
-        over ``axes`` then ``summed`` (``_Operand.gather``) and reduced over
-        ``summed``; or the slot of an equal step already planned, one with
-        the same op, width and input views (``_Operand.view``), which
-        makes the same rows (two margins eliminated from one law share
-        products); an equal step is found before any input is gathered.  A
-        step that would take the plan past ``MAX_PLAN_CELLS`` cells raises
-        ``CapError`` before its inputs are gathered."""
+        over ``axes`` then ``summed`` and reduced over ``summed``; or the
+        slot of an equal step already planned, one with the same op, width
+        and input views (``_Operand.view``), which makes the same rows (two
+        margins eliminated from one law share products); an equal step is
+        found before any input is gathered.  A new step gathers each input
+        from its view in the key (``_gather``).  A step that would take the
+        plan past ``MAX_PLAN_CELLS`` cells raises ``CapError`` before its
+        inputs are gathered."""
         layout = list(axes) + list(summed)
         width = math.prod(len(domains[a]) for a in summed)
-        key = (op, width, tuple(drop), tuple(t.view(layout, domains) for t in operands))
+        views = tuple(t.view(layout, domains) for t in operands)
+        key = (op, width, tuple(drop), views)
         slot = self.made.get(key)
         if slot is None:
             cells = width * math.prod(len(domains[a]) for a in axes)
             if self.cells + cells > MAX_PLAN_CELLS:
                 raise CapError(f"a plan of at least {self.cells + cells} cells per model exceeds the enumeration cap")
-            inputs = [(t.slot, t.gather(layout, domains)) for t in operands]
+            inputs = [(view[0], _gather(view)) for view in views]
             self.cells += cells
             self.steps.append(_Step(op, inputs, width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
@@ -726,7 +756,9 @@ class _Plan:
 def _batch_reader(cache: dict, key, idx, size: int, trials: int):
     """A reader of the positions ``idx`` of each of ``trials`` models laid
     out back to back, ``size`` cells each: made on first use and kept in
-    ``cache`` under ``key``, which names ``idx`` and ``trials``.
+    ``cache`` under ``key``, which names ``idx`` and ``trials``.  Plan
+    steps read their inputs through it; a batch's CPTs are emitted in the
+    plan's layout (``_cpt``), and read by none.
 
     The batch size alone picks it.  A batch of one model reads through
     ``_reader(idx)``, and a batch of 2 to 8 through one ``_reader`` of the
@@ -1080,21 +1112,25 @@ _TOP_BITS = bytes((b >> 3) + 1 if b < 128 else 0 for b in range(256))
 _OVER_16 = bytes(range(128, 256))
 
 
-def _weights(rng: _random.Random, n: int) -> list:
-    """``n`` draws of ``rng.randint(1, 16)``.  That call is ``1 +
-    rng._randbelow(16)``, which draws ``getrandbits(16 .bit_length())``, 5
-    bits, until the value is below 16.  ``getrandbits(5)`` is the top 5
+def _weights(seed: int, n: int) -> list:
+    """The first ``n`` draws of ``randint(1, 16)`` on a fresh generator
+    seeded by ``seed``, as ``random.Random(seed)`` draws them.  That call is
+    ``1 + _randbelow(16)``, which draws ``getrandbits(16 .bit_length())``,
+    5 bits, until the value is below 16.  ``getrandbits(5)`` is the top 5
     bits of the generator's next 32-bit word, and ``getrandbits(32 * k)``
-    holds its next k words, the first lowest.  Each round here draws as
-    many words as weights are still wanted in one call and keeps the top
-    bits of those below 16 (``_TOP_BITS``): the same stream, and the
-    generator left in the same state, without a Python call per weight."""
-    out = b""
-    while len(out) < n:  # draws no more values than are still wanted
-        k = n - len(out)
-        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-        out += words[3::4].translate(_TOP_BITS, _OVER_16)
-    return list(out)
+    holds its next k words, the first lowest; the top bits of those below
+    16 are kept (``_TOP_BITS``).  Half of all words are kept, so one call
+    of 2n + 4 isqrt(n) + 8 words keeps n but for fewer than 1 call in 400;
+    a round that falls short is followed by one for the rest.  The words
+    past the n-th kept one are drawn and dropped: the generator serves this
+    call alone.  It is ``_random.Random``, the C base class of
+    ``random.Random``, with the same ``seed`` and ``getrandbits``."""
+    rng, out = _random.Random(seed), b""
+    while len(out) < n:
+        want = n - len(out)
+        k = 2 * want + 4 * math.isqrt(want) + 8
+        out += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BITS, _OVER_16)
+    return list(out[:n])
 
 
 def _point(n: int, value) -> list:
@@ -1107,10 +1143,11 @@ class _CptLayout(NamedTuple):
     of ``draws``, the parents' values without the selector's, in
     ``itertools.product`` order.  A selector child draws one row per value
     of its other parents, which every row the selector leaves natural
-    reuses.  A model's fill is a 0, the denominator, and one group of ``n``
-    weights per draw, in lowest terms (``_cpt``); ``index`` lists the
-    positions of the cells there, a row the selector forces reading the 0
-    and the denominator."""
+    reuses.  ``index`` lists, cell by cell, the column of a batch's fill
+    each cell is read from (``_cpt``): column 0 holds 0 and column 1 the
+    denominator, which a row the selector forces reads, and column
+    ``2 + n * draw + k`` value k of that draw's group of weights, in lowest
+    terms, every model's in each column."""
 
     v: str
     axes: tuple
@@ -1127,7 +1164,8 @@ class _ModelLayout:
     ``MAX_CELLS`` cells raises ``CapError`` before its rows are listed.
     Every model, random or witness, is made there, one group of weights per
     draw, in batches (``fill``, ``draw``): a batch is one run slot per CPT,
-    a plan's inputs as they are, and ``models`` splits it into models."""
+    a plan's inputs as they are, and ``models`` splits it into models.  A
+    fill keeps nothing between batches."""
 
     def __init__(self, dag: Graph, domain_size: int):
         sel = dag.selector
@@ -1157,7 +1195,6 @@ class _ModelLayout:
             self.cpts.append(_CptLayout(v, parents + (v,), domains, n, tuple(draws), cells))
         self.weights = sum(len(c.draws) * c.n for c in self.cpts)  # per model
         self.cells = sum(len(c.index) for c in self.cpts)  # per model
-        self.readers = {}  # (vertex, batch size) -> reader of its CPT's cells (_batch_reader)
 
     def model(self, cpts: dict) -> DiscreteCsScm:
         return DiscreteCsScm(self.dag, dict(self.sizes), cpts)
@@ -1169,25 +1206,20 @@ class _ModelLayout:
     def fill(self, weights: list) -> list:
         """The CPTs of a batch of models, one ``(cells, denominators)`` slot
         per CPT (``_cpt``): ``weights`` holds one list per model, its
-        weights for every CPT's draws, CPT after CPT in topological order.
-        Each CPT's cells are read out of its groups by its reader for the
-        batch size, kept in ``readers`` (``_batch_reader``): strided slices
-        for more than 8 models, else one ``operator.itemgetter``."""
-        batch, at, trials = [], 0, len(weights)
+        weights for every CPT's draws, CPT after CPT in topological order."""
+        batch, at = [], 0
         for c in self.cpts:
             end = at + len(c.draws) * c.n
-            groups, denoms = _cpt(c, list(itertools.chain.from_iterable(w[at:end] for w in weights)))
-            read = _batch_reader(self.readers, (c.v, trials), c.index, end - at + 2, trials)
-            batch.append((list(read(groups)), denoms))
+            cut = itertools.repeat(slice(at, end))
+            batch.append(_cpt(c, list(itertools.chain.from_iterable(map(operator.getitem, weights, cut)))))
             at = end
         return batch
 
     def draw(self, seeds) -> list:
         """The batch (``fill``) of the random models seeded by ``seeds``: one
-        ``_weights`` call per model covers every CPT, the same stream as a
-        call per CPT, since ``_weights`` draws no value past those asked
-        for."""
-        return self.fill([_weights(_random.Random(seed), self.weights) for seed in seeds])
+        ``_weights`` call per model covers every CPT, as ``random_cs_scm``
+        draws them."""
+        return self.fill([_weights(seed, self.weights) for seed in seeds])
 
     def models(self, batch: list, trials: int) -> list:
         """The ``trials`` models of ``batch``."""
@@ -1199,27 +1231,34 @@ class _ModelLayout:
 
 
 def _cpt(c: _CptLayout, weights: list) -> tuple:
-    """The CPT of ``c.v`` in each model of a batch, from consecutive groups
-    of ``c.n`` ``weights``, one per draw, model after model: each group in
-    lowest terms, over the least common multiple of its model's group
-    totals.  Returns the groups, each model's after a 0 and its
-    denominator, and the denominators; ``c.index`` reads the cells there
-    (``_ModelLayout.fill``)."""
+    """The CPT of ``c.v`` in each model of a batch, as a run slot ``(cells,
+    denominators)``, from consecutive groups of ``c.n`` ``weights``, one per
+    draw, model after model: each group in lowest terms, over the least
+    common multiple of its model's group totals, which is the one total
+    of a CPT of one draw.  Each step is one vector operation over the
+    batch: value k of every group is one strided slice, and the gcds,
+    totals, per-model lcms and scales are taken across them.  The cells
+    are emitted column by column: ``c.index`` names each cell's column
+    (``_CptLayout``), every model's value there, and the columns are
+    regrouped by model; for one model a column is its one value."""
     n, draws = c.n, len(c.draws)
-    parts = [weights[k::n] for k in range(n)]
+    parts = [weights[k::n] for k in range(n)]  # by model, then draw
     gs = list(map(math.gcd, *parts))
     if 0 in gs:
         raise OracleError(f"a mechanism row of {c.v} has no mass")
     parts = [list(map(operator.floordiv, part, gs)) for part in parts]
     totals = _added(parts)
-    denoms = tuple(itertools.starmap(math.lcm, zip(*[iter(totals)] * draws)))  # per model
-    scales = list(map(operator.floordiv, _per_row(denoms, draws), totals))
-    scaled = list(itertools.chain.from_iterable(zip(*(map(operator.mul, part, scales) for part in parts))))
-    size, cells = draws * n, []
-    for t, denom in enumerate(denoms):
-        cells += (0, denom)
-        cells += scaled[t * size:(t + 1) * size]
-    return cells, denoms
+    if draws == 1:
+        denoms = tuple(totals)
+    else:
+        denoms = tuple(itertools.starmap(math.lcm, zip(*[iter(totals)] * draws)))  # per model
+        scales = list(map(operator.floordiv, _per_row(denoms, draws), totals))
+        parts = [list(map(operator.mul, part, scales)) for part in parts]
+    if len(denoms) == 1:
+        columns = [0, *denoms, *itertools.chain.from_iterable(zip(*parts))]
+        return list(map(columns.__getitem__, c.index)), denoms
+    columns = [[0] * len(denoms), denoms, *(part[d::draws] for d in range(draws) for part in parts)]
+    return list(itertools.chain.from_iterable(zip(*map(columns.__getitem__, c.index)))), denoms
 
 
 def _random_layout(g: Graph, domain_size: int) -> _ModelLayout:
@@ -1239,12 +1278,21 @@ def _random_model(layout: _ModelLayout, seed: int) -> DiscreteCsScm:
     return m
 
 
+def _check_seed(seed: int):
+    """Refuse a negative seed: ``random.Random`` seeds with its absolute
+    value, so seed -s would draw seed s's model."""
+    if seed < 0:
+        raise OracleError(f"seeds are non-negative, got {seed}")
+
+
 def random_cs_scm(g: Graph, seed: int = 0, domain_size: int = 2) -> DiscreteCsScm:
     """Seeded random model on the full DAG ``g`` obeying the selector case
     split over ``g.support``.  Every row the selector does not force is
     strictly positive: its weights are drawn from 1-16, so its denominator
     divides their sum.  A selector child draws its natural row once per
-    value of its other parents, and every row with those values reuses it."""
+    value of its other parents, and every row with those values reuses it.
+    ``seed`` is non-negative."""
+    _check_seed(seed)
     return _random_model(_random_layout(g, domain_size), seed)
 
 
@@ -1650,14 +1698,18 @@ def verify(
     per call.  Trials run in batches, as many per batch as keep both a run
     and the batch's CPTs within ``BATCH_CELLS`` cells: each batch's models
     are drawn in one pass and the plan runs once on them
-    (``_Plan.run_rows``), each trial over its own denominators, and each
-    trial's two results are compared as rows.  A check of constancy that
-    fails, in a kernel or in the comparison, fails its trial: a batch in
-    which one fails runs again trial by trial, so the report names exactly
-    the failing trials, as a run of each trial alone would.
+    (``_Plan.run_rows``), each trial over its own denominators, and the
+    batch's two results are compared row by row in one pass
+    (``_mismatched``), which names the trials that differ.  A check of
+    constancy that fails, in a kernel or in the comparison, fails its
+    trial: a batch in which one fails runs again trial by trial, so the
+    report names exactly the failing trials, as a run of each trial alone
+    would.  Trial t draws the model of ``random_cs_scm`` at ``seed + t``,
+    so ``seed`` is non-negative.
     """
     if trials < 1:
         raise OracleError("at least one trial is required")
+    _check_seed(seed)
     if support not in (None, g.support) or (dag is not None and dag.support != g.support):
         raise GraphError("verify reads the support from the graph: pass None or g.support, and a dag with it")
     kind = getattr(result, "kind", None)
@@ -1702,8 +1754,11 @@ def verify(
                 if len(batch) == 1:
                     return list(batch)
                 return [t for one in batch for t in failed(range(one, one + 1))]
-            rows = zip(batch, _trials(truth, len(batch)), _trials(value, len(batch)))
-            return [t for t, a, b in rows if _has_undef(b[0]) or not aligned or not _equal_rows(a, b)]
+            if not aligned:
+                return list(batch)
+            # the truth, a law's margin, holds no UNDEF, which equals only
+            # itself: a trial whose estimand is UNDEF anywhere differs there
+            return [batch[i] for i in _mismatched(truth, value, len(batch))]
 
         per_trial = max(layout.cells, plan.cells)
         size = max(1, min(trials, BATCH_CELLS // per_trial))

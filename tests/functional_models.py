@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from selid.graph import Graph, SelectorValue
-from selid.oracle import OracleError, Table, _Operand, _SelectorDomains, _selector_key, _weights
+from selid.oracle import OracleError, Table, _Operand, _SelectorDomains, _selector_key
 
 
 @dataclass
@@ -65,7 +65,7 @@ def random_functional_cs_scm(g: Graph, seed: int = 0, domain_size: int = 2) -> F
     for v in g.topological_order():
         dom = m.domain(v)
         n_noise = len(dom) + 1
-        m.noise[v] = _weights(rng, n_noise)
+        m.noise[v] = [rng.randint(1, 16) for _ in range(n_noise)]
         parents = tuple(sorted(g.parents(v)))
         table = {}
         for pa_vals in itertools.product(*(m.row_domain(p) for p in parents)):

@@ -194,6 +194,30 @@ class TestCli:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "usage", "message": "SSID_SEED must be an integer, got 'x'"}
 
+    def test_negative_seed_is_usage_error(self):
+        # random.Random(-s) draws seed s's stream: --seed -2 --trials 4 would
+        # check seeds 2, 1, 0, 1
+        code, out, err = run_cli(
+            "verify",
+            "--graph", str(FIXDIR / "chain.lsg"),
+            "--query", "P(Y | do(A=a))",
+            "--trials", "4",
+            "--seed", "-2",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "--seed must be at least 0, got -2"}
+
+    def test_negative_seed_env_is_usage_error(self):
+        code, out, err = run_cli(
+            "verify",
+            "--graph", str(FIXDIR / "chain.lsg"),
+            "--query", "P(Y | do(A=a))",
+            "--trials", "2",
+            env={"SSID_SEED": "-1"},
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "SSID_SEED must be at least 0, got '-1'"}
+
     def test_byte_identical_output(self):
         args = (
             "verify",

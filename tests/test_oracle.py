@@ -108,12 +108,31 @@ class TestModelGeneration:
         c = random_cs_scm(fx.dag, seed=43)
         assert cpt_tables(a) != cpt_tables(c)
 
-    def test_weights_draw_the_randint_stream(self):
+    def test_weights_draw_the_randint_stream(self, monkeypatch):
+        # the first n weights of a fresh generator, in one getrandbits call
+        # but for seed 139 at n = 8: fewer than 8 of its first
+        # 2 * 8 + 4 * 2 + 8 = 32 words hold a value below 16 in their top 5
+        # bits, and a second call draws the rest
+        calls = []
+
+        class Counted(oracle._random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(oracle, "_random", type("module", (), {"Random": Counted}))
         for seed in range(100):
-            a, b = random.Random(seed), random.Random(seed)
-            for n in (1, 2, 3, 8):
-                assert oracle._weights(a, n) == [b.randint(1, 16) for _ in range(n)]
-            assert a.random() == b.random()
+            for n in (1, 2, 3, 8, 14, 278):
+                calls.clear()
+                b = random.Random(seed)
+                assert oracle._weights(seed, n) == [b.randint(1, 16) for _ in range(n)]
+                assert len(calls) == 1, (seed, n)
+        words = random.Random(139).getrandbits(32 * 32).to_bytes(4 * 32, "little")[3::4]
+        assert sum(w < 128 for w in words) < 8
+        calls.clear()
+        b = random.Random(139)
+        assert oracle._weights(139, 8) == [b.randint(1, 16) for _ in range(8)]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name, seed", [("double_bow", 42), ("selection_web", 5)])
     def test_drawn_models_are_pinned(self, name, seed):
@@ -131,7 +150,7 @@ class TestModelGeneration:
         for fx in FX.values():
             g = fx.dag or canonical_hidden_dag(fx.graph)
             layout = oracle._random_layout(g, 2)
-            for trials in (1, 2, 3, 7):
+            for trials in (1, 2, 3, 7, 9, 100):
                 seeds = range(5 * trials, 6 * trials)
                 batch = layout.draw(seeds)
                 alone = [random_cs_scm(g, seed=seed) for seed in seeds]
@@ -611,6 +630,36 @@ class TestVerify:
         with pytest.raises(OracleError):
             verify(FX["chain"].graph, q("Y", A="a"), None, r, trials=0)
 
+    def test_negative_seeds_are_refused(self):
+        # random.Random(-s) draws seed s's stream: seed -5 would be seed 5's
+        # model, and seed -2 over 4 trials would check seeds 2, 1, 0, 1
+        g = FX["chain"].graph
+        with pytest.raises(OracleError, match="seeds are non-negative, got -5"):
+            random_cs_scm(g, seed=-5)
+        r = identify(g, q("Y", A="a"))
+        with pytest.raises(OracleError, match="seeds are non-negative, got -2"):
+            verify(g, q("Y", A="a"), None, r, trials=4, seed=-2)
+        assert verify(g, q("Y", A="a"), None, r, trials=4, seed=0).passed
+
+    def test_a_batch_is_compared_in_one_pass(self):
+        # three models of two rows, 1/2 1/2, 1/4 3/4 and 1/3 2/3, each side
+        # over one denominator per model (a tuple) or one per row (a list):
+        # every pairing is equal; with UNDEF in one model and another value
+        # in a second, exactly those two differ, as each model alone does
+        forms = [
+            ([1, 1, 1, 3, 1, 2], (2, 4, 3)),
+            ([2, 2, 2, 6, 1, 2], (4, 8, 3)),
+            ([2, 2, 1, 3, 1, 2], [4, 4, 4, 4, 3, 3]),
+        ]
+        for a, (p, dp) in itertools.product(forms, repeat=2):
+            assert oracle._mismatched(a, (p, dp), 3) == []
+            bad = list(p)
+            bad[2], bad[5] = UNDEF, bad[5] + 1
+            for pair in ((a, (bad, dp)), ((bad, dp), a)):
+                assert oracle._mismatched(*pair, 3) == [1, 2]
+                alone = [oracle._equal_rows(x, y) for x, y in zip(*(oracle._trials(rows, 3) for rows in pair))]
+                assert alone == [True, False, False]
+
     def test_models_are_laid_out_on_the_graphs_support(self):
         # the third argument may only repeat g.support, and a dag must
         # share it
@@ -743,14 +792,15 @@ class TestLawPlans:
 
     @staticmethod
     def _gathered(monkeypatch) -> list:
-        """The axis counts of every gather from now on."""
-        gathered, real_gather = [], oracle._Operand.gather
+        """The counts of axes of more than one value of every gather from
+        now on: every axis in these tests has two values."""
+        gathered, real_gather = [], oracle._gather
 
-        def gather(t, axes, domains):
-            gathered.append(len(axes))
-            return real_gather(t, axes, domains)
+        def gather(view):
+            gathered.append(len(view[2]))
+            return real_gather(view)
 
-        monkeypatch.setattr(oracle._Operand, "gather", gather)
+        monkeypatch.setattr(oracle, "_gather", gather)
         return gathered
 
     def test_intermediate_cells_are_capped(self, monkeypatch):
@@ -1192,8 +1242,8 @@ class TestLawPlans:
 
     def test_a_batch_of_at_most_8_builds_each_index_once(self, monkeypatch):
         # selection_web runs its 100 trials in 20 batches of 5: each step
-        # input's and each CPT's index is built on the first batch, once per
-        # call, and kept for the other 19
+        # input's index is built on the first batch, once per call, and kept
+        # for the other 19; CPT fills build none
         built, plans, layouts = collections.Counter(), [], set()
         real_repeated, real_init, real_draw = oracle._repeated, oracle._Plan.__init__, oracle._ModelLayout.draw
 
@@ -1221,7 +1271,7 @@ class TestLawPlans:
             layouts.clear()
             assert verify(fx.graph, query, None, r, trials=100, seed=1, dag=fx.dag).passed
             (plan,), (layout,) = plans, layouts
-            inputs = [idx for step in plan.steps for _, idx in step.inputs] + [c.index for c in layout.cpts]
+            inputs = [idx for step in plan.steps for _, idx in step.inputs]
             assert set(built.values()) == {1} and set(built) == set(map(id, inputs))
 
     def test_verify_builds_no_joint(self, monkeypatch):
