@@ -19,29 +19,31 @@ One table layout, one step runner:
   8 models and one strided slice per position for more (a batch's CPTs
   need none: ``_cpt`` emits them in the plan's layout), multiplies or
   divides them cell by cell, and reduces groups of ``width`` cells as
-  strided slices.  A step only
-  multiplies, divides or reduces: a restriction is a view, rows read in
-  place by the one addressing rule of ``_Operand``, and ``finish`` copies
-  out a result that is a view.  ``_Plan.eliminate`` is the one
-  variable-elimination routine, for every sum of products: a law's margin
-  over the CPTs of its ancestral set (``_compile_law``), which are
-  ``Table``s in the plan's layout from the moment they are drawn, an
-  estimand's ``Product`` as each parent reads it, and ``Table.multiply``.
-  Plans share work through equal steps alone: a step equal to one already
-  planned is found by its key and not planned again.  An estimand's steps
-  (``_estimand_steps``) run on the laws it makes: each kernel's ``keep``
-  margin is eliminated from the CPTs, over one pattern's selector values
-  alone when the kernel is read at a value of that pattern, its ``rest``
-  summed from that ``keep``, and no joint table is built; given
-  ``Table``s (``eval_estimand``), each ``keep`` is summed from its table.
-  A plan may keep several results, and each oracle call compiles one:
-  ``verify`` one holding its estimand, ground truth and comparison, run
-  once per batch of trials on models laid out once per call
-  (``_ModelLayout``), its two results compared in one pass per batch
-  (``_mismatched``); a witness check one holding the observed joint and
-  the query's slices, run once per model of the pair.  Each ``Table``
-  operation, and each of ``joint``, ``interventional`` and
-  ``dataset_table``, is a plan run once.
+  strided slices, or normalizes runs of ``width`` cells (``_normalized``).
+  A step only multiplies, divides, normalizes or reduces: a restriction is
+  a view, rows read in place by the one addressing rule of ``_Operand``,
+  and ``finish`` copies out a result that is a view.  ``_Plan.eliminate``
+  is the one variable-elimination routine, for every sum of products: a
+  law's margin over the CPTs of its ancestral set (``_compile_law``),
+  which are ``Table``s in the plan's layout from the moment they are
+  drawn, an estimand's ``Product`` as each parent reads it, and
+  ``Table.multiply``; a step of three or more factors first multiplies
+  small ones together (``_Plan.absorbed``).  Plans share work through
+  equal steps alone: a step equal to one already planned is found by its
+  key and not planned again.  An estimand's steps (``_estimand_steps``) run on the laws it
+  makes: each kernel's ``keep`` margin is eliminated from the CPTs, over
+  one pattern's selector values alone when the kernel is read at a value
+  of that pattern, and normalized in one step, context row by context
+  row, with no ``rest`` margin; no joint table is built.  Given ``Table``s
+  (``eval_estimand``), each ``keep`` is summed from its table and divided
+  by its ``rest``.  A plan may keep several results, and each oracle call
+  compiles one: ``verify`` one holding its estimand, ground truth and
+  comparison, run once per batch of trials on models laid out once per
+  call (``_ModelLayout``) and drawn a chunk of batches at a time, its two
+  results compared in one pass per batch (``_mismatched``); a witness
+  check one holding the observed joint and the query's slices, run once
+  per model of the pair.  Each ``Table`` operation, and each of ``joint``,
+  ``interventional`` and ``dataset_table``, is a plan run once.
 * **Models** are filled one way: a ``_ModelLayout`` lists each CPT's
   draws, one per value of its parents other than the selector, and a
   model is one group of weights per draw.  A batch's CPTs are each
@@ -52,11 +54,13 @@ One table layout, one step runner:
   (``_weights``); a witness pair computes them from parity rules, data
   rather than code (``_witness_models``).
 * **Arithmetic** is on integers alone: a run keeps numerators over one
-  common denominator per model, or from a divide onward over one
-  denominator per row, each divide's rows in lowest terms; sums and
-  products run on ``operator.add`` and ``operator.mul``, which ``UNDEF``
-  answers itself (``Undefined``); a result over per-row denominators is
-  divided once per row, into ``Fraction``s.
+  common denominator per model, or from a divide or a kernel's normalizing
+  step onward over one denominator per row: each divide's rows in lowest
+  terms, and each normalized run divided by its gcd, which puts a binary
+  outcome's rows in lowest terms; sums and products run on
+  ``operator.add`` and ``operator.mul``, which ``UNDEF`` answers itself
+  (``Undefined``); a result over per-row denominators is divided once per
+  row, into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -92,15 +96,17 @@ MAX_CELLS = 1 << 20
 # The cells one plan's steps make for one model, summed over its steps: a
 # plan that would make more is refused while it is made.  Of the identified
 # benchmark sweep cases at 16-128 observed vertices, seeds 0-31, 128/11
-# plans the most, 49 676 cells per model.
+# plans the most, 49 884 cells per model.
 MAX_PLAN_CELLS = 1 << 20
 # The cells one run of a plan may cover, over all the models of its batch,
 # and the cells of the batch's CPTs: ``verify`` runs as many trials per
 # batch as keep both within it.  Plans of a few dozen cells run dozens of
 # trials per batch, where per-step Python overhead dominates;
-# big-integer-bound plans run a few (selection_web: 3240 cells per trial,
+# big-integer-bound plans run a few (selection_web: 3198 cells per trial,
 # five), since wider batches of them were measured slower; a model whose
-# CPTs alone exceed it runs one trial per batch.
+# CPTs alone exceed it runs one trial per batch.  Models are drawn in
+# chunks of whole batches, as many models as keep a chunk's CPTs within
+# it (selection_web: 35 models of 438 cells).
 BATCH_CELLS = 1 << 14
 
 
@@ -540,7 +546,7 @@ def _reader(idx):
     return operator.itemgetter(*idx)
 
 
-_SUM, _DIV, _SAME = "sum", "divide", "same"
+_SUM, _DIV, _SAME, _NORM = "sum", "divide", "same", "normalize"
 
 
 @dataclass(eq=False, slots=True)
@@ -550,9 +556,12 @@ class _Step:
     ones without inputs) or divide the first by the second (``_DIV``),
     then reduce consecutive groups of ``width`` cells: by
     summing, or for ``_SAME`` by checking that they are equal and keeping
-    one.  ``cells`` counts one model's.  Numerators and denominators are
-    multiplied apart; a divide gives one denominator per row, and products
-    and sums of such rows keep one (``_Plan.run_rows``).  ``release`` lists
+    one.  A ``_NORM`` step reduces nothing: it reads one law margin and
+    normalizes each run of ``width`` consecutive cells, a context row's
+    outcome cells, by one gcd (``_normalized``).  ``cells`` counts one
+    model's.  Numerators and denominators are multiplied apart; a divide
+    or a normalizing step gives one denominator per row, and products and
+    sums of such rows keep one (``_Plan.run_rows``).  ``release`` lists
     the slots no later step reads.  ``readers`` holds the inputs' readers
     by input and batch size, each kept from its first use
     (``_batch_reader``)."""
@@ -591,7 +600,9 @@ class _Plan:
 
     def step(self, op, operands, axes, domains, given=frozenset(), drop=(), summed=()) -> _Operand:
         """The table over ``axes`` a step makes from ``operands``, each read
-        over ``axes`` then ``summed`` and reduced over ``summed``; or the
+        over ``axes`` then ``summed`` and reduced over ``summed`` (a ``_NORM``
+        step reduces nothing: its table is over ``axes`` then ``summed``,
+        each run over ``summed`` normalized); or the
         slot of an equal step already planned, one with the same op, width
         and input views (``_Operand.view``), which makes the same rows (two
         margins eliminated from one law share products); an equal step is
@@ -612,17 +623,19 @@ class _Plan:
             self.cells += cells
             self.steps.append(_Step(op, inputs, width, cells, drop))
             slot = self.made[key] = len(self.inputs) + len(self.steps) - 1
-        return _Operand(slot, axes, domains, given=given)
+        return _Operand(slot, layout if op is _NORM else axes, domains, given=given)
 
     def eliminate(self, factors: list, out_axes, free: Mapping = {}) -> _Operand:
         """The product of ``factors`` summed down to ``out_axes``: the one
         variable-elimination routine.  Axes are summed out smallest product
         first, ties to the first name, each from the factors that hold it,
         multiplied smallest first; at the first axis every factor left
-        holds, one last step multiplies them and sums the rest.  It keeps
-        the kept axes in product order, then the ``free`` axes sorted, each
-        over its domain there, broadcast where no factor has it.  A lone
-        factor with nothing to sum is returned as it is."""
+        holds, one last step multiplies them and sums the rest.  A step of
+        three or more factors first multiplies small ones together
+        (``absorbed``).  It keeps the kept axes in product order, then the
+        ``free`` axes sorted, each over its domain there, broadcast where no
+        factor has it.  A lone factor with nothing to sum is returned as it
+        is."""
         live = list(factors)
         left = sorted(frozenset().union(*(f.axes for f in live)) - frozenset(out_axes))
         while left:
@@ -633,14 +646,38 @@ class _Plan:
             left.remove(h)
             live = [f for f in live if h not in f.axes]
             axes, domains = _joined(touching)
-            live.append(self.step(_SUM, touching, [a for a in axes if a != h], domains, summed=[h]))
+            inputs = self.absorbed(touching, domains)
+            live.append(self.step(_SUM, inputs, [a for a in axes if a != h], domains, summed=[h]))
         live.sort(key=lambda f: f.cells)
         axes, domains = _joined(live) if live else ([], {})
         keep = [a for a in axes if a in out_axes and a not in free] + sorted(free)
         if len(live) == 1 and tuple(keep) == live[0].axes:
             return live[0]
         given = frozenset().union(*(f.given for f in factors), free) & frozenset(keep)
-        return self.step(_SUM, live, keep, {**free, **domains}, given, summed=[a for a in axes if a not in keep])
+        summed = [a for a in axes if a not in keep]
+        return self.step(_SUM, self.absorbed(live, domains), keep, {**free, **domains}, given, summed=summed)
+
+    def absorbed(self, factors: list, domains: Mapping) -> list:
+        """``factors``, sorted smallest first, of a step over ``domains``:
+        while there are three or more, a factor whose axes a factor smaller
+        than the step holds is first multiplied into the smallest such
+        factor, a step of that factor's size, so that the step multiplies
+        one vector fewer per cell."""
+        step = math.prod(map(len, domains.values()))
+        while len(factors) > 2:
+            pair = next(
+                (
+                    (f, h) for f in factors for h in factors
+                    if h is not f and h.cells < step and f.domains.keys() <= h.domains.keys()
+                ),
+                None,
+            )
+            if pair is None:
+                break
+            axes, joined = _joined(pair[::-1])
+            product = self.step(_SUM, pair[::-1], axes, joined)
+            factors = sorted([x for x in factors if x not in pair] + [product], key=lambda x: x.cells)
+        return factors
 
     def sum_out(self, t: _Operand, axes, op=_SUM) -> _Operand:
         """``t`` without ``axes``: summed out, or with ``op`` ``_SAME``
@@ -664,14 +701,27 @@ class _Plan:
     def conditional(self, t, outcome: frozenset, context: frozenset, selector: Optional[tuple] = None) -> _Operand:
         """p(outcome | context) of ``t``, a ``_Law`` (over the selector
         values ``selector`` lists alone, when given: ``_narrowed``) or an
-        operand."""
+        operand.
+
+        A law's ``keep`` margin (``_compile_law``) is normalized in one
+        ``_NORM`` step, read with its context axes first and its outcome
+        axes last, so that each context row's cells are one run: no
+        ``rest`` margin is planned (``_normalized``).  An operand, whose
+        rows may hold per-row denominators or ``UNDEF``, divides its
+        ``keep`` by the ``rest`` summed from it."""
         missing = t.given - context
         keep = _kernel_keep(t, outcome, context)
-        num = _compile_law(t, keep, self, selector) if isinstance(t, _Law) else self.sum_out(t, frozenset(t.axes) - keep)
-        # the rest is summed from the kernel's own keep, over the same
-        # denominator, which the divide cancels
-        den = self.sum_out(num, outcome)
-        return self.sum_out(self.divide(num, den, context | missing), missing, _SAME)
+        if isinstance(t, _Law):
+            num = _compile_law(t, keep, self, selector)
+            rows = [a for a in num.axes if a not in outcome]
+            run = [a for a in num.axes if a in outcome]
+            out = self.step(_NORM, [num], rows, num.domains, context | missing, summed=run)
+        else:
+            num = self.sum_out(t, frozenset(t.axes) - keep)
+            # the rest is summed from the kernel's own keep, over the same
+            # denominator, which the divide cancels
+            out = self.divide(num, self.sum_out(num, outcome), context | missing)
+        return self.sum_out(out, missing, _SAME)
 
     def restrict(self, t: _Operand, var: str, val) -> _Operand:
         """``t`` read at the value ``val`` of ``var``, a view of its rows
@@ -718,14 +768,15 @@ class _Plan:
 
         A slot holds the models' rows back to back: integer numerators, or
         ``UNDEF``, over one common denominator per model (a tuple) or, from
-        a divide onward, over one denominator per row (a list).  Each input
-        is read by its step's reader in one call, and the products are
-        taken cell by cell by ``map`` over ``operator.mul``, the sums by
-        ``operator.add`` or ``sum``.  ``UNDEF`` answers both itself
-        (``Undefined``), so no step tracks which rows hold it, and no
-        Python code runs per cell but its own and the pass of a divide
-        that makes it.  A group a step reduces never spans two models, so
-        a batch of one model is a run on that model alone."""
+        a divide or a normalizing step onward, over one denominator per row
+        (a list).  Each input is read by its step's reader in one call, and
+        the products are taken cell by cell by ``map`` over
+        ``operator.mul``, the sums by ``operator.add`` or ``sum``.
+        ``UNDEF`` answers both itself (``Undefined``), so no step tracks
+        which rows hold it, and no Python code runs per cell but its own and
+        the pass of the step that makes it.  A group a step reduces or a run
+        it normalizes never spans two models, so a batch of one model is a
+        run on that model alone."""
         slots, denoms = map(list, zip(*inputs)) if inputs else ([], [])
         for step in self.steps:
             inputs = [
@@ -733,19 +784,23 @@ class _Plan:
                 for k, (s, idx) in enumerate(step.inputs)
             ]
             if step.op is _DIV:
-                acc, den = _divide(slots, denoms, inputs, step.cells)
-            elif inputs:
-                (s, read), *rest = inputs
-                acc = read(slots[s])
-                for s, read in rest:
-                    acc = map(operator.mul, acc, read(slots[s]))
-                den = _product_denoms(denoms, inputs, step.cells)
+                vec, den = _divide(slots, denoms, inputs, step.cells)
+            elif step.op is _NORM:
+                ((s, read),) = inputs
+                vec, den = _normalized(read(slots[s]), step.width)
             else:
-                acc, den = [1] * (step.cells * trials), (1,) * trials
-            if type(den) is tuple:
-                vec = _reduce(step, acc)
-            else:
-                vec, den = _reduce_rows(step, acc, den)
+                if inputs:
+                    (s, read), *rest = inputs
+                    acc = read(slots[s])
+                    for s, read in rest:
+                        acc = map(operator.mul, acc, read(slots[s]))
+                    den = _product_denoms(denoms, inputs, step.cells)
+                else:
+                    acc, den = [1] * (step.cells * trials), (1,) * trials
+                if type(den) is tuple:
+                    vec = _reduce(step, acc)
+                else:
+                    vec, den = _reduce_rows(step, acc, den)
             slots.append(vec)
             denoms.append(den)
             for s in step.release:
@@ -854,17 +909,24 @@ def _divide(slots: list, denoms: list, inputs, cells: int) -> tuple:
     Lowest terms keep the integers that later products and sums carry
     small: without them nested ratios multiply their size at every level,
     and even one divide of two margins of one law carries the law's
-    factors into every row.  ``UNDEF`` is born here: a row whose divisor is
-    0 is ``UNDEF``, as is one that reads ``UNDEF``, each over 1, in one pass
-    row by row taken only when such a row is there."""
+    factors into every row.  A divide serves ``Ratio`` nodes and operand
+    sources (``_Plan.conditional``); a law's kernel is ``_normalized``.
+    ``UNDEF`` is made here too: a row whose divisor is 0 is ``UNDEF``, as is
+    one that reads ``UNDEF``, each over 1, in one pass row by row taken
+    only when such a row is there: a 0 divisor is found by ``in``, and a
+    row that reads ``UNDEF`` by the ``TypeError`` its gcd raises."""
     (n, read_n), (d, read_d) = inputs
     num, den = list(read_n(slots[n])), list(read_d(slots[d]))
     da, db = denoms[n], denoms[d]
     if type(da) is not tuple or da != db:
         num, den = _scaled(num, db, read_d, cells), _scaled(den, da, read_n, cells)
-    if 0 not in den and not _has_undef(itertools.chain(num, den)):
-        gs = list(map(math.gcd, num, den))
-        return list(map(operator.floordiv, num, gs)), list(map(operator.floordiv, den, gs))
+    if 0 not in den:
+        try:
+            gs = list(map(math.gcd, num, den))
+        except TypeError:  # a row reads UNDEF
+            pass
+        else:
+            return list(map(operator.floordiv, num, gs)), list(map(operator.floordiv, den, gs))
     for i, (a, b) in enumerate(zip(num, den)):
         if a is UNDEF or b is UNDEF or not b:
             num[i], den[i] = UNDEF, 1
@@ -872,6 +934,41 @@ def _divide(slots: list, denoms: list, inputs, cells: int) -> tuple:
             g = math.gcd(a, b)
             num[i], den[i] = a // g, b // g
     return num, den
+
+
+def _normalized(acc, width: int) -> tuple:
+    """Numerators and per-row denominators of a ``_NORM`` step: ``acc``
+    holds a law's margin over one common denominator per model, context
+    row by context row, each row's ``width`` outcome cells one run.  Each
+    run is divided by its gcd, one gcd per run, and each of its cells is
+    over the run's sum after that division; the common denominator
+    cancels.  A run of zeros, a zero-mass context, is ``UNDEF`` over 1, as
+    ``_divide`` makes it.  For ``width`` 2 the rows are in lowest terms:
+    gcd(a / g, (a + b) / g) = gcd(a / g, b / g) = 1.  A wider run's rows
+    are exact, but not always in lowest terms.  Many narrow runs
+    (``_strided``) are read as ``width`` strided slices, cell k of every
+    run in slice k."""
+    acc = list(acc)
+    strided = _strided(acc, width)
+    if strided:
+        parts = [acc[k::width] for k in range(width)]
+        gs = list(map(math.gcd, *parts))
+    else:
+        gs = list(itertools.starmap(math.gcd, zip(*[iter(acc)] * width)))
+    zeros = [i for i, g in enumerate(gs) if not g] if 0 in gs else ()
+    for i in zeros:
+        gs[i] = 1
+    if strided:
+        parts = [list(map(operator.floordiv, part, gs)) for part in parts]
+        totals = _added(parts)
+        nums = list(itertools.chain.from_iterable(zip(*parts)))
+    else:
+        nums = list(map(operator.floordiv, acc, _per_row(gs, width)))
+        totals = list(map(sum, zip(*[iter(nums)] * width)))
+    for i in zeros:
+        nums[i * width:(i + 1) * width] = [UNDEF] * width
+        totals[i] = 1
+    return nums, list(itertools.chain.from_iterable(zip(*[totals] * width)))
 
 
 def _product_denoms(denoms: list, inputs, cells: int):
@@ -985,8 +1082,8 @@ def _once(tables: list, build) -> Table:
 
 
 def _kernel_keep(t, outcome: frozenset, context: frozenset) -> frozenset:
-    """The axes of the margin ``keep`` of ``t`` that a kernel divides by its
-    ``rest``, the same margin without ``outcome``."""
+    """The axes of the margin ``keep`` of ``t`` that a kernel normalizes
+    over ``outcome``, context row by context row."""
     missing = (outcome | context) - frozenset(t.axes)
     if missing:
         raise OracleError(f"kernel variables {sorted(missing)} are not axes of its table")
@@ -1221,6 +1318,14 @@ class _ModelLayout:
         draws them."""
         return self.fill([_weights(seed, self.weights) for seed in seeds])
 
+    def part(self, batch: list, start: int, stop: int) -> list:
+        """Models ``start`` to ``stop`` of ``batch``, as a batch of their
+        own: the whole batch as it is."""
+        if start == 0 and stop == len(batch[0][1]):
+            return batch
+        cells = [len(c.index) for c in self.cpts]
+        return [(vec[start * n:stop * n], den[start:stop]) for n, (vec, den) in zip(cells, batch)]
+
     def models(self, batch: list, trials: int) -> list:
         """The ``trials`` models of ``batch``."""
         cpts = [{} for _ in range(trials)]
@@ -1330,11 +1435,12 @@ def _estimand_steps(e: Estimand, inputs: Mapping, plan: _Plan) -> _Operand:
     on the laws it makes and no joint table is built.  Each distinct node
     of ``e`` is planned once.
 
-    A ``BaseKernel`` divides two margins of its source, ``keep`` by
-    ``rest`` (``_Plan.conditional``): a law's ``keep`` is eliminated from
-    the CPTs (``_compile_law``), a table's is summed from the table, and
-    each ``rest`` is summed from the kernel's own ``keep``; a ``keep`` that
-    another kernel already planned is found step by step (``_Plan.step``).
+    A ``BaseKernel`` normalizes the margin ``keep`` of its source over its
+    outcome (``_Plan.conditional``): a law's ``keep`` is eliminated from
+    the CPTs (``_compile_law``) and normalized in one step, and a table's
+    is summed from the table and divided by the ``rest`` summed from it; a
+    ``keep`` that another kernel already planned is found step by step
+    (``_Plan.step``).
     A kernel is planned as each parent reads it: under a ``Restrict`` that
     gives the selector a value, a law's kernel is eliminated over that
     value's pattern alone where no check covers fewer rows for it
@@ -1383,7 +1489,7 @@ def _narrowed(source, k: BaseKernel, parent: Optional[Estimand]) -> Optional[tup
     value's pattern alone, so ``k`` is eliminated over the pattern's values
     alone when no check covers fewer rows for it: ``source`` is a ``_Law``
     without free axes, so no constancy check (``_SAME``) drops any, and the
-    selector is in ``k``'s context, so its ``rest`` never sums over it."""
+    selector is in ``k``'s context, so no run it normalizes spans it."""
     if not isinstance(parent, Restrict) or not isinstance(source, _Law) or source.free:
         return None
     sel = source.m.selector
@@ -1696,9 +1802,12 @@ def verify(
     other axes, checked to be constant over them.  It compiles on the shape
     of the one ``_ModelLayout`` every trial's model is drawn on, built once
     per call.  Trials run in batches, as many per batch as keep both a run
-    and the batch's CPTs within ``BATCH_CELLS`` cells: each batch's models
-    are drawn in one pass and the plan runs once on them
-    (``_Plan.run_rows``), each trial over its own denominators, and the
+    and the batch's CPTs within ``BATCH_CELLS`` cells.  Models are drawn
+    a chunk at a time, a whole number of batches whose CPTs stay within
+    ``BATCH_CELLS`` (``_ModelLayout.draw``), and each batch reads its
+    slice of its chunk (``_ModelLayout.part``).  The plan runs once on each
+    batch's models (``_Plan.run_rows``), each trial over its own
+    denominators, and the
     batch's two results are compared row by row in one pass
     (``_mismatched``), which names the trials that differ.  A check of
     constancy that fails, in a kernel or in the comparison, fails its
@@ -1744,25 +1853,33 @@ def verify(
         # the two lay out the same rows unless the estimand lacks an outcome
         aligned = want.axes == got.axes
 
-        def failed(batch: range) -> list:
-            """The trials of ``batch`` that fail, run as one batch: a batch
-            in which a constancy check fails runs again trial by trial."""
-            inputs = layout.draw([seed + t for t in batch])
+        def failed(batch: range, inputs: list) -> list:
+            """The trials of ``batch``, whose models ``inputs`` holds, that
+            fail, run as one batch: a batch in which a constancy check fails
+            runs again trial by trial."""
             try:  # every context axis dropped must be provably irrelevant
                 truth, value = plan.run_rows(inputs, len(batch))
             except OracleError:
                 if len(batch) == 1:
                     return list(batch)
-                return [t for one in batch for t in failed(range(one, one + 1))]
+                alone = (failed(range(one, one + 1), layout.part(inputs, i, i + 1)) for i, one in enumerate(batch))
+                return [t for ts in alone for t in ts]
             if not aligned:
                 return list(batch)
             # the truth, a law's margin, holds no UNDEF, which equals only
             # itself: a trial whose estimand is UNDEF anywhere differs there
             return [batch[i] for i in _mismatched(truth, value, len(batch))]
 
-        per_trial = max(layout.cells, plan.cells)
-        size = max(1, min(trials, BATCH_CELLS // per_trial))
-        failures = [t for at in range(0, trials, size) for t in failed(range(at, min(at + size, trials)))]
+        size = max(1, min(trials, BATCH_CELLS // max(layout.cells, plan.cells)))
+        # models are drawn a chunk of whole batches at a time, as many as
+        # keep a chunk's CPTs within BATCH_CELLS
+        chunk = size * max(1, BATCH_CELLS // layout.cells // size)
+        failures = []
+        for first in range(0, trials, chunk):
+            drawn = layout.draw(range(seed + first, seed + min(first + chunk, trials)))
+            for at in range(first, min(first + chunk, trials), size):
+                batch = range(at, min(at + size, trials))
+                failures += failed(batch, layout.part(drawn, at - first, batch.stop - first))
         status = "verified" if not failures else "refuted"
         return VerifyReport(status, kind, trials, tuple(failures))
 
